@@ -1,8 +1,7 @@
-"""Times the numba kernels against their pure-numpy fallbacks.
+"""Times the three numeric kernels on synthetic inputs.
 
-Runs each kernel pair on identical inputs, checks that the outputs agree
-bit for bit, and prints a small table.  Works without numba installed or
-with CLAIMCHECK_NO_NUMBA set; the numba column is then skipped.
+Runs batch edit distance, sparse cosine accumulation and split search on
+seeded inputs and prints the best-of-N wall time of each.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -29,9 +28,9 @@ def make_title_workload(rng, n_titles):
     alphabet = list("abcdefghijklmnopqrstuvwxyz _()")
     titles = ["".join(rng.choice(alphabet, size=rng.integers(5, 26)))
               for _ in range(n_titles)]
-    flat, offsets = kernels.pack_strings(titles)
+    mat, lengths = kernels.code_matrix(titles)
     query = kernels.codes("the grey fleet (film)")
-    return flat, offsets, query
+    return mat, lengths, query
 
 
 def make_postings_workload(rng, n_items, n_postings):
@@ -41,9 +40,10 @@ def make_postings_workload(rng, n_items, n_postings):
     uniq_offsets = np.concatenate(([0], splits, [n_postings])).astype(np.int64)
     post_items = rng.integers(0, n_items, size=n_postings).astype(np.int32)
     post_weights = rng.random(n_postings)
-    q_idx = np.sort(rng.choice(n_bins, size=48, replace=False))
+    n_query = min(48, n_bins)
+    q_idx = np.sort(rng.choice(n_bins, size=n_query, replace=False))
     q_bins = uniq_bins[q_idx]
-    q_weights = rng.random(48)
+    q_weights = rng.random(n_query)
     return q_bins, q_weights, uniq_bins, uniq_offsets, post_items, post_weights, n_items
 
 
@@ -54,31 +54,14 @@ def make_split_workload(rng, n_samples):
 
 
 def build_cases(rng, args):
-    flat, offsets, query = make_title_workload(rng, args.titles)
+    titles = make_title_workload(rng, args.titles)
     postings = make_postings_workload(rng, args.items, args.postings)
     values, labels = make_split_workload(rng, args.samples)
     return [
-        (f"batch_levenshtein ({args.titles} titles)",
-         kernels.batch_levenshtein_numpy, kernels.batch_levenshtein_numba,
-         (flat, offsets, query)),
-        (f"batch_levenshtein_banded ({args.titles} titles)",
-         kernels.batch_levenshtein_banded_numpy, kernels.batch_levenshtein_banded_numba,
-         (flat, offsets, query)),
-        (f"cosine_accumulate ({args.postings} postings)",
-         kernels.cosine_accumulate_numpy, kernels.cosine_accumulate_numba,
-         postings),
-        (f"best_split ({args.samples} samples)",
-         kernels.best_split_numpy, kernels.best_split_numba,
-         (values, labels, 3)),
+        (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, titles),
+        (f"cosine_accumulate ({args.postings} postings)", kernels.cosine_accumulate, postings),
+        (f"best_split ({args.samples} samples)", kernels.best_split, (values, labels, 3)),
     ]
-
-
-def agree(a, b) -> bool:
-    if isinstance(a, tuple):
-        return all(agree(x, y) for x, y in zip(a, b))
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
 
 
 def main(argv=None) -> int:
@@ -93,36 +76,13 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(args.seed)
     cases = build_cases(rng, args)
-    use_numba = kernels.HAVE_NUMBA and kernels.best_split_numba is not None
-
-    if use_numba:
-        # trigger JIT compilation outside the timed region
-        tiny_flat, tiny_off = kernels.pack_strings(["ab", "cd"])
-        tiny_q = kernels.codes("ad")
-        kernels.batch_levenshtein_numba(tiny_flat, tiny_off, tiny_q)
-        kernels.batch_levenshtein_banded_numba(tiny_flat, tiny_off, tiny_q)
-        zero = np.zeros(0, dtype=np.int64)
-        kernels.cosine_accumulate_numba(zero, np.zeros(0), zero, np.zeros(1, dtype=np.int64),
-                                        np.zeros(0, dtype=np.int32), np.zeros(0), 1)
-        kernels.best_split_numba(np.array([0.0, 1.0]), np.array([0, 1], dtype=np.int64), 2)
-
     width = max(len(name) for name, *_ in cases)
-    header = f"{'kernel':<{width}}  {'numpy':>10}"
-    if use_numba:
-        header += f"  {'numba':>10}  {'speedup':>8}"
+    header = f"{'kernel':<{width}}  {'time':>10}"
     print(header)
     print("-" * len(header))
-    for name, fn_numpy, fn_numba, inputs in cases:
-        t_numpy = best_of(lambda: fn_numpy(*inputs), args.repeat)
-        line = f"{name:<{width}}  {t_numpy * 1e3:>8.2f}ms"
-        if use_numba:
-            if not agree(fn_numpy(*inputs), fn_numba(*inputs)):
-                raise SystemExit(f"backend mismatch in {name}")
-            t_numba = best_of(lambda: fn_numba(*inputs), args.repeat)
-            line += f"  {t_numba * 1e3:>8.2f}ms  {t_numpy / t_numba:>7.1f}x"
-        print(line)
-    if not use_numba:
-        print("\nnumba unavailable or disabled; numpy fallback timings only")
+    for name, fn, inputs in cases:
+        elapsed = best_of(lambda: fn(*inputs), args.repeat)
+        print(f"{name:<{width}}  {elapsed * 1e3:>8.2f}ms")
     return 0
 
 

@@ -27,9 +27,7 @@ def load_corpus_any(path) -> Corpus:
     try:
         return Corpus.load(path)
     except Exception:
-        corpus, stats = ingest_dump(path)
-        log.info("ingested %d documents (%d lines skipped, %d records skipped)",
-                 stats.documents, stats.lines_skipped, stats.records_skipped)
+        corpus, _ = ingest_dump(path)
         return corpus
 
 
@@ -230,11 +228,11 @@ def cmd_train(args) -> int:
     missing = [i.claim_id for i in instances if i.claim_id not in fvs]
     if missing:
         raise ValueError(f"no feature rows for claim ids {missing[:5]}...")
+    config = ForestConfig(trees=args.trees, max_depth=args.max_depth,
+                          features_per_split=args.features_per_split, seed=args.seed)
     sampled = forest.sample_training_claims(instances, seed=args.seed,
                                             counts=_parse_counts(args.sample_counts))
     samples = [TrainingSample(fvs[i.claim_id], i.label) for i in sampled]
-    config = ForestConfig(trees=args.trees, max_depth=args.max_depth,
-                          features_per_split=args.features_per_split, seed=args.seed)
     model = forest.train(samples, config)
     forest.save(model, args.out)
     print(f"trained {config.trees} trees on {len(samples)} claims -> {args.out}")
@@ -287,6 +285,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_e2e(args) -> int:
+    config = ForestConfig(trees=args.trees, max_depth=args.max_depth, seed=args.seed)
     corpus = load_corpus_any(args.corpus)
     instances = load_claims(args.claims)
     index = _load_index(args, corpus)
@@ -306,9 +305,7 @@ def cmd_e2e(args) -> int:
         sampled = forest.sample_training_claims(instances, seed=args.seed,
                                                 counts=_parse_counts(args.sample_counts))
         samples = [TrainingSample(fvs[i.claim_id], i.label) for i in sampled]
-        model = forest.train(samples, ForestConfig(trees=args.trees,
-                                                   max_depth=args.max_depth,
-                                                   seed=args.seed))
+        model = forest.train(samples, config)
         log.info("trained in-memory forest on %d claims", len(samples))
 
     verdicts = _assemble_all(instances, fvs, scored_by_id, model)

@@ -119,11 +119,6 @@ class FileScorer:
         return self.table[key]
 
 
-def score_pair(scorer, claim: str, sentence: str, *, claim_id=None,
-               ref: SentenceRef | None = None) -> EntailmentTriple:
-    return scorer.score(claim_id, claim, ref, sentence)
-
-
 def score_candidates(scorer, claim_id, claim: str, refs, corpus) -> list[ScoredCandidate]:
     """Score every ref that resolves to a sentence, in the given order."""
     out = []

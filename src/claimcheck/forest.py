@@ -50,6 +50,12 @@ class ForestConfig:
     features_per_split: int | None = None  # None -> ceil(sqrt(n_features))
     seed: int = 0
 
+    def __post_init__(self):
+        if self.trees < 1:
+            raise ValueError(f"a forest needs at least 1 tree, got {self.trees}")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -209,6 +215,8 @@ def load(path) -> RandomForest:
         trees = [_node_from_dict(t) for t in payload["trees"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
+    if not trees:
+        raise ModelFormatError("model has no trees")
     return RandomForest(config=config, trees=trees)
 
 

@@ -1,100 +1,62 @@
 """Hot numeric kernels: edit distance, sparse cosine scoring, split search.
 
-Each kernel has a numba ``@njit`` implementation and a pure-numpy fallback.
-The active backend is picked at import time: numba when importable, unless
-``CLAIMCHECK_NO_NUMBA`` is set to 1/true/yes/on.  Both paths are kept
-importable side by side (``*_numba`` / ``*_numpy``) so tests and benchmarks
-can compare them; the unsuffixed names are the selected backend.
+Each kernel is one exact numpy implementation.  Edit distance runs against
+a whole zero-padded code matrix at once, so matching a mention against
+every page title costs one vectorized pass per query character.
 
-Floating-point discipline: both backends accumulate in the same order
-(ascending bins, ascending class index) so that results agree bit for bit.
+Floating-point discipline: cosine accumulation visits query bins in
+ascending order and split search scans classes in ascending index, so
+results are reproducible bit for bit.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
+def code_matrix(strings) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as a zero-padded (n, W) int32 matrix of code points, plus lengths.
 
-
-def _numba_disabled_by_env() -> bool:
-    flag = os.environ.get("CLAIMCHECK_NO_NUMBA", "")
-    return flag.strip().lower() in {"1", "true", "yes", "on"}
-
-
-# ---------------------------------------------------------------------------
-# Pure-numpy fallbacks
-# ---------------------------------------------------------------------------
-
-
-def levenshtein_numpy(a, b):
-    """Edit distance between two int32 code-point arrays.
-
-    Rolling-row DP; the sequential dependency of the insertion term is
-    resolved with a running minimum (cur[j] = min(t[j], cur[j-1] + 1)
-    equals j + running_min(t - j)).
+    Every Unicode scalar value is kept as ``ord`` gives it, lone surrogates
+    included.
     """
-    if a.size == 0:
-        return int(b.size)
-    if b.size == 0:
-        return int(a.size)
-    m = b.size
-    idx = np.arange(m + 1, dtype=np.int64)
-    prev = idx.copy()
-    t = np.empty(m + 1, dtype=np.int64)
-    for i in range(a.size):
-        t[0] = i + 1
-        t[1:] = np.minimum(prev[1:] + 1, prev[:-1] + (b != a[i]))
-        prev = idx + np.minimum.accumulate(t - idx)
-    return int(prev[m])
+    lengths = np.array([len(s) for s in strings], dtype=np.int64)
+    mat = np.array(strings, dtype=np.str_).view(np.int32).reshape(len(strings), -1)
+    return mat, lengths
 
 
-def batch_levenshtein_numpy(flat, offsets, query):
-    """Distances from query to every string packed in flat/offsets."""
-    n = offsets.size - 1
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        out[i] = levenshtein_numpy(query, flat[offsets[i] : offsets[i + 1]])
-    return out
+def codes(text: str) -> np.ndarray:
+    """Unicode scalar values of a string as an int32 array."""
+    return np.array([ord(ch) for ch in text], dtype=np.int32)
 
 
-# Sentinel distance for strings pruned by the length-band filter; larger than
-# any real distance (code points per string stay far below this).
-PRUNED = np.int64(1) << 40
+def batch_levenshtein(mat, lengths, query):
+    """Edit distance from query to each row of a zero-padded code matrix.
 
-
-def batch_levenshtein_banded_numpy(flat, offsets, query):
-    """Band-pruned variant: skip strings whose length difference alone
-    already exceeds the best distance seen so far.  Pruned entries get the
-    PRUNED sentinel; the minimum and all ties are identical to the full scan.
+    Row i holds a string of lengths[i] code points followed by padding.  The
+    rolling-row DP runs on all rows at once; the sequential dependency of
+    the insertion term is resolved with a running minimum (cur[j] =
+    min(t[j], cur[j-1] + 1) equals j + running_min(t - j)).  A cell only
+    reads cells to its left and above, so padding never feeds column
+    lengths[i], where row i's distance is read.
     """
-    n = offsets.size - 1
-    out = np.full(n, PRUNED, dtype=np.int64)
-    best = PRUNED
-    qlen = query.size
-    for i in range(n):
-        length = offsets[i + 1] - offsets[i]
-        if abs(int(length) - qlen) > best:
-            continue
-        d = levenshtein_numpy(query, flat[offsets[i] : offsets[i + 1]])
-        out[i] = d
-        if d < best:
-            best = d
-    return out
+    n, w = mat.shape
+    idx = np.arange(w + 1, dtype=np.int32)
+    prev = np.tile(idx, (n, 1))
+    t = np.empty((n, w + 1), dtype=np.int32)
+    for i, ch in enumerate(query.tolist()):
+        t[:, 0] = i + 1
+        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (mat != ch), out=t[:, 1:])
+        t -= idx
+        prev = np.minimum.accumulate(t, axis=1)
+        prev += idx
+    return prev[np.arange(n), lengths]
 
 
-def cosine_accumulate_numpy(q_bins, q_weights, uniq_bins, uniq_offsets, post_items, post_weights, n_items):
+def cosine_accumulate(q_bins, q_weights, uniq_bins, uniq_offsets, post_items, post_weights, n_items):
     """Raw dot products between a sparse query and every indexed item.
 
     The index is a postings layout grouped by bin: uniq_bins is sorted,
     uniq_offsets delimits each bin's slice of post_items/post_weights.
-    q_bins must be sorted ascending so per-item accumulation order matches
-    the numba path.
+    q_bins must be sorted ascending so per-item accumulation order is fixed.
     """
     scores = np.zeros(n_items, dtype=np.float64)
     if q_bins.size == 0 or uniq_bins.size == 0:
@@ -118,13 +80,15 @@ def cosine_accumulate_numpy(q_bins, q_weights, uniq_bins, uniq_offsets, post_ite
     return scores
 
 
-def best_split_numpy(values, labels, n_classes):
+def best_split(values, labels, n_classes):
     """Best information-gain split of one feature column.
 
     Thresholds are midpoints between consecutive distinct sorted values;
-    left branch takes value < threshold.  Returns (gain, threshold) in nats;
-    gain is -1.0 when no valid threshold exists.  Ties keep the smallest
-    threshold, matching the numba backend's strict-improvement scan.
+    left branch takes value < threshold.  The midpoint of two adjacent
+    doubles can round down onto the lower one; when that is the column
+    minimum the left branch would be empty, so the upper value is used.
+    Returns (gain, threshold) in nats; gain is -1.0 when no valid threshold
+    exists.  Ties keep the smallest threshold.
     """
     n = values.size
     if n < 2:
@@ -141,181 +105,26 @@ def best_split_numpy(values, labels, n_classes):
     cum = np.cumsum(onehot, axis=0)
     total = cum[-1]
 
-    hp = _entropy_numpy(total[np.newaxis, :], np.array([n], dtype=np.int64))[0]
+    hp = _entropy(total[np.newaxis, :], np.array([n], dtype=np.int64))[0]
 
     j = np.arange(1, n, dtype=np.int64)[boundary]
     cl = cum[:-1][boundary]
     nl = j
     nr = n - j
-    hl = _entropy_numpy(cl, nl)
-    hr = _entropy_numpy(total[np.newaxis, :] - cl, nr)
+    hl = _entropy(cl, nl)
+    hr = _entropy(total[np.newaxis, :] - cl, nr)
     gains = hp - (nl * hl + nr * hr) / n
 
     k = int(np.argmax(gains))
     thr = (sv[j[k] - 1] + sv[j[k]]) / 2.0
+    if thr <= sv[0]:
+        thr = sv[j[k]]
     return float(gains[k]), float(thr)
 
 
-def _entropy_numpy(counts, sizes):
+def _entropy(counts, sizes):
     """Row-wise entropy in nats of count matrices; zero counts contribute 0."""
     p = counts / sizes[:, np.newaxis]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(counts > 0, p * np.log(p), 0.0)
     return -np.sum(terms, axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Numba kernels
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def levenshtein_numba(a, b):
-        if a.size == 0:
-            return b.size
-        if b.size == 0:
-            return a.size
-        m = b.size
-        prev = np.arange(m + 1, dtype=np.int64)
-        cur = np.empty(m + 1, dtype=np.int64)
-        for i in range(a.size):
-            cur[0] = i + 1
-            for j in range(1, m + 1):
-                cost = 0 if b[j - 1] == a[i] else 1
-                d = prev[j - 1] + cost
-                if prev[j] + 1 < d:
-                    d = prev[j] + 1
-                if cur[j - 1] + 1 < d:
-                    d = cur[j - 1] + 1
-                cur[j] = d
-            prev, cur = cur, prev
-        return prev[m]
-
-    @njit(cache=True)
-    def batch_levenshtein_numba(flat, offsets, query):
-        n = offsets.size - 1
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = levenshtein_numba(query, flat[offsets[i] : offsets[i + 1]])
-        return out
-
-    @njit(cache=True)
-    def batch_levenshtein_banded_numba(flat, offsets, query):
-        n = offsets.size - 1
-        out = np.full(n, PRUNED, dtype=np.int64)
-        best = PRUNED
-        qlen = query.size
-        for i in range(n):
-            length = offsets[i + 1] - offsets[i]
-            diff = length - qlen
-            if diff < 0:
-                diff = -diff
-            if diff > best:
-                continue
-            d = levenshtein_numba(query, flat[offsets[i] : offsets[i + 1]])
-            out[i] = d
-            if d < best:
-                best = d
-        return out
-
-    @njit(cache=True)
-    def cosine_accumulate_numba(q_bins, q_weights, uniq_bins, uniq_offsets, post_items, post_weights, n_items):
-        scores = np.zeros(n_items, dtype=np.float64)
-        for qi in range(q_bins.size):
-            b = q_bins[qi]
-            lo = np.searchsorted(uniq_bins, b)
-            if lo < uniq_bins.size and uniq_bins[lo] == b:
-                w = q_weights[qi]
-                for p in range(uniq_offsets[lo], uniq_offsets[lo + 1]):
-                    scores[post_items[p]] += post_weights[p] * w
-        return scores
-
-    @njit(cache=True)
-    def best_split_numba(values, labels, n_classes):
-        n = values.size
-        if n < 2:
-            return -1.0, 0.0
-        order = np.argsort(values)
-        total = np.zeros(n_classes, dtype=np.int64)
-        for i in range(n):
-            total[labels[i]] += 1
-        hp = 0.0
-        for c in range(n_classes):
-            if total[c] > 0:
-                p = total[c] / n
-                hp -= p * np.log(p)
-
-        left = np.zeros(n_classes, dtype=np.int64)
-        best_gain = -1.0
-        best_thr = 0.0
-        for j in range(1, n):
-            left[labels[order[j - 1]]] += 1
-            v0 = values[order[j - 1]]
-            v1 = values[order[j]]
-            if v1 == v0:
-                continue
-            nl = j
-            nr = n - j
-            hl = 0.0
-            hr = 0.0
-            for c in range(n_classes):
-                cl = left[c]
-                if cl > 0:
-                    p = cl / nl
-                    hl -= p * np.log(p)
-                cr = total[c] - cl
-                if cr > 0:
-                    p = cr / nr
-                    hr -= p * np.log(p)
-            gain = hp - (nl * hl + nr * hr) / n
-            if gain > best_gain:
-                best_gain = gain
-                best_thr = (v0 + v1) / 2.0
-        return best_gain, best_thr
-
-else:  # pragma: no cover
-    levenshtein_numba = None
-    batch_levenshtein_numba = None
-    batch_levenshtein_banded_numba = None
-    cosine_accumulate_numba = None
-    best_split_numba = None
-
-
-# ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-USE_NUMBA = HAVE_NUMBA and not _numba_disabled_by_env()
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-if USE_NUMBA:
-    levenshtein = levenshtein_numba
-    batch_levenshtein = batch_levenshtein_numba
-    batch_levenshtein_banded = batch_levenshtein_banded_numba
-    cosine_accumulate = cosine_accumulate_numba
-    best_split = best_split_numba
-else:
-    levenshtein = levenshtein_numpy
-    batch_levenshtein = batch_levenshtein_numpy
-    batch_levenshtein_banded = batch_levenshtein_banded_numpy
-    cosine_accumulate = cosine_accumulate_numpy
-    best_split = best_split_numpy
-
-
-def codes(text: str) -> np.ndarray:
-    """Unicode scalar values of a string as an int32 array."""
-    return np.array([ord(ch) for ch in text], dtype=np.int32)
-
-
-def pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten strings into one int32 code array plus int64 offsets."""
-    offsets = np.zeros(len(strings) + 1, dtype=np.int64)
-    for i, s in enumerate(strings):
-        offsets[i + 1] = offsets[i] + len(s)
-    flat = np.empty(int(offsets[-1]), dtype=np.int32)
-    for i, s in enumerate(strings):
-        start = offsets[i]
-        for j, ch in enumerate(s):
-            flat[start + j] = ord(ch)
-    return flat, offsets

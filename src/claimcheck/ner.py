@@ -117,41 +117,31 @@ def normalize_title(title: str) -> str:
 
 
 def levenshtein(a: str, b: str) -> int:
-    return int(kernels.levenshtein(kernels.codes(a), kernels.codes(b)))
+    mat, lengths = kernels.code_matrix([b])
+    return int(kernels.batch_levenshtein(mat, lengths, kernels.codes(a))[0])
 
 
 class TitleMatcher:
     """Nearest-title lookup over a fixed corpus.
 
-    The reference behavior is a full scan of every title; the banded variant
-    skips titles whose length difference already exceeds the best distance
-    found so far and must return identical results.
+    Titles are kept in tie-break order (shorter normalized title first, then
+    lexicographic, then page id), so the first title at the minimum distance
+    is the match.
     """
 
     def __init__(self, corpus: Corpus):
         if len(corpus) == 0:
             raise ValueError("cannot match titles against an empty corpus")
-        self.page_ids = corpus.page_ids()
-        self.norm_titles = [normalize_title(p) for p in self.page_ids]
-        self._flat, self._offsets = kernels.pack_strings(self.norm_titles)
+        pairs = sorted(((normalize_title(p), p) for p in corpus.page_ids()),
+                       key=lambda tp: (len(tp[0]), tp[0], tp[1]))
+        self.page_ids = [p for _, p in pairs]
+        self._mat, self._lengths = kernels.code_matrix([t for t, _ in pairs])
 
-    def match(self, entity: EntityMention, band: bool = False) -> TitleMatch:
+    def match(self, entity: EntityMention) -> TitleMatch:
         query = kernels.codes(normalize_title(entity.surface))
-        if band:
-            dists = kernels.batch_levenshtein_banded(self._flat, self._offsets, query)
-        else:
-            dists = kernels.batch_levenshtein(self._flat, self._offsets, query)
-        best = int(dists.min())
-        tied = np.flatnonzero(dists == best)
-        # shorter normalized title first, then lexicographic, then page id
-        pick = min(tied.tolist(),
-                   key=lambda i: (len(self.norm_titles[i]), self.norm_titles[i],
-                                  self.page_ids[i]))
-        return TitleMatch(entity, self.page_ids[pick], best)
-
-
-def match_entity_to_title(corpus: Corpus, entity: EntityMention) -> TitleMatch:
-    return TitleMatcher(corpus).match(entity)
+        dists = kernels.batch_levenshtein(self._mat, self._lengths, query)
+        pick = int(np.argmin(dists))
+        return TitleMatch(entity, self.page_ids[pick], int(dists[pick]))
 
 
 def candidate_sentences_for_claim(corpus: Corpus, claim: str, *,

@@ -1,6 +1,7 @@
 """Drives the command line on the bundled fixture corpus."""
 
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,12 @@ class TestStages:
         assert code == 0
         assert "ingested 50 documents" in stdout
         assert len(Corpus.load(out)) == 50
+
+    def test_ingest_summary_logged_once(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO)
+        assert cli.main(["index", "--corpus", str(DUMP), "--bins", "65536",
+                         "--out", str(tmp_path / "index.npz")]) == 0
+        assert sum("ingested 50 documents" in r.getMessage() for r in caplog.records) == 1
 
     def test_ingest_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json.gz", tmp_path / "b.json.gz"
@@ -164,6 +171,14 @@ class TestErrors:
         code, _, err = run(["score", "--gold", CLAIMS, "--pred", pred], capsys)
         assert code == 1
         assert "line 1" in err
+
+    def test_zero_trees_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "pred.jsonl"
+        code, _, err = run(["e2e", "--corpus", DUMP, "--claims", CLAIMS,
+                            "--bins", "65536", "--trees", "0", "--out", out], capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not out.exists()
 
 
 class TestEndToEnd:

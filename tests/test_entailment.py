@@ -10,7 +10,6 @@ from claimcheck.entailment import (
     MissingProbabilityError,
     ProbabilityError,
     baseline_score,
-    score_pair,
 )
 from claimcheck.tokenizer import tokenize
 
@@ -53,12 +52,11 @@ class TestBaseline:
         assert baseline_score([], ["a"]).as_tuple() == (0.0, 0.0, 1.0)
 
     def test_identity_maximizes_support(self):
-        scorer = BaselineScorer()
-        t = score_pair(scorer, "the mill was rebuilt", "the mill was rebuilt")
+        t = BaselineScorer().score(None, "the mill was rebuilt", None, "the mill was rebuilt")
         assert t.support > t.refute and t.support > t.uninformative
 
     def test_zero_overlap_maximizes_uninformative(self):
-        t = score_pair(BaselineScorer(), "alpha beta", "gamma delta")
+        t = BaselineScorer().score(None, "alpha beta", None, "gamma delta")
         assert t.uninformative > t.support and t.uninformative > t.refute
 
     def test_deterministic(self):

@@ -98,6 +98,13 @@ class TestTraining:
             assert gain == pytest.approx(best, abs=1e-12)
 
 
+    def test_rejects_degenerate_config(self):
+        with pytest.raises(ValueError, match="at least 1 tree"):
+            ForestConfig(trees=0)
+        with pytest.raises(ValueError, match="max_depth"):
+            ForestConfig(max_depth=-1)
+
+
 class TestPrediction:
     def test_probability_vector_sums_to_one(self, trained):
         _, model = trained
@@ -157,6 +164,17 @@ class TestPersistence:
         payload["format_version"] = 2
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match="version"):
+            forest.load(path)
+
+
+    def test_empty_tree_list_rejected(self, tmp_path, trained):
+        _, model = trained
+        path = tmp_path / "model.json"
+        forest.save(model, path)
+        payload = json.loads(path.read_text())
+        payload["trees"] = []
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="no trees"):
             forest.load(path)
 
 

@@ -1,67 +1,73 @@
-"""Backend equivalence: the numba kernels and the numpy fallbacks must agree
-bit-for-bit, and the env flag must actually select the fallback path."""
+"""The numeric kernels against straight-line Python oracles."""
 
-import json
-import os
-import subprocess
-import sys
+import importlib.util
+import math
+from pathlib import Path
 
 import numpy as np
-import pytest
 
 from claimcheck import kernels
 
 
-def lev_pairs(rng, n, max_len=30):
-    alphabet = "abcdefgå"
-    for _ in range(n):
-        a = "".join(rng.choice(list(alphabet), size=rng.integers(0, max_len + 1)))
-        b = "".join(rng.choice(list(alphabet), size=rng.integers(0, max_len + 1)))
-        yield a, b
+def lev_dp(a: str, b: str) -> int:
+    """Two-row DP over Python strings, independent of the kernel."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def batch(titles, query):
+    mat, lengths = kernels.code_matrix(titles)
+    return kernels.batch_levenshtein(mat, lengths, kernels.codes(query)).tolist()
+
+
+def random_strings(rng, alphabet, n, max_len):
+    return ["".join(rng.choice(alphabet, size=rng.integers(0, max_len + 1)))
+            for _ in range(n)]
+
+
+class TestCodeMatrix:
+    def test_rows_are_ord_codes_zero_padded(self):
+        strings = ["ab", "", "åж😀", "\ud800x"]
+        mat, lengths = kernels.code_matrix(strings)
+        assert mat.dtype == np.int32 and mat.shape == (4, 3)
+        assert lengths.tolist() == [len(s) for s in strings]
+        for row, s in zip(mat, strings):
+            assert row.tolist() == [ord(c) for c in s] + [0] * (3 - len(s))
 
 
 class TestLevenshtein:
     def test_known_values(self):
         for a, b, want in [("abc", "abc", 0), ("", "abc", 3), ("kitten", "sitting", 3)]:
-            got = kernels.levenshtein(kernels.codes(a), kernels.codes(b))
-            assert got == want, (a, b)
+            assert batch([b], a) == [want], (a, b)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(4)
-        strings = ["".join(rng.choice(list("abcde"), size=rng.integers(0, 12)))
-                   for _ in range(40)]
-        flat, offsets = kernels.pack_strings(strings)
-        query = kernels.codes("abcad")
-        batch = kernels.batch_levenshtein(flat, offsets, query)
-        singles = [kernels.levenshtein(kernels.codes(s), query) for s in strings]
-        assert batch.tolist() == singles
+        strings = random_strings(rng, list("abcde"), 40, 11)
+        singles = [batch([s], "abcad")[0] for s in strings]
+        assert batch(strings, "abcad") == singles
 
-    def test_banded_same_minimum_and_ties(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            strings = ["".join(rng.choice(list("abcd"), size=rng.integers(0, 15)))
-                       for _ in range(25)]
-            flat, offsets = kernels.pack_strings(strings)
-            query = kernels.codes("".join(rng.choice(list("abcd"), size=6)))
-            full = kernels.batch_levenshtein(flat, offsets, query)
-            banded = kernels.batch_levenshtein_banded(flat, offsets, query)
-            best = full.min()
-            assert banded.min() == best
-            # every non-pruned banded entry is exact; ties at the minimum survive
-            real = banded < kernels.PRUNED
-            assert np.array_equal(banded[real], full[real])
-            assert np.array_equal(np.flatnonzero(full == best),
-                                  np.flatnonzero(banded == best))
-
-
-class TestBackendAgreement:
-    def test_levenshtein_backends(self):
+    def test_against_python_dp(self):
         rng = np.random.default_rng(11)
-        for a, b in lev_pairs(rng, 200, max_len=20):
-            ca, cb = kernels.codes(a), kernels.codes(b)
-            assert kernels.levenshtein_numpy(ca, cb) == int(kernels.levenshtein(ca, cb))
+        alphabet = list("abcåЖ\U0001f600\ud800")
+        for _ in range(60):
+            titles = random_strings(rng, alphabet, int(rng.integers(1, 12)), 20)
+            query = random_strings(rng, alphabet, 1, 20)[0]
+            assert batch(titles, query) == [lev_dp(query, t) for t in titles]
 
-    def test_cosine_accumulate_backends(self):
+    def test_empty_query_and_empty_titles(self):
+        titles = ["", "a", "", "abcdef"]
+        assert batch(titles, "") == [0, 1, 0, 6]
+        assert batch(titles, "xy") == [2, 2, 2, 6]
+        assert batch([""], "") == [0]
+
+
+class TestCosineAccumulate:
+    def test_matches_python_loop(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             n_bins = int(rng.integers(2, 40))
@@ -74,39 +80,68 @@ class TestBackendAgreement:
             post_weights = rng.random(post_items.size)
             offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
             q_idx = np.sort(rng.choice(n_bins, size=min(n_bins, 7), replace=False))
-            q_bins = uniq_bins[q_idx]
+            # one query bin the index does not hold
+            q_bins = np.sort(np.append(uniq_bins[q_idx], 10_000))
             q_weights = rng.random(q_bins.size)
-            a = kernels.cosine_accumulate_numpy(q_bins, q_weights, uniq_bins,
-                                                offsets, post_items, post_weights,
-                                                n_items)
-            b = kernels.cosine_accumulate_numba(q_bins, q_weights, uniq_bins,
-                                                offsets, post_items, post_weights,
-                                                n_items) if kernels.HAVE_NUMBA else a
-            assert np.array_equal(a, b)
+            got = kernels.cosine_accumulate(q_bins, q_weights, uniq_bins, offsets,
+                                            post_items, post_weights, n_items)
+            want = np.zeros(n_items)
+            for b, qw in zip(q_bins, q_weights):
+                hits = np.flatnonzero(uniq_bins == b)
+                for i in hits:
+                    for p in range(offsets[i], offsets[i + 1]):
+                        want[post_items[p]] += post_weights[p] * qw
+            assert np.array_equal(got, want)
 
-    def test_best_split_backends(self):
+
+def split_gain(values, labels, thr, n_classes):
+    """Information gain in nats of the split value < thr, by direct counting."""
+    def entropy(ys):
+        counts = [sum(1 for y in ys if y == c) for c in range(n_classes)]
+        return -sum(c / len(ys) * math.log(c / len(ys)) for c in counts if c)
+
+    left = [y for v, y in zip(values, labels) if v < thr]
+    right = [y for v, y in zip(values, labels) if v >= thr]
+    n = len(labels)
+    return entropy(labels) - (len(left) * entropy(left) + len(right) * entropy(right)) / n
+
+
+class TestBestSplit:
+    def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
             n = int(rng.integers(2, 60))
             values = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=n) \
                 if rng.random() < 0.5 else rng.random(n)
             labels = rng.integers(0, 3, size=n).astype(np.int64)
-            a = kernels.best_split_numpy(values.astype(np.float64), labels, 3)
-            if kernels.HAVE_NUMBA:
-                b = kernels.best_split_numba(values.astype(np.float64), labels, 3)
-                assert a == b
+            gain, thr = kernels.best_split(values, labels, 3)
+            distinct = sorted(set(values.tolist()))
+            if len(distinct) < 2:
+                assert gain == -1.0
+                continue
+            # every split between consecutive distinct values, upper value as cut
+            gains = [split_gain(values, labels, hi, 3) for hi in distinct[1:]]
+            best = max(gains)
+            assert math.isclose(gain, best, rel_tol=0.0, abs_tol=1e-12)
+            # thr cuts between two consecutive distinct values, at a best split
+            cut = next(i for i, hi in enumerate(distinct[1:]) if thr <= hi)
+            assert distinct[cut] < thr
+            assert math.isclose(gains[cut], best, rel_tol=0.0, abs_tol=1e-12)
+
+    def test_adjacent_doubles_keep_both_sides_non_empty(self):
+        values = np.array([1.4166666666666665, 1.4166666666666667])
+        gain, thr = kernels.best_split(values, np.array([0, 1]), 3)
+        assert (values < thr).tolist() == [True, False]
+        assert math.isclose(gain, math.log(2))
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "import json, claimcheck.kernels as k\n"
-        "d = int(k.levenshtein(k.codes('kitten'), k.codes('sitting')))\n"
-        "print(json.dumps({'backend': k.BACKEND, 'lev': d}))\n"
-    )
-    env = dict(os.environ, CLAIMCHECK_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    payload = json.loads(out.stdout.strip().splitlines()[-1])
-    assert payload == {"backend": "numpy", "lev": 3}
-    assert kernels.BACKEND == "numba"  # this process kept the accelerated path
+def test_bench_kernels_smoke(capsys):
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.main(["--titles", "20", "--items", "10", "--postings", "64",
+                       "--samples", "30", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[2:]] == \
+        ["batch_levenshtein", "cosine_accumulate", "best_split"]

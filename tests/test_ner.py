@@ -105,12 +105,12 @@ class TestLevenshtein:
 class TestTitleMatching:
     def test_normalized_exact_match(self):
         corpus = small_corpus(["Tilda_Swinton", "Unrelated"])
-        hit = ner.match_entity_to_title(corpus, ner.EntityMention("Tilda Swinton", "heuristic"))
+        hit = ner.TitleMatcher(corpus).match(ner.EntityMention("Tilda Swinton", "heuristic"))
         assert hit.page_id == "Tilda_Swinton" and hit.distance == 0
 
     def test_exact_match_dominates(self):
         corpus = small_corpus(["X", "XY"])
-        hit = ner.match_entity_to_title(corpus, ner.EntityMention("X", "heuristic"))
+        hit = ner.TitleMatcher(corpus).match(ner.EntityMention("X", "heuristic"))
         assert hit.page_id == "X" and hit.distance == 0
 
     def test_parenthetical_variant_loses_on_distance(self):
@@ -125,6 +125,9 @@ class TestTitleMatching:
         hit = ner.TitleMatcher(corpus).match(ner.EntityMention("abcf", "heuristic"))
         assert hit.distance == 1
         assert hit.page_id == "abcd"  # both 4-char titles tie, lexicographic wins
+        hit = ner.TitleMatcher(small_corpus(["aab", "ab"])).match(
+            ner.EntityMention("aa", "heuristic"))
+        assert (hit.page_id, hit.distance) == ("ab", 1)  # shorter beats lexicographic
 
     def test_result_minimal_over_all_titles(self, mini_corpus):
         matcher = ner.TitleMatcher(mini_corpus)
@@ -134,11 +137,13 @@ class TestTitleMatching:
             q = ner.normalize_title(surface)
             assert hit.distance == min(lev_oracle(q, t) for t in norm)
 
-    def test_band_mode_identical_results(self, mini_corpus):
-        matcher = ner.TitleMatcher(mini_corpus)
-        for surface in ["Stora Velt", "Harbor Light", "Brenholm Roverz", "Q"]:
-            mention = ner.EntityMention(surface, "heuristic")
-            assert matcher.match(mention, band=True) == matcher.match(mention, band=False)
+    def test_lone_surrogate_title(self):
+        # JSON can carry "\ud800"; ord() accepts it, plain utf-32 encoding does not
+        corpus = small_corpus(["Ab\ud800", "Abc"])
+        matcher = ner.TitleMatcher(corpus)
+        hit = matcher.match(ner.EntityMention("Ab\ud800", "heuristic"))
+        assert hit.page_id == "Ab\ud800" and hit.distance == 0
+        assert matcher.match(ner.EntityMention("Abd", "heuristic")).distance == 1
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
