@@ -9,11 +9,13 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 from . import features as features_mod
 from . import forest, metrics, ner, nli_data, tfidf
-from .corpus import Corpus, ingest_dump
-from .entailment import BaselineScorer, FileScorer, score_candidates
+from .corpus import Corpus, SentenceRef, ingest_dump
+from .entailment import (BaselineScorer, EntailmentTriple, FileScorer, ScoredCandidate,
+                         score_candidates)
 from .forest import LABELS, ForestConfig, TrainingSample
 from .metrics import GoldInstance
 from .nli_data import load_claims
@@ -23,12 +25,13 @@ log = logging.getLogger("claimcheck")
 
 
 def load_corpus_any(path) -> Corpus:
-    """Accept either a saved corpus file or a raw JSON-lines dump."""
-    try:
-        return Corpus.load(path)
-    except Exception:
-        corpus, _ = ingest_dump(path)
-        return corpus
+    """A saved corpus file (gzip magic bytes), else a raw JSON-lines dump."""
+    if Path(path).is_file():
+        with open(path, "rb") as fh:
+            if fh.read(2) == b"\x1f\x8b":
+                return Corpus.load(path)
+    corpus, _ = ingest_dump(path)
+    return corpus
 
 
 def _write_rows(path, rows) -> None:
@@ -44,6 +47,18 @@ def _read_rows(path):
             line = line.strip()
             if line:
                 yield json.loads(line)
+
+
+def _parse_rows(path, what, parse):
+    """parse(row) for each row; a malformed row raises ValueError naming its line."""
+    for lineno, row in enumerate(_read_rows(path), start=1):
+        try:
+            item = parse(row)
+        except KeyError as exc:
+            raise ValueError(f"bad {what} row on line {lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad {what} row on line {lineno}: {exc}") from exc
+        yield item
 
 
 def _make_extractor(args):
@@ -69,8 +84,8 @@ def retrieve_candidates(corpus, index, instances, *, k_docs=5, k_sents=5,
     out = {}
     for inst in instances:
         refs = set(ner.candidate_sentences_for_claim(
-            corpus, inst.claim, extractor=extractor, claim_id=inst.claim_id,
-            matcher=matcher, max_distance=max_distance))
+            corpus, inst.claim, matcher=matcher, extractor=extractor,
+            claim_id=inst.claim_id, max_distance=max_distance))
         docs = [corpus.get(hit.item)
                 for hit in tfidf.top_k_documents(index, inst.claim, k=k_docs)]
         for hit in tfidf.top_k_sentences(docs, inst.claim, k=k_sents,
@@ -140,9 +155,13 @@ def cmd_index(args) -> int:
 
 
 def _load_index(args, corpus):
-    if args.index:
-        return tfidf.TfidfIndex.load(args.index)
-    return tfidf.build_document_index(corpus, bin_count=args.bins)
+    if not args.index:
+        return tfidf.build_document_index(corpus, bin_count=args.bins)
+    index = tfidf.TfidfIndex.load(args.index)
+    if index.source_checksum != tfidf.corpus_checksum(corpus):
+        raise ValueError(f"index {args.index} was built from a different corpus than "
+                         f"{args.corpus}; rebuild it with 'claimcheck index'")
+    return index
 
 
 def cmd_retrieve(args) -> int:
@@ -188,14 +207,15 @@ def cmd_features(args) -> int:
     by_id = {inst.claim_id: inst for inst in instances}
     scorer = _make_scorer(args)
 
-    from .corpus import SentenceRef
-    feature_rows, scored_rows = [], []
-    overrides = 0
-    for row in _read_rows(args.candidates):
+    def parse(row):
         inst = by_id.get(row["id"])
         if inst is None:
-            raise ValueError(f"candidates reference unknown claim id {row['id']!r}")
-        refs = [SentenceRef(str(p), int(l)) for p, l in row["candidates"]]
+            raise ValueError(f"unknown claim id {row['id']!r}")
+        return inst, [SentenceRef(str(p), int(l)) for p, l in row["candidates"]]
+
+    feature_rows, scored_rows = [], []
+    overrides = 0
+    for inst, refs in _parse_rows(args.candidates, "candidates", parse):
         cands = score_candidates(scorer, inst.claim_id, inst.claim, refs, corpus)
         fv = features_mod.features(cands)
         feature_rows.append(_feature_row(inst.claim_id, fv))
@@ -210,9 +230,13 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _features_from_row(row) -> features_mod.FeatureVector:
+def _features_from_row(row):
     values = [float(row[name]) for name in features_mod.FEATURE_NAMES]
-    return features_mod.FeatureVector(*values, n=int(row["n"]))
+    return row["claim_id"], features_mod.FeatureVector(*values, n=int(row["n"]))
+
+
+def _read_feature_rows(path) -> dict:
+    return dict(_parse_rows(path, "feature", _features_from_row))
 
 
 def _parse_counts(text) -> tuple:
@@ -224,7 +248,7 @@ def _parse_counts(text) -> tuple:
 
 def cmd_train(args) -> int:
     instances = load_claims(args.claims)
-    fvs = {row["claim_id"]: _features_from_row(row) for row in _read_rows(args.features)}
+    fvs = _read_feature_rows(args.features)
     missing = [i.claim_id for i in instances if i.claim_id not in fvs]
     if missing:
         raise ValueError(f"no feature rows for claim ids {missing[:5]}...")
@@ -252,18 +276,18 @@ def _assemble_all(instances, fvs, scored_by_id, model):
     return verdicts
 
 
-def cmd_predict(args) -> int:
-    from .corpus import SentenceRef
-    from .entailment import EntailmentTriple, ScoredCandidate
+def _scored_from_row(row):
+    ref = SentenceRef(str(row["page_id"]), int(row["line_number"]))
+    triple = EntailmentTriple(row["support"], row["refute"], row["uninformative"])
+    return row["claim_id"], ScoredCandidate(ref, "", triple)
 
+
+def cmd_predict(args) -> int:
     instances = load_claims(args.claims)
-    fvs = {row["claim_id"]: _features_from_row(row) for row in _read_rows(args.features)}
+    fvs = _read_feature_rows(args.features)
     scored_by_id: dict = {}
-    for row in _read_rows(args.scored):
-        ref = SentenceRef(str(row["page_id"]), int(row["line_number"]))
-        triple = EntailmentTriple(row["support"], row["refute"], row["uninformative"])
-        scored_by_id.setdefault(row["claim_id"], []).append(
-            ScoredCandidate(ref, "", triple))
+    for claim_id, cand in _parse_rows(args.scored, "scored", _scored_from_row):
+        scored_by_id.setdefault(claim_id, []).append(cand)
     model = forest.load(args.model)
     verdicts = _assemble_all(instances, fvs, scored_by_id, model)
     _write_rows(args.out, (v.to_row() for v in verdicts))

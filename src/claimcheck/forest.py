@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .features import FeatureVector
+from .features import FEATURE_NAMES, FeatureVector
 
 log = logging.getLogger(__name__)
 
@@ -162,12 +162,18 @@ def _node_to_dict(node: TreeNode) -> dict:
 def _node_from_dict(payload: dict) -> TreeNode:
     if "dist" in payload:
         dist = np.array(payload["dist"], dtype=np.float64)
-        if dist.shape != (len(LABELS),) or (dist < 0).any():
+        if (dist.shape != (len(LABELS),) or not (dist >= 0).all()
+                or not abs(dist.sum() - 1.0) <= 1e-9):
             raise ModelFormatError(f"bad leaf distribution: {payload['dist']}")
         return TreeNode(dist=dist)
+    feature, threshold = int(payload["feature"]), float(payload["threshold"])
+    if not 0 <= feature < len(FEATURE_NAMES):
+        raise ModelFormatError(f"split feature {feature} outside 0..{len(FEATURE_NAMES) - 1}")
+    if not math.isfinite(threshold):
+        raise ModelFormatError(f"non-finite split threshold: {threshold}")
     return TreeNode(
-        feature=int(payload["feature"]),
-        threshold=float(payload["threshold"]),
+        feature=feature,
+        threshold=threshold,
         left=_node_from_dict(payload["left"]),
         right=_node_from_dict(payload["right"]),
     )

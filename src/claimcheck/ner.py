@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .corpus import Corpus, SentenceRef
 
-DEFAULT_LEADING_STOPWORDS = frozenset({"the", "a", "an"})
+LEADING_STOPWORDS = frozenset({"the", "a", "an"})
 
 _EDGE_TRIM_RE = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
 
@@ -44,8 +44,7 @@ def _core(token: str) -> str:
     return _EDGE_TRIM_RE.sub("", token)
 
 
-def extract_entities(claim: str,
-                     leading_stopwords=DEFAULT_LEADING_STOPWORDS) -> list[EntityMention]:
+def extract_entities(claim: str) -> list[EntityMention]:
     """Capitalized-run heuristic; deduplicated, in order of first appearance."""
     tokens = claim.split()
     cores = [_core(t) for t in tokens]
@@ -68,7 +67,7 @@ def extract_entities(claim: str,
     for start, words in runs:
         if start == 0 and len(words) == 1:
             continue  # sentence-initial capitalization carries no signal
-        while words and words[0].casefold() in leading_stopwords:
+        while words and words[0].casefold() in LEADING_STOPWORDS:
             words = words[1:]
         if not words:
             continue
@@ -144,9 +143,8 @@ class TitleMatcher:
         return TitleMatch(entity, self.page_ids[pick], int(dists[pick]))
 
 
-def candidate_sentences_for_claim(corpus: Corpus, claim: str, *,
+def candidate_sentences_for_claim(corpus: Corpus, claim: str, *, matcher: TitleMatcher,
                                   extractor=None, claim_id=None,
-                                  matcher: TitleMatcher | None = None,
                                   max_distance: int | None = None) -> list[SentenceRef]:
     """All non-empty sentences of the pages matched by the claim's entities."""
     if extractor is None:
@@ -155,8 +153,6 @@ def candidate_sentences_for_claim(corpus: Corpus, claim: str, *,
         mentions = extractor(claim_id)
     if not mentions:
         return []
-    if matcher is None:
-        matcher = TitleMatcher(corpus)
     pages = set()
     for mention in mentions:
         hit = matcher.match(mention)

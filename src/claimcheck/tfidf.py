@@ -4,24 +4,28 @@ Document retrieval uses unigram+bigram vectors over page text; sentence
 retrieval builds a transient bigram-only index over the sentences of the
 candidate documents.  Weighting is tf = log(1 + count) with the Okapi-style
 idf = max(0, log((N - df + 0.5) / (df + 0.5))); vectors are L2-normalized
-at query time.  Results below or at score zero are dropped, ties break on
-ascending item id so ranked output is reproducible.
+at query time.  Postings are flat numpy arrays sorted by (bin, item).  Items
+are indexed in strictly ascending id order, so ties among results at the
+same positive score break on item position, which is ascending id.
 """
 
 import io
 import json
 import zipfile
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import kernels
-from .corpus import Corpus, Document, SentenceRef
+from .corpus import Corpus, Document
 from .tokenizer import HASH_NAME, hashed_counts, tokenize
 
 FORMAT_VERSION = 1
 DEFAULT_BIN_COUNT = 2**24
 WEIGHTING = "log1p-tf.okapi-idf"
+# index arrays after item_ids, in npz order
+_ARRAYS = ("uniq_bins", "uniq_offsets", "post_items", "post_weights", "df", "item_norms")
 
 
 class IndexFormatError(ValueError):
@@ -49,6 +53,10 @@ def _idf(df: np.ndarray, n_items: int) -> np.ndarray:
     return np.maximum(0.0, np.log((n_items - df + 0.5) / (df + 0.5)))
 
 
+def _strictly_ascending(ids) -> bool:
+    return all(a < b for a, b in zip(ids, ids[1:]))
+
+
 class TfidfIndex:
     """Postings-style sparse index over hashed n-gram vectors."""
 
@@ -64,7 +72,6 @@ class TfidfIndex:
         self.df = df
         self.item_norms = item_norms
         self.source_checksum = source_checksum
-        self._sort_keys = _sort_keys_for(item_ids)
 
     @property
     def item_count(self) -> int:
@@ -72,44 +79,31 @@ class TfidfIndex:
 
     @classmethod
     def build(cls, items, bin_count, ngram_orders, source_checksum="") -> "TfidfIndex":
-        """Index (id, text) pairs; caller supplies them in a deterministic order."""
+        """Index (id, text) pairs given in strictly ascending id order."""
         if not items:
             raise ValueError("cannot build an index over zero items")
+        item_ids = [item_id for item_id, _ in items]
+        if not _strictly_ascending(item_ids):
+            raise ValueError("index items must be in strictly ascending id order")
         n = len(items)
         per_item = [hashed_counts(tokenize(text), ngram_orders, bin_count) for _, text in items]
+        sizes = np.fromiter(map(len, per_item), dtype=np.int64, count=n)
+        bins = np.fromiter(chain.from_iterable(per_item), dtype=np.int64)
+        counts = np.fromiter(chain.from_iterable(c.values() for c in per_item), dtype=np.int64)
+        owner = np.repeat(np.arange(n, dtype=np.int32), sizes)
 
-        df_map: dict[int, int] = {}
-        for counts in per_item:
-            for b in counts:
-                df_map[b] = df_map.get(b, 0) + 1
-        uniq_bins = np.array(sorted(df_map), dtype=np.int64)
-        df = np.array([df_map[b] for b in uniq_bins], dtype=np.int64)
-        idf_by_bin = dict(zip(uniq_bins.tolist(), _idf(df, n).tolist()))
+        uniq_bins, inverse, df = np.unique(bins, return_inverse=True, return_counts=True)
+        weights = np.log1p(counts) * _idf(df, n)[inverse]
 
-        bins_l, items_l, weights_l = [], [], []
-        item_norms = np.zeros(n, dtype=np.float64)
-        for i, counts in enumerate(per_item):
-            item_bins = sorted(counts)
-            w = np.array(
-                [np.log1p(counts[b]) * idf_by_bin[b] for b in item_bins], dtype=np.float64
-            )
-            item_norms[i] = np.sqrt(np.sum(w * w))
-            bins_l.extend(item_bins)
-            items_l.extend([i] * len(item_bins))
-            weights_l.append(w)
+        # item_norms are saved in index.npz: one np.sum per item over its
+        # squares in ascending-bin order, as np.add.reduceat rounds differently.
+        squares = np.square(weights[np.lexsort((bins, owner))])
+        item_norms = np.sqrt([np.sum(sq) for sq in np.split(squares, np.cumsum(sizes)[:-1])])
 
-        bins_a = np.array(bins_l, dtype=np.int64)
-        items_a = np.array(items_l, dtype=np.int32)
-        weights_a = np.concatenate(weights_l) if weights_l else np.zeros(0)
-        order = np.lexsort((items_a, bins_a))
-        bins_a, items_a, weights_a = bins_a[order], items_a[order], weights_a[order]
-        uniq_offsets = np.concatenate(
-            (np.searchsorted(bins_a, uniq_bins), [bins_a.size])
-        ).astype(np.int64)
-
-        return cls(bin_count, ngram_orders, [item_id for item_id, _ in items],
-                   uniq_bins, uniq_offsets, items_a, weights_a, df, item_norms,
-                   source_checksum)
+        order = np.lexsort((owner, bins))
+        uniq_offsets = np.concatenate(([0], np.cumsum(df)))
+        return cls(bin_count, ngram_orders, item_ids, uniq_bins, uniq_offsets,
+                   owner[order], weights[order], df, item_norms, source_checksum)
 
     def query_vector(self, text: str):
         """Sorted (bins, weights, norm) for a query; zero-weight bins dropped."""
@@ -145,8 +139,8 @@ class TfidfIndex:
         keep = np.flatnonzero(scores > 0)
         if keep.size == 0:
             return []
-        order = np.lexsort(tuple(key[keep] for key in self._sort_keys) + (-scores[keep],))
-        top = keep[order[:k]]
+        # keep is in item order, so the stable sort breaks ties by ascending id
+        top = keep[np.argsort(-scores[keep], kind="stable")[:k]]
         return [ScoredItem(self.item_ids[i], float(scores[i])) for i in top]
 
     # -- persistence --------------------------------------------------------
@@ -167,12 +161,7 @@ class TfidfIndex:
         _write_npz(path, {
             "header": np.array(json.dumps(header, sort_keys=True)),
             "item_ids": np.array(self.item_ids),
-            "uniq_bins": self.uniq_bins,
-            "uniq_offsets": self.uniq_offsets,
-            "post_items": self.post_items,
-            "post_weights": self.post_weights,
-            "df": self.df,
-            "item_norms": self.item_norms,
+            **{name: getattr(self, name) for name in _ARRAYS},
         })
 
     @classmethod
@@ -185,37 +174,25 @@ class TfidfIndex:
                 )
             if header.get("hash") != HASH_NAME:
                 raise IndexFormatError(f"unknown hash algorithm: {header.get('hash')}")
-            return cls(
-                header["bin_count"],
-                header["ngram_orders"],
-                [str(s) for s in data["item_ids"]],
-                data["uniq_bins"],
-                data["uniq_offsets"],
-                data["post_items"],
-                data["post_weights"],
-                data["df"],
-                data["item_norms"],
-                header.get("source_checksum", ""),
-            )
+            item_ids = [str(s) for s in data["item_ids"]]
+            if not _strictly_ascending(item_ids):
+                raise IndexFormatError("index item ids are not in strictly ascending order")
+            return cls(header["bin_count"], header["ngram_orders"], item_ids,
+                       source_checksum=header.get("source_checksum", ""),
+                       **{name: data[name] for name in _ARRAYS})
 
 
-def _sort_keys_for(item_ids) -> tuple:
-    """Lexsort tie-break keys, minor first (lexsort's primary key goes last)."""
-    if item_ids and isinstance(item_ids[0], SentenceRef):
-        pages = np.array([r.page_id for r in item_ids])
-        lines = np.array([r.line_number for r in item_ids], dtype=np.int64)
-        return (lines, pages)
-    return (np.array([str(i) for i in item_ids]),)
+def corpus_checksum(corpus: Corpus) -> str:
+    """The source_checksum a document index built from this corpus records."""
+    return ";".join(f"{k}={v}" for k, v in sorted(corpus.source_checksums.items()))
 
 
-def build_document_index(corpus: Corpus, bin_count: int = DEFAULT_BIN_COUNT,
-                         ngram_orders=(1, 2)) -> TfidfIndex:
+def build_document_index(corpus: Corpus, bin_count: int = DEFAULT_BIN_COUNT) -> TfidfIndex:
     """Unigram+bigram index over every page's full text."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
     items = [(doc.page_id, doc.text) for doc in corpus.documents()]
-    checksum = ";".join(f"{k}={v}" for k, v in sorted(corpus.source_checksums.items()))
-    return TfidfIndex.build(items, bin_count, ngram_orders, source_checksum=checksum)
+    return TfidfIndex.build(items, bin_count, (1, 2), source_checksum=corpus_checksum(corpus))
 
 
 def top_k_documents(index: TfidfIndex, claim: str, k: int = 5) -> list[ScoredItem]:
@@ -225,10 +202,8 @@ def top_k_documents(index: TfidfIndex, claim: str, k: int = 5) -> list[ScoredIte
 def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
                     bin_count: int = DEFAULT_BIN_COUNT) -> list[ScoredItem]:
     """Top sentences of the given documents by bigram-only cosine."""
-    items = []
-    for doc in sorted(documents, key=lambda d: d.page_id):
-        for ref in doc.non_empty_refs():
-            items.append((ref, doc.sentence(ref.line_number)))
+    items = sorted((ref, doc.sentence(ref.line_number))
+                   for doc in documents for ref in doc.non_empty_refs())
     if not items:
         return []
     index = TfidfIndex.build(items, bin_count, ngram_orders=(2,))

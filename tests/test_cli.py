@@ -1,5 +1,7 @@
 """Drives the command line on the bundled fixture corpus."""
 
+import gzip
+import hashlib
 import json
 import logging
 import subprocess
@@ -20,6 +22,13 @@ def run(argv, capsys):
     code = cli.main(["-q", *map(str, argv)])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def one_error(code, err):
+    """Exit 1 with a single error: line and no traceback; returns that line."""
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    return err
 
 
 def read_rows(path):
@@ -181,6 +190,62 @@ class TestErrors:
         assert not out.exists()
 
 
+class TestBadInputs:
+    def test_stale_index_refused(self, workdir, tmp_path, capsys):
+        other = tmp_path / "other.jsonl"
+        other.write_text(json.dumps({"id": "Lone_Page", "text": "A lone page.",
+                                     "lines": "0\tA lone page."}) + "\n")
+        for command in ("retrieve", "e2e"):
+            code, _, err = run([command, "--corpus", other, "--claims", CLAIMS,
+                                "--index", workdir / "index.npz",
+                                "--out", tmp_path / f"{command}.jsonl"], capsys)
+            assert "different corpus" in one_error(code, err)
+
+    def test_wrong_corpus_version(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.json.gz"
+        corpus.write_bytes(gzip.compress(json.dumps(
+            {"format_version": 9, "checksums": {}, "documents": []}).encode()))
+        code, _, err = run(["index", "--corpus", corpus, "--out", tmp_path / "i.npz"],
+                           capsys)
+        assert "unsupported corpus format version" in one_error(code, err)
+
+    def test_malformed_candidates_row(self, tmp_path, capsys):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"id": 101}\n')
+        code, _, err = run(["features", "--corpus", DUMP, "--claims", CLAIMS,
+                            "--candidates", cands, "--out", tmp_path / "f.jsonl"], capsys)
+        assert "candidates row on line 1: missing field 'candidates'" in one_error(code, err)
+
+    def test_malformed_feature_row(self, tmp_path, capsys):
+        feats = tmp_path / "features.jsonl"
+        feats.write_text('{"claim_id": 101, "n": 1}\n')
+        code, _, err = run(["train", "--claims", CLAIMS, "--features", feats,
+                            "--out", tmp_path / "model.json"], capsys)
+        assert "feature row on line 1: missing field 'f1'" in one_error(code, err)
+
+    def test_malformed_scored_row(self, tmp_path, capsys):
+        feats, scored = tmp_path / "features.jsonl", tmp_path / "scored.jsonl"
+        row = {"claim_id": 101, "n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}}
+        feats.write_text(json.dumps(row) + "\n")
+        scored.write_text('{"claim_id": 101}\n')
+        code, _, err = run(["predict", "--claims", CLAIMS, "--features", feats,
+                            "--scored", scored, "--model", tmp_path / "model.json",
+                            "--out", tmp_path / "pred.jsonl"], capsys)
+        assert "scored row on line 1: missing field 'page_id'" in one_error(code, err)
+
+    def test_bad_model_split_feature(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format_version": 1, "labels": ["SUPPORTS", "REFUTES", "NOT ENOUGH INFO"],
+            "config": {"trees": 1, "max_depth": 1, "features_per_split": None, "seed": 0},
+            "trees": [{"feature": 99, "threshold": 0.5,
+                       "left": {"dist": [1.0, 0.0, 0.0]},
+                       "right": {"dist": [0.0, 1.0, 0.0]}}]}))
+        code, _, err = run(["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
+                            "--model", model, "--out", tmp_path / "pred.jsonl"], capsys)
+        assert "feature 99 outside" in one_error(code, err)
+
+
 class TestEndToEnd:
     def test_e2e_baseline(self, tmp_path, capsys):
         out, report = tmp_path / "pred.jsonl", tmp_path / "report.json"
@@ -194,6 +259,19 @@ class TestEndToEnd:
         for lineno, row in enumerate(rows, start=1):
             cli._validate_prediction_row(row, lineno)
         assert 0.0 <= json.loads(report.read_text())["fever_score"] <= 1.0
+
+    def test_output_digests_pinned(self, tmp_path, capsys):
+        # sha256 of index.npz and of the e2e predictions on the fixture data;
+        # any change to hashing, weighting, ranking or tie-breaks moves them
+        index, pred = tmp_path / "index.npz", tmp_path / "pred.jsonl"
+        assert run(["index", "--corpus", DUMP, "--bins", "65536", "--out", index],
+                   capsys)[0] == 0
+        assert run(["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
+                    "--out", pred], capsys)[0] == 0
+        assert hashlib.sha256(index.read_bytes()).hexdigest() == \
+            "e79dfaf49984169379fb00d02f4d6a7a9886cf6e4e9641cece81fd68192536c8"
+        assert hashlib.sha256(pred.read_bytes()).hexdigest() == \
+            "2ecc0fb424e77d834b308fd9df6ecb3518e178ed536e1995475a18a6fac214db"
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "pred.jsonl"

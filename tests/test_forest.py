@@ -177,6 +177,28 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="no trees"):
             forest.load(path)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("feature", 99, "feature 99 outside"),
+        ("feature", -1, "feature -1 outside"),
+        ("threshold", float("nan"), "non-finite"),
+        ("threshold", float("inf"), "non-finite"),
+        ("dist", [0.0, 0.0, 0.0], "leaf distribution"),
+        ("dist", [0.5, 0.5, 0.5], "leaf distribution"),
+        ("dist", [float("nan"), 0.5, 0.5], "leaf distribution"),
+    ])
+    def test_invalid_node_rejected(self, tmp_path, trained, field, value, match):
+        _, model = trained
+        path = tmp_path / "model.json"
+        forest.save(model, path)
+        payload = json.loads(path.read_text())
+        node = payload["trees"][0]
+        while field not in node:
+            node = node["left"]
+        node[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match=match):
+            forest.load(path)
+
 
 class Inst:
     def __init__(self, label):

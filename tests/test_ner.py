@@ -150,29 +150,31 @@ class TestTitleMatching:
             ner.TitleMatcher(Corpus())
 
 
+def candidates(corpus, claim, **kwargs):
+    return ner.candidate_sentences_for_claim(corpus, claim, matcher=ner.TitleMatcher(corpus),
+                                             **kwargs)
+
+
 class TestCandidateSentences:
     def test_single_entity_expands_document(self):
         corpus = small_corpus(["Alpha_Beta"])
-        refs = ner.candidate_sentences_for_claim(corpus, "Facts about Alpha Beta here.")
+        refs = candidates(corpus, "Facts about Alpha Beta here.")
         # line 1 is empty and must be excluded
         assert refs == [SentenceRef("Alpha_Beta", 0), SentenceRef("Alpha_Beta", 2)]
 
     def test_no_entities_empty(self, mini_corpus):
-        assert ner.candidate_sentences_for_claim(mini_corpus, "the cat sat") == []
+        assert candidates(mini_corpus, "the cat sat") == []
 
     def test_two_entities_same_document_dedup(self):
         corpus = small_corpus(["Alpha_Beta"])
-        refs = ner.candidate_sentences_for_claim(
-            corpus, "Both Alpha Beta and Alpha Beta look identical.")
+        refs = candidates(corpus, "Both Alpha Beta and Alpha Beta look identical.")
         assert len(refs) == len(set(refs)) == 2
 
     def test_sorted_output(self, mini_corpus):
-        refs = ner.candidate_sentences_for_claim(
-            mini_corpus, "Some facts about Stora Velt and Kettle Holm.")
+        refs = candidates(mini_corpus, "Some facts about Stora Velt and Kettle Holm.")
         assert refs == sorted(refs)
         assert SentenceRef("Kettle_Holm", 0) in refs
 
     def test_max_distance_filters(self, mini_corpus):
-        refs = ner.candidate_sentences_for_claim(
-            mini_corpus, "Who was Zq Wx exactly?", max_distance=0)
+        refs = candidates(mini_corpus, "Who was Zq Wx exactly?", max_distance=0)
         assert refs == []

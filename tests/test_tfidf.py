@@ -1,12 +1,13 @@
 """Index behavior against a brute-force dense reference implementation."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from claimcheck import tfidf
-from claimcheck.corpus import Corpus, Document, SentenceRef
+from claimcheck.corpus import Corpus, Document, SentenceRef, ingest_dump
 from claimcheck.tokenizer import hash_ngram, hashed_counts, tokenize
 
 from conftest import WORDS, make_random_corpus
@@ -172,6 +173,28 @@ class TestRanking:
         assert [g.item for g in got] == [SentenceRef("A_page", 0), SentenceRef("B_page", 0)]
         assert got[0].score == got[1].score
 
+    def test_sentence_ties_break_by_page_then_line(self, tmp_path):
+        # lines listed out of order in the dump still rank by (page, line)
+        same = "the iron bell rings"
+        filler = "0\tstorm chart keeper\n1\tgranite reef lantern\n3\tmarsh survey stone"
+        dump = tmp_path / "dump.jsonl"
+        with open(dump, "w", encoding="utf-8") as fp:
+            for pid in ("B_page", "A_page"):
+                lines = f"5\t{same}\n{filler}\n2\t{same}"
+                fp.write(json.dumps({"id": pid, "text": same, "lines": lines}) + "\n")
+        corpus, _ = ingest_dump(dump)
+        docs = [corpus.get("B_page"), corpus.get("A_page")]
+        got = tfidf.top_k_sentences(docs, same, k=4, bin_count=BINS)
+        assert [g.item for g in got] == [SentenceRef("A_page", 2), SentenceRef("A_page", 5),
+                                         SentenceRef("B_page", 2), SentenceRef("B_page", 5)]
+        assert len({g.score for g in got}) == 1
+
+    def test_unsorted_ids_rejected_by_build(self):
+        with pytest.raises(ValueError, match="ascending"):
+            tfidf.TfidfIndex.build([("b", "beta gamma"), ("a", "alpha beta")], BINS, (1, 2))
+        with pytest.raises(ValueError, match="ascending"):
+            tfidf.TfidfIndex.build([("a", "alpha beta"), ("a", "beta gamma")], BINS, (1, 2))
+
 
 class TestHashDistribution:
     def test_no_heavy_bins(self):
@@ -212,6 +235,17 @@ class TestPersistence:
         arrays = {k: v for k, v in np.load(path).items() if k != "header"}
         np.savez(path, header=np.array(json.dumps(header)), **arrays)
         with pytest.raises(tfidf.IndexFormatError):
+            tfidf.TfidfIndex.load(path)
+
+    def test_unsorted_ids_rejected_by_load(self, tmp_path, mini_corpus):
+        index = tfidf.build_document_index(mini_corpus, bin_count=BINS)
+        path = tmp_path / "index.npz"
+        index.save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["item_ids"] = arrays["item_ids"][::-1]
+        np.savez(path, **arrays)
+        with pytest.raises(tfidf.IndexFormatError, match="ascending"):
             tfidf.TfidfIndex.load(path)
 
     def test_empty_corpus_rejected(self):
