@@ -35,16 +35,14 @@ def make_title_workload(rng, n_titles):
 
 def make_postings_workload(rng, n_items, n_postings):
     n_bins = max(n_postings // 8, 16)
-    uniq_bins = np.sort(rng.choice(1 << 24, size=n_bins, replace=False)).astype(np.int64)
     splits = np.sort(rng.integers(0, n_postings, size=n_bins - 1))
     uniq_offsets = np.concatenate(([0], splits, [n_postings])).astype(np.int64)
     post_items = rng.integers(0, n_items, size=n_postings).astype(np.int32)
     post_weights = rng.random(n_postings)
     n_query = min(48, n_bins)
-    q_idx = np.sort(rng.choice(n_bins, size=n_query, replace=False))
-    q_bins = uniq_bins[q_idx]
+    q_pos = np.sort(rng.choice(n_bins, size=n_query, replace=False))
     q_weights = rng.random(n_query)
-    return q_bins, q_weights, uniq_bins, uniq_offsets, post_items, post_weights, n_items
+    return q_pos, q_weights, uniq_offsets, post_items, post_weights, n_items
 
 
 def make_split_workload(rng, n_samples):

@@ -1,5 +1,6 @@
 """Command-line pipeline: ingest, index, retrieve, gen-nli, features, train,
 predict, score, and an e2e subcommand that chains the stages in memory.
+Each stage is one function, shared by e2e and the staged subcommands.
 
 All randomness flows from explicit --seed flags; reruns with identical
 inputs and seeds produce byte-identical output files.
@@ -22,6 +23,9 @@ from .nli_data import load_claims
 from .verdict import Verdict, assemble, parse_prediction_row
 
 log = logging.getLogger("claimcheck")
+
+K_DOCS = 5  # documents per claim from the TF-IDF route
+K_SENTS = 5  # sentences kept from those documents
 
 
 def load_corpus_any(path) -> Corpus:
@@ -77,24 +81,86 @@ def _make_scorer(args):
     return BaselineScorer()
 
 
-def retrieve_candidates(corpus, index, instances, *, k_docs=5, k_sents=5,
-                        extractor=None, max_distance=None):
+def _forest_config(args) -> tuple:
+    """(ForestConfig, per-class sample counts) from the training flags."""
+    counts = tuple(int(c) for c in args.sample_counts.split(","))
+    if len(counts) != 3 or any(c < 0 for c in counts):
+        raise ValueError("--sample-counts needs three non-negative integers, "
+                         f"got {args.sample_counts!r}")
+    return ForestConfig(trees=args.trees, max_depth=args.max_depth, seed=args.seed), counts
+
+
+# -- stages ------------------------------------------------------------------
+
+
+def retrieve_candidates(corpus, index, instances, *, extractor=None):
     """Union of the entity route and the TF-IDF route, per claim."""
     matcher = ner.TitleMatcher(corpus)
     out = {}
     for inst in instances:
         refs = set(ner.candidate_sentences_for_claim(
-            corpus, inst.claim, matcher=matcher, extractor=extractor,
-            claim_id=inst.claim_id, max_distance=max_distance))
+            corpus, inst.claim, matcher=matcher, extractor=extractor, claim_id=inst.claim_id))
         docs = [corpus.get(hit.item)
-                for hit in tfidf.top_k_documents(index, inst.claim, k=k_docs)]
-        for hit in tfidf.top_k_sentences(docs, inst.claim, k=k_sents,
+                for hit in tfidf.top_k_documents(index, inst.claim, k=K_DOCS)]
+        for hit in tfidf.top_k_sentences(docs, inst.claim, k=K_SENTS,
                                          bin_count=index.bin_count):
             refs.add(hit.item)
         out[inst.claim_id] = sorted(refs)
     log.info("retrieved candidates for %d claims (%.1f sentences/claim)",
              len(out), sum(map(len, out.values())) / len(out) if out else 0.0)
     return out
+
+
+def score_claims(scorer, corpus, pairs) -> list:
+    """(instance, scored candidates, feature vector) per (instance, refs) pair, in order."""
+    out = []
+    for inst, refs in pairs:
+        cands = score_candidates(scorer, inst.claim_id, inst.claim, refs, corpus)
+        out.append((inst, cands, features_mod.features(cands)))
+    log.info("scored %d candidate pairs over %d claims (%d all-uninformative)",
+             sum(len(cands) for _, cands, _ in out), len(out),
+             sum(fv.f1 == 0 and fv.f2 == 0 for _, _, fv in out))
+    return out
+
+
+def train_model(instances, fvs, config, counts) -> tuple:
+    """(forest, number of training claims) from a per-class sample of the claims."""
+    sampled = forest.sample_training_claims(instances, seed=config.seed, counts=counts)
+    samples = [TrainingSample(fvs[i.claim_id], i.label) for i in sampled]
+    model = forest.train(samples, config)
+    log.info("trained %d trees on %d claims", config.trees, len(samples))
+    return model, len(samples)
+
+
+def write_predictions(path, instances, fvs, scored_by_id, model) -> list:
+    """Label each claim, assemble its evidence and write the prediction rows."""
+    verdicts = []
+    for inst in instances:
+        label, _ = model.predict(fvs[inst.claim_id])
+        verdicts.append(assemble(inst.claim_id, label, scored_by_id.get(inst.claim_id, [])))
+    log.info("assembled %d verdicts (%d overrides to NOT ENOUGH INFO)",
+             len(verdicts), sum(v.override_applied for v in verdicts))
+    _write_rows(path, (v.to_row() for v in verdicts))
+    print(f"wrote {len(verdicts)} predictions -> {path}")
+    return verdicts
+
+
+def report_scores(instances, verdicts, json_path) -> None:
+    """Print the score table against the gold claims; also save it as JSON if asked."""
+    gold = [GoldInstance(i.claim_id, i.label, tuple(frozenset(g) for g in i.evidence_sets))
+            for i in instances]
+    report = metrics.score(gold, verdicts)
+    print(report.format_table())
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as fp:
+            json.dump(report.to_dict(), fp, sort_keys=True, indent=2)
+            fp.write("\n")
+
+
+def _claim_id(row):
+    if isinstance(row["claim_id"], (list, dict)):
+        raise ValueError(f"claim_id {row['claim_id']!r} is not a string or number")
+    return row["claim_id"]
 
 
 def _feature_row(claim_id, fv) -> dict:
@@ -115,12 +181,6 @@ def _scored_rows(claim_id, candidates):
         }
 
 
-def _gold_from_instances(instances) -> list:
-    return [GoldInstance(i.claim_id, i.label,
-                         tuple(frozenset(g) for g in i.evidence_sets))
-            for i in instances]
-
-
 def _validate_prediction_row(row, lineno) -> Verdict:
     try:
         if row["predicted_label"] not in LABELS:
@@ -132,6 +192,21 @@ def _validate_prediction_row(row, lineno) -> Verdict:
         return parse_prediction_row(row)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad prediction row on line {lineno}: {exc}") from exc
+
+
+def _features_from_row(row):
+    values = [float(row[name]) for name in features_mod.FEATURE_NAMES]
+    return _claim_id(row), features_mod.FeatureVector(*values, n=int(row["n"]))
+
+
+def _read_feature_rows(path) -> dict:
+    return dict(_parse_rows(path, "feature", _features_from_row))
+
+
+def _scored_from_row(row):
+    ref = SentenceRef(str(row["page_id"]), int(row["line_number"]))
+    triple = EntailmentTriple(row["support"], row["refute"], row["uninformative"])
+    return _claim_id(row), ScoredCandidate(ref, "", triple)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -168,10 +243,7 @@ def cmd_retrieve(args) -> int:
     corpus = load_corpus_any(args.corpus)
     instances = load_claims(args.claims)
     index = _load_index(args, corpus)
-    cands = retrieve_candidates(corpus, index, instances,
-                                k_docs=args.k_docs, k_sents=args.k_sents,
-                                extractor=_make_extractor(args),
-                                max_distance=args.max_ner_distance)
+    cands = retrieve_candidates(corpus, index, instances, extractor=_make_extractor(args))
     _write_rows(args.out, ({"id": inst.claim_id,
                             "candidates": [r.as_pair() for r in cands[inst.claim_id]]}
                            for inst in instances))
@@ -203,9 +275,7 @@ def cmd_gen_nli(args) -> int:
 
 def cmd_features(args) -> int:
     corpus = load_corpus_any(args.corpus)
-    instances = load_claims(args.claims)
-    by_id = {inst.claim_id: inst for inst in instances}
-    scorer = _make_scorer(args)
+    by_id = {inst.claim_id: inst for inst in load_claims(args.claims)}
 
     def parse(row):
         inst = by_id.get(row["id"])
@@ -213,73 +283,27 @@ def cmd_features(args) -> int:
             raise ValueError(f"unknown claim id {row['id']!r}")
         return inst, [SentenceRef(str(p), int(l)) for p, l in row["candidates"]]
 
-    feature_rows, scored_rows = [], []
-    overrides = 0
-    for inst, refs in _parse_rows(args.candidates, "candidates", parse):
-        cands = score_candidates(scorer, inst.claim_id, inst.claim, refs, corpus)
-        fv = features_mod.features(cands)
-        feature_rows.append(_feature_row(inst.claim_id, fv))
-        scored_rows.extend(_scored_rows(inst.claim_id, cands))
-        overrides += fv.f1 == 0 and fv.f2 == 0
-    _write_rows(args.out, feature_rows)
+    scored = score_claims(_make_scorer(args), corpus,
+                          _parse_rows(args.candidates, "candidates", parse))
+    _write_rows(args.out, (_feature_row(inst.claim_id, fv) for inst, _, fv in scored))
     if args.scored_out:
-        _write_rows(args.scored_out, scored_rows)
-    log.info("scored %d candidate pairs over %d claims (%d all-uninformative)",
-             len(scored_rows), len(feature_rows), overrides)
-    print(f"wrote {len(feature_rows)} feature rows -> {args.out}")
+        _write_rows(args.scored_out, (row for inst, cands, _ in scored
+                                      for row in _scored_rows(inst.claim_id, cands)))
+    print(f"wrote {len(scored)} feature rows -> {args.out}")
     return 0
 
 
-def _features_from_row(row):
-    values = [float(row[name]) for name in features_mod.FEATURE_NAMES]
-    return row["claim_id"], features_mod.FeatureVector(*values, n=int(row["n"]))
-
-
-def _read_feature_rows(path) -> dict:
-    return dict(_parse_rows(path, "feature", _features_from_row))
-
-
-def _parse_counts(text) -> tuple:
-    parts = tuple(int(p) for p in text.split(","))
-    if len(parts) != 3 or any(c < 0 for c in parts):
-        raise ValueError(f"--sample-counts needs three non-negative integers, got {text!r}")
-    return parts
-
-
 def cmd_train(args) -> int:
+    config, counts = _forest_config(args)
     instances = load_claims(args.claims)
     fvs = _read_feature_rows(args.features)
     missing = [i.claim_id for i in instances if i.claim_id not in fvs]
     if missing:
         raise ValueError(f"no feature rows for claim ids {missing[:5]}...")
-    config = ForestConfig(trees=args.trees, max_depth=args.max_depth,
-                          features_per_split=args.features_per_split, seed=args.seed)
-    sampled = forest.sample_training_claims(instances, seed=args.seed,
-                                            counts=_parse_counts(args.sample_counts))
-    samples = [TrainingSample(fvs[i.claim_id], i.label) for i in sampled]
-    model = forest.train(samples, config)
+    model, n_samples = train_model(instances, fvs, config, counts)
     forest.save(model, args.out)
-    print(f"trained {config.trees} trees on {len(samples)} claims -> {args.out}")
+    print(f"trained {config.trees} trees on {n_samples} claims -> {args.out}")
     return 0
-
-
-def _assemble_all(instances, fvs, scored_by_id, model):
-    verdicts = []
-    overrides = 0
-    for inst in instances:
-        label, _ = model.predict(fvs[inst.claim_id])
-        v = assemble(inst.claim_id, label, scored_by_id.get(inst.claim_id, []))
-        overrides += v.override_applied
-        verdicts.append(v)
-    log.info("assembled %d verdicts (%d overrides to NOT ENOUGH INFO)",
-             len(verdicts), overrides)
-    return verdicts
-
-
-def _scored_from_row(row):
-    ref = SentenceRef(str(row["page_id"]), int(row["line_number"]))
-    triple = EntailmentTriple(row["support"], row["refute"], row["uninformative"])
-    return row["claim_id"], ScoredCandidate(ref, "", triple)
 
 
 def cmd_predict(args) -> int:
@@ -288,60 +312,34 @@ def cmd_predict(args) -> int:
     scored_by_id: dict = {}
     for claim_id, cand in _parse_rows(args.scored, "scored", _scored_from_row):
         scored_by_id.setdefault(claim_id, []).append(cand)
-    model = forest.load(args.model)
-    verdicts = _assemble_all(instances, fvs, scored_by_id, model)
-    _write_rows(args.out, (v.to_row() for v in verdicts))
-    print(f"wrote {len(verdicts)} predictions -> {args.out}")
+    write_predictions(args.out, instances, fvs, scored_by_id, forest.load(args.model))
     return 0
 
 
 def cmd_score(args) -> int:
-    gold = _gold_from_instances(load_claims(args.gold))
+    instances = load_claims(args.gold)
     predictions = [_validate_prediction_row(row, lineno)
                    for lineno, row in enumerate(_read_rows(args.pred), start=1)]
-    report = metrics.score(gold, predictions)
-    print(report.format_table())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fp:
-            json.dump(report.to_dict(), fp, sort_keys=True, indent=2)
-            fp.write("\n")
+    report_scores(instances, predictions, args.json_out)
     return 0
 
 
 def cmd_e2e(args) -> int:
-    config = ForestConfig(trees=args.trees, max_depth=args.max_depth, seed=args.seed)
+    config, counts = _forest_config(args)
     corpus = load_corpus_any(args.corpus)
     instances = load_claims(args.claims)
     index = _load_index(args, corpus)
-    cands = retrieve_candidates(corpus, index, instances,
-                                k_docs=args.k_docs, k_sents=args.k_sents,
-                                extractor=_make_extractor(args),
-                                max_distance=args.max_ner_distance)
-    scorer = _make_scorer(args)
-    scored_by_id = {inst.claim_id: score_candidates(scorer, inst.claim_id, inst.claim,
-                                                    cands[inst.claim_id], corpus)
-                    for inst in instances}
-    fvs = {cid: features_mod.features(sc) for cid, sc in scored_by_id.items()}
-
+    cands = retrieve_candidates(corpus, index, instances, extractor=_make_extractor(args))
+    scored = score_claims(_make_scorer(args), corpus,
+                          ((inst, cands[inst.claim_id]) for inst in instances))
+    scored_by_id = {inst.claim_id: sc for inst, sc, _ in scored}
+    fvs = {inst.claim_id: fv for inst, _, fv in scored}
     if args.model:
         model = forest.load(args.model)
     else:
-        sampled = forest.sample_training_claims(instances, seed=args.seed,
-                                                counts=_parse_counts(args.sample_counts))
-        samples = [TrainingSample(fvs[i.claim_id], i.label) for i in sampled]
-        model = forest.train(samples, config)
-        log.info("trained in-memory forest on %d claims", len(samples))
-
-    verdicts = _assemble_all(instances, fvs, scored_by_id, model)
-    _write_rows(args.out, (v.to_row() for v in verdicts))
-    print(f"wrote {len(verdicts)} predictions -> {args.out}")
-
-    report = metrics.score(_gold_from_instances(instances), verdicts)
-    print(report.format_table())
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fp:
-            json.dump(report.to_dict(), fp, sort_keys=True, indent=2)
-            fp.write("\n")
+        model, _ = train_model(instances, fvs, config, counts)
+    verdicts = write_predictions(args.out, instances, fvs, scored_by_id, model)
+    report_scores(instances, verdicts, args.report)
     return 0
 
 
@@ -352,12 +350,8 @@ def _add_retrieval_flags(p):
     p.add_argument("--index", help="saved index file (otherwise built in memory)")
     p.add_argument("--bins", type=int, default=tfidf.DEFAULT_BIN_COUNT,
                    help="hash bins when building in memory (default 2^24)")
-    p.add_argument("--k-docs", type=int, default=5)
-    p.add_argument("--k-sents", type=int, default=5)
     p.add_argument("--ner", choices=["heuristic", "file"], default="heuristic")
     p.add_argument("--ner-file", help="JSON-lines {id, entities} annotations")
-    p.add_argument("--max-ner-distance", type=int, default=None,
-                   help="drop title matches beyond this distance (default: keep all)")
 
 
 def _add_scorer_flags(p):
@@ -366,6 +360,7 @@ def _add_scorer_flags(p):
 
 
 def _add_train_flags(p):
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trees", type=int, default=50)
     p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--sample-counts", default="3000,3000,4000",
@@ -419,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--features-per-split", type=int, default=None)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -444,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--model", help="saved model (otherwise trained in memory)")
     p.add_argument("--report", help="write the score report as JSON")
-    p.add_argument("--seed", type=int, default=0)
     _add_retrieval_flags(p)
     _add_scorer_flags(p)
     _add_train_flags(p)

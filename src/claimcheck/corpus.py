@@ -12,6 +12,7 @@ import gzip
 import hashlib
 import json
 import logging
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,16 +119,26 @@ class Corpus:
 
     @classmethod
     def load(cls, path) -> "Corpus":
-        with gzip.open(path, "rt", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            with gzip.open(path, "rt", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (EOFError, zlib.error, ValueError) as exc:
+            raise IngestError(f"cannot read corpus file {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise IngestError(f"corpus file {path} does not hold a JSON object")
         if payload.get("format_version") != FORMAT_VERSION:
             raise IngestError(f"unsupported corpus format version: {payload.get('format_version')}")
         corpus = cls()
-        corpus.source_checksums = dict(payload["checksums"])
-        for rec in payload["documents"]:
-            corpus.add_document(
-                Document(rec["id"], rec["text"], [(int(n), s) for n, s in rec["lines"]])
-            )
+        try:
+            corpus.source_checksums = dict(payload["checksums"])
+            for rec in payload["documents"]:
+                corpus.add_document(
+                    Document(rec["id"], rec["text"], [(int(n), s) for n, s in rec["lines"]])
+                )
+        except KeyError as exc:
+            raise IngestError(f"corpus file {path} is missing field {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise IngestError(f"corpus file {path} is malformed: {exc}") from exc
         return corpus
 
 
@@ -172,6 +183,21 @@ def _dump_files(path) -> list[Path]:
     return [p]
 
 
+def _parse_record(line: str) -> dict | None:
+    """One dump record; None for a record with an empty id."""
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    if not rec.get("id"):
+        return None
+    for key in ("id", "text", "lines"):
+        value = rec.get(key, "")
+        if not isinstance(value, str):
+            raise ValueError(f"field {key!r} is {type(value).__name__}, not a string")
+        value.encode("utf-8")  # a lone surrogate escape would fail only when saving
+    return rec
+
+
 def ingest_dump(path) -> tuple[Corpus, IngestStats]:
     """Read a dump file or directory of ``*.jsonl`` files into a Corpus.
 
@@ -183,17 +209,19 @@ def ingest_dump(path) -> tuple[Corpus, IngestStats]:
     for fp in _dump_files(path):
         raw = fp.read_bytes()
         corpus.source_checksums[fp.name] = hashlib.sha256(raw).hexdigest()
-        for line in raw.decode("utf-8").splitlines():
+        for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            page_id = rec.get("id", "")
-            if not page_id:
+            try:
+                rec = _parse_record(line)
+            except ValueError as exc:
+                raise IngestError(f"bad record in {fp} on line {lineno}: {exc}") from exc
+            if rec is None:
                 stats.records_skipped += 1
                 continue
             lines, skipped = parse_lines_field(rec.get("lines", ""))
             stats.lines_skipped += skipped
-            corpus.add_document(Document(page_id, rec.get("text", ""), lines))
+            corpus.add_document(Document(rec["id"], rec.get("text", ""), lines))
             stats.documents += 1
     logger.info(
         "ingested %d documents (%d lines skipped, %d records skipped)",

@@ -51,32 +51,20 @@ def batch_levenshtein(mat, lengths, query):
     return prev[np.arange(n), lengths]
 
 
-def cosine_accumulate(q_bins, q_weights, uniq_bins, uniq_offsets, post_items, post_weights, n_items):
+def cosine_accumulate(q_pos, q_weights, uniq_offsets, post_items, post_weights, n_items):
     """Raw dot products between a sparse query and every indexed item.
 
-    The index is a postings layout grouped by bin: uniq_bins is sorted,
-    uniq_offsets delimits each bin's slice of post_items/post_weights.
-    q_bins must be sorted ascending so per-item accumulation order is fixed.
+    The index is a postings layout grouped by bin: uniq_offsets delimits
+    each bin's slice of post_items/post_weights.  q_pos are the query's
+    positions among the indexed bins and must ascend, so per-item
+    accumulation order is fixed.
     """
+    starts = uniq_offsets[q_pos]
+    lens = uniq_offsets[q_pos + 1] - starts
+    shift = np.cumsum(lens) - lens  # where each bin's run starts in span
+    span = np.arange(lens.sum(), dtype=np.int64) + np.repeat(starts - shift, lens)
     scores = np.zeros(n_items, dtype=np.float64)
-    if q_bins.size == 0 or uniq_bins.size == 0:
-        return scores
-    pos = np.searchsorted(uniq_bins, q_bins)
-    inb = pos < uniq_bins.size
-    hit = np.zeros(q_bins.size, dtype=bool)
-    hit[inb] = uniq_bins[pos[inb]] == q_bins[inb]
-    pos = pos[hit]
-    if pos.size == 0:
-        return scores
-    qw = q_weights[hit]
-    starts = uniq_offsets[pos]
-    lens = uniq_offsets[pos + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return scores
-    shift = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    span = np.arange(total, dtype=np.int64) + np.repeat(starts - shift, lens)
-    np.add.at(scores, post_items[span], post_weights[span] * np.repeat(qw, lens))
+    np.add.at(scores, post_items[span], post_weights[span] * np.repeat(q_weights, lens))
     return scores
 
 

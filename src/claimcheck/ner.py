@@ -144,21 +144,13 @@ class TitleMatcher:
 
 
 def candidate_sentences_for_claim(corpus: Corpus, claim: str, *, matcher: TitleMatcher,
-                                  extractor=None, claim_id=None,
-                                  max_distance: int | None = None) -> list[SentenceRef]:
+                                  extractor=None, claim_id=None) -> list[SentenceRef]:
     """All non-empty sentences of the pages matched by the claim's entities."""
     if extractor is None:
         mentions = extract_entities(claim)
     else:
         mentions = extractor(claim_id)
-    if not mentions:
-        return []
-    pages = set()
-    for mention in mentions:
-        hit = matcher.match(mention)
-        if max_distance is not None and hit.distance > max_distance:
-            continue
-        pages.add(hit.page_id)
+    pages = {matcher.match(mention).page_id for mention in mentions}
     refs: set[SentenceRef] = set()
     for page_id in pages:
         refs.update(corpus.get(page_id).non_empty_refs())

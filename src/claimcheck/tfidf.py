@@ -106,34 +106,33 @@ class TfidfIndex:
                    owner[order], weights[order], df, item_norms, source_checksum)
 
     def query_vector(self, text: str):
-        """Sorted (bins, weights, norm) for a query; zero-weight bins dropped."""
+        """(positions in uniq_bins, weights, norm) of a query's indexed bins.
+
+        Positions ascend and zero-weight bins are dropped; the norm counts
+        every positive-weight bin, indexed or not.
+        """
         counts = hashed_counts(tokenize(text), self.ngram_orders, self.bin_count)
-        if not counts:
-            return np.zeros(0, dtype=np.int64), np.zeros(0), 0.0
         q_bins = np.array(sorted(counts), dtype=np.int64)
-        if self.uniq_bins.size > 0:
-            pos = np.minimum(np.searchsorted(self.uniq_bins, q_bins), self.uniq_bins.size - 1)
-            q_df = np.where(self.uniq_bins[pos] == q_bins, self.df[pos], 0)
-        else:
-            q_df = np.zeros(q_bins.size, dtype=np.int64)
+        pos = np.searchsorted(self.uniq_bins, q_bins)
+        hit = pos < self.uniq_bins.size
+        hit[hit] = self.uniq_bins[pos[hit]] == q_bins[hit]
+        q_df = np.zeros(q_bins.size, dtype=np.int64)
+        q_df[hit] = self.df[pos[hit]]
         tf = np.log1p(np.array([counts[b] for b in q_bins.tolist()], dtype=np.float64))
         weights = tf * _idf(q_df, self.item_count)
         nz = weights > 0
-        q_bins, weights = q_bins[nz], weights[nz]
-        norm = float(np.sqrt(np.sum(weights * weights)))
-        return q_bins, weights, norm
+        norm = float(np.sqrt(np.sum(weights[nz] * weights[nz])))
+        return pos[hit & nz], weights[hit & nz], norm
 
     def top_k(self, text: str, k: int) -> list[ScoredItem]:
         """k best items by cosine, positive scores only, ids break ties."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        q_bins, q_weights, q_norm = self.query_vector(text)
+        q_pos, q_weights, q_norm = self.query_vector(text)
         if q_norm == 0.0:
             return []
-        raw = kernels.cosine_accumulate(
-            q_bins, q_weights, self.uniq_bins, self.uniq_offsets,
-            self.post_items, self.post_weights, self.item_count,
-        )
+        raw = kernels.cosine_accumulate(q_pos, q_weights, self.uniq_offsets, self.post_items,
+                                        self.post_weights, self.item_count)
         denom = self.item_norms * q_norm
         scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
         keep = np.flatnonzero(scores > 0)

@@ -1,17 +1,22 @@
 """Drives the command line on the bundled fixture corpus."""
 
+import contextlib
 import gzip
 import hashlib
+import io
 import json
 import logging
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimcheck import cli
-from claimcheck.corpus import Corpus
+from claimcheck.corpus import Corpus, IngestError, ingest_dump
 
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = ROOT / "data" / "mini_wiki.jsonl"
@@ -245,6 +250,87 @@ class TestBadInputs:
                             "--model", model, "--out", tmp_path / "pred.jsonl"], capsys)
         assert "feature 99 outside" in one_error(code, err)
 
+    @pytest.mark.parametrize("case", ["truncated", "no_documents", "not_an_object"])
+    def test_broken_saved_corpus(self, workdir, tmp_path, capsys, case):
+        saved = (workdir / "corpus.json.gz").read_bytes()
+        corpus = tmp_path / "corpus.json.gz"
+        corpus.write_bytes({
+            "truncated": saved[:len(saved) // 2],
+            "no_documents": gzip.compress(b'{"format_version": 1, "checksums": {}}'),
+            "not_an_object": gzip.compress(b"[1, 2]"),
+        }[case])
+        code, _, err = run(["index", "--corpus", corpus, "--out", tmp_path / "i.npz"], capsys)
+        assert f"corpus file {corpus}" in one_error(code, err)
+
+    @pytest.mark.parametrize("lines, lineno, message", [
+        (['[1, 2]'], 1, "expected a JSON object, got list"),
+        (['{"id": "A", "text": "a.", "lines": 5}'], 1, "field 'lines' is int"),
+        (['{"id": "A", "text": "a.", "lines": "0\\ta."}', '{"id": 5, "text": "b."}'], 2,
+         "field 'id' is int"),
+        (['{"id": "A", "text": 7, "lines": "0\\ta."}'], 1, "field 'text' is int"),
+        (['{"id": "A", "text": "a.", "lines": "0\\ta."}', '{"id": "B", "text"'], 2,
+         "Expecting ':' delimiter"),
+    ], ids=["list", "int_lines", "int_id", "int_text", "invalid_json"])
+    def test_malformed_dump_record(self, tmp_path, capsys, lines, lineno, message):
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text("\n".join(lines) + "\n")
+        for argv in (["ingest", "--dump", dump, "--out", tmp_path / "corpus.json.gz"],
+                     ["e2e", "--corpus", dump, "--claims", CLAIMS, "--bins", "65536",
+                      "--out", tmp_path / "pred.jsonl"]):
+            code, _, err = run(argv, capsys)
+            err = one_error(code, err)
+            assert f"{dump} on line {lineno}: {message}" in err
+
+    def test_list_claim_id_in_feature_row(self, tmp_path, capsys):
+        feats = tmp_path / "features.jsonl"
+        row = {"claim_id": [101], "n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}}
+        feats.write_text(json.dumps(row) + "\n")
+        code, _, err = run(["train", "--claims", CLAIMS, "--features", feats,
+                            "--out", tmp_path / "model.json"], capsys)
+        assert "feature row on line 1: claim_id [101] is not" in one_error(code, err)
+
+    def test_list_claim_id_in_scored_row(self, tmp_path, capsys):
+        feats, scored = tmp_path / "features.jsonl", tmp_path / "scored.jsonl"
+        row = {"claim_id": 101, "n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}}
+        feats.write_text(json.dumps(row) + "\n")
+        scored.write_text(json.dumps({"claim_id": [101], "page_id": "P", "line_number": 0,
+                                      "support": 0.5, "refute": 0.25,
+                                      "uninformative": 0.25}) + "\n")
+        code, _, err = run(["predict", "--claims", CLAIMS, "--features", feats,
+                            "--scored", scored, "--model", tmp_path / "model.json",
+                            "--out", tmp_path / "pred.jsonl"], capsys)
+        assert "scored row on line 1: claim_id [101] is not" in one_error(code, err)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+# dump-shaped objects reach the per-field checks more often than arbitrary values
+DUMP_RECORDS = JSON_VALUES | st.fixed_dictionaries(
+    {}, optional={"id": JSON_VALUES | st.text(), "text": JSON_VALUES, "lines": JSON_VALUES})
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=DUMP_RECORDS)
+def test_one_line_dump_ingests_or_fails_with_one_error(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        dump, out = Path(tmp) / "dump.jsonl", Path(tmp) / "corpus.json.gz"
+        dump.write_text(json.dumps(value) + "\n")
+        try:
+            ingest_dump(dump)
+            ingests = True
+        except IngestError:
+            ingests = False
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["-q", "ingest", "--dump", str(dump), "--out", str(out)])
+        if ingests:
+            assert code == 0 and len(Corpus.load(out)) <= 1
+        else:
+            one_error(code, err.getvalue())
+
 
 class TestEndToEnd:
     def test_e2e_baseline(self, tmp_path, capsys):
@@ -272,6 +358,27 @@ class TestEndToEnd:
             "e79dfaf49984169379fb00d02f4d6a7a9886cf6e4e9641cece81fd68192536c8"
         assert hashlib.sha256(pred.read_bytes()).hexdigest() == \
             "2ecc0fb424e77d834b308fd9df6ecb3518e178ed536e1995475a18a6fac214db"
+
+    def test_staged_chain_matches_e2e(self, workdir, tmp_path, capsys):
+        # workdir holds the retrieve output over the saved corpus and index
+        d, t = workdir, tmp_path
+        for argv in (
+            ["features", "--corpus", d / "corpus.json.gz", "--claims", CLAIMS,
+             "--candidates", d / "candidates.jsonl", "--out", t / "features.jsonl",
+             "--scored-out", t / "scored.jsonl"],
+            ["train", "--claims", CLAIMS, "--features", t / "features.jsonl",
+             "--out", t / "model.json"],
+            ["predict", "--claims", CLAIMS, "--features", t / "features.jsonl",
+             "--scored", t / "scored.jsonl", "--model", t / "model.json",
+             "--out", t / "staged.jsonl"],
+            ["score", "--gold", CLAIMS, "--pred", t / "staged.jsonl",
+             "--json-out", t / "staged.json"],
+            ["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
+             "--out", t / "e2e.jsonl", "--report", t / "e2e.json"],
+        ):
+            assert run(argv, capsys)[0] == 0
+        assert (t / "staged.jsonl").read_bytes() == (t / "e2e.jsonl").read_bytes()
+        assert (t / "staged.json").read_bytes() == (t / "e2e.json").read_bytes()
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "pred.jsonl"

@@ -72,25 +72,21 @@ class TestCosineAccumulate:
         for _ in range(50):
             n_bins = int(rng.integers(2, 40))
             n_items = int(rng.integers(1, 30))
-            uniq_bins = np.sort(rng.choice(10_000, size=n_bins, replace=False)).astype(np.int64)
             counts = rng.integers(1, min(5, n_items + 1), size=n_bins)
             post_items = np.concatenate([
                 np.sort(rng.choice(n_items, size=c, replace=False)) for c in counts
             ]).astype(np.int32)
             post_weights = rng.random(post_items.size)
             offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            q_idx = np.sort(rng.choice(n_bins, size=min(n_bins, 7), replace=False))
-            # one query bin the index does not hold
-            q_bins = np.sort(np.append(uniq_bins[q_idx], 10_000))
-            q_weights = rng.random(q_bins.size)
-            got = kernels.cosine_accumulate(q_bins, q_weights, uniq_bins, offsets,
+            q_pos = np.sort(rng.choice(n_bins, size=int(rng.integers(0, min(n_bins, 7) + 1)),
+                                       replace=False))
+            q_weights = rng.random(q_pos.size)
+            got = kernels.cosine_accumulate(q_pos, q_weights, offsets,
                                             post_items, post_weights, n_items)
             want = np.zeros(n_items)
-            for b, qw in zip(q_bins, q_weights):
-                hits = np.flatnonzero(uniq_bins == b)
-                for i in hits:
-                    for p in range(offsets[i], offsets[i + 1]):
-                        want[post_items[p]] += post_weights[p] * qw
+            for i, qw in zip(q_pos, q_weights):
+                for p in range(offsets[i], offsets[i + 1]):
+                    want[post_items[p]] += post_weights[p] * qw
             assert np.array_equal(got, want)
 
 

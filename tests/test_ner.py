@@ -174,7 +174,3 @@ class TestCandidateSentences:
         refs = candidates(mini_corpus, "Some facts about Stora Velt and Kettle Holm.")
         assert refs == sorted(refs)
         assert SentenceRef("Kettle_Holm", 0) in refs
-
-    def test_max_distance_filters(self, mini_corpus):
-        refs = candidates(mini_corpus, "Who was Zq Wx exactly?", max_distance=0)
-        assert refs == []
