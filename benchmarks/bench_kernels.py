@@ -1,7 +1,8 @@
-"""Times the three numeric kernels on synthetic inputs.
+"""Times the numeric kernels and the n-gram hasher on synthetic inputs.
 
-Runs batch edit distance, sparse cosine accumulation and split search on
-seeded inputs and prints the best-of-N wall time of each.
+Runs batch edit distance, sparse cosine accumulation, split search and the
+batch n-gram hash (against the per-occurrence reference loop) on seeded
+inputs and prints the best-of-N wall time of each.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -13,6 +14,7 @@ import time
 import numpy as np
 
 from claimcheck import kernels
+from claimcheck.tokenizer import hashed_counts, ngram_bins
 
 
 def best_of(fn, repeat):
@@ -51,14 +53,37 @@ def make_split_workload(rng, n_samples):
     return values, labels
 
 
+def make_token_workload(rng, n_items, vocab_size=5000):
+    """Token lists of 5 to 40 tokens drawn Zipf-like from a fixed vocabulary."""
+    vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyzäж"), size=rng.integers(2, 11)))
+             for _ in range(vocab_size)]
+    sizes = rng.integers(5, 41, size=n_items).tolist()
+    ranks = np.minimum(rng.zipf(1.3, size=sum(sizes)), vocab_size) - 1
+    flat = [vocab[r] for r in ranks.tolist()]
+    ends = np.cumsum(sizes).tolist()
+    return [flat[end - size:end] for size, end in zip(sizes, ends)]
+
+
+def hash_batch(token_lists, bin_count=2**24):
+    return ngram_bins(token_lists, (1, 2), bin_count)
+
+
+def hash_loop(token_lists, bin_count=2**24):
+    return [hashed_counts(tokens, (1, 2), bin_count) for tokens in token_lists]
+
+
 def build_cases(rng, args):
     titles = make_title_workload(rng, args.titles)
     postings = make_postings_workload(rng, args.items, args.postings)
     values, labels = make_split_workload(rng, args.samples)
+    tokens = make_token_workload(rng, args.texts)
+    n_tokens = sum(map(len, tokens))
     return [
         (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, titles),
         (f"cosine_accumulate ({args.postings} postings)", kernels.cosine_accumulate, postings),
         (f"best_split ({args.samples} samples)", kernels.best_split, (values, labels, 3)),
+        (f"ngram_bins ({n_tokens} tokens)", hash_batch, (tokens,)),
+        (f"hashed_counts_loop ({n_tokens} tokens)", hash_loop, (tokens,)),
     ]
 
 
@@ -68,6 +93,7 @@ def main(argv=None) -> int:
     parser.add_argument("--items", type=int, default=50000)
     parser.add_argument("--postings", type=int, default=1_000_000)
     parser.add_argument("--samples", type=int, default=100_000)
+    parser.add_argument("--texts", type=int, default=5000, help="token lists to hash")
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)

@@ -9,6 +9,7 @@ inputs and seeds produce byte-identical output files.
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -60,7 +61,7 @@ def _parse_rows(path, what, parse):
             item = parse(row)
         except KeyError as exc:
             raise ValueError(f"bad {what} row on line {lineno}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad {what} row on line {lineno}: {exc}") from exc
         yield item
 
@@ -96,15 +97,13 @@ def _forest_config(args) -> tuple:
 def retrieve_candidates(corpus, index, instances, *, extractor=None):
     """Union of the entity route and the TF-IDF route, per claim."""
     matcher = ner.TitleMatcher(corpus)
+    lexical = tfidf.top_k_sentences_batch(corpus, index, [inst.claim for inst in instances],
+                                          k_docs=K_DOCS, k_sents=K_SENTS)
     out = {}
-    for inst in instances:
+    for inst, hits in zip(instances, lexical):
         refs = set(ner.candidate_sentences_for_claim(
             corpus, inst.claim, matcher=matcher, extractor=extractor, claim_id=inst.claim_id))
-        docs = [corpus.get(hit.item)
-                for hit in tfidf.top_k_documents(index, inst.claim, k=K_DOCS)]
-        for hit in tfidf.top_k_sentences(docs, inst.claim, k=K_SENTS,
-                                         bin_count=index.bin_count):
-            refs.add(hit.item)
+        refs.update(hit.item for hit in hits)
         out[inst.claim_id] = sorted(refs)
     log.info("retrieved candidates for %d claims (%.1f sentences/claim)",
              len(out), sum(map(len, out.values())) / len(out) if out else 0.0)
@@ -157,10 +156,11 @@ def report_scores(instances, verdicts, json_path) -> None:
             fp.write("\n")
 
 
-def _claim_id(row):
-    if isinstance(row["claim_id"], (list, dict)):
-        raise ValueError(f"claim_id {row['claim_id']!r} is not a string or number")
-    return row["claim_id"]
+def _scalar_field(row, key):
+    """row[key], which must not be a list or an object (ids are dict keys)."""
+    if isinstance(row[key], (list, dict)):
+        raise ValueError(f"{key} {row[key]!r} is not a string or number")
+    return row[key]
 
 
 def _feature_row(claim_id, fv) -> dict:
@@ -183,6 +183,7 @@ def _scored_rows(claim_id, candidates):
 
 def _validate_prediction_row(row, lineno) -> Verdict:
     try:
+        _scalar_field(row, "id")
         if row["predicted_label"] not in LABELS:
             raise ValueError(f"unknown label {row['predicted_label']!r}")
         for pair in row["predicted_evidence"]:
@@ -196,17 +197,25 @@ def _validate_prediction_row(row, lineno) -> Verdict:
 
 def _features_from_row(row):
     values = [float(row[name]) for name in features_mod.FEATURE_NAMES]
-    return _claim_id(row), features_mod.FeatureVector(*values, n=int(row["n"]))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("feature values must be finite")
+    fv = features_mod.FeatureVector(*values, n=int(row["n"]))
+    return _scalar_field(row, "claim_id"), fv
 
 
-def _read_feature_rows(path) -> dict:
-    return dict(_parse_rows(path, "feature", _features_from_row))
+def _read_feature_rows(path, instances) -> dict:
+    """Feature vectors by claim id; every claim of instances needs one."""
+    fvs = dict(_parse_rows(path, "feature", _features_from_row))
+    missing = [i.claim_id for i in instances if i.claim_id not in fvs]
+    if missing:
+        raise ValueError(f"no feature rows for claim ids {missing[:5]}...")
+    return fvs
 
 
 def _scored_from_row(row):
     ref = SentenceRef(str(row["page_id"]), int(row["line_number"]))
     triple = EntailmentTriple(row["support"], row["refute"], row["uninformative"])
-    return _claim_id(row), ScoredCandidate(ref, "", triple)
+    return _scalar_field(row, "claim_id"), ScoredCandidate(ref, "", triple)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -296,10 +305,7 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     config, counts = _forest_config(args)
     instances = load_claims(args.claims)
-    fvs = _read_feature_rows(args.features)
-    missing = [i.claim_id for i in instances if i.claim_id not in fvs]
-    if missing:
-        raise ValueError(f"no feature rows for claim ids {missing[:5]}...")
+    fvs = _read_feature_rows(args.features, instances)
     model, n_samples = train_model(instances, fvs, config, counts)
     forest.save(model, args.out)
     print(f"trained {config.trees} trees on {n_samples} claims -> {args.out}")
@@ -308,10 +314,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     instances = load_claims(args.claims)
-    fvs = _read_feature_rows(args.features)
     scored_by_id: dict = {}
     for claim_id, cand in _parse_rows(args.scored, "scored", _scored_from_row):
         scored_by_id.setdefault(claim_id, []).append(cand)
+    fvs = _read_feature_rows(args.features, instances)
     write_predictions(args.out, instances, fvs, scored_by_id, forest.load(args.model))
     return 0
 

@@ -209,12 +209,15 @@ def ingest_dump(path) -> tuple[Corpus, IngestStats]:
     for fp in _dump_files(path):
         raw = fp.read_bytes()
         corpus.source_checksums[fp.name] = hashlib.sha256(raw).hexdigest()
-        for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
-            if not line.strip():
-                continue
+        # only "\n" ends a record: str.splitlines would also cut at U+2028
+        # and other breaks that a JSON string may hold raw
+        for lineno, chunk in enumerate(raw.split(b"\n"), start=1):
             try:
+                line = chunk.decode("utf-8")
+                if not line.strip():
+                    continue
                 rec = _parse_record(line)
-            except ValueError as exc:
+            except ValueError as exc:  # UnicodeDecodeError included
                 raise IngestError(f"bad record in {fp} on line {lineno}: {exc}") from exc
             if rec is None:
                 stats.records_skipped += 1

@@ -61,11 +61,16 @@ def cosine_accumulate(q_pos, q_weights, uniq_offsets, post_items, post_weights, 
     """
     starts = uniq_offsets[q_pos]
     lens = uniq_offsets[q_pos + 1] - starts
-    shift = np.cumsum(lens) - lens  # where each bin's run starts in span
-    span = np.arange(lens.sum(), dtype=np.int64) + np.repeat(starts - shift, lens)
+    span = concat_ranges(starts, lens)
     scores = np.zeros(n_items, dtype=np.float64)
     np.add.at(scores, post_items[span], post_weights[span] * np.repeat(q_weights, lens))
     return scores
+
+
+def concat_ranges(starts, lens):
+    """Concatenation of arange(starts[i], starts[i] + lens[i]) over i."""
+    shift = np.cumsum(lens) - lens  # where each range starts in the output
+    return np.arange(lens.sum(), dtype=np.int64) + np.repeat(starts - shift, lens)
 
 
 def best_split(values, labels, n_classes):

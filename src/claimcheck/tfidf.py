@@ -2,7 +2,9 @@
 
 Document retrieval uses unigram+bigram vectors over page text; sentence
 retrieval builds a transient bigram-only index over the sentences of the
-candidate documents.  Weighting is tf = log(1 + count) with the Okapi-style
+candidate documents.  Texts are hashed by ``tokenizer.ngram_bins``;
+``top_k_sentences_batch`` hashes a run's claims and the sentences of every
+retrieved page once and slices them per claim.  Weighting is tf = log(1 + count) with the Okapi-style
 idf = max(0, log((N - df + 0.5) / (df + 0.5))); vectors are L2-normalized
 at query time.  Postings are flat numpy arrays sorted by (bin, item).  Items
 are indexed in strictly ascending id order, so ties among results at the
@@ -13,13 +15,12 @@ import io
 import json
 import zipfile
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import kernels
 from .corpus import Corpus, Document
-from .tokenizer import HASH_NAME, hashed_counts, tokenize
+from .tokenizer import HASH_NAME, ngram_bins, tokenize
 
 FORMAT_VERSION = 1
 DEFAULT_BIN_COUNT = 2**24
@@ -85,50 +86,55 @@ class TfidfIndex:
         item_ids = [item_id for item_id, _ in items]
         if not _strictly_ascending(item_ids):
             raise ValueError("index items must be in strictly ascending id order")
-        n = len(items)
-        per_item = [hashed_counts(tokenize(text), ngram_orders, bin_count) for _, text in items]
-        sizes = np.fromiter(map(len, per_item), dtype=np.int64, count=n)
-        bins = np.fromiter(chain.from_iterable(per_item), dtype=np.int64)
-        counts = np.fromiter(chain.from_iterable(c.values() for c in per_item), dtype=np.int64)
-        owner = np.repeat(np.arange(n, dtype=np.int32), sizes)
+        hashed = ngram_bins((tokenize(text) for _, text in items), ngram_orders, bin_count)
+        return cls.from_counts(item_ids, *hashed, bin_count, ngram_orders, source_checksum)
 
+    @classmethod
+    def from_counts(cls, item_ids, owner, bins, counts, bin_count, ngram_orders,
+                    source_checksum="") -> "TfidfIndex":
+        """Index from ``ngram_bins`` output: entries sorted by (owner, bin),
+        owner i being item_ids[i]."""
+        n = len(item_ids)
         uniq_bins, inverse, df = np.unique(bins, return_inverse=True, return_counts=True)
         weights = np.log1p(counts) * _idf(df, n)[inverse]
 
         # item_norms are saved in index.npz: one np.sum per item over its
         # squares in ascending-bin order, as np.add.reduceat rounds differently.
-        squares = np.square(weights[np.lexsort((bins, owner))])
-        item_norms = np.sqrt([np.sum(sq) for sq in np.split(squares, np.cumsum(sizes)[:-1])])
+        ends = np.cumsum(np.bincount(owner, minlength=n))
+        item_norms = np.sqrt([np.sum(sq) for sq in np.split(np.square(weights), ends[:-1])])
 
-        order = np.lexsort((owner, bins))
+        order = np.argsort(bins, kind="stable")  # (bin, owner) order
         uniq_offsets = np.concatenate(([0], np.cumsum(df)))
         return cls(bin_count, ngram_orders, item_ids, uniq_bins, uniq_offsets,
-                   owner[order], weights[order], df, item_norms, source_checksum)
+                   owner[order].astype(np.int32), weights[order], df, item_norms,
+                   source_checksum)
 
-    def query_vector(self, text: str):
+    def query_vector(self, q_bins, q_counts):
         """(positions in uniq_bins, weights, norm) of a query's indexed bins.
 
-        Positions ascend and zero-weight bins are dropped; the norm counts
-        every positive-weight bin, indexed or not.
+        q_bins ascend, as ``ngram_bins`` gives them.  Zero-weight bins are
+        dropped; the norm counts every positive-weight bin, indexed or not.
         """
-        counts = hashed_counts(tokenize(text), self.ngram_orders, self.bin_count)
-        q_bins = np.array(sorted(counts), dtype=np.int64)
         pos = np.searchsorted(self.uniq_bins, q_bins)
         hit = pos < self.uniq_bins.size
         hit[hit] = self.uniq_bins[pos[hit]] == q_bins[hit]
         q_df = np.zeros(q_bins.size, dtype=np.int64)
         q_df[hit] = self.df[pos[hit]]
-        tf = np.log1p(np.array([counts[b] for b in q_bins.tolist()], dtype=np.float64))
-        weights = tf * _idf(q_df, self.item_count)
+        weights = np.log1p(q_counts) * _idf(q_df, self.item_count)
         nz = weights > 0
         norm = float(np.sqrt(np.sum(weights[nz] * weights[nz])))
         return pos[hit & nz], weights[hit & nz], norm
 
     def top_k(self, text: str, k: int) -> list[ScoredItem]:
+        """k best items for a query text; see ``top_k_hashed``."""
+        _, q_bins, q_counts = ngram_bins([tokenize(text)], self.ngram_orders, self.bin_count)
+        return self.top_k_hashed(q_bins, q_counts, k)
+
+    def top_k_hashed(self, q_bins, q_counts, k: int) -> list[ScoredItem]:
         """k best items by cosine, positive scores only, ids break ties."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        q_pos, q_weights, q_norm = self.query_vector(text)
+        q_pos, q_weights, q_norm = self.query_vector(q_bins, q_counts)
         if q_norm == 0.0:
             return []
         raw = kernels.cosine_accumulate(q_pos, q_weights, self.uniq_offsets, self.post_items,
@@ -207,3 +213,63 @@ def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
         return []
     index = TfidfIndex.build(items, bin_count, ngram_orders=(2,))
     return index.top_k(claim, k)
+
+
+class _HashedRows:
+    """``ngram_bins`` output of many texts, sliceable by text."""
+
+    def __init__(self, token_lists, orders, bin_count, n):
+        self.owner, self.bins, self.counts = ngram_bins(token_lists, orders, bin_count)
+        self.offsets = np.searchsorted(self.owner, np.arange(n + 1))
+
+    def row(self, i):
+        """(bins, counts) of text i."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return self.bins[lo:hi], self.counts[lo:hi]
+
+    def take(self, rows):
+        """(owner, bins, counts) of the texts at rows, owner j being rows[j]."""
+        starts = self.offsets[rows]
+        lens = self.offsets[rows + 1] - starts
+        span = kernels.concat_ranges(starts, lens)
+        owner = np.repeat(np.arange(rows.size, dtype=np.int64), lens)
+        return owner, self.bins[span], self.counts[span]
+
+
+def top_k_sentences_batch(corpus: Corpus, index: TfidfIndex, claims: list[str],
+                          k_docs: int = 5, k_sents: int = 5) -> list[list[ScoredItem]]:
+    """The TF-IDF route for many claims at once.
+
+    Per claim it equals ``top_k_sentences`` over the pages of
+    ``top_k_documents(index, claim, k_docs)``, but every claim is hashed
+    once per route and every sentence of the retrieved pages once in all.
+    Each claim's sentence index is still built over its own pages, so its
+    idf and scores do not change.
+    """
+    bin_count = index.bin_count
+    tokens = [tokenize(claim) for claim in claims]
+    doc_queries = _HashedRows(tokens, index.ngram_orders, bin_count, len(claims))
+    sent_queries = _HashedRows(tokens, (2,), bin_count, len(claims))
+    pages = [sorted(hit.item for hit in index.top_k_hashed(*doc_queries.row(i), k_docs))
+             for i in range(len(claims))]
+
+    # every retrieved page's sentences, sorted by ref, so a page is a run of rows
+    refs, page_rows = [], {}
+    for page_id in sorted({p for ps in pages for p in ps}):
+        page_refs = sorted(corpus.get(page_id).non_empty_refs())
+        page_rows[page_id] = (len(refs), len(page_refs))
+        refs.extend(page_refs)
+    sentences = _HashedRows((tokenize(corpus.get_sentence(r)) for r in refs), (2,),
+                            bin_count, len(refs))
+
+    out = []
+    for i, claim_pages in enumerate(pages):
+        starts, lens = np.array([page_rows[p] for p in claim_pages], np.int64).reshape(-1, 2).T
+        rows = kernels.concat_ranges(starts, lens)
+        if rows.size == 0:
+            out.append([])
+            continue
+        sent_index = TfidfIndex.from_counts([refs[r] for r in rows.tolist()],
+                                            *sentences.take(rows), bin_count, (2,))
+        out.append(sent_index.top_k_hashed(*sent_queries.row(i), k_sents))
+    return out

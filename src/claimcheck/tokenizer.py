@@ -3,17 +3,23 @@
 One tokenizer serves both retrieval and the lexical entailment baseline so
 their vocabularies agree.  Hashing is FNV-1a over UTF-8 bytes of the
 tab-joined n-gram: a fixed algorithm, stable across runs and platforms,
-recorded in index headers as HASH_NAME.
+recorded in index headers as HASH_NAME.  ``ngram_bins`` is the hasher the
+program uses; ``fnv1a64``, ``hash_ngram`` and ``hashed_counts`` are the
+per-occurrence reference it must agree with.
 """
 
 import re
 import unicodedata
+from array import array
+
+import numpy as np
 
 HASH_NAME = "fnv1a64"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+MAX_BIN_COUNT = 2**32  # keeps ngram_bins' owner * bin_count + bin key in int64
 
 # Word characters minus underscore: wiki page ids use underscores as spaces.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -44,3 +50,68 @@ def hashed_counts(tokens: list[str], orders, bin_count: int) -> dict[int, int]:
             b = hash_ngram(tokens[i : i + order], bin_count)
             counts[b] = counts.get(b, 0) + 1
     return counts
+
+
+def ngram_bins(token_lists, orders, bin_count: int):
+    """Hashed n-gram counts of many token lists: (owner, bins, counts).
+
+    One entry per distinct (list index, bin), sorted by (owner, bin), all
+    int64; the bins equal ``hash_ngram`` per occurrence.  Tokens get integer
+    ids from one vocabulary fed a list at a time, so each distinct token and
+    each distinct bigram (a pair of ids) is hashed once, in numpy: a bigram
+    continues its first token's FNV-1a state with a tab and then the second
+    token's bytes.  Orders 1 and 2 are supported.
+    """
+    if not 1 <= bin_count <= MAX_BIN_COUNT:
+        raise ValueError(f"bin count must be between 1 and 2^32, got {bin_count}")
+    if not set(orders) <= {1, 2}:
+        raise ValueError(f"unsupported n-gram orders: {tuple(orders)}")
+    vocab: dict[str, int] = {}
+    ids, sizes = array("q"), array("q")
+    for tokens in token_lists:
+        ids.extend([vocab.setdefault(t, len(vocab)) for t in tokens])
+        sizes.append(len(tokens))
+    ids = np.frombuffer(ids, dtype=np.int64)
+    tok_owner = np.repeat(np.arange(len(sizes), dtype=np.int64), np.frombuffer(sizes, np.int64))
+
+    encoded = [t.encode("utf-8") for t in vocab]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    starts = np.cumsum(lengths) - lengths
+    data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    states = _fnv_continue(np.full(len(encoded), _FNV_OFFSET, dtype=np.uint64),
+                           data, starts, lengths)
+
+    owners, bins = [], []
+    if 1 in orders:
+        owners.append(tok_owner)
+        bins.append((states % np.uint64(bin_count))[ids])
+    if 2 in orders:
+        same = tok_owner[1:] == tok_owner[:-1]
+        width = max(len(encoded), 1)
+        pairs, inverse = np.unique(ids[:-1][same] * width + ids[1:][same], return_inverse=True)
+        first, second = np.divmod(pairs, width)
+        tabbed = (states[first] ^ np.uint64(ord("\t"))) * np.uint64(_FNV_PRIME)
+        pair_states = _fnv_continue(tabbed, data, starts[second], lengths[second])
+        owners.append(tok_owner[1:][same])
+        bins.append((pair_states % np.uint64(bin_count))[inverse])
+    keys = np.concatenate(owners) * bin_count + np.concatenate(bins).astype(np.int64)
+    keys, counts = np.unique(keys, return_counts=True)
+    owner, bins = np.divmod(keys, bin_count)
+    return owner, bins, counts.astype(np.int64)
+
+
+def _fnv_continue(states, data, starts, lengths):
+    """FNV-1a states continued over data[starts[i] : starts[i] + lengths[i]].
+
+    Rows are visited longest first, so the rows still running at byte j
+    are a prefix.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    h, s, n = states[order], starts[order], lengths[order]
+    running = np.searchsorted(-n, -np.arange(n[0] if n.size else 0), side="left")
+    for j, m in enumerate(running.tolist()):
+        h[:m] ^= data[s[:m] + j]
+        h[:m] *= np.uint64(_FNV_PRIME)
+    out = np.empty_like(h)
+    out[order] = h
+    return out

@@ -302,6 +302,55 @@ class TestBadInputs:
         assert "scored row on line 1: claim_id [101] is not" in one_error(code, err)
 
 
+    @pytest.mark.parametrize("bins", ["0", "-3", str(2**32 + 1)])
+    def test_degenerate_bin_count(self, tmp_path, capsys, bins):
+        for argv in (["index", "--corpus", DUMP, "--out", tmp_path / "i.npz"],
+                     ["e2e", "--corpus", DUMP, "--claims", CLAIMS,
+                      "--out", tmp_path / "pred.jsonl"]):
+            code, _, err = run([*argv, "--bins", bins], capsys)
+            assert f"bin count must be between 1 and 2^32, got {bins}" in one_error(code, err)
+        assert not (tmp_path / "i.npz").exists() and not (tmp_path / "pred.jsonl").exists()
+
+    def test_raw_line_separator_inside_a_record(self, tmp_path, capsys):
+        # U+2028, U+2029 and U+0085 are line breaks to str.splitlines, not to JSON
+        dump = tmp_path / "dump.jsonl"
+        record = {"id": "A", "text": "a\u2028b\u2029c\x85d", "lines": "0\ta\u2028b"}
+        dump.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        code, _, _ = run(["ingest", "--dump", dump, "--out", tmp_path / "c.json.gz"], capsys)
+        assert code == 0
+        doc = Corpus.load(tmp_path / "c.json.gz").get("A")
+        assert doc.text == record["text"] and doc.lines == [(0, "a\u2028b")]
+
+    def test_dump_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        dump = tmp_path / "dump.jsonl"
+        dump.write_bytes(b'{"id": "A", "text": "a.", "lines": "0\\ta."}\n'
+                         b'{"id": "B", "text": "b\xff."}\n')
+        code, _, err = run(["ingest", "--dump", dump, "--out", tmp_path / "c.json.gz"], capsys)
+        assert f"bad record in {dump} on line 2: 'utf-8' codec can't decode byte 0xff" \
+            in one_error(code, err)
+
+    @pytest.mark.parametrize("row, message", [
+        ({"claim_id": 112}, "no feature rows for claim ids [101]"),
+        ({"claim_id": 101, "f3": float("nan")}, "feature row on line 1: feature values"),
+    ], ids=["missing_claim", "nan_feature"])
+    def test_predict_bad_feature_rows(self, one_claim, tmp_path, capsys, row, message):
+        feats = tmp_path / "features.jsonl"
+        feats.write_text(json.dumps({"n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}, **row})
+                         + "\n")
+        code, _, err = run(["predict", "--claims", one_claim / "claims.jsonl",
+                            "--features", feats, "--scored", one_claim / "scored.jsonl",
+                            "--model", one_claim / "model.json",
+                            "--out", tmp_path / "pred.jsonl"], capsys)
+        assert message in one_error(code, err)
+
+    def test_list_id_in_prediction_row(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"id": [101], "predicted_label": "SUPPORTS", '
+                        '"predicted_evidence": []}\n')
+        code, _, err = run(["score", "--gold", CLAIMS, "--pred", pred], capsys)
+        assert "prediction row on line 1: id [101] is not" in one_error(code, err)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -330,6 +379,80 @@ def test_one_line_dump_ingests_or_fails_with_one_error(value):
             assert code == 0 and len(Corpus.load(out)) <= 1
         else:
             one_error(code, err.getvalue())
+
+
+@pytest.fixture(scope="module")
+def one_claim(tmp_path_factory):
+    """A one-claim claims file, plus valid feature, scored and model files
+    (the model trained on that SUPPORTS claim and a REFUTES one)."""
+    d = tmp_path_factory.mktemp("rows")
+    lines = CLAIMS.read_text().splitlines()
+    (d / "claims.jsonl").write_text(lines[0] + "\n")
+    (d / "claims2.jsonl").write_text(lines[0] + "\n" + lines[11] + "\n")  # ids 101, 112
+    (d / "cands.jsonl").write_text('{"id": 101, "candidates": [["Korvand_Archipelago", 0]]}\n'
+                                   '{"id": 112, "candidates": [["Ilmar_Voss", 0]]}\n')
+    for argv in (["features", "--corpus", DUMP, "--claims", d / "claims2.jsonl",
+                  "--candidates", d / "cands.jsonl", "--out", d / "features.jsonl",
+                  "--scored-out", d / "scored.jsonl"],
+                 ["train", "--claims", d / "claims2.jsonl", "--trees", "2",
+                  "--features", d / "features.jsonl", "--out", d / "model.json"]):
+        assert cli.main(["-q", *map(str, argv)]) == 0
+    return d
+
+
+PAIRS = st.lists(st.lists(JSON_VALUES | st.text(max_size=20) | st.integers(-2, 9),
+                          min_size=0, max_size=3), max_size=3)
+ROW_FILES = {
+    "candidates": st.fixed_dictionaries({}, optional={
+        "id": st.just(101) | JSON_VALUES, "candidates": PAIRS | JSON_VALUES}),
+    "features": st.fixed_dictionaries({}, optional={
+        "claim_id": st.just(101) | JSON_VALUES, "n": st.integers() | JSON_VALUES,
+        **{f"f{i}": st.floats() | JSON_VALUES for i in range(1, 13)}}),
+    "scored": st.fixed_dictionaries({}, optional={
+        "claim_id": st.just(101) | JSON_VALUES, "page_id": st.text(max_size=20) | JSON_VALUES,
+        "line_number": st.integers() | JSON_VALUES,
+        **{k: st.floats(0, 1) | JSON_VALUES for k in ("support", "refute", "uninformative")}}),
+    "predictions": st.fixed_dictionaries({}, optional={
+        "id": st.just(101) | JSON_VALUES,
+        "predicted_label": st.sampled_from(["SUPPORTS", "REFUTES", "NOT ENOUGH INFO"])
+        | JSON_VALUES,
+        "predicted_evidence": PAIRS | JSON_VALUES}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_FILES))
+def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
+    d = one_claim
+
+    def argvs(rows):
+        claims, out = d / "claims.jsonl", d / f"out-{kind}"
+        return {
+            "candidates": [["features", "--corpus", DUMP, "--claims", claims,
+                            "--candidates", rows, "--out", out]],
+            "features": [["train", "--claims", claims, "--features", rows, "--trees", "2",
+                          "--out", out],
+                         ["predict", "--claims", claims, "--features", rows,
+                          "--scored", d / "scored.jsonl", "--model", d / "model.json",
+                          "--out", out]],
+            "scored": [["predict", "--claims", claims, "--features", d / "features.jsonl",
+                        "--scored", rows, "--model", d / "model.json", "--out", out]],
+            "predictions": [["score", "--gold", claims, "--pred", rows]],
+        }[kind]
+
+    @settings(max_examples=100, deadline=None)
+    @given(line=ROW_FILES[kind].map(json.dumps) | JSON_VALUES.map(json.dumps)
+           | st.text(max_size=30))
+    def check(line):
+        rows = d / f"rows-{kind}.jsonl"
+        rows.write_text(line + "\n", encoding="utf-8", errors="surrogatepass")
+        for argv in argvs(rows):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["-q", *map(str, argv)])
+            if code != 0:
+                one_error(code, err.getvalue())
+
+    check()
 
 
 class TestEndToEnd:

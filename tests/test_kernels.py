@@ -137,7 +137,8 @@ def test_bench_kernels_smoke(capsys):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     assert bench.main(["--titles", "20", "--items", "10", "--postings", "64",
-                       "--samples", "30", "--repeat", "1"]) == 0
+                       "--samples", "30", "--texts", "5", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[2:]] == \
-        ["batch_levenshtein", "cosine_accumulate", "best_split"]
+        ["batch_levenshtein", "cosine_accumulate", "best_split", "ngram_bins",
+         "hashed_counts_loop"]

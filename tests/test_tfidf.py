@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from claimcheck import tfidf
+from claimcheck import cli, ner, tfidf
 from claimcheck.corpus import Corpus, Document, SentenceRef, ingest_dump
+from claimcheck.nli_data import FeverInstance
 from claimcheck.tokenizer import hash_ngram, hashed_counts, tokenize
 
 from conftest import WORDS, make_random_corpus
@@ -194,6 +195,60 @@ class TestRanking:
             tfidf.TfidfIndex.build([("b", "beta gamma"), ("a", "alpha beta")], BINS, (1, 2))
         with pytest.raises(ValueError, match="ascending"):
             tfidf.TfidfIndex.build([("a", "alpha beta"), ("a", "beta gamma")], BINS, (1, 2))
+
+
+def one_claim_tfidf_route(corpus, index, claim):
+    """The TF-IDF route for one claim, as perfbench/bench_trace.py composes it."""
+    docs = [corpus.get(hit.item) for hit in tfidf.top_k_documents(index, claim, k=cli.K_DOCS)]
+    return tfidf.top_k_sentences(docs, claim, k=cli.K_SENTS, bin_count=index.bin_count)
+
+
+def duplicate_sentence_corpus(rng):
+    """Pages drawing sentences from a small shared pool, lines listed out of
+    order, some lines empty, and a few pages with text but no sentence."""
+    pool = [" ".join(WORDS[w] for w in rng.integers(0, len(WORDS), size=rng.integers(1, 7)))
+            for _ in range(12)]
+    corpus = Corpus()
+    for i in range(int(rng.integers(1, 25))):
+        numbers = rng.permutation(int(rng.integers(0, 9)))
+        lines = [(int(n), "" if rng.random() < 0.15 else pool[rng.integers(len(pool))])
+                 for n in numbers]
+        text = " ".join(t for _, t in lines) or pool[rng.integers(len(pool))]
+        corpus.add_document(Document(f"P{i:02d}", text, lines))
+    claims = [" ".join(WORDS[w] for w in rng.integers(0, len(WORDS), size=rng.integers(0, 9)))
+              for _ in range(6)] + [pool[0], "", "!!"]
+    return corpus, claims
+
+
+class TestBatchedRoute:
+    """The CLI hashes each claim and sentence once for all claims; results
+    must equal the one-claim composition, scores included."""
+
+    def check(self, corpus, claims, bin_count):
+        index = tfidf.build_document_index(corpus, bin_count=bin_count)
+        batched = tfidf.top_k_sentences_batch(corpus, index, claims,
+                                              k_docs=cli.K_DOCS, k_sents=cli.K_SENTS)
+        assert batched == [one_claim_tfidf_route(corpus, index, c) for c in claims]
+
+        instances = [FeverInstance(i, c, "NOT ENOUGH INFO", ()) for i, c in enumerate(claims)]
+        matcher = ner.TitleMatcher(corpus)
+        want = {i: sorted(set(ner.candidate_sentences_for_claim(corpus, c, matcher=matcher))
+                          | {hit.item for hit in one_claim_tfidf_route(corpus, index, c)})
+                for i, c in enumerate(claims)}
+        assert cli.retrieve_candidates(corpus, index, instances) == want
+
+    def test_fixture_corpus(self, mini_corpus, mini_instances):
+        self.check(mini_corpus, [inst.claim for inst in mini_instances], 65536)
+
+    def test_random_corpora_with_duplicate_sentences(self):
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            corpus, claims = duplicate_sentence_corpus(rng)
+            self.check(corpus, claims, int(rng.choice([1, 16, BINS, 2**32])))
+
+    def test_no_claims(self, mini_corpus):
+        index = tfidf.build_document_index(mini_corpus, bin_count=BINS)
+        assert tfidf.top_k_sentences_batch(mini_corpus, index, []) == []
 
 
 class TestHashDistribution:

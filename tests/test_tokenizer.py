@@ -1,4 +1,9 @@
-from claimcheck.tokenizer import fnv1a64, hash_ngram, hashed_counts, tokenize
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from claimcheck.tokenizer import (MAX_BIN_COUNT, fnv1a64, hash_ngram, hashed_counts,
+                                  ngram_bins, tokenize)
 
 
 def test_tokenize_examples():
@@ -38,3 +43,29 @@ def test_hashed_counts_orders():
     assert sum(both.values()) == 3 + 2  # three unigrams, two bigrams
     assert hashed_counts([], (1, 2), 2**20) == {}
     assert hashed_counts(["solo"], (2,), 2**20) == {}
+
+
+# ASCII, accented, Cyrillic and astral letters; short tokens repeat often
+TOKENS = st.text(st.sampled_from("abé\u00f1жЖя\U0001d49c\U00010400"), min_size=1, max_size=4) \
+    | st.text(min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_lists=st.lists(st.lists(TOKENS, max_size=8), max_size=6),
+       orders=st.sampled_from([(1,), (2,), (1, 2)]),
+       bin_count=st.integers(1, MAX_BIN_COUNT) | st.sampled_from([1, 2, 7, MAX_BIN_COUNT]))
+def test_ngram_bins_match_per_occurrence_reference(token_lists, orders, bin_count):
+    owner, bins, counts = ngram_bins(iter(token_lists), orders, bin_count)
+    keys = list(zip(owner.tolist(), bins.tolist()))
+    assert keys == sorted(set(keys))  # sorted by (owner, bin), no repeats
+    got = {}
+    for i, b, c in zip(owner.tolist(), bins.tolist(), counts.tolist()):
+        got.setdefault(i, {})[b] = c
+    for i, tokens in enumerate(token_lists):
+        assert got.get(i, {}) == hashed_counts(tokens, orders, bin_count)
+
+
+@pytest.mark.parametrize("bin_count", [0, -3, MAX_BIN_COUNT + 1])
+def test_ngram_bins_rejects_degenerate_bin_count(bin_count):
+    with pytest.raises(ValueError, match="bin count"):
+        ngram_bins([["a"]], (1, 2), bin_count)
