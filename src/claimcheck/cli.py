@@ -7,14 +7,13 @@ inputs and seeds produce byte-identical output files.
 """
 
 import argparse
-import json
 import logging
 import math
 import sys
 from pathlib import Path
 
 from . import features as features_mod
-from . import forest, metrics, ner, nli_data, tfidf
+from . import forest, metrics, ner, nli_data, rows, tfidf
 from .corpus import Corpus, SentenceRef, ingest_dump
 from .entailment import (BaselineScorer, EntailmentTriple, FileScorer, ScoredCandidate,
                          score_candidates)
@@ -24,6 +23,8 @@ from .nli_data import load_claims
 from .verdict import Verdict, assemble, parse_prediction_row
 
 log = logging.getLogger("claimcheck")
+
+_read_rows = rows.read_rows  # the row reader under its former name
 
 K_DOCS = 5  # documents per claim from the TF-IDF route
 K_SENTS = 5  # sentences kept from those documents
@@ -37,33 +38,6 @@ def load_corpus_any(path) -> Corpus:
                 return Corpus.load(path)
     corpus, _ = ingest_dump(path)
     return corpus
-
-
-def _write_rows(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for row in rows:
-            fp.write(json.dumps(row, ensure_ascii=False))
-            fp.write("\n")
-
-
-def _read_rows(path):
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-
-
-def _parse_rows(path, what, parse):
-    """parse(row) for each row; a malformed row raises ValueError naming its line."""
-    for lineno, row in enumerate(_read_rows(path), start=1):
-        try:
-            item = parse(row)
-        except KeyError as exc:
-            raise ValueError(f"bad {what} row on line {lineno}: missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"bad {what} row on line {lineno}: {exc}") from exc
-        yield item
 
 
 def _make_extractor(args):
@@ -139,7 +113,7 @@ def write_predictions(path, instances, fvs, scored_by_id, model) -> list:
         verdicts.append(assemble(inst.claim_id, label, scored_by_id.get(inst.claim_id, [])))
     log.info("assembled %d verdicts (%d overrides to NOT ENOUGH INFO)",
              len(verdicts), sum(v.override_applied for v in verdicts))
-    _write_rows(path, (v.to_row() for v in verdicts))
+    rows.write_rows(path, (v.to_row() for v in verdicts))
     print(f"wrote {len(verdicts)} predictions -> {path}")
     return verdicts
 
@@ -151,16 +125,7 @@ def report_scores(instances, verdicts, json_path) -> None:
     report = metrics.score(gold, verdicts)
     print(report.format_table())
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fp:
-            json.dump(report.to_dict(), fp, sort_keys=True, indent=2)
-            fp.write("\n")
-
-
-def _scalar_field(row, key):
-    """row[key], which must not be a list or an object (ids are dict keys)."""
-    if isinstance(row[key], (list, dict)):
-        raise ValueError(f"{key} {row[key]!r} is not a string or number")
-    return row[key]
+        rows.write_json(json_path, report.to_dict())
 
 
 def _feature_row(claim_id, fv) -> dict:
@@ -181,18 +146,20 @@ def _scored_rows(claim_id, candidates):
         }
 
 
+def _prediction_from_row(row) -> Verdict:
+    rows.scalar_field(row, "id")
+    if row["predicted_label"] not in LABELS:
+        raise ValueError(f"unknown label {row['predicted_label']!r}")
+    for pair in row["predicted_evidence"]:
+        page, line = pair
+        if not isinstance(page, str) or not isinstance(line, int):
+            raise ValueError(f"evidence pair {pair!r} is not [page_id, line]")
+    return parse_prediction_row(row)
+
+
 def _validate_prediction_row(row, lineno) -> Verdict:
-    try:
-        _scalar_field(row, "id")
-        if row["predicted_label"] not in LABELS:
-            raise ValueError(f"unknown label {row['predicted_label']!r}")
-        for pair in row["predicted_evidence"]:
-            page, line = pair
-            if not isinstance(page, str) or not isinstance(line, int):
-                raise ValueError(f"evidence pair {pair!r} is not [page_id, line]")
-        return parse_prediction_row(row)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad prediction row on line {lineno}: {exc}") from exc
+    with rows.row_error("prediction", lineno):
+        return _prediction_from_row(row)
 
 
 def _features_from_row(row):
@@ -200,12 +167,12 @@ def _features_from_row(row):
     if not all(map(math.isfinite, values)):
         raise ValueError("feature values must be finite")
     fv = features_mod.FeatureVector(*values, n=int(row["n"]))
-    return _scalar_field(row, "claim_id"), fv
+    return rows.scalar_field(row, "claim_id"), fv
 
 
 def _read_feature_rows(path, instances) -> dict:
     """Feature vectors by claim id; every claim of instances needs one."""
-    fvs = dict(_parse_rows(path, "feature", _features_from_row))
+    fvs = dict(rows.parse_rows(path, "feature", _features_from_row))
     missing = [i.claim_id for i in instances if i.claim_id not in fvs]
     if missing:
         raise ValueError(f"no feature rows for claim ids {missing[:5]}...")
@@ -215,7 +182,7 @@ def _read_feature_rows(path, instances) -> dict:
 def _scored_from_row(row):
     ref = SentenceRef(str(row["page_id"]), int(row["line_number"]))
     triple = EntailmentTriple(row["support"], row["refute"], row["uninformative"])
-    return _scalar_field(row, "claim_id"), ScoredCandidate(ref, "", triple)
+    return rows.scalar_field(row, "claim_id"), ScoredCandidate(ref, "", triple)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -253,9 +220,9 @@ def cmd_retrieve(args) -> int:
     instances = load_claims(args.claims)
     index = _load_index(args, corpus)
     cands = retrieve_candidates(corpus, index, instances, extractor=_make_extractor(args))
-    _write_rows(args.out, ({"id": inst.claim_id,
-                            "candidates": [r.as_pair() for r in cands[inst.claim_id]]}
-                           for inst in instances))
+    rows.write_rows(args.out, ({"id": inst.claim_id,
+                                "candidates": [r.as_pair() for r in cands[inst.claim_id]]}
+                               for inst in instances))
     print(f"wrote candidates for {len(instances)} claims -> {args.out}")
     return 0
 
@@ -274,7 +241,7 @@ def cmd_gen_nli(args) -> int:
         "balanced": {k.lower(): v for k, v in counts.items()},
     }
     nli_data.write_examples(args.out, balanced)
-    nli_data.write_manifest(args.manifest, manifest)
+    rows.write_json(args.manifest, manifest)
     log.info("generated %d examples, kept %d after balancing",
              len(examples), len(balanced))
     print(f"wrote {len(balanced)} balanced examples -> {args.out} "
@@ -293,11 +260,11 @@ def cmd_features(args) -> int:
         return inst, [SentenceRef(str(p), int(l)) for p, l in row["candidates"]]
 
     scored = score_claims(_make_scorer(args), corpus,
-                          _parse_rows(args.candidates, "candidates", parse))
-    _write_rows(args.out, (_feature_row(inst.claim_id, fv) for inst, _, fv in scored))
+                          rows.parse_rows(args.candidates, "candidates", parse))
+    rows.write_rows(args.out, (_feature_row(inst.claim_id, fv) for inst, _, fv in scored))
     if args.scored_out:
-        _write_rows(args.scored_out, (row for inst, cands, _ in scored
-                                      for row in _scored_rows(inst.claim_id, cands)))
+        rows.write_rows(args.scored_out, (row for inst, cands, _ in scored
+                                          for row in _scored_rows(inst.claim_id, cands)))
     print(f"wrote {len(scored)} feature rows -> {args.out}")
     return 0
 
@@ -315,7 +282,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     instances = load_claims(args.claims)
     scored_by_id: dict = {}
-    for claim_id, cand in _parse_rows(args.scored, "scored", _scored_from_row):
+    for claim_id, cand in rows.parse_rows(args.scored, "scored", _scored_from_row):
         scored_by_id.setdefault(claim_id, []).append(cand)
     fvs = _read_feature_rows(args.features, instances)
     write_predictions(args.out, instances, fvs, scored_by_id, forest.load(args.model))
@@ -324,8 +291,7 @@ def cmd_predict(args) -> int:
 
 def cmd_score(args) -> int:
     instances = load_claims(args.gold)
-    predictions = [_validate_prediction_row(row, lineno)
-                   for lineno, row in enumerate(_read_rows(args.pred), start=1)]
+    predictions = list(rows.parse_rows(args.pred, "prediction", _prediction_from_row))
     report_scores(instances, predictions, args.json_out)
     return 0
 

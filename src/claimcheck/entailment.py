@@ -6,11 +6,11 @@ model output is injected from a JSON-lines probability file instead of being
 computed in-process.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 from .corpus import SentenceRef
+from .rows import parse_rows, scalar_field
 from .tokenizer import tokenize
 
 SUM_TOLERANCE = 1e-6
@@ -74,6 +74,21 @@ class BaselineScorer:
         return baseline_score(tokenize(claim), tokenize(sentence))
 
 
+def _probability_from_row(row) -> tuple:
+    """((claim id, page id, line), triple); a sum off by up to LOAD_SUM_TOLERANCE
+    is renormalized."""
+    key = (scalar_field(row, "claim_id"), str(row["page_id"]), int(row["line_number"]))
+    values = (float(row["support"]), float(row["refute"]), float(row["uninformative"]))
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise ProbabilityError(f"component out of [0, 1] in {values}")
+    total = sum(values)
+    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=LOAD_SUM_TOLERANCE):
+        raise ProbabilityError(f"triple {values} sums to {total}, not 1")
+    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=SUM_TOLERANCE):
+        values = tuple(v / total for v in values)
+    return key, EntailmentTriple(*values)
+
+
 class FileScorer:
     """Exact lookup of externally computed triples keyed by (claim, page, line)."""
 
@@ -84,33 +99,8 @@ class FileScorer:
 
     @classmethod
     def load(cls, path) -> "FileScorer":
-        table: dict = {}
-        with open(path, encoding="utf-8") as fp:
-            for lineno, line in enumerate(fp, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                    key = (row["claim_id"], str(row["page_id"]), int(row["line_number"]))
-                    values = (float(row["support"]), float(row["refute"]),
-                              float(row["uninformative"]))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ProbabilityError(f"bad probability row on line {lineno}: {exc}") from exc
-                for v in values:
-                    if not (0.0 <= v <= 1.0):
-                        raise ProbabilityError(
-                            f"line {lineno}: component out of [0, 1] in {values}"
-                        )
-                total = sum(values)
-                if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=LOAD_SUM_TOLERANCE):
-                    raise ProbabilityError(
-                        f"line {lineno}: triple {values} sums to {total}, not 1"
-                    )
-                if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=SUM_TOLERANCE):
-                    values = tuple(v / total for v in values)
-                table[key] = EntailmentTriple(*values)
-        return cls(table)
+        """JSON-lines {claim_id, page_id, line_number, support, refute, uninformative}."""
+        return cls(dict(parse_rows(path, "probability", _probability_from_row, ProbabilityError)))
 
     def score(self, claim_id, claim: str, ref: SentenceRef, sentence: str) -> EntailmentTriple:
         key = (claim_id, ref.page_id, ref.line_number)

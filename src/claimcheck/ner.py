@@ -9,7 +9,6 @@ Levenshtein distance; every sentence of the matched pages becomes a
 candidate.
 """
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import Corpus, SentenceRef
+from .rows import parse_rows, scalar_field
 
 LEADING_STOPWORDS = frozenset({"the", "a", "an"})
 
@@ -78,22 +78,12 @@ def extract_entities(claim: str) -> list[EntityMention]:
     return mentions
 
 
-def load_entity_annotations(path) -> dict:
-    """JSON-lines {id, entities: [...]} -> mapping of claim id to surfaces."""
-    table: dict = {}
-    with open(path, encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                claim_id = row["id"] if "id" in row else row["claim_id"]
-                entities = row["entities"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"bad entity annotation on line {lineno}: {exc}") from exc
-            table[claim_id] = [str(e) for e in entities]
-    return table
+def _annotation_from_row(row) -> tuple:
+    """(claim id, mention surfaces) from an {id or claim_id, entities} row."""
+    entities = row["entities"]
+    if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
+        raise ValueError(f"entities {entities!r} is not a list of strings")
+    return scalar_field(row, "id" if "id" in row else "claim_id"), entities
 
 
 class FileEntityExtractor:
@@ -104,7 +94,8 @@ class FileEntityExtractor:
 
     @classmethod
     def load(cls, path) -> "FileEntityExtractor":
-        return cls(load_entity_annotations(path))
+        """JSON-lines {id, entities: [...]} annotations."""
+        return cls(dict(parse_rows(path, "entity annotation", _annotation_from_row)))
 
     def __call__(self, claim_id) -> list[EntityMention]:
         return [EntityMention(s, "external") for s in self.table.get(claim_id, []) if s.strip()]

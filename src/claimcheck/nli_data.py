@@ -11,11 +11,12 @@ All randomness is derived from (seed, claim id), so regeneration with the
 same seed is byte-identical and instance order does not matter.
 """
 
-import json
 import random
 from dataclasses import dataclass
 
 from .corpus import Corpus, SentenceRef
+from .forest import LABELS
+from .rows import parse_rows, write_rows
 
 NLI_LABELS = ("Entailment", "Contradiction", "Neutral")
 _CLAIM_LABEL_TO_NLI = {"SUPPORTS": "Entailment", "REFUTES": "Contradiction"}
@@ -27,7 +28,7 @@ class GenerationError(ValueError):
 
 @dataclass(frozen=True)
 class FeverInstance:
-    claim_id: int
+    claim_id: int | str
     claim: str
     label: str
     evidence_sets: tuple  # of tuple[SentenceRef, ...]
@@ -44,64 +45,63 @@ class NliExample:
     origin: tuple  # (claim_id, page_id, line_number)
 
     def to_row(self) -> dict:
+        """Keys in sorted order, so the written rows are canonical."""
         return {
-            "premise": self.premise,
             "hypothesis": self.hypothesis,
             "label": self.label,
             "origin": list(self.origin),
+            "premise": self.premise,
         }
 
 
-def _parse_evidence(raw, claim_id) -> tuple:
+def _parse_evidence(raw) -> tuple:
     """FEVER evidence arrays: groups of [ann_id, ev_id, page, line] or [page, line]."""
+    if not isinstance(raw, list) or not all(isinstance(group, list) for group in raw):
+        raise GenerationError(f"evidence {raw!r} is not a list of lists")
     groups = []
-    for group in raw or []:
+    for group in raw:
         refs = []
         for item in group:
-            if len(item) == 4:
-                page, line = item[2], item[3]
-            elif len(item) == 2:
-                page, line = item
-            else:
-                raise GenerationError(
-                    f"claim {claim_id}: malformed evidence item {item!r}"
-                )
+            if not isinstance(item, list) or len(item) not in (2, 4):
+                raise GenerationError(f"malformed evidence item {item!r}")
+            page, line = item[-2:]
             if page is None:
                 continue  # annotation without a grounded sentence
-            refs.append(SentenceRef(str(page), int(line)))
+            if not isinstance(page, str) or type(line) is not int:
+                raise GenerationError(f"evidence item {item!r} is not [..., page_id, line]")
+            refs.append(SentenceRef(page, line))
         if refs:
             groups.append(tuple(refs))
     return tuple(groups)
 
 
 def parse_claim_row(row: dict) -> FeverInstance:
-    claim_id = row["id"]
-    instance = FeverInstance(
-        claim_id=claim_id,
-        claim=str(row["claim"]),
-        label=str(row["label"]),
-        evidence_sets=_parse_evidence(row.get("evidence"), claim_id),
-    )
-    if instance.label in _CLAIM_LABEL_TO_NLI and not instance.evidence_sets:
-        raise GenerationError(
-            f"claim {claim_id}: label {instance.label} but no grounded evidence"
-        )
-    return instance
+    claim_id, claim, label = row["id"], row["claim"], row["label"]
+    if type(claim_id) not in (int, str):
+        raise GenerationError(f"id {claim_id!r} is not a string or an integer")
+    if not isinstance(claim, str):
+        raise GenerationError(f"claim {claim!r} is not a string")
+    if label not in LABELS:
+        raise GenerationError(f"unknown label {label!r}")
+    evidence = row.get("evidence")
+    evidence_sets = _parse_evidence([] if evidence is None else evidence)
+    if label in _CLAIM_LABEL_TO_NLI and not evidence_sets:
+        raise GenerationError(f"claim {claim_id}: label {label} but no grounded evidence")
+    return FeverInstance(claim_id, claim, label, evidence_sets)
 
 
 def load_claims(path) -> list[FeverInstance]:
-    instances = []
-    with open(path, encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GenerationError(f"bad claim row on line {lineno}: {exc}") from exc
-            instances.append(parse_claim_row(row))
-    return instances
+    """The claims of a JSON-lines file; a malformed row or a repeated id names its line."""
+    seen = set()
+
+    def parse(row):
+        instance = parse_claim_row(row)
+        if instance.claim_id in seen:
+            raise GenerationError(f"duplicate claim id {instance.claim_id!r}")
+        seen.add(instance.claim_id)
+        return instance
+
+    return list(parse_rows(path, "claim", parse, GenerationError))
 
 
 def _resolve(corpus: Corpus, ref: SentenceRef, claim_id) -> str:
@@ -187,13 +187,4 @@ def undersample(examples, seed: int) -> list:
 
 
 def write_examples(path, examples) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for ex in examples:
-            fp.write(json.dumps(ex.to_row(), sort_keys=True, ensure_ascii=False))
-            fp.write("\n")
-
-
-def write_manifest(path, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(manifest, fp, sort_keys=True, indent=2)
-        fp.write("\n")
+    write_rows(path, (ex.to_row() for ex in examples))

@@ -195,6 +195,9 @@ class TestErrors:
         assert not out.exists()
 
 
+NEI = {"claim": "c", "label": "NOT ENOUGH INFO"}
+
+
 class TestBadInputs:
     def test_stale_index_refused(self, workdir, tmp_path, capsys):
         other = tmp_path / "other.jsonl"
@@ -350,6 +353,58 @@ class TestBadInputs:
         code, _, err = run(["score", "--gold", CLAIMS, "--pred", pred], capsys)
         assert "prediction row on line 1: id [101] is not" in one_error(code, err)
 
+    def test_non_json_line_names_its_line(self, tmp_path, capsys):
+        feats = tmp_path / "features.jsonl"
+        rows = [json.dumps({"claim_id": cid, "n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}})
+                for cid in (101, 102, 103)]
+        feats.write_text("\n".join([*rows, "not json"]) + "\n")
+        code, _, err = run(["train", "--claims", CLAIMS, "--features", feats,
+                            "--out", tmp_path / "model.json"], capsys)
+        assert "bad feature row on line 4: Expecting value" in one_error(code, err)
+
+    @pytest.mark.parametrize("row, message", [
+        ({"id": 103, **NEI, "evidence": 5}, "evidence 5 is not a list of lists"),
+        ({"id": 103, **NEI, "evidence": [[["Maren_Kallio"]]]},
+         "malformed evidence item ['Maren_Kallio']"),
+        ({"id": 103, **NEI, "evidence": [[["Maren_Kallio", "1"]]]},
+         "evidence item ['Maren_Kallio', '1'] is not [..., page_id, line]"),
+        ([1, 2], "expected a JSON object, got list"),
+        ({"id": [103], **NEI}, "id [103] is not a string or an integer"),
+        ({"id": True, **NEI}, "id True is not a string or an integer"),
+        ({"id": 103, "claim": "c"}, "missing field 'label'"),
+        ({"id": 103, "claim": "c", "label": None}, "unknown label None"),
+        ({"id": 103, "claim": None, "label": "NOT ENOUGH INFO"}, "claim None is not a string"),
+        ({"id": 101, **NEI}, "duplicate claim id 101"),
+    ], ids=["int_evidence", "short_item", "str_line", "list_row", "list_id", "bool_id",
+            "missing_label", "null_label", "null_claim", "duplicate_id"])
+    def test_malformed_claims_row(self, tmp_path, capsys, row, message):
+        lines = CLAIMS.read_text().splitlines()
+        claims = tmp_path / "claims.jsonl"
+        claims.write_text("\n".join([*lines[:2], json.dumps(row), *lines[3:]]) + "\n")
+        out, report = tmp_path / "pred.jsonl", tmp_path / "report.json"
+        code, _, err = run(["e2e", "--corpus", DUMP, "--claims", claims, "--bins", "65536",
+                            "--out", out, "--report", report], capsys)
+        assert f"bad claim row on line 3: {message}" in one_error(code, err)
+        assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("flags, row, message", [
+        (["--ner", "file", "--ner-file"], {"id": 101, "entities": "Korvand Archipelago"},
+         "bad entity annotation row on line 1: entities 'Korvand Archipelago' is not a list"),
+        (["--ner", "file", "--ner-file"], {"id": [101], "entities": []},
+         "bad entity annotation row on line 1: id [101] is not"),
+        (["--scorer", "file", "--prob-file"],
+         {"claim_id": [101], "page_id": "Korvand_Archipelago", "line_number": 0,
+          "support": 1.0, "refute": 0.0, "uninformative": 0.0},
+         "bad probability row on line 1: claim_id [101] is not"),
+    ], ids=["string_entities", "list_id_entities", "list_id_probabilities"])
+    def test_malformed_side_file_row(self, tmp_path, capsys, flags, row, message):
+        side, out = tmp_path / "side.jsonl", tmp_path / "pred.jsonl"
+        side.write_text(json.dumps(row) + "\n")
+        code, _, err = run(["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
+                            *flags, side, "--out", out], capsys)
+        assert message in one_error(code, err)
+        assert not out.exists()
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -383,14 +438,18 @@ def test_one_line_dump_ingests_or_fails_with_one_error(value):
 
 @pytest.fixture(scope="module")
 def one_claim(tmp_path_factory):
-    """A one-claim claims file, plus valid feature, scored and model files
-    (the model trained on that SUPPORTS claim and a REFUTES one)."""
+    """A one-claim claims file, plus valid candidate, feature, scored, prediction
+    and model files (the model trained on that SUPPORTS claim and a REFUTES one)."""
     d = tmp_path_factory.mktemp("rows")
     lines = CLAIMS.read_text().splitlines()
     (d / "claims.jsonl").write_text(lines[0] + "\n")
     (d / "claims2.jsonl").write_text(lines[0] + "\n" + lines[11] + "\n")  # ids 101, 112
     (d / "cands.jsonl").write_text('{"id": 101, "candidates": [["Korvand_Archipelago", 0]]}\n'
                                    '{"id": 112, "candidates": [["Ilmar_Voss", 0]]}\n')
+    (d / "cands1.jsonl").write_text(
+        '{"id": 101, "candidates": [["Korvand_Archipelago", 0]]}\n')
+    (d / "pred.jsonl").write_text('{"id": 101, "predicted_label": "SUPPORTS", '
+                                  '"predicted_evidence": [["Korvand_Archipelago", 0]]}\n')
     for argv in (["features", "--corpus", DUMP, "--claims", d / "claims2.jsonl",
                   "--candidates", d / "cands.jsonl", "--out", d / "features.jsonl",
                   "--scored-out", d / "scored.jsonl"],
@@ -400,6 +459,7 @@ def one_claim(tmp_path_factory):
     return d
 
 
+LABEL = st.sampled_from(["SUPPORTS", "REFUTES", "NOT ENOUGH INFO"])
 PAIRS = st.lists(st.lists(JSON_VALUES | st.text(max_size=20) | st.integers(-2, 9),
                           min_size=0, max_size=3), max_size=3)
 ROW_FILES = {
@@ -413,19 +473,35 @@ ROW_FILES = {
         "line_number": st.integers() | JSON_VALUES,
         **{k: st.floats(0, 1) | JSON_VALUES for k in ("support", "refute", "uninformative")}}),
     "predictions": st.fixed_dictionaries({}, optional={
-        "id": st.just(101) | JSON_VALUES,
-        "predicted_label": st.sampled_from(["SUPPORTS", "REFUTES", "NOT ENOUGH INFO"])
-        | JSON_VALUES,
+        "id": st.just(101) | JSON_VALUES, "predicted_label": LABEL | JSON_VALUES,
         "predicted_evidence": PAIRS | JSON_VALUES}),
+    "claims": st.just(json.loads(CLAIMS.read_text().splitlines()[0]))
+    | st.fixed_dictionaries({}, optional={
+        "id": st.just(101) | JSON_VALUES, "claim": st.text(max_size=30) | JSON_VALUES,
+        "label": LABEL | JSON_VALUES,
+        "evidence": st.just([[[1101, 2000, "Korvand_Archipelago", 0]]])
+        | st.lists(PAIRS, max_size=2) | JSON_VALUES}),
+    "entity_annotations": st.fixed_dictionaries({}, optional={
+        "id": st.just(101) | JSON_VALUES, "claim_id": st.just(101) | JSON_VALUES,
+        "entities": st.lists(st.text(max_size=20), max_size=3) | JSON_VALUES}),
+    "probabilities": st.tuples(st.fixed_dictionaries({}, optional={
+        "claim_id": st.just(101) | JSON_VALUES,
+        "page_id": st.just("Korvand_Archipelago") | st.text(max_size=20) | JSON_VALUES,
+        "line_number": st.just(0) | st.integers() | JSON_VALUES}),
+        st.just({"support": 0.5, "refute": 0.25, "uninformative": 0.2501})
+        | st.fixed_dictionaries({}, optional={
+            k: st.floats(0, 1) | JSON_VALUES for k in ("support", "refute", "uninformative")}),
+    ).map(lambda parts: {**parts[0], **parts[1]}),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(ROW_FILES))
 def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
     d = one_claim
+    outs = d / f"out-{kind}", d / f"out2-{kind}"
 
     def argvs(rows):
-        claims, out = d / "claims.jsonl", d / f"out-{kind}"
+        claims, (out, out2) = d / "claims.jsonl", outs
         return {
             "candidates": [["features", "--corpus", DUMP, "--claims", claims,
                             "--candidates", rows, "--out", out]],
@@ -436,7 +512,27 @@ def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
                           "--out", out]],
             "scored": [["predict", "--claims", claims, "--features", d / "features.jsonl",
                         "--scored", rows, "--model", d / "model.json", "--out", out]],
-            "predictions": [["score", "--gold", claims, "--pred", rows]],
+            "predictions": [["score", "--gold", claims, "--pred", rows, "--json-out", out]],
+            "claims": [["retrieve", "--corpus", DUMP, "--claims", rows, "--bins", "65536",
+                        "--out", out],
+                       ["gen-nli", "--corpus", DUMP, "--claims", rows, "--out", out,
+                        "--manifest", out2],
+                       ["features", "--corpus", DUMP, "--claims", rows,
+                        "--candidates", d / "cands1.jsonl", "--out", out],
+                       ["train", "--claims", rows, "--features", d / "features.jsonl",
+                        "--trees", "2", "--out", out],
+                       ["predict", "--claims", rows, "--features", d / "features.jsonl",
+                        "--scored", d / "scored.jsonl", "--model", d / "model.json",
+                        "--out", out],
+                       ["score", "--gold", rows, "--pred", d / "pred.jsonl", "--json-out", out],
+                       ["e2e", "--corpus", DUMP, "--claims", rows, "--bins", "65536",
+                        "--model", d / "model.json", "--out", out, "--report", out2]],
+            "entity_annotations": [["retrieve", "--corpus", DUMP, "--claims", claims,
+                                    "--bins", "65536", "--ner", "file", "--ner-file", rows,
+                                    "--out", out]],
+            "probabilities": [["features", "--corpus", DUMP, "--claims", claims,
+                               "--candidates", d / "cands1.jsonl", "--scorer", "file",
+                               "--prob-file", rows, "--out", out]],
         }[kind]
 
     @settings(max_examples=100, deadline=None)
@@ -446,11 +542,14 @@ def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
         rows = d / f"rows-{kind}.jsonl"
         rows.write_text(line + "\n", encoding="utf-8", errors="surrogatepass")
         for argv in argvs(rows):
+            for out in outs:
+                out.unlink(missing_ok=True)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main(["-q", *map(str, argv)])
             if code != 0:
                 one_error(code, err.getvalue())
+                assert not any(out.exists() for out in outs), argv
 
     check()
 
