@@ -1,8 +1,8 @@
 """Times the numeric kernels and the n-gram hasher on synthetic inputs.
 
-Runs batch edit distance, sparse cosine accumulation, split search and the
-batch n-gram hash (against the per-occurrence reference loop) on seeded
-inputs and prints the best-of-N wall time of each.
+Runs batch edit distance, block cosine accumulation, grouped run sums,
+split search and the batch n-gram hash (against the per-occurrence
+reference loop) on seeded inputs and prints the best-of-N wall time of each.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -15,6 +15,8 @@ import numpy as np
 
 from claimcheck import kernels
 from claimcheck.tokenizer import hashed_counts, ngram_bins
+
+BLOCK_QUERIES = 8  # queries scored together by block_accumulate
 
 
 def best_of(fn, repeat):
@@ -35,16 +37,26 @@ def make_title_workload(rng, n_titles):
     return mat, lengths, query
 
 
-def make_postings_workload(rng, n_items, n_postings):
+def make_postings_workload(rng, n_items, n_postings, n_queries):
+    """A postings index and a block of n_queries queries of 48 bins each."""
     n_bins = max(n_postings // 8, 16)
     splits = np.sort(rng.integers(0, n_postings, size=n_bins - 1))
     uniq_offsets = np.concatenate(([0], splits, [n_postings])).astype(np.int64)
     post_items = rng.integers(0, n_items, size=n_postings).astype(np.int32)
     post_weights = rng.random(n_postings)
     n_query = min(48, n_bins)
-    q_pos = np.sort(rng.choice(n_bins, size=n_query, replace=False))
-    q_weights = rng.random(n_query)
-    return q_pos, q_weights, uniq_offsets, post_items, post_weights, n_items
+    q_row = np.repeat(np.arange(n_queries, dtype=np.int64), n_query)
+    q_pos = np.concatenate([np.sort(rng.choice(n_bins, size=n_query, replace=False))
+                            for _ in range(n_queries)])
+    q_weights = rng.random(q_pos.size)
+    return (q_row, q_pos, q_weights, uniq_offsets, post_items, post_weights,
+            n_queries, n_items)
+
+
+def make_runs_workload(rng, n_runs):
+    """Runs of 0 to 60 values, as item norms sum the squares of 0 to 60 weights."""
+    lengths = rng.integers(0, 61, size=n_runs)
+    return rng.random(lengths.sum()), lengths
 
 
 def make_split_workload(rng, n_samples):
@@ -74,14 +86,17 @@ def hash_loop(token_lists, bin_count=2**24):
 
 def build_cases(rng, args):
     titles = make_title_workload(rng, args.titles)
-    postings = make_postings_workload(rng, args.items, args.postings)
+    postings = make_postings_workload(rng, args.items, args.postings, BLOCK_QUERIES)
     values, labels = make_split_workload(rng, args.samples)
     tokens = make_token_workload(rng, args.texts)
+    runs = make_runs_workload(rng, args.items)
     n_tokens = sum(map(len, tokens))
     return [
         (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, titles),
-        (f"cosine_accumulate ({args.postings} postings)", kernels.cosine_accumulate, postings),
+        (f"block_accumulate ({args.postings} postings, {BLOCK_QUERIES} queries)",
+         kernels.block_accumulate, postings),
         (f"best_split ({args.samples} samples)", kernels.best_split, (values, labels, 3)),
+        (f"row_sums ({args.items} runs)", kernels.row_sums, runs),
         (f"ngram_bins ({n_tokens} tokens)", hash_batch, (tokens,)),
         (f"hashed_counts_loop ({n_tokens} tokens)", hash_loop, (tokens,)),
     ]

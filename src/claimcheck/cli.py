@@ -71,16 +71,24 @@ def _forest_config(args) -> tuple:
 def retrieve_candidates(corpus, index, instances, *, extractor=None):
     """Union of the entity route and the TF-IDF route, per claim."""
     matcher = ner.TitleMatcher(corpus)
-    lexical = tfidf.top_k_sentences_batch(corpus, index, [inst.claim for inst in instances],
-                                          k_docs=K_DOCS, k_sents=K_SENTS)
+    lexical, empty_queries = tfidf.top_k_sentences_batch(
+        corpus, index, [inst.claim for inst in instances], k_docs=K_DOCS, k_sents=K_SENTS)
     out = {}
+    entity_only = tfidf_only = both = 0
     for inst, hits in zip(instances, lexical):
-        refs = set(ner.candidate_sentences_for_claim(
+        entity = set(ner.candidate_sentences_for_claim(
             corpus, inst.claim, matcher=matcher, extractor=extractor, claim_id=inst.claim_id))
-        refs.update(hit.item for hit in hits)
-        out[inst.claim_id] = sorted(refs)
+        found = {hit.item for hit in hits}
+        entity_only += len(entity - found)
+        tfidf_only += len(found - entity)
+        both += len(entity & found)
+        out[inst.claim_id] = sorted(entity | found)
+    claims = max(len(out), 1)
     log.info("retrieved candidates for %d claims (%.1f sentences/claim)",
-             len(out), sum(map(len, out.values())) / len(out) if out else 0.0)
+             len(out), (entity_only + tfidf_only + both) / claims)
+    log.info("%d claims had an empty TF-IDF query; sentences/claim: %.1f entity route only, "
+             "%.1f TF-IDF only, %.1f both", empty_queries, entity_only / claims,
+             tfidf_only / claims, both / claims)
     return out
 
 
@@ -150,10 +158,8 @@ def _prediction_from_row(row) -> Verdict:
     rows.scalar_field(row, "id")
     if row["predicted_label"] not in LABELS:
         raise ValueError(f"unknown label {row['predicted_label']!r}")
-    for pair in row["predicted_evidence"]:
-        page, line = pair
-        if not isinstance(page, str) or not isinstance(line, int):
-            raise ValueError(f"evidence pair {pair!r} is not [page_id, line]")
+    for page, line in row["predicted_evidence"]:
+        rows.sentence_ref(page, line)
     return parse_prediction_row(row)
 
 
@@ -172,7 +178,7 @@ def _features_from_row(row):
 
 def _read_feature_rows(path, instances) -> dict:
     """Feature vectors by claim id; every claim of instances needs one."""
-    fvs = dict(rows.parse_rows(path, "feature", _features_from_row))
+    fvs = rows.parse_table(path, "feature", "claim id", _features_from_row)
     missing = [i.claim_id for i in instances if i.claim_id not in fvs]
     if missing:
         raise ValueError(f"no feature rows for claim ids {missing[:5]}...")
@@ -180,7 +186,7 @@ def _read_feature_rows(path, instances) -> dict:
 
 
 def _scored_from_row(row):
-    ref = SentenceRef(str(row["page_id"]), int(row["line_number"]))
+    ref = SentenceRef(*rows.sentence_ref(row["page_id"], row["line_number"]))
     triple = EntailmentTriple(row["support"], row["refute"], row["uninformative"])
     return rows.scalar_field(row, "claim_id"), ScoredCandidate(ref, "", triple)
 
@@ -257,7 +263,7 @@ def cmd_features(args) -> int:
         inst = by_id.get(row["id"])
         if inst is None:
             raise ValueError(f"unknown claim id {row['id']!r}")
-        return inst, [SentenceRef(str(p), int(l)) for p, l in row["candidates"]]
+        return inst, [SentenceRef(*rows.sentence_ref(p, l)) for p, l in row["candidates"]]
 
     scored = score_claims(_make_scorer(args), corpus,
                           rows.parse_rows(args.candidates, "candidates", parse))

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import SentenceRef
-from .rows import parse_rows, scalar_field
+from .rows import parse_table, scalar_field, sentence_ref
 from .tokenizer import tokenize
 
 SUM_TOLERANCE = 1e-6
@@ -77,7 +77,7 @@ class BaselineScorer:
 def _probability_from_row(row) -> tuple:
     """((claim id, page id, line), triple); a sum off by up to LOAD_SUM_TOLERANCE
     is renormalized."""
-    key = (scalar_field(row, "claim_id"), str(row["page_id"]), int(row["line_number"]))
+    key = (scalar_field(row, "claim_id"), *sentence_ref(row["page_id"], row["line_number"]))
     values = (float(row["support"]), float(row["refute"]), float(row["uninformative"]))
     if not all(0.0 <= v <= 1.0 for v in values):
         raise ProbabilityError(f"component out of [0, 1] in {values}")
@@ -100,7 +100,8 @@ class FileScorer:
     @classmethod
     def load(cls, path) -> "FileScorer":
         """JSON-lines {claim_id, page_id, line_number, support, refute, uninformative}."""
-        return cls(dict(parse_rows(path, "probability", _probability_from_row, ProbabilityError)))
+        return cls(parse_table(path, "probability", "(claim id, page id, line)",
+                               _probability_from_row, ProbabilityError))
 
     def score(self, claim_id, claim: str, ref: SentenceRef, sentence: str) -> EntailmentTriple:
         key = (claim_id, ref.page_id, ref.line_number)

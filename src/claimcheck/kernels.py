@@ -1,10 +1,10 @@
-"""Hot numeric kernels: edit distance, sparse cosine scoring, split search.
+"""Hot numeric kernels: edit distance, sparse dot products, run sums, split search.
 
 Each kernel is one exact numpy implementation.  Edit distance runs against
 a whole zero-padded code matrix at once, so matching a mention against
 every page title costs one vectorized pass per query character.
 
-Floating-point discipline: cosine accumulation visits query bins in
+Floating-point discipline: dot-product accumulation adds query bins in
 ascending order and split search scans classes in ascending index, so
 results are reproducible bit for bit.
 """
@@ -51,26 +51,48 @@ def batch_levenshtein(mat, lengths, query):
     return prev[np.arange(n), lengths]
 
 
-def cosine_accumulate(q_pos, q_weights, uniq_offsets, post_items, post_weights, n_items):
-    """Raw dot products between a sparse query and every indexed item.
+def block_accumulate(q_row, q_pos, q_weights, uniq_offsets, post_items, post_weights,
+                     n_rows, n_items):
+    """Raw dot products between a block of sparse queries and every indexed item.
 
     The index is a postings layout grouped by bin: uniq_offsets delimits
-    each bin's slice of post_items/post_weights.  q_pos are the query's
-    positions among the indexed bins and must ascend, so per-item
-    accumulation order is fixed.
+    each bin's slice of post_items/post_weights.  Query entry j belongs to
+    row q_row[j] and names the bin at position q_pos[j]; entries come
+    row-major with positions ascending within a row.  One np.bincount over
+    row * n_items + item then adds each cell's terms one at a time in
+    ascending-bin order, so each dot product has the bits of a per-row
+    sequential accumulation.  Returns an (n_rows, n_items) matrix.
     """
     starts = uniq_offsets[q_pos]
     lens = uniq_offsets[q_pos + 1] - starts
     span = concat_ranges(starts, lens)
-    scores = np.zeros(n_items, dtype=np.float64)
-    np.add.at(scores, post_items[span], post_weights[span] * np.repeat(q_weights, lens))
-    return scores
+    cells = np.repeat(q_row * n_items, lens) + post_items[span]
+    products = post_weights[span] * np.repeat(q_weights, lens)
+    raw = np.bincount(cells, products, minlength=n_rows * n_items)
+    return raw.astype(np.float64, copy=False).reshape(n_rows, n_items)  # int64 when empty
 
 
 def concat_ranges(starts, lens):
     """Concatenation of arange(starts[i], starts[i] + lens[i]) over i."""
     shift = np.cumsum(lens) - lens  # where each range starts in the output
     return np.arange(lens.sum(), dtype=np.int64) + np.repeat(starts - shift, lens)
+
+
+def row_sums(values, lengths):
+    """Sums of consecutive runs of values, run i holding lengths[i] entries.
+
+    Bit for bit the np.sum of each run: runs of one length are stacked into
+    a matrix and summed along its rows, which takes the pairwise summation
+    np.sum takes on one run (np.add.reduceat rounds differently).
+    """
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    sizes, firsts = np.unique(lengths[order], return_index=True)
+    out = np.zeros(lengths.size)
+    for size, rows in zip(sizes.tolist(), np.split(order, firsts[1:])):
+        if size:
+            out[rows] = values[starts[rows, np.newaxis] + np.arange(size)].sum(axis=1)
+    return out
 
 
 def best_split(values, labels, n_classes):

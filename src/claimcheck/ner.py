@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import Corpus, SentenceRef
-from .rows import parse_rows, scalar_field
+from .rows import parse_table, scalar_field
 
 LEADING_STOPWORDS = frozenset({"the", "a", "an"})
 
@@ -95,7 +95,7 @@ class FileEntityExtractor:
     @classmethod
     def load(cls, path) -> "FileEntityExtractor":
         """JSON-lines {id, entities: [...]} annotations."""
-        return cls(dict(parse_rows(path, "entity annotation", _annotation_from_row)))
+        return cls(parse_table(path, "entity annotation", "claim id", _annotation_from_row))
 
     def __call__(self, claim_id) -> list[EntityMention]:
         return [EntityMention(s, "external") for s in self.table.get(claim_id, []) if s.strip()]

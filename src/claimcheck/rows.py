@@ -49,6 +49,22 @@ def parse_rows(path, what, parse, error=ValueError):
             yield item
 
 
+def parse_table(path, what, key, parse, error=ValueError) -> dict:
+    """{k: v} over the (k, v) pairs parse returns per row; key names k in the
+    message when a row repeats an earlier row's k."""
+    table = {}
+
+    def parse_new(row):
+        k, v = parse(row)
+        if k in table:
+            raise ValueError(f"repeated {key} {k!r}")
+        return k, v
+
+    for k, v in parse_rows(path, what, parse_new, error):
+        table[k] = v
+    return table
+
+
 def read_rows(path):
     """The rows of a JSON-lines file, as dicts."""
     return parse_rows(path, "JSON-lines", lambda row: row)
@@ -59,3 +75,10 @@ def scalar_field(row, key):
     if isinstance(row[key], (list, dict)):
         raise ValueError(f"{key} {row[key]!r} is not a string or number")
     return row[key]
+
+
+def sentence_ref(page, line) -> tuple:
+    """(page, line) of a sentence reference: a string page id and an integer line."""
+    if not isinstance(page, str) or type(line) is not int:
+        raise ValueError(f"sentence reference {[page, line]!r} is not [page_id, line]")
+    return page, line

@@ -1,14 +1,21 @@
 """Hashed TF-IDF indexing and cosine top-k retrieval.
 
 Document retrieval uses unigram+bigram vectors over page text; sentence
-retrieval builds a transient bigram-only index over the sentences of the
-candidate documents.  Texts are hashed by ``tokenizer.ngram_bins``;
-``top_k_sentences_batch`` hashes a run's claims and the sentences of every
-retrieved page once and slices them per claim.  Weighting is tf = log(1 + count) with the Okapi-style
-idf = max(0, log((N - df + 0.5) / (df + 0.5))); vectors are L2-normalized
-at query time.  Postings are flat numpy arrays sorted by (bin, item).  Items
-are indexed in strictly ascending id order, so ties among results at the
-same positive score break on item position, which is ascending id.
+retrieval scores the sentences of a claim's candidate documents by
+bigram-only vectors whose df and idf count those sentences alone.  Texts
+are hashed by ``tokenizer.ngram_bins``.  Weighting is tf = log(1 + count)
+with the Okapi-style idf = max(0, log((N - df + 0.5) / (df + 0.5)));
+vectors are L2-normalized at query time.  Postings are flat numpy arrays
+sorted by (bin, item).  Items are indexed in strictly ascending id order,
+so ties among results at the same positive score break on item position,
+which is ascending id.
+
+Both routes score a block of claims at a time, a block holding about
+BLOCK_CELLS score cells plus scored entries.  Every score keeps the bits
+it gets when its claim is scored alone: each cell adds its terms one at a
+time in ascending-bin order, and each norm is the np.sum of its row
+(``kernels.row_sums``).  ``top_k_documents`` and ``top_k_sentences`` are
+one-claim calls of the same code.
 """
 
 import io
@@ -25,6 +32,7 @@ from .tokenizer import HASH_NAME, ngram_bins, tokenize
 FORMAT_VERSION = 1
 DEFAULT_BIN_COUNT = 2**24
 WEIGHTING = "log1p-tf.okapi-idf"
+BLOCK_CELLS = 2**14  # score cells plus scored entries per block of claims
 # index arrays after item_ids, in npz order
 _ARRAYS = ("uniq_bins", "uniq_offsets", "post_items", "post_weights", "df", "item_norms")
 
@@ -86,67 +94,19 @@ class TfidfIndex:
         item_ids = [item_id for item_id, _ in items]
         if not _strictly_ascending(item_ids):
             raise ValueError("index items must be in strictly ascending id order")
-        hashed = ngram_bins((tokenize(text) for _, text in items), ngram_orders, bin_count)
-        return cls.from_counts(item_ids, *hashed, bin_count, ngram_orders, source_checksum)
-
-    @classmethod
-    def from_counts(cls, item_ids, owner, bins, counts, bin_count, ngram_orders,
-                    source_checksum="") -> "TfidfIndex":
-        """Index from ``ngram_bins`` output: entries sorted by (owner, bin),
-        owner i being item_ids[i]."""
+        owner, bins, counts = ngram_bins((tokenize(text) for _, text in items),
+                                         ngram_orders, bin_count)
         n = len(item_ids)
         uniq_bins, inverse, df = np.unique(bins, return_inverse=True, return_counts=True)
         weights = np.log1p(counts) * _idf(df, n)[inverse]
-
-        # item_norms are saved in index.npz: one np.sum per item over its
-        # squares in ascending-bin order, as np.add.reduceat rounds differently.
-        ends = np.cumsum(np.bincount(owner, minlength=n))
-        item_norms = np.sqrt([np.sum(sq) for sq in np.split(np.square(weights), ends[:-1])])
-
+        # item_norms are saved in index.npz: squares summed in ascending-bin order
+        sizes = np.bincount(owner, minlength=n)
+        item_norms = np.sqrt(kernels.row_sums(np.square(weights), sizes))
         order = np.argsort(bins, kind="stable")  # (bin, owner) order
         uniq_offsets = np.concatenate(([0], np.cumsum(df)))
         return cls(bin_count, ngram_orders, item_ids, uniq_bins, uniq_offsets,
                    owner[order].astype(np.int32), weights[order], df, item_norms,
                    source_checksum)
-
-    def query_vector(self, q_bins, q_counts):
-        """(positions in uniq_bins, weights, norm) of a query's indexed bins.
-
-        q_bins ascend, as ``ngram_bins`` gives them.  Zero-weight bins are
-        dropped; the norm counts every positive-weight bin, indexed or not.
-        """
-        pos = np.searchsorted(self.uniq_bins, q_bins)
-        hit = pos < self.uniq_bins.size
-        hit[hit] = self.uniq_bins[pos[hit]] == q_bins[hit]
-        q_df = np.zeros(q_bins.size, dtype=np.int64)
-        q_df[hit] = self.df[pos[hit]]
-        weights = np.log1p(q_counts) * _idf(q_df, self.item_count)
-        nz = weights > 0
-        norm = float(np.sqrt(np.sum(weights[nz] * weights[nz])))
-        return pos[hit & nz], weights[hit & nz], norm
-
-    def top_k(self, text: str, k: int) -> list[ScoredItem]:
-        """k best items for a query text; see ``top_k_hashed``."""
-        _, q_bins, q_counts = ngram_bins([tokenize(text)], self.ngram_orders, self.bin_count)
-        return self.top_k_hashed(q_bins, q_counts, k)
-
-    def top_k_hashed(self, q_bins, q_counts, k: int) -> list[ScoredItem]:
-        """k best items by cosine, positive scores only, ids break ties."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        q_pos, q_weights, q_norm = self.query_vector(q_bins, q_counts)
-        if q_norm == 0.0:
-            return []
-        raw = kernels.cosine_accumulate(q_pos, q_weights, self.uniq_offsets, self.post_items,
-                                        self.post_weights, self.item_count)
-        denom = self.item_norms * q_norm
-        scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
-        keep = np.flatnonzero(scores > 0)
-        if keep.size == 0:
-            return []
-        # keep is in item order, so the stable sort breaks ties by ascending id
-        top = keep[np.argsort(-scores[keep], kind="stable")[:k]]
-        return [ScoredItem(self.item_ids[i], float(scores[i])) for i in top]
 
     # -- persistence --------------------------------------------------------
 
@@ -201,7 +161,9 @@ def build_document_index(corpus: Corpus, bin_count: int = DEFAULT_BIN_COUNT) -> 
 
 
 def top_k_documents(index: TfidfIndex, claim: str, k: int = 5) -> list[ScoredItem]:
-    return index.top_k(claim, k)
+    """k best pages for one claim by cosine, positive scores only, ids break ties."""
+    queries = ngram_bins([tokenize(claim)], index.ngram_orders, index.bin_count)
+    return _top_documents(index, queries, 1, k)[0][0]
 
 
 def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
@@ -211,8 +173,43 @@ def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
                    for doc in documents for ref in doc.non_empty_refs())
     if not items:
         return []
-    index = TfidfIndex.build(items, bin_count, ngram_orders=(2,))
-    return index.top_k(claim, k)
+    refs = [ref for ref, _ in items]
+    if not _strictly_ascending(refs):
+        raise ValueError("documents must be distinct")
+    sentences = _HashedRows((tokenize(text) for _, text in items), (2,), bin_count, len(refs))
+    queries = _HashedRows([tokenize(claim)], (2,), bin_count, 1)
+    runs = np.array([[0], [0], [len(refs)]], dtype=np.int64)
+    return _top_sentences(sentences, refs, runs, queries, 1, bin_count, k)[0]
+
+
+def top_k_sentences_batch(corpus: Corpus, index: TfidfIndex, claims: list[str],
+                          k_docs: int = 5, k_sents: int = 5) -> tuple[list, int]:
+    """The TF-IDF route for many claims at once.
+
+    Per claim the sentences equal ``top_k_sentences`` over the pages of
+    ``top_k_documents(index, claim, k_docs)``, scores included, but every
+    claim is hashed once per route and every sentence of the retrieved
+    pages once in all.  Returns the sentences per claim and the number of
+    claims whose document query has zero norm (no token with positive idf).
+    """
+    bin_count = index.bin_count
+    tokens = [tokenize(claim) for claim in claims]
+    docs, empty = _top_documents(index, ngram_bins(tokens, index.ngram_orders, bin_count),
+                                 len(claims), k_docs)
+    pages = [sorted(hit.item for hit in hits) for hits in docs]
+
+    # every retrieved page's sentences, sorted by ref, so a page is a run of rows
+    refs, page_rows = [], {}
+    for page_id in sorted({p for ps in pages for p in ps}):
+        page_refs = sorted(corpus.get(page_id).non_empty_refs())
+        page_rows[page_id] = (len(refs), len(page_refs))
+        refs.extend(page_refs)
+    sentences = _HashedRows((tokenize(corpus.get_sentence(r)) for r in refs), (2,),
+                            bin_count, len(refs))
+    runs = np.array([(c, *page_rows[p]) for c, ps in enumerate(pages) for p in ps],
+                    dtype=np.int64).reshape(-1, 3).T
+    queries = _HashedRows(tokens, (2,), bin_count, len(claims))
+    return _top_sentences(sentences, refs, runs, queries, len(claims), bin_count, k_sents), empty
 
 
 class _HashedRows:
@@ -221,11 +218,6 @@ class _HashedRows:
     def __init__(self, token_lists, orders, bin_count, n):
         self.owner, self.bins, self.counts = ngram_bins(token_lists, orders, bin_count)
         self.offsets = np.searchsorted(self.owner, np.arange(n + 1))
-
-    def row(self, i):
-        """(bins, counts) of text i."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return self.bins[lo:hi], self.counts[lo:hi]
 
     def take(self, rows):
         """(owner, bins, counts) of the texts at rows, owner j being rows[j]."""
@@ -236,40 +228,121 @@ class _HashedRows:
         return owner, self.bins[span], self.counts[span]
 
 
-def top_k_sentences_batch(corpus: Corpus, index: TfidfIndex, claims: list[str],
-                          k_docs: int = 5, k_sents: int = 5) -> list[list[ScoredItem]]:
-    """The TF-IDF route for many claims at once.
+# -- block scoring ------------------------------------------------------------
 
-    Per claim it equals ``top_k_sentences`` over the pages of
-    ``top_k_documents(index, claim, k_docs)``, but every claim is hashed
-    once per route and every sentence of the retrieved pages once in all.
-    Each claim's sentence index is still built over its own pages, so its
-    idf and scores do not change.
+
+def _blocks(costs):
+    """(first, stop) claim ranges whose costs sum to at most BLOCK_CELLS; a
+    claim costing more than that makes a block of its own."""
+    first, total = 0, 0
+    for i, cost in enumerate(costs.tolist()):
+        if i > first and total + cost > BLOCK_CELLS:
+            yield first, i
+            first, total = i, 0
+        total += cost
+    if first < costs.size:
+        yield first, costs.size
+
+
+def _query(owner, keys, counts, uniq_keys, df, n_items, n_claims):
+    """Query entries weighed against an index's sorted keys and their df.
+
+    A key the index lacks has df 0: it adds to its claim's norm but scores
+    nothing.  n_items is the index size, one for all or one per entry.
+    Returns the (owner, position in uniq_keys, weight) of the entries that
+    hit the index with a positive weight, and each claim's query norm.
     """
-    bin_count = index.bin_count
-    tokens = [tokenize(claim) for claim in claims]
-    doc_queries = _HashedRows(tokens, index.ngram_orders, bin_count, len(claims))
-    sent_queries = _HashedRows(tokens, (2,), bin_count, len(claims))
-    pages = [sorted(hit.item for hit in index.top_k_hashed(*doc_queries.row(i), k_docs))
-             for i in range(len(claims))]
+    pos = np.searchsorted(uniq_keys, keys)
+    hit = pos < uniq_keys.size
+    hit[hit] = uniq_keys[pos[hit]] == keys[hit]
+    q_df = np.zeros(keys.size, dtype=np.int64)
+    q_df[hit] = df[pos[hit]]
+    weights = np.log1p(counts) * _idf(q_df, n_items)
+    nz = weights > 0
+    sizes = np.bincount(owner[nz], minlength=n_claims)
+    norms = np.sqrt(kernels.row_sums(np.square(weights[nz]), sizes))
+    use = hit & nz
+    return owner[use], pos[use], weights[use], norms
 
-    # every retrieved page's sentences, sorted by ref, so a page is a run of rows
-    refs, page_rows = [], {}
-    for page_id in sorted({p for ps in pages for p in ps}):
-        page_refs = sorted(corpus.get(page_id).non_empty_refs())
-        page_rows[page_id] = (len(refs), len(page_refs))
-        refs.extend(page_refs)
-    sentences = _HashedRows((tokenize(corpus.get_sentence(r)) for r in refs), (2,),
-                            bin_count, len(refs))
 
+def _cosine(raw, denom):
+    return np.divide(raw, denom, out=np.zeros(raw.shape), where=denom > 0)
+
+
+def _ranked(claim, item, score, n_claims, k, ids):
+    """Per claim, its k highest-scoring entries as ScoredItems, ties by ascending item."""
+    order = np.lexsort((item, -score, claim))
+    ranks = np.arange(order.size) - np.searchsorted(claim[order], claim[order])
+    top = order[ranks < k]
+    out = [[] for _ in range(n_claims)]
+    for c, i, s in zip(claim[top].tolist(), item[top].tolist(), score[top].tolist()):
+        out[c].append(ScoredItem(ids[i], s))
+    return out
+
+
+def _top_documents(index, queries, n_claims, k):
+    """Each claim's k best items, and the number of claims whose query has
+    zero norm.  queries is the claims' ``ngram_bins`` output, hashed as the
+    index was.  A block's scores are one dense claims x items matrix."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = index.item_count
+    owner, pos, weights, norms = _query(*queries, index.uniq_bins, index.df, n, n_claims)
+    lens = index.uniq_offsets[pos + 1] - index.uniq_offsets[pos]
+    costs = n + np.bincount(owner, lens, minlength=n_claims).astype(np.int64)
+    ends = np.searchsorted(owner, np.arange(n_claims + 1))
     out = []
-    for i, claim_pages in enumerate(pages):
-        starts, lens = np.array([page_rows[p] for p in claim_pages], np.int64).reshape(-1, 2).T
-        rows = kernels.concat_ranges(starts, lens)
-        if rows.size == 0:
-            out.append([])
-            continue
-        sent_index = TfidfIndex.from_counts([refs[r] for r in rows.tolist()],
-                                            *sentences.take(rows), bin_count, (2,))
-        out.append(sent_index.top_k_hashed(*sent_queries.row(i), k_sents))
+    for a, b in _blocks(costs):
+        lo, hi = ends[a], ends[b]
+        raw = kernels.block_accumulate(owner[lo:hi] - a, pos[lo:hi], weights[lo:hi],
+                                       index.uniq_offsets, index.post_items,
+                                       index.post_weights, b - a, n)
+        scores = _cosine(raw, index.item_norms * norms[a:b, np.newaxis])
+        keep = scores > 0
+        if n > k:  # only what reaches a row's k-th score needs sorting
+            keep &= scores >= np.partition(scores, n - k, axis=1)[:, n - k, np.newaxis]
+        rows, items = np.nonzero(keep)
+        out.extend(_ranked(rows, items, scores[rows, items], b - a, k, index.item_ids))
+    return out, int(np.count_nonzero(norms == 0))
+
+
+def _top_sentences(sentences, ids, runs, queries, n_claims, bin_count, k):
+    """Each claim's k best sentences, df and idf counted over its own candidates.
+
+    sentences are the ``_HashedRows`` of every candidate, ids their refs in
+    ascending order; runs is a (claim, first row, row count) array per run
+    of a claim's candidate rows, claim-major and ascending; queries are the
+    claims' bigram ``_HashedRows``.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    run_claim, run_first, run_len = runs
+    n_items = np.bincount(run_claim, run_len, minlength=n_claims).astype(np.int64)
+    run_entries = sentences.offsets[run_first + run_len] - sentences.offsets[run_first]
+    costs = n_items + np.bincount(run_claim, run_entries, minlength=n_claims).astype(np.int64)
+    run_ends = np.searchsorted(run_claim, np.arange(n_claims + 1))
+    out = []
+    for a, b in _blocks(costs):
+        lo, hi = run_ends[a], run_ends[b]
+        rows = kernels.concat_ranges(run_first[lo:hi], run_len[lo:hi])
+        cell_claim = np.repeat(run_claim[lo:hi] - a, run_len[lo:hi])
+        block_n = n_items[a:b]
+        owner, bins, counts = sentences.take(rows)
+        # one key per (claim, bin), so each claim gets the df of its own candidates
+        uniq, inverse, df = np.unique(cell_claim[owner] * bin_count + bins,
+                                      return_inverse=True, return_counts=True)
+        weights = np.log1p(counts) * _idf(df, block_n[uniq // bin_count])[inverse]
+        sizes = np.bincount(owner, minlength=rows.size)
+        norms = np.sqrt(kernels.row_sums(np.square(weights), sizes))
+        q_owner, q_bins, q_counts = queries.take(np.arange(a, b))
+        _, pos, q_weights, q_norms = _query(q_owner, q_owner * bin_count + q_bins, q_counts,
+                                            uniq, df, block_n[q_owner], b - a)
+        key_weights = np.zeros(uniq.size)
+        key_weights[pos] = q_weights
+        # entries run by (row, bin), so each row adds its terms in ascending-bin
+        # order; an entry the query misses adds +0.0, which leaves a sum as it is
+        raw = np.bincount(owner, weights * key_weights[inverse], minlength=rows.size)
+        scores = _cosine(raw, norms * q_norms[cell_claim])
+        keep = np.flatnonzero(scores > 0)
+        out.extend(_ranked(cell_claim[keep], rows[keep], scores[keep], b - a, k, ids))
     return out

@@ -406,6 +406,34 @@ class TestBadInputs:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags, rows, message", [
+        (["--scorer", "file", "--prob-file"],
+         [{"claim_id": 101, "page_id": "Korvand_Archipelago", "line_number": 0,
+           "support": s, "refute": 1.0 - s, "uninformative": 0.0} for s in (1.0, 0.0)],
+         "bad probability row on line 2: repeated (claim id, page id, line) "
+         "(101, 'Korvand_Archipelago', 0)"),
+        (["--ner", "file", "--ner-file"],
+         [{"id": 101, "entities": ["Korvand Archipelago"]}, {"id": 101, "entities": []}],
+         "bad entity annotation row on line 2: repeated claim id 101"),
+        ([], [{"claim_id": 101, "n": 1, **{f"f{i}": v for i in range(1, 13)}}
+              for v in (0.0, 1.0)],
+         "bad feature row on line 2: repeated claim id 101"),
+    ], ids=["probabilities", "entity_annotations", "features"])
+    def test_repeated_key_in_side_or_staged_file(self, one_claim, tmp_path, capsys,
+                                                  flags, rows, message):
+        side, out = tmp_path / "side.jsonl", tmp_path / "out.jsonl"
+        side.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        if flags:
+            argv = ["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
+                    *flags, side, "--out", out]
+        else:
+            argv = ["train", "--claims", one_claim / "claims.jsonl", "--features", side,
+                    "--trees", "2", "--out", out]
+        code, _, err = run(argv, capsys)
+        assert message in one_error(code, err)
+        assert not out.exists()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -495,6 +523,24 @@ ROW_FILES = {
 }
 
 
+def _with_ref(row, keys, *refs):
+    return [{**row, **dict(zip(keys, ref))} for ref in refs]
+
+
+# sentence references that are not [string page, integer line]; each must fail
+BAD_REFS = (["Korvand_Archipelago", 0.9], [["x"], 1], ["Korvand_Archipelago", True],
+            [None, 0], ["Korvand_Archipelago", "0"])
+_SCORED = {"claim_id": 101, "page_id": "Korvand_Archipelago", "line_number": 0,
+           "support": 1.0, "refute": 0.0, "uninformative": 0.0}
+BAD_SENTENCE_REFS = {
+    "candidates": [{"id": 101, "candidates": [ref]} for ref in BAD_REFS],
+    "scored": _with_ref(_SCORED, ("page_id", "line_number"), *BAD_REFS),
+    "probabilities": _with_ref(_SCORED, ("page_id", "line_number"), *BAD_REFS),
+    "predictions": [{"id": 101, "predicted_label": "SUPPORTS", "predicted_evidence": [ref]}
+                    for ref in BAD_REFS],
+}
+
+
 @pytest.mark.parametrize("kind", sorted(ROW_FILES))
 def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
     d = one_claim
@@ -535,21 +581,32 @@ def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
                                "--prob-file", rows, "--out", out]],
         }[kind]
 
-    @settings(max_examples=100, deadline=None)
-    @given(line=ROW_FILES[kind].map(json.dumps) | JSON_VALUES.map(json.dumps)
-           | st.text(max_size=30))
-    def check(line):
+    def run_all(line):
+        """Exit codes and stderr of every command reading a one-line row file."""
         rows = d / f"rows-{kind}.jsonl"
         rows.write_text(line + "\n", encoding="utf-8", errors="surrogatepass")
+        results = []
         for argv in argvs(rows):
             for out in outs:
                 out.unlink(missing_ok=True)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli.main(["-q", *map(str, argv)])
-            if code != 0:
-                one_error(code, err.getvalue())
+                results.append((cli.main(["-q", *map(str, argv)]), err.getvalue()))
+            if results[-1][0] != 0:
                 assert not any(out.exists() for out in outs), argv
+        return results
+
+    for row in BAD_SENTENCE_REFS.get(kind, ()):
+        for code, err in run_all(json.dumps(row)):
+            assert "is not [page_id, line]" in one_error(code, err), row
+
+    @settings(max_examples=100, deadline=None)
+    @given(line=ROW_FILES[kind].map(json.dumps) | JSON_VALUES.map(json.dumps)
+           | st.text(max_size=30))
+    def check(line):
+        for code, err in run_all(line):
+            if code != 0:
+                one_error(code, err)
 
     check()
 

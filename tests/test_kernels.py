@@ -67,6 +67,8 @@ class TestLevenshtein:
 
 
 class TestCosineAccumulate:
+    """block_accumulate: the cosine numerators of a block of queries."""
+
     def test_matches_python_loop(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
@@ -78,16 +80,30 @@ class TestCosineAccumulate:
             ]).astype(np.int32)
             post_weights = rng.random(post_items.size)
             offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            q_pos = np.sort(rng.choice(n_bins, size=int(rng.integers(0, min(n_bins, 7) + 1)),
-                                       replace=False))
+            n_rows = int(rng.integers(1, 5))
+            queries = [np.sort(rng.choice(n_bins, size=int(rng.integers(0, min(n_bins, 7) + 1)),
+                                          replace=False)) for _ in range(n_rows)]
+            q_row = np.repeat(np.arange(n_rows), [q.size for q in queries])
+            q_pos = np.concatenate(queries).astype(np.int64)
             q_weights = rng.random(q_pos.size)
-            got = kernels.cosine_accumulate(q_pos, q_weights, offsets,
-                                            post_items, post_weights, n_items)
-            want = np.zeros(n_items)
-            for i, qw in zip(q_pos, q_weights):
+            got = kernels.block_accumulate(q_row, q_pos, q_weights, offsets,
+                                           post_items, post_weights, n_rows, n_items)
+            want = np.zeros((n_rows, n_items))
+            for r, i, qw in zip(q_row, q_pos, q_weights):
                 for p in range(offsets[i], offsets[i + 1]):
-                    want[post_items[p]] += post_weights[p] * qw
-            assert np.array_equal(got, want)
+                    want[r, post_items[p]] += post_weights[p] * qw
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+class TestRowSums:
+    def test_equals_np_sum_per_row_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        lengths = rng.permutation(np.repeat([0, 1, 7, 8, 9, 127, 128, 129, 300], 5))
+        values = rng.random(lengths.sum()) * 10.0 ** rng.integers(-8, 9, size=lengths.sum())
+        starts = np.cumsum(lengths) - lengths
+        want = np.array([np.sum(values[s:s + n]) for s, n in zip(starts, lengths)])
+        got = kernels.row_sums(values, lengths)
+        assert got.tobytes() == want.tobytes()
 
 
 def split_gain(values, labels, thr, n_classes):
@@ -140,5 +156,5 @@ def test_bench_kernels_smoke(capsys):
                        "--samples", "30", "--texts", "5", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[2:]] == \
-        ["batch_levenshtein", "cosine_accumulate", "best_split", "ngram_bins",
+        ["batch_levenshtein", "block_accumulate", "best_split", "row_sums", "ngram_bins",
          "hashed_counts_loop"]

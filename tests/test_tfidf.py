@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from claimcheck import cli, ner, tfidf
+from claimcheck import cli, kernels, ner, tfidf
 from claimcheck.corpus import Corpus, Document, SentenceRef, ingest_dump
 from claimcheck.nli_data import FeverInstance
-from claimcheck.tokenizer import hash_ngram, hashed_counts, tokenize
+from claimcheck.tokenizer import hash_ngram, hashed_counts, ngram_bins, tokenize
 
 from conftest import WORDS, make_random_corpus
 
@@ -197,6 +197,64 @@ class TestRanking:
             tfidf.TfidfIndex.build([("a", "alpha beta"), ("a", "beta gamma")], BINS, (1, 2))
 
 
+def reference_top_k(ids, entries, query, k):
+    """One query against a one-claim index, as retrieval ran before block scoring.
+
+    entries and query are ``ngram_bins`` output.  A postings index is built
+    over the entries with one np.sum per item norm; the query is looked up
+    bin by bin; np.add.at adds each posting in ascending-bin order; a stable
+    argsort ranks every positive score.  Returns (ScoredItems, query norm).
+    """
+    owner, bins, counts = entries
+    n = len(ids)
+    uniq_bins, inverse, df = np.unique(bins, return_inverse=True, return_counts=True)
+    weights = np.log1p(counts) * tfidf._idf(df, n)[inverse]
+    ends = np.cumsum(np.bincount(owner, minlength=n))
+    item_norms = np.sqrt([np.sum(sq) for sq in np.split(np.square(weights), ends[:-1])])
+    order = np.argsort(bins, kind="stable")
+    post_items, post_weights = owner[order], weights[order]
+    offsets = np.concatenate(([0], np.cumsum(df)))
+
+    _, q_bins, q_counts = query
+    pos = np.searchsorted(uniq_bins, q_bins)
+    hit = pos < uniq_bins.size
+    hit[hit] = uniq_bins[pos[hit]] == q_bins[hit]
+    q_df = np.zeros(q_bins.size, dtype=np.int64)
+    q_df[hit] = df[pos[hit]]
+    q_weights = np.log1p(q_counts) * tfidf._idf(q_df, n)
+    nz = q_weights > 0
+    q_norm = float(np.sqrt(np.sum(q_weights[nz] * q_weights[nz])))
+    if q_norm == 0.0:
+        return [], q_norm
+    q_pos, q_weights = pos[hit & nz], q_weights[hit & nz]
+    lens = offsets[q_pos + 1] - offsets[q_pos]
+    span = kernels.concat_ranges(offsets[q_pos], lens)
+    raw = np.zeros(n)
+    np.add.at(raw, post_items[span], post_weights[span] * np.repeat(q_weights, lens))
+    denom = item_norms * q_norm
+    scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
+    keep = np.flatnonzero(scores > 0)
+    top = keep[np.argsort(-scores[keep], kind="stable")[:k]]
+    return [tfidf.ScoredItem(ids[i], float(scores[i])) for i in top], q_norm
+
+
+def reference_route(corpus, claim, bin_count):
+    """(the claim's TF-IDF sentences, whether its document query has zero
+    norm), with each route's index built for this claim alone."""
+    tokens = [tokenize(claim)]
+    pages = list(corpus.documents())
+    docs, q_norm = reference_top_k(
+        [d.page_id for d in pages],
+        ngram_bins((tokenize(d.text) for d in pages), (1, 2), bin_count),
+        ngram_bins(tokens, (1, 2), bin_count), cli.K_DOCS)
+    refs = sorted(ref for hit in docs for ref in corpus.get(hit.item).non_empty_refs())
+    if not refs:
+        return [], q_norm == 0.0
+    sentences = ngram_bins((tokenize(corpus.get_sentence(r)) for r in refs), (2,), bin_count)
+    hits, _ = reference_top_k(refs, sentences, ngram_bins(tokens, (2,), bin_count), cli.K_SENTS)
+    return hits, q_norm == 0.0
+
+
 def one_claim_tfidf_route(corpus, index, claim):
     """The TF-IDF route for one claim, as perfbench/bench_trace.py composes it."""
     docs = [corpus.get(hit.item) for hit in tfidf.top_k_documents(index, claim, k=cli.K_DOCS)]
@@ -221,34 +279,59 @@ def duplicate_sentence_corpus(rng):
 
 
 class TestBatchedRoute:
-    """The CLI hashes each claim and sentence once for all claims; results
-    must equal the one-claim composition, scores included."""
+    """Block scoring must give every claim the items and the scores, to the
+    bit, of the reference route that indexes each claim alone, whatever the
+    block size: one claim per block (BLOCK_CELLS = 1), blocks of several
+    claims next to claims that exceed the budget alone (48), and the default."""
 
-    def check(self, corpus, claims, bin_count):
+    BUDGETS = (1, 48, tfidf.BLOCK_CELLS)
+
+    def check(self, corpus, claims, bin_count, monkeypatch, blocks):
         index = tfidf.build_document_index(corpus, bin_count=bin_count)
-        batched = tfidf.top_k_sentences_batch(corpus, index, claims,
-                                              k_docs=cli.K_DOCS, k_sents=cli.K_SENTS)
-        assert batched == [one_claim_tfidf_route(corpus, index, c) for c in claims]
+        want = [reference_route(corpus, c, bin_count) for c in claims]
+        want_hits = [hits for hits, _ in want]
+        for budget in self.BUDGETS:
+            with monkeypatch.context() as m:
+                m.setattr(tfidf, "BLOCK_CELLS", budget)
+                spy = tfidf._blocks
+
+                def recording(costs):
+                    for a, b in spy(costs):
+                        blocks.setdefault(budget, []).append((b - a, int(costs[a:b].sum())))
+                        yield a, b
+
+                m.setattr(tfidf, "_blocks", recording)
+                batched, empty = tfidf.top_k_sentences_batch(
+                    corpus, index, claims, k_docs=cli.K_DOCS, k_sents=cli.K_SENTS)
+                assert batched == want_hits
+                assert empty == sum(is_empty for _, is_empty in want)
+                assert [one_claim_tfidf_route(corpus, index, c) for c in claims] == want_hits
 
         instances = [FeverInstance(i, c, "NOT ENOUGH INFO", ()) for i, c in enumerate(claims)]
         matcher = ner.TitleMatcher(corpus)
-        want = {i: sorted(set(ner.candidate_sentences_for_claim(corpus, c, matcher=matcher))
-                          | {hit.item for hit in one_claim_tfidf_route(corpus, index, c)})
-                for i, c in enumerate(claims)}
-        assert cli.retrieve_candidates(corpus, index, instances) == want
+        expected = {i: sorted(set(ner.candidate_sentences_for_claim(corpus, c, matcher=matcher))
+                              | {hit.item for hit in hits})
+                    for i, (c, hits) in enumerate(zip(claims, want_hits))}
+        assert cli.retrieve_candidates(corpus, index, instances) == expected
 
-    def test_fixture_corpus(self, mini_corpus, mini_instances):
-        self.check(mini_corpus, [inst.claim for inst in mini_instances], 65536)
+    def test_fixture_corpus(self, mini_corpus, mini_instances, monkeypatch):
+        self.check(mini_corpus, [inst.claim for inst in mini_instances], 65536, monkeypatch, {})
 
-    def test_random_corpora_with_duplicate_sentences(self):
+    def test_random_corpora_with_duplicate_sentences(self, monkeypatch):
         rng = np.random.default_rng(5)
+        blocks = {}
         for trial in range(30):
             corpus, claims = duplicate_sentence_corpus(rng)
-            self.check(corpus, claims, int(rng.choice([1, 16, BINS, 2**32])))
+            self.check(corpus, claims, int(rng.choice([1, 16, BINS, 2**32])), monkeypatch,
+                       blocks)
+        for budget in self.BUDGETS:  # a block of several claims stays within budget
+            assert all(cost <= budget for n, cost in blocks[budget] if n > 1)
+        assert any(n > 1 for n, _ in blocks[48])
+        assert any(n == 1 and cost > 48 for n, cost in blocks[48])
 
     def test_no_claims(self, mini_corpus):
         index = tfidf.build_document_index(mini_corpus, bin_count=BINS)
-        assert tfidf.top_k_sentences_batch(mini_corpus, index, []) == []
+        assert tfidf.top_k_sentences_batch(mini_corpus, index, []) == ([], 0)
 
 
 class TestHashDistribution:
