@@ -17,6 +17,7 @@ from claimcheck import kernels
 from claimcheck.tokenizer import hashed_counts, ngram_bins
 
 BLOCK_QUERIES = 8  # queries scored together by block_accumulate
+SPLIT_COLUMNS = 4  # columns a forest node searches: ceil(sqrt(12 features))
 
 
 def best_of(fn, repeat):
@@ -60,7 +61,7 @@ def make_runs_workload(rng, n_runs):
 
 
 def make_split_workload(rng, n_samples):
-    values = rng.random(n_samples)
+    values = rng.random((n_samples, SPLIT_COLUMNS))
     labels = rng.integers(0, 3, size=n_samples).astype(np.int64)
     return values, labels
 
@@ -95,7 +96,8 @@ def build_cases(rng, args):
         (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, titles),
         (f"block_accumulate ({args.postings} postings, {BLOCK_QUERIES} queries)",
          kernels.block_accumulate, postings),
-        (f"best_split ({args.samples} samples)", kernels.best_split, (values, labels, 3)),
+        (f"best_split ({args.samples} samples, {SPLIT_COLUMNS} columns)", kernels.best_split,
+         (values, labels, 3)),
         (f"row_sums ({args.items} runs)", kernels.row_sums, runs),
         (f"ngram_bins ({n_tokens} tokens)", hash_batch, (tokens,)),
         (f"hashed_counts_loop ({n_tokens} tokens)", hash_loop, (tokens,)),

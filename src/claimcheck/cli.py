@@ -41,19 +41,11 @@ def load_corpus_any(path) -> Corpus:
 
 
 def _make_extractor(args):
-    if args.ner == "file":
-        if not args.ner_file:
-            raise ValueError("--ner file requires --ner-file")
-        return ner.FileEntityExtractor.load(args.ner_file)
-    return None
+    return None if args.ner_file is None else ner.FileEntityExtractor.load(args.ner_file)
 
 
 def _make_scorer(args):
-    if args.scorer == "file":
-        if not args.prob_file:
-            raise ValueError("--scorer file requires --prob-file")
-        return FileScorer.load(args.prob_file)
-    return BaselineScorer()
+    return BaselineScorer() if args.prob_file is None else FileScorer.load(args.prob_file)
 
 
 def _forest_config(args) -> tuple:
@@ -115,10 +107,9 @@ def train_model(instances, fvs, config, counts) -> tuple:
 
 def write_predictions(path, instances, fvs, scored_by_id, model) -> list:
     """Label each claim, assemble its evidence and write the prediction rows."""
-    verdicts = []
-    for inst in instances:
-        label, _ = model.predict(fvs[inst.claim_id])
-        verdicts.append(assemble(inst.claim_id, label, scored_by_id.get(inst.claim_id, [])))
+    labels, _ = model.predict_all([fvs[inst.claim_id] for inst in instances])
+    verdicts = [assemble(inst.claim_id, label, scored_by_id.get(inst.claim_id, []))
+                for inst, label in zip(instances, labels)]
     log.info("assembled %d verdicts (%d overrides to NOT ENOUGH INFO)",
              len(verdicts), sum(v.override_applied for v in verdicts))
     rows.write_rows(path, (v.to_row() for v in verdicts))
@@ -188,7 +179,8 @@ def _read_feature_rows(path, instances) -> dict:
 def _scored_from_row(row):
     ref = SentenceRef(*rows.sentence_ref(row["page_id"], row["line_number"]))
     triple = EntailmentTriple(row["support"], row["refute"], row["uninformative"])
-    return rows.scalar_field(row, "claim_id"), ScoredCandidate(ref, "", triple)
+    key = (rows.scalar_field(row, "claim_id"), ref.page_id, ref.line_number)
+    return key, ScoredCandidate(ref, "", triple)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -288,8 +280,9 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     instances = load_claims(args.claims)
     scored_by_id: dict = {}
-    for claim_id, cand in rows.parse_rows(args.scored, "scored", _scored_from_row):
-        scored_by_id.setdefault(claim_id, []).append(cand)
+    for (claim_id, _, _), cand in rows.parse_table(
+            args.scored, "scored", "(claim id, page id, line)", _scored_from_row).items():
+        scored_by_id.setdefault(claim_id, []).append(cand)  # in file order
     fvs = _read_feature_rows(args.features, instances)
     write_predictions(args.out, instances, fvs, scored_by_id, forest.load(args.model))
     return 0
@@ -328,13 +321,13 @@ def _add_retrieval_flags(p):
     p.add_argument("--index", help="saved index file (otherwise built in memory)")
     p.add_argument("--bins", type=int, default=tfidf.DEFAULT_BIN_COUNT,
                    help="hash bins when building in memory (default 2^24)")
-    p.add_argument("--ner", choices=["heuristic", "file"], default="heuristic")
-    p.add_argument("--ner-file", help="JSON-lines {id, entities} annotations")
+    p.add_argument("--ner-file",
+                   help="JSON-lines {id, entities} annotations (otherwise heuristic NER)")
 
 
 def _add_scorer_flags(p):
-    p.add_argument("--scorer", choices=["baseline", "file"], default="baseline")
-    p.add_argument("--prob-file", help="JSON-lines entailment probabilities")
+    p.add_argument("--prob-file",
+                   help="JSON-lines entailment probabilities (otherwise the baseline scorer)")
 
 
 def _add_train_flags(p):

@@ -11,7 +11,7 @@ round-trips bit-exactly.
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,16 +31,6 @@ class TrainingError(ValueError):
 
 class ModelFormatError(ValueError):
     pass
-
-
-@dataclass
-class TreeNode:
-    # leaf iff left is None; internal nodes route value < threshold to the left
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    dist: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -63,59 +53,111 @@ class TrainingSample:
     label: str
 
 
-@dataclass
 class RandomForest:
-    config: ForestConfig
-    trees: list = field(default_factory=list)
+    """Trees in model-file form, and the same nodes as flat arrays to predict with.
+
+    A tree is a nested dict: a leaf is {"dist": class distribution}, a split
+    is {"feature", "threshold", "left", "right"} and sends value < threshold
+    to the left.  Building a forest validates every tree, trained or loaded.
+    """
+
+    def __init__(self, config: ForestConfig, trees: list):
+        self.config = config
+        self.trees = trees
+        self._nodes = _flatten(trees)
+
+    def predict_all(self, features) -> tuple:
+        """(labels, (m, classes) probabilities) of m feature vectors, in one pass.
+
+        Each claim's probabilities add the trees' leaf distributions one at
+        a time in tree order; ties in the argmax pick the earlier label.
+        """
+        roots, feature, threshold, left, right, dist, depth = self._nodes
+        X = np.array([fv.as_array() for fv in features], dtype=np.float64)
+        X = X.reshape(-1, len(FEATURE_NAMES))
+        node = np.tile(roots, (len(X), 1))
+        rows = np.arange(len(X))[:, np.newaxis]
+        for _ in range(depth):  # leaves point to themselves
+            go_left = X[rows, feature[node]] < threshold[node]
+            node = np.where(go_left, left[node], right[node])
+        probs = np.cumsum(dist[node], axis=1)[:, -1] / len(roots)
+        return [LABELS[i] for i in np.argmax(probs, axis=1).tolist()], probs
 
     def predict(self, features: FeatureVector):
-        """(label, class-probability vector); ties pick the earlier label."""
-        x = features.as_array()
-        probs = np.zeros(len(LABELS), dtype=np.float64)
-        for tree in self.trees:
-            probs += _leaf_for(tree, x).dist
-        probs /= len(self.trees)
-        return LABELS[int(np.argmax(probs))], probs
+        """(label, class-probability vector) of one feature vector."""
+        labels, probs = self.predict_all([features])
+        return labels[0], probs[0]
 
 
-def _leaf_for(node: TreeNode, x: np.ndarray) -> TreeNode:
-    while node.left is not None:
-        node = node.left if x[node.feature] < node.threshold else node.right
-    return node
+def _flatten(trees) -> tuple:
+    """Check trees in model-file form and lay their nodes out as flat arrays.
+
+    Node i splits on feature[i] at threshold[i] and goes to left[i] or
+    right[i]; a leaf has feature -1, points to itself and holds dist[i].
+    Each tree takes a run of node ids in preorder from its root (the layout
+    of scikit-learn's Tree).  Returns (roots, feature, threshold, left,
+    right, dist, depth), depth being the most splits on any root-to-leaf path.
+    """
+    if not trees:
+        raise ModelFormatError("model has no trees")
+    nodes = []  # [feature, threshold, left, right, dist] per node
+
+    def add(node, level) -> int:
+        i = len(nodes)
+        if "dist" in node:
+            # + 0.0 turns -0.0 into 0.0, so tree sums keep the bits of sums from zero
+            d = np.array(node["dist"], dtype=np.float64) + 0.0
+            if (d.shape != (len(LABELS),) or not (d >= 0).all()
+                    or not abs(d.sum() - 1.0) <= 1e-9):
+                raise ModelFormatError(f"bad leaf distribution: {node['dist']}")
+            nodes.append([-1, 0.0, i, i, d])
+            return level
+        f, t = int(node["feature"]), float(node["threshold"])
+        if not 0 <= f < len(FEATURE_NAMES):
+            raise ModelFormatError(f"split feature {f} outside 0..{len(FEATURE_NAMES) - 1}")
+        if not math.isfinite(t):
+            raise ModelFormatError(f"non-finite split threshold: {t}")
+        nodes.append([f, t, i + 1, -1, np.zeros(len(LABELS))])
+        depth = add(node["left"], level + 1)
+        nodes[i][3] = len(nodes)
+        return max(depth, add(node["right"], level + 1))
+
+    roots, depth = [], 0
+    for tree in trees:
+        roots.append(len(nodes))
+        depth = max(depth, add(tree, 0))
+    return (np.array(roots), *map(np.array, zip(*nodes)), depth)
 
 
-def tree_depth(node: TreeNode) -> int:
+def tree_depth(node: dict) -> int:
     """Internal nodes on the deepest root-to-leaf path."""
-    if node.left is None:
+    if "dist" in node:
         return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+    return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
 
 
-def _leaf(y: np.ndarray, n_classes: int) -> TreeNode:
+def _leaf(y: np.ndarray, n_classes: int) -> dict:
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    return TreeNode(dist=counts / counts.sum())
+    return {"dist": (counts / counts.sum()).tolist()}
 
 
 def _grow(X: np.ndarray, y: np.ndarray, depth: int, config: ForestConfig,
-          k: int, rng: np.random.Generator) -> TreeNode:
+          k: int, rng: np.random.Generator) -> dict:
     n_classes = len(LABELS)
     if depth >= config.max_depth or np.all(y == y[0]):
         return _leaf(y, n_classes)
     feats = np.sort(rng.choice(X.shape[1], size=k, replace=False))
-    best_gain, best_feat, best_thr = 0.0, -1, 0.0
-    for f in feats:
-        gain, thr = kernels.best_split(np.ascontiguousarray(X[:, f]), y, n_classes)
-        if gain > best_gain:
-            best_gain, best_feat, best_thr = gain, int(f), float(thr)
-    if best_feat < 0:
+    gain, column, thr = kernels.best_split(X[:, feats], y, n_classes)
+    if gain <= 0:
         return _leaf(y, n_classes)
-    mask = X[:, best_feat] < best_thr
-    return TreeNode(
-        feature=best_feat,
-        threshold=best_thr,
-        left=_grow(X[mask], y[mask], depth + 1, config, k, rng),
-        right=_grow(X[~mask], y[~mask], depth + 1, config, k, rng),
-    )
+    feat = int(feats[column])
+    mask = X[:, feat] < thr
+    return {
+        "feature": feat,
+        "threshold": thr,
+        "left": _grow(X[mask], y[mask], depth + 1, config, k, rng),
+        "right": _grow(X[~mask], y[~mask], depth + 1, config, k, rng),
+    }
 
 
 def train(samples, config: ForestConfig = ForestConfig()) -> RandomForest:
@@ -137,46 +179,15 @@ def train(samples, config: ForestConfig = ForestConfig()) -> RandomForest:
     if not 1 <= k <= p:
         raise TrainingError(f"features_per_split must be in 1..{p}, got {k}")
 
-    forest = RandomForest(config=config)
+    trees = []
     for t in range(config.trees):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, t]))
         boot = rng.integers(0, n, size=n)
-        forest.trees.append(_grow(X[boot], y[boot], 0, config, k, rng))
-    return forest
+        trees.append(_grow(X[boot], y[boot], 0, config, k, rng))
+    return RandomForest(config, trees)
 
 
 # -- persistence -------------------------------------------------------------
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.left is None:
-        return {"dist": node.dist.tolist()}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(payload: dict) -> TreeNode:
-    if "dist" in payload:
-        dist = np.array(payload["dist"], dtype=np.float64)
-        if (dist.shape != (len(LABELS),) or not (dist >= 0).all()
-                or not abs(dist.sum() - 1.0) <= 1e-9):
-            raise ModelFormatError(f"bad leaf distribution: {payload['dist']}")
-        return TreeNode(dist=dist)
-    feature, threshold = int(payload["feature"]), float(payload["threshold"])
-    if not 0 <= feature < len(FEATURE_NAMES):
-        raise ModelFormatError(f"split feature {feature} outside 0..{len(FEATURE_NAMES) - 1}")
-    if not math.isfinite(threshold):
-        raise ModelFormatError(f"non-finite split threshold: {threshold}")
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_node_from_dict(payload["left"]),
-        right=_node_from_dict(payload["right"]),
-    )
 
 
 def save(forest: RandomForest, path) -> None:
@@ -189,7 +200,7 @@ def save(forest: RandomForest, path) -> None:
             "features_per_split": forest.config.features_per_split,
             "seed": forest.config.seed,
         },
-        "trees": [_node_to_dict(t) for t in forest.trees],
+        "trees": forest.trees,
     }
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(payload, fp, sort_keys=True)
@@ -218,12 +229,9 @@ def load(path) -> RandomForest:
             features_per_split=cfg["features_per_split"],
             seed=int(cfg["seed"]),
         )
-        trees = [_node_from_dict(t) for t in payload["trees"]]
+        return RandomForest(config, payload["trees"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
-    if not trees:
-        raise ModelFormatError("model has no trees")
-    return RandomForest(config=config, trees=trees)
 
 
 # -- per-class claim sampling ------------------------------------------------

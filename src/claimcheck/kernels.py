@@ -95,46 +95,43 @@ def row_sums(values, lengths):
     return out
 
 
-def best_split(values, labels, n_classes):
-    """Best information-gain split of one feature column.
+def best_split(block, labels, n_classes):
+    """Best information-gain split over the columns of an (n, k) block.
 
-    Thresholds are midpoints between consecutive distinct sorted values;
-    left branch takes value < threshold.  The midpoint of two adjacent
-    doubles can round down onto the lower one; when that is the column
-    minimum the left branch would be empty, so the upper value is used.
-    Returns (gain, threshold) in nats; gain is -1.0 when no valid threshold
-    exists.  Ties keep the smallest threshold.
+    Thresholds are midpoints between consecutive distinct sorted values of
+    a column; left branch takes value < threshold.  The midpoint of two
+    adjacent doubles can round down onto the lower one; when that is the
+    column minimum the left branch would be empty, so the upper value is
+    used.  Returns (gain, column, threshold), gain in nats; gain is -1.0
+    and column -1 when no column has two distinct values.  Ties keep the
+    first column, then its smallest threshold.
     """
-    n = values.size
-    if n < 2:
-        return -1.0, 0.0
-    order = np.argsort(values)
-    sv = values[order]
-    sl = labels[order]
-    boundary = sv[1:] != sv[:-1]
-    if not boundary.any():
-        return -1.0, 0.0
+    n = block.shape[0]
+    order = np.argsort(block, axis=0)
+    sv = np.take_along_axis(block, order, axis=0)
+    # boundaries in column-major order, so argmax breaks ties by column, then position
+    cols, rows = np.nonzero((sv[1:] != sv[:-1]).T)
+    if cols.size == 0:
+        return -1.0, -1, 0.0
 
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), sl] = 1
-    cum = np.cumsum(onehot, axis=0)
-    total = cum[-1]
+    onehot = labels[order][..., np.newaxis] == np.arange(n_classes)
+    cl = np.cumsum(onehot, axis=0)[rows, cols]  # class counts left of each boundary
+    total = np.bincount(labels, minlength=n_classes)
 
     hp = _entropy(total[np.newaxis, :], np.array([n], dtype=np.int64))[0]
 
-    j = np.arange(1, n, dtype=np.int64)[boundary]
-    cl = cum[:-1][boundary]
-    nl = j
-    nr = n - j
+    nl = rows + 1
+    nr = n - nl
     hl = _entropy(cl, nl)
     hr = _entropy(total[np.newaxis, :] - cl, nr)
     gains = hp - (nl * hl + nr * hr) / n
 
-    k = int(np.argmax(gains))
-    thr = (sv[j[k] - 1] + sv[j[k]]) / 2.0
-    if thr <= sv[0]:
-        thr = sv[j[k]]
-    return float(gains[k]), float(thr)
+    best = int(np.argmax(gains))
+    col, j = int(cols[best]), int(nl[best])
+    thr = (sv[j - 1, col] + sv[j, col]) / 2.0
+    if thr <= sv[0, col]:
+        thr = sv[j, col]
+    return float(gains[best]), col, float(thr)
 
 
 def _entropy(counts, sizes):

@@ -257,9 +257,9 @@ def _separable_sample(rng):
 
 
 def _depth(node) -> int:
-    if node.left is None:
+    if "dist" in node:
         return 0
-    return 1 + max(_depth(node.left), _depth(node.right))
+    return 1 + max(_depth(node["left"]), _depth(node["right"]))
 
 
 def test_random_forest(report, tmp_path):

@@ -388,11 +388,11 @@ class TestBadInputs:
         assert not out.exists() and not report.exists()
 
     @pytest.mark.parametrize("flags, row, message", [
-        (["--ner", "file", "--ner-file"], {"id": 101, "entities": "Korvand Archipelago"},
+        (["--ner-file"], {"id": 101, "entities": "Korvand Archipelago"},
          "bad entity annotation row on line 1: entities 'Korvand Archipelago' is not a list"),
-        (["--ner", "file", "--ner-file"], {"id": [101], "entities": []},
+        (["--ner-file"], {"id": [101], "entities": []},
          "bad entity annotation row on line 1: id [101] is not"),
-        (["--scorer", "file", "--prob-file"],
+        (["--prob-file"],
          {"claim_id": [101], "page_id": "Korvand_Archipelago", "line_number": 0,
           "support": 1.0, "refute": 0.0, "uninformative": 0.0},
          "bad probability row on line 1: claim_id [101] is not"),
@@ -406,29 +406,49 @@ class TestBadInputs:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("flags, rows, message", [
-        (["--scorer", "file", "--prob-file"],
+    @pytest.mark.parametrize("flag", ["--ner-file", "--prob-file"])
+    @pytest.mark.parametrize("name", ["missing.jsonl", ""])
+    def test_missing_side_file(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "pred.jsonl"
+        path = tmp_path / name if name else ""  # an empty path selects the file too
+        code, _, err = run(["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
+                            flag, path, "--out", out], capsys)
+        assert f"No such file or directory: '{path}'" in one_error(code, err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, rows, message", [
+        ("probabilities",
          [{"claim_id": 101, "page_id": "Korvand_Archipelago", "line_number": 0,
            "support": s, "refute": 1.0 - s, "uninformative": 0.0} for s in (1.0, 0.0)],
          "bad probability row on line 2: repeated (claim id, page id, line) "
          "(101, 'Korvand_Archipelago', 0)"),
-        (["--ner", "file", "--ner-file"],
+        ("entity_annotations",
          [{"id": 101, "entities": ["Korvand Archipelago"]}, {"id": 101, "entities": []}],
          "bad entity annotation row on line 2: repeated claim id 101"),
-        ([], [{"claim_id": 101, "n": 1, **{f"f{i}": v for i in range(1, 13)}}
-              for v in (0.0, 1.0)],
+        ("features", [{"claim_id": 101, "n": 1, **{f"f{i}": v for i in range(1, 13)}}
+                      for v in (0.0, 1.0)],
          "bad feature row on line 2: repeated claim id 101"),
-    ], ids=["probabilities", "entity_annotations", "features"])
+        ("scored",
+         [{"claim_id": 101, "page_id": "Korvand_Archipelago", "line_number": 0,
+           "support": s, "refute": 1.0 - s, "uninformative": 0.0} for s in (1.0, 1.0)],
+         "bad scored row on line 2: repeated (claim id, page id, line) "
+         "(101, 'Korvand_Archipelago', 0)"),
+    ], ids=["probabilities", "entity_annotations", "features", "scored"])
     def test_repeated_key_in_side_or_staged_file(self, one_claim, tmp_path, capsys,
-                                                  flags, rows, message):
+                                                  kind, rows, message):
+        d = one_claim
         side, out = tmp_path / "side.jsonl", tmp_path / "out.jsonl"
         side.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        if flags:
-            argv = ["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
-                    *flags, side, "--out", out]
-        else:
-            argv = ["train", "--claims", one_claim / "claims.jsonl", "--features", side,
-                    "--trees", "2", "--out", out]
+        e2e = ["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536", "--out", out]
+        argv = {
+            "probabilities": [*e2e, "--prob-file", side],
+            "entity_annotations": [*e2e, "--ner-file", side],
+            "features": ["train", "--claims", d / "claims.jsonl", "--features", side,
+                         "--trees", "2", "--out", out],
+            "scored": ["predict", "--claims", d / "claims.jsonl",
+                       "--features", d / "features.jsonl", "--scored", side,
+                       "--model", d / "model.json", "--out", out],
+        }[kind]
         code, _, err = run(argv, capsys)
         assert message in one_error(code, err)
         assert not out.exists()
@@ -574,11 +594,11 @@ def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
                        ["e2e", "--corpus", DUMP, "--claims", rows, "--bins", "65536",
                         "--model", d / "model.json", "--out", out, "--report", out2]],
             "entity_annotations": [["retrieve", "--corpus", DUMP, "--claims", claims,
-                                    "--bins", "65536", "--ner", "file", "--ner-file", rows,
+                                    "--bins", "65536", "--ner-file", rows,
                                     "--out", out]],
             "probabilities": [["features", "--corpus", DUMP, "--claims", claims,
-                               "--candidates", d / "cands1.jsonl", "--scorer", "file",
-                               "--prob-file", rows, "--out", out]],
+                               "--candidates", d / "cands1.jsonl", "--prob-file", rows,
+                               "--out", out]],
         }[kind]
 
     def run_all(line):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 
@@ -52,8 +53,8 @@ class TestTraining:
     def test_equal_seeds_bit_identical(self, trained):
         samples, model = trained
         again = forest.train(samples, ForestConfig(seed=51))
-        a = json.dumps([forest._node_to_dict(t) for t in model.trees])
-        b = json.dumps([forest._node_to_dict(t) for t in again.trees])
+        a = json.dumps(model.trees)
+        b = json.dumps(again.trees)
         assert a == b
 
     def test_all_identical_features_gives_leaves(self):
@@ -61,8 +62,8 @@ class TestTraining:
                   [TrainingSample(fv([0.5] * 12), "REFUTES")] * 2
         model = forest.train(samples, ForestConfig(trees=7, seed=1))
         for t in model.trees:
-            assert t.left is None
-            assert t.dist.sum() == pytest.approx(1.0)
+            assert set(t) == {"dist"}
+            assert sum(t["dist"]) == pytest.approx(1.0)
 
     def test_rejects_degenerate_input(self):
         one = [TrainingSample(fv(np.arange(12) / 12), "SUPPORTS")]
@@ -81,20 +82,17 @@ class TestTraining:
         samples = separable_samples(rng, 60)
         X = np.stack([s.features.as_array() for s in samples])
         y = np.array([forest.LABELS.index(s.label) for s in samples], dtype=np.int64)
-        gains = [kernels.best_split(np.ascontiguousarray(X[:, f]), y, 3)[0]
-                 for f in range(12)]
         model = forest.train(samples, ForestConfig(trees=20, seed=54,
                                                    features_per_split=12))
         for ti, t in enumerate(model.trees):
-            if t.left is None:
+            if "dist" in t:
                 continue
             # bootstrap changes the sample, so re-evaluate on the bootstrap
             tree_rng = np.random.default_rng(np.random.SeedSequence([54, ti]))
             boot = tree_rng.integers(0, len(samples), size=len(samples))
             Xb, yb = X[boot], y[boot]
-            best = max(kernels.best_split(np.ascontiguousarray(Xb[:, f]), yb, 3)[0]
-                       for f in range(12))
-            gain, _ = kernels.best_split(np.ascontiguousarray(Xb[:, t.feature]), yb, 3)
+            best = max(kernels.best_split(Xb[:, [f]], yb, 3)[0] for f in range(12))
+            gain, _, _ = kernels.best_split(Xb[:, [t["feature"]]], yb, 3)
             assert gain == pytest.approx(best, abs=1e-12)
 
 
@@ -114,15 +112,41 @@ class TestPrediction:
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_forest(self):
-        leaf = forest.TreeNode(dist=np.array([1.0, 0.0, 0.0]))
+        leaf = {"dist": [1.0, 0.0, 0.0]}
         model = forest.RandomForest(config=ForestConfig(trees=3), trees=[leaf] * 3)
         label, probs = model.predict(fv(np.zeros(12)))
         assert label == "SUPPORTS" and probs.tolist() == [1.0, 0.0, 0.0]
+        # a -0.0 leaf entry sums to +0.0, as a sum starting from zero does
+        signed = forest.RandomForest(ForestConfig(trees=2), [{"dist": [-0.0, 1.0, 0.0]}] * 2)
+        assert not np.signbit(signed.predict(fv(np.zeros(12)))[1]).any()
 
     def test_argmax_tie_breaks_in_label_order(self):
-        half = forest.TreeNode(dist=np.array([0.5, 0.5, 0.0]))
+        half = {"dist": [0.5, 0.5, 0.0]}
         model = forest.RandomForest(config=ForestConfig(trees=2), trees=[half] * 2)
         assert model.predict(fv(np.zeros(12)))[0] == "SUPPORTS"
+
+    def test_batch_equals_one_row_and_tree_walk_bit_for_bit(self, trained):
+        _, model = trained
+        rng = np.random.default_rng(57)
+        X = rng.random((300, 12))
+        splits = [t for t in model.trees if "dist" not in t]
+        for row in X[::2]:  # half the rows sit exactly on a split threshold
+            node = splits[rng.integers(len(splits))]
+            row[node["feature"]] = node["threshold"]
+        rows = [fv(x) for x in X]
+        labels, probs = model.predict_all(rows)
+        for row, label, p in zip(rows, labels, probs):
+            one_label, one = model.predict(row)
+            assert label == one_label and p.tobytes() == one.tobytes()
+            walked = np.zeros(3)
+            for node in model.trees:
+                while "dist" not in node:
+                    left = row.as_array()[node["feature"]] < node["threshold"]
+                    node = node["left"] if left else node["right"]
+                walked += node["dist"]
+            walked /= len(model.trees)
+            assert p.tobytes() == walked.tobytes()
+        assert model.predict_all([])[1].shape == (0, 3)
 
     def test_tree_order_permutation_invariant(self, trained):
         _, model = trained
@@ -147,6 +171,18 @@ class TestPersistence:
             la, pa = model.predict(x)
             lb, pb = loaded.predict(x)
             assert la == lb and np.array_equal(pa, pb)
+
+    def test_saved_bytes_pinned(self, tmp_path, trained):
+        # sha256 of the model file for a fixed training run; saving a loaded
+        # model writes the same bytes
+        _, model = trained
+        path = tmp_path / "model.json"
+        forest.save(model, path)
+        saved = path.read_bytes()
+        assert hashlib.sha256(saved).hexdigest() == \
+            "b79b71a017e776ee9f823aeb40ca51475bff61e3e8f232b9c7d8924147f5646d"
+        forest.save(forest.load(path), path)
+        assert path.read_bytes() == saved
 
     def test_truncated_file(self, tmp_path, trained):
         _, model = trained

@@ -122,27 +122,52 @@ class TestBestSplit:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
-            n = int(rng.integers(2, 60))
-            values = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=n) \
-                if rng.random() < 0.5 else rng.random(n)
+            n, k = int(rng.integers(2, 60)), int(rng.integers(1, 5))
+            block = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(n, k)) \
+                if rng.random() < 0.5 else rng.random((n, k))
             labels = rng.integers(0, 3, size=n).astype(np.int64)
-            gain, thr = kernels.best_split(values, labels, 3)
-            distinct = sorted(set(values.tolist()))
-            if len(distinct) < 2:
-                assert gain == -1.0
+            columns = [self.check_column(block[:, c], labels) for c in range(k)]
+            gain, col, thr = kernels.best_split(block, labels, 3)
+            if all(g == -1.0 for g, _ in columns):
+                assert (gain, col) == (-1.0, -1)
                 continue
-            # every split between consecutive distinct values, upper value as cut
-            gains = [split_gain(values, labels, hi, 3) for hi in distinct[1:]]
-            best = max(gains)
-            assert math.isclose(gain, best, rel_tol=0.0, abs_tol=1e-12)
-            # thr cuts between two consecutive distinct values, at a best split
-            cut = next(i for i, hi in enumerate(distinct[1:]) if thr <= hi)
-            assert distinct[cut] < thr
-            assert math.isclose(gains[cut], best, rel_tol=0.0, abs_tol=1e-12)
+            # the first column with the highest gain, and its threshold
+            assert col == next(c for c, (g, _) in enumerate(columns)
+                               if g == max(g for g, _ in columns))
+            assert (gain, thr) == columns[col]
+
+    @staticmethod
+    def check_column(values, labels):
+        """best_split of a one-column block, checked against split_gain."""
+        gain, col, thr = kernels.best_split(values[:, np.newaxis], labels, 3)
+        distinct = sorted(set(values.tolist()))
+        if len(distinct) < 2:
+            assert (gain, col) == (-1.0, -1)
+            return gain, thr
+        assert col == 0
+        # every split between consecutive distinct values, upper value as cut
+        gains = [split_gain(values, labels, hi, 3) for hi in distinct[1:]]
+        best = max(gains)
+        assert math.isclose(gain, best, rel_tol=0.0, abs_tol=1e-12)
+        # thr cuts between two consecutive distinct values, at a best split
+        cut = next(i for i, hi in enumerate(distinct[1:]) if thr <= hi)
+        assert distinct[cut] < thr
+        assert math.isclose(gains[cut], best, rel_tol=0.0, abs_tol=1e-12)
+        return gain, thr
+
+    def test_equal_gains_keep_first_column_then_smallest_threshold(self):
+        labels = np.array([0, 1, 1, 0])
+        ramp = np.array([0.0, 1.0, 2.0, 3.0])  # cuts at 0.5 and 2.5 tie
+        worse = np.array([0.0, 1.0, 0.0, 1.0])  # gain 0
+        block = np.column_stack([worse, ramp, 10.0 * ramp])
+        gain, col, thr = kernels.best_split(block, labels, 3)
+        assert (col, thr) == (1, 0.5)
+        assert kernels.best_split(block[:, [2, 1]], labels, 3) == (gain, 0, 5.0)
 
     def test_adjacent_doubles_keep_both_sides_non_empty(self):
         values = np.array([1.4166666666666665, 1.4166666666666667])
-        gain, thr = kernels.best_split(values, np.array([0, 1]), 3)
+        gain, col, thr = kernels.best_split(values[:, np.newaxis], np.array([0, 1]), 3)
+        assert col == 0
         assert (values < thr).tolist() == [True, False]
         assert math.isclose(gain, math.log(2))
 
