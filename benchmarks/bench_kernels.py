@@ -1,8 +1,10 @@
 """Times the numeric kernels and the n-gram hasher on synthetic inputs.
 
-Runs batch edit distance, block cosine accumulation, grouped run sums,
-split search and the batch n-gram hash (against the per-occurrence
-reference loop) on seeded inputs and prints the best-of-N wall time of each.
+Runs batch edit distance over every title (beside title matching, which
+scans only the titles of a length that can win), block cosine accumulation,
+grouped run sums, split search and the batch n-gram hash (against the
+per-occurrence reference loop) on seeded inputs and prints the best-of-N
+wall time of each.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -13,11 +15,14 @@ import time
 
 import numpy as np
 
-from claimcheck import kernels
+from claimcheck import kernels, ner
+from claimcheck.corpus import Corpus, Document
 from claimcheck.tokenizer import hashed_counts, ngram_bins
 
 BLOCK_QUERIES = 8  # queries scored together by block_accumulate
 SPLIT_COLUMNS = 4  # columns a forest node searches: ceil(sqrt(12 features))
+TITLE_QUERIES = 10  # title_match mentions of each kind: exact, one edit, far off
+TITLE_LETTERS = list("abcdefghijklmnopqrstuvwxyz _()")
 
 
 def best_of(fn, repeat):
@@ -30,12 +35,33 @@ def best_of(fn, repeat):
 
 
 def make_title_workload(rng, n_titles):
-    alphabet = list("abcdefghijklmnopqrstuvwxyz _()")
-    titles = ["".join(rng.choice(alphabet, size=rng.integers(5, 26)))
+    titles = ["".join(rng.choice(TITLE_LETTERS, size=rng.integers(5, 26)))
               for _ in range(n_titles)]
     mat, lengths = kernels.code_matrix(titles)
     query = kernels.codes("the grey fleet (film)")
-    return mat, lengths, query
+    return titles, (mat, lengths, query)
+
+
+def make_mention_workload(rng, titles):
+    """A TitleMatcher over the titles, and TITLE_QUERIES mentions of each kind:
+    a title, a title with one letter replaced, and 15 digits (far from all)."""
+    corpus = Corpus()
+    for title in dict.fromkeys(titles):
+        corpus.add_document(Document(title, "", []))
+    picks = [titles[i] for i in rng.integers(0, len(titles), size=2 * TITLE_QUERIES)]
+    edited = []
+    for title in picks[TITLE_QUERIES:]:
+        at = int(rng.integers(0, len(title)))
+        letter = rng.choice([c for c in TITLE_LETTERS[:26] if c != title[at]])
+        edited.append(title[:at] + str(letter) + title[at + 1:])
+    far = ["".join(rng.choice(list("0123456789"), size=15)) for _ in range(TITLE_QUERIES)]
+    mentions = [ner.EntityMention(surface, "heuristic")
+                for surface in picks[:TITLE_QUERIES] + edited + far]
+    return ner.TitleMatcher(corpus), mentions
+
+
+def match_all(matcher, mentions):
+    return [matcher.match(mention) for mention in mentions]
 
 
 def make_postings_workload(rng, n_items, n_postings, n_queries):
@@ -86,14 +112,17 @@ def hash_loop(token_lists, bin_count=2**24):
 
 
 def build_cases(rng, args):
-    titles = make_title_workload(rng, args.titles)
+    titles, full_scan = make_title_workload(rng, args.titles)
     postings = make_postings_workload(rng, args.items, args.postings, BLOCK_QUERIES)
     values, labels = make_split_workload(rng, args.samples)
     tokens = make_token_workload(rng, args.texts)
     runs = make_runs_workload(rng, args.items)
+    matching = make_mention_workload(rng, titles)
     n_tokens = sum(map(len, tokens))
     return [
-        (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, titles),
+        (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, full_scan),
+        (f"title_match ({args.titles} titles, {3 * TITLE_QUERIES} mentions)", match_all,
+         matching),
         (f"block_accumulate ({args.postings} postings, {BLOCK_QUERIES} queries)",
          kernels.block_accumulate, postings),
         (f"best_split ({args.samples} samples, {SPLIT_COLUMNS} columns)", kernels.best_split,

@@ -15,8 +15,8 @@ from pathlib import Path
 from . import features as features_mod
 from . import forest, metrics, ner, nli_data, rows, tfidf
 from .corpus import Corpus, SentenceRef, ingest_dump
-from .entailment import (BaselineScorer, EntailmentTriple, FileScorer, ScoredCandidate,
-                         score_candidates)
+from .entailment import (TRIPLE_FIELDS, BaselineScorer, EntailmentTriple, FileScorer,
+                         ScoredCandidate, score_candidates)
 from .forest import LABELS, ForestConfig, TrainingSample
 from .metrics import GoldInstance
 from .nli_data import load_claims
@@ -62,9 +62,9 @@ def _forest_config(args) -> tuple:
 
 def retrieve_candidates(corpus, index, instances, *, extractor=None):
     """Union of the entity route and the TF-IDF route, per claim."""
-    matcher = ner.TitleMatcher(corpus)
     lexical, empty_queries = tfidf.top_k_sentences_batch(
         corpus, index, [inst.claim for inst in instances], k_docs=K_DOCS, k_sents=K_SENTS)
+    matcher = ner.TitleMatcher(corpus)  # not held through the TF-IDF routes' peak memory
     out = {}
     entity_only = tfidf_only = both = 0
     for inst, hits in zip(instances, lexical):
@@ -81,6 +81,9 @@ def retrieve_candidates(corpus, index, instances, *, extractor=None):
     log.info("%d claims had an empty TF-IDF query; sentences/claim: %.1f entity route only, "
              "%.1f TF-IDF only, %.1f both", empty_queries, entity_only / claims,
              tfidf_only / claims, both / claims)
+    distances = matcher.distances
+    log.info("matched %d mentions to titles (%d exact); mentions by match distance: %s",
+             distances.total(), distances[0], dict(sorted(distances.items())))
     return out
 
 
@@ -160,10 +163,10 @@ def _validate_prediction_row(row, lineno) -> Verdict:
 
 
 def _features_from_row(row):
-    values = [float(row[name]) for name in features_mod.FEATURE_NAMES]
+    values = [float(rows.number_field(row, name)) for name in features_mod.FEATURE_NAMES]
     if not all(map(math.isfinite, values)):
         raise ValueError("feature values must be finite")
-    fv = features_mod.FeatureVector(*values, n=int(row["n"]))
+    fv = features_mod.FeatureVector(*values, n=rows.number_field(row, "n", count=True))
     return rows.scalar_field(row, "claim_id"), fv
 
 
@@ -178,7 +181,7 @@ def _read_feature_rows(path, instances) -> dict:
 
 def _scored_from_row(row):
     ref = SentenceRef(*rows.sentence_ref(row["page_id"], row["line_number"]))
-    triple = EntailmentTriple(row["support"], row["refute"], row["uninformative"])
+    triple = EntailmentTriple(*(rows.number_field(row, k) for k in TRIPLE_FIELDS))
     key = (rows.scalar_field(row, "claim_id"), ref.page_id, ref.line_number)
     return key, ScoredCandidate(ref, "", triple)
 

@@ -10,11 +10,12 @@ import math
 from dataclasses import dataclass
 
 from .corpus import SentenceRef
-from .rows import parse_table, scalar_field, sentence_ref
+from .rows import number_field, parse_table, scalar_field, sentence_ref
 from .tokenizer import tokenize
 
 SUM_TOLERANCE = 1e-6
 LOAD_SUM_TOLERANCE = 1e-3
+TRIPLE_FIELDS = ("support", "refute", "uninformative")  # row keys of a triple
 NEGATION_CUES = frozenset({"not", "no", "never", "n't", "neither", "nor"})
 
 
@@ -78,7 +79,7 @@ def _probability_from_row(row) -> tuple:
     """((claim id, page id, line), triple); a sum off by up to LOAD_SUM_TOLERANCE
     is renormalized."""
     key = (scalar_field(row, "claim_id"), *sentence_ref(row["page_id"], row["line_number"]))
-    values = (float(row["support"]), float(row["refute"]), float(row["uninformative"]))
+    values = tuple(float(number_field(row, k)) for k in TRIPLE_FIELDS)
     if not all(0.0 <= v <= 1.0 for v in values):
         raise ProbabilityError(f"component out of [0, 1] in {values}")
     total = sum(values)

@@ -5,11 +5,12 @@ maximal runs of capitalized tokens become mentions, except a lone
 sentence-initial token (capitalized only because it opens the sentence).
 Real tagger output can be injected from a JSON-lines side file instead.
 Each mention is matched to the page whose normalized title is nearest by
-Levenshtein distance; every sentence of the matched pages becomes a
-candidate.
+Levenshtein distance, looking only at titles whose length lets them be
+nearest; every sentence of the matched pages becomes a candidate.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,20 @@ class TitleMatcher:
 
     Titles are kept in tie-break order (shorter normalized title first, then
     lexicographic, then page id), so the first title at the minimum distance
-    is the match.
+    is the match.  The edit distance is at least the difference in length,
+    and each length range is one contiguous slice of the sorted titles, so a
+    match scans only the slices where the minimum can be:
+
+    1. a normalized title equal to the query returns its first page at
+       distance 0, with no edit distance computed;
+    2. otherwise the titles within r of the query's length are scanned,
+       r being 1, or the gap to the nearest title length when that is wider,
+       and give a best distance d;
+    3. if d > r, the titles within d of the query's length and not yet
+       scanned are scanned too.
+
+    Every title left out differs from the query in length by more than the
+    minimum found, so the result is the first minimum of a full scan.
     """
 
     def __init__(self, corpus: Corpus):
@@ -125,13 +139,47 @@ class TitleMatcher:
         pairs = sorted(((normalize_title(p), p) for p in corpus.page_ids()),
                        key=lambda tp: (len(tp[0]), tp[0], tp[1]))
         self.page_ids = [p for _, p in pairs]
+        self._first: dict[str, int] = {}  # normalized title -> first sorted position
+        for pos, (title, _) in enumerate(pairs):
+            self._first.setdefault(title, pos)
         self._mat, self._lengths = kernels.code_matrix([t for t, _ in pairs])
+        self.distances = Counter()  # matches returned, by distance
 
     def match(self, entity: EntityMention) -> TitleMatch:
-        query = kernels.codes(normalize_title(entity.surface))
-        dists = kernels.batch_levenshtein(self._mat, self._lengths, query)
+        pick, distance = self._nearest(normalize_title(entity.surface))
+        self.distances[distance] += 1
+        return TitleMatch(entity, self.page_ids[pick], distance)
+
+    def _nearest(self, title: str) -> tuple[int, int]:
+        """(sorted position, distance) of the first title at the minimum distance."""
+        if title in self._first:
+            return self._first[title], 0
+        n, query = len(title), kernels.codes(title)
+        at = int(np.searchsorted(self._lengths, n))  # the nearest lengths sit at at-1, at
+        near = self._lengths[[max(at - 1, 0), min(at, len(self.page_ids) - 1)]]
+        radius = max(1, int(np.abs(near - n).min()))
+        lo, hi = self._window(n, radius)
+        dists = self._scan(lo, hi, query)
+        best = int(dists.min())
+        if best > radius:  # widen to best: scan the titles on either side of the slice
+            wide_lo, wide_hi = self._window(n, best)
+            dists = np.concatenate([self._scan(wide_lo, lo, query), dists,
+                                    self._scan(hi, wide_hi, query)])
+            lo = wide_lo
         pick = int(np.argmin(dists))
-        return TitleMatch(entity, self.page_ids[pick], int(dists[pick]))
+        return lo + pick, int(dists[pick])
+
+    def _window(self, length: int, radius: int) -> tuple[int, int]:
+        """[lo, hi) of the sorted titles whose length is within radius of length."""
+        return (int(np.searchsorted(self._lengths, length - radius, "left")),
+                int(np.searchsorted(self._lengths, length + radius, "right")))
+
+    def _scan(self, lo: int, hi: int, query) -> np.ndarray:
+        """Edit distances to titles lo..hi-1, the matrix trimmed to their width."""
+        if lo == hi:
+            return np.empty(0, dtype=np.int32)
+        width = int(self._lengths[hi - 1])  # the slice's longest title
+        return kernels.batch_levenshtein(self._mat[lo:hi, :width], self._lengths[lo:hi], query)
 
 
 def candidate_sentences_for_claim(corpus: Corpus, claim: str, *, matcher: TitleMatcher,

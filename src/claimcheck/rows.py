@@ -82,3 +82,12 @@ def sentence_ref(page, line) -> tuple:
     if not isinstance(page, str) or type(line) is not int:
         raise ValueError(f"sentence reference {[page, line]!r} is not [page_id, line]")
     return page, line
+
+
+def number_field(row, key, count=False):
+    """row[key], which must be a JSON number, not a string or a bool; with count,
+    a non-negative integer."""
+    value = row[key]
+    if type(value) not in ((int,) if count else (int, float)) or (count and value < 0):
+        raise ValueError(f"{key} {value!r} is not a {'count' if count else 'number'}")
+    return value

@@ -9,13 +9,14 @@ import logging
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcheck import cli
+from claimcheck import cli, ner
 from claimcheck.corpus import Corpus, IngestError, ingest_dump
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,6 +98,21 @@ class TestStages:
                           "--out", again], capsys)
         assert code == 0
         assert again.read_bytes() == (workdir / "candidates.jsonl").read_bytes()
+
+    def test_retrieve_logs_match_distances(self, workdir, tmp_path, caplog):
+        caplog.set_level(logging.INFO)
+        assert cli.main(["retrieve", "--corpus", str(workdir / "corpus.json.gz"),
+                         "--claims", str(CLAIMS), "--index", str(workdir / "index.npz"),
+                         "--out", str(tmp_path / "cands.jsonl")]) == 0
+        corpus = Corpus.load(workdir / "corpus.json.gz")
+        titles = [ner.normalize_title(p) for p in corpus.page_ids()]
+        expected = Counter(min(ner.levenshtein(ner.normalize_title(m.surface), t) for t in titles)
+                           for row in read_rows(CLAIMS)
+                           for m in ner.extract_entities(row["claim"]))
+        line = (f"matched {expected.total()} mentions to titles ({expected[0]} exact); "
+                f"mentions by match distance: {dict(sorted(expected.items()))}")
+        assert [r.getMessage() for r in caplog.records].count(line) == 1
+        assert expected[0] < expected.total()  # the fixture has inexact mentions too
 
     def test_gen_nli_deterministic_and_balanced(self, workdir, tmp_path, capsys):
         outs = []
@@ -403,6 +419,38 @@ class TestBadInputs:
         code, _, err = run(["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
                             *flags, side, "--out", out], capsys)
         assert message in one_error(code, err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("feature", "f1", "0.5", "f1 '0.5' is not a number"),
+        ("feature", "f7", True, "f7 True is not a number"),
+        ("feature", "n", 2.9, "n 2.9 is not a count"),
+        ("feature", "n", -4, "n -4 is not a count"),
+        ("feature", "n", True, "n True is not a count"),
+        ("probability", "support", "0.5", "support '0.5' is not a number"),
+        ("probability", "uninformative", False, "uninformative False is not a number"),
+        ("scored", "support", True, "support True is not a number"),
+        ("scored", "refute", None, "refute None is not a number"),
+    ], ids=["feature_string", "feature_bool", "float_n", "negative_n", "bool_n",
+            "probability_string", "probability_bool", "scored_bool", "scored_null"])
+    def test_non_numeric_field(self, one_claim, tmp_path, capsys, kind, field, value, message):
+        d = one_claim
+        rows, out = tmp_path / "rows.jsonl", tmp_path / "out.jsonl"
+        row = {"claim_id": 101, "n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}} \
+            if kind == "feature" else _SCORED
+        rows.write_text(json.dumps({**row, field: value}) + "\n")
+        argv = {
+            "feature": ["train", "--claims", d / "claims.jsonl", "--features", rows,
+                        "--trees", "2", "--out", out],
+            "probability": ["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
+                            "--candidates", d / "cands1.jsonl", "--prob-file", rows,
+                            "--out", out],
+            "scored": ["predict", "--claims", d / "claims.jsonl",
+                       "--features", d / "features.jsonl", "--scored", rows,
+                       "--model", d / "model.json", "--out", out],
+        }[kind]
+        code, _, err = run(argv, capsys)
+        assert f"error: bad {kind} row on line 1: {message}" == one_error(code, err).rstrip()
         assert not out.exists()
 
 

@@ -181,5 +181,5 @@ def test_bench_kernels_smoke(capsys):
                        "--samples", "30", "--texts", "5", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[2:]] == \
-        ["batch_levenshtein", "block_accumulate", "best_split", "row_sums", "ngram_bins",
-         "hashed_counts_loop"]
+        ["batch_levenshtein", "title_match", "block_accumulate", "best_split", "row_sums",
+         "ngram_bins", "hashed_counts_loop"]

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from claimcheck import ner
+from claimcheck import kernels, ner
 from claimcheck.corpus import Corpus, Document, SentenceRef
 
 
@@ -148,6 +150,86 @@ class TestTitleMatching:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             ner.TitleMatcher(Corpus())
+
+    def test_scans_only_titles_of_a_length_that_can_win(self, monkeypatch):
+        scanned, kernel = [], kernels.batch_levenshtein
+
+        def spy(mat, lengths, query):
+            scanned.append((mat.shape, lengths.tolist()))
+            return kernel(mat, lengths, query)
+
+        monkeypatch.setattr(ner.kernels, "batch_levenshtein", spy)
+        matcher = ner.TitleMatcher(small_corpus(["ab", "abc", "abcd", "abcdef", "abcdefghij"]))
+        assert matcher.match(ner.EntityMention("ABC", "heuristic")).distance == 0
+        assert scanned == []  # exact titles are looked up, not scanned
+        assert matcher.match(ner.EntityMention("abx", "heuristic")).page_id == "ab"
+        assert scanned == [((3, 4), [2, 3, 4])]  # lengths 2..4, 4 columns wide
+        scanned.clear()
+        hit = matcher.match(ner.EntityMention("abzzz", "heuristic"))
+        assert (hit.page_id, hit.distance) == ("ab", 3)
+        assert scanned == [((2, 6), [4, 6]), ((2, 3), [2, 3])]  # ±1, then the rest of ±3
+        scanned.clear()
+        matcher.match(ner.EntityMention("abcdefgh", "heuristic"))  # no title of length 7..9
+        assert scanned == [((2, 10), [6, 10])]  # the nearest lengths, 2 away
+        assert matcher.distances == {0: 1, 1: 1, 2: 1, 3: 1}
+
+
+def full_scan(matcher, surface):
+    """(page id, distance) of the first sorted title at the minimum oracle distance."""
+    query = ner.normalize_title(surface)
+    dists = [lev_oracle(query, ner.normalize_title(p)) for p in matcher.page_ids]
+    pick = dists.index(min(dists))
+    return matcher.page_ids[pick], dists[pick]
+
+
+# "ß" casefolds to "ss" and "_" normalizes to " ", so lengths change; "\ud800"
+# is a lone surrogate, which JSON can carry
+LETTERS = st.sampled_from(["a", "A", "b", "B", "_", " ", "ß", "\ud800"])
+TITLES = st.lists(LETTERS, min_size=1, max_size=9).map("".join)
+
+
+@st.composite
+def title_queries(draw):
+    """Distinct page ids, and a query drawn apart or made from one title by
+    0 to 4 insertions, deletions and substitutions."""
+    titles = draw(st.lists(TITLES, min_size=1, max_size=12, unique=True))
+    if draw(st.booleans()):
+        query = list(draw(st.sampled_from(titles)))
+        for _ in range(draw(st.integers(0, 4))):
+            at = draw(st.integers(0, len(query)))
+            op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+            if op == "insert":
+                query.insert(at, draw(LETTERS))
+            elif query:
+                at = min(at, len(query) - 1)
+                query[at:at + 1] = [] if op == "delete" else [draw(LETTERS)]
+        query = "".join(query)
+    else:
+        query = draw(st.lists(LETTERS, min_size=1, max_size=16).map("".join))
+    return titles, query
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=title_queries())
+@example(case=(["ab", "abcd", "abcdefgh"], "abc"))  # a tie at distance 1 across lengths
+@example(case=(["xyzzz", "x"], "xyz"))  # a tie at distance 2, lengths 1 and 5
+@example(case=(["bbbb", "aaaaaaa"], "aaaa"))  # best distance 3 comes from |Δlen| 3
+@example(case=(["abcd", "ab"], "abxy"))  # a tie at 2 that only the widened scan finds
+@example(case=(["A_b", "a_B", "ab"], "a b"))  # two ids with one normalized title
+@example(case=(["A_b", "a_B"], "a B_"))
+@example(case=(["ß", "ssa", "s"], "SS"))  # casefold makes the title longer
+@example(case=(["ßß", "sssss"], "ßs"))
+@example(case=(["a", "abababab"], "bbbbb"))  # no title within 1 of the query's length
+@example(case=(["a\ud800", "ab", "\ud800"], "\ud800b"))  # lone surrogates
+@example(case=(["aa", "b", "ab"], "a"))  # a one-character query
+@example(case=(["aa", "b"], "_"))
+def test_match_equals_full_scan(case):
+    titles, query = case
+    if not query.strip():
+        return  # no mention has a blank surface
+    matcher = ner.TitleMatcher(small_corpus(titles))
+    hit = matcher.match(ner.EntityMention(query, "heuristic"))
+    assert (hit.page_id, hit.distance) == full_scan(matcher, query)
 
 
 def candidates(corpus, claim, **kwargs):
