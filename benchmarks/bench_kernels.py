@@ -55,7 +55,7 @@ def make_mention_workload(rng, titles):
         letter = rng.choice([c for c in TITLE_LETTERS[:26] if c != title[at]])
         edited.append(title[:at] + str(letter) + title[at + 1:])
     far = ["".join(rng.choice(list("0123456789"), size=15)) for _ in range(TITLE_QUERIES)]
-    mentions = [ner.EntityMention(surface, "heuristic")
+    mentions = [ner.EntityMention(surface)
                 for surface in picks[:TITLE_QUERIES] + edited + far]
     return ner.TitleMatcher(corpus), mentions
 

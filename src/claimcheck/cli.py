@@ -15,16 +15,14 @@ from pathlib import Path
 from . import features as features_mod
 from . import forest, metrics, ner, nli_data, rows, tfidf
 from .corpus import Corpus, SentenceRef, ingest_dump
-from .entailment import (TRIPLE_FIELDS, BaselineScorer, EntailmentTriple, FileScorer,
-                         ScoredCandidate, score_candidates)
-from .forest import LABELS, ForestConfig, TrainingSample
+from .entailment import (BaselineScorer, FileScorer, ScoredCandidate, score_candidates,
+                         triple_from_row, triple_rows)
+from .forest import ForestConfig, TrainingSample
 from .metrics import GoldInstance
 from .nli_data import load_claims
-from .verdict import Verdict, assemble, parse_prediction_row
+from .verdict import assemble, prediction_from_row
 
 log = logging.getLogger("claimcheck")
-
-_read_rows = rows.read_rows  # the row reader under its former name
 
 K_DOCS = 5  # documents per claim from the TF-IDF route
 K_SENTS = 5  # sentences kept from those documents
@@ -136,32 +134,6 @@ def _feature_row(claim_id, fv) -> dict:
     return row
 
 
-def _scored_rows(claim_id, candidates):
-    for cand in candidates:
-        yield {
-            "claim_id": claim_id,
-            "page_id": cand.ref.page_id,
-            "line_number": cand.ref.line_number,
-            "support": cand.triple.support,
-            "refute": cand.triple.refute,
-            "uninformative": cand.triple.uninformative,
-        }
-
-
-def _prediction_from_row(row) -> Verdict:
-    rows.scalar_field(row, "id")
-    if row["predicted_label"] not in LABELS:
-        raise ValueError(f"unknown label {row['predicted_label']!r}")
-    for page, line in row["predicted_evidence"]:
-        rows.sentence_ref(page, line)
-    return parse_prediction_row(row)
-
-
-def _validate_prediction_row(row, lineno) -> Verdict:
-    with rows.row_error("prediction", lineno):
-        return _prediction_from_row(row)
-
-
 def _features_from_row(row):
     values = [float(rows.number_field(row, name)) for name in features_mod.FEATURE_NAMES]
     if not all(map(math.isfinite, values)):
@@ -177,13 +149,6 @@ def _read_feature_rows(path, instances) -> dict:
     if missing:
         raise ValueError(f"no feature rows for claim ids {missing[:5]}...")
     return fvs
-
-
-def _scored_from_row(row):
-    ref = SentenceRef(*rows.sentence_ref(row["page_id"], row["line_number"]))
-    triple = EntailmentTriple(*(rows.number_field(row, k) for k in TRIPLE_FIELDS))
-    key = (rows.scalar_field(row, "claim_id"), ref.page_id, ref.line_number)
-    return key, ScoredCandidate(ref, "", triple)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -255,17 +220,22 @@ def cmd_features(args) -> int:
     by_id = {inst.claim_id: inst for inst in load_claims(args.claims)}
 
     def parse(row):
-        inst = by_id.get(row["id"])
-        if inst is None:
-            raise ValueError(f"unknown claim id {row['id']!r}")
-        return inst, [SentenceRef(*rows.sentence_ref(p, l)) for p, l in row["candidates"]]
+        claim_id = rows.scalar_field(row, "id")
+        if claim_id not in by_id:
+            raise ValueError(f"unknown claim id {claim_id!r}")
+        refs = [SentenceRef(*rows.sentence_ref(p, l)) for p, l in row["candidates"]]
+        for ref in refs:
+            if not corpus.get_sentence(ref):
+                raise ValueError(f"candidate {ref.as_pair()!r} is not a non-empty "
+                                 "sentence of the corpus")
+        return claim_id, (by_id[claim_id], refs)
 
-    scored = score_claims(_make_scorer(args), corpus,
-                          rows.parse_rows(args.candidates, "candidates", parse))
+    pairs = rows.parse_table(args.candidates, "candidates", "claim id", parse)
+    scored = score_claims(_make_scorer(args), corpus, pairs.values())
     rows.write_rows(args.out, (_feature_row(inst.claim_id, fv) for inst, _, fv in scored))
     if args.scored_out:
         rows.write_rows(args.scored_out, (row for inst, cands, _ in scored
-                                          for row in _scored_rows(inst.claim_id, cands)))
+                                          for row in triple_rows(inst.claim_id, cands)))
     print(f"wrote {len(scored)} feature rows -> {args.out}")
     return 0
 
@@ -283,9 +253,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     instances = load_claims(args.claims)
     scored_by_id: dict = {}
-    for (claim_id, _, _), cand in rows.parse_table(
-            args.scored, "scored", "(claim id, page id, line)", _scored_from_row).items():
-        scored_by_id.setdefault(claim_id, []).append(cand)  # in file order
+    for (claim_id, page, line), triple in rows.parse_table(
+            args.scored, "scored", "(claim id, page id, line)", triple_from_row).items():
+        scored_by_id.setdefault(claim_id, []).append(  # in file order
+            ScoredCandidate(SentenceRef(page, line), triple))
     fvs = _read_feature_rows(args.features, instances)
     write_predictions(args.out, instances, fvs, scored_by_id, forest.load(args.model))
     return 0
@@ -293,7 +264,7 @@ def cmd_predict(args) -> int:
 
 def cmd_score(args) -> int:
     instances = load_claims(args.gold)
-    predictions = list(rows.parse_rows(args.pred, "prediction", _prediction_from_row))
+    predictions = list(rows.parse_rows(args.pred, "prediction", prediction_from_row))
     report_scores(instances, predictions, args.json_out)
     return 0
 
@@ -337,7 +308,7 @@ def _add_train_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trees", type=int, default=50)
     p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--sample-counts", default="3000,3000,4000",
+    p.add_argument("--sample-counts", default=",".join(map(str, forest.DEFAULT_CLASS_COUNTS)),
                    help="per-class claim sample sizes (SUPPORTS,REFUTES,NEI)")
 
 

@@ -54,7 +54,6 @@ class EntailmentTriple:
 @dataclass(frozen=True)
 class ScoredCandidate:
     ref: SentenceRef
-    sentence: str
     triple: EntailmentTriple
 
 
@@ -75,7 +74,16 @@ class BaselineScorer:
         return baseline_score(tokenize(claim), tokenize(sentence))
 
 
-def _probability_from_row(row) -> tuple:
+def triple_rows(claim_id, candidates):
+    """One {claim_id, page_id, line_number, support, refute, uninformative} row
+    per scored candidate: the format triple_from_row reads."""
+    for cand in candidates:
+        yield {"claim_id": claim_id, "page_id": cand.ref.page_id,
+               "line_number": cand.ref.line_number,
+               **dict(zip(TRIPLE_FIELDS, cand.triple.as_tuple()))}
+
+
+def triple_from_row(row) -> tuple:
     """((claim id, page id, line), triple); a sum off by up to LOAD_SUM_TOLERANCE
     is renormalized."""
     key = (scalar_field(row, "claim_id"), *sentence_ref(row["page_id"], row["line_number"]))
@@ -102,7 +110,7 @@ class FileScorer:
     def load(cls, path) -> "FileScorer":
         """JSON-lines {claim_id, page_id, line_number, support, refute, uninformative}."""
         return cls(parse_table(path, "probability", "(claim id, page id, line)",
-                               _probability_from_row, ProbabilityError))
+                               triple_from_row, ProbabilityError))
 
     def score(self, claim_id, claim: str, ref: SentenceRef, sentence: str) -> EntailmentTriple:
         key = (claim_id, ref.page_id, ref.line_number)
@@ -112,11 +120,6 @@ class FileScorer:
 
 
 def score_candidates(scorer, claim_id, claim: str, refs, corpus) -> list[ScoredCandidate]:
-    """Score every ref that resolves to a sentence, in the given order."""
-    out = []
-    for ref in refs:
-        sentence = corpus.get_sentence(ref)
-        if sentence is None:
-            continue
-        out.append(ScoredCandidate(ref, sentence, scorer.score(claim_id, claim, ref, sentence)))
-    return out
+    """Score every ref, in the given order; each must name a sentence of the corpus."""
+    return [ScoredCandidate(ref, scorer.score(claim_id, claim, ref, corpus.get_sentence(ref)))
+            for ref in refs]

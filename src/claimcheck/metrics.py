@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 
 from .corpus import SentenceRef
 from .forest import LABELS
-from .verdict import NOT_ENOUGH_INFO, Verdict
+from .verdict import NOT_ENOUGH_INFO
+
+AVERAGING = "micro"  # of evidence precision and recall over claims
 
 
 class ScoringError(ValueError):
@@ -36,7 +38,6 @@ class ScoreReport:
     evidence_f1: float
     fever_score: float
     confusion: dict = field(default_factory=dict)  # (gold, predicted) -> count
-    averaging: str = "micro"
 
     def to_dict(self) -> dict:
         return {
@@ -45,7 +46,7 @@ class ScoreReport:
             "evidence_recall": self.evidence_recall,
             "evidence_f1": self.evidence_f1,
             "fever_score": self.fever_score,
-            "averaging": self.averaging,
+            "averaging": AVERAGING,
             "confusion": {f"{g}|{p}": c for (g, p), c in sorted(self.confusion.items())},
         }
 
@@ -60,7 +61,7 @@ class ScoreReport:
         width = max(len(name) for name, _ in rows)
         lines = [f"{name:<{width}}  {value:.4f}" for name, value in rows]
         lines.append("")
-        lines.append(f"confusion (gold -> predicted, {self.averaging} evidence averaging):")
+        lines.append(f"confusion (gold -> predicted, {AVERAGING} evidence averaging):")
         for (g, p), c in sorted(self.confusion.items()):
             lines.append(f"  {g:<15} -> {p:<15} {c}")
         return "\n".join(lines)

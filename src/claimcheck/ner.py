@@ -27,7 +27,6 @@ _EDGE_TRIM_RE = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
 @dataclass(frozen=True)
 class EntityMention:
     surface: str
-    source: str  # "heuristic" or "external"
 
     def __post_init__(self):
         if not self.surface.strip():
@@ -36,7 +35,6 @@ class EntityMention:
 
 @dataclass(frozen=True)
 class TitleMatch:
-    entity: EntityMention
     page_id: str
     distance: int
 
@@ -75,7 +73,7 @@ def extract_entities(claim: str) -> list[EntityMention]:
         surface = " ".join(words)
         if surface not in seen:
             seen.add(surface)
-            mentions.append(EntityMention(surface, "heuristic"))
+            mentions.append(EntityMention(surface))
     return mentions
 
 
@@ -99,7 +97,7 @@ class FileEntityExtractor:
         return cls(parse_table(path, "entity annotation", "claim id", _annotation_from_row))
 
     def __call__(self, claim_id) -> list[EntityMention]:
-        return [EntityMention(s, "external") for s in self.table.get(claim_id, []) if s.strip()]
+        return [EntityMention(s) for s in self.table.get(claim_id, []) if s.strip()]
 
 
 def normalize_title(title: str) -> str:
@@ -148,7 +146,7 @@ class TitleMatcher:
     def match(self, entity: EntityMention) -> TitleMatch:
         pick, distance = self._nearest(normalize_title(entity.surface))
         self.distances[distance] += 1
-        return TitleMatch(entity, self.page_ids[pick], distance)
+        return TitleMatch(self.page_ids[pick], distance)
 
     def _nearest(self, title: str) -> tuple[int, int]:
         """(sorted position, distance) of the first title at the minimum distance."""

@@ -65,11 +65,6 @@ def parse_table(path, what, key, parse, error=ValueError) -> dict:
     return table
 
 
-def read_rows(path):
-    """The rows of a JSON-lines file, as dicts."""
-    return parse_rows(path, "JSON-lines", lambda row: row)
-
-
 def scalar_field(row, key):
     """row[key], which must not be a list or an object (ids are dict keys)."""
     if isinstance(row[key], (list, dict)):

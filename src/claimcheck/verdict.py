@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 from .corpus import SentenceRef
 from .features import indicators
+from .forest import LABELS
+from .rows import scalar_field, sentence_ref
 
 MAX_EVIDENCE = 5
 NOT_ENOUGH_INFO = "NOT ENOUGH INFO"
@@ -21,7 +23,6 @@ class Verdict:
     claim_id: object
     label: str
     evidence: tuple  # SentenceRef, ranked
-    classifier_label: str
     override_applied: bool
 
     def to_row(self) -> dict:
@@ -34,7 +35,7 @@ class Verdict:
 
 def assemble(claim_id, predicted_label: str, candidates) -> Verdict:
     if predicted_label == NOT_ENOUGH_INFO:
-        return Verdict(claim_id, NOT_ENOUGH_INFO, (), predicted_label, False)
+        return Verdict(claim_id, NOT_ENOUGH_INFO, (), False)
 
     ranked = []
     for cand in candidates:
@@ -47,17 +48,20 @@ def assemble(claim_id, predicted_label: str, candidates) -> Verdict:
             ranked.append((product, cand.ref))
     if not ranked:
         # no candidate's indicator agrees with the label
-        return Verdict(claim_id, NOT_ENOUGH_INFO, (), predicted_label, True)
+        return Verdict(claim_id, NOT_ENOUGH_INFO, (), True)
 
     ranked.sort(key=lambda pr: (-pr[0], pr[1]))
     evidence = tuple(ref for _, ref in ranked[:MAX_EVIDENCE])
-    return Verdict(claim_id, predicted_label, evidence, predicted_label, False)
+    return Verdict(claim_id, predicted_label, evidence, False)
 
 
-def parse_prediction_row(row: dict) -> Verdict:
-    """Submission-shaped row {id, predicted_label, predicted_evidence}."""
-    evidence = tuple(
-        SentenceRef(str(page), int(line)) for page, line in row["predicted_evidence"]
-    )
-    return Verdict(row["id"], row["predicted_label"], evidence,
-                   row["predicted_label"], False)
+def prediction_from_row(row) -> Verdict:
+    """Submission-shaped row {id, predicted_label, predicted_evidence}: a scalar
+    id, a label of LABELS and [page_id, line] evidence."""
+    claim_id = scalar_field(row, "id")
+    label = row["predicted_label"]
+    if label not in LABELS:
+        raise ValueError(f"unknown label {label!r}")
+    evidence = tuple(SentenceRef(*sentence_ref(page, line))
+                     for page, line in row["predicted_evidence"])
+    return Verdict(claim_id, label, evidence, False)

@@ -19,8 +19,9 @@ from claimcheck.features import FeatureVector, features, indicators
 from claimcheck.forest import ForestConfig, TrainingSample
 from claimcheck.metrics import GoldInstance
 from claimcheck.nli_data import load_claims
+from claimcheck.rows import parse_rows
 from claimcheck.tokenizer import hashed_counts, tokenize
-from claimcheck.verdict import Verdict, assemble
+from claimcheck.verdict import Verdict, assemble, prediction_from_row
 
 from conftest import make_random_corpus
 
@@ -330,13 +331,13 @@ def test_nli_dataset_generation(report, tmp_path):
 
 
 def test_verdict_overrides(report):
-    refuting = [ScoredCandidate(SentenceRef(f"P{i}", i), "",
-                                EntailmentTriple(0.1, 0.7, 0.2)) for i in range(4)]
+    refuting = [ScoredCandidate(SentenceRef(f"P{i}", i), EntailmentTriple(0.1, 0.7, 0.2))
+                for i in range(4)]
     v = assemble(1, "SUPPORTS", refuting)
     assert (v.label, v.evidence, v.override_applied) == ("NOT ENOUGH INFO", (), True)
 
     supports = [0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6]
-    cands = [ScoredCandidate(SentenceRef(f"P{i}", i), "",
+    cands = [ScoredCandidate(SentenceRef(f"P{i}", i),
                              EntailmentTriple(s, (1 - s) / 2, (1 - s) / 2))
              for i, s in enumerate(supports)]
     v = assemble(2, "SUPPORTS", cands)
@@ -364,27 +365,27 @@ def _random_gold_and_predictions(rng):
         plabel = label if rng.random() < 0.5 else LABELS[rng.integers(0, 3)]
         evidence = tuple({SentenceRef(f"P{rng.integers(0, 5)}", int(rng.integers(0, 8)))
                           for _ in range(rng.integers(0, 5))})
-        preds.append(Verdict(cid, plabel, evidence, plabel, False))
+        preds.append(Verdict(cid, plabel, evidence, False))
     return gold, preds
 
 
 def test_metrics_fixtures_and_bound(report):
     gold = [GoldInstance(1, "SUPPORTS", (frozenset({SentenceRef("A", 0)}),)),
             GoldInstance(2, "NOT ENOUGH INFO", ())]
-    perfect = [Verdict(1, "SUPPORTS", (SentenceRef("A", 0),), "SUPPORTS", False),
-               Verdict(2, "NOT ENOUGH INFO", (), "NOT ENOUGH INFO", False)]
+    perfect = [Verdict(1, "SUPPORTS", (SentenceRef("A", 0),), False),
+               Verdict(2, "NOT ENOUGH INFO", (), False)]
     r = metrics.score(gold, perfect)
     assert (r.label_accuracy, r.evidence_precision, r.evidence_recall,
             r.evidence_f1, r.fever_score) == (1.0, 1.0, 1.0, 1.0, 1.0)
 
-    half = [Verdict(1, "SUPPORTS", (SentenceRef("A", 0),), "SUPPORTS", False),
-            Verdict(2, "REFUTES", (), "REFUTES", False)]
+    half = [Verdict(1, "SUPPORTS", (SentenceRef("A", 0),), False),
+            Verdict(2, "REFUTES", (), False)]
     r = metrics.score(gold, half)
     assert r.label_accuracy == 0.5 and r.fever_score == 0.5
 
     two_sent = [GoldInstance(1, "SUPPORTS",
                              (frozenset({SentenceRef("A", 0), SentenceRef("B", 0)}),))]
-    incomplete = [Verdict(1, "SUPPORTS", (SentenceRef("A", 0),), "SUPPORTS", False)]
+    incomplete = [Verdict(1, "SUPPORTS", (SentenceRef("A", 0),), False)]
     r = metrics.score(two_sent, incomplete)
     assert r.label_accuracy == 1.0 and r.fever_score == 0.0
     assert r.fever_score < r.label_accuracy
@@ -432,8 +433,7 @@ def test_end_to_end(report, tmp_path):
                      "--bins", "65536", "--out", str(out)]) == 0
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
-    rows = [cli._validate_prediction_row(row, lineno)
-            for lineno, row in enumerate(cli._read_rows(out), start=1)]
+    rows = list(parse_rows(out, "prediction", prediction_from_row))
     assert len(rows) == len(instances)
     report(f"[PASS] end-to-end: oracle probabilities give fever 1.0 on the "
            f"{len(singleton)} single-sentence-evidence claims; baseline run "

@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 
 from claimcheck import cli, ner
 from claimcheck.corpus import Corpus, IngestError, ingest_dump
+from claimcheck.entailment import TRIPLE_FIELDS
+from claimcheck.rows import parse_rows
+from claimcheck.verdict import prediction_from_row
 
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = ROOT / "data" / "mini_wiki.jsonl"
@@ -239,6 +242,19 @@ class TestBadInputs:
         code, _, err = run(["features", "--corpus", DUMP, "--claims", CLAIMS,
                             "--candidates", cands, "--out", tmp_path / "f.jsonl"], capsys)
         assert "candidates row on line 1: missing field 'candidates'" in one_error(code, err)
+
+    @pytest.mark.parametrize("ref", [["No_Such_Page", 3], ["Korvand_Archipelago", 999],
+                                     ["Korvand_Archipelago", 3]],
+                             ids=["unknown_page", "unknown_line", "empty_line"])
+    def test_candidate_not_a_corpus_sentence(self, tmp_path, capsys, ref):
+        cands, out, scored = tmp_path / "cands.jsonl", tmp_path / "f.jsonl", tmp_path / "s.jsonl"
+        cands.write_text(json.dumps({"id": 101, "candidates": [["Korvand_Archipelago", 0], ref]})
+                         + "\n")
+        code, _, err = run(["features", "--corpus", DUMP, "--claims", CLAIMS,
+                            "--candidates", cands, "--out", out, "--scored-out", scored], capsys)
+        assert (f"bad candidates row on line 1: candidate {ref!r} is not a non-empty sentence "
+                "of the corpus") in one_error(code, err)
+        assert not out.exists() and not scored.exists()
 
     def test_malformed_feature_row(self, tmp_path, capsys):
         feats = tmp_path / "features.jsonl"
@@ -481,7 +497,9 @@ class TestBadInputs:
            "support": s, "refute": 1.0 - s, "uninformative": 0.0} for s in (1.0, 1.0)],
          "bad scored row on line 2: repeated (claim id, page id, line) "
          "(101, 'Korvand_Archipelago', 0)"),
-    ], ids=["probabilities", "entity_annotations", "features", "scored"])
+        ("candidates", [{"id": 101, "candidates": [["Korvand_Archipelago", 0]]}] * 2,
+         "bad candidates row on line 2: repeated claim id 101"),
+    ], ids=["probabilities", "entity_annotations", "features", "scored", "candidates"])
     def test_repeated_key_in_side_or_staged_file(self, one_claim, tmp_path, capsys,
                                                   kind, rows, message):
         d = one_claim
@@ -496,6 +514,8 @@ class TestBadInputs:
             "scored": ["predict", "--claims", d / "claims.jsonl",
                        "--features", d / "features.jsonl", "--scored", side,
                        "--model", d / "model.json", "--out", out],
+            "candidates": ["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
+                           "--candidates", side, "--out", out],
         }[kind]
         code, _, err = run(argv, capsys)
         assert message in one_error(code, err)
@@ -679,6 +699,58 @@ def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
     check()
 
 
+class TestTripleRows:
+    """Scored rows (features --scored-out, predict --scored) and probability rows
+    (--prob-file) are one format, read by one parser."""
+
+    def test_scored_out_reads_back_as_prob_file(self, workdir, tmp_path, capsys):
+        d, t = workdir, tmp_path
+        features = ["features", "--corpus", d / "corpus.json.gz", "--claims", CLAIMS,
+                    "--candidates", d / "candidates.jsonl"]
+        assert run([*features, "--out", t / "f1.jsonl", "--scored-out", t / "s1.jsonl"],
+                   capsys)[0] == 0
+        assert run([*features, "--prob-file", t / "s1.jsonl", "--out", t / "f2.jsonl",
+                    "--scored-out", t / "s2.jsonl"], capsys)[0] == 0
+        assert (t / "f1.jsonl").read_bytes() == (t / "f2.jsonl").read_bytes()
+        assert (t / "s1.jsonl").read_bytes() == (t / "s2.jsonl").read_bytes()
+
+    @staticmethod
+    def read_both(d, tmp_path, capsys, monkeypatch, total):
+        """(exit code, stderr, triple or None) of predict --scored, then of features
+        --prob-file, on one row for claim 101 whose components sum to total."""
+        side, scored = tmp_path / "row.jsonl", tmp_path / "s.jsonl"
+        side.write_text(json.dumps({**_SCORED, "support": total - 0.5, "refute": 0.25,
+                                    "uninformative": 0.25}) + "\n")
+        seen = {}  # the scored candidates predict assembles its verdicts from
+        monkeypatch.setattr(cli, "write_predictions",
+                            lambda path, instances, fvs, scored_by_id, model:
+                            seen.update(scored_by_id))
+        code, _, err = run(["predict", "--claims", d / "claims.jsonl",
+                            "--features", d / "features.jsonl", "--scored", side,
+                            "--model", d / "model.json", "--out", tmp_path / "p.jsonl"], capsys)
+        results = [(code, err, seen[101][0].triple.as_tuple() if seen else None)]
+        code, _, err = run(["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
+                            "--candidates", d / "cands1.jsonl", "--prob-file", side,
+                            "--out", tmp_path / "f.jsonl", "--scored-out", scored], capsys)
+        row = read_rows(scored)[0] if code == 0 else None
+        results.append((code, err, row and tuple(row[k] for k in TRIPLE_FIELDS)))
+        return results
+
+    def test_near_one_sum_renormalized_alike(self, one_claim, tmp_path, capsys, monkeypatch):
+        (code, _, by_predict), (code2, _, by_features) = self.read_both(
+            one_claim, tmp_path, capsys, monkeypatch, 1 - 5e-4)
+        assert code == code2 == 0
+        assert by_predict == by_features != (0.5 - 5e-4, 0.25, 0.25)
+        assert sum(by_predict) == pytest.approx(1.0, abs=1e-12)
+
+    def test_far_off_sum_fails_alike(self, one_claim, tmp_path, capsys, monkeypatch):
+        results = self.read_both(one_claim, tmp_path, capsys, monkeypatch, 1 - 2e-3)
+        for (code, err, _), kind in zip(results, ("scored", "probability")):
+            assert f"bad {kind} row on line 1: triple" in one_error(code, err)
+            assert "sums to 0.998" in err
+        assert not (tmp_path / "f.jsonl").exists() and not (tmp_path / "s.jsonl").exists()
+
+
 class TestEndToEnd:
     def test_e2e_baseline(self, tmp_path, capsys):
         out, report = tmp_path / "pred.jsonl", tmp_path / "report.json"
@@ -687,10 +759,7 @@ class TestEndToEnd:
                                "--out", out, "--report", report], capsys)
         assert code == 0
         assert "fever score" in stdout
-        rows = read_rows(out)
-        assert len(rows) == 30
-        for lineno, row in enumerate(rows, start=1):
-            cli._validate_prediction_row(row, lineno)
+        assert len(list(parse_rows(out, "prediction", prediction_from_row))) == 30
         assert 0.0 <= json.loads(report.read_text())["fever_score"] <= 1.0
 
     def test_output_digests_pinned(self, tmp_path, capsys):

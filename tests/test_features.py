@@ -94,8 +94,7 @@ class TestFeatures:
         assert features(triples).n == features(shuffled).n
 
     def test_accepts_scored_candidates(self):
-        cand = ScoredCandidate(SentenceRef("A", 0), "text",
-                               EntailmentTriple(1.0, 0.0, 0.0))
+        cand = ScoredCandidate(SentenceRef("A", 0), EntailmentTriple(1.0, 0.0, 0.0))
         fv = features([cand])
         assert fv.f1 == 1 and fv.f4 == 1.0 and fv.n == 1
 

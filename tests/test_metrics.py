@@ -16,7 +16,7 @@ def ref(page, line):
 
 
 def pred(claim_id, label, evidence=()):
-    return Verdict(claim_id, label, tuple(evidence), label, False)
+    return Verdict(claim_id, label, tuple(evidence), False)
 
 
 def gold(claim_id, label, sets=()):
@@ -105,7 +105,7 @@ class TestEvidenceAveraging:
         r = score(g, p)
         assert r.evidence_precision == pytest.approx(2 / 3)
         assert r.evidence_recall == 1.0
-        assert r.averaging == "micro"
+        assert r.to_dict()["averaging"] == "micro"
 
     def test_nei_gold_excluded_from_denominators(self):
         # spurious evidence on an NEI claim must not dilute precision

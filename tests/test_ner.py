@@ -70,7 +70,6 @@ class TestFileExtractor:
         p.write_text(json.dumps({"id": 7, "entities": ["Soul Food"]}) + "\n")
         extractor = ner.FileEntityExtractor.load(p)
         assert [m.surface for m in extractor(7)] == ["Soul Food"]
-        assert all(m.source == "external" for m in extractor(7))
         assert extractor(8) == []
 
     def test_malformed_row_reports_line(self, tmp_path):
@@ -107,35 +106,34 @@ class TestLevenshtein:
 class TestTitleMatching:
     def test_normalized_exact_match(self):
         corpus = small_corpus(["Tilda_Swinton", "Unrelated"])
-        hit = ner.TitleMatcher(corpus).match(ner.EntityMention("Tilda Swinton", "heuristic"))
+        hit = ner.TitleMatcher(corpus).match(ner.EntityMention("Tilda Swinton"))
         assert hit.page_id == "Tilda_Swinton" and hit.distance == 0
 
     def test_exact_match_dominates(self):
         corpus = small_corpus(["X", "XY"])
-        hit = ner.TitleMatcher(corpus).match(ner.EntityMention("X", "heuristic"))
+        hit = ner.TitleMatcher(corpus).match(ner.EntityMention("X"))
         assert hit.page_id == "X" and hit.distance == 0
 
     def test_parenthetical_variant_loses_on_distance(self):
         corpus = small_corpus(["Soul_Food", "Soul_Food_(film)"])
         matcher = ner.TitleMatcher(corpus)
-        hit = matcher.match(ner.EntityMention("Soul Food", "heuristic"))
+        hit = matcher.match(ner.EntityMention("Soul Food"))
         assert hit.page_id == "Soul_Food" and hit.distance == 0
         assert ner.levenshtein("soul food", "soul food (film)") == 7
 
     def test_tie_breaks_shorter_then_lexicographic(self):
         corpus = small_corpus(["abcd", "abce", "abcde"])
-        hit = ner.TitleMatcher(corpus).match(ner.EntityMention("abcf", "heuristic"))
+        hit = ner.TitleMatcher(corpus).match(ner.EntityMention("abcf"))
         assert hit.distance == 1
         assert hit.page_id == "abcd"  # both 4-char titles tie, lexicographic wins
-        hit = ner.TitleMatcher(small_corpus(["aab", "ab"])).match(
-            ner.EntityMention("aa", "heuristic"))
+        hit = ner.TitleMatcher(small_corpus(["aab", "ab"])).match(ner.EntityMention("aa"))
         assert (hit.page_id, hit.distance) == ("ab", 1)  # shorter beats lexicographic
 
     def test_result_minimal_over_all_titles(self, mini_corpus):
         matcher = ner.TitleMatcher(mini_corpus)
         norm = [ner.normalize_title(p) for p in matcher.page_ids]
         for surface in ["Stora Velt", "Kettle Hulm", "the ember regata", "Vesna"]:
-            hit = matcher.match(ner.EntityMention(surface, "heuristic"))
+            hit = matcher.match(ner.EntityMention(surface))
             q = ner.normalize_title(surface)
             assert hit.distance == min(lev_oracle(q, t) for t in norm)
 
@@ -143,9 +141,9 @@ class TestTitleMatching:
         # JSON can carry "\ud800"; ord() accepts it, plain utf-32 encoding does not
         corpus = small_corpus(["Ab\ud800", "Abc"])
         matcher = ner.TitleMatcher(corpus)
-        hit = matcher.match(ner.EntityMention("Ab\ud800", "heuristic"))
+        hit = matcher.match(ner.EntityMention("Ab\ud800"))
         assert hit.page_id == "Ab\ud800" and hit.distance == 0
-        assert matcher.match(ner.EntityMention("Abd", "heuristic")).distance == 1
+        assert matcher.match(ner.EntityMention("Abd")).distance == 1
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -160,16 +158,16 @@ class TestTitleMatching:
 
         monkeypatch.setattr(ner.kernels, "batch_levenshtein", spy)
         matcher = ner.TitleMatcher(small_corpus(["ab", "abc", "abcd", "abcdef", "abcdefghij"]))
-        assert matcher.match(ner.EntityMention("ABC", "heuristic")).distance == 0
+        assert matcher.match(ner.EntityMention("ABC")).distance == 0
         assert scanned == []  # exact titles are looked up, not scanned
-        assert matcher.match(ner.EntityMention("abx", "heuristic")).page_id == "ab"
+        assert matcher.match(ner.EntityMention("abx")).page_id == "ab"
         assert scanned == [((3, 4), [2, 3, 4])]  # lengths 2..4, 4 columns wide
         scanned.clear()
-        hit = matcher.match(ner.EntityMention("abzzz", "heuristic"))
+        hit = matcher.match(ner.EntityMention("abzzz"))
         assert (hit.page_id, hit.distance) == ("ab", 3)
         assert scanned == [((2, 6), [4, 6]), ((2, 3), [2, 3])]  # ±1, then the rest of ±3
         scanned.clear()
-        matcher.match(ner.EntityMention("abcdefgh", "heuristic"))  # no title of length 7..9
+        matcher.match(ner.EntityMention("abcdefgh"))  # no title of length 7..9
         assert scanned == [((2, 10), [6, 10])]  # the nearest lengths, 2 away
         assert matcher.distances == {0: 1, 1: 1, 2: 1, 3: 1}
 
@@ -228,7 +226,7 @@ def test_match_equals_full_scan(case):
     if not query.strip():
         return  # no mention has a blank surface
     matcher = ner.TitleMatcher(small_corpus(titles))
-    hit = matcher.match(ner.EntityMention(query, "heuristic"))
+    hit = matcher.match(ner.EntityMention(query))
     assert (hit.page_id, hit.distance) == full_scan(matcher, query)
 
 

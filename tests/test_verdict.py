@@ -9,7 +9,7 @@ from claimcheck.entailment import EntailmentTriple, ScoredCandidate
 
 
 def cand(page, line, s, r, u):
-    return ScoredCandidate(SentenceRef(page, line), "text", EntailmentTriple(s, r, u))
+    return ScoredCandidate(SentenceRef(page, line), EntailmentTriple(s, r, u))
 
 
 def random_candidates(rng, n):
@@ -30,7 +30,6 @@ class TestOverride:
         assert v.label == "NOT ENOUGH INFO"
         assert v.evidence == ()
         assert v.override_applied
-        assert v.classifier_label == "SUPPORTS"
 
     def test_refutes_with_no_cr_becomes_nei(self):
         cands = [cand("A", 0, 0.7, 0.2, 0.1)]
@@ -121,12 +120,12 @@ class TestRows:
 
     def test_parse_round_trip(self):
         v = verdict.assemble(13, "REFUTES", [cand("Pg", 2, 0.1, 0.8, 0.1)])
-        back = verdict.parse_prediction_row(v.to_row())
+        back = verdict.prediction_from_row(v.to_row())
         assert back.claim_id == 13
         assert back.label == "REFUTES"
         assert back.evidence == v.evidence
 
     def test_parse_rejects_malformed_pair(self):
         with pytest.raises((ValueError, TypeError)):
-            verdict.parse_prediction_row({"id": 1, "predicted_label": "SUPPORTS",
-                                          "predicted_evidence": [["only_page"]]})
+            verdict.prediction_from_row({"id": 1, "predicted_label": "SUPPORTS",
+                                         "predicted_evidence": [["only_page"]]})
