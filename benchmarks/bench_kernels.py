@@ -47,7 +47,7 @@ def make_mention_workload(rng, titles):
     a title, a title with one letter replaced, and 15 digits (far from all)."""
     corpus = Corpus()
     for title in dict.fromkeys(titles):
-        corpus.add_document(Document(title, "", []))
+        corpus.add_document(Document(title, "", {}))
     picks = [titles[i] for i in rng.integers(0, len(titles), size=2 * TITLE_QUERIES)]
     edited = []
     for title in picks[TITLE_QUERIES:]:

@@ -224,10 +224,14 @@ def cmd_features(args) -> int:
         if claim_id not in by_id:
             raise ValueError(f"unknown claim id {claim_id!r}")
         refs = [SentenceRef(*rows.sentence_ref(p, l)) for p, l in row["candidates"]]
+        seen = set()
         for ref in refs:
             if not corpus.get_sentence(ref):
                 raise ValueError(f"candidate {ref.as_pair()!r} is not a non-empty "
                                  "sentence of the corpus")
+            if ref in seen:
+                raise ValueError(f"repeated candidate {ref.as_pair()!r}")
+            seen.add(ref)
         return claim_id, (by_id[claim_id], refs)
 
     pairs = rows.parse_table(args.candidates, "candidates", "claim id", parse)

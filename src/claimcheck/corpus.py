@@ -46,17 +46,14 @@ class SentenceRef:
 class Document:
     page_id: str
     text: str
-    lines: list[tuple[int, str]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self._by_number = {n: s for n, s in self.lines}
+    lines: dict[int, str] = field(default_factory=dict)  # line number -> sentence, dump order
 
     def sentence(self, line_number: int) -> str | None:
-        return self._by_number.get(line_number)
+        return self.lines.get(line_number)
 
     def non_empty_refs(self) -> list[SentenceRef]:
-        """Refs to every sentence with actual text, in line order."""
-        return [SentenceRef(self.page_id, n) for n, s in self.lines if s]
+        """Refs to every sentence with actual text, in dump order."""
+        return [SentenceRef(self.page_id, n) for n, s in self.lines.items() if s]
 
 
 @dataclass
@@ -75,9 +72,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self._docs)
-
-    def __contains__(self, page_id: str) -> bool:
-        return page_id in self._docs
 
     def add_document(self, doc: Document) -> None:
         if doc.page_id in self._docs:
@@ -108,7 +102,7 @@ class Corpus:
             "format_version": FORMAT_VERSION,
             "checksums": self.source_checksums,
             "documents": [
-                {"id": d.page_id, "text": d.text, "lines": [[n, s] for n, s in d.lines]}
+                {"id": d.page_id, "text": d.text, "lines": [[n, s] for n, s in d.lines.items()]}
                 for d in self.documents()
             ],
         }
@@ -122,7 +116,7 @@ class Corpus:
         try:
             with gzip.open(path, "rt", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (EOFError, zlib.error, ValueError) as exc:
+        except (EOFError, zlib.error, ValueError, RecursionError) as exc:
             raise IngestError(f"cannot read corpus file {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise IngestError(f"corpus file {path} does not hold a JSON object")
@@ -132,9 +126,10 @@ class Corpus:
         try:
             corpus.source_checksums = dict(payload["checksums"])
             for rec in payload["documents"]:
-                corpus.add_document(
-                    Document(rec["id"], rec["text"], [(int(n), s) for n, s in rec["lines"]])
-                )
+                lines = {int(n): s for n, s in rec["lines"]}
+                if len(lines) < len(rec["lines"]):
+                    raise ValueError(f"page {rec['id']!r} repeats a line number")
+                corpus.add_document(Document(rec["id"], rec["text"], lines))
         except KeyError as exc:
             raise IngestError(f"corpus file {path} is missing field {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
@@ -142,14 +137,13 @@ class Corpus:
         return corpus
 
 
-def parse_lines_field(raw: str) -> tuple[list[tuple[int, str]], int]:
-    """Split a dump ``lines`` field into (line_number, sentence) pairs.
+def parse_lines_field(raw: str) -> tuple[dict[int, str], int]:
+    """Split a dump ``lines`` field into {line_number: sentence}, in dump order.
 
-    Returns the parsed pairs plus the count of skipped entries: rows without
+    Returns the parsed lines plus the count of skipped entries: rows without
     a tab, with a non-integer index, or repeating an already-seen index.
     """
-    lines: list[tuple[int, str]] = []
-    seen: set[int] = set()
+    lines: dict[int, str] = {}
     skipped = 0
     if not raw:
         return lines, skipped
@@ -163,11 +157,10 @@ def parse_lines_field(raw: str) -> tuple[list[tuple[int, str]], int]:
         except ValueError:
             skipped += 1
             continue
-        if number < 0 or number in seen:
+        if number < 0 or number in lines:
             skipped += 1
             continue
-        seen.add(number)
-        lines.append((number, parts[1]))
+        lines[number] = parts[1]
     return lines, skipped
 
 
@@ -217,7 +210,7 @@ def ingest_dump(path) -> tuple[Corpus, IngestStats]:
                 if not line.strip():
                     continue
                 rec = _parse_record(line)
-            except ValueError as exc:  # UnicodeDecodeError included
+            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
                 raise IngestError(f"bad record in {fp} on line {lineno}: {exc}") from exc
             if rec is None:
                 stats.records_skipped += 1

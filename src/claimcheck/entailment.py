@@ -68,8 +68,6 @@ def baseline_score(claim_tokens, sentence_tokens) -> EntailmentTriple:
 
 
 class BaselineScorer:
-    name = "baseline"
-
     def score(self, claim_id, claim: str, ref, sentence: str) -> EntailmentTriple:
         return baseline_score(tokenize(claim), tokenize(sentence))
 
@@ -100,8 +98,6 @@ def triple_from_row(row) -> tuple:
 
 class FileScorer:
     """Exact lookup of externally computed triples keyed by (claim, page, line)."""
-
-    name = "file"
 
     def __init__(self, table: dict):
         self.table = table

@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 MODEL_FORMAT_VERSION = 1
 LABELS = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 DEFAULT_CLASS_COUNTS = (3000, 3000, 4000)
+FEATURES_PER_SPLIT = math.ceil(math.sqrt(len(FEATURE_NAMES)))  # features drawn at each node
 
 
 class TrainingError(ValueError):
@@ -37,7 +38,6 @@ class ModelFormatError(ValueError):
 class ForestConfig:
     trees: int = 50
     max_depth: int = 3
-    features_per_split: int | None = None  # None -> ceil(sqrt(n_features))
     seed: int = 0
 
     def __post_init__(self):
@@ -129,24 +129,17 @@ def _flatten(trees) -> tuple:
     return (np.array(roots), *map(np.array, zip(*nodes)), depth)
 
 
-def tree_depth(node: dict) -> int:
-    """Internal nodes on the deepest root-to-leaf path."""
-    if "dist" in node:
-        return 0
-    return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
-
-
 def _leaf(y: np.ndarray, n_classes: int) -> dict:
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     return {"dist": (counts / counts.sum()).tolist()}
 
 
 def _grow(X: np.ndarray, y: np.ndarray, depth: int, config: ForestConfig,
-          k: int, rng: np.random.Generator) -> dict:
+          rng: np.random.Generator) -> dict:
     n_classes = len(LABELS)
     if depth >= config.max_depth or np.all(y == y[0]):
         return _leaf(y, n_classes)
-    feats = np.sort(rng.choice(X.shape[1], size=k, replace=False))
+    feats = np.sort(rng.choice(X.shape[1], size=FEATURES_PER_SPLIT, replace=False))
     gain, column, thr = kernels.best_split(X[:, feats], y, n_classes)
     if gain <= 0:
         return _leaf(y, n_classes)
@@ -155,8 +148,8 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, config: ForestConfig,
     return {
         "feature": feat,
         "threshold": thr,
-        "left": _grow(X[mask], y[mask], depth + 1, config, k, rng),
-        "right": _grow(X[~mask], y[~mask], depth + 1, config, k, rng),
+        "left": _grow(X[mask], y[mask], depth + 1, config, rng),
+        "right": _grow(X[~mask], y[~mask], depth + 1, config, rng),
     }
 
 
@@ -174,16 +167,12 @@ def train(samples, config: ForestConfig = ForestConfig()) -> RandomForest:
     if np.unique(y).size < 2:
         raise TrainingError("training data contains a single class")
 
-    n, p = X.shape
-    k = config.features_per_split or math.ceil(math.sqrt(p))
-    if not 1 <= k <= p:
-        raise TrainingError(f"features_per_split must be in 1..{p}, got {k}")
-
+    n = len(X)
     trees = []
     for t in range(config.trees):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, t]))
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow(X[boot], y[boot], 0, config, k, rng))
+        trees.append(_grow(X[boot], y[boot], 0, config, rng))
     return RandomForest(config, trees)
 
 
@@ -197,7 +186,6 @@ def save(forest: RandomForest, path) -> None:
         "config": {
             "trees": forest.config.trees,
             "max_depth": forest.config.max_depth,
-            "features_per_split": forest.config.features_per_split,
             "seed": forest.config.seed,
         },
         "trees": forest.trees,
@@ -211,7 +199,7 @@ def load(path) -> RandomForest:
     with open(path, encoding="utf-8") as fp:
         try:
             payload = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelFormatError(f"unreadable model file: {exc}") from exc
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise ModelFormatError("not a model file: missing format_version")
@@ -222,15 +210,14 @@ def load(path) -> RandomForest:
     if tuple(payload.get("labels", ())) != LABELS:
         raise ModelFormatError(f"label set mismatch: {payload.get('labels')}")
     try:
-        cfg = payload["config"]
+        cfg = payload["config"]  # other keys, as older files carry, only steered training
         config = ForestConfig(
             trees=int(cfg["trees"]),
             max_depth=int(cfg["max_depth"]),
-            features_per_split=cfg["features_per_split"],
             seed=int(cfg["seed"]),
         )
         return RandomForest(config, payload["trees"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
 
 

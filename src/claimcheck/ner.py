@@ -105,11 +105,6 @@ def normalize_title(title: str) -> str:
     return title.replace("_", " ").casefold()
 
 
-def levenshtein(a: str, b: str) -> int:
-    mat, lengths = kernels.code_matrix([b])
-    return int(kernels.batch_levenshtein(mat, lengths, kernels.codes(a))[0])
-
-
 class TitleMatcher:
     """Nearest-title lookup over a fixed corpus.
 

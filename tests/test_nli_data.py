@@ -18,7 +18,7 @@ from claimcheck.nli_data import (
 def one_doc_corpus(n_sentences=5):
     lines = [(i, f"sentence number {i} about things.") for i in range(n_sentences)]
     corpus = Corpus()
-    corpus.add_document(Document("Only_Page", " ".join(s for _, s in lines), lines))
+    corpus.add_document(Document("Only_Page", " ".join(s for _, s in lines), dict(lines)))
     return corpus
 
 

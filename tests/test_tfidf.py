@@ -84,7 +84,7 @@ class TestOracleEquivalence:
         docs = list(corpus.documents())
         items = [(SentenceRef(d.page_id, n), d.sentence(n))
                  for d in sorted(docs, key=lambda d: d.page_id)
-                 for n, _ in d.lines]
+                 for n in d.lines]
         query = " ".join(WORDS[w] for w in rng.integers(0, len(WORDS), size=8))
         got = tfidf.top_k_sentences(docs, query, k=5, bin_count=BINS)
         want = dense_top_k(items, query, BINS, (2,), 5)
@@ -99,7 +99,7 @@ class TestWeighting:
         corpus = Corpus()
         for i in range(10):
             text = "shared everywhere" + (" rare" if i == 0 else "")
-            corpus.add_document(Document(f"D{i}", text, [(0, text)]))
+            corpus.add_document(Document(f"D{i}", text, {0: text}))
         index = tfidf.build_document_index(corpus, bin_count=BINS)
         rare_bin = hash_ngram(["rare"], BINS)
         shared_bin = hash_ngram(["shared"], BINS)
@@ -113,7 +113,7 @@ class TestWeighting:
 
     def test_single_document_corpus_scores_zero(self):
         corpus = Corpus()
-        corpus.add_document(Document("Solo", "one lonely page", [(0, "one lonely page")]))
+        corpus.add_document(Document("Solo", "one lonely page", {0: "one lonely page"}))
         index = tfidf.build_document_index(corpus, bin_count=BINS)
         assert tfidf.top_k_documents(index, "one lonely page", k=5) == []
 
@@ -136,7 +136,7 @@ class TestRanking:
     def test_k_larger_than_corpus(self):
         corpus = Corpus()
         for i, w in enumerate(["alpha beta", "alpha gamma", "delta beta"]):
-            corpus.add_document(Document(f"P{i}", w, [(0, w)]))
+            corpus.add_document(Document(f"P{i}", w, {0: w}))
         index = tfidf.build_document_index(corpus, bin_count=BINS)
         assert len(tfidf.top_k_documents(index, "alpha beta delta", k=5)) <= 3
 
@@ -151,7 +151,7 @@ class TestRanking:
         dup = Corpus()
         for d in corpus.documents():
             dup.add_document(d)
-        dup.add_document(Document("ZZ_copy", best.text, list(best.lines)))
+        dup.add_document(Document("ZZ_copy", best.text, dict(best.lines)))
         index2 = tfidf.build_document_index(dup, bin_count=BINS)
         top2 = tfidf.top_k_documents(index2, query, k=2)
         assert {t.item for t in top2} == {best.page_id, "ZZ_copy"}
@@ -168,7 +168,7 @@ class TestRanking:
                   "regatta jetty buoy"]
         for pid in ("B_page", "A_page"):
             lines = [(0, "the iron bell rings")] + list(enumerate(filler, start=1))
-            corpus.add_document(Document(pid, " ".join(s for _, s in lines), lines))
+            corpus.add_document(Document(pid, " ".join(s for _, s in lines), dict(lines)))
         docs = [corpus.get("B_page"), corpus.get("A_page")]
         got = tfidf.top_k_sentences(docs, "the iron bell rings", k=2, bin_count=BINS)
         assert [g.item for g in got] == [SentenceRef("A_page", 0), SentenceRef("B_page", 0)]
@@ -272,7 +272,7 @@ def duplicate_sentence_corpus(rng):
         lines = [(int(n), "" if rng.random() < 0.15 else pool[rng.integers(len(pool))])
                  for n in numbers]
         text = " ".join(t for _, t in lines) or pool[rng.integers(len(pool))]
-        corpus.add_document(Document(f"P{i:02d}", text, lines))
+        corpus.add_document(Document(f"P{i:02d}", text, dict(lines)))
     claims = [" ".join(WORDS[w] for w in rng.integers(0, len(WORDS), size=rng.integers(0, 9)))
               for _ in range(6)] + [pool[0], "", "!!"]
     return corpus, claims
