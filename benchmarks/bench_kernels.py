@@ -2,9 +2,9 @@
 
 Runs batch edit distance over every title (beside title matching, which
 scans only the titles of a length that can win), block cosine accumulation,
-grouped run sums, split search and the batch n-gram hash (against the
-per-occurrence reference loop) on seeded inputs and prints the best-of-N
-wall time of each.
+the batched split search of one training step, grouped run sums and the
+batch n-gram hash (against the per-occurrence reference loop) on seeded
+inputs and prints the best-of-N wall time of each.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -21,6 +21,7 @@ from claimcheck.tokenizer import hashed_counts, ngram_bins
 
 BLOCK_QUERIES = 8  # queries scored together by block_accumulate
 SPLIT_COLUMNS = 4  # columns a forest node searches: ceil(sqrt(12 features))
+SPLIT_NODES = 50  # nodes of one training step: one per tree of the default forest
 TITLE_QUERIES = 10  # title_match mentions of each kind: exact, one edit, far off
 TITLE_LETTERS = list("abcdefghijklmnopqrstuvwxyz _()")
 
@@ -87,9 +88,10 @@ def make_runs_workload(rng, n_runs):
 
 
 def make_split_workload(rng, n_samples):
-    values = rng.random((n_samples, SPLIT_COLUMNS))
-    labels = rng.integers(0, 3, size=n_samples).astype(np.int64)
-    return values, labels
+    """One batched training step: SPLIT_NODES nodes of n_samples samples each."""
+    blocks = rng.random((SPLIT_NODES, SPLIT_COLUMNS, n_samples))
+    labels = rng.integers(0, 3, size=(SPLIT_NODES, n_samples))
+    return blocks, labels, np.full(SPLIT_NODES, n_samples), 3
 
 
 def make_token_workload(rng, n_items, vocab_size=5000):
@@ -114,7 +116,7 @@ def hash_loop(token_lists, bin_count=2**24):
 def build_cases(rng, args):
     titles, full_scan = make_title_workload(rng, args.titles)
     postings = make_postings_workload(rng, args.items, args.postings, BLOCK_QUERIES)
-    values, labels = make_split_workload(rng, args.samples)
+    split_step = make_split_workload(rng, args.samples)
     tokens = make_token_workload(rng, args.texts)
     runs = make_runs_workload(rng, args.items)
     matching = make_mention_workload(rng, titles)
@@ -125,8 +127,8 @@ def build_cases(rng, args):
          matching),
         (f"block_accumulate ({args.postings} postings, {BLOCK_QUERIES} queries)",
          kernels.block_accumulate, postings),
-        (f"best_split ({args.samples} samples, {SPLIT_COLUMNS} columns)", kernels.best_split,
-         (values, labels, 3)),
+        (f"best_split ({SPLIT_NODES} nodes x {args.samples} samples x {SPLIT_COLUMNS} columns)",
+         kernels.best_splits, split_step),
         (f"row_sums ({args.items} runs)", kernels.row_sums, runs),
         (f"ngram_bins ({n_tokens} tokens)", hash_batch, (tokens,)),
         (f"hashed_counts_loop ({n_tokens} tokens)", hash_loop, (tokens,)),
@@ -138,7 +140,7 @@ def main(argv=None) -> int:
     parser.add_argument("--titles", type=int, default=20000)
     parser.add_argument("--items", type=int, default=50000)
     parser.add_argument("--postings", type=int, default=1_000_000)
-    parser.add_argument("--samples", type=int, default=100_000)
+    parser.add_argument("--samples", type=int, default=1000, help="samples per split node")
     parser.add_argument("--texts", type=int, default=5000, help="token lists to hash")
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)

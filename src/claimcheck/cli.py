@@ -102,8 +102,13 @@ def train_model(instances, fvs, config, counts) -> tuple:
     sampled = forest.sample_training_claims(instances, seed=config.seed, counts=counts)
     samples = [TrainingSample(fvs[i.claim_id], i.label) for i in sampled]
     model = forest.train(samples, config)
-    log.info("trained %d trees on %d claims", config.trees, len(samples))
+    log.info("%s", trained_summary(model, len(samples)))
     return model, len(samples)
+
+
+def trained_summary(model, n_samples: int) -> str:
+    return (f"trained {model.config.trees} trees ({model.node_count} nodes, "
+            f"depth {model.depth}) on {n_samples} claims")
 
 
 def write_predictions(path, instances, fvs, scored_by_id, model) -> list:
@@ -250,7 +255,7 @@ def cmd_train(args) -> int:
     fvs = _read_feature_rows(args.features, instances)
     model, n_samples = train_model(instances, fvs, config, counts)
     forest.save(model, args.out)
-    print(f"trained {config.trees} trees on {n_samples} claims -> {args.out}")
+    print(f"{trained_summary(model, n_samples)} -> {args.out}")
     return 0
 
 

@@ -126,15 +126,36 @@ class Corpus:
         try:
             corpus.source_checksums = dict(payload["checksums"])
             for rec in payload["documents"]:
-                lines = {int(n): s for n, s in rec["lines"]}
-                if len(lines) < len(rec["lines"]):
-                    raise ValueError(f"page {rec['id']!r} repeats a line number")
-                corpus.add_document(Document(rec["id"], rec["text"], lines))
+                page_id, text = rec["id"], rec["text"]
+                if not isinstance(page_id, str) or not isinstance(text, str):
+                    raise ValueError(f"page {page_id!r} needs a string id and text")
+                corpus.add_document(Document(page_id, text, _saved_lines(page_id, rec["lines"])))
         except KeyError as exc:
             raise IngestError(f"corpus file {path} is missing field {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
             raise IngestError(f"corpus file {path} is malformed: {exc}") from exc
         return corpus
+
+
+def _saved_lines(page_id: str, pairs) -> dict[int, str]:
+    """A saved page's [n, sentence] pairs as {n: sentence}, n a JSON int >= 0."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"page {page_id!r} has lines that are not a list")
+    try:
+        lines = {n: sentence for n, sentence in pairs}
+        # type sets, not isinstance, so a bool is no line number
+        good = (set(map(type, lines)) <= {int} and min(lines, default=0) >= 0
+                and set(map(type, lines.values())) <= {str})
+    except (TypeError, ValueError):  # an entry that is not a pair
+        good = False
+    if not good:
+        bad = next(pair for pair in pairs
+                   if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int
+                           and pair[0] >= 0 and type(pair[1]) is str))
+        raise ValueError(f"page {page_id!r} has a line that is not [n >= 0, sentence]: {bad!r}")
+    if len(lines) < len(pairs):
+        raise ValueError(f"page {page_id!r} repeats a line number")
+    return lines
 
 
 def parse_lines_field(raw: str) -> tuple[dict[int, str], int]:

@@ -3,9 +3,11 @@
 Fifty depth-limited trees, each grown on a bootstrap resample with a random
 subset of features considered at every node and splits chosen by information
 gain (entropy in nats, thresholds at midpoints of consecutive distinct
-values).  Per-tree random streams are derived from (seed, tree index), so
-training is reproducible regardless of scheduling, and the JSON model file
-round-trips bit-exactly.
+values).  The trees grow together: each step searches the next pending node
+of every tree with one batched split search.  Per-tree random streams are
+derived from (seed, tree index) and drawn in each tree's own preorder, so a
+tree is the one a depth-first grower would make alone, and the JSON model
+file round-trips bit-exactly.
 """
 
 import json
@@ -24,6 +26,9 @@ MODEL_FORMAT_VERSION = 1
 LABELS = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 DEFAULT_CLASS_COUNTS = (3000, 3000, 4000)
 FEATURES_PER_SPLIT = math.ceil(math.sqrt(len(FEATURE_NAMES)))  # features drawn at each node
+# block cells (nodes x features x samples) one split search call takes; bounds
+# the transient memory of a training step
+STEP_CELLS = 1 << 14
 
 
 class TrainingError(ValueError):
@@ -58,13 +63,35 @@ class RandomForest:
 
     A tree is a nested dict: a leaf is {"dist": class distribution}, a split
     is {"feature", "threshold", "left", "right"} and sends value < threshold
-    to the left.  Building a forest validates every tree, trained or loaded.
+    to the left.  Building a forest from trees validates every one of them
+    against the config; a trained forest builds its dicts when they are read.
     """
 
     def __init__(self, config: ForestConfig, trees: list):
         self.config = config
-        self.trees = trees
-        self._nodes = _flatten(trees)
+        self._trees = trees
+        self._nodes = _flatten(trees, config)
+
+    @classmethod
+    def _grown(cls, config: ForestConfig, nodes: tuple) -> "RandomForest":
+        forest = cls.__new__(cls)
+        forest.config, forest._trees, forest._nodes = config, None, nodes
+        return forest
+
+    @property
+    def trees(self) -> list:
+        if self._trees is None:
+            self._trees = _unflatten(self._nodes)
+        return self._trees
+
+    @property
+    def node_count(self) -> int:
+        return len(self._nodes[1])
+
+    @property
+    def depth(self) -> int:
+        """The most splits on any root-to-leaf path."""
+        return self._nodes[-1]
 
     def predict_all(self, features) -> tuple:
         """(labels, (m, classes) probabilities) of m feature vectors, in one pass.
@@ -89,17 +116,20 @@ class RandomForest:
         return labels[0], probs[0]
 
 
-def _flatten(trees) -> tuple:
-    """Check trees in model-file form and lay their nodes out as flat arrays.
+# Node i of the flat layout splits on feature[i] at threshold[i] and goes to
+# left[i] or right[i]; a leaf has feature -1, points to itself and holds
+# dist[i].  Each tree takes a run of node ids in preorder from its root (the
+# layout of scikit-learn's Tree).  The layout is the tuple (roots, feature,
+# threshold, left, right, dist, depth), depth being the most splits on any
+# root-to-leaf path.
 
-    Node i splits on feature[i] at threshold[i] and goes to left[i] or
-    right[i]; a leaf has feature -1, points to itself and holds dist[i].
-    Each tree takes a run of node ids in preorder from its root (the layout
-    of scikit-learn's Tree).  Returns (roots, feature, threshold, left,
-    right, dist, depth), depth being the most splits on any root-to-leaf path.
-    """
+
+def _flatten(trees, config: ForestConfig) -> tuple:
+    """Check trees in model-file form against config and lay them out flat."""
     if not trees:
         raise ModelFormatError("model has no trees")
+    if len(trees) != config.trees:
+        raise ModelFormatError(f"model has {len(trees)} trees, its config {config.trees}")
     nodes = []  # [feature, threshold, left, right, dist] per node
 
     def add(node, level) -> int:
@@ -126,31 +156,25 @@ def _flatten(trees) -> tuple:
     for tree in trees:
         roots.append(len(nodes))
         depth = max(depth, add(tree, 0))
+    if depth > config.max_depth:
+        raise ModelFormatError(f"model has a tree of depth {depth}, "
+                               f"its config max_depth {config.max_depth}")
     return (np.array(roots), *map(np.array, zip(*nodes)), depth)
 
 
-def _leaf(y: np.ndarray, n_classes: int) -> dict:
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    return {"dist": (counts / counts.sum()).tolist()}
+def _unflatten(nodes: tuple) -> list:
+    """The trees of a flat layout in model-file form."""
+    roots, feature, threshold, left, right, dist, _ = nodes
+    feature, threshold, left, right, dist = (
+        a.tolist() for a in (feature, threshold, left, right, dist))
 
+    def tree(i) -> dict:
+        if feature[i] < 0:
+            return {"dist": dist[i]}
+        return {"feature": feature[i], "threshold": threshold[i],
+                "left": tree(left[i]), "right": tree(right[i])}
 
-def _grow(X: np.ndarray, y: np.ndarray, depth: int, config: ForestConfig,
-          rng: np.random.Generator) -> dict:
-    n_classes = len(LABELS)
-    if depth >= config.max_depth or np.all(y == y[0]):
-        return _leaf(y, n_classes)
-    feats = np.sort(rng.choice(X.shape[1], size=FEATURES_PER_SPLIT, replace=False))
-    gain, column, thr = kernels.best_split(X[:, feats], y, n_classes)
-    if gain <= 0:
-        return _leaf(y, n_classes)
-    feat = int(feats[column])
-    mask = X[:, feat] < thr
-    return {
-        "feature": feat,
-        "threshold": thr,
-        "left": _grow(X[mask], y[mask], depth + 1, config, rng),
-        "right": _grow(X[~mask], y[~mask], depth + 1, config, rng),
-    }
+    return [tree(root) for root in roots.tolist()]
 
 
 def train(samples, config: ForestConfig = ForestConfig()) -> RandomForest:
@@ -164,16 +188,126 @@ def train(samples, config: ForestConfig = ForestConfig()) -> RandomForest:
     except ValueError:
         bad = sorted({s.label for s in samples} - set(LABELS))
         raise TrainingError(f"unknown labels: {bad}") from None
-    if np.unique(y).size < 2:
+    if (y == y[0]).all():  # np.unique(y) imports numpy.ma, which costs more than training
         raise TrainingError("training data contains a single class")
+    return RandomForest._grown(config, _grow(X, y, config))
 
-    n = len(X)
-    trees = []
-    for t in range(config.trees):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, t]))
+
+def _grow(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> tuple:
+    """Grow every tree of the forest in lock step, straight into the flat layout.
+
+    Tree t draws from its own SeedSequence([seed, t]) stream: its bootstrap
+    sample first, then the features of each node it searches, in preorder.
+    A node is a leaf when it is at max_depth, holds one class, or no split
+    of it gains; otherwise its samples with value < threshold go left.  Each
+    step takes the next node to search from every tree's depth-first walk
+    and scores them all with kernels.best_splits, STEP_CELLS cells a call.
+    """
+    n, n_classes = X.shape[0], len(LABELS)
+    rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, t]))
+            for t in range(config.trees)]
+    # per tree: its nodes so far in preorder, each [feature, threshold, right
+    # child, class counts, depth] with ids counted from the tree's root, and
+    # its pending nodes (sample rows, class counts, depth, parent), parent
+    # being the node whose right child it is
+    trees = [[] for _ in rngs]
+    stacks = []
+    for rng in rngs:
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow(X[boot], y[boot], 0, config, rng))
-    return RandomForest(config, trees)
+        stacks.append([(boot, np.bincount(y[boot], minlength=n_classes).tolist(), 0, None)])
+    while True:
+        batch = []  # (tree, node id, sample rows, features) of each node to search
+        for t, (nodes, stack) in enumerate(zip(trees, stacks)):
+            while stack:
+                rows, counts, depth, parent = stack.pop()
+                i = len(nodes)
+                if parent is not None:
+                    nodes[parent][2] = i
+                nodes.append([-1, 0.0, i, counts, depth])
+                if depth < config.max_depth and max(counts) < len(rows):
+                    feats = sorted(rngs[t].choice(X.shape[1], size=FEATURES_PER_SPLIT,
+                                                  replace=False).tolist())
+                    batch.append((t, i, rows, feats))
+                    break
+        if not batch:
+            return _layout(trees)
+        batch.sort(key=lambda item: len(item[2]), reverse=True)
+        for chunk in _chunks(batch):
+            for (t, i, _, _), split in zip(chunk, _search(X, y, chunk)):
+                if split is not None:
+                    node = trees[t][i]
+                    node[0], node[1], left, right = split
+                    stacks[t] += [(*right, node[4] + 1, i), (*left, node[4] + 1, None)]
+
+
+def _chunks(batch):
+    """Runs of a batch sorted by descending node size, each padded block of
+    nodes x FEATURES_PER_SPLIT x its first node's size within STEP_CELLS."""
+    start = 0
+    while start < len(batch):
+        stop = start + max(1, STEP_CELLS // (FEATURES_PER_SPLIT * len(batch[start][2])))
+        yield batch[start:stop]
+        start = stop
+
+
+def _search(X: np.ndarray, y: np.ndarray, chunk) -> list:
+    """Best split of each node of chunk, from one kernels.best_splits call.
+
+    A node gets None when no split gains, else (feature, threshold, left,
+    right), each side as (sample rows, class counts).
+    """
+    m, n_classes = len(chunk), len(LABELS)
+    sizes = np.array([len(rows) for _, _, rows, _ in chunk])
+    padded = np.zeros((m, sizes.max()), dtype=np.int64)
+    for r, (_, _, rows, _) in enumerate(chunk):
+        padded[r, :len(rows)] = rows
+    feats = np.array([feats for _, _, _, feats in chunk])
+    labels = y[padded]
+    gains, columns, thresholds = kernels.best_splits(
+        X[padded[:, np.newaxis, :], feats[:, :, np.newaxis]], labels, sizes, n_classes)
+
+    features = feats[np.arange(m), columns]  # column -1 (no split) is dropped below
+    valid = np.arange(padded.shape[1]) < sizes[:, np.newaxis]
+    go_left = (X[padded, features[:, np.newaxis]] < thresholds[:, np.newaxis]) & valid
+    cells = np.arange(m)[:, np.newaxis] * n_classes + labels
+    sides = [np.bincount(cells[side], minlength=m * n_classes).reshape(m, n_classes)
+             for side in (go_left, valid & ~go_left)]
+    # each node's rows, those going left first
+    padded = np.take_along_axis(padded, np.argsort(~go_left, axis=1, kind="stable"), axis=1)
+    out = []
+    for rows, gain, feature, threshold, left, right in zip(
+            padded, gains.tolist(), features.tolist(), thresholds.tolist(),
+            sides[0].tolist(), sides[1].tolist()):
+        if gain <= 0:
+            out.append(None)
+        else:
+            n_left = sum(left)
+            out.append((feature, threshold, (rows[:n_left], left),
+                        (rows[n_left:n_left + sum(right)], right)))
+    return out
+
+
+def _layout(trees) -> tuple:
+    """Grown trees, each a preorder list of [feature, threshold, right child,
+    class counts, depth] with ids counted from its root, in the flat layout."""
+    roots, feature, threshold, left, right, dist, depth = [], [], [], [], [], [], 0
+    for nodes in trees:
+        base = len(feature)
+        roots.append(base)
+        for i, (f, thr, r, counts, level) in enumerate(nodes, start=base):
+            feature.append(f)
+            threshold.append(thr)
+            right.append(base + r)
+            if f < 0:
+                left.append(i)
+                size = sum(counts)
+                dist.append([c / size for c in counts])
+                depth = max(depth, level)
+            else:
+                left.append(i + 1)
+                dist.append([0.0] * len(counts))
+    return (np.array(roots), np.array(feature), np.array(threshold), np.array(left),
+            np.array(right), np.array(dist, dtype=np.float64), depth)
 
 
 # -- persistence -------------------------------------------------------------

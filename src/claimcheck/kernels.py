@@ -2,7 +2,9 @@
 
 Each kernel is one exact numpy implementation.  Edit distance runs against
 a whole zero-padded code matrix at once, so matching a mention against
-every page title costs one vectorized pass per query character.
+every page title costs one vectorized pass per query character; split
+search runs against a padded batch of tree nodes, one node per tree of a
+training step.
 
 Floating-point discipline: dot-product accumulation adds query bins in
 ascending order and split search scans classes in ascending index, so
@@ -95,43 +97,60 @@ def row_sums(values, lengths):
     return out
 
 
-def best_split(block, labels, n_classes):
-    """Best information-gain split over the columns of an (n, k) block.
+def best_splits(blocks, labels, sizes, n_classes):
+    """Best information-gain split of each node of a batch, over its columns.
 
-    Thresholds are midpoints between consecutive distinct sorted values of
-    a column; left branch takes value < threshold.  The midpoint of two
-    adjacent doubles can round down onto the lower one; when that is the
-    column minimum the left branch would be empty, so the upper value is
-    used.  Returns (gain, column, threshold), gain in nats; gain is -1.0
-    and column -1 when no column has two distinct values.  Ties keep the
-    first column, then its smallest threshold.
+    Node i holds sizes[i] >= 1 samples: blocks[i, c, :sizes[i]] are the
+    values of its column c and labels[i, :sizes[i]] their classes; later
+    positions pad the batch to one width and are ignored.  Thresholds are
+    midpoints between consecutive distinct sorted values of a column; left
+    branch takes value < threshold.  The midpoint of two adjacent doubles
+    can round down onto the lower one; when that is the column minimum the
+    left branch would be empty, so the upper value is used.  Returns arrays
+    (gains, columns, thresholds), gain in nats; a node with no column of
+    two distinct values gets gain -1.0 and column -1.  Ties keep the first
+    column, then its smallest threshold.
     """
-    n = block.shape[0]
-    order = np.argsort(block, axis=0)
-    sv = np.take_along_axis(block, order, axis=0)
-    # boundaries in column-major order, so argmax breaks ties by column, then position
-    cols, rows = np.nonzero((sv[1:] != sv[:-1]).T)
-    if cols.size == 0:
-        return -1.0, -1, 0.0
+    m, k, w = blocks.shape
+    valid = np.arange(w) < sizes[:, np.newaxis]
+    keyed = np.where(valid[:, np.newaxis, :], blocks, np.inf)  # padding sorts last
+    order = np.argsort(keyed, axis=2)
+    sv = np.take_along_axis(keyed, order, axis=2)
+    # padding gets class n_classes, which no count holds
+    ranked = np.take_along_axis(np.where(valid, labels, n_classes)[:, np.newaxis, :],
+                                order, axis=2)
+    counts = [np.cumsum(ranked == c, axis=2, dtype=np.min_scalar_type(w))
+              for c in range(n_classes)]
+    total = np.stack([cum[:, 0, w - 1] for cum in counts], axis=1)
 
-    onehot = labels[order][..., np.newaxis] == np.arange(n_classes)
-    cl = np.cumsum(onehot, axis=0)[rows, cols]  # class counts left of each boundary
-    total = np.bincount(labels, minlength=n_classes)
-
-    hp = _entropy(total[np.newaxis, :], np.array([n], dtype=np.int64))[0]
-
-    nl = rows + 1
+    # boundary j of a column lies between its sorted values j and j + 1; flat
+    # (node, column, j) order makes a node's first maximum its first column,
+    # then that column's smallest threshold
+    bound = np.zeros((m, k, w), dtype=bool)
+    bound[..., :-1] = (sv[..., 1:] != sv[..., :-1]) & valid[:, np.newaxis, 1:]
+    at = np.flatnonzero(bound)
+    node = at // (k * w)
+    cl = np.stack([cum.ravel()[at] for cum in counts], axis=1)  # class counts left of boundary
+    n = sizes[node]
+    nl = at % w + 1
     nr = n - nl
-    hl = _entropy(cl, nl)
-    hr = _entropy(total[np.newaxis, :] - cl, nr)
-    gains = hp - (nl * hl + nr * hr) / n
+    hp = _entropy(total, sizes)
+    gains = np.full((m, k * w), -np.inf)
+    gains.ravel()[at] = hp[node] - (nl * _entropy(cl, nl) + nr * _entropy(total[node] - cl, nr)) / n
 
-    best = int(np.argmax(gains))
-    col, j = int(cols[best]), int(nl[best])
-    thr = (sv[j - 1, col] + sv[j, col]) / 2.0
-    if thr <= sv[0, col]:
-        thr = sv[j, col]
-    return float(gains[best]), col, float(thr)
+    best = np.argmax(gains, axis=1)
+    gain = gains[np.arange(m), best]
+    split = np.flatnonzero(gain > -np.inf)
+    at = best[split]
+    sv = sv.reshape(m, k * w)
+    lo, hi = sv[split, at], sv[split, at + 1]
+    first = sv[split, at - at % w]  # the column minimum
+    thr = (lo + hi) / 2.0
+    columns, thresholds = np.full(m, -1), np.zeros(m)
+    columns[split] = at // w
+    thresholds[split] = np.where(thr <= first, hi, thr)
+    gain[gain == -np.inf] = -1.0
+    return gain, columns, thresholds
 
 
 def _entropy(counts, sizes):

@@ -47,6 +47,13 @@ def levenshtein(a: str, b: str) -> int:
     return int(kernels.batch_levenshtein(mat, lengths, kernels.codes(a))[0])
 
 
+def best_split(block, labels, n_classes=3) -> tuple:
+    """(gain, column, threshold) of one node's (n, k) block, as a batch of one."""
+    gains, columns, thresholds = kernels.best_splits(
+        block.T[np.newaxis], labels[np.newaxis], np.array([len(labels)]), n_classes)
+    return float(gains[0]), int(columns[0]), float(thresholds[0])
+
+
 @pytest.fixture(scope="session")
 def mini_corpus():
     corpus, _ = ingest_dump(DATA / "mini_wiki.jsonl")

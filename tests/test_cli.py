@@ -63,6 +63,24 @@ def workdir(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def staged(workdir, tmp_path_factory):
+    """Feature and scored rows of the fixture claims, in their own directory."""
+    d = tmp_path_factory.mktemp("staged")
+    assert cli.main(["-q", "features", "--corpus", str(workdir / "corpus.json.gz"),
+                     "--claims", str(CLAIMS), "--candidates", str(workdir / "candidates.jsonl"),
+                     "--out", str(d / "features.jsonl"),
+                     "--scored-out", str(d / "scored.jsonl")]) == 0
+    return d
+
+
+def model_nodes_and_depth(tree) -> tuple:
+    if "dist" in tree:
+        return 1, 0
+    (ln, ld), (rn, rd) = model_nodes_and_depth(tree["left"]), model_nodes_and_depth(tree["right"])
+    return 1 + ln + rn, 1 + max(ld, rd)
+
+
 class TestStages:
     def test_ingest_summary_and_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "corpus.json.gz"
@@ -120,6 +138,16 @@ class TestStages:
                 f"mentions by match distance: {dict(sorted(expected.items()))}")
         assert [r.getMessage() for r in caplog.records].count(line) == 1
         assert expected[0] < expected.total()  # the fixture has inexact mentions too
+
+    def test_train_logs_nodes_and_depth(self, staged, tmp_path, caplog):
+        caplog.set_level(logging.INFO)
+        model = tmp_path / "model.json"
+        assert cli.main(["train", "--claims", str(CLAIMS), "--features",
+                         str(staged / "features.jsonl"), "--out", str(model)]) == 0
+        counts = [model_nodes_and_depth(t) for t in json.loads(model.read_text())["trees"]]
+        assert (sum(n for n, _ in counts), max(d for _, d in counts)) == (348, 3)
+        line = "trained 50 trees (348 nodes, depth 3) on 30 claims"
+        assert [r.getMessage() for r in caplog.records].count(line) == 1
 
     def test_gen_nli_deterministic_and_balanced(self, workdir, tmp_path, capsys):
         outs = []
@@ -312,6 +340,49 @@ class TestBadInputs:
         code, _, err = run(["index", "--corpus", corpus, "--out", tmp_path / "i.npz"], capsys)
         assert f"corpus file {corpus} is malformed: page 'A' repeats a line number" \
             in one_error(code, err)
+
+    @pytest.mark.parametrize("document, message", [
+        ({"id": 5, "text": "a.", "lines": [[0, "a."]]}, "page 5 needs a string id and text"),
+        ({"id": "A", "text": 7, "lines": [[0, "a."]]}, "page 'A' needs a string id and text"),
+        ({"id": "A", "text": "a.", "lines": "0\ta."}, "page 'A' has lines that are not a list"),
+        ({"id": "A", "text": "a.", "lines": [[0, 5]]}, "[0, 5]"),
+        ({"id": "A", "text": "a.", "lines": [[True, "a."]]}, "[True, 'a.']"),
+        ({"id": "A", "text": "a.", "lines": [["3", "a."]]}, "['3', 'a.']"),
+        ({"id": "A", "text": "a.", "lines": [[0.5, "a."]]}, "[0.5, 'a.']"),
+        ({"id": "A", "text": "a.", "lines": [[-1, "a."]]}, "[-1, 'a.']"),
+        ({"id": "A", "text": "a.", "lines": [[0, "a.", "b."]]}, "[0, 'a.', 'b.']"),
+        ({"id": "A", "text": "a.", "lines": [0]}, "0"),
+    ], ids=["int_id", "int_text", "str_lines", "int_sentence", "bool_line", "str_line",
+            "float_line", "negative_line", "long_pair", "int_pair"])
+    def test_saved_corpus_with_a_mistyped_field(self, tmp_path, capsys, document, message):
+        if not message.startswith("page"):  # the bad line itself
+            message = f"page 'A' has a line that is not [n >= 0, sentence]: {message}"
+        corpus = tmp_path / "corpus.json.gz"
+        corpus.write_bytes(gzip.compress(json.dumps({
+            "format_version": 1, "checksums": {}, "documents": [document]}).encode()))
+        code, _, err = run(["e2e", "--corpus", corpus, "--claims", CLAIMS, "--bins", "65536",
+                            "--out", tmp_path / "pred.jsonl"], capsys)
+        assert one_error(code, err).rstrip("\n").endswith(
+            f"corpus file {corpus} is malformed: {message}")
+
+    @pytest.mark.parametrize("field", ["trees", "max_depth"])
+    def test_model_disagreeing_with_its_config(self, staged, tmp_path, capsys, field):
+        model, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
+        assert run(["train", "--claims", CLAIMS, "--features", staged / "features.jsonl",
+                    "--trees", "5", "--out", model], capsys)[0] == 0
+        payload = json.loads(model.read_text())
+        if field == "trees":
+            payload["trees"] = payload["trees"][:2]
+            message = "model has 2 trees, its config 5"
+        else:
+            payload["config"]["max_depth"] = 1
+            message = "model has a tree of depth 3, its config max_depth 1"
+        model.write_text(json.dumps(payload))
+        code, _, err = run(["predict", "--claims", CLAIMS, "--features", staged / "features.jsonl",
+                            "--scored", staged / "scored.jsonl", "--model", model,
+                            "--out", pred], capsys)
+        assert message in one_error(code, err)
+        assert not pred.exists()
 
     @pytest.mark.parametrize("case, message", [
         ("no_header", "lacks an array or header field: 'header is not a file in the archive'"),

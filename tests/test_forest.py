@@ -14,12 +14,41 @@ from claimcheck.forest import (
     TrainingSample,
 )
 
+from conftest import best_split
+
 
 def tree_depth(node: dict) -> int:
     """Internal nodes on the deepest root-to-leaf path."""
     if "dist" in node:
         return 0
     return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
+
+
+def grow_reference(X, y, depth, config, rng) -> dict:
+    """One tree grown the recursive way: depth first, one split search per node."""
+    if depth < config.max_depth and not np.all(y == y[0]):
+        feats = np.sort(rng.choice(X.shape[1], size=forest.FEATURES_PER_SPLIT, replace=False))
+        gain, column, thr = best_split(X[:, feats], y)
+        if gain > 0:
+            feat = int(feats[column])
+            mask = X[:, feat] < thr
+            return {
+                "feature": feat,
+                "threshold": thr,
+                "left": grow_reference(X[mask], y[mask], depth + 1, config, rng),
+                "right": grow_reference(X[~mask], y[~mask], depth + 1, config, rng),
+            }
+    counts = np.bincount(y, minlength=3).astype(np.float64)
+    return {"dist": (counts / counts.sum()).tolist()}
+
+
+def train_reference(X, y, config) -> list:
+    trees = []
+    for t in range(config.trees):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, t]))
+        boot = rng.integers(0, len(X), size=len(X))
+        trees.append(grow_reference(X[boot], y[boot], 0, config, rng))
+    return trees
 
 
 def fv(values) -> FeatureVector:
@@ -83,7 +112,6 @@ class TestTraining:
 
     def test_chosen_split_maximizes_gain(self, monkeypatch):
         # exhaustively re-rank candidate splits at the root of small trees
-        from claimcheck import kernels
         monkeypatch.setattr(forest, "FEATURES_PER_SPLIT", 12)
         rng = np.random.default_rng(53)
         samples = separable_samples(rng, 60)
@@ -97,10 +125,31 @@ class TestTraining:
             tree_rng = np.random.default_rng(np.random.SeedSequence([54, ti]))
             boot = tree_rng.integers(0, len(samples), size=len(samples))
             Xb, yb = X[boot], y[boot]
-            best = max(kernels.best_split(Xb[:, [f]], yb, 3)[0] for f in range(12))
-            gain, _, _ = kernels.best_split(Xb[:, [t["feature"]]], yb, 3)
+            best = max(best_split(Xb[:, [f]], yb, 3)[0] for f in range(12))
+            gain, _, _ = best_split(Xb[:, [t["feature"]]], yb, 3)
             assert gain == pytest.approx(best, abs=1e-12)
 
+
+    @pytest.mark.parametrize("step_cells", [forest.STEP_CELLS, 300, 1])
+    def test_lock_step_equals_recursive_grower(self, monkeypatch, step_cells):
+        monkeypatch.setattr(forest, "STEP_CELLS", step_cells)  # 1: one node a call
+        rng = np.random.default_rng(58)
+        for _ in range(25):
+            n = int(rng.integers(2, 201))
+            X = rng.random((n, 12))
+            ties = rng.random(12) < 0.5  # many ties in about half the features
+            X[:, ties] = rng.integers(0, 4, size=(n, ties.sum())) / 4.0
+            if rng.random() < 0.5:  # classes follow a feature, so subsets turn pure
+                y = (X[:, 0] > 0.5).astype(np.int64) + (X[:, 1] > 0.75)
+            else:
+                y = rng.integers(0, 3, size=n)
+            y[:2] = [0, 1]
+            config = ForestConfig(trees=int(rng.integers(1, 8)),
+                                  max_depth=int(rng.integers(0, 6)),
+                                  seed=int(rng.integers(0, 1000)))
+            samples = [TrainingSample(fv(x), forest.LABELS[c]) for x, c in zip(X, y)]
+            model = forest.train(samples, config)
+            assert json.dumps(model.trees) == json.dumps(train_reference(X, y, config))
 
     def test_rejects_degenerate_config(self):
         with pytest.raises(ValueError, match="at least 1 tree"):
@@ -237,6 +286,25 @@ class TestPersistence:
         while field not in node:
             node = node["left"]
         node[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match=match):
+            forest.load(path)
+
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("trees", 2, "model has 2 trees, its config 50"),
+        ("max_depth", 1, "tree of depth 3, its config max_depth 1"),
+    ])
+    def test_model_disagreeing_with_config_rejected(self, tmp_path, trained, field, value,
+                                                     match):
+        _, model = trained
+        path = tmp_path / "model.json"
+        forest.save(model, path)
+        payload = json.loads(path.read_text())
+        if field == "trees":
+            payload["trees"] = payload["trees"][:value]
+        else:
+            payload["config"][field] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match=match):
             forest.load(path)

@@ -8,6 +8,8 @@ import numpy as np
 
 from claimcheck import kernels
 
+from conftest import best_split
+
 
 def lev_dp(a: str, b: str) -> int:
     """Two-row DP over Python strings, independent of the kernel."""
@@ -127,7 +129,7 @@ class TestBestSplit:
                 if rng.random() < 0.5 else rng.random((n, k))
             labels = rng.integers(0, 3, size=n).astype(np.int64)
             columns = [self.check_column(block[:, c], labels) for c in range(k)]
-            gain, col, thr = kernels.best_split(block, labels, 3)
+            gain, col, thr = best_split(block, labels, 3)
             if all(g == -1.0 for g, _ in columns):
                 assert (gain, col) == (-1.0, -1)
                 continue
@@ -139,7 +141,7 @@ class TestBestSplit:
     @staticmethod
     def check_column(values, labels):
         """best_split of a one-column block, checked against split_gain."""
-        gain, col, thr = kernels.best_split(values[:, np.newaxis], labels, 3)
+        gain, col, thr = best_split(values[:, np.newaxis], labels, 3)
         distinct = sorted(set(values.tolist()))
         if len(distinct) < 2:
             assert (gain, col) == (-1.0, -1)
@@ -155,18 +157,48 @@ class TestBestSplit:
         assert math.isclose(gains[cut], best, rel_tol=0.0, abs_tol=1e-12)
         return gain, thr
 
+    def test_batch_matches_brute_force_oracle(self):
+        # each node of a padded batch alone, against the oracle; padding holds
+        # random values and labels that must not count
+        rng = np.random.default_rng(16)
+        pair = [1.4166666666666665, 1.4166666666666667]  # midpoint rounds onto the lower
+        for _ in range(30):
+            m, k = int(rng.integers(1, 61)), int(rng.integers(1, 5))
+            sizes = rng.integers(1, 61, size=m)
+            blocks = rng.random((m, k, sizes.max())) * 2.0 - 0.5
+            labels = rng.integers(0, 3, size=(m, sizes.max()))
+            for i, n in enumerate(sizes.tolist()):
+                kind = rng.integers(4)
+                if kind == 0:  # many ties
+                    blocks[i, :, :n] = rng.choice([0.0, 0.25, 0.5, 1.0], size=(k, n))
+                elif kind == 1:  # a constant column
+                    blocks[i, rng.integers(k), :n] = 0.75
+                elif kind == 2:
+                    blocks[i, :, :n] = rng.choice(pair, size=(k, n))
+                if rng.random() < 0.2:  # one class
+                    labels[i, :n] = rng.integers(3)
+            gains, cols, thrs = kernels.best_splits(blocks, labels, sizes, 3)
+            for i, n in enumerate(sizes.tolist()):
+                columns = [self.check_column(blocks[i, c, :n], labels[i, :n]) for c in range(k)]
+                if all(g == -1.0 for g, _ in columns):
+                    assert (gains[i], cols[i]) == (-1.0, -1)
+                    continue
+                assert cols[i] == next(c for c, (g, _) in enumerate(columns)
+                                       if g == max(g for g, _ in columns))
+                assert (gains[i], thrs[i]) == columns[cols[i]]
+
     def test_equal_gains_keep_first_column_then_smallest_threshold(self):
         labels = np.array([0, 1, 1, 0])
         ramp = np.array([0.0, 1.0, 2.0, 3.0])  # cuts at 0.5 and 2.5 tie
         worse = np.array([0.0, 1.0, 0.0, 1.0])  # gain 0
         block = np.column_stack([worse, ramp, 10.0 * ramp])
-        gain, col, thr = kernels.best_split(block, labels, 3)
+        gain, col, thr = best_split(block, labels, 3)
         assert (col, thr) == (1, 0.5)
-        assert kernels.best_split(block[:, [2, 1]], labels, 3) == (gain, 0, 5.0)
+        assert best_split(block[:, [2, 1]], labels, 3) == (gain, 0, 5.0)
 
     def test_adjacent_doubles_keep_both_sides_non_empty(self):
         values = np.array([1.4166666666666665, 1.4166666666666667])
-        gain, col, thr = kernels.best_split(values[:, np.newaxis], np.array([0, 1]), 3)
+        gain, col, thr = best_split(values[:, np.newaxis], np.array([0, 1]), 3)
         assert col == 0
         assert (values < thr).tolist() == [True, False]
         assert math.isclose(gain, math.log(2))
