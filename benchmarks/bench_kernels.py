@@ -2,9 +2,11 @@
 
 Runs batch edit distance over every title (beside title matching, which
 scans only the titles of a length that can win), block cosine accumulation,
-the batched split search of one training step, grouped run sums and the
-batch n-gram hash (against the per-occurrence reference loop) on seeded
-inputs and prints the best-of-N wall time of each.
+the batched split search of one training step, grouped run sums, the batch
+n-gram hash (against the per-occurrence reference loop) and the scoring of
+a run's candidate pairs into its feature matrix (``cli.score_claims``, as
+``e2e`` calls it) on seeded inputs and prints the best-of-N wall time of
+each.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -15,11 +17,15 @@ import time
 
 import numpy as np
 
-from claimcheck import kernels, ner
-from claimcheck.corpus import Corpus, Document
+from claimcheck import cli, kernels, ner
+from claimcheck.corpus import Corpus, Document, SentenceRef
+from claimcheck.entailment import BaselineScorer
+from claimcheck.nli_data import FeverInstance
 from claimcheck.tokenizer import hashed_counts, ngram_bins
 
 BLOCK_QUERIES = 8  # queries scored together by block_accumulate
+CANDIDATES = 5  # candidate sentences per claim of the scoring run
+LINES_PER_PAGE = 10  # sentences per page of the scoring run's corpus
 SPLIT_COLUMNS = 4  # columns a forest node searches: ceil(sqrt(12 features))
 SPLIT_NODES = 50  # nodes of one training step: one per tree of the default forest
 TITLE_QUERIES = 10  # title_match mentions of each kind: exact, one edit, far off
@@ -105,6 +111,25 @@ def make_token_workload(rng, n_items, vocab_size=5000):
     return [flat[end - size:end] for size, end in zip(sizes, ends)]
 
 
+def make_scoring_workload(rng, token_lists, n_claims):
+    """A scoring run: the token lists as sentences of LINES_PER_PAGE-line pages,
+    n_claims claims of 4 to 12 of their tokens, and CANDIDATES sorted sentences
+    per claim, drawn at random, so claims share some of them."""
+    corpus = Corpus()
+    for start in range(0, len(token_lists), LINES_PER_PAGE):
+        lines = {n: " ".join(tokens)
+                 for n, tokens in enumerate(token_lists[start:start + LINES_PER_PAGE])}
+        corpus.add_document(Document(f"Page_{start // LINES_PER_PAGE:05d}", "", lines))
+    refs = [SentenceRef(doc.page_id, n) for doc in corpus.documents() for n in doc.lines]
+    vocab = sorted({token for tokens in token_lists for token in tokens})
+    instances = [FeverInstance(c, " ".join(rng.choice(vocab, size=rng.integers(4, 13))),
+                               "NOT ENOUGH INFO", ()) for c in range(n_claims)]
+    size = min(CANDIDATES, len(refs))
+    candidates = [sorted(refs[i] for i in rng.choice(len(refs), size=size, replace=False).tolist())
+                  for _ in instances]
+    return BaselineScorer(), corpus, instances, candidates
+
+
 def hash_batch(token_lists, bin_count=2**24):
     return ngram_bins(token_lists, (1, 2), bin_count)
 
@@ -120,6 +145,7 @@ def build_cases(rng, args):
     tokens = make_token_workload(rng, args.texts)
     runs = make_runs_workload(rng, args.items)
     matching = make_mention_workload(rng, titles)
+    scoring = make_scoring_workload(rng, tokens, args.claims)
     n_tokens = sum(map(len, tokens))
     return [
         (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, full_scan),
@@ -132,6 +158,8 @@ def build_cases(rng, args):
         (f"row_sums ({args.items} runs)", kernels.row_sums, runs),
         (f"ngram_bins ({n_tokens} tokens)", hash_batch, (tokens,)),
         (f"hashed_counts_loop ({n_tokens} tokens)", hash_loop, (tokens,)),
+        (f"score_claims ({args.claims} claims x {CANDIDATES} candidates)", cli.score_claims,
+         scoring),
     ]
 
 
@@ -142,6 +170,7 @@ def main(argv=None) -> int:
     parser.add_argument("--postings", type=int, default=1_000_000)
     parser.add_argument("--samples", type=int, default=1000, help="samples per split node")
     parser.add_argument("--texts", type=int, default=5000, help="token lists to hash")
+    parser.add_argument("--claims", type=int, default=750, help="claims of the scoring run")
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)

@@ -10,17 +10,20 @@ import argparse
 import logging
 import math
 import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from . import features as features_mod
 from . import forest, metrics, ner, nli_data, rows, tfidf
 from .corpus import Corpus, SentenceRef, ingest_dump
-from .entailment import (BaselineScorer, FileScorer, ScoredCandidate, score_candidates,
+from .entailment import (BaselineScorer, FileScorer, ScoredPairs, score_pairs,
                          triple_from_row, triple_rows)
-from .forest import ForestConfig, TrainingSample
+from .forest import ForestConfig
 from .metrics import GoldInstance
 from .nli_data import load_claims
-from .verdict import assemble, prediction_from_row
+from .verdict import assemble_all, prediction_from_row
 
 log = logging.getLogger("claimcheck")
 
@@ -48,7 +51,10 @@ def _make_scorer(args):
 
 def _forest_config(args) -> tuple:
     """(ForestConfig, per-class sample counts) from the training flags."""
-    counts = tuple(int(c) for c in args.sample_counts.split(","))
+    try:
+        counts = tuple(int(c) for c in args.sample_counts.split(","))
+    except ValueError:
+        counts = ()
     if len(counts) != 3 or any(c < 0 for c in counts):
         raise ValueError("--sample-counts needs three non-negative integers, "
                          f"got {args.sample_counts!r}")
@@ -62,12 +68,15 @@ def retrieve_candidates(corpus, index, instances, *, extractor=None):
     """Union of the entity route and the TF-IDF route, per claim."""
     lexical, empty_queries = tfidf.top_k_sentences_batch(
         corpus, index, [inst.claim for inst in instances], k_docs=K_DOCS, k_sents=K_SENTS)
-    matcher = ner.TitleMatcher(corpus)  # not held through the TF-IDF routes' peak memory
+    mentions = [ner.claim_mentions(inst.claim, extractor=extractor, claim_id=inst.claim_id)
+                for inst in instances]
+    # built only when a mention needs it, and not held through the TF-IDF
+    # routes' peak memory
+    matcher = ner.TitleMatcher(corpus) if any(mentions) else None
     out = {}
     entity_only = tfidf_only = both = 0
-    for inst, hits in zip(instances, lexical):
-        entity = set(ner.candidate_sentences_for_claim(
-            corpus, inst.claim, matcher=matcher, extractor=extractor, claim_id=inst.claim_id))
+    for inst, mentioned, hits in zip(instances, mentions, lexical):
+        entity = set(ner.mention_sentences(corpus, mentioned, matcher))
         found = {hit.item for hit in hits}
         entity_only += len(entity - found)
         tfidf_only += len(found - entity)
@@ -79,31 +88,31 @@ def retrieve_candidates(corpus, index, instances, *, extractor=None):
     log.info("%d claims had an empty TF-IDF query; sentences/claim: %.1f entity route only, "
              "%.1f TF-IDF only, %.1f both", empty_queries, entity_only / claims,
              tfidf_only / claims, both / claims)
-    distances = matcher.distances
+    distances = matcher.distances if matcher else Counter()
     log.info("matched %d mentions to titles (%d exact); mentions by match distance: %s",
              distances.total(), distances[0], dict(sorted(distances.items())))
     return out
 
 
-def score_claims(scorer, corpus, pairs) -> list:
-    """(instance, scored candidates, feature vector) per (instance, refs) pair, in order."""
-    out = []
-    for inst, refs in pairs:
-        cands = score_candidates(scorer, inst.claim_id, inst.claim, refs, corpus)
-        out.append((inst, cands, features_mod.features(cands)))
+def score_claims(scorer, corpus, instances, candidates) -> tuple:
+    """(scored pairs, feature matrix, candidate counts) of claims instances[i]
+    with candidate refs candidates[i]; matrix row i is instances[i]'s."""
+    pairs = score_pairs(scorer, instances, candidates, corpus)
+    X, n = features_mod.feature_matrix(pairs.claims, pairs.triples, len(instances))
     log.info("scored %d candidate pairs over %d claims (%d all-uninformative)",
-             sum(len(cands) for _, cands, _ in out), len(out),
-             sum(fv.f1 == 0 and fv.f2 == 0 for _, _, fv in out))
-    return out
+             len(pairs.refs), len(instances), int(((X[:, 0] == 0) & (X[:, 1] == 0)).sum()))
+    return pairs, X, n
 
 
-def train_model(instances, fvs, config, counts) -> tuple:
-    """(forest, number of training claims) from a per-class sample of the claims."""
+def train_model(instances, X, config, counts) -> tuple:
+    """(forest, number of training claims) from a per-class sample of the
+    claims, feature matrix row i being instances[i]'s."""
     sampled = forest.sample_training_claims(instances, seed=config.seed, counts=counts)
-    samples = [TrainingSample(fvs[i.claim_id], i.label) for i in sampled]
-    model = forest.train(samples, config)
-    log.info("%s", trained_summary(model, len(samples)))
-    return model, len(samples)
+    row_of = {inst.claim_id: r for r, inst in enumerate(instances)}
+    model = forest.fit(X[[row_of[inst.claim_id] for inst in sampled]],
+                       [inst.label for inst in sampled], config)
+    log.info("%s", trained_summary(model, len(sampled)))
+    return model, len(sampled)
 
 
 def trained_summary(model, n_samples: int) -> str:
@@ -111,11 +120,11 @@ def trained_summary(model, n_samples: int) -> str:
             f"depth {model.depth}) on {n_samples} claims")
 
 
-def write_predictions(path, instances, fvs, scored_by_id, model) -> list:
-    """Label each claim, assemble its evidence and write the prediction rows."""
-    labels, _ = model.predict_all([fvs[inst.claim_id] for inst in instances])
-    verdicts = [assemble(inst.claim_id, label, scored_by_id.get(inst.claim_id, []))
-                for inst, label in zip(instances, labels)]
+def write_predictions(path, instances, X, pairs, model) -> list:
+    """Label each claim, assemble its evidence and write the prediction rows;
+    feature matrix row i and pair claim index i are instances[i]'s."""
+    labels, _ = model.predict_all(X)
+    verdicts = assemble_all([inst.claim_id for inst in instances], labels, pairs)
     log.info("assembled %d verdicts (%d overrides to NOT ENOUGH INFO)",
              len(verdicts), sum(v.override_applied for v in verdicts))
     rows.write_rows(path, (v.to_row() for v in verdicts))
@@ -133,9 +142,9 @@ def report_scores(instances, verdicts, json_path) -> None:
         rows.write_json(json_path, report.to_dict())
 
 
-def _feature_row(claim_id, fv) -> dict:
-    row = {"claim_id": claim_id, "n": fv.n}
-    row.update({name: getattr(fv, name) for name in features_mod.FEATURE_NAMES})
+def _feature_row(claim_id, values, n) -> dict:
+    row = {"claim_id": claim_id, "n": n}
+    row.update(zip(features_mod.FEATURE_NAMES, values))
     return row
 
 
@@ -143,17 +152,18 @@ def _features_from_row(row):
     values = [float(rows.number_field(row, name)) for name in features_mod.FEATURE_NAMES]
     if not all(map(math.isfinite, values)):
         raise ValueError("feature values must be finite")
-    fv = features_mod.FeatureVector(*values, n=rows.number_field(row, "n", count=True))
-    return rows.scalar_field(row, "claim_id"), fv
+    rows.number_field(row, "n", count=True)  # checked; training and predicting do not read it
+    return rows.scalar_field(row, "claim_id"), values
 
 
-def _read_feature_rows(path, instances) -> dict:
-    """Feature vectors by claim id; every claim of instances needs one."""
-    fvs = rows.parse_table(path, "feature", "claim id", _features_from_row)
-    missing = [i.claim_id for i in instances if i.claim_id not in fvs]
+def _read_feature_rows(path, instances) -> np.ndarray:
+    """The feature matrix of instances, row i from instances[i]'s feature row."""
+    by_id = rows.parse_table(path, "feature", "claim id", _features_from_row)
+    missing = [i.claim_id for i in instances if i.claim_id not in by_id]
     if missing:
         raise ValueError(f"no feature rows for claim ids {missing[:5]}...")
-    return fvs
+    return np.array([by_id[i.claim_id] for i in instances],
+                    dtype=np.float64).reshape(-1, len(features_mod.FEATURE_NAMES))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -239,35 +249,45 @@ def cmd_features(args) -> int:
             seen.add(ref)
         return claim_id, (by_id[claim_id], refs)
 
-    pairs = rows.parse_table(args.candidates, "candidates", "claim id", parse)
-    scored = score_claims(_make_scorer(args), corpus, pairs.values())
-    rows.write_rows(args.out, (_feature_row(inst.claim_id, fv) for inst, _, fv in scored))
+    by_claim = rows.parse_table(args.candidates, "candidates", "claim id", parse)
+    instances = [inst for inst, _ in by_claim.values()]
+    pairs, X, n = score_claims(_make_scorer(args), corpus, instances,
+                               [refs for _, refs in by_claim.values()])
+    rows.write_rows(args.out, (_feature_row(inst.claim_id, values, count) for inst, values, count
+                               in zip(instances, X.tolist(), n.tolist())))
     if args.scored_out:
-        rows.write_rows(args.scored_out, (row for inst, cands, _ in scored
-                                          for row in triple_rows(inst.claim_id, cands)))
-    print(f"wrote {len(scored)} feature rows -> {args.out}")
+        rows.write_rows(args.scored_out, triple_rows([i.claim_id for i in instances], pairs))
+    print(f"wrote {len(instances)} feature rows -> {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
     config, counts = _forest_config(args)
     instances = load_claims(args.claims)
-    fvs = _read_feature_rows(args.features, instances)
-    model, n_samples = train_model(instances, fvs, config, counts)
+    X = _read_feature_rows(args.features, instances)
+    model, n_samples = train_model(instances, X, config, counts)
     forest.save(model, args.out)
     print(f"{trained_summary(model, n_samples)} -> {args.out}")
     return 0
 
 
+def _read_scored_rows(path, instances) -> ScoredPairs:
+    """The scored pairs of a scored-row file, in file order, each claim index
+    pointing into instances; rows of other claims are left out."""
+    index_of = {inst.claim_id: c for c, inst in enumerate(instances)}
+    table = rows.parse_table(path, "scored", "(claim id, page id, line)", triple_from_row)
+    kept = [(index_of[claim_id], SentenceRef(page, line), triple)
+            for (claim_id, page, line), triple in table.items() if claim_id in index_of]
+    return ScoredPairs(np.array([c for c, _, _ in kept], dtype=np.int64),
+                       [ref for _, ref, _ in kept],
+                       np.array([t for _, _, t in kept], dtype=np.float64).reshape(-1, 3))
+
+
 def cmd_predict(args) -> int:
     instances = load_claims(args.claims)
-    scored_by_id: dict = {}
-    for (claim_id, page, line), triple in rows.parse_table(
-            args.scored, "scored", "(claim id, page id, line)", triple_from_row).items():
-        scored_by_id.setdefault(claim_id, []).append(  # in file order
-            ScoredCandidate(SentenceRef(page, line), triple))
-    fvs = _read_feature_rows(args.features, instances)
-    write_predictions(args.out, instances, fvs, scored_by_id, forest.load(args.model))
+    pairs = _read_scored_rows(args.scored, instances)
+    X = _read_feature_rows(args.features, instances)
+    write_predictions(args.out, instances, X, pairs, forest.load(args.model))
     return 0
 
 
@@ -284,15 +304,13 @@ def cmd_e2e(args) -> int:
     instances = load_claims(args.claims)
     index = _load_index(args, corpus)
     cands = retrieve_candidates(corpus, index, instances, extractor=_make_extractor(args))
-    scored = score_claims(_make_scorer(args), corpus,
-                          ((inst, cands[inst.claim_id]) for inst in instances))
-    scored_by_id = {inst.claim_id: sc for inst, sc, _ in scored}
-    fvs = {inst.claim_id: fv for inst, _, fv in scored}
+    pairs, X, _ = score_claims(_make_scorer(args), corpus, instances,
+                               [cands[inst.claim_id] for inst in instances])
     if args.model:
         model = forest.load(args.model)
     else:
-        model, _ = train_model(instances, fvs, config, counts)
-    verdicts = write_predictions(args.out, instances, fvs, scored_by_id, model)
+        model, _ = train_model(instances, X, config, counts)
+    verdicts = write_predictions(args.out, instances, X, pairs, model)
     report_scores(instances, verdicts, args.report)
     return 0
 

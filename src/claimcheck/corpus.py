@@ -13,8 +13,8 @@ import hashlib
 import json
 import logging
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -31,9 +31,9 @@ class DuplicatePageError(IngestError):
         self.page_id = page_id
 
 
-@dataclass(frozen=True, order=True)
-class SentenceRef:
-    """Pointer to one numbered sentence of one page."""
+class SentenceRef(NamedTuple):
+    """Pointer to one numbered sentence of one page; hashes, compares and
+    sorts as the tuple (page_id, line_number)."""
 
     page_id: str
     line_number: int
@@ -42,11 +42,13 @@ class SentenceRef:
         return [self.page_id, self.line_number]
 
 
-@dataclass
 class Document:
-    page_id: str
-    text: str
-    lines: dict[int, str] = field(default_factory=dict)  # line number -> sentence, dump order
+    """One page: its text and its sentences by line number, in dump order."""
+
+    def __init__(self, page_id: str, text: str, lines: dict[int, str] | None = None):
+        self.page_id = page_id
+        self.text = text
+        self.lines = {} if lines is None else lines  # line number -> sentence
 
     def sentence(self, line_number: int) -> str | None:
         return self.lines.get(line_number)
@@ -56,11 +58,11 @@ class Document:
         return [SentenceRef(self.page_id, n) for n, s in self.lines.items() if s]
 
 
-@dataclass
 class IngestStats:
-    documents: int = 0
-    lines_skipped: int = 0
-    records_skipped: int = 0
+    def __init__(self):
+        self.documents = 0
+        self.lines_skipped = 0
+        self.records_skipped = 0
 
 
 class Corpus:

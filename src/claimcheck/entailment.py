@@ -1,13 +1,35 @@
 """Per-sentence entailment probability triples (support, refute, uninformative).
 
-The scorer is pluggable.  The built-in baseline is a token-overlap heuristic
-whose only job is to make every label reachable in tests and smoke runs; real
-model output is injected from a JSON-lines probability file instead of being
+A run scores all its (claim, candidate sentence) pairs in one call,
+``score_pairs``.  It returns three parallel pair arrays, ``ScoredPairs``:
+
+- ``claims``: the claim index of each pair (int64), an index into the run's
+  claims;
+- ``refs``: the SentenceRef of each pair;
+- ``triples``: an (n, 3) float64 array, one (support, refute,
+  uninformative) row per pair.
+
+Pairs come in claim order, each claim's candidates in the order given.  The
+triple checks (every component in [0, 1], the sum within SUM_TOLERANCE of 1)
+run once over the whole array.  ``score_candidates`` is the one-claim call
+of the same code.
+
+The scorer is pluggable.  A scorer scores one pair with
+``score(claim_id, claim, ref, sentence)``, which score_pairs calls once per
+pair; it may also score a run's pairs at once with
+``triples(instances, claims, refs, corpus)``, as the baseline does.  The
+built-in baseline is a token-overlap heuristic whose only
+job is to make every label reachable in tests and smoke runs; real model
+output is injected from a JSON-lines probability file instead of being
 computed in-process.
 """
 
 import math
-from dataclasses import dataclass
+from itertools import groupby
+from types import SimpleNamespace
+from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import SentenceRef
 from .rows import number_field, parse_table, scalar_field, sentence_ref
@@ -33,52 +55,118 @@ class MissingProbabilityError(ProbabilityError):
         self.ref = ref
 
 
-@dataclass(frozen=True)
-class EntailmentTriple:
+class _Triple(NamedTuple):
     support: float
     refute: float
     uninformative: float
 
-    def __post_init__(self):
-        for value in (self.support, self.refute, self.uninformative):
-            if not (0.0 <= value <= 1.0):
-                raise ProbabilityError(f"component out of [0, 1]: {self!r}")
-        total = self.support + self.refute + self.uninformative
+
+class EntailmentTriple(_Triple):
+    """One pair's triple: components in [0, 1] that sum to 1 within SUM_TOLERANCE."""
+
+    __slots__ = ()
+
+    def __new__(cls, support, refute, uninformative):
+        self = super().__new__(cls, support, refute, uninformative)
+        if not all(0.0 <= value <= 1.0 for value in self):
+            raise ProbabilityError(f"component out of [0, 1]: {self!r}")
+        total = support + refute + uninformative
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=SUM_TOLERANCE):
             raise ProbabilityError(f"components sum to {total!r}, not 1: {self!r}")
+        return self
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.support, self.refute, self.uninformative)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
+class ScoredCandidate(NamedTuple):
     ref: SentenceRef
     triple: EntailmentTriple
 
 
+class ScoredPairs(NamedTuple):
+    """The scored pairs of a run: claim index, ref and triple row of each pair."""
+
+    claims: np.ndarray  # (n,) int64
+    refs: list  # of SentenceRef
+    triples: np.ndarray  # (n, 3) float64
+
+
+def check_triples(triples: np.ndarray) -> None:
+    """The EntailmentTriple checks, once over an (n, 3) array of triples."""
+    total = triples[:, 0] + triples[:, 1] + triples[:, 2]
+    good = ((triples >= 0.0) & (triples <= 1.0)).all(axis=1)
+    good &= np.abs(total - 1.0) <= SUM_TOLERANCE
+    if not good.all():
+        i = int(np.argmin(good))
+        raise ProbabilityError(f"pair {i} has triple {tuple(triples[i].tolist())}: its "
+                               "components must lie in [0, 1] and sum to 1")
+
+
+def _bag(tokens) -> tuple:
+    """(token set, whether it holds a negation cue)."""
+    tokens = set(tokens)
+    return tokens, not tokens.isdisjoint(NEGATION_CUES)
+
+
+def _overlap_triples(stats) -> np.ndarray:
+    """(n, 3) baseline triples of (n, 3) pair stats: the claim's tokens found in
+    the sentence, the claim's token count, and 1 for a negation mismatch.
+
+    Overlap o is the share of the claim's tokens found in the sentence (0 for
+    an empty claim); a negation mismatch flips support to refute.
+    """
+    shared, size, mismatch = stats.T
+    o = np.divide(shared, size, out=np.zeros(len(stats)), where=size > 0)
+    g = mismatch.astype(np.float64)
+    raw = np.stack([o * (1.0 - g), o * g, 1.0 - o], axis=1)
+    total = raw[:, 0] + raw[:, 1] + raw[:, 2]  # guards rounding; mathematically already 1
+    return raw / total[:, np.newaxis]
+
+
+def _pair_stats(claim_bag, sentence_bag) -> tuple:
+    (c, c_neg), (s, s_neg) = claim_bag, sentence_bag
+    return len(c & s), len(c), c_neg != s_neg
+
+
 def baseline_score(claim_tokens, sentence_tokens) -> EntailmentTriple:
     """Overlap o relative to the claim; negation mismatch flips support to refute."""
-    claim_set, sentence_set = set(claim_tokens), set(sentence_tokens)
-    o = len(claim_set & sentence_set) / len(claim_set) if claim_set else 0.0
-    g = 1 if (bool(claim_set & NEGATION_CUES) != bool(sentence_set & NEGATION_CUES)) else 0
-    raw = (o * (1 - g), o * g, 1.0 - o)
-    total = sum(raw)  # guards rounding; mathematically already 1
-    return EntailmentTriple(raw[0] / total, raw[1] / total, raw[2] / total)
+    stats = np.array([_pair_stats(_bag(claim_tokens), _bag(sentence_tokens))], dtype=np.int64)
+    return EntailmentTriple(*_overlap_triples(stats)[0].tolist())
 
 
 class BaselineScorer:
     def score(self, claim_id, claim: str, ref, sentence: str) -> EntailmentTriple:
         return baseline_score(tokenize(claim), tokenize(sentence))
 
+    def triples(self, instances, claims, refs, corpus) -> np.ndarray:
+        """Triples of all pairs, tokenizing each distinct claim and sentence once.
 
-def triple_rows(claim_id, candidates):
+        Pairs are visited sentence by sentence, so only the claims' tokens are
+        held while the sentences are scored.
+        """
+        claim_bags = {}  # claim text -> _bag of its tokens
+        for inst in instances:
+            if inst.claim not in claim_bags:
+                claim_bags[inst.claim] = _bag(tokenize(inst.claim))
+        bags = [claim_bags[inst.claim] for inst in instances]
+        claims = claims.tolist()
+        stats = [None] * len(refs)
+        for ref, pairs in groupby(sorted(range(len(refs)), key=refs.__getitem__),
+                                  key=refs.__getitem__):
+            sentence = _bag(tokenize(corpus.get_sentence(ref)))
+            for i in pairs:
+                stats[i] = _pair_stats(bags[claims[i]], sentence)
+        return _overlap_triples(np.array(stats, dtype=np.int64).reshape(-1, 3))
+
+
+def triple_rows(claim_ids, pairs: ScoredPairs):
     """One {claim_id, page_id, line_number, support, refute, uninformative} row
-    per scored candidate: the format triple_from_row reads."""
-    for cand in candidates:
-        yield {"claim_id": claim_id, "page_id": cand.ref.page_id,
-               "line_number": cand.ref.line_number,
-               **dict(zip(TRIPLE_FIELDS, cand.triple.as_tuple()))}
+    per scored pair, claim_ids[c] being the id of claim index c: the format
+    triple_from_row reads."""
+    for c, ref, triple in zip(pairs.claims.tolist(), pairs.refs, pairs.triples.tolist()):
+        yield {"claim_id": claim_ids[c], "page_id": ref.page_id,
+               "line_number": ref.line_number, **dict(zip(TRIPLE_FIELDS, triple))}
 
 
 def triple_from_row(row) -> tuple:
@@ -109,13 +197,36 @@ class FileScorer:
                                triple_from_row, ProbabilityError))
 
     def score(self, claim_id, claim: str, ref: SentenceRef, sentence: str) -> EntailmentTriple:
-        key = (claim_id, ref.page_id, ref.line_number)
-        if key not in self.table:
-            raise MissingProbabilityError(claim_id, ref)
-        return self.table[key]
+        try:
+            return self.table[(claim_id, *ref)]
+        except KeyError:
+            raise MissingProbabilityError(claim_id, ref) from None
+
+
+def score_pairs(scorer, instances, candidates, corpus) -> ScoredPairs:
+    """Score every (claim, candidate) pair of a run in one call.
+
+    instances[i], anything with a claim_id and a claim text, has the candidate
+    refs candidates[i]; each must name a sentence of the corpus.
+    """
+    sizes = [len(refs) for refs in candidates]
+    claims = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    refs = [ref for group in candidates for ref in group]
+    if hasattr(scorer, "triples"):
+        triples = scorer.triples(instances, claims, refs, corpus)
+    else:  # a scorer of one pair at a time
+        triples = np.array([scorer.score(instances[c].claim_id, instances[c].claim, ref,
+                                         corpus.get_sentence(ref))
+                            for c, ref in zip(claims.tolist(), refs)],
+                           dtype=np.float64).reshape(-1, 3)
+    check_triples(triples)
+    return ScoredPairs(claims, refs, triples)
 
 
 def score_candidates(scorer, claim_id, claim: str, refs, corpus) -> list[ScoredCandidate]:
-    """Score every ref, in the given order; each must name a sentence of the corpus."""
-    return [ScoredCandidate(ref, scorer.score(claim_id, claim, ref, corpus.get_sentence(ref)))
-            for ref in refs]
+    """Score every ref of one claim, in the given order: a one-claim call of
+    score_pairs."""
+    pairs = score_pairs(scorer, [SimpleNamespace(claim_id=claim_id, claim=claim)], [refs],
+                        corpus)
+    return [ScoredCandidate(ref, EntailmentTriple(*triple))
+            for ref, triple in zip(pairs.refs, pairs.triples.tolist())]

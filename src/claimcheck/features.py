@@ -2,36 +2,31 @@
 
 Indicators use non-strict comparisons, so exact ties activate more than one
 of (cs, cr, cu).  All features are sums, maxima, or ratios over a claim's
-scored candidates; the empty candidate list maps to the all-zero vector.
+scored candidates; a claim without candidates gets the all-zero vector.
+
+``feature_matrix`` computes the features of every claim of a run at once
+from the pair arrays of ``entailment.score_pairs`` (the claim index and the
+triple row of each pair): one (claims x 12) float64 matrix.  Its sums add
+each claim's terms one at a time in pair order (``np.bincount``), so every
+cell has the bits of the sequential per-claim sum.  ``features`` is the
+one-claim call, returning a FeatureVector.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .entailment import EntailmentTriple
-
 FEATURE_NAMES = tuple(f"f{i}" for i in range(1, 13))
+_SUMS = 6  # f1..f6 are sums over the candidates
 
 
-@dataclass(frozen=True)
-class IndicatorTriple:
+class IndicatorTriple(NamedTuple):
     cs: int
     cr: int
     cu: int
 
 
-def indicators(triple: EntailmentTriple) -> IndicatorTriple:
-    s, r, u = triple.support, triple.refute, triple.uninformative
-    return IndicatorTriple(
-        cs=1 if (s >= r and s >= u) else 0,
-        cr=1 if (r >= s and r >= u) else 0,
-        cu=1 if (u >= s and u >= r) else 0,
-    )
-
-
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     f1: float
     f2: float
     f3: float
@@ -47,26 +42,45 @@ class FeatureVector:
     n: int
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
+        return np.array(self[:len(FEATURE_NAMES)], dtype=np.float64)
+
+
+def indicator_matrix(triples: np.ndarray) -> np.ndarray:
+    """(n, 3) float64 0/1 indicators (cs, cr, cu) of an (n, 3) triple array."""
+    s, r, u = triples[:, 0], triples[:, 1], triples[:, 2]
+    return np.stack([(s >= r) & (s >= u), (r >= s) & (r >= u), (u >= s) & (u >= r)],
+                    axis=1).astype(np.float64)
+
+
+def indicators(triple) -> IndicatorTriple:
+    """The indicators of one triple."""
+    row = indicator_matrix(np.array([triple], dtype=np.float64))[0]
+    return IndicatorTriple(*map(int, row.tolist()))
+
+
+def feature_matrix(claims: np.ndarray, triples: np.ndarray, n_claims: int) -> tuple:
+    """((n_claims, 12) features, (n_claims,) candidate counts) of scored pairs,
+    pair i belonging to claim index claims[i]; pairs may come in any order.
+
+    f1..f3 count the indicators, f4..f6 sum each indicated probability, f7..f9
+    take each probability's maximum and f10..f12 are f4..f6 over f1..f3.
+    """
+    ind = indicator_matrix(triples)
+    terms = np.concatenate([ind, triples * ind], axis=1)  # (n, 6): what f1..f6 add
+    cells = claims[:, np.newaxis] * _SUMS + np.arange(_SUMS)
+    X = np.zeros((n_claims, len(FEATURE_NAMES)))
+    X[:, :_SUMS] = np.bincount(cells.ravel(), weights=terms.ravel(),
+                               minlength=n_claims * _SUMS).reshape(n_claims, _SUMS)
+    # + 0.0 turns -0.0 into 0.0: np.maximum(0.0, -0.0) may return -0.0, max() does not
+    np.maximum.at(X[:, 6:9], claims, triples + 0.0)
+    np.divide(X[:, 3:6], X[:, 0:3], out=X[:, 9:12], where=X[:, 0:3] != 0)
+    return X, np.bincount(claims, minlength=n_claims)
 
 
 def features(candidates) -> FeatureVector:
-    """Twelve features over scored candidates (or bare triples)."""
-    triples = [getattr(c, "triple", c) for c in candidates]
-    f = [0.0] * 12
-    for triple in triples:
-        s, r, u = triple.support, triple.refute, triple.uninformative
-        ind = indicators(triple)
-        f[0] += ind.cs
-        f[1] += ind.cr
-        f[2] += ind.cu
-        f[3] += s * ind.cs
-        f[4] += r * ind.cr
-        f[5] += u * ind.cu
-        f[6] = max(f[6], s)
-        f[7] = max(f[7], r)
-        f[8] = max(f[8], u)
-    f[9] = f[3] / f[0] if f[0] != 0 else 0.0
-    f[10] = f[4] / f[1] if f[1] != 0 else 0.0
-    f[11] = f[5] / f[2] if f[2] != 0 else 0.0
-    return FeatureVector(*f, n=len(triples))
+    """Twelve features over one claim's scored candidates (or bare triples): a
+    one-claim call of feature_matrix."""
+    triples = np.array([getattr(c, "triple", c) for c in candidates],
+                       dtype=np.float64).reshape(-1, 3)
+    X, n = feature_matrix(np.zeros(len(triples), dtype=np.int64), triples, 1)
+    return FeatureVector(*X[0].tolist(), n=int(n[0]))

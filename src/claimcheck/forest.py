@@ -13,7 +13,7 @@ file round-trips bit-exactly.
 import json
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,21 +39,26 @@ class ModelFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ForestConfig:
-    trees: int = 50
-    max_depth: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.trees < 1:
-            raise ValueError(f"a forest needs at least 1 tree, got {self.trees}")
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+class _Config(NamedTuple):
+    trees: int
+    max_depth: int
+    seed: int
 
 
-@dataclass(frozen=True)
-class TrainingSample:
+class ForestConfig(_Config):
+    __slots__ = ()
+
+    def __new__(cls, trees=50, max_depth=3, seed=0):
+        if trees < 1:
+            raise ValueError(f"a forest needs at least 1 tree, got {trees}")
+        if max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+        if seed < 0:
+            raise ValueError(f"the seed must be >= 0, got {seed}")
+        return super().__new__(cls, trees, max_depth, seed)
+
+
+class TrainingSample(NamedTuple):
     features: FeatureVector
     label: str
 
@@ -93,15 +98,15 @@ class RandomForest:
         """The most splits on any root-to-leaf path."""
         return self._nodes[-1]
 
-    def predict_all(self, features) -> tuple:
-        """(labels, (m, classes) probabilities) of m feature vectors, in one pass.
+    def predict_all(self, X) -> tuple:
+        """(labels, (m, classes) probabilities) of an (m, 12) feature matrix, in
+        one pass.
 
         Each claim's probabilities add the trees' leaf distributions one at
         a time in tree order; ties in the argmax pick the earlier label.
         """
         roots, feature, threshold, left, right, dist, depth = self._nodes
-        X = np.array([fv.as_array() for fv in features], dtype=np.float64)
-        X = X.reshape(-1, len(FEATURE_NAMES))
+        X = _feature_rows(X)
         node = np.tile(roots, (len(X), 1))
         rows = np.arange(len(X))[:, np.newaxis]
         for _ in range(depth):  # leaves point to themselves
@@ -112,8 +117,17 @@ class RandomForest:
 
     def predict(self, features: FeatureVector):
         """(label, class-probability vector) of one feature vector."""
-        labels, probs = self.predict_all([features])
+        labels, probs = self.predict_all(features.as_array()[np.newaxis])
         return labels[0], probs[0]
+
+
+def _feature_rows(X) -> np.ndarray:
+    """X as a float64 (m, 12) matrix; anything of another shape is refused."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):
+        raise ValueError(f"expected an (m, {len(FEATURE_NAMES)}) feature matrix, "
+                         f"got shape {X.shape}")
+    return X
 
 
 # Node i of the flat layout splits on feature[i] at threshold[i] and goes to
@@ -178,15 +192,24 @@ def _unflatten(nodes: tuple) -> list:
 
 
 def train(samples, config: ForestConfig = ForestConfig()) -> RandomForest:
-    if len(samples) < 2:
+    """A forest on TrainingSamples: fit on their feature rows and labels."""
+    X = np.array([s.features.as_array() for s in samples]).reshape(-1, len(FEATURE_NAMES))
+    return fit(X, [s.label for s in samples], config)
+
+
+def fit(X, labels, config: ForestConfig = ForestConfig()) -> RandomForest:
+    """A forest on an (m, 12) feature matrix, row i labelled labels[i]."""
+    if len(labels) < 2:
         raise TrainingError("need at least 2 training samples")
-    X = np.stack([s.features.as_array() for s in samples])
+    X = _feature_rows(X)
+    if len(X) != len(labels):
+        raise TrainingError(f"{len(X)} feature rows for {len(labels)} labels")
     if not np.isfinite(X).all():
         raise TrainingError("non-finite feature values in training data")
     try:
-        y = np.array([LABELS.index(s.label) for s in samples], dtype=np.int64)
+        y = np.array([LABELS.index(label) for label in labels], dtype=np.int64)
     except ValueError:
-        bad = sorted({s.label for s in samples} - set(LABELS))
+        bad = sorted(set(labels) - set(LABELS))
         raise TrainingError(f"unknown labels: {bad}") from None
     if (y == y[0]).all():  # np.unique(y) imports numpy.ma, which costs more than training
         raise TrainingError("training data contains a single class")

@@ -6,7 +6,7 @@ label is correct and, unless the gold label is NOT ENOUGH INFO, the
 predicted evidence contains at least one complete gold evidence set.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import SentenceRef
 from .forest import LABELS
@@ -19,25 +19,31 @@ class ScoringError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GoldInstance:
+class _Gold(NamedTuple):
     claim_id: object
     label: str
     evidence_sets: tuple  # of frozenset[SentenceRef]; empty for NOT ENOUGH INFO
 
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ScoringError(f"unknown gold label {self.label!r}")
+
+class GoldInstance(_Gold):
+    __slots__ = ()
+
+    def __new__(cls, claim_id, label, evidence_sets):
+        if label not in LABELS:
+            raise ScoringError(f"unknown gold label {label!r}")
+        return super().__new__(cls, claim_id, label, evidence_sets)
 
 
-@dataclass
 class ScoreReport:
-    label_accuracy: float
-    evidence_precision: float
-    evidence_recall: float
-    evidence_f1: float
-    fever_score: float
-    confusion: dict = field(default_factory=dict)  # (gold, predicted) -> count
+    def __init__(self, label_accuracy: float, evidence_precision: float,
+                 evidence_recall: float, evidence_f1: float, fever_score: float,
+                 confusion: dict | None = None):
+        self.label_accuracy = label_accuracy
+        self.evidence_precision = evidence_precision
+        self.evidence_recall = evidence_recall
+        self.evidence_f1 = evidence_f1
+        self.fever_score = fever_score
+        self.confusion = {} if confusion is None else confusion  # (gold, predicted) -> count
 
     def to_dict(self) -> dict:
         return {

@@ -11,7 +11,7 @@ nearest; every sentence of the matched pages becomes a candidate.
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,17 +24,20 @@ LEADING_STOPWORDS = frozenset({"the", "a", "an"})
 _EDGE_TRIM_RE = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class EntityMention:
+class _Mention(NamedTuple):
     surface: str
 
-    def __post_init__(self):
-        if not self.surface.strip():
+
+class EntityMention(_Mention):
+    __slots__ = ()
+
+    def __new__(cls, surface):
+        if not surface.strip():
             raise ValueError("entity surface must be non-empty")
+        return super().__new__(cls, surface)
 
 
-@dataclass(frozen=True)
-class TitleMatch:
+class TitleMatch(NamedTuple):
     page_id: str
     distance: int
 
@@ -175,15 +178,22 @@ class TitleMatcher:
         return kernels.batch_levenshtein(self._mat[lo:hi, :width], self._lengths[lo:hi], query)
 
 
-def candidate_sentences_for_claim(corpus: Corpus, claim: str, *, matcher: TitleMatcher,
-                                  extractor=None, claim_id=None) -> list[SentenceRef]:
-    """All non-empty sentences of the pages matched by the claim's entities."""
-    if extractor is None:
-        mentions = extract_entities(claim)
-    else:
-        mentions = extractor(claim_id)
+def claim_mentions(claim: str, *, extractor=None, claim_id=None) -> list[EntityMention]:
+    """The claim's mentions: from the extractor by claim id, else the heuristic."""
+    return extract_entities(claim) if extractor is None else extractor(claim_id)
+
+
+def mention_sentences(corpus: Corpus, mentions, matcher: TitleMatcher) -> list[SentenceRef]:
+    """All non-empty sentences of the pages the mentions match, sorted."""
     pages = {matcher.match(mention).page_id for mention in mentions}
     refs: set[SentenceRef] = set()
     for page_id in pages:
         refs.update(corpus.get(page_id).non_empty_refs())
     return sorted(refs)
+
+
+def candidate_sentences_for_claim(corpus: Corpus, claim: str, *, matcher: TitleMatcher,
+                                  extractor=None, claim_id=None) -> list[SentenceRef]:
+    """All non-empty sentences of the pages matched by the claim's entities."""
+    return mention_sentences(
+        corpus, claim_mentions(claim, extractor=extractor, claim_id=claim_id), matcher)

@@ -12,7 +12,7 @@ same seed is byte-identical and instance order does not matter.
 """
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Corpus, SentenceRef
 from .forest import LABELS
@@ -26,8 +26,7 @@ class GenerationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FeverInstance:
+class FeverInstance(NamedTuple):
     claim_id: int | str
     claim: str
     label: str
@@ -37,8 +36,7 @@ class FeverInstance:
         return {ref for group in self.evidence_sets for ref in group}
 
 
-@dataclass(frozen=True)
-class NliExample:
+class NliExample(NamedTuple):
     premise: str
     hypothesis: str
     label: str

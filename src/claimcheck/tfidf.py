@@ -21,7 +21,7 @@ one-claim calls of the same code.
 import io
 import json
 import zipfile
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ def _write_npz(path, arrays: dict) -> None:
             zf.writestr(info, buf.getvalue())
 
 
-@dataclass(frozen=True)
-class ScoredItem:
+class ScoredItem(NamedTuple):
     item: object  # page_id str or SentenceRef
     score: float
 

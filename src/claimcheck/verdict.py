@@ -1,16 +1,23 @@
-"""Final label and evidence selection for a claim.
+"""Final label and evidence selection.
 
-Evidence is ranked by the product of the candidate's probability for the
-predicted label and its indicator (support*cs for SUPPORTS, refute*cr for
-REFUTES); the top five positive products are returned.  When no candidate's
-indicator matches the predicted label the verdict falls back to NOT ENOUGH
-INFO with empty evidence, and that override is recorded.
+``assemble_all`` makes the verdicts of every claim of a run at once from the
+pair arrays of ``entailment.score_pairs`` (claim index, SentenceRef and
+triple row of each pair).  Evidence is ranked by the product of the
+candidate's probability for the predicted label and its indicator
+(support*cs for SUPPORTS, refute*cr for REFUTES), ties broken by SentenceRef;
+the top five positive products are returned.  When no candidate's indicator
+matches the predicted label the verdict falls back to NOT ENOUGH INFO with
+empty evidence, and that override is recorded.  ``assemble`` is the
+one-claim call.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import SentenceRef
-from .features import indicators
+from .entailment import ScoredPairs
+from .features import indicator_matrix
 from .forest import LABELS
 from .rows import scalar_field, sentence_ref
 
@@ -18,8 +25,7 @@ MAX_EVIDENCE = 5
 NOT_ENOUGH_INFO = "NOT ENOUGH INFO"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     claim_id: object
     label: str
     evidence: tuple  # SentenceRef, ranked
@@ -33,26 +39,43 @@ class Verdict:
         }
 
 
-def assemble(claim_id, predicted_label: str, candidates) -> Verdict:
-    if predicted_label == NOT_ENOUGH_INFO:
-        return Verdict(claim_id, NOT_ENOUGH_INFO, (), False)
+def assemble_all(claim_ids, labels, pairs: ScoredPairs) -> list[Verdict]:
+    """The verdict of each claim index c, whose id is claim_ids[c] and whose
+    predicted label is labels[c], from its scored pairs; pairs may come in
+    any order."""
+    claims, refs, triples = pairs
+    label_of = np.array([LABELS.index(label) for label in labels], dtype=np.int64)[claims]
+    product = (triples * indicator_matrix(triples))[np.arange(len(claims)), label_of]
+    keep = np.flatnonzero((label_of != LABELS.index(NOT_ENOUGH_INFO)) & (product > 0))
+    kept_refs = [refs[i] for i in keep.tolist()]
+    rank = {ref: r for r, ref in enumerate(sorted(set(kept_refs)))}
+    order = keep[np.lexsort((np.array([rank[ref] for ref in kept_refs], dtype=np.int64),
+                             -product[keep], claims[keep]))]
+    bounds = np.searchsorted(claims[order], np.arange(len(labels) + 1)).tolist()
+    order = order.tolist()
 
-    ranked = []
-    for cand in candidates:
-        ind = indicators(cand.triple)
-        if predicted_label == "SUPPORTS":
-            product = cand.triple.support * ind.cs
+    verdicts = []
+    for c, (claim_id, label) in enumerate(zip(claim_ids, labels)):
+        lo, hi = bounds[c], bounds[c + 1]
+        if label == NOT_ENOUGH_INFO:
+            verdicts.append(Verdict(claim_id, NOT_ENOUGH_INFO, (), False))
+        elif lo == hi:  # no candidate's indicator agrees with the label
+            verdicts.append(Verdict(claim_id, NOT_ENOUGH_INFO, (), True))
         else:
-            product = cand.triple.refute * ind.cr
-        if product > 0:
-            ranked.append((product, cand.ref))
-    if not ranked:
-        # no candidate's indicator agrees with the label
-        return Verdict(claim_id, NOT_ENOUGH_INFO, (), True)
+            evidence = tuple(refs[i] for i in order[lo:min(hi, lo + MAX_EVIDENCE)])
+            verdicts.append(Verdict(claim_id, label, evidence, False))
+    return verdicts
 
-    ranked.sort(key=lambda pr: (-pr[0], pr[1]))
-    evidence = tuple(ref for _, ref in ranked[:MAX_EVIDENCE])
-    return Verdict(claim_id, predicted_label, evidence, False)
+
+def assemble(claim_id, predicted_label: str, candidates) -> Verdict:
+    """The verdict of one claim from its scored candidates: a one-claim call of
+    assemble_all."""
+    candidates = list(candidates)
+    pairs = ScoredPairs(np.zeros(len(candidates), dtype=np.int64),
+                        [cand.ref for cand in candidates],
+                        np.array([cand.triple for cand in candidates],
+                                 dtype=np.float64).reshape(-1, 3))
+    return assemble_all([claim_id], [predicted_label], pairs)[0]
 
 
 def prediction_from_row(row) -> Verdict:

@@ -2,6 +2,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from claimcheck import kernels
 from claimcheck.corpus import Corpus, Document, ingest_dump
@@ -52,6 +53,29 @@ def best_split(block, labels, n_classes=3) -> tuple:
     gains, columns, thresholds = kernels.best_splits(
         block.T[np.newaxis], labels[np.newaxis], np.array([len(labels)]), n_classes)
     return float(gains[0]), int(columns[0]), float(thresholds[0])
+
+
+def _normalized(raw) -> tuple:
+    s, r = raw[0] / sum(raw), raw[1] / sum(raw)
+    return s, r, max(0.0, 1.0 - s - r)
+
+
+# (support, refute, uninformative) triples: exact ties, zeros (-0.0 too,
+# which passes the [0, 1] check) and random ones
+TRIPLES = st.sampled_from([
+    (1 / 3, 1 / 3, 1 / 3), (0.4, 0.4, 0.2), (0.2, 0.4, 0.4), (0.4, 0.2, 0.4),
+    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0),
+    (-0.0, 0.5, 0.5), (0.5, -0.0, 0.5), (0.0, -0.0, 1.0), (0.7, 0.2, 0.1),
+]) | st.tuples(*[st.floats(0, 1)] * 3).filter(lambda t: sum(t) > 0).map(_normalized)
+
+
+@st.composite
+def interleaved(draw, per_claim) -> tuple:
+    """(claim index of each item, items): the items of per_claim[c], for every
+    claim c, mixed in a drawn order that keeps each claim's own order."""
+    owners = draw(st.permutations([c for c, items in enumerate(per_claim) for _ in items]))
+    queues = [iter(items) for items in per_claim]
+    return np.array(owners, dtype=np.int64), [next(queues[c]) for c in owners]
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,69 @@
+"""Reference implementations the batch code is checked against with ==.
+
+Each works on one claim (or one pair) at a time in plain Python, the way
+the pipeline computed features, verdicts and baseline triples before it
+scored a run's pairs as arrays.
+"""
+
+from claimcheck.entailment import NEGATION_CUES
+
+MAX_EVIDENCE = 5
+NOT_ENOUGH_INFO = "NOT ENOUGH INFO"
+
+
+def indicators(triple) -> tuple:
+    """(cs, cr, cu) of one (support, refute, uninformative) triple; ties set both."""
+    s, r, u = triple
+    return (1 if (s >= r and s >= u) else 0,
+            1 if (r >= s and r >= u) else 0,
+            1 if (u >= s and u >= r) else 0)
+
+
+def features(triples) -> tuple:
+    """(twelve features, candidate count) of one claim's triples, in the order given."""
+    f = [0.0] * 12
+    for triple in triples:
+        s, r, u = triple
+        cs, cr, cu = indicators(triple)
+        f[0] += cs
+        f[1] += cr
+        f[2] += cu
+        f[3] += s * cs
+        f[4] += r * cr
+        f[5] += u * cu
+        f[6] = max(f[6], s)
+        f[7] = max(f[7], r)
+        f[8] = max(f[8], u)
+    f[9] = f[3] / f[0] if f[0] != 0 else 0.0
+    f[10] = f[4] / f[1] if f[1] != 0 else 0.0
+    f[11] = f[5] / f[2] if f[2] != 0 else 0.0
+    return f, len(triples)
+
+
+def assemble(claim_id, predicted_label, candidates) -> tuple:
+    """(claim id, label, evidence, override) of one claim from (ref, triple) pairs."""
+    if predicted_label == NOT_ENOUGH_INFO:
+        return claim_id, NOT_ENOUGH_INFO, (), False
+    ranked = []
+    for ref, triple in candidates:
+        cs, cr, _ = indicators(triple)
+        if predicted_label == "SUPPORTS":
+            product = triple[0] * cs
+        else:
+            product = triple[1] * cr
+        if product > 0:
+            ranked.append((product, ref))
+    if not ranked:
+        return claim_id, NOT_ENOUGH_INFO, (), True
+    ranked.sort(key=lambda pr: (-pr[0], pr[1]))
+    return claim_id, predicted_label, tuple(ref for _, ref in ranked[:MAX_EVIDENCE]), False
+
+
+def baseline_triple(claim_tokens, sentence_tokens) -> tuple:
+    """Overlap o relative to the claim; negation mismatch flips support to refute."""
+    claim_set, sentence_set = set(claim_tokens), set(sentence_tokens)
+    o = len(claim_set & sentence_set) / len(claim_set) if claim_set else 0.0
+    g = 1 if (bool(claim_set & NEGATION_CUES) != bool(sentence_set & NEGATION_CUES)) else 0
+    raw = (o * (1 - g), o * g, 1.0 - o)
+    total = sum(raw)
+    return tuple(v / total for v in raw)

@@ -139,6 +139,21 @@ class TestStages:
         assert [r.getMessage() for r in caplog.records].count(line) == 1
         assert expected[0] < expected.total()  # the fixture has inexact mentions too
 
+    def test_no_title_matcher_without_mentions(self, workdir, tmp_path, caplog,
+                                               monkeypatch):
+        # lowercased claims hold no capitalized run, so no mention needs a title
+        claims = tmp_path / "claims.jsonl"
+        claims.write_text("".join(json.dumps({**row, "claim": row["claim"].lower()}) + "\n"
+                                  for row in read_rows(CLAIMS)))
+        monkeypatch.setattr(ner, "TitleMatcher", lambda corpus: pytest.fail("built a matcher"))
+        caplog.set_level(logging.INFO)
+        assert cli.main(["retrieve", "--corpus", str(workdir / "corpus.json.gz"),
+                         "--claims", str(claims), "--index", str(workdir / "index.npz"),
+                         "--out", str(tmp_path / "cands.jsonl")]) == 0
+        line = "matched 0 mentions to titles (0 exact); mentions by match distance: {}"
+        assert [r.getMessage() for r in caplog.records].count(line) == 1
+        assert len(read_rows(tmp_path / "cands.jsonl")) == 30
+
     def test_train_logs_nodes_and_depth(self, staged, tmp_path, caplog):
         caplog.set_level(logging.INFO)
         model = tmp_path / "model.json"
@@ -676,6 +691,25 @@ class TestBadInputs:
         assert message in one_error(code, err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["e2e", "train"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "the seed must be >= 0, got -1"),
+        (["--sample-counts", "a,b,c"],
+         "--sample-counts needs three non-negative integers, got 'a,b,c'"),
+        (["--sample-counts", "3,2.5,1"],
+         "--sample-counts needs three non-negative integers, got '3,2.5,1'"),
+    ], ids=["negative_seed", "letters", "fraction"])
+    def test_bad_training_flag_refused_up_front(self, staged, tmp_path, capsys, monkeypatch,
+                                                command, flags, message):
+        # refused before any input is read
+        monkeypatch.setattr(cli, "load_claims", lambda path: pytest.fail("read the claims"))
+        out = tmp_path / "out.json"
+        inputs = (["--corpus", DUMP, "--claims", CLAIMS] if command == "e2e"
+                  else ["--claims", CLAIMS, "--features", staged / "features.jsonl"])
+        code, _, err = run([command, *inputs, *flags, "--out", out], capsys)
+        assert one_error(code, err) == f"error: {message}\n"
+        assert not out.exists()
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -876,14 +910,13 @@ class TestTripleRows:
         side, scored = tmp_path / "row.jsonl", tmp_path / "s.jsonl"
         side.write_text(json.dumps({**_SCORED, "support": total - 0.5, "refute": 0.25,
                                     "uninformative": 0.25}) + "\n")
-        seen = {}  # the scored candidates predict assembles its verdicts from
+        seen = {}  # the scored pairs predict assembles its verdicts from
         monkeypatch.setattr(cli, "write_predictions",
-                            lambda path, instances, fvs, scored_by_id, model:
-                            seen.update(scored_by_id))
+                            lambda path, instances, X, pairs, model: seen.update(pairs=pairs))
         code, _, err = run(["predict", "--claims", d / "claims.jsonl",
                             "--features", d / "features.jsonl", "--scored", side,
                             "--model", d / "model.json", "--out", tmp_path / "p.jsonl"], capsys)
-        results = [(code, err, seen[101][0].triple.as_tuple() if seen else None)]
+        results = [(code, err, tuple(seen["pairs"].triples[0].tolist()) if seen else None)]
         code, _, err = run(["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
                             "--candidates", d / "cands1.jsonl", "--prob-file", side,
                             "--out", tmp_path / "f.jsonl", "--scored-out", scored], capsys)
@@ -950,6 +983,45 @@ class TestEndToEnd:
             assert run(argv, capsys)[0] == 0
         assert (t / "staged.jsonl").read_bytes() == (t / "e2e.jsonl").read_bytes()
         assert (t / "staged.json").read_bytes() == (t / "e2e.json").read_bytes()
+
+    def test_prob_file_e2e_matches_staged_chain(self, workdir, tmp_path, capsys):
+        # triples with exact ties, zeros and random values for every candidate,
+        # in an order that is neither claim nor ref order
+        rng = np.random.default_rng(23)
+        fixed = [(1 / 3, 1 / 3, 1 / 3), (0.4, 0.4, 0.2), (0.2, 0.4, 0.4), (1.0, 0.0, 0.0),
+                 (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0)]
+        prob_rows = []
+        for row in read_rows(workdir / "candidates.jsonl"):
+            for page, line in row["candidates"]:
+                if rng.random() < 0.5:
+                    triple = fixed[rng.integers(len(fixed))]
+                else:
+                    raw = rng.random(3)
+                    s, r = (raw[:2] / raw.sum()).tolist()
+                    triple = (s, r, max(0.0, 1.0 - s - r))
+                prob_rows.append({"claim_id": row["id"], "page_id": page, "line_number": line,
+                                  **dict(zip(TRIPLE_FIELDS, triple))})
+        prob = tmp_path / "prob.jsonl"
+        prob.write_text("".join(json.dumps(prob_rows[i]) + "\n"
+                                for i in rng.permutation(len(prob_rows))))
+        d, t = workdir, tmp_path
+        for argv in (
+            ["features", "--corpus", d / "corpus.json.gz", "--claims", CLAIMS,
+             "--candidates", d / "candidates.jsonl", "--prob-file", prob,
+             "--out", t / "features.jsonl", "--scored-out", t / "scored.jsonl"],
+            ["train", "--claims", CLAIMS, "--features", t / "features.jsonl",
+             "--out", t / "model.json"],
+            ["predict", "--claims", CLAIMS, "--features", t / "features.jsonl",
+             "--scored", t / "scored.jsonl", "--model", t / "model.json",
+             "--out", t / "staged.jsonl"],
+            ["e2e", "--corpus", d / "corpus.json.gz", "--index", d / "index.npz",
+             "--claims", CLAIMS, "--prob-file", prob, "--out", t / "e2e.jsonl"],
+        ):
+            assert run(argv, capsys)[0] == 0
+        assert (t / "staged.jsonl").read_bytes() == (t / "e2e.jsonl").read_bytes()
+        verdicts = read_rows(t / "e2e.jsonl")
+        assert len({row["predicted_label"] for row in verdicts}) > 1
+        assert any(row["predicted_evidence"] for row in verdicts)
 
     def test_benchmark_trace_matches_cli(self, tmp_path, capsys):
         # perfbench/bench_trace.py calls the layers from outside, as perfbench/run.py

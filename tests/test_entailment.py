@@ -1,8 +1,15 @@
 import json
+from collections import Counter
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from claimcheck.corpus import SentenceRef
+import oracles
+from claimcheck import entailment
+from claimcheck.corpus import Corpus, Document, SentenceRef
 from claimcheck.entailment import (
     BaselineScorer,
     EntailmentTriple,
@@ -10,6 +17,7 @@ from claimcheck.entailment import (
     MissingProbabilityError,
     ProbabilityError,
     baseline_score,
+    score_pairs,
 )
 from claimcheck.tokenizer import tokenize
 
@@ -108,3 +116,82 @@ class TestFileScorer:
         p.write_text(prob_row(1, "A", 0, 0.7004, 0.2, 0.1) + "\n")
         t = FileScorer.load(p).score(1, "c", SentenceRef("A", 0), "s")
         assert abs(sum(t.as_tuple()) - 1.0) < 1e-9
+
+
+WORDS = st.sampled_from(["not", "no", "never", "Mill", "abbey", "harbor", "stone", "was",
+                         "the", "n't"])
+
+
+@st.composite
+def baseline_runs(draw):
+    """(corpus, claims, candidates): one page of drawn sentences, and claims whose
+    candidates are distinct sentences of it in drawn order."""
+    sentences = draw(st.lists(st.lists(WORDS, max_size=8).map(" ".join), min_size=1,
+                              max_size=6))
+    corpus = Corpus()
+    corpus.add_document(Document("Page", "", dict(enumerate(sentences))))
+    texts = draw(st.lists(st.lists(WORDS, max_size=6).map(" ".join), max_size=5))
+    claims = [SimpleNamespace(claim_id=i, claim=text) for i, text in enumerate(texts)]
+    candidates = [[SentenceRef("Page", n) for n in draw(
+        st.lists(st.integers(0, len(sentences) - 1), unique=True))] for _ in claims]
+    return corpus, claims, candidates
+
+
+class PairScorer:
+    """The baseline through the one-pair protocol alone."""
+
+    score = BaselineScorer.score
+
+
+class TestScorePairs:
+    @settings(max_examples=200, deadline=None)
+    @given(baseline_runs())
+    def test_batch_baseline_equals_per_pair_reference_bits(self, run):
+        corpus, claims, candidates = run
+        pairs = score_pairs(BaselineScorer(), claims, candidates, corpus)
+        want = [oracles.baseline_triple(tokenize(claim.claim),
+                                        tokenize(corpus.get_sentence(ref)))
+                for claim, refs in zip(claims, candidates) for ref in refs]
+        assert pairs.triples.tobytes() == np.array(want).reshape(-1, 3).tobytes()
+        assert pairs.claims.tolist() == [c for c, refs in enumerate(candidates) for _ in refs]
+        assert pairs.refs == [ref for refs in candidates for ref in refs]
+        by_pair = score_pairs(PairScorer(), claims, candidates, corpus)
+        assert by_pair.triples.tobytes() == pairs.triples.tobytes()
+
+    def test_each_distinct_claim_and_sentence_tokenized_once(self, mini_corpus,
+                                                             mini_instances, monkeypatch):
+        rng = np.random.default_rng(5)
+        refs = [ref for doc in mini_corpus.documents() for ref in doc.non_empty_refs()]
+        candidates = [[refs[i] for i in rng.choice(40, size=6, replace=False)]
+                      for _ in mini_instances]  # 30 claims share 40 sentences
+        texts = Counter()
+        monkeypatch.setattr(entailment, "tokenize",
+                            lambda text: texts.update([text]) or tokenize(text))
+        pairs = score_pairs(BaselineScorer(), mini_instances, candidates, mini_corpus)
+        sentences = {ref for group in candidates for ref in group}
+        claims = {inst.claim for inst in mini_instances}
+        assert texts.total() == len(claims) + len(sentences) < len(pairs.refs) + len(claims)
+        assert set(texts) == claims | {mini_corpus.get_sentence(ref) for ref in sentences}
+        assert len(pairs.refs) == 6 * len(mini_instances)
+
+    def test_file_scorer_batch_names_a_missing_pair(self, mini_corpus):
+        ref = SentenceRef(*next(iter(mini_corpus.documents())).non_empty_refs()[0])
+        scorer = FileScorer({(1, *ref): EntailmentTriple(0.5, 0.25, 0.25)})
+        claims = [SimpleNamespace(claim_id=1, claim="c"), SimpleNamespace(claim_id=2, claim="c")]
+        pairs = score_pairs(scorer, claims[:1], [[ref]], mini_corpus)
+        assert pairs.triples.tolist() == [[0.5, 0.25, 0.25]]
+        with pytest.raises(MissingProbabilityError, match=r"claim 2"):
+            score_pairs(scorer, claims, [[ref], [ref]], mini_corpus)
+
+    @pytest.mark.parametrize("bad", [(0.7, 0.2, 0.2), (-0.1, 0.6, 0.5), (np.nan, 0.5, 0.5)])
+    def test_bad_triple_of_a_scorer_rejected(self, mini_corpus, bad):
+        class Scorer:  # a good triple for claim 1, the bad one for claim 2
+            def score(self, claim_id, claim, ref, sentence):
+                return (0.5, 0.25, 0.25) if claim_id == 1 else bad
+
+        ref = next(iter(mini_corpus.documents())).non_empty_refs()[0]
+        claims = [SimpleNamespace(claim_id=i, claim="c") for i in (1, 2)]
+        pairs = score_pairs(Scorer(), claims, [[ref], []], mini_corpus)
+        assert pairs.triples.tolist() == [[0.5, 0.25, 0.25]]
+        with pytest.raises(ProbabilityError, match=r"pair 1 has triple"):
+            score_pairs(Scorer(), claims, [[ref], [ref]], mini_corpus)

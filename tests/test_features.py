@@ -1,8 +1,12 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from claimcheck.corpus import SentenceRef
 from claimcheck.entailment import EntailmentTriple, ScoredCandidate
-from claimcheck.features import FeatureVector, features, indicators
+from claimcheck.features import FeatureVector, feature_matrix, features, indicators
+from conftest import TRIPLES, interleaved
 
 
 def random_triple(rng) -> EntailmentTriple:
@@ -112,3 +116,45 @@ class TestFeatures:
 def test_feature_vector_array_order():
     fv = FeatureVector(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, n=3)
     assert fv.as_array().tolist() == list(range(1, 13))
+
+
+@st.composite
+def scored_runs(draw):
+    """(per-claim triples, claim index of each pair, (n, 3) triples of the pairs)."""
+    per_claim = draw(st.lists(st.lists(TRIPLES, max_size=8), max_size=8))
+    claims, triples = draw(interleaved(per_claim))
+    return per_claim, claims, np.array(triples, dtype=np.float64).reshape(-1, 3)
+
+
+class TestFeatureMatrix:
+    """The batch matrix against the per-claim reference loop, compared on the bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_runs())
+    def test_matrix_equals_reference_loop_bit_for_bit(self, run):
+        per_claim, claims, triples = run
+        for t in triples.tolist():
+            EntailmentTriple(*t)  # every drawn triple is a valid one
+        X, n = feature_matrix(claims, triples, len(per_claim))
+        want = [oracles.features(t) for t in per_claim]
+        assert X.tobytes() == np.array([f for f, _ in want]).reshape(-1, 12).tobytes()
+        assert n.tolist() == [count for _, count in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TRIPLES, max_size=12))
+    def test_one_claim_call_equals_reference_loop(self, triples):
+        fv = features([EntailmentTriple(*t) for t in triples])
+        want, count = oracles.features(triples)
+        assert fv.as_array().tobytes() == np.array(want).tobytes() and fv.n == count
+
+    def test_claims_without_candidates_get_zero_rows(self):
+        X, n = feature_matrix(np.array([1, 1], dtype=np.int64),
+                              np.array([[0.7, 0.2, 0.1], [1 / 3, 1 / 3, 1 / 3]]), 3)
+        assert X[0].tolist() == X[2].tolist() == [0.0] * 12
+        assert n.tolist() == [0, 2, 0]
+        assert X[1, :3].tolist() == [2.0, 1.0, 1.0]
+
+    def test_negative_zero_maximum_reads_as_zero(self):
+        # max(0.0, -0.0) is 0.0, and a feature row must not write -0.0
+        X, _ = feature_matrix(np.zeros(1, dtype=np.int64), np.array([[-0.0, 0.5, 0.5]]), 1)
+        assert not np.signbit(X).any()

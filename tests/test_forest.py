@@ -189,7 +189,7 @@ class TestPrediction:
             node = splits[rng.integers(len(splits))]
             row[node["feature"]] = node["threshold"]
         rows = [fv(x) for x in X]
-        labels, probs = model.predict_all(rows)
+        labels, probs = model.predict_all(np.array([row.as_array() for row in rows]))
         for row, label, p in zip(rows, labels, probs):
             one_label, one = model.predict(row)
             assert label == one_label and p.tobytes() == one.tobytes()
@@ -201,7 +201,7 @@ class TestPrediction:
                 walked += node["dist"]
             walked /= len(model.trees)
             assert p.tobytes() == walked.tobytes()
-        assert model.predict_all([])[1].shape == (0, 3)
+        assert model.predict_all(np.empty((0, 12)))[1].shape == (0, 3)
 
     def test_tree_order_permutation_invariant(self, trained):
         _, model = trained

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from claimcheck import features, verdict
 from claimcheck.corpus import SentenceRef
-from claimcheck.entailment import EntailmentTriple, ScoredCandidate
+from claimcheck.entailment import EntailmentTriple, ScoredCandidate, ScoredPairs
+from claimcheck.forest import LABELS
+from conftest import TRIPLES, interleaved
 
 
 def cand(page, line, s, r, u):
@@ -129,3 +134,58 @@ class TestRows:
         with pytest.raises((ValueError, TypeError)):
             verdict.prediction_from_row({"id": 1, "predicted_label": "SUPPORTS",
                                          "predicted_evidence": [["only_page"]]})
+
+
+PAGES = ["Alpha", "Zed", "Mid_Page"]
+
+
+@st.composite
+def verdict_runs(draw):
+    """(claim ids, labels, per-claim (ref, triple) candidates, scored pairs):
+    refs unique per claim and drawn in no particular order, pairs mixed
+    across claims as a scored-row file may hold them."""
+    per_claim = [draw(st.lists(st.tuples(st.sampled_from(PAGES), st.integers(0, 3)),
+                               unique=True, max_size=9))
+                 for _ in range(draw(st.integers(0, 8)))]
+    per_claim = [[(SentenceRef(*ref), draw(TRIPLES)) for ref in refs] for refs in per_claim]
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=len(per_claim),
+                           max_size=len(per_claim)))
+    claims, items = draw(interleaved(per_claim))
+    pairs = ScoredPairs(claims, [ref for ref, _ in items],
+                        np.array([t for _, t in items], dtype=np.float64).reshape(-1, 3))
+    return [f"c{c}" for c in range(len(per_claim))], labels, per_claim, pairs
+
+
+class TestAssembleAll:
+    """The batch verdicts against the per-claim reference, compared with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(verdict_runs())
+    def test_batch_equals_reference(self, run):
+        ids, labels, per_claim, pairs = run
+        got = verdict.assemble_all(ids, labels, pairs)
+        want = [oracles.assemble(*args) for args in zip(ids, labels, per_claim)]
+        assert [tuple(v) for v in got] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(PAGES), st.integers(0, 3)), unique=True,
+                    max_size=9).flatmap(
+        lambda refs: st.tuples(st.just(refs), st.lists(TRIPLES, min_size=len(refs),
+                                                       max_size=len(refs)))),
+           st.sampled_from(LABELS))
+    def test_one_claim_call_equals_reference(self, drawn, label):
+        refs, triples = drawn
+        cands = [cand(page, line, *t) for (page, line), t in zip(refs, triples)]
+        want = oracles.assemble(7, label, [(c.ref, c.triple) for c in cands])
+        assert tuple(verdict.assemble(7, label, cands)) == want
+
+    def test_ties_across_claims_in_file_order(self):
+        # the second claim's rows come first and out of ref order
+        pairs = ScoredPairs(np.array([1, 1, 0, 1], dtype=np.int64),
+                            [SentenceRef("Zed", 0), SentenceRef("Alpha", 3),
+                             SentenceRef("Zed", 1), SentenceRef("Alpha", 1)],
+                            np.array([[0.4, 0.4, 0.2]] * 4))
+        a, b = verdict.assemble_all(["a", "b"], ["REFUTES", "SUPPORTS"], pairs)
+        assert a.evidence == (SentenceRef("Zed", 1),)
+        assert b.evidence == (SentenceRef("Alpha", 1), SentenceRef("Alpha", 3),
+                              SentenceRef("Zed", 0))
