@@ -3,23 +3,26 @@
 Runs batch edit distance over every title (beside title matching, which
 scans only the titles of a length that can win), block cosine accumulation,
 the batched split search of one training step, grouped run sums, the batch
-n-gram hash (against the per-occurrence reference loop) and the scoring of
-a run's candidate pairs into its feature matrix (``cli.score_claims``, as
-``e2e`` calls it) on seeded inputs and prints the best-of-N wall time of
-each.
+n-gram hash (against the per-occurrence reference loop), the scoring of a
+run's candidate pairs into its feature matrix (``cli.score_claims``, as
+``e2e`` calls it), and training the default forest and loading its saved
+model file on seeded inputs, and prints the best-of-N wall time of each.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
 """
 
 import argparse
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from claimcheck import cli, kernels, ner
+from claimcheck import cli, forest, kernels, ner
 from claimcheck.corpus import Corpus, Document, SentenceRef
 from claimcheck.entailment import BaselineScorer
+from claimcheck.features import FEATURE_NAMES
 from claimcheck.nli_data import FeverInstance
 from claimcheck.tokenizer import hashed_counts, ngram_bins
 
@@ -130,6 +133,15 @@ def make_scoring_workload(rng, token_lists, n_claims):
     return BaselineScorer(), corpus, instances, candidates
 
 
+def make_forest_workload(rng, n_claims, model_path):
+    """A seeded (n_claims, 12) feature matrix with random labels, and the
+    default forest's model file trained on it, saved at model_path."""
+    X = rng.random((n_claims, len(FEATURE_NAMES)))
+    labels = [forest.LABELS[c] for c in rng.integers(0, len(forest.LABELS), size=n_claims)]
+    forest.save(forest.fit(X, labels), model_path)
+    return X, labels
+
+
 def hash_batch(token_lists, bin_count=2**24):
     return ngram_bins(token_lists, (1, 2), bin_count)
 
@@ -138,7 +150,7 @@ def hash_loop(token_lists, bin_count=2**24):
     return [hashed_counts(tokens, (1, 2), bin_count) for tokens in token_lists]
 
 
-def build_cases(rng, args):
+def build_cases(rng, args, workdir):
     titles, full_scan = make_title_workload(rng, args.titles)
     postings = make_postings_workload(rng, args.items, args.postings, BLOCK_QUERIES)
     split_step = make_split_workload(rng, args.samples)
@@ -146,6 +158,8 @@ def build_cases(rng, args):
     runs = make_runs_workload(rng, args.items)
     matching = make_mention_workload(rng, titles)
     scoring = make_scoring_workload(rng, tokens, args.claims)
+    model_path = Path(workdir) / "model.json"
+    training = make_forest_workload(rng, args.claims, model_path)
     n_tokens = sum(map(len, tokens))
     return [
         (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, full_scan),
@@ -160,6 +174,8 @@ def build_cases(rng, args):
         (f"hashed_counts_loop ({n_tokens} tokens)", hash_loop, (tokens,)),
         (f"score_claims ({args.claims} claims x {CANDIDATES} candidates)", cli.score_claims,
          scoring),
+        (f"forest_fit ({args.claims} claims, default config)", forest.fit, training),
+        (f"forest_load ({args.claims} claims, default config)", forest.load, (model_path,)),
     ]
 
 
@@ -170,20 +186,22 @@ def main(argv=None) -> int:
     parser.add_argument("--postings", type=int, default=1_000_000)
     parser.add_argument("--samples", type=int, default=1000, help="samples per split node")
     parser.add_argument("--texts", type=int, default=5000, help="token lists to hash")
-    parser.add_argument("--claims", type=int, default=750, help="claims of the scoring run")
+    parser.add_argument("--claims", type=int, default=750,
+                        help="claims of the scoring run and of the forest's training matrix")
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    cases = build_cases(rng, args)
-    width = max(len(name) for name, *_ in cases)
-    header = f"{'kernel':<{width}}  {'time':>10}"
-    print(header)
-    print("-" * len(header))
-    for name, fn, inputs in cases:
-        elapsed = best_of(lambda: fn(*inputs), args.repeat)
-        print(f"{name:<{width}}  {elapsed * 1e3:>8.2f}ms")
+    with tempfile.TemporaryDirectory() as workdir:
+        cases = build_cases(rng, args, workdir)
+        width = max(len(name) for name, *_ in cases)
+        header = f"{'kernel':<{width}}  {'time':>10}"
+        print(header)
+        print("-" * len(header))
+        for name, fn, inputs in cases:
+            elapsed = best_of(lambda: fn(*inputs), args.repeat)
+            print(f"{name:<{width}}  {elapsed * 1e3:>8.2f}ms")
     return 0
 
 

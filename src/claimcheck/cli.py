@@ -293,8 +293,13 @@ def cmd_predict(args) -> int:
 
 def cmd_score(args) -> int:
     instances = load_claims(args.gold)
-    predictions = list(rows.parse_rows(args.pred, "prediction", prediction_from_row))
-    report_scores(instances, predictions, args.json_out)
+
+    def parse(row):
+        prediction = prediction_from_row(row)
+        return prediction.claim_id, prediction
+
+    predictions = rows.parse_table(args.pred, "prediction", "claim id", parse)
+    report_scores(instances, list(predictions.values()), args.json_out)
     return 0
 
 

@@ -6,8 +6,9 @@ gain (entropy in nats, thresholds at midpoints of consecutive distinct
 values).  The trees grow together: each step searches the next pending node
 of every tree with one batched split search.  Per-tree random streams are
 derived from (seed, tree index) and drawn in each tree's own preorder, so a
-tree is the one a depth-first grower would make alone, and the JSON model
-file round-trips bit-exactly.
+tree is the one a depth-first grower would make alone.  Trees are grown as
+model-file dicts, so trained and loaded forests take one path to the flat
+arrays prediction walks, and the JSON model file round-trips bit-exactly.
 """
 
 import json
@@ -68,26 +69,15 @@ class RandomForest:
 
     A tree is a nested dict: a leaf is {"dist": class distribution}, a split
     is {"feature", "threshold", "left", "right"} and sends value < threshold
-    to the left.  Building a forest from trees validates every one of them
-    against the config; a trained forest builds its dicts when they are read.
+    to the left.  Trained and loaded forests are built the same way: every
+    tree is checked against the config and laid out flat, and the dicts are
+    kept as they are for save.
     """
 
     def __init__(self, config: ForestConfig, trees: list):
         self.config = config
-        self._trees = trees
+        self.trees = trees
         self._nodes = _flatten(trees, config)
-
-    @classmethod
-    def _grown(cls, config: ForestConfig, nodes: tuple) -> "RandomForest":
-        forest = cls.__new__(cls)
-        forest.config, forest._trees, forest._nodes = config, None, nodes
-        return forest
-
-    @property
-    def trees(self) -> list:
-        if self._trees is None:
-            self._trees = _unflatten(self._nodes)
-        return self._trees
 
     @property
     def node_count(self) -> int:
@@ -139,56 +129,57 @@ def _feature_rows(X) -> np.ndarray:
 
 
 def _flatten(trees, config: ForestConfig) -> tuple:
-    """Check trees in model-file form against config and lay them out flat."""
+    """Check trees in model-file form against config and lay them out flat.
+
+    Nothing is coerced: a feature is an int, a threshold and each leaf entry
+    an int or a float, never a bool or a string."""
     if not trees:
         raise ModelFormatError("model has no trees")
     if len(trees) != config.trees:
         raise ModelFormatError(f"model has {len(trees)} trees, its config {config.trees}")
-    nodes = []  # [feature, threshold, left, right, dist] per node
-
-    def add(node, level) -> int:
-        i = len(nodes)
-        if "dist" in node:
-            # + 0.0 turns -0.0 into 0.0, so tree sums keep the bits of sums from zero
-            d = np.array(node["dist"], dtype=np.float64) + 0.0
-            if (d.shape != (len(LABELS),) or not (d >= 0).all()
-                    or not abs(d.sum() - 1.0) <= 1e-9):
-                raise ModelFormatError(f"bad leaf distribution: {node['dist']}")
-            nodes.append([-1, 0.0, i, i, d])
-            return level
-        f, t = int(node["feature"]), float(node["threshold"])
-        if not 0 <= f < len(FEATURE_NAMES):
-            raise ModelFormatError(f"split feature {f} outside 0..{len(FEATURE_NAMES) - 1}")
-        if not math.isfinite(t):
-            raise ModelFormatError(f"non-finite split threshold: {t}")
-        nodes.append([f, t, i + 1, -1, np.zeros(len(LABELS))])
-        depth = add(node["left"], level + 1)
-        nodes[i][3] = len(nodes)
-        return max(depth, add(node["right"], level + 1))
-
-    roots, depth = [], 0
+    roots, nodes, dists, depth = [], [], [], 0  # nodes: [feature, threshold, right] each
     for tree in trees:
         roots.append(len(nodes))
-        depth = max(depth, add(tree, 0))
+        stack = [(tree, 0, None)]  # (node, its depth, the split it is the right child of)
+        while stack:
+            node, level, parent = stack.pop()
+            i = len(nodes)
+            if parent is not None:
+                nodes[parent][2] = i
+            if "dist" in node:
+                d = node["dist"]
+                if (type(d) is not list or len(d) != len(LABELS)
+                        or not all(type(v) in (int, float) for v in d)):
+                    raise ModelFormatError(f"bad leaf distribution: {d}")
+                nodes.append([-1, 0.0, i])
+                dists.append(d)
+                depth = max(depth, level)
+                continue
+            f, t = node["feature"], node["threshold"]
+            if type(f) is not int:
+                raise ModelFormatError(f"split feature {f!r} is not an integer")
+            if not 0 <= f < len(FEATURE_NAMES):
+                raise ModelFormatError(f"split feature {f} outside 0..{len(FEATURE_NAMES) - 1}")
+            if type(t) not in (int, float):
+                raise ModelFormatError(f"split threshold {t!r} is not a number")
+            if not math.isfinite(t):
+                raise ModelFormatError(f"non-finite split threshold: {t}")
+            nodes.append([f, t, -1])
+            stack += [(node["right"], level + 1, i), (node["left"], level + 1, None)]
+    # + 0.0 turns -0.0 into 0.0, so tree sums keep the bits of sums from zero
+    d = np.array(dists, dtype=np.float64) + 0.0
+    ok = (d >= 0).all(axis=1) & (np.abs(d.sum(axis=1) - 1.0) <= 1e-9)
+    if not ok.all():
+        raise ModelFormatError(f"bad leaf distribution: {dists[int(np.argmin(ok))]}")
     if depth > config.max_depth:
         raise ModelFormatError(f"model has a tree of depth {depth}, "
                                f"its config max_depth {config.max_depth}")
-    return (np.array(roots), *map(np.array, zip(*nodes)), depth)
-
-
-def _unflatten(nodes: tuple) -> list:
-    """The trees of a flat layout in model-file form."""
-    roots, feature, threshold, left, right, dist, _ = nodes
-    feature, threshold, left, right, dist = (
-        a.tolist() for a in (feature, threshold, left, right, dist))
-
-    def tree(i) -> dict:
-        if feature[i] < 0:
-            return {"dist": dist[i]}
-        return {"feature": feature[i], "threshold": threshold[i],
-                "left": tree(left[i]), "right": tree(right[i])}
-
-    return [tree(root) for root in roots.tolist()]
+    feature, threshold, right = map(np.array, zip(*nodes))  # a leaf's 0.0 makes floats
+    ids = np.arange(len(nodes))
+    dist = np.zeros((len(nodes), len(LABELS)))
+    dist[feature < 0] = d  # leaves in preorder, as dists
+    return (np.array(roots), feature, threshold, np.where(feature < 0, ids, ids + 1), right,
+            dist, depth)
 
 
 def train(samples, config: ForestConfig = ForestConfig()) -> RandomForest:
@@ -213,11 +204,11 @@ def fit(X, labels, config: ForestConfig = ForestConfig()) -> RandomForest:
         raise TrainingError(f"unknown labels: {bad}") from None
     if (y == y[0]).all():  # np.unique(y) imports numpy.ma, which costs more than training
         raise TrainingError("training data contains a single class")
-    return RandomForest._grown(config, _grow(X, y, config))
+    return RandomForest(config, _grow(X, y, config))
 
 
-def _grow(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> tuple:
-    """Grow every tree of the forest in lock step, straight into the flat layout.
+def _grow(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> list:
+    """Grow every tree of the forest in lock step, as model-file dicts.
 
     Tree t draws from its own SeedSequence([seed, t]) stream: its bootstrap
     sample first, then the features of each node it searches, in preorder.
@@ -225,42 +216,39 @@ def _grow(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> tuple:
     of it gains; otherwise its samples with value < threshold go left.  Each
     step takes the next node to search from every tree's depth-first walk
     and scores them all with kernels.best_splits, STEP_CELLS cells a call.
+    Each pending node carries the dict it fills with its class distribution,
+    which a split replaces by its feature, threshold and two child dicts.
     """
     n, n_classes = X.shape[0], len(LABELS)
     rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, t]))
             for t in range(config.trees)]
-    # per tree: its nodes so far in preorder, each [feature, threshold, right
-    # child, class counts, depth] with ids counted from the tree's root, and
-    # its pending nodes (sample rows, class counts, depth, parent), parent
-    # being the node whose right child it is
-    trees = [[] for _ in rngs]
+    trees = [{} for _ in rngs]
+    # per tree, its pending nodes: (dict to fill, sample rows, class counts, depth)
     stacks = []
-    for rng in rngs:
+    for rng, tree in zip(rngs, trees):
         boot = rng.integers(0, n, size=n)
-        stacks.append([(boot, np.bincount(y[boot], minlength=n_classes).tolist(), 0, None)])
+        stacks.append([(tree, boot, np.bincount(y[boot], minlength=n_classes).tolist(), 0)])
     while True:
-        batch = []  # (tree, node id, sample rows, features) of each node to search
-        for t, (nodes, stack) in enumerate(zip(trees, stacks)):
+        batch = []  # (sample rows, features, dict, depth, stack) of each node to search
+        for rng, stack in zip(rngs, stacks):
             while stack:
-                rows, counts, depth, parent = stack.pop()
-                i = len(nodes)
-                if parent is not None:
-                    nodes[parent][2] = i
-                nodes.append([-1, 0.0, i, counts, depth])
+                node, rows, counts, depth = stack.pop()
+                node["dist"] = [c / len(rows) for c in counts]
                 if depth < config.max_depth and max(counts) < len(rows):
-                    feats = sorted(rngs[t].choice(X.shape[1], size=FEATURES_PER_SPLIT,
-                                                  replace=False).tolist())
-                    batch.append((t, i, rows, feats))
+                    feats = sorted(rng.choice(X.shape[1], size=FEATURES_PER_SPLIT,
+                                              replace=False).tolist())
+                    batch.append((rows, feats, node, depth, stack))
                     break
         if not batch:
-            return _layout(trees)
-        batch.sort(key=lambda item: len(item[2]), reverse=True)
+            return trees
+        batch.sort(key=lambda item: len(item[0]), reverse=True)
         for chunk in _chunks(batch):
-            for (t, i, _, _), split in zip(chunk, _search(X, y, chunk)):
+            for (_, _, node, depth, stack), split in zip(chunk, _search(X, y, chunk)):
                 if split is not None:
-                    node = trees[t][i]
-                    node[0], node[1], left, right = split
-                    stacks[t] += [(*right, node[4] + 1, i), (*left, node[4] + 1, None)]
+                    del node["dist"]
+                    node["feature"], node["threshold"], left, right = split
+                    node["left"], node["right"] = {}, {}
+                    stack += [(node["right"], *right, depth + 1), (node["left"], *left, depth + 1)]
 
 
 def _chunks(batch):
@@ -268,7 +256,7 @@ def _chunks(batch):
     nodes x FEATURES_PER_SPLIT x its first node's size within STEP_CELLS."""
     start = 0
     while start < len(batch):
-        stop = start + max(1, STEP_CELLS // (FEATURES_PER_SPLIT * len(batch[start][2])))
+        stop = start + max(1, STEP_CELLS // (FEATURES_PER_SPLIT * len(batch[start][0])))
         yield batch[start:stop]
         start = stop
 
@@ -280,11 +268,11 @@ def _search(X: np.ndarray, y: np.ndarray, chunk) -> list:
     right), each side as (sample rows, class counts).
     """
     m, n_classes = len(chunk), len(LABELS)
-    sizes = np.array([len(rows) for _, _, rows, _ in chunk])
+    sizes = np.array([len(rows) for rows, *_ in chunk])
     padded = np.zeros((m, sizes.max()), dtype=np.int64)
-    for r, (_, _, rows, _) in enumerate(chunk):
+    for r, (rows, *_) in enumerate(chunk):
         padded[r, :len(rows)] = rows
-    feats = np.array([feats for _, _, _, feats in chunk])
+    feats = np.array([feats for _, feats, *_ in chunk])
     labels = y[padded]
     gains, columns, thresholds = kernels.best_splits(
         X[padded[:, np.newaxis, :], feats[:, :, np.newaxis]], labels, sizes, n_classes)
@@ -308,29 +296,6 @@ def _search(X: np.ndarray, y: np.ndarray, chunk) -> list:
             out.append((feature, threshold, (rows[:n_left], left),
                         (rows[n_left:n_left + sum(right)], right)))
     return out
-
-
-def _layout(trees) -> tuple:
-    """Grown trees, each a preorder list of [feature, threshold, right child,
-    class counts, depth] with ids counted from its root, in the flat layout."""
-    roots, feature, threshold, left, right, dist, depth = [], [], [], [], [], [], 0
-    for nodes in trees:
-        base = len(feature)
-        roots.append(base)
-        for i, (f, thr, r, counts, level) in enumerate(nodes, start=base):
-            feature.append(f)
-            threshold.append(thr)
-            right.append(base + r)
-            if f < 0:
-                left.append(i)
-                size = sum(counts)
-                dist.append([c / size for c in counts])
-                depth = max(depth, level)
-            else:
-                left.append(i + 1)
-                dist.append([0.0] * len(counts))
-    return (np.array(roots), np.array(feature), np.array(threshold), np.array(left),
-            np.array(right), np.array(dist, dtype=np.float64), depth)
 
 
 # -- persistence -------------------------------------------------------------
@@ -368,13 +333,12 @@ def load(path) -> RandomForest:
         raise ModelFormatError(f"label set mismatch: {payload.get('labels')}")
     try:
         cfg = payload["config"]  # other keys, as older files carry, only steered training
-        config = ForestConfig(
-            trees=int(cfg["trees"]),
-            max_depth=int(cfg["max_depth"]),
-            seed=int(cfg["seed"]),
-        )
-        return RandomForest(config, payload["trees"])
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        values = [cfg[key] for key in ForestConfig._fields]
+        for key, value in zip(ForestConfig._fields, values):
+            if type(value) is not int:
+                raise ModelFormatError(f"config {key} {value!r} is not an integer")
+        return RandomForest(ForestConfig(*values), payload["trees"])
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
 
 

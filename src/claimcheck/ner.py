@@ -190,10 +190,3 @@ def mention_sentences(corpus: Corpus, mentions, matcher: TitleMatcher) -> list[S
     for page_id in pages:
         refs.update(corpus.get(page_id).non_empty_refs())
     return sorted(refs)
-
-
-def candidate_sentences_for_claim(corpus: Corpus, claim: str, *, matcher: TitleMatcher,
-                                  extractor=None, claim_id=None) -> list[SentenceRef]:
-    """All non-empty sentences of the pages matched by the claim's entities."""
-    return mention_sentences(
-        corpus, claim_mentions(claim, extractor=extractor, claim_id=claim_id), matcher)

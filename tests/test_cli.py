@@ -669,7 +669,11 @@ class TestBadInputs:
          "(101, 'Korvand_Archipelago', 0)"),
         ("candidates", [{"id": 101, "candidates": [["Korvand_Archipelago", 0]]}] * 2,
          "bad candidates row on line 2: repeated claim id 101"),
-    ], ids=["probabilities", "entity_annotations", "features", "scored", "candidates"])
+        ("predictions", [{"id": 101, "predicted_label": label, "predicted_evidence": []}
+                         for label in ("SUPPORTS", "REFUTES")],
+         "bad prediction row on line 2: repeated claim id 101"),
+    ], ids=["probabilities", "entity_annotations", "features", "scored", "candidates",
+            "predictions"])
     def test_repeated_key_in_side_or_staged_file(self, one_claim, tmp_path, capsys,
                                                   kind, rows, message):
         d = one_claim
@@ -686,6 +690,8 @@ class TestBadInputs:
                        "--model", d / "model.json", "--out", out],
             "candidates": ["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
                            "--candidates", side, "--out", out],
+            "predictions": ["score", "--gold", d / "claims.jsonl", "--pred", side,
+                            "--json-out", out],
         }[kind]
         code, _, err = run(argv, capsys)
         assert message in one_error(code, err)

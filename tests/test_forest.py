@@ -276,6 +276,15 @@ class TestPersistence:
         ("dist", [0.0, 0.0, 0.0], "leaf distribution"),
         ("dist", [0.5, 0.5, 0.5], "leaf distribution"),
         ("dist", [float("nan"), 0.5, 0.5], "leaf distribution"),
+        ("feature", 2.9, "split feature 2.9 is not an integer"),
+        ("feature", True, "split feature True is not an integer"),
+        ("threshold", "0.5", "split threshold '0.5' is not a number"),
+        ("threshold", False, "split threshold False is not a number"),
+        ("threshold", 10**400, "int too large to convert to float"),
+        ("dist", ["0.9", "0", "0.1"], "leaf distribution"),
+        ("dist", [True, False, False], "leaf distribution"),
+        ("dist", [0.5, 0.5], "leaf distribution"),
+        ("dist", {"0": 1.0}, "leaf distribution"),
     ])
     def test_invalid_node_rejected(self, tmp_path, trained, field, value, match):
         _, model = trained
@@ -291,9 +300,18 @@ class TestPersistence:
             forest.load(path)
 
 
+    def test_first_bad_leaf_named_by_its_value(self):
+        good, bad = {"dist": [1.0, 0.0, 0.0]}, {"dist": [0.7, 0.7, 0.0]}
+        with pytest.raises(ModelFormatError, match=r"distribution: \[0\.7, 0\.7, 0\.0\]"):
+            forest.RandomForest(ForestConfig(trees=3), [good, bad, {"dist": [0.0, 0.0, 2.0]}])
+
     @pytest.mark.parametrize("field, value, match", [
         ("trees", 2, "model has 2 trees, its config 50"),
         ("max_depth", 1, "tree of depth 3, its config max_depth 1"),
+        ("trees", 1.7, "config trees 1.7 is not an integer"),
+        ("trees", 50.0, "config trees 50.0 is not an integer"),
+        ("max_depth", "3", "config max_depth '3' is not an integer"),
+        ("seed", True, "config seed True is not an integer"),
     ])
     def test_model_disagreeing_with_config_rejected(self, tmp_path, trained, field, value,
                                                      match):
@@ -301,7 +319,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         forest.save(model, path)
         payload = json.loads(path.read_text())
-        if field == "trees":
+        if field == "trees" and type(value) is int:  # an int cuts the tree list short
             payload["trees"] = payload["trees"][:value]
         else:
             payload["config"][field] = value

@@ -232,9 +232,8 @@ def test_match_equals_full_scan(case):
     assert (hit.page_id, hit.distance) == full_scan(matcher, query)
 
 
-def candidates(corpus, claim, **kwargs):
-    return ner.candidate_sentences_for_claim(corpus, claim, matcher=ner.TitleMatcher(corpus),
-                                             **kwargs)
+def candidates(corpus, claim):
+    return ner.mention_sentences(corpus, ner.claim_mentions(claim), ner.TitleMatcher(corpus))
 
 
 class TestCandidateSentences:

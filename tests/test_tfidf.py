@@ -309,7 +309,7 @@ class TestBatchedRoute:
 
         instances = [FeverInstance(i, c, "NOT ENOUGH INFO", ()) for i, c in enumerate(claims)]
         matcher = ner.TitleMatcher(corpus)
-        expected = {i: sorted(set(ner.candidate_sentences_for_claim(corpus, c, matcher=matcher))
+        expected = {i: sorted(set(ner.mention_sentences(corpus, ner.claim_mentions(c), matcher))
                               | {hit.item for hit in hits})
                     for i, (c, hits) in enumerate(zip(claims, want_hits))}
         assert cli.retrieve_candidates(corpus, index, instances) == expected
