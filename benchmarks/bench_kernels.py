@@ -5,8 +5,9 @@ scans only the titles of a length that can win), block cosine accumulation,
 the batched split search of one training step, grouped run sums, the batch
 n-gram hash (against the per-occurrence reference loop), the scoring of a
 run's candidate pairs into its feature matrix (``cli.score_claims``, as
-``e2e`` calls it), and training the default forest and loading its saved
-model file on seeded inputs, and prints the best-of-N wall time of each.
+``e2e`` calls it), training the default forest and loading its saved model
+file, and saving and loading a corpus file, on seeded inputs, and prints the
+best-of-N wall time of each.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -142,6 +143,20 @@ def make_forest_workload(rng, n_claims, model_path):
     return X, labels
 
 
+def make_corpus_workload(rng, n_sentences, path):
+    """A corpus of LINES_PER_PAGE-sentence pages drawn like the hasher's token
+    lists, each page's text its sentences joined, also saved at path."""
+    token_lists = make_token_workload(rng, n_sentences)
+    corpus = Corpus()
+    for start in range(0, n_sentences, LINES_PER_PAGE):
+        sentences = [" ".join(tokens) for tokens in token_lists[start:start + LINES_PER_PAGE]]
+        corpus.add_document(Document(f"Page_{start // LINES_PER_PAGE:05d}", " ".join(sentences),
+                                     dict(enumerate(sentences))))
+    corpus.source_checksums["dump.jsonl"] = "0" * 64
+    corpus.save(path)
+    return corpus
+
+
 def hash_batch(token_lists, bin_count=2**24):
     return ngram_bins(token_lists, (1, 2), bin_count)
 
@@ -160,6 +175,8 @@ def build_cases(rng, args, workdir):
     scoring = make_scoring_workload(rng, tokens, args.claims)
     model_path = Path(workdir) / "model.json"
     training = make_forest_workload(rng, args.claims, model_path)
+    corpus_path = Path(workdir) / "corpus.json.gz"
+    corpus = make_corpus_workload(rng, args.texts, corpus_path)
     n_tokens = sum(map(len, tokens))
     return [
         (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, full_scan),
@@ -176,6 +193,10 @@ def build_cases(rng, args, workdir):
          scoring),
         (f"forest_fit ({args.claims} claims, default config)", forest.fit, training),
         (f"forest_load ({args.claims} claims, default config)", forest.load, (model_path,)),
+        (f"corpus_save ({len(corpus)} pages, {args.texts} sentences)", Corpus.save,
+         (corpus, Path(workdir) / "saved.json.gz")),
+        (f"corpus_load ({len(corpus)} pages, {args.texts} sentences)", Corpus.load,
+         (corpus_path,)),
     ]
 
 
@@ -185,7 +206,8 @@ def main(argv=None) -> int:
     parser.add_argument("--items", type=int, default=50000)
     parser.add_argument("--postings", type=int, default=1_000_000)
     parser.add_argument("--samples", type=int, default=1000, help="samples per split node")
-    parser.add_argument("--texts", type=int, default=5000, help="token lists to hash")
+    parser.add_argument("--texts", type=int, default=5000,
+                        help="token lists to hash, and sentences of the saved corpus")
     parser.add_argument("--claims", type=int, default=750,
                         help="claims of the scoring run and of the forest's training matrix")
     parser.add_argument("--repeat", type=int, default=5)

@@ -193,6 +193,9 @@ def _load_index(args, corpus):
     if index.source_checksum != tfidf.corpus_checksum(corpus):
         raise ValueError(f"index {args.index} was built from a different corpus than "
                          f"{args.corpus}; rebuild it with 'claimcheck index'")
+    if index.ngram_orders != tfidf.DOC_NGRAM_ORDERS:
+        raise ValueError(f"index {args.index} holds n-gram orders {list(index.ngram_orders)}, "
+                         f"not a document index's {list(tfidf.DOC_NGRAM_ORDERS)}")
     return index
 
 

@@ -1,11 +1,13 @@
-"""Wiki dump ingestion and sentence-level addressing.
+"""Wiki dump ingestion, the saved corpus file, and sentence-level addressing.
 
 The dump format is JSON-lines, one page per line: ``id`` (page name,
 underscores for spaces), ``text`` (introductory text), ``lines`` (rows of
-``N\\tsentence[\\tmeta...]`` joined by newlines).  Everything after the
-second tab is link metadata and is discarded; empty sentences keep their
-line number so evidence references stay valid, but are flagged so retrieval
-can skip them.
+``N\\tsentence[\\tmeta...]`` joined by newlines, N in plain ASCII digits).
+Everything after the second tab is link metadata and is discarded; empty
+sentences keep their line number so evidence references stay valid, but are
+flagged so retrieval can skip them.  A saved corpus is the gzip of a header
+line, ``{"checksums": {...}, "format_version": 2}``, then one dump record per
+page in page-id order, read by the dump's own record loop; it may skip nothing.
 """
 
 import gzip
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class IngestError(ValueError):
@@ -100,90 +102,67 @@ class Corpus:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "checksums": self.source_checksums,
-            "documents": [
-                {"id": d.page_id, "text": d.text, "lines": [[n, s] for n, s in d.lines.items()]}
-                for d in self.documents()
-            ],
-        }
+        """Write the header line and one dump record per page (see module doc)."""
+        header = {"checksums": self.source_checksums, "format_version": FORMAT_VERSION}
+        records = [json.dumps(header, sort_keys=True)]
+        for d in self.documents():
+            if any("\t" in s or "\n" in s for s in d.lines.values()):
+                raise ValueError(f"page {d.page_id!r} has a sentence holding a tab or a newline")
+            lines = "\n".join(f"{n}\t{s}" for n, s in d.lines.items())
+            records.append(json.dumps({"id": d.page_id, "text": d.text, "lines": lines},
+                                      ensure_ascii=False))
         # mtime pinned so identical corpora serialize to identical bytes
-        data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        data = "".join(f"{record}\n" for record in records).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(gzip.compress(data, mtime=0))
 
     @classmethod
     def load(cls, path) -> "Corpus":
         try:
-            with gzip.open(path, "rt", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (EOFError, zlib.error, ValueError, RecursionError) as exc:
+            with gzip.open(path, "rb") as fh:
+                header, *records = fh.read().split(b"\n")
+            header = json.loads(header)
+        except (EOFError, zlib.error, gzip.BadGzipFile, ValueError, RecursionError) as exc:
             raise IngestError(f"cannot read corpus file {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise IngestError(f"corpus file {path} does not hold a JSON object")
-        if payload.get("format_version") != FORMAT_VERSION:
-            raise IngestError(f"unsupported corpus format version: {payload.get('format_version')}")
-        corpus = cls()
-        try:
-            corpus.source_checksums = dict(payload["checksums"])
-            for rec in payload["documents"]:
-                page_id, text = rec["id"], rec["text"]
-                if not isinstance(page_id, str) or not isinstance(text, str):
-                    raise ValueError(f"page {page_id!r} needs a string id and text")
-                corpus.add_document(Document(page_id, text, _saved_lines(page_id, rec["lines"])))
-        except KeyError as exc:
-            raise IngestError(f"corpus file {path} is missing field {exc}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise IngestError(f"corpus file {path} is malformed: {exc}") from exc
+        if not isinstance(header, dict):
+            raise IngestError(f"corpus file {path} does not start with a JSON object")
+        if header.get("format_version") != FORMAT_VERSION:
+            raise IngestError(f"unsupported corpus format version: {header.get('format_version')}"
+                              f" in corpus file {path}; ingest its dump again")
+        checksums = header.get("checksums")
+        if not (isinstance(checksums, dict)
+                and all(isinstance(v, str) for v in checksums.values())):
+            raise IngestError(f"corpus file {path} has no checksums object of strings")
+        corpus, stats = cls(), IngestStats()
+        corpus.source_checksums = checksums
+        _add_records(corpus, stats, path, records, first_line=2)
+        if stats.records_skipped or stats.lines_skipped:
+            raise IngestError(f"corpus file {path} is malformed: a saved corpus skips nothing, "
+                              f"but reading it skipped {stats.records_skipped} records and "
+                              f"{stats.lines_skipped} sentence rows")
         return corpus
-
-
-def _saved_lines(page_id: str, pairs) -> dict[int, str]:
-    """A saved page's [n, sentence] pairs as {n: sentence}, n a JSON int >= 0."""
-    if not isinstance(pairs, list):
-        raise ValueError(f"page {page_id!r} has lines that are not a list")
-    try:
-        lines = {n: sentence for n, sentence in pairs}
-        # type sets, not isinstance, so a bool is no line number
-        good = (set(map(type, lines)) <= {int} and min(lines, default=0) >= 0
-                and set(map(type, lines.values())) <= {str})
-    except (TypeError, ValueError):  # an entry that is not a pair
-        good = False
-    if not good:
-        bad = next(pair for pair in pairs
-                   if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int
-                           and pair[0] >= 0 and type(pair[1]) is str))
-        raise ValueError(f"page {page_id!r} has a line that is not [n >= 0, sentence]: {bad!r}")
-    if len(lines) < len(pairs):
-        raise ValueError(f"page {page_id!r} repeats a line number")
-    return lines
 
 
 def parse_lines_field(raw: str) -> tuple[dict[int, str], int]:
     """Split a dump ``lines`` field into {line_number: sentence}, in dump order.
 
     Returns the parsed lines plus the count of skipped entries: rows without
-    a tab, with a non-integer index, or repeating an already-seen index.
+    a tab, with an index that is not plain ASCII digits, or repeating an
+    already-seen index.
     """
     lines: dict[int, str] = {}
     skipped = 0
     if not raw:
         return lines, skipped
     for entry in raw.split("\n"):
-        parts = entry.split("\t")
-        if len(parts) < 2:
-            skipped += 1
-            continue
-        try:
-            number = int(parts[0])
-        except ValueError:
-            skipped += 1
-            continue
+        key, tab, rest = entry.partition("\t")
+        # int() alone would also read "1_0", " 4", "+5" and "\u0663"; it
+        # raises ValueError on more digits than it converts
+        number = int(key) if tab and key.isascii() and key.isdigit() else -1
         if number < 0 or number in lines:
             skipped += 1
             continue
-        lines[number] = parts[1]
+        lines[number] = rest.partition("\t")[0]
     return lines, skipped
 
 
@@ -199,8 +178,9 @@ def _dump_files(path) -> list[Path]:
     return [p]
 
 
-def _parse_record(line: str) -> dict | None:
-    """One dump record; None for a record with an empty id."""
+def _parse_record(line: str) -> tuple[Document, int] | None:
+    """One dump record as (page, sentence rows skipped); None for a record
+    with an empty id."""
     rec = json.loads(line)
     if not isinstance(rec, dict):
         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
@@ -211,7 +191,26 @@ def _parse_record(line: str) -> dict | None:
         if not isinstance(value, str):
             raise ValueError(f"field {key!r} is {type(value).__name__}, not a string")
         value.encode("utf-8")  # a lone surrogate escape would fail only when saving
-    return rec
+    lines, skipped = parse_lines_field(rec.get("lines", ""))
+    return Document(rec["id"], rec.get("text", ""), lines), skipped
+
+
+def _add_records(corpus: Corpus, stats: IngestStats, path, chunks, first_line=1) -> None:
+    """Add the dump records of one file's lines (bytes, "\\n" cut off) to corpus."""
+    for lineno, chunk in enumerate(chunks, start=first_line):
+        try:
+            line = chunk.decode("utf-8")
+            if not line.strip():
+                continue
+            parsed = _parse_record(line)
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
+            raise IngestError(f"bad record in {path} on line {lineno}: {exc}") from exc
+        if parsed is None:
+            stats.records_skipped += 1
+            continue
+        stats.lines_skipped += parsed[1]
+        corpus.add_document(parsed[0])
+        stats.documents += 1
 
 
 def ingest_dump(path) -> tuple[Corpus, IngestStats]:
@@ -227,25 +226,7 @@ def ingest_dump(path) -> tuple[Corpus, IngestStats]:
         corpus.source_checksums[fp.name] = hashlib.sha256(raw).hexdigest()
         # only "\n" ends a record: str.splitlines would also cut at U+2028
         # and other breaks that a JSON string may hold raw
-        for lineno, chunk in enumerate(raw.split(b"\n"), start=1):
-            try:
-                line = chunk.decode("utf-8")
-                if not line.strip():
-                    continue
-                rec = _parse_record(line)
-            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
-                raise IngestError(f"bad record in {fp} on line {lineno}: {exc}") from exc
-            if rec is None:
-                stats.records_skipped += 1
-                continue
-            lines, skipped = parse_lines_field(rec.get("lines", ""))
-            stats.lines_skipped += skipped
-            corpus.add_document(Document(rec["id"], rec.get("text", ""), lines))
-            stats.documents += 1
-    logger.info(
-        "ingested %d documents (%d lines skipped, %d records skipped)",
-        stats.documents,
-        stats.lines_skipped,
-        stats.records_skipped,
-    )
+        _add_records(corpus, stats, fp, raw.split(b"\n"))
+    logger.info("ingested %d documents (%d lines skipped, %d records skipped)",
+                stats.documents, stats.lines_skipped, stats.records_skipped)
     return corpus, stats

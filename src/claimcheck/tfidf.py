@@ -27,11 +27,12 @@ import numpy as np
 
 from . import kernels
 from .corpus import Corpus, Document
-from .tokenizer import HASH_NAME, ngram_bins, tokenize
+from .tokenizer import HASH_NAME, MAX_BIN_COUNT, ngram_bins, tokenize
 
 FORMAT_VERSION = 1
 DEFAULT_BIN_COUNT = 2**24
 WEIGHTING = "log1p-tf.okapi-idf"
+DOC_NGRAM_ORDERS = (1, 2)  # unigrams and bigrams of each page's text
 BLOCK_CELLS = 2**14  # score cells plus scored entries per block of claims
 # index arrays after item_ids, in npz order
 _ARRAYS = ("uniq_bins", "uniq_offsets", "post_items", "post_weights", "df", "item_norms")
@@ -137,12 +138,22 @@ class TfidfIndex:
                     raise IndexFormatError(
                         f"unsupported index format version: {header.get('format_version')}"
                     )
-                if header.get("hash") != HASH_NAME:
-                    raise IndexFormatError(f"unknown hash algorithm: {header.get('hash')}")
+                for key, known in (("hash", HASH_NAME), ("weighting", WEIGHTING)):
+                    if header.get(key) != known:
+                        raise IndexFormatError(f"index {path} has an unknown {key}: "
+                                               f"{header.get(key)!r}")
                 item_ids = [str(s) for s in data["item_ids"]]
                 if not _strictly_ascending(item_ids):
                     raise IndexFormatError("index item ids are not in strictly ascending order")
-                index = cls(header["bin_count"], header["ngram_orders"], item_ids,
+                bins, orders, count = (header[key] for key in
+                                       ("bin_count", "ngram_orders", "item_count"))
+                # type checks, not int(): "65536", 65536.7 and true are no bin count
+                if not (type(bins) is int and 1 <= bins <= MAX_BIN_COUNT
+                        and type(orders) is list and all(type(o) is int for o in orders)
+                        and type(count) is int and count == len(item_ids)):
+                    raise IndexFormatError(f"index {path} has a bad bin_count, ngram_orders or "
+                                           f"item_count: {bins!r}, {orders!r}, {count!r}")
+                index = cls(bins, orders, item_ids,
                             source_checksum=header.get("source_checksum", ""),
                             **{name: data[name] for name in _ARRAYS})
             except KeyError as exc:
@@ -161,6 +172,7 @@ class TfidfIndex:
                 and np.array_equal(offsets, np.concatenate(([0], np.cumsum(self.df))))
                 and offsets[-1] == len(post) == len(self.post_weights)
                 and len(self.item_norms) == self.item_count
+                and (self.uniq_bins.size == 0 or self.uniq_bins[-1] < self.bin_count)
                 and (post.size == 0 or 0 <= post.min() <= post.max() < self.item_count)):
             raise IndexFormatError(f"index {path} is corrupt: its arrays disagree")
 
@@ -175,7 +187,8 @@ def build_document_index(corpus: Corpus, bin_count: int = DEFAULT_BIN_COUNT) -> 
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
     items = [(doc.page_id, doc.text) for doc in corpus.documents()]
-    return TfidfIndex.build(items, bin_count, (1, 2), source_checksum=corpus_checksum(corpus))
+    return TfidfIndex.build(items, bin_count, DOC_NGRAM_ORDERS,
+                            source_checksum=corpus_checksum(corpus))
 
 
 def top_k_documents(index: TfidfIndex, claim: str, k: int = 5) -> list[ScoredItem]:

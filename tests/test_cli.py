@@ -44,6 +44,14 @@ def one_error(code, err):
     return err
 
 
+HEADER = b'{"checksums": {}, "format_version": 2}'  # of a saved corpus
+
+
+def write_saved_corpus(path, *records, header=HEADER):
+    """A gzipped saved corpus: the header line, then one line per record."""
+    path.write_bytes(gzip.compress(b"".join(line + b"\n" for line in (header, *records))))
+
+
 def read_rows(path):
     with open(path, encoding="utf-8") as fp:
         return [json.loads(line) for line in fp if line.strip()]
@@ -334,51 +342,73 @@ class TestBadInputs:
                             "--model", model, "--out", tmp_path / "pred.jsonl"], capsys)
         assert "feature 99 outside" in one_error(code, err)
 
-    @pytest.mark.parametrize("case", ["truncated", "no_documents", "not_an_object"])
-    def test_broken_saved_corpus(self, workdir, tmp_path, capsys, case):
-        saved = (workdir / "corpus.json.gz").read_bytes()
+    @pytest.mark.parametrize("case, message", [
+        ("truncated", "cannot read corpus file {}: Compressed file ended"),
+        ("no_documents", "corpus file {} has no checksums object of strings"),
+        ("list_checksums", "corpus file {} has no checksums object of strings"),
+        ("int_checksum", "corpus file {} has no checksums object of strings"),
+        ("not_an_object", "corpus file {} does not start with a JSON object"),
+        ("v1_file", "unsupported corpus format version: 1 in corpus file {}; "
+                    "ingest its dump again"),
+        ("empty_id", "corpus file {} is malformed: a saved corpus skips nothing, but reading "
+                     "it skipped 1 records and 0 sentence rows"),
+        ("duplicate_page", "duplicate page id: 'A'"),
+    ], ids=["truncated", "no_documents", "list_checksums", "int_checksum", "not_an_object",
+            "v1_file", "empty_id", "duplicate_page"])
+    def test_broken_saved_corpus(self, workdir, tmp_path, capsys, case, message):
         corpus = tmp_path / "corpus.json.gz"
-        corpus.write_bytes({
-            "truncated": saved[:len(saved) // 2],
-            "no_documents": gzip.compress(b'{"format_version": 1, "checksums": {}}'),
-            "not_an_object": gzip.compress(b"[1, 2]"),
-        }[case])
+        if case == "truncated":
+            saved = (workdir / "corpus.json.gz").read_bytes()
+            corpus.write_bytes(saved[:len(saved) // 2])
+        elif case == "duplicate_page":
+            write_saved_corpus(corpus, *[b'{"id": "A", "text": "a.", "lines": "0\\ta."}'] * 2)
+        elif case == "v1_file":
+            corpus.write_bytes(gzip.compress(json.dumps({
+                "format_version": 1, "checksums": {},
+                "documents": [{"id": "A", "text": "a.", "lines": [[0, "a."]]}]}).encode()))
+        else:
+            header = {"no_documents": b'{"format_version": 2}',
+                      "list_checksums": b'{"checksums": [], "format_version": 2}',
+                      "int_checksum": b'{"checksums": {"d.jsonl": 5}, "format_version": 2}',
+                      "not_an_object": b"[1, 2]"}.get(case, HEADER)
+            write_saved_corpus(corpus, b'{"id": "", "text": "a.", "lines": "0\\ta."}',
+                               header=header)
         code, _, err = run(["index", "--corpus", corpus, "--out", tmp_path / "i.npz"], capsys)
-        assert f"corpus file {corpus}" in one_error(code, err)
+        assert message.format(corpus) in one_error(code, err)
 
     def test_saved_corpus_repeating_a_line_number(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.json.gz"
-        corpus.write_bytes(gzip.compress(json.dumps({
-            "format_version": 1, "checksums": {},
-            "documents": [{"id": "A", "text": "a. b.", "lines": [[0, "a."], [0, "b."]]}],
-        }).encode()))
+        write_saved_corpus(corpus, b'{"id": "A", "text": "a. b.", "lines": "0\\ta.\\n0\\tb."}')
         code, _, err = run(["index", "--corpus", corpus, "--out", tmp_path / "i.npz"], capsys)
-        assert f"corpus file {corpus} is malformed: page 'A' repeats a line number" \
-            in one_error(code, err)
+        assert f"corpus file {corpus} is malformed: a saved corpus skips nothing, but reading " \
+            "it skipped 0 records and 1 sentence rows" in one_error(code, err)
 
+    # each case keeps the id of the format-1 case whose behaviour it checks
     @pytest.mark.parametrize("document, message", [
-        ({"id": 5, "text": "a.", "lines": [[0, "a."]]}, "page 5 needs a string id and text"),
-        ({"id": "A", "text": 7, "lines": [[0, "a."]]}, "page 'A' needs a string id and text"),
-        ({"id": "A", "text": "a.", "lines": "0\ta."}, "page 'A' has lines that are not a list"),
-        ({"id": "A", "text": "a.", "lines": [[0, 5]]}, "[0, 5]"),
-        ({"id": "A", "text": "a.", "lines": [[True, "a."]]}, "[True, 'a.']"),
-        ({"id": "A", "text": "a.", "lines": [["3", "a."]]}, "['3', 'a.']"),
-        ({"id": "A", "text": "a.", "lines": [[0.5, "a."]]}, "[0.5, 'a.']"),
-        ({"id": "A", "text": "a.", "lines": [[-1, "a."]]}, "[-1, 'a.']"),
-        ({"id": "A", "text": "a.", "lines": [[0, "a.", "b."]]}, "[0, 'a.', 'b.']"),
-        ({"id": "A", "text": "a.", "lines": [0]}, "0"),
+        ({"id": 5, "text": "a.", "lines": "0\ta."}, "field 'id' is int, not a string"),
+        ({"id": "A", "text": 7, "lines": "0\ta."}, "field 'text' is int, not a string"),
+        ({"id": "A", "text": "a.", "lines": [[0, "a."]]}, "field 'lines' is list, not a string"),
+        ({"id": "A", "text": "a.", "lines": "0\t\ud800"},
+         "'utf-8' codec can't encode character '\\ud800' in position 2: surrogates not allowed"),
+        ({"id": "A", "text": "a.", "lines": "true\ta."}, None),
+        ({"id": "A", "text": "a.", "lines": "+3\ta."}, None),
+        ({"id": "A", "text": "a.", "lines": "0.5\ta."}, None),
+        ({"id": "A", "text": "a.", "lines": "-1\ta."}, None),
+        ({"id": "A", "text": "a.", "lines": "0\ta.\n"}, None),
+        ({"id": "A", "text": "a.", "lines": "0"}, None),
     ], ids=["int_id", "int_text", "str_lines", "int_sentence", "bool_line", "str_line",
             "float_line", "negative_line", "long_pair", "int_pair"])
     def test_saved_corpus_with_a_mistyped_field(self, tmp_path, capsys, document, message):
-        if not message.startswith("page"):  # the bad line itself
-            message = f"page 'A' has a line that is not [n >= 0, sentence]: {message}"
         corpus = tmp_path / "corpus.json.gz"
-        corpus.write_bytes(gzip.compress(json.dumps({
-            "format_version": 1, "checksums": {}, "documents": [document]}).encode()))
+        if message is None:  # a sentence row that the dump rules skip
+            message = f"corpus file {corpus} is malformed: a saved corpus skips nothing, " \
+                "but reading it skipped 0 records and 1 sentence rows"
+        else:  # a record that the dump rules refuse
+            message = f"bad record in {corpus} on line 2: {message}"
+        write_saved_corpus(corpus, json.dumps(document).encode())
         code, _, err = run(["e2e", "--corpus", corpus, "--claims", CLAIMS, "--bins", "65536",
                             "--out", tmp_path / "pred.jsonl"], capsys)
-        assert one_error(code, err).rstrip("\n").endswith(
-            f"corpus file {corpus} is malformed: {message}")
+        assert message in one_error(code, err)
 
     @pytest.mark.parametrize("field", ["trees", "max_depth"])
     def test_model_disagreeing_with_its_config(self, staged, tmp_path, capsys, field):
@@ -408,13 +438,28 @@ class TestBadInputs:
         ("short_df", "is corrupt: its arrays disagree"),
         ("short_item_norms", "is corrupt: its arrays disagree"),
         ("unsorted_bins", "is corrupt: its arrays disagree"),
+        ({"bin_count": "65536"}, "has a bad bin_count, ngram_orders or item_count: '65536'"),
+        ({"bin_count": 65536.7}, "has a bad bin_count, ngram_orders or item_count: 65536.7"),
+        ({"bin_count": True}, "has a bad bin_count, ngram_orders or item_count: True"),
+        ({"bin_count": 2**32 + 1}, "has a bad bin_count, ngram_orders or item_count: 4294967297"),
+        ({"bin_count": 1000}, "is corrupt: its arrays disagree"),
+        ({"ngram_orders": ["1", "2"]}, "has a bad bin_count, ngram_orders or item_count: "
+                                       "65536, ['1', '2']"),
+        ({"ngram_orders": [2]}, "holds n-gram orders [2], not a document index's [1, 2]"),
+        ({"weighting": "raw-tf"}, "has an unknown weighting: 'raw-tf'"),
+        ({"item_count": 5}, "has a bad bin_count, ngram_orders or item_count: "
+                            "65536, [1, 2], 5"),
     ], ids=["no_header", "no_bin_count", "no_df", "cut_post_items", "post_item_out_of_range",
-            "short_df", "short_item_norms", "unsorted_bins"])
+            "short_df", "short_item_norms", "unsorted_bins", "str_bin_count", "float_bin_count",
+            "bool_bin_count", "huge_bin_count", "small_bin_count", "str_ngram_orders",
+            "other_ngram_orders", "raw_weighting", "wrong_item_count"])
     def test_broken_index(self, workdir, tmp_path, capsys, case, message):
         with np.load(workdir / "index.npz") as data:
             arrays = dict(data)
         header = json.loads(str(arrays["header"]))
-        if case == "no_header":
+        if isinstance(case, dict):  # one header field rewritten
+            arrays["header"] = np.array(json.dumps({**header, **case}))
+        elif case == "no_header":
             del arrays["header"]
         elif case == "no_bin_count":
             del header["bin_count"]
@@ -477,14 +522,17 @@ class TestBadInputs:
          "Expecting ':' delimiter"),
     ], ids=["list", "int_lines", "int_id", "int_text", "invalid_json"])
     def test_malformed_dump_record(self, tmp_path, capsys, lines, lineno, message):
-        dump = tmp_path / "dump.jsonl"
+        dump, corpus = tmp_path / "dump.jsonl", tmp_path / "corpus.json.gz"
         dump.write_text("\n".join(lines) + "\n")
-        for argv in (["ingest", "--dump", dump, "--out", tmp_path / "corpus.json.gz"],
-                     ["e2e", "--corpus", dump, "--claims", CLAIMS, "--bins", "65536",
-                      "--out", tmp_path / "pred.jsonl"]):
+        # the same records in a saved corpus, a line below its header
+        write_saved_corpus(corpus, *(line.encode() for line in lines))
+        e2e = ["e2e", "--claims", CLAIMS, "--bins", "65536", "--out", tmp_path / "pred.jsonl"]
+        for argv, path, at in ((["ingest", "--dump", dump, "--out", corpus], dump, lineno),
+                               ([*e2e, "--corpus", dump], dump, lineno),
+                               ([*e2e, "--corpus", corpus], corpus, lineno + 1)):
             code, _, err = run(argv, capsys)
             err = one_error(code, err)
-            assert f"{dump} on line {lineno}: {message}" in err
+            assert f"{path} on line {at}: {message}" in err
 
     def test_list_claim_id_in_feature_row(self, tmp_path, capsys):
         feats = tmp_path / "features.jsonl"

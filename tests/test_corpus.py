@@ -1,11 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimcheck.corpus import (
     Corpus,
     Document,
     DuplicatePageError,
+    IngestError,
     SentenceRef,
     ingest_dump,
     parse_lines_field,
@@ -84,6 +89,19 @@ class TestParseLinesField:
         assert pairs == {1: "y."}
         assert skipped == 1
 
+    @pytest.mark.parametrize("index", ["1_0", "\u0663", " 4", "4 ", "+5", "-1", "0x1", ""])
+    def test_index_not_plain_ascii_digits_skipped(self, index):
+        # int() reads all but the last two of these
+        pairs, skipped = parse_lines_field(f"{index}\tx.\n1\ty.")
+        assert pairs == {1: "y."}
+        assert skipped == 1
+
+    def test_index_too_long_for_int_is_a_bad_record(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        write_dump(p, [{"id": "A", "text": "x.", "lines": "1" * 5000 + "\tx."}])
+        with pytest.raises(IngestError, match=f"bad record in {p} on line 1: Exceeds the limit"):
+            ingest_dump(p)
+
 
 class TestLookup:
     def test_not_found_is_none(self, mini_corpus):
@@ -108,8 +126,48 @@ class TestPersistence:
             assert loaded.get(pid).text == mini_corpus.get(pid).text
         assert loaded.source_checksums == mini_corpus.source_checksums
 
+    def test_sentence_with_tab_or_newline_not_saved(self, tmp_path):
+        for sentence in ("a\tb.", "a\nb."):
+            corpus = Corpus()
+            corpus.add_document(Document("A", "x.", {0: sentence}))
+            with pytest.raises(ValueError, match="page 'A' has a sentence holding a tab"):
+                corpus.save(tmp_path / "corpus.json.gz")
+            assert not (tmp_path / "corpus.json.gz").exists()
+
     def test_duplicate_add_rejected(self):
         corpus = Corpus()
         corpus.add_document(Document("A", "x.", {0: "x."}))
         with pytest.raises(DuplicatePageError):
             corpus.add_document(Document("A", "y.", {0: "y."}))
+
+
+# rows that parse, rows that the dump rules skip, and raw text
+LINES_FIELDS = st.text() | st.lists(
+    st.tuples(st.integers(0, 20).map(str) | st.text(max_size=3), st.text()), max_size=5,
+).map(lambda rows: "\n".join(f"{n}\t{s}" for n, s in rows))
+PAGES = st.lists(st.fixed_dictionaries({"id": st.text(max_size=4), "text": st.text(),
+                                        "lines": LINES_FIELDS}), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pages=PAGES, ascii_only=st.booleans())
+def test_save_load_round_trip(pages, ascii_only):
+    """Any one-file dump that ingests survives save then load, and a loaded
+    corpus saves to the bytes it was read from."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dump, saved, again = (Path(tmp) / name for name in ("d.jsonl", "c.json.gz", "a.json.gz"))
+        dump.write_text("".join(json.dumps(page, ensure_ascii=ascii_only) + "\n"
+                                for page in pages), encoding="utf-8", errors="surrogatepass")
+        try:
+            corpus, _ = ingest_dump(dump)
+        except IngestError:
+            return
+        corpus.save(saved)
+        loaded = Corpus.load(saved)
+        assert loaded.page_ids() == corpus.page_ids()
+        for pid in corpus.page_ids():
+            assert loaded.get(pid).text == corpus.get(pid).text
+            assert list(loaded.get(pid).lines.items()) == list(corpus.get(pid).lines.items())
+        assert loaded.source_checksums == corpus.source_checksums
+        loaded.save(again)
+        assert again.read_bytes() == saved.read_bytes()
