@@ -161,7 +161,7 @@ def _read_feature_rows(path, instances) -> np.ndarray:
     by_id = rows.parse_table(path, "feature", "claim id", _features_from_row)
     missing = [i.claim_id for i in instances if i.claim_id not in by_id]
     if missing:
-        raise ValueError(f"no feature rows for claim ids {missing[:5]}...")
+        raise ValueError(f"{path} has no feature rows for claim ids {missing[:5]}...")
     return np.array([by_id[i.claim_id] for i in instances],
                     dtype=np.float64).reshape(-1, len(features_mod.FEATURE_NAMES))
 
@@ -296,9 +296,12 @@ def cmd_predict(args) -> int:
 
 def cmd_score(args) -> int:
     instances = load_claims(args.gold)
+    gold_ids = {inst.claim_id for inst in instances}
 
     def parse(row):
         prediction = prediction_from_row(row)
+        if prediction.claim_id not in gold_ids:
+            raise ValueError(f"unknown claim id {prediction.claim_id!r}")
         return prediction.claim_id, prediction
 
     predictions = rows.parse_table(args.pred, "prediction", "claim id", parse)

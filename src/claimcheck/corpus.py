@@ -7,16 +7,17 @@ Everything after the second tab is link metadata and is discarded; empty
 sentences keep their line number so evidence references stay valid, but are
 flagged so retrieval can skip them.  A saved corpus is the gzip of a header
 line, ``{"checksums": {...}, "format_version": 2}``, then one dump record per
-page in page-id order, read by the dump's own record loop; it may skip nothing.
+page in page-id order, read by the dump's own record parser; it may skip nothing.
 """
 
 import gzip
 import hashlib
 import json
 import logging
-import zlib
 from pathlib import Path
 from typing import NamedTuple
+
+from .rows import json_object, parse_lines, reading
 
 logger = logging.getLogger(__name__)
 
@@ -118,12 +119,10 @@ class Corpus:
 
     @classmethod
     def load(cls, path) -> "Corpus":
-        try:
+        with reading(path, IngestError, "corpus file"):
             with gzip.open(path, "rb") as fh:
                 header, *records = fh.read().split(b"\n")
             header = json.loads(header)
-        except (EOFError, zlib.error, gzip.BadGzipFile, ValueError, RecursionError) as exc:
-            raise IngestError(f"cannot read corpus file {path}: {exc}") from exc
         if not isinstance(header, dict):
             raise IngestError(f"corpus file {path} does not start with a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
@@ -178,39 +177,26 @@ def _dump_files(path) -> list[Path]:
     return [p]
 
 
-def _parse_record(line: str) -> tuple[Document, int] | None:
-    """One dump record as (page, sentence rows skipped); None for a record
-    with an empty id."""
-    rec = json.loads(line)
-    if not isinstance(rec, dict):
-        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
-    if not rec.get("id"):
-        return None
-    for key in ("id", "text", "lines"):
-        value = rec.get(key, "")
-        if not isinstance(value, str):
-            raise ValueError(f"field {key!r} is {type(value).__name__}, not a string")
-        value.encode("utf-8")  # a lone surrogate escape would fail only when saving
-    lines, skipped = parse_lines_field(rec.get("lines", ""))
-    return Document(rec["id"], rec.get("text", ""), lines), skipped
-
-
 def _add_records(corpus: Corpus, stats: IngestStats, path, chunks, first_line=1) -> None:
-    """Add the dump records of one file's lines (bytes, "\\n" cut off) to corpus."""
-    for lineno, chunk in enumerate(chunks, start=first_line):
-        try:
-            line = chunk.decode("utf-8")
-            if not line.strip():
-                continue
-            parsed = _parse_record(line)
-        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
-            raise IngestError(f"bad record in {path} on line {lineno}: {exc}") from exc
-        if parsed is None:
+    """Add the dump records of one file's lines (bytes, "\\n" cut off) to corpus,
+    skipping and counting a record with an empty id."""
+
+    def add(line):
+        rec = json_object(line)
+        if not rec.get("id"):
             stats.records_skipped += 1
-            continue
-        stats.lines_skipped += parsed[1]
-        corpus.add_document(parsed[0])
+            return
+        for key in ("id", "text", "lines"):
+            value = rec.get(key, "")
+            if not isinstance(value, str):
+                raise ValueError(f"field {key!r} is {type(value).__name__}, not a string")
+            value.encode("utf-8")  # a lone surrogate escape would fail only when saving
+        lines, skipped = parse_lines_field(rec.get("lines", ""))
+        corpus.add_document(Document(rec["id"], rec.get("text", ""), lines))
+        stats.lines_skipped += skipped
         stats.documents += 1
+
+    parse_lines(path, chunks, "record", add, IngestError, first_line)
 
 
 def ingest_dump(path) -> tuple[Corpus, IngestStats]:

@@ -14,12 +14,12 @@ triple checks (every component in [0, 1], the sum within SUM_TOLERANCE of 1)
 run once over the whole array.  ``score_candidates`` is the one-claim call
 of the same code.
 
-The scorer is pluggable.  A scorer scores one pair with
-``score(claim_id, claim, ref, sentence)``, which score_pairs calls once per
-pair; it may also score a run's pairs at once with
-``triples(instances, claims, refs, corpus)``, as the baseline does.  The
-built-in baseline is a token-overlap heuristic whose only
-job is to make every label reachable in tests and smoke runs; real model
+The scorer is pluggable.  A scorer either scores a run's pairs at once
+with ``triples(instances, claims, refs, corpus)``, as the baseline does, or
+one pair at a time with ``score(claim_id, claim, ref, sentence)``, which
+score_pairs then calls once per pair.  The built-in baseline is a
+token-overlap heuristic whose only job is to make every label reachable in
+tests and smoke runs; real model
 output is injected from a JSON-lines probability file instead of being
 computed in-process.
 """
@@ -46,13 +46,11 @@ class ProbabilityError(ValueError):
 
 
 class MissingProbabilityError(ProbabilityError):
-    def __init__(self, claim_id, ref: SentenceRef):
+    def __init__(self, claim_id, ref: SentenceRef, source="the probability table"):
         super().__init__(
-            f"no probability entry for claim {claim_id!r}, "
+            f"{source} has no probability entry for claim {claim_id!r}, "
             f"sentence ({ref.page_id!r}, {ref.line_number})"
         )
-        self.claim_id = claim_id
-        self.ref = ref
 
 
 class _Triple(NamedTuple):
@@ -74,9 +72,6 @@ class EntailmentTriple(_Triple):
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=SUM_TOLERANCE):
             raise ProbabilityError(f"components sum to {total!r}, not 1: {self!r}")
         return self
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return tuple(self)
 
 
 class ScoredCandidate(NamedTuple):
@@ -129,16 +124,7 @@ def _pair_stats(claim_bag, sentence_bag) -> tuple:
     return len(c & s), len(c), c_neg != s_neg
 
 
-def baseline_score(claim_tokens, sentence_tokens) -> EntailmentTriple:
-    """Overlap o relative to the claim; negation mismatch flips support to refute."""
-    stats = np.array([_pair_stats(_bag(claim_tokens), _bag(sentence_tokens))], dtype=np.int64)
-    return EntailmentTriple(*_overlap_triples(stats)[0].tolist())
-
-
 class BaselineScorer:
-    def score(self, claim_id, claim: str, ref, sentence: str) -> EntailmentTriple:
-        return baseline_score(tokenize(claim), tokenize(sentence))
-
     def triples(self, instances, claims, refs, corpus) -> np.ndarray:
         """Triples of all pairs, tokenizing each distinct claim and sentence once.
 
@@ -187,20 +173,21 @@ def triple_from_row(row) -> tuple:
 class FileScorer:
     """Exact lookup of externally computed triples keyed by (claim, page, line)."""
 
-    def __init__(self, table: dict):
+    def __init__(self, table: dict, source="the probability table"):
         self.table = table
+        self.source = source  # names the table when it lacks a pair
 
     @classmethod
     def load(cls, path) -> "FileScorer":
         """JSON-lines {claim_id, page_id, line_number, support, refute, uninformative}."""
         return cls(parse_table(path, "probability", "(claim id, page id, line)",
-                               triple_from_row, ProbabilityError))
+                               triple_from_row, ProbabilityError), path)
 
     def score(self, claim_id, claim: str, ref: SentenceRef, sentence: str) -> EntailmentTriple:
         try:
             return self.table[(claim_id, *ref)]
         except KeyError:
-            raise MissingProbabilityError(claim_id, ref) from None
+            raise MissingProbabilityError(claim_id, ref, self.source) from None
 
 
 def score_pairs(scorer, instances, candidates, corpus) -> ScoredPairs:

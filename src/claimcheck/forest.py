@@ -20,6 +20,7 @@ import numpy as np
 
 from . import kernels
 from .features import FEATURE_NAMES, FeatureVector
+from .rows import reading
 
 log = logging.getLogger(__name__)
 
@@ -318,28 +319,22 @@ def save(forest: RandomForest, path) -> None:
 
 
 def load(path) -> RandomForest:
-    with open(path, encoding="utf-8") as fp:
-        try:
-            payload = json.load(fp)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ModelFormatError(f"unreadable model file: {exc}") from exc
-    if not isinstance(payload, dict) or "format_version" not in payload:
-        raise ModelFormatError("not a model file: missing format_version")
-    if payload["format_version"] != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format version: {payload['format_version']}"
-        )
-    if tuple(payload.get("labels", ())) != LABELS:
-        raise ModelFormatError(f"label set mismatch: {payload.get('labels')}")
-    try:
+    with reading(path, ModelFormatError, "model file"), open(path, encoding="utf-8") as fp:
+        payload = json.load(fp)
+        if not isinstance(payload, dict) or "format_version" not in payload:
+            raise ModelFormatError("not a model file: missing format_version")
+        if payload["format_version"] != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(
+                f"unsupported model format version: {payload['format_version']}"
+            )
+        if tuple(payload.get("labels", ())) != LABELS:
+            raise ModelFormatError(f"label set mismatch: {payload.get('labels')}")
         cfg = payload["config"]  # other keys, as older files carry, only steered training
         values = [cfg[key] for key in ForestConfig._fields]
         for key, value in zip(ForestConfig._fields, values):
             if type(value) is not int:
                 raise ModelFormatError(f"config {key} {value!r} is not an integer")
         return RandomForest(ForestConfig(*values), payload["trees"])
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise ModelFormatError(f"corrupt model file: {exc}") from exc
 
 
 # -- per-class claim sampling ------------------------------------------------

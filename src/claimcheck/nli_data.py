@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .corpus import Corpus, SentenceRef
 from .forest import LABELS
-from .rows import parse_rows, write_rows
+from .rows import parse_table, write_rows
 
 NLI_LABELS = ("Entailment", "Contradiction", "Neutral")
 _CLAIM_LABEL_TO_NLI = {"SUPPORTS": "Entailment", "REFUTES": "Contradiction"}
@@ -90,16 +90,12 @@ def parse_claim_row(row: dict) -> FeverInstance:
 
 def load_claims(path) -> list[FeverInstance]:
     """The claims of a JSON-lines file; a malformed row or a repeated id names its line."""
-    seen = set()
 
     def parse(row):
         instance = parse_claim_row(row)
-        if instance.claim_id in seen:
-            raise GenerationError(f"duplicate claim id {instance.claim_id!r}")
-        seen.add(instance.claim_id)
-        return instance
+        return instance.claim_id, instance
 
-    return list(parse_rows(path, "claim", parse, GenerationError))
+    return list(parse_table(path, "claim", "claim id", parse, GenerationError).values())
 
 
 def _resolve(corpus: Corpus, ref: SentenceRef, claim_id) -> str:

@@ -1,12 +1,73 @@
-"""JSON-lines row files: one JSON object per line, blank lines skipped.
+"""The file boundary: every reader reports a malformed file the same way.
 
-Every row file the pipeline reads goes through parse_rows, so a malformed row
-fails the same way everywhere: one exception, "bad {what} row on line N: ...",
-where N counts every line of the file, blank ones included.
+``parse_lines`` reads a file line by line ("\\n" ends a line, blank lines
+are skipped); what a line raises becomes "bad {what} in {path} on line N:
+...", N counting every line.  Dump records, saved-corpus records and
+JSON-lines row files (``parse_rows``) go through it.  ``reading`` wraps a
+reader of a whole file (an index, a model, a saved-corpus header): what it
+raises becomes "cannot read {what} {path}: ...".  Either way the message
+ends up in the reader's own ValueError subclass, and names the file once.
+No other module catches a parse error.
 """
 
 import json
+import zlib
 from contextlib import contextmanager
+from zipfile import BadZipFile
+
+# what parsing a truncated or corrupted file raises: JSON and Unicode errors
+# are ValueErrors, and gzip and zip files add EOFError, zlib.error,
+# BadZipFile and OSError (a CRC mismatch, a seek past the end)
+PARSE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError,
+                EOFError, zlib.error, BadZipFile, OSError)
+
+
+def _reason(exc) -> str:
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+@contextmanager
+def reading(path, error, what):
+    """Re-raise what reading the file at path raises as error("cannot read
+    {what} {path}: ..."); the reader's own error or an OSError (a missing
+    file) passes unchanged when it names path already."""
+    try:
+        yield
+    except (*PARSE_ERRORS, MemoryError) as exc:  # an npy header may declare petabytes
+        if isinstance(exc, (error, OSError)) and str(path) in str(exc):
+            raise
+        raise error(f"cannot read {what} {path}: {_reason(exc)}") from exc
+
+
+def parse_lines(path, byte_lines, what, parse, error, first_line=1) -> list:
+    """[parse(line) for each non-blank line], byte_lines being the file's lines
+    (bytes cut at each "\\n") from line number first_line on; what a line
+    raises names the file and the line."""
+    out, lineno = [], first_line  # lineno is bound should reading the first line fail
+    try:
+        for lineno, raw in enumerate(byte_lines, start=first_line):
+            line = raw.decode("utf-8")
+            if line.strip():
+                out.append(parse(line))
+    except PARSE_ERRORS as exc:
+        raise error(f"bad {what} in {path} on line {lineno}: {_reason(exc)}") from exc
+    return out
+
+
+def json_object(line) -> dict:
+    """The JSON object a line holds."""
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+    return row
+
+
+def parse_rows(path, what, parse, error=ValueError) -> list:
+    """[parse(row) for each row] of a JSON-lines file; a line that is not a JSON
+    object, or whose row parse refuses, is a bad "{what} row"."""
+    with open(path, "rb") as fp:
+        return parse_lines(path, fp, f"{what} row", lambda line: parse(json_object(line)),
+                           error)
 
 
 def write_rows(path, rows) -> None:
@@ -23,32 +84,6 @@ def write_json(path, obj) -> None:
         fp.write("\n")
 
 
-@contextmanager
-def row_error(what, lineno, error=ValueError):
-    """Re-raise what a malformed row raises as error("bad {what} row on line N: ...")."""
-    try:
-        yield
-    except KeyError as exc:
-        raise error(f"bad {what} row on line {lineno}: missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise error(f"bad {what} row on line {lineno}: {exc}") from exc
-
-
-def parse_rows(path, what, parse, error=ValueError):
-    """parse(row) for each row; decoding, framing and parse errors name the line."""
-    with open(path, "rb") as fp:
-        for lineno, raw in enumerate(fp, start=1):
-            with row_error(what, lineno, error):
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise TypeError(f"expected a JSON object, got {type(row).__name__}")
-                item = parse(row)
-            yield item
-
-
 def parse_table(path, what, key, parse, error=ValueError) -> dict:
     """{k: v} over the (k, v) pairs parse returns per row; key names k in the
     message when a row repeats an earlier row's k."""
@@ -58,10 +93,9 @@ def parse_table(path, what, key, parse, error=ValueError) -> dict:
         k, v = parse(row)
         if k in table:
             raise ValueError(f"repeated {key} {k!r}")
-        return k, v
-
-    for k, v in parse_rows(path, what, parse_new, error):
         table[k] = v
+
+    parse_rows(path, what, parse_new, error)
     return table
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import Corpus, Document
+from .rows import reading
 from .tokenizer import HASH_NAME, MAX_BIN_COUNT, ngram_bins, tokenize
 
 FORMAT_VERSION = 1
@@ -34,8 +35,9 @@ DEFAULT_BIN_COUNT = 2**24
 WEIGHTING = "log1p-tf.okapi-idf"
 DOC_NGRAM_ORDERS = (1, 2)  # unigrams and bigrams of each page's text
 BLOCK_CELLS = 2**14  # score cells plus scored entries per block of claims
-# index arrays after item_ids, in npz order
-_ARRAYS = ("uniq_bins", "uniq_offsets", "post_items", "post_weights", "df", "item_norms")
+# index arrays after item_ids, in npz order, with the dtypes build gives them
+_ARRAYS = {"uniq_bins": np.int64, "uniq_offsets": np.int64, "post_items": np.int32,
+           "post_weights": np.float64, "df": np.int64, "item_norms": np.float64}
 
 
 class IndexFormatError(ValueError):
@@ -131,43 +133,39 @@ class TfidfIndex:
 
     @classmethod
     def load(cls, path) -> "TfidfIndex":
-        with np.load(path, allow_pickle=False) as data:
-            try:
-                header = json.loads(str(data["header"]))
-                if header.get("format_version") != FORMAT_VERSION:
-                    raise IndexFormatError(
-                        f"unsupported index format version: {header.get('format_version')}"
-                    )
-                for key, known in (("hash", HASH_NAME), ("weighting", WEIGHTING)):
-                    if header.get(key) != known:
-                        raise IndexFormatError(f"index {path} has an unknown {key}: "
-                                               f"{header.get(key)!r}")
-                item_ids = [str(s) for s in data["item_ids"]]
-                if not _strictly_ascending(item_ids):
-                    raise IndexFormatError("index item ids are not in strictly ascending order")
-                bins, orders, count = (header[key] for key in
-                                       ("bin_count", "ngram_orders", "item_count"))
-                # type checks, not int(): "65536", 65536.7 and true are no bin count
-                if not (type(bins) is int and 1 <= bins <= MAX_BIN_COUNT
-                        and type(orders) is list and all(type(o) is int for o in orders)
-                        and type(count) is int and count == len(item_ids)):
-                    raise IndexFormatError(f"index {path} has a bad bin_count, ngram_orders or "
-                                           f"item_count: {bins!r}, {orders!r}, {count!r}")
-                index = cls(bins, orders, item_ids,
-                            source_checksum=header.get("source_checksum", ""),
-                            **{name: data[name] for name in _ARRAYS})
-            except KeyError as exc:
-                raise IndexFormatError(f"index {path} lacks an array or header field: {exc}") \
-                    from exc
-            except (TypeError, AttributeError) as exc:
-                raise IndexFormatError(f"index {path} is malformed: {exc}") from exc
-        index._check_arrays(path)
+        with reading(path, IndexFormatError, "index"), np.load(path, allow_pickle=False) as data:
+            header = json.loads(str(data["header"]))
+            if header.get("format_version") != FORMAT_VERSION:
+                raise IndexFormatError(
+                    f"unsupported index format version: {header.get('format_version')}"
+                )
+            for key, known in (("hash", HASH_NAME), ("weighting", WEIGHTING)):
+                if header.get(key) != known:
+                    raise IndexFormatError(f"index {path} has an unknown {key}: "
+                                           f"{header.get(key)!r}")
+            item_ids = [str(s) for s in data["item_ids"]]
+            if not _strictly_ascending(item_ids):
+                raise IndexFormatError("index item ids are not in strictly ascending order")
+            bins, orders, count = (header[key] for key in
+                                   ("bin_count", "ngram_orders", "item_count"))
+            # type checks, not int(): "65536", 65536.7 and true are no bin count
+            if not (type(bins) is int and 1 <= bins <= MAX_BIN_COUNT
+                    and type(orders) is list and all(type(o) is int for o in orders)
+                    and type(count) is int and count == len(item_ids)):
+                raise IndexFormatError(f"index {path} has a bad bin_count, ngram_orders or "
+                                       f"item_count: {bins!r}, {orders!r}, {count!r}")
+            index = cls(bins, orders, item_ids,
+                        source_checksum=header.get("source_checksum", ""),
+                        **{name: data[name] for name in _ARRAYS})
+            index._check_arrays(path)
         return index
 
     def _check_arrays(self, path) -> None:
-        """Raise IndexFormatError unless the arrays form one postings layout."""
+        """Raise IndexFormatError unless the arrays have the dtypes build writes
+        and form one postings layout."""
         offsets, post = self.uniq_offsets, self.post_items
-        if not (all(getattr(self, name).ndim == 1 for name in _ARRAYS)
+        if not (all(getattr(self, name).dtype == dtype and getattr(self, name).ndim == 1
+                    for name, dtype in _ARRAYS.items())
                 and len(self.df) == len(self.uniq_bins) and np.all(np.diff(self.uniq_bins) > 0)
                 and np.array_equal(offsets, np.concatenate(([0], np.cumsum(self.df))))
                 and offsets[-1] == len(post) == len(self.post_weights)

@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -296,7 +297,8 @@ class TestBadInputs:
         cands.write_text('{"id": 101}\n')
         code, _, err = run(["features", "--corpus", DUMP, "--claims", CLAIMS,
                             "--candidates", cands, "--out", tmp_path / "f.jsonl"], capsys)
-        assert "candidates row on line 1: missing field 'candidates'" in one_error(code, err)
+        assert f"candidates row in {cands} on line 1: missing field 'candidates'" \
+            in one_error(code, err)
 
     @pytest.mark.parametrize("ref, message", [
         (["No_Such_Page", 3], "candidate {!r} is not a non-empty sentence of the corpus"),
@@ -310,7 +312,8 @@ class TestBadInputs:
                          + "\n")
         code, _, err = run(["features", "--corpus", DUMP, "--claims", CLAIMS,
                             "--candidates", cands, "--out", out, "--scored-out", scored], capsys)
-        assert f"bad candidates row on line 1: {message.format(ref)}" in one_error(code, err)
+        assert f"bad candidates row in {cands} on line 1: {message.format(ref)}" \
+            in one_error(code, err)
         assert not out.exists() and not scored.exists()
 
     def test_malformed_feature_row(self, tmp_path, capsys):
@@ -318,7 +321,7 @@ class TestBadInputs:
         feats.write_text('{"claim_id": 101, "n": 1}\n')
         code, _, err = run(["train", "--claims", CLAIMS, "--features", feats,
                             "--out", tmp_path / "model.json"], capsys)
-        assert "feature row on line 1: missing field 'f1'" in one_error(code, err)
+        assert f"feature row in {feats} on line 1: missing field 'f1'" in one_error(code, err)
 
     def test_malformed_scored_row(self, tmp_path, capsys):
         feats, scored = tmp_path / "features.jsonl", tmp_path / "scored.jsonl"
@@ -328,7 +331,7 @@ class TestBadInputs:
         code, _, err = run(["predict", "--claims", CLAIMS, "--features", feats,
                             "--scored", scored, "--model", tmp_path / "model.json",
                             "--out", tmp_path / "pred.jsonl"], capsys)
-        assert "scored row on line 1: missing field 'page_id'" in one_error(code, err)
+        assert f"scored row in {scored} on line 1: missing field 'page_id'" in one_error(code, err)
 
     def test_bad_model_split_feature(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -352,7 +355,7 @@ class TestBadInputs:
                     "ingest its dump again"),
         ("empty_id", "corpus file {} is malformed: a saved corpus skips nothing, but reading "
                      "it skipped 1 records and 0 sentence rows"),
-        ("duplicate_page", "duplicate page id: 'A'"),
+        ("duplicate_page", "bad record in {} on line 3: duplicate page id: 'A'"),
     ], ids=["truncated", "no_documents", "list_checksums", "int_checksum", "not_an_object",
             "v1_file", "empty_id", "duplicate_page"])
     def test_broken_saved_corpus(self, workdir, tmp_path, capsys, case, message):
@@ -430,14 +433,18 @@ class TestBadInputs:
         assert not pred.exists()
 
     @pytest.mark.parametrize("case, message", [
-        ("no_header", "lacks an array or header field: 'header is not a file in the archive'"),
-        ("no_bin_count", "lacks an array or header field: 'bin_count'"),
-        ("no_df", "lacks an array or header field: 'df is not a file in the archive'"),
+        ("no_header", "cannot read index {}: missing field 'header is not a file in the archive'"),
+        ("no_bin_count", "cannot read index {}: missing field 'bin_count'"),
+        ("no_df", "cannot read index {}: missing field 'df is not a file in the archive'"),
         ("cut_post_items", "is corrupt: its arrays disagree"),
         ("post_item_out_of_range", "is corrupt: its arrays disagree"),
         ("short_df", "is corrupt: its arrays disagree"),
         ("short_item_norms", "is corrupt: its arrays disagree"),
         ("unsorted_bins", "is corrupt: its arrays disagree"),
+        ("float32_post_weights", "is corrupt: its arrays disagree"),
+        ("float32_item_norms", "is corrupt: its arrays disagree"),
+        ("str_uniq_bins", "is corrupt: its arrays disagree"),
+        ("huge_shape", "cannot read index {}: Unable to allocate"),
         ({"bin_count": "65536"}, "has a bad bin_count, ngram_orders or item_count: '65536'"),
         ({"bin_count": 65536.7}, "has a bad bin_count, ngram_orders or item_count: 65536.7"),
         ({"bin_count": True}, "has a bad bin_count, ngram_orders or item_count: True"),
@@ -450,9 +457,10 @@ class TestBadInputs:
         ({"item_count": 5}, "has a bad bin_count, ngram_orders or item_count: "
                             "65536, [1, 2], 5"),
     ], ids=["no_header", "no_bin_count", "no_df", "cut_post_items", "post_item_out_of_range",
-            "short_df", "short_item_norms", "unsorted_bins", "str_bin_count", "float_bin_count",
-            "bool_bin_count", "huge_bin_count", "small_bin_count", "str_ngram_orders",
-            "other_ngram_orders", "raw_weighting", "wrong_item_count"])
+            "short_df", "short_item_norms", "unsorted_bins", "float32_post_weights",
+            "float32_item_norms", "str_uniq_bins", "huge_shape", "str_bin_count",
+            "float_bin_count", "bool_bin_count", "huge_bin_count", "small_bin_count",
+            "str_ngram_orders", "other_ngram_orders", "raw_weighting", "wrong_item_count"])
     def test_broken_index(self, workdir, tmp_path, capsys, case, message):
         with np.load(workdir / "index.npz") as data:
             arrays = dict(data)
@@ -474,13 +482,23 @@ class TestBadInputs:
             arrays["df"], arrays["uniq_bins"] = arrays["df"][:-1], arrays["uniq_bins"][:-1]
         elif case == "short_item_norms":
             arrays["item_norms"] = arrays["item_norms"][:-1]
-        else:
+        elif case.startswith("float32_"):  # a lossy rewrite of a float array
+            name = case.removeprefix("float32_")
+            arrays[name] = arrays[name].astype(np.float32)
+        elif case == "str_uniq_bins":
+            arrays["uniq_bins"] = arrays["uniq_bins"].astype(str)
+        elif case == "unsorted_bins":
             arrays["uniq_bins"] = arrays["uniq_bins"][::-1].copy()
         index, out = tmp_path / "index.npz", tmp_path / "pred.jsonl"
         np.savez(index, **arrays)
+        if case == "huge_shape":  # the first array's npy header declares petabytes
+            raw = index.read_bytes()
+            old = re.search(rb"'shape': \(\d+,\), \} +", raw).group()
+            index.write_bytes(raw.replace(old, b"'shape': (99999999999999,), }".ljust(len(old)), 1))
         code, _, err = run(["e2e", "--corpus", workdir / "corpus.json.gz", "--claims", CLAIMS,
                             "--index", index, "--out", out], capsys)
-        assert f"index {index} {message}" in one_error(code, err)
+        expected = message.format(index) if "{}" in message else f"index {index} {message}"
+        assert expected in one_error(code, err)
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["dump", "saved_corpus", "claims", "model"])
@@ -502,12 +520,13 @@ class TestBadInputs:
             row = '{"id": 103, "claim": "c", "label": "NOT ENOUGH INFO", "evidence": ' + deep + "}"
             path.write_text("\n".join([*lines[:2], row, *lines[3:]]) + "\n")
             argv, message = [*e2e[:3], "--claims", path, *e2e[5:]], \
-                "bad claim row on line 3: maximum recursion depth"
+                f"bad claim row in {path} on line 3: maximum recursion depth"
         else:
             path.write_text(json.dumps({"format_version": 1, "labels": list(forest.LABELS),
                                         "config": {"trees": 1, "max_depth": 1, "seed": 0},
                                         "trees": []}).replace("[]", deep))
-            argv, message = [*e2e, "--model", path], "unreadable model file: maximum recursion"
+            argv, message = [*e2e, "--model", path], \
+                f"cannot read model file {path}: maximum recursion"
         code, _, err = run(argv, capsys)
         assert message in one_error(code, err)
         assert not out.exists()
@@ -540,7 +559,7 @@ class TestBadInputs:
         feats.write_text(json.dumps(row) + "\n")
         code, _, err = run(["train", "--claims", CLAIMS, "--features", feats,
                             "--out", tmp_path / "model.json"], capsys)
-        assert "feature row on line 1: claim_id [101] is not" in one_error(code, err)
+        assert f"feature row in {feats} on line 1: claim_id [101] is not" in one_error(code, err)
 
     def test_list_claim_id_in_scored_row(self, tmp_path, capsys):
         feats, scored = tmp_path / "features.jsonl", tmp_path / "scored.jsonl"
@@ -552,7 +571,7 @@ class TestBadInputs:
         code, _, err = run(["predict", "--claims", CLAIMS, "--features", feats,
                             "--scored", scored, "--model", tmp_path / "model.json",
                             "--out", tmp_path / "pred.jsonl"], capsys)
-        assert "scored row on line 1: claim_id [101] is not" in one_error(code, err)
+        assert f"scored row in {scored} on line 1: claim_id [101] is not" in one_error(code, err)
 
 
     @pytest.mark.parametrize("bins", ["0", "-3", str(2**32 + 1)])
@@ -583,8 +602,8 @@ class TestBadInputs:
             in one_error(code, err)
 
     @pytest.mark.parametrize("row, message", [
-        ({"claim_id": 112}, "no feature rows for claim ids [101]"),
-        ({"claim_id": 101, "f3": float("nan")}, "feature row on line 1: feature values"),
+        ({"claim_id": 112}, "{} has no feature rows for claim ids [101]"),
+        ({"claim_id": 101, "f3": float("nan")}, "feature row in {} on line 1: feature values"),
     ], ids=["missing_claim", "nan_feature"])
     def test_predict_bad_feature_rows(self, one_claim, tmp_path, capsys, row, message):
         feats = tmp_path / "features.jsonl"
@@ -594,14 +613,21 @@ class TestBadInputs:
                             "--features", feats, "--scored", one_claim / "scored.jsonl",
                             "--model", one_claim / "model.json",
                             "--out", tmp_path / "pred.jsonl"], capsys)
-        assert message in one_error(code, err)
+        assert message.format(feats) in one_error(code, err)
 
     def test_list_id_in_prediction_row(self, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
         pred.write_text('{"id": [101], "predicted_label": "SUPPORTS", '
                         '"predicted_evidence": []}\n')
         code, _, err = run(["score", "--gold", CLAIMS, "--pred", pred], capsys)
-        assert "prediction row on line 1: id [101] is not" in one_error(code, err)
+        assert f"prediction row in {pred} on line 1: id [101] is not" in one_error(code, err)
+
+    def test_prediction_for_an_unknown_claim(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"id": 999, "predicted_label": "SUPPORTS", "predicted_evidence": []}\n')
+        code, _, err = run(["score", "--gold", CLAIMS, "--pred", pred], capsys)
+        assert f"bad prediction row in {pred} on line 1: unknown claim id 999" \
+            in one_error(code, err)
 
     def test_non_json_line_names_its_line(self, tmp_path, capsys):
         feats = tmp_path / "features.jsonl"
@@ -610,7 +636,7 @@ class TestBadInputs:
         feats.write_text("\n".join([*rows, "not json"]) + "\n")
         code, _, err = run(["train", "--claims", CLAIMS, "--features", feats,
                             "--out", tmp_path / "model.json"], capsys)
-        assert "bad feature row on line 4: Expecting value" in one_error(code, err)
+        assert f"bad feature row in {feats} on line 4: Expecting value" in one_error(code, err)
 
     @pytest.mark.parametrize("row, message", [
         ({"id": 103, **NEI, "evidence": 5}, "evidence 5 is not a list of lists"),
@@ -624,7 +650,7 @@ class TestBadInputs:
         ({"id": 103, "claim": "c"}, "missing field 'label'"),
         ({"id": 103, "claim": "c", "label": None}, "unknown label None"),
         ({"id": 103, "claim": None, "label": "NOT ENOUGH INFO"}, "claim None is not a string"),
-        ({"id": 101, **NEI}, "duplicate claim id 101"),
+        ({"id": 101, **NEI}, "repeated claim id 101"),
     ], ids=["int_evidence", "short_item", "str_line", "list_row", "list_id", "bool_id",
             "missing_label", "null_label", "null_claim", "duplicate_id"])
     def test_malformed_claims_row(self, tmp_path, capsys, row, message):
@@ -634,25 +660,26 @@ class TestBadInputs:
         out, report = tmp_path / "pred.jsonl", tmp_path / "report.json"
         code, _, err = run(["e2e", "--corpus", DUMP, "--claims", claims, "--bins", "65536",
                             "--out", out, "--report", report], capsys)
-        assert f"bad claim row on line 3: {message}" in one_error(code, err)
+        assert f"bad claim row in {claims} on line 3: {message}" in one_error(code, err)
         assert not out.exists() and not report.exists()
 
     @pytest.mark.parametrize("flags, row, message", [
         (["--ner-file"], {"id": 101, "entities": "Korvand Archipelago"},
-         "bad entity annotation row on line 1: entities 'Korvand Archipelago' is not a list"),
+         "bad entity annotation row in {} on line 1: entities 'Korvand Archipelago' is not a "
+         "list"),
         (["--ner-file"], {"id": [101], "entities": []},
-         "bad entity annotation row on line 1: id [101] is not"),
+         "bad entity annotation row in {} on line 1: id [101] is not"),
         (["--prob-file"],
          {"claim_id": [101], "page_id": "Korvand_Archipelago", "line_number": 0,
           "support": 1.0, "refute": 0.0, "uninformative": 0.0},
-         "bad probability row on line 1: claim_id [101] is not"),
+         "bad probability row in {} on line 1: claim_id [101] is not"),
     ], ids=["string_entities", "list_id_entities", "list_id_probabilities"])
     def test_malformed_side_file_row(self, tmp_path, capsys, flags, row, message):
         side, out = tmp_path / "side.jsonl", tmp_path / "pred.jsonl"
         side.write_text(json.dumps(row) + "\n")
         code, _, err = run(["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
                             *flags, side, "--out", out], capsys)
-        assert message in one_error(code, err)
+        assert message.format(side) in one_error(code, err)
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, field, value, message", [
@@ -684,7 +711,8 @@ class TestBadInputs:
                        "--model", d / "model.json", "--out", out],
         }[kind]
         code, _, err = run(argv, capsys)
-        assert f"error: bad {kind} row on line 1: {message}" == one_error(code, err).rstrip()
+        assert f"error: bad {kind} row in {rows} on line 1: {message}" \
+            == one_error(code, err).rstrip()
         assert not out.exists()
 
 
@@ -702,24 +730,24 @@ class TestBadInputs:
         ("probabilities",
          [{"claim_id": 101, "page_id": "Korvand_Archipelago", "line_number": 0,
            "support": s, "refute": 1.0 - s, "uninformative": 0.0} for s in (1.0, 0.0)],
-         "bad probability row on line 2: repeated (claim id, page id, line) "
+         "bad probability row in {} on line 2: repeated (claim id, page id, line) "
          "(101, 'Korvand_Archipelago', 0)"),
         ("entity_annotations",
          [{"id": 101, "entities": ["Korvand Archipelago"]}, {"id": 101, "entities": []}],
-         "bad entity annotation row on line 2: repeated claim id 101"),
+         "bad entity annotation row in {} on line 2: repeated claim id 101"),
         ("features", [{"claim_id": 101, "n": 1, **{f"f{i}": v for i in range(1, 13)}}
                       for v in (0.0, 1.0)],
-         "bad feature row on line 2: repeated claim id 101"),
+         "bad feature row in {} on line 2: repeated claim id 101"),
         ("scored",
          [{"claim_id": 101, "page_id": "Korvand_Archipelago", "line_number": 0,
            "support": s, "refute": 1.0 - s, "uninformative": 0.0} for s in (1.0, 1.0)],
-         "bad scored row on line 2: repeated (claim id, page id, line) "
+         "bad scored row in {} on line 2: repeated (claim id, page id, line) "
          "(101, 'Korvand_Archipelago', 0)"),
         ("candidates", [{"id": 101, "candidates": [["Korvand_Archipelago", 0]]}] * 2,
-         "bad candidates row on line 2: repeated claim id 101"),
+         "bad candidates row in {} on line 2: repeated claim id 101"),
         ("predictions", [{"id": 101, "predicted_label": label, "predicted_evidence": []}
                          for label in ("SUPPORTS", "REFUTES")],
-         "bad prediction row on line 2: repeated claim id 101"),
+         "bad prediction row in {} on line 2: repeated claim id 101"),
     ], ids=["probabilities", "entity_annotations", "features", "scored", "candidates",
             "predictions"])
     def test_repeated_key_in_side_or_staged_file(self, one_claim, tmp_path, capsys,
@@ -742,7 +770,7 @@ class TestBadInputs:
                             "--json-out", out],
         }[kind]
         code, _, err = run(argv, capsys)
-        assert message in one_error(code, err)
+        assert message.format(side) in one_error(code, err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["e2e", "train"])
@@ -988,7 +1016,8 @@ class TestTripleRows:
     def test_far_off_sum_fails_alike(self, one_claim, tmp_path, capsys, monkeypatch):
         results = self.read_both(one_claim, tmp_path, capsys, monkeypatch, 1 - 2e-3)
         for (code, err, _), kind in zip(results, ("scored", "probability")):
-            assert f"bad {kind} row on line 1: triple" in one_error(code, err)
+            assert f"bad {kind} row in {tmp_path / 'row.jsonl'} on line 1: triple" \
+                in one_error(code, err)
             assert "sums to 0.998" in err
         assert not (tmp_path / "f.jsonl").exists() and not (tmp_path / "s.jsonl").exists()
 

@@ -57,8 +57,10 @@ class TestIngest:
         p = tmp_path / "d.jsonl"
         write_dump(p, [{"id": "A", "text": "x.", "lines": "0\tx."},
                        {"id": "A", "text": "y.", "lines": "0\ty."}])
-        with pytest.raises(DuplicatePageError):
+        with pytest.raises(IngestError, match=f"bad record in {p} on line 2: duplicate page "
+                                              "id: 'A'") as raised:
             ingest_dump(p)
+        assert isinstance(raised.value.__cause__, DuplicatePageError)
 
     def test_directory_of_files(self, tmp_path):
         write_dump(tmp_path / "b.jsonl", [{"id": "B", "text": "b.", "lines": "0\tb."}])

@@ -16,7 +16,7 @@ from claimcheck.entailment import (
     FileScorer,
     MissingProbabilityError,
     ProbabilityError,
-    baseline_score,
+    score_candidates,
     score_pairs,
 )
 from claimcheck.tokenizer import tokenize
@@ -25,7 +25,7 @@ from claimcheck.tokenizer import tokenize
 class TestTripleInvariants:
     def test_valid(self):
         t = EntailmentTriple(0.7, 0.2, 0.1)
-        assert t.as_tuple() == (0.7, 0.2, 0.1)
+        assert tuple(t) == (0.7, 0.2, 0.1)
 
     def test_sum_violation(self):
         with pytest.raises(ProbabilityError):
@@ -36,40 +36,49 @@ class TestTripleInvariants:
             EntailmentTriple(-0.1, 0.6, 0.5)
 
 
+def baseline(claim: str, sentence: str) -> EntailmentTriple:
+    """The baseline triple of one (claim, sentence) pair, scored by score_candidates."""
+    corpus = Corpus()
+    corpus.add_document(Document("P", "", {0: sentence}))
+    [scored] = score_candidates(BaselineScorer(), None, claim, [SentenceRef("P", 0)], corpus)
+    assert tuple(scored.triple) == oracles.baseline_triple(tokenize(claim), tokenize(sentence))
+    return scored.triple
+
+
 class TestBaseline:
     def test_full_overlap(self):
-        assert baseline_score(["a", "b"], ["a", "b"]).as_tuple() == (1.0, 0.0, 0.0)
+        assert tuple(baseline("a b", "a b")) == (1.0, 0.0, 0.0)
 
     def test_negation_mismatch_flips(self):
-        assert baseline_score(["a", "b"], ["a", "b", "not"]).as_tuple() == (0.0, 1.0, 0.0)
+        assert tuple(baseline("a b", "a b not")) == (0.0, 1.0, 0.0)
 
     def test_partial_overlap(self):
-        assert baseline_score(["a", "b"], ["a", "c"]).as_tuple() == (0.5, 0.0, 0.5)
+        assert tuple(baseline("a b", "a c")) == (0.5, 0.0, 0.5)
 
     def test_negation_on_both_sides_cancels(self):
-        t = baseline_score(["not", "a"], ["not", "a"])
+        t = baseline("not a", "not a")
         assert t.support == 1.0
 
     def test_overlap_relative_to_claim_only(self):
         # same intersection, very different sentence sizes
-        short = baseline_score(["a", "b"], ["a"])
-        long = baseline_score(["a", "b"], ["a", "x", "y", "z", "w"])
+        short = baseline("a b", "a")
+        long = baseline("a b", "a x y z w")
         assert short.support == long.support == 0.5
 
     def test_empty_claim(self):
-        assert baseline_score([], ["a"]).as_tuple() == (0.0, 0.0, 1.0)
+        assert tuple(baseline("", "a")) == (0.0, 0.0, 1.0)
 
     def test_identity_maximizes_support(self):
-        t = BaselineScorer().score(None, "the mill was rebuilt", None, "the mill was rebuilt")
+        t = baseline("the mill was rebuilt", "the mill was rebuilt")
         assert t.support > t.refute and t.support > t.uninformative
 
     def test_zero_overlap_maximizes_uninformative(self):
-        t = BaselineScorer().score(None, "alpha beta", None, "gamma delta")
+        t = baseline("alpha beta", "gamma delta")
         assert t.uninformative > t.support and t.uninformative > t.refute
 
     def test_deterministic(self):
-        a = baseline_score(tokenize("Tarn Abbey was founded"), tokenize("Tarn Abbey"))
-        b = baseline_score(tokenize("Tarn Abbey was founded"), tokenize("Tarn Abbey"))
+        a = baseline("Tarn Abbey was founded", "Tarn Abbey")
+        b = baseline("Tarn Abbey was founded", "Tarn Abbey")
         assert a == b
 
 
@@ -84,7 +93,7 @@ class TestFileScorer:
         p.write_text(prob_row(1, "A", 0, 0.7, 0.2, 0.1) + "\n")
         scorer = FileScorer.load(p)
         t = scorer.score(1, "claim", SentenceRef("A", 0), "sentence")
-        assert t.as_tuple() == (0.7, 0.2, 0.1)
+        assert tuple(t) == (0.7, 0.2, 0.1)
 
     def test_missing_entry_names_pair(self, tmp_path):
         p = tmp_path / "probs.jsonl"
@@ -115,7 +124,7 @@ class TestFileScorer:
         p = tmp_path / "probs.jsonl"
         p.write_text(prob_row(1, "A", 0, 0.7004, 0.2, 0.1) + "\n")
         t = FileScorer.load(p).score(1, "c", SentenceRef("A", 0), "s")
-        assert abs(sum(t.as_tuple()) - 1.0) < 1e-9
+        assert abs(sum(t) - 1.0) < 1e-9
 
 
 WORDS = st.sampled_from(["not", "no", "never", "Mill", "abbey", "harbor", "stone", "was",
@@ -138,9 +147,10 @@ def baseline_runs(draw):
 
 
 class PairScorer:
-    """The baseline through the one-pair protocol alone."""
+    """The baseline reference through the one-pair protocol alone."""
 
-    score = BaselineScorer.score
+    def score(self, claim_id, claim, ref, sentence):
+        return oracles.baseline_triple(tokenize(claim), tokenize(sentence))
 
 
 class TestScorePairs:

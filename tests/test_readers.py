@@ -1,0 +1,125 @@
+"""Every file the command line reads, corrupted, fails at the file boundary.
+
+Valid files are built once from data/.  Each is then cut at half its length,
+has one byte flipped at a third of its length, or loses its middle line, and
+is read by the subcommand that takes it.  The run must exit 0, or exit 1
+with exactly one stderr line that starts with ``error:`` and names the
+corrupted file.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+from claimcheck import cli, ner
+
+ROOT = Path(__file__).resolve().parent.parent
+DUMP = ROOT / "data" / "mini_wiki.jsonl"
+CLAIMS = ROOT / "data" / "mini_claims.jsonl"
+SRC = ROOT / "src" / "claimcheck"
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """{kind: path} of one valid file per format the command line reads."""
+    d = tmp_path_factory.mktemp("valid")
+    f = {"dump": DUMP, "claims": CLAIMS, "corpus": d / "corpus.json.gz",
+         "index": d / "index.npz", "candidates": d / "candidates.jsonl",
+         "features": d / "features.jsonl", "scored": d / "scored.jsonl",
+         "model": d / "model.json", "predictions": d / "pred.jsonl",
+         "ner": d / "ner.jsonl", "probability": d / "probs.jsonl"}
+    for argv in (["ingest", "--dump", DUMP, "--out", f["corpus"]],
+                 ["index", "--corpus", f["corpus"], "--bins", "65536", "--out", f["index"]],
+                 ["retrieve", "--corpus", f["corpus"], "--claims", CLAIMS,
+                  "--index", f["index"], "--out", f["candidates"]],
+                 ["features", "--corpus", f["corpus"], "--claims", CLAIMS,
+                  "--candidates", f["candidates"], "--out", f["features"],
+                  "--scored-out", f["scored"]],
+                 ["train", "--claims", CLAIMS, "--features", f["features"], "--trees", "5",
+                  "--out", f["model"]],
+                 ["predict", "--claims", CLAIMS, "--features", f["features"],
+                  "--scored", f["scored"], "--model", f["model"], "--out", f["predictions"]]):
+        assert cli.main(["-q", *map(str, argv)]) == 0
+    with open(CLAIMS, encoding="utf-8") as fp:
+        claims = [json.loads(line) for line in fp if line.strip()]
+    f["ner"].write_text("".join(
+        json.dumps({"id": c["id"], "entities": [m.surface for m in ner.extract_entities(
+            c["claim"])]}) + "\n" for c in claims))
+    # a probability file has the scored rows' format
+    f["probability"].write_bytes(f["scored"].read_bytes())
+    return f
+
+
+def reader_argv(kind, path, f, out) -> list:
+    """The subcommand that reads the kind of file at path, the other inputs valid."""
+    e2e = ["e2e", "--corpus", f["corpus"], "--claims", CLAIMS, "--index", f["index"],
+           "--trees", "5", "--out", out]
+    predict = ["predict", "--claims", CLAIMS, "--features", f["features"],
+               "--scored", f["scored"], "--model", f["model"], "--out", out]
+    argv = {
+        "dump": ["ingest", "--dump", path, "--out", out],
+        "corpus": ["index", "--corpus", path, "--bins", "65536", "--out", out],
+        "index": [*e2e[:5], "--index", path, *e2e[7:]],
+        "model": [*predict[:7], "--model", path, *predict[9:]],
+        "claims": [*e2e[:3], "--claims", path, *e2e[5:]],
+        "candidates": ["features", "--corpus", f["corpus"], "--claims", CLAIMS,
+                       "--candidates", path, "--out", out],
+        "features": ["train", "--claims", CLAIMS, "--features", path, "--trees", "5",
+                     "--out", out],
+        "scored": [*predict[:5], "--scored", path, *predict[7:]],
+        "probability": [*e2e, "--prob-file", path],
+        "ner": [*e2e, "--ner-file", path],
+        "predictions": ["score", "--gold", CLAIMS, "--pred", path],
+    }[kind]
+    return [str(a) for a in argv]
+
+
+def cut(data: bytes) -> bytes:
+    return data[:len(data) // 2]
+
+
+def flip(data: bytes) -> bytes:
+    at = len(data) // 3
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+
+
+def drop_line(data: bytes) -> bytes:
+    """Without its middle line, lines being cut at each "\\n" byte."""
+    lines = data.split(b"\n")
+    del lines[len(lines) // 2]
+    return b"\n".join(lines)
+
+
+KINDS = ["dump", "corpus", "index", "model", "claims", "candidates", "features", "scored",
+         "probability", "ner", "predictions"]
+
+
+@pytest.mark.parametrize("mutate", [cut, flip, drop_line])
+@pytest.mark.parametrize("kind", KINDS)
+def test_corrupted_file_ends_in_one_error_line(valid, tmp_path, capsys, kind, mutate):
+    path = tmp_path / f"corrupted{''.join(valid[kind].suffixes)}"
+    path.write_bytes(mutate(valid[kind].read_bytes()))
+    code = cli.main(["-q", *reader_argv(kind, path, valid, tmp_path / "out")])
+    err = capsys.readouterr().err
+    if code != 0:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert str(path) in err, err
+
+
+def test_parse_errors_are_caught_only_in_rows():
+    """No module but rows.py converts what parsing a file raises."""
+    boundary = {"RecursionError", "EOFError", "zlib.error", "BadZipFile", "zipfile.BadZipFile",
+                "PARSE_ERRORS", "rows.PARSE_ERRORS"}
+    found = []
+    for source in sorted(SRC.glob("*.py")):
+        if source.name == "rows.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                found += [f"{source.name}:{node.lineno} {ast.unparse(t)}" for t in types
+                          if ast.unparse(t) in boundary]
+    assert not found
