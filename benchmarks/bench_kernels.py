@@ -5,9 +5,10 @@ scans only the titles of a length that can win), block cosine accumulation,
 the batched split search of one training step, grouped run sums, the batch
 n-gram hash (against the per-occurrence reference loop), the scoring of a
 run's candidate pairs into its feature matrix (``cli.score_claims``, as
-``e2e`` calls it), training the default forest and loading its saved model
-file, and saving and loading a corpus file, on seeded inputs, and prints the
-best-of-N wall time of each.
+``e2e`` calls it), assembling the verdicts of those pairs under seeded
+labels (``verdict.assemble_all``), training the default forest and loading
+its saved model file, and saving and loading a corpus file, on seeded
+inputs, and prints the best-of-N wall time of each.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from claimcheck import cli, forest, kernels, ner
+from claimcheck import cli, forest, kernels, ner, verdict
 from claimcheck.corpus import Corpus, Document, SentenceRef
 from claimcheck.entailment import BaselineScorer
 from claimcheck.features import FEATURE_NAMES
@@ -131,7 +132,22 @@ def make_scoring_workload(rng, token_lists, n_claims):
     size = min(CANDIDATES, len(refs))
     candidates = [sorted(refs[i] for i in rng.choice(len(refs), size=size, replace=False).tolist())
                   for _ in instances]
-    return BaselineScorer(), corpus, instances, candidates
+    return corpus, instances, candidates
+
+
+def score_claims(corpus, instances, candidates):
+    """cli.score_claims with a new baseline scorer, so that every run tokenizes
+    its claims, as one ``e2e`` does."""
+    return cli.score_claims(BaselineScorer(), corpus, instances, candidates)
+
+
+def make_verdict_workload(rng, scoring):
+    """The claim ids, seeded labels and scored pairs of the scoring run, as
+    ``e2e`` hands them to assemble_all."""
+    corpus, instances, candidates = scoring
+    pairs, _, _ = score_claims(corpus, instances, candidates)
+    labels = [forest.LABELS[c] for c in rng.integers(0, len(forest.LABELS), size=len(instances))]
+    return [inst.claim_id for inst in instances], labels, pairs
 
 
 def make_forest_workload(rng, n_claims, model_path):
@@ -177,6 +193,7 @@ def build_cases(rng, args, workdir):
     training = make_forest_workload(rng, args.claims, model_path)
     corpus_path = Path(workdir) / "corpus.json.gz"
     corpus = make_corpus_workload(rng, args.texts, corpus_path)
+    verdicts = make_verdict_workload(rng, scoring)
     n_tokens = sum(map(len, tokens))
     return [
         (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, full_scan),
@@ -189,8 +206,10 @@ def build_cases(rng, args, workdir):
         (f"row_sums ({args.items} runs)", kernels.row_sums, runs),
         (f"ngram_bins ({n_tokens} tokens)", hash_batch, (tokens,)),
         (f"hashed_counts_loop ({n_tokens} tokens)", hash_loop, (tokens,)),
-        (f"score_claims ({args.claims} claims x {CANDIDATES} candidates)", cli.score_claims,
+        (f"score_claims ({args.claims} claims x {CANDIDATES} candidates)", score_claims,
          scoring),
+        (f"assemble_all ({args.claims} claims x {CANDIDATES} candidates)", verdict.assemble_all,
+         verdicts),
         (f"forest_fit ({args.claims} claims, default config)", forest.fit, training),
         (f"forest_load ({args.claims} claims, default config)", forest.load, (model_path,)),
         (f"corpus_save ({len(corpus)} pages, {args.texts} sentences)", Corpus.save,

@@ -14,18 +14,17 @@ triple checks (every component in [0, 1], the sum within SUM_TOLERANCE of 1)
 run once over the whole array.  ``score_candidates`` is the one-claim call
 of the same code.
 
-The scorer is pluggable.  A scorer either scores a run's pairs at once
-with ``triples(instances, claims, refs, corpus)``, as the baseline does, or
-one pair at a time with ``score(claim_id, claim, ref, sentence)``, which
-score_pairs then calls once per pair.  The built-in baseline is a
+The scorer is pluggable, and every scorer has one method,
+``score(claim_id, claim, ref, sentence)``, which returns the triple of one
+pair.  score_pairs calls it once per pair, visiting the pairs sentence by
+sentence (in SentenceRef order), so a scorer that keeps the current
+sentence's work is never asked for it twice.  The built-in baseline is a
 token-overlap heuristic whose only job is to make every label reachable in
-tests and smoke runs; real model
-output is injected from a JSON-lines probability file instead of being
-computed in-process.
+tests and smoke runs; real model output is injected from a JSON-lines
+probability file instead of being computed in-process.
 """
 
 import math
-from itertools import groupby
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -104,46 +103,40 @@ def _bag(tokens) -> tuple:
     return tokens, not tokens.isdisjoint(NEGATION_CUES)
 
 
-def _overlap_triples(stats) -> np.ndarray:
-    """(n, 3) baseline triples of (n, 3) pair stats: the claim's tokens found in
-    the sentence, the claim's token count, and 1 for a negation mismatch.
+def _overlap_triple(claim_bag, sentence_bag) -> tuple:
+    """The baseline triple of a claim and a sentence, each a _bag.
 
     Overlap o is the share of the claim's tokens found in the sentence (0 for
     an empty claim); a negation mismatch flips support to refute.
     """
-    shared, size, mismatch = stats.T
-    o = np.divide(shared, size, out=np.zeros(len(stats)), where=size > 0)
-    g = mismatch.astype(np.float64)
-    raw = np.stack([o * (1.0 - g), o * g, 1.0 - o], axis=1)
-    total = raw[:, 0] + raw[:, 1] + raw[:, 2]  # guards rounding; mathematically already 1
-    return raw / total[:, np.newaxis]
-
-
-def _pair_stats(claim_bag, sentence_bag) -> tuple:
     (c, c_neg), (s, s_neg) = claim_bag, sentence_bag
-    return len(c & s), len(c), c_neg != s_neg
+    o = len(c & s) / len(c) if c else 0.0
+    g = float(c_neg != s_neg)
+    raw = (o * (1.0 - g), o * g, 1.0 - o)
+    total = raw[0] + raw[1] + raw[2]  # guards rounding; mathematically already 1
+    return raw[0] / total, raw[1] / total, raw[2] / total
 
 
 class BaselineScorer:
-    def triples(self, instances, claims, refs, corpus) -> np.ndarray:
-        """Triples of all pairs, tokenizing each distinct claim and sentence once.
+    """Token overlap of one pair at a time.
 
-        Pairs are visited sentence by sentence, so only the claims' tokens are
-        held while the sentences are scored.
-        """
-        claim_bags = {}  # claim text -> _bag of its tokens
-        for inst in instances:
-            if inst.claim not in claim_bags:
-                claim_bags[inst.claim] = _bag(tokenize(inst.claim))
-        bags = [claim_bags[inst.claim] for inst in instances]
-        claims = claims.tolist()
-        stats = [None] * len(refs)
-        for ref, pairs in groupby(sorted(range(len(refs)), key=refs.__getitem__),
-                                  key=refs.__getitem__):
-            sentence = _bag(tokenize(corpus.get_sentence(ref)))
-            for i in pairs:
-                stats[i] = _pair_stats(bags[claims[i]], sentence)
-        return _overlap_triples(np.array(stats, dtype=np.int64).reshape(-1, 3))
+    Each claim's tokens are kept by claim text, and the last sentence's by
+    its text, so a run visited sentence by sentence tokenizes each distinct
+    claim and sentence once; keying by text, not by ref, keeps a scorer
+    reused on another corpus from scoring stale tokens.
+    """
+
+    def __init__(self):
+        self._claims = {}  # claim text -> _bag of its tokens
+        self._sentence = self._sentence_bag = None  # the last sentence scored
+
+    def score(self, claim_id, claim: str, ref: SentenceRef, sentence: str) -> tuple:
+        claim_bag = self._claims.get(claim)
+        if claim_bag is None:
+            claim_bag = self._claims[claim] = _bag(tokenize(claim))
+        if sentence != self._sentence:
+            self._sentence, self._sentence_bag = sentence, _bag(tokenize(sentence))
+        return _overlap_triple(claim_bag, self._sentence_bag)
 
 
 def triple_rows(claim_ids, pairs: ScoredPairs):
@@ -199,13 +192,14 @@ def score_pairs(scorer, instances, candidates, corpus) -> ScoredPairs:
     sizes = [len(refs) for refs in candidates]
     claims = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     refs = [ref for group in candidates for ref in group]
-    if hasattr(scorer, "triples"):
-        triples = scorer.triples(instances, claims, refs, corpus)
-    else:  # a scorer of one pair at a time
-        triples = np.array([scorer.score(instances[c].claim_id, instances[c].claim, ref,
-                                         corpus.get_sentence(ref))
-                            for c, ref in zip(claims.tolist(), refs)],
-                           dtype=np.float64).reshape(-1, 3)
+    owners = [instances[c] for c in claims.tolist()]
+    triples, ref = [None] * len(refs), None
+    for i in sorted(range(len(refs)), key=refs.__getitem__):  # sentence by sentence
+        if refs[i] != ref:
+            ref = refs[i]
+            sentence = corpus.get_sentence(ref)
+        triples[i] = scorer.score(owners[i].claim_id, owners[i].claim, ref, sentence)
+    triples = np.array(triples, dtype=np.float64).reshape(-1, 3)
     check_triples(triples)
     return ScoredPairs(claims, refs, triples)
 

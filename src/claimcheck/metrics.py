@@ -34,16 +34,13 @@ class GoldInstance(_Gold):
         return super().__new__(cls, claim_id, label, evidence_sets)
 
 
-class ScoreReport:
-    def __init__(self, label_accuracy: float, evidence_precision: float,
-                 evidence_recall: float, evidence_f1: float, fever_score: float,
-                 confusion: dict | None = None):
-        self.label_accuracy = label_accuracy
-        self.evidence_precision = evidence_precision
-        self.evidence_recall = evidence_recall
-        self.evidence_f1 = evidence_f1
-        self.fever_score = fever_score
-        self.confusion = {} if confusion is None else confusion  # (gold, predicted) -> count
+class ScoreReport(NamedTuple):
+    label_accuracy: float
+    evidence_precision: float
+    evidence_recall: float
+    evidence_f1: float
+    fever_score: float
+    confusion: dict  # (gold, predicted) -> count
 
     def to_dict(self) -> dict:
         return {

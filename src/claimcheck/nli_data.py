@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .corpus import Corpus, SentenceRef
 from .forest import LABELS
-from .rows import parse_table, write_rows
+from .rows import parse_table, scalar_field, write_rows
 
 NLI_LABELS = ("Entailment", "Contradiction", "Neutral")
 _CLAIM_LABEL_TO_NLI = {"SUPPORTS": "Entailment", "REFUTES": "Contradiction"}
@@ -74,9 +74,7 @@ def _parse_evidence(raw) -> tuple:
 
 
 def parse_claim_row(row: dict) -> FeverInstance:
-    claim_id, claim, label = row["id"], row["claim"], row["label"]
-    if type(claim_id) not in (int, str):
-        raise GenerationError(f"id {claim_id!r} is not a string or an integer")
+    claim_id, claim, label = scalar_field(row, "id"), row["claim"], row["label"]
     if not isinstance(claim, str):
         raise GenerationError(f"claim {claim!r} is not a string")
     if label not in LABELS:

@@ -100,9 +100,10 @@ def parse_table(path, what, key, parse, error=ValueError) -> dict:
 
 
 def scalar_field(row, key):
-    """row[key], which must not be a list or an object (ids are dict keys)."""
-    if isinstance(row[key], (list, dict)):
-        raise ValueError(f"{key} {row[key]!r} is not a string or number")
+    """row[key], a claim id: a JSON string or integer, never a bool or a float
+    (which would equal an integer id)."""
+    if type(row[key]) not in (int, str):
+        raise ValueError(f"{key} {row[key]!r} is not a string or an integer")
     return row[key]
 
 

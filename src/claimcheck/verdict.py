@@ -2,7 +2,7 @@
 
 ``assemble_all`` makes the verdicts of every claim of a run at once from the
 pair arrays of ``entailment.score_pairs`` (claim index, SentenceRef and
-triple row of each pair).  Evidence is ranked by the product of the
+triple row of each pair).  Evidence is ranked per claim by the product of the
 candidate's probability for the predicted label and its indicator
 (support*cs for SUPPORTS, refute*cr for REFUTES), ties broken by SentenceRef;
 the top five positive products are returned.  When no candidate's indicator
@@ -44,26 +44,23 @@ def assemble_all(claim_ids, labels, pairs: ScoredPairs) -> list[Verdict]:
     predicted label is labels[c], from its scored pairs; pairs may come in
     any order."""
     claims, refs, triples = pairs
-    label_of = np.array([LABELS.index(label) for label in labels], dtype=np.int64)[claims]
-    product = (triples * indicator_matrix(triples))[np.arange(len(claims)), label_of]
-    keep = np.flatnonzero((label_of != LABELS.index(NOT_ENOUGH_INFO)) & (product > 0))
-    kept_refs = [refs[i] for i in keep.tolist()]
-    rank = {ref: r for r, ref in enumerate(sorted(set(kept_refs)))}
-    order = keep[np.lexsort((np.array([rank[ref] for ref in kept_refs], dtype=np.int64),
-                             -product[keep], claims[keep]))]
-    bounds = np.searchsorted(claims[order], np.arange(len(labels) + 1)).tolist()
-    order = order.tolist()
+    products = [[] for _ in labels]  # (ref, triple x indicators) of each claim's pairs
+    for c, ref, product in zip(claims.tolist(), refs,
+                               (triples * indicator_matrix(triples)).tolist()):
+        products[c].append((ref, product))
 
     verdicts = []
-    for c, (claim_id, label) in enumerate(zip(claim_ids, labels)):
-        lo, hi = bounds[c], bounds[c + 1]
+    for claim_id, label, scored in zip(claim_ids, labels, products):
         if label == NOT_ENOUGH_INFO:
             verdicts.append(Verdict(claim_id, NOT_ENOUGH_INFO, (), False))
-        elif lo == hi:  # no candidate's indicator agrees with the label
-            verdicts.append(Verdict(claim_id, NOT_ENOUGH_INFO, (), True))
-        else:
-            evidence = tuple(refs[i] for i in order[lo:min(hi, lo + MAX_EVIDENCE)])
+            continue
+        k = LABELS.index(label)
+        ranked = sorted((-product[k], ref) for ref, product in scored if product[k] > 0)
+        if ranked:
+            evidence = tuple(ref for _, ref in ranked[:MAX_EVIDENCE])
             verdicts.append(Verdict(claim_id, label, evidence, False))
+        else:  # no candidate's indicator agrees with the label
+            verdicts.append(Verdict(claim_id, NOT_ENOUGH_INFO, (), True))
     return verdicts
 
 

@@ -647,12 +647,13 @@ class TestBadInputs:
         ([1, 2], "expected a JSON object, got list"),
         ({"id": [103], **NEI}, "id [103] is not a string or an integer"),
         ({"id": True, **NEI}, "id True is not a string or an integer"),
+        ({"id": 103.0, **NEI}, "id 103.0 is not a string or an integer"),
         ({"id": 103, "claim": "c"}, "missing field 'label'"),
         ({"id": 103, "claim": "c", "label": None}, "unknown label None"),
         ({"id": 103, "claim": None, "label": "NOT ENOUGH INFO"}, "claim None is not a string"),
         ({"id": 101, **NEI}, "repeated claim id 101"),
     ], ids=["int_evidence", "short_item", "str_line", "list_row", "list_id", "bool_id",
-            "missing_label", "null_label", "null_claim", "duplicate_id"])
+            "float_id", "missing_label", "null_label", "null_claim", "duplicate_id"])
     def test_malformed_claims_row(self, tmp_path, capsys, row, message):
         lines = CLAIMS.read_text().splitlines()
         claims = tmp_path / "claims.jsonl"
@@ -669,11 +670,24 @@ class TestBadInputs:
          "list"),
         (["--ner-file"], {"id": [101], "entities": []},
          "bad entity annotation row in {} on line 1: id [101] is not"),
+        (["--ner-file"], {"id": 101.0, "entities": []},
+         "bad entity annotation row in {} on line 1: id 101.0 is not"),
+        (["--ner-file"], {"claim_id": True, "entities": []},
+         "bad entity annotation row in {} on line 1: claim_id True is not"),
         (["--prob-file"],
          {"claim_id": [101], "page_id": "Korvand_Archipelago", "line_number": 0,
           "support": 1.0, "refute": 0.0, "uninformative": 0.0},
          "bad probability row in {} on line 1: claim_id [101] is not"),
-    ], ids=["string_entities", "list_id_entities", "list_id_probabilities"])
+        (["--prob-file"],
+         {"claim_id": 101.0, "page_id": "Korvand_Archipelago", "line_number": 0,
+          "support": 1.0, "refute": 0.0, "uninformative": 0.0},
+         "bad probability row in {} on line 1: claim_id 101.0 is not"),
+        (["--prob-file"],
+         {"claim_id": True, "page_id": "Korvand_Archipelago", "line_number": 0,
+          "support": 1.0, "refute": 0.0, "uninformative": 0.0},
+         "bad probability row in {} on line 1: claim_id True is not"),
+    ], ids=["string_entities", "list_id_entities", "float_id_entities", "bool_id_entities",
+            "list_id_probabilities", "float_id_probabilities", "bool_id_probabilities"])
     def test_malformed_side_file_row(self, tmp_path, capsys, flags, row, message):
         side, out = tmp_path / "side.jsonl", tmp_path / "pred.jsonl"
         side.write_text(json.dumps(row) + "\n")
@@ -692,8 +706,13 @@ class TestBadInputs:
         ("probability", "uninformative", False, "uninformative False is not a number"),
         ("scored", "support", True, "support True is not a number"),
         ("scored", "refute", None, "refute None is not a number"),
+        ("feature", "claim_id", 101.0, "claim_id 101.0 is not a string or an integer"),
+        ("feature", "claim_id", True, "claim_id True is not a string or an integer"),
+        ("scored", "claim_id", 101.0, "claim_id 101.0 is not a string or an integer"),
+        ("scored", "claim_id", True, "claim_id True is not a string or an integer"),
     ], ids=["feature_string", "feature_bool", "float_n", "negative_n", "bool_n",
-            "probability_string", "probability_bool", "scored_bool", "scored_null"])
+            "probability_string", "probability_bool", "scored_bool", "scored_null",
+            "feature_float_id", "feature_bool_id", "scored_float_id", "scored_bool_id"])
     def test_non_numeric_field(self, one_claim, tmp_path, capsys, kind, field, value, message):
         d = one_claim
         rows, out = tmp_path / "rows.jsonl", tmp_path / "out.jsonl"
@@ -752,25 +771,26 @@ class TestBadInputs:
             "predictions"])
     def test_repeated_key_in_side_or_staged_file(self, one_claim, tmp_path, capsys,
                                                   kind, rows, message):
-        d = one_claim
         side, out = tmp_path / "side.jsonl", tmp_path / "out.jsonl"
         side.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        e2e = ["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536", "--out", out]
-        argv = {
-            "probabilities": [*e2e, "--prob-file", side],
-            "entity_annotations": [*e2e, "--ner-file", side],
-            "features": ["train", "--claims", d / "claims.jsonl", "--features", side,
-                         "--trees", "2", "--out", out],
-            "scored": ["predict", "--claims", d / "claims.jsonl",
-                       "--features", d / "features.jsonl", "--scored", side,
-                       "--model", d / "model.json", "--out", out],
-            "candidates": ["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
-                           "--candidates", side, "--out", out],
-            "predictions": ["score", "--gold", d / "claims.jsonl", "--pred", side,
-                            "--json-out", out],
-        }[kind]
-        code, _, err = run(argv, capsys)
+        code, _, err = run(row_file_argv(one_claim, kind, side, out), capsys)
         assert message.format(side) in one_error(code, err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("claim_id", [101.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("kind, row", [
+        ("candidates", {"candidates": [["Korvand_Archipelago", 0]]}),
+        ("predictions", {"predicted_label": "SUPPORTS",
+                         "predicted_evidence": [["Korvand_Archipelago", 0]]}),
+    ], ids=["candidates", "predictions"])
+    def test_float_or_bool_id_in_candidates_or_prediction_row(self, one_claim, tmp_path,
+                                                              capsys, kind, row, claim_id):
+        # 101.0 == 101 and True == 1 in Python: either would pass for an integer id
+        side, out = tmp_path / "side.jsonl", tmp_path / "out.jsonl"
+        side.write_text(json.dumps({"id": claim_id, **row}) + "\n")
+        code, _, err = run(row_file_argv(one_claim, kind, side, out), capsys)
+        assert f"row in {side} on line 1: id {claim_id!r} is not a string or an integer" \
+            in one_error(code, err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["e2e", "train"])
@@ -791,6 +811,25 @@ class TestBadInputs:
         code, _, err = run([command, *inputs, *flags, "--out", out], capsys)
         assert one_error(code, err) == f"error: {message}\n"
         assert not out.exists()
+
+
+def row_file_argv(d, kind, side, out) -> list:
+    """The command that reads side as a row file of kind, the other inputs
+    being the valid files of the one_claim fixture d."""
+    e2e = ["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536", "--out", out]
+    return {
+        "probabilities": [*e2e, "--prob-file", side],
+        "entity_annotations": [*e2e, "--ner-file", side],
+        "features": ["train", "--claims", d / "claims.jsonl", "--features", side,
+                     "--trees", "2", "--out", out],
+        "scored": ["predict", "--claims", d / "claims.jsonl",
+                   "--features", d / "features.jsonl", "--scored", side,
+                   "--model", d / "model.json", "--out", out],
+        "candidates": ["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
+                       "--candidates", side, "--out", out],
+        "predictions": ["score", "--gold", d / "claims.jsonl", "--pred", side,
+                        "--json-out", out],
+    }[kind]
 
 
 JSON_VALUES = st.recursive(

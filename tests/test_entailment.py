@@ -156,7 +156,7 @@ class PairScorer:
 class TestScorePairs:
     @settings(max_examples=200, deadline=None)
     @given(baseline_runs())
-    def test_batch_baseline_equals_per_pair_reference_bits(self, run):
+    def test_baseline_equals_per_pair_reference_bits(self, run):
         corpus, claims, candidates = run
         pairs = score_pairs(BaselineScorer(), claims, candidates, corpus)
         want = [oracles.baseline_triple(tokenize(claim.claim),
@@ -183,6 +183,37 @@ class TestScorePairs:
         assert texts.total() == len(claims) + len(sentences) < len(pairs.refs) + len(claims)
         assert set(texts) == claims | {mini_corpus.get_sentence(ref) for ref in sentences}
         assert len(pairs.refs) == 6 * len(mini_instances)
+
+    def test_pairs_visited_sentence_by_sentence_each_once(self, mini_corpus, mini_instances):
+        rng = np.random.default_rng(7)
+        refs = [ref for doc in mini_corpus.documents() for ref in doc.non_empty_refs()]
+        candidates = [[refs[i] for i in rng.choice(40, size=6, replace=False)]
+                      for _ in mini_instances]
+        seen = []
+
+        class Recorder:
+            def score(self, claim_id, claim, ref, sentence):
+                assert sentence == mini_corpus.get_sentence(ref)
+                seen.append((claim_id, ref))
+                return 1.0, 0.0, 0.0
+
+        score_pairs(Recorder(), mini_instances, candidates, mini_corpus)
+        pairs = [(inst.claim_id, ref) for inst, group in zip(mini_instances, candidates)
+                 for ref in group]
+        assert sorted(seen) == sorted(pairs) and len(set(seen)) == len(seen)
+        order = [ref for _, ref in seen]
+        assert order == sorted(order)  # each ref's pairs one after another
+
+    def test_baseline_reused_on_another_corpus_scores_its_text(self):
+        ref = SentenceRef("Page", 0)
+        claims = [SimpleNamespace(claim_id=1, claim="the mill was rebuilt")]
+        scorer = BaselineScorer()
+        for sentence in ("the mill was rebuilt", "the mill was not rebuilt", "an abbey"):
+            corpus = Corpus()
+            corpus.add_document(Document("Page", "", {0: sentence}))
+            pairs = score_pairs(scorer, claims, [[ref]], corpus)
+            want = oracles.baseline_triple(tokenize(claims[0].claim), tokenize(sentence))
+            assert tuple(pairs.triples[0].tolist()) == want
 
     def test_file_scorer_batch_names_a_missing_pair(self, mini_corpus):
         ref = SentenceRef(*next(iter(mini_corpus.documents())).non_empty_refs()[0])

@@ -214,5 +214,5 @@ def test_bench_kernels_smoke(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[2:]] == \
         ["batch_levenshtein", "title_match", "block_accumulate", "best_split", "row_sums",
-         "ngram_bins", "hashed_counts_loop", "score_claims", "forest_fit", "forest_load",
-         "corpus_save", "corpus_load"]
+         "ngram_bins", "hashed_counts_loop", "score_claims", "assemble_all", "forest_fit",
+         "forest_load", "corpus_save", "corpus_load"]
