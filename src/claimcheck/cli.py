@@ -152,18 +152,20 @@ def _features_from_row(row):
     values = [float(rows.number_field(row, name)) for name in features_mod.FEATURE_NAMES]
     if not all(map(math.isfinite, values)):
         raise ValueError("feature values must be finite")
-    rows.number_field(row, "n", count=True)  # checked; training and predicting do not read it
-    return rows.scalar_field(row, "claim_id"), values
+    return rows.scalar_field(row, "claim_id"), (values, rows.number_field(row, "n", count=True))
 
 
-def _read_feature_rows(path, instances) -> np.ndarray:
-    """The feature matrix of instances, row i from instances[i]'s feature row."""
+def _read_feature_rows(path, instances) -> tuple:
+    """(feature matrix, list of candidate counts n) of instances, row i and
+    count i from instances[i]'s feature row."""
     by_id = rows.parse_table(path, "feature", "claim id", _features_from_row)
     missing = [i.claim_id for i in instances if i.claim_id not in by_id]
     if missing:
         raise ValueError(f"{path} has no feature rows for claim ids {missing[:5]}...")
-    return np.array([by_id[i.claim_id] for i in instances],
-                    dtype=np.float64).reshape(-1, len(features_mod.FEATURE_NAMES))
+    found = [by_id[i.claim_id] for i in instances]
+    return (np.array([values for values, _ in found],
+                     dtype=np.float64).reshape(-1, len(features_mod.FEATURE_NAMES)),
+            [n for _, n in found])
 
 
 # -- subcommands -------------------------------------------------------------
@@ -267,7 +269,7 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     config, counts = _forest_config(args)
     instances = load_claims(args.claims)
-    X = _read_feature_rows(args.features, instances)
+    X, _ = _read_feature_rows(args.features, instances)
     model, n_samples = train_model(instances, X, config, counts)
     forest.save(model, args.out)
     print(f"{trained_summary(model, n_samples)} -> {args.out}")
@@ -289,7 +291,13 @@ def _read_scored_rows(path, instances) -> ScoredPairs:
 def cmd_predict(args) -> int:
     instances = load_claims(args.claims)
     pairs = _read_scored_rows(args.scored, instances)
-    X = _read_feature_rows(args.features, instances)
+    X, n = _read_feature_rows(args.features, instances)
+    scored = np.bincount(pairs.claims, minlength=len(instances)).tolist()
+    for inst, count, expected in zip(instances, scored, n):
+        if count != expected:
+            raise ValueError(f"{args.scored} has {count} scored rows for claim "
+                             f"{inst.claim_id!r}, but its feature row in {args.features} "
+                             f"has n {expected}")
     write_predictions(args.out, instances, X, pairs, forest.load(args.model))
     return 0
 

@@ -24,16 +24,6 @@ logger = logging.getLogger(__name__)
 FORMAT_VERSION = 2
 
 
-class IngestError(ValueError):
-    pass
-
-
-class DuplicatePageError(IngestError):
-    def __init__(self, page_id: str):
-        super().__init__(f"duplicate page id: {page_id!r}")
-        self.page_id = page_id
-
-
 class SentenceRef(NamedTuple):
     """Pointer to one numbered sentence of one page; hashes, compares and
     sorts as the tuple (page_id, line_number)."""
@@ -80,7 +70,7 @@ class Corpus:
 
     def add_document(self, doc: Document) -> None:
         if doc.page_id in self._docs:
-            raise DuplicatePageError(doc.page_id)
+            raise ValueError(f"duplicate page id: {doc.page_id!r}")
         self._docs[doc.page_id] = doc
 
     def get(self, page_id: str) -> Document | None:
@@ -119,26 +109,26 @@ class Corpus:
 
     @classmethod
     def load(cls, path) -> "Corpus":
-        with reading(path, IngestError, "corpus file"):
+        with reading(path, "corpus file"):
             with gzip.open(path, "rb") as fh:
                 header, *records = fh.read().split(b"\n")
             header = json.loads(header)
         if not isinstance(header, dict):
-            raise IngestError(f"corpus file {path} does not start with a JSON object")
+            raise ValueError(f"corpus file {path} does not start with a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
-            raise IngestError(f"unsupported corpus format version: {header.get('format_version')}"
-                              f" in corpus file {path}; ingest its dump again")
+            raise ValueError(f"unsupported corpus format version: {header.get('format_version')}"
+                             f" in corpus file {path}; ingest its dump again")
         checksums = header.get("checksums")
         if not (isinstance(checksums, dict)
                 and all(isinstance(v, str) for v in checksums.values())):
-            raise IngestError(f"corpus file {path} has no checksums object of strings")
+            raise ValueError(f"corpus file {path} has no checksums object of strings")
         corpus, stats = cls(), IngestStats()
         corpus.source_checksums = checksums
         _add_records(corpus, stats, path, records, first_line=2)
         if stats.records_skipped or stats.lines_skipped:
-            raise IngestError(f"corpus file {path} is malformed: a saved corpus skips nothing, "
-                              f"but reading it skipped {stats.records_skipped} records and "
-                              f"{stats.lines_skipped} sentence rows")
+            raise ValueError(f"corpus file {path} is malformed: a saved corpus skips nothing, "
+                             f"but reading it skipped {stats.records_skipped} records and "
+                             f"{stats.lines_skipped} sentence rows")
         return corpus
 
 
@@ -196,7 +186,7 @@ def _add_records(corpus: Corpus, stats: IngestStats, path, chunks, first_line=1)
         stats.lines_skipped += skipped
         stats.documents += 1
 
-    parse_lines(path, chunks, "record", add, IngestError, first_line)
+    parse_lines(path, chunks, "record", add, first_line)
 
 
 def ingest_dump(path) -> tuple[Corpus, IngestStats]:

@@ -40,18 +40,6 @@ TRIPLE_FIELDS = ("support", "refute", "uninformative")  # row keys of a triple
 NEGATION_CUES = frozenset({"not", "no", "never", "n't", "neither", "nor"})
 
 
-class ProbabilityError(ValueError):
-    pass
-
-
-class MissingProbabilityError(ProbabilityError):
-    def __init__(self, claim_id, ref: SentenceRef, source="the probability table"):
-        super().__init__(
-            f"{source} has no probability entry for claim {claim_id!r}, "
-            f"sentence ({ref.page_id!r}, {ref.line_number})"
-        )
-
-
 class _Triple(NamedTuple):
     support: float
     refute: float
@@ -66,10 +54,10 @@ class EntailmentTriple(_Triple):
     def __new__(cls, support, refute, uninformative):
         self = super().__new__(cls, support, refute, uninformative)
         if not all(0.0 <= value <= 1.0 for value in self):
-            raise ProbabilityError(f"component out of [0, 1]: {self!r}")
+            raise ValueError(f"component out of [0, 1]: {self!r}")
         total = support + refute + uninformative
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=SUM_TOLERANCE):
-            raise ProbabilityError(f"components sum to {total!r}, not 1: {self!r}")
+            raise ValueError(f"components sum to {total!r}, not 1: {self!r}")
         return self
 
 
@@ -93,8 +81,8 @@ def check_triples(triples: np.ndarray) -> None:
     good &= np.abs(total - 1.0) <= SUM_TOLERANCE
     if not good.all():
         i = int(np.argmin(good))
-        raise ProbabilityError(f"pair {i} has triple {tuple(triples[i].tolist())}: its "
-                               "components must lie in [0, 1] and sum to 1")
+        raise ValueError(f"pair {i} has triple {tuple(triples[i].tolist())}: its "
+                         "components must lie in [0, 1] and sum to 1")
 
 
 def _bag(tokens) -> tuple:
@@ -154,13 +142,13 @@ def triple_from_row(row) -> tuple:
     key = (scalar_field(row, "claim_id"), *sentence_ref(row["page_id"], row["line_number"]))
     values = tuple(float(number_field(row, k)) for k in TRIPLE_FIELDS)
     if not all(0.0 <= v <= 1.0 for v in values):
-        raise ProbabilityError(f"component out of [0, 1] in {values}")
+        raise ValueError(f"component out of [0, 1] in {values}")
     total = sum(values)
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=LOAD_SUM_TOLERANCE):
-        raise ProbabilityError(f"triple {values} sums to {total}, not 1")
+        raise ValueError(f"triple {values} sums to {total}, not 1")
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=SUM_TOLERANCE):
         values = tuple(v / total for v in values)
-    return key, EntailmentTriple(*values)
+    return key, values
 
 
 class FileScorer:
@@ -174,13 +162,14 @@ class FileScorer:
     def load(cls, path) -> "FileScorer":
         """JSON-lines {claim_id, page_id, line_number, support, refute, uninformative}."""
         return cls(parse_table(path, "probability", "(claim id, page id, line)",
-                               triple_from_row, ProbabilityError), path)
+                               triple_from_row), path)
 
-    def score(self, claim_id, claim: str, ref: SentenceRef, sentence: str) -> EntailmentTriple:
+    def score(self, claim_id, claim: str, ref: SentenceRef, sentence: str) -> tuple:
         try:
             return self.table[(claim_id, *ref)]
         except KeyError:
-            raise MissingProbabilityError(claim_id, ref, self.source) from None
+            raise ValueError(f"{self.source} has no probability entry for claim {claim_id!r}, "
+                             f"sentence ({ref.page_id!r}, {ref.line_number})") from None
 
 
 def score_pairs(scorer, instances, candidates, corpus) -> ScoredPairs:

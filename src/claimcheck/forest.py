@@ -33,14 +33,6 @@ FEATURES_PER_SPLIT = math.ceil(math.sqrt(len(FEATURE_NAMES)))  # features drawn 
 STEP_CELLS = 1 << 14
 
 
-class TrainingError(ValueError):
-    pass
-
-
-class ModelFormatError(ValueError):
-    pass
-
-
 class _Config(NamedTuple):
     trees: int
     max_depth: int
@@ -135,9 +127,9 @@ def _flatten(trees, config: ForestConfig) -> tuple:
     Nothing is coerced: a feature is an int, a threshold and each leaf entry
     an int or a float, never a bool or a string."""
     if not trees:
-        raise ModelFormatError("model has no trees")
+        raise ValueError("model has no trees")
     if len(trees) != config.trees:
-        raise ModelFormatError(f"model has {len(trees)} trees, its config {config.trees}")
+        raise ValueError(f"model has {len(trees)} trees, its config {config.trees}")
     roots, nodes, dists, depth = [], [], [], 0  # nodes: [feature, threshold, right] each
     for tree in trees:
         roots.append(len(nodes))
@@ -151,30 +143,30 @@ def _flatten(trees, config: ForestConfig) -> tuple:
                 d = node["dist"]
                 if (type(d) is not list or len(d) != len(LABELS)
                         or not all(type(v) in (int, float) for v in d)):
-                    raise ModelFormatError(f"bad leaf distribution: {d}")
+                    raise ValueError(f"bad leaf distribution: {d}")
                 nodes.append([-1, 0.0, i])
                 dists.append(d)
                 depth = max(depth, level)
                 continue
             f, t = node["feature"], node["threshold"]
             if type(f) is not int:
-                raise ModelFormatError(f"split feature {f!r} is not an integer")
+                raise ValueError(f"split feature {f!r} is not an integer")
             if not 0 <= f < len(FEATURE_NAMES):
-                raise ModelFormatError(f"split feature {f} outside 0..{len(FEATURE_NAMES) - 1}")
+                raise ValueError(f"split feature {f} outside 0..{len(FEATURE_NAMES) - 1}")
             if type(t) not in (int, float):
-                raise ModelFormatError(f"split threshold {t!r} is not a number")
+                raise ValueError(f"split threshold {t!r} is not a number")
             if not math.isfinite(t):
-                raise ModelFormatError(f"non-finite split threshold: {t}")
+                raise ValueError(f"non-finite split threshold: {t}")
             nodes.append([f, t, -1])
             stack += [(node["right"], level + 1, i), (node["left"], level + 1, None)]
     # + 0.0 turns -0.0 into 0.0, so tree sums keep the bits of sums from zero
     d = np.array(dists, dtype=np.float64) + 0.0
     ok = (d >= 0).all(axis=1) & (np.abs(d.sum(axis=1) - 1.0) <= 1e-9)
     if not ok.all():
-        raise ModelFormatError(f"bad leaf distribution: {dists[int(np.argmin(ok))]}")
+        raise ValueError(f"bad leaf distribution: {dists[int(np.argmin(ok))]}")
     if depth > config.max_depth:
-        raise ModelFormatError(f"model has a tree of depth {depth}, "
-                               f"its config max_depth {config.max_depth}")
+        raise ValueError(f"model has a tree of depth {depth}, "
+                         f"its config max_depth {config.max_depth}")
     feature, threshold, right = map(np.array, zip(*nodes))  # a leaf's 0.0 makes floats
     ids = np.arange(len(nodes))
     dist = np.zeros((len(nodes), len(LABELS)))
@@ -192,19 +184,19 @@ def train(samples, config: ForestConfig = ForestConfig()) -> RandomForest:
 def fit(X, labels, config: ForestConfig = ForestConfig()) -> RandomForest:
     """A forest on an (m, 12) feature matrix, row i labelled labels[i]."""
     if len(labels) < 2:
-        raise TrainingError("need at least 2 training samples")
+        raise ValueError("need at least 2 training samples")
     X = _feature_rows(X)
     if len(X) != len(labels):
-        raise TrainingError(f"{len(X)} feature rows for {len(labels)} labels")
+        raise ValueError(f"{len(X)} feature rows for {len(labels)} labels")
     if not np.isfinite(X).all():
-        raise TrainingError("non-finite feature values in training data")
+        raise ValueError("non-finite feature values in training data")
     try:
         y = np.array([LABELS.index(label) for label in labels], dtype=np.int64)
     except ValueError:
         bad = sorted(set(labels) - set(LABELS))
-        raise TrainingError(f"unknown labels: {bad}") from None
+        raise ValueError(f"unknown labels: {bad}") from None
     if (y == y[0]).all():  # np.unique(y) imports numpy.ma, which costs more than training
-        raise TrainingError("training data contains a single class")
+        raise ValueError("training data contains a single class")
     return RandomForest(config, _grow(X, y, config))
 
 
@@ -319,21 +311,21 @@ def save(forest: RandomForest, path) -> None:
 
 
 def load(path) -> RandomForest:
-    with reading(path, ModelFormatError, "model file"), open(path, encoding="utf-8") as fp:
+    with reading(path, "model file"), open(path, encoding="utf-8") as fp:
         payload = json.load(fp)
         if not isinstance(payload, dict) or "format_version" not in payload:
-            raise ModelFormatError("not a model file: missing format_version")
+            raise ValueError("not a model file: missing format_version")
         if payload["format_version"] != MODEL_FORMAT_VERSION:
-            raise ModelFormatError(
+            raise ValueError(
                 f"unsupported model format version: {payload['format_version']}"
             )
         if tuple(payload.get("labels", ())) != LABELS:
-            raise ModelFormatError(f"label set mismatch: {payload.get('labels')}")
+            raise ValueError(f"label set mismatch: {payload.get('labels')}")
         cfg = payload["config"]  # other keys, as older files carry, only steered training
         values = [cfg[key] for key in ForestConfig._fields]
         for key, value in zip(ForestConfig._fields, values):
             if type(value) is not int:
-                raise ModelFormatError(f"config {key} {value!r} is not an integer")
+                raise ValueError(f"config {key} {value!r} is not an integer")
         return RandomForest(ForestConfig(*values), payload["trees"])
 
 

@@ -15,10 +15,6 @@ from .verdict import NOT_ENOUGH_INFO
 AVERAGING = "micro"  # of evidence precision and recall over claims
 
 
-class ScoringError(ValueError):
-    pass
-
-
 class _Gold(NamedTuple):
     claim_id: object
     label: str
@@ -30,7 +26,7 @@ class GoldInstance(_Gold):
 
     def __new__(cls, claim_id, label, evidence_sets):
         if label not in LABELS:
-            raise ScoringError(f"unknown gold label {label!r}")
+            raise ValueError(f"unknown gold label {label!r}")
         return super().__new__(cls, claim_id, label, evidence_sets)
 
 
@@ -74,11 +70,11 @@ def score(gold, predictions) -> ScoreReport:
     """Score predictions against gold; absent predictions read as NEI/empty."""
     by_id = {g.claim_id: g for g in gold}
     if len(by_id) != len(gold):
-        raise ScoringError("duplicate claim ids in gold")
+        raise ValueError("duplicate claim ids in gold")
     pred_by_id: dict = {}
     for p in predictions:
         if p.claim_id not in by_id:
-            raise ScoringError(f"prediction for unknown claim id {p.claim_id!r}")
+            raise ValueError(f"prediction for unknown claim id {p.claim_id!r}")
         pred_by_id[p.claim_id] = p
 
     n = len(gold)

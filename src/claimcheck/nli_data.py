@@ -22,10 +22,6 @@ NLI_LABELS = ("Entailment", "Contradiction", "Neutral")
 _CLAIM_LABEL_TO_NLI = {"SUPPORTS": "Entailment", "REFUTES": "Contradiction"}
 
 
-class GenerationError(ValueError):
-    pass
-
-
 class FeverInstance(NamedTuple):
     claim_id: int | str
     claim: str
@@ -55,18 +51,18 @@ class NliExample(NamedTuple):
 def _parse_evidence(raw) -> tuple:
     """FEVER evidence arrays: groups of [ann_id, ev_id, page, line] or [page, line]."""
     if not isinstance(raw, list) or not all(isinstance(group, list) for group in raw):
-        raise GenerationError(f"evidence {raw!r} is not a list of lists")
+        raise ValueError(f"evidence {raw!r} is not a list of lists")
     groups = []
     for group in raw:
         refs = []
         for item in group:
             if not isinstance(item, list) or len(item) not in (2, 4):
-                raise GenerationError(f"malformed evidence item {item!r}")
+                raise ValueError(f"malformed evidence item {item!r}")
             page, line = item[-2:]
             if page is None:
                 continue  # annotation without a grounded sentence
             if not isinstance(page, str) or type(line) is not int:
-                raise GenerationError(f"evidence item {item!r} is not [..., page_id, line]")
+                raise ValueError(f"evidence item {item!r} is not [..., page_id, line]")
             refs.append(SentenceRef(page, line))
         if refs:
             groups.append(tuple(refs))
@@ -76,13 +72,13 @@ def _parse_evidence(raw) -> tuple:
 def parse_claim_row(row: dict) -> FeverInstance:
     claim_id, claim, label = scalar_field(row, "id"), row["claim"], row["label"]
     if not isinstance(claim, str):
-        raise GenerationError(f"claim {claim!r} is not a string")
+        raise ValueError(f"claim {claim!r} is not a string")
     if label not in LABELS:
-        raise GenerationError(f"unknown label {label!r}")
+        raise ValueError(f"unknown label {label!r}")
     evidence = row.get("evidence")
     evidence_sets = _parse_evidence([] if evidence is None else evidence)
     if label in _CLAIM_LABEL_TO_NLI and not evidence_sets:
-        raise GenerationError(f"claim {claim_id}: label {label} but no grounded evidence")
+        raise ValueError(f"claim {claim_id}: label {label} but no grounded evidence")
     return FeverInstance(claim_id, claim, label, evidence_sets)
 
 
@@ -93,13 +89,13 @@ def load_claims(path) -> list[FeverInstance]:
         instance = parse_claim_row(row)
         return instance.claim_id, instance
 
-    return list(parse_table(path, "claim", "claim id", parse, GenerationError).values())
+    return list(parse_table(path, "claim", "claim id", parse).values())
 
 
 def _resolve(corpus: Corpus, ref: SentenceRef, claim_id) -> str:
     text = corpus.get_sentence(ref)
     if not text:
-        raise GenerationError(
+        raise ValueError(
             f"claim {claim_id}: evidence ({ref.page_id!r}, {ref.line_number}) "
             "does not resolve to a non-empty corpus sentence"
         )

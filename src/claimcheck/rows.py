@@ -5,9 +5,9 @@ are skipped); what a line raises becomes "bad {what} in {path} on line N:
 ...", N counting every line.  Dump records, saved-corpus records and
 JSON-lines row files (``parse_rows``) go through it.  ``reading`` wraps a
 reader of a whole file (an index, a model, a saved-corpus header): what it
-raises becomes "cannot read {what} {path}: ...".  Either way the message
-ends up in the reader's own ValueError subclass, and names the file once.
-No other module catches a parse error.
+raises becomes "cannot read {what} {path}: ...".  Either way the message is
+a plain ValueError that names the file once, which ``cli.main`` prints as
+its one "error:" line.  No other module catches a parse error.
 """
 
 import json
@@ -27,19 +27,19 @@ def _reason(exc) -> str:
 
 
 @contextmanager
-def reading(path, error, what):
-    """Re-raise what reading the file at path raises as error("cannot read
-    {what} {path}: ..."); the reader's own error or an OSError (a missing
-    file) passes unchanged when it names path already."""
+def reading(path, what):
+    """Re-raise what reading the file at path raises as ValueError("cannot read
+    {what} {path}: ..."); a ValueError or an OSError (a missing file) passes
+    unchanged when its message names path already."""
     try:
         yield
     except (*PARSE_ERRORS, MemoryError) as exc:  # an npy header may declare petabytes
-        if isinstance(exc, (error, OSError)) and str(path) in str(exc):
+        if isinstance(exc, (ValueError, OSError)) and str(path) in str(exc):
             raise
-        raise error(f"cannot read {what} {path}: {_reason(exc)}") from exc
+        raise ValueError(f"cannot read {what} {path}: {_reason(exc)}") from exc
 
 
-def parse_lines(path, byte_lines, what, parse, error, first_line=1) -> list:
+def parse_lines(path, byte_lines, what, parse, first_line=1) -> list:
     """[parse(line) for each non-blank line], byte_lines being the file's lines
     (bytes cut at each "\\n") from line number first_line on; what a line
     raises names the file and the line."""
@@ -50,7 +50,7 @@ def parse_lines(path, byte_lines, what, parse, error, first_line=1) -> list:
             if line.strip():
                 out.append(parse(line))
     except PARSE_ERRORS as exc:
-        raise error(f"bad {what} in {path} on line {lineno}: {_reason(exc)}") from exc
+        raise ValueError(f"bad {what} in {path} on line {lineno}: {_reason(exc)}") from exc
     return out
 
 
@@ -62,12 +62,11 @@ def json_object(line) -> dict:
     return row
 
 
-def parse_rows(path, what, parse, error=ValueError) -> list:
+def parse_rows(path, what, parse) -> list:
     """[parse(row) for each row] of a JSON-lines file; a line that is not a JSON
     object, or whose row parse refuses, is a bad "{what} row"."""
     with open(path, "rb") as fp:
-        return parse_lines(path, fp, f"{what} row", lambda line: parse(json_object(line)),
-                           error)
+        return parse_lines(path, fp, f"{what} row", lambda line: parse(json_object(line)))
 
 
 def write_rows(path, rows) -> None:
@@ -84,7 +83,7 @@ def write_json(path, obj) -> None:
         fp.write("\n")
 
 
-def parse_table(path, what, key, parse, error=ValueError) -> dict:
+def parse_table(path, what, key, parse) -> dict:
     """{k: v} over the (k, v) pairs parse returns per row; key names k in the
     message when a row repeats an earlier row's k."""
     table = {}
@@ -95,7 +94,7 @@ def parse_table(path, what, key, parse, error=ValueError) -> dict:
             raise ValueError(f"repeated {key} {k!r}")
         table[k] = v
 
-    parse_rows(path, what, parse_new, error)
+    parse_rows(path, what, parse_new)
     return table
 
 

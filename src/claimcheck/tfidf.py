@@ -40,10 +40,6 @@ _ARRAYS = {"uniq_bins": np.int64, "uniq_offsets": np.int64, "post_items": np.int
            "post_weights": np.float64, "df": np.int64, "item_norms": np.float64}
 
 
-class IndexFormatError(ValueError):
-    pass
-
-
 def _write_npz(path, arrays: dict) -> None:
     """npz with pinned zip timestamps so equal indexes give equal bytes."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
@@ -133,27 +129,27 @@ class TfidfIndex:
 
     @classmethod
     def load(cls, path) -> "TfidfIndex":
-        with reading(path, IndexFormatError, "index"), np.load(path, allow_pickle=False) as data:
+        with reading(path, "index"), np.load(path, allow_pickle=False) as data:
             header = json.loads(str(data["header"]))
             if header.get("format_version") != FORMAT_VERSION:
-                raise IndexFormatError(
+                raise ValueError(
                     f"unsupported index format version: {header.get('format_version')}"
                 )
             for key, known in (("hash", HASH_NAME), ("weighting", WEIGHTING)):
                 if header.get(key) != known:
-                    raise IndexFormatError(f"index {path} has an unknown {key}: "
-                                           f"{header.get(key)!r}")
+                    raise ValueError(f"index {path} has an unknown {key}: "
+                                     f"{header.get(key)!r}")
             item_ids = [str(s) for s in data["item_ids"]]
             if not _strictly_ascending(item_ids):
-                raise IndexFormatError("index item ids are not in strictly ascending order")
+                raise ValueError("index item ids are not in strictly ascending order")
             bins, orders, count = (header[key] for key in
                                    ("bin_count", "ngram_orders", "item_count"))
             # type checks, not int(): "65536", 65536.7 and true are no bin count
             if not (type(bins) is int and 1 <= bins <= MAX_BIN_COUNT
                     and type(orders) is list and all(type(o) is int for o in orders)
                     and type(count) is int and count == len(item_ids)):
-                raise IndexFormatError(f"index {path} has a bad bin_count, ngram_orders or "
-                                       f"item_count: {bins!r}, {orders!r}, {count!r}")
+                raise ValueError(f"index {path} has a bad bin_count, ngram_orders or "
+                                 f"item_count: {bins!r}, {orders!r}, {count!r}")
             index = cls(bins, orders, item_ids,
                         source_checksum=header.get("source_checksum", ""),
                         **{name: data[name] for name in _ARRAYS})
@@ -161,7 +157,7 @@ class TfidfIndex:
         return index
 
     def _check_arrays(self, path) -> None:
-        """Raise IndexFormatError unless the arrays have the dtypes build writes
+        """Raise ValueError unless the arrays have the dtypes build writes
         and form one postings layout."""
         offsets, post = self.uniq_offsets, self.post_items
         if not (all(getattr(self, name).dtype == dtype and getattr(self, name).ndim == 1
@@ -172,7 +168,7 @@ class TfidfIndex:
                 and len(self.item_norms) == self.item_count
                 and (self.uniq_bins.size == 0 or self.uniq_bins[-1] < self.bin_count)
                 and (post.size == 0 or 0 <= post.min() <= post.max() < self.item_count)):
-            raise IndexFormatError(f"index {path} is corrupt: its arrays disagree")
+            raise ValueError(f"index {path} is corrupt: its arrays disagree")
 
 
 def corpus_checksum(corpus: Corpus) -> str:

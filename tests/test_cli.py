@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimcheck import cli, forest, ner
-from claimcheck.corpus import Corpus, IngestError, ingest_dump
+from claimcheck.corpus import Corpus, ingest_dump
 from claimcheck.entailment import TRIPLE_FIELDS
 from claimcheck.rows import parse_rows
 from claimcheck.verdict import prediction_from_row
@@ -430,6 +430,24 @@ class TestBadInputs:
                             "--scored", staged / "scored.jsonl", "--model", model,
                             "--out", pred], capsys)
         assert message in one_error(code, err)
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_scored_rows_disagreeing_with_feature_row_n(self, staged, tmp_path, capsys, kept):
+        feats, scored = staged / "features.jsonl", tmp_path / "scored.jsonl"
+        model, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
+        assert run(["train", "--claims", CLAIMS, "--features", feats,
+                    "--trees", "5", "--out", model], capsys)[0] == 0
+        n = next(row["n"] for row in read_rows(feats) if row["claim_id"] == 101)
+        rows = read_rows(staged / "scored.jsonl")
+        of_101 = [row for row in rows if row["claim_id"] == 101]
+        assert n == len(of_101) > 1
+        rows = [row for row in rows if row["claim_id"] != 101] + of_101[:kept]
+        scored.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, _, err = run(["predict", "--claims", CLAIMS, "--features", feats,
+                            "--scored", scored, "--model", model, "--out", pred], capsys)
+        assert one_error(code, err) == (f"error: {scored} has {kept} scored rows for claim 101, "
+                                        f"but its feature row in {feats} has n {n}\n")
         assert not pred.exists()
 
     @pytest.mark.parametrize("case, message", [
@@ -851,7 +869,7 @@ def test_one_line_dump_ingests_or_fails_with_one_error(value):
         try:
             ingest_dump(dump)
             ingests = True
-        except IngestError:
+        except ValueError:
             ingests = False
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -14,8 +14,6 @@ from claimcheck.entailment import (
     BaselineScorer,
     EntailmentTriple,
     FileScorer,
-    MissingProbabilityError,
-    ProbabilityError,
     score_candidates,
     score_pairs,
 )
@@ -28,11 +26,11 @@ class TestTripleInvariants:
         assert tuple(t) == (0.7, 0.2, 0.1)
 
     def test_sum_violation(self):
-        with pytest.raises(ProbabilityError):
+        with pytest.raises(ValueError, match="components sum to"):
             EntailmentTriple(0.7, 0.2, 0.2)
 
     def test_range_violation(self):
-        with pytest.raises(ProbabilityError):
+        with pytest.raises(ValueError, match=r"component out of \[0, 1\]: "):
             EntailmentTriple(-0.1, 0.6, 0.5)
 
 
@@ -99,25 +97,25 @@ class TestFileScorer:
         p = tmp_path / "probs.jsonl"
         p.write_text(prob_row(1, "A", 0, 1.0, 0.0, 0.0) + "\n")
         scorer = FileScorer.load(p)
-        with pytest.raises(MissingProbabilityError, match=r"claim 2.*'B'"):
+        with pytest.raises(ValueError, match=r"claim 2.*'B'"):
             scorer.score(2, "claim", SentenceRef("B", 3), "sentence")
 
     def test_bad_sum_rejected(self, tmp_path):
         p = tmp_path / "probs.jsonl"
         p.write_text(prob_row(1, "A", 0, 0.7, 0.2, 0.2) + "\n")
-        with pytest.raises(ProbabilityError, match="sums to"):
+        with pytest.raises(ValueError, match="sums to"):
             FileScorer.load(p)
 
     def test_negative_component_rejected(self, tmp_path):
         p = tmp_path / "probs.jsonl"
         p.write_text(prob_row(1, "A", 0, -0.1, 0.6, 0.5) + "\n")
-        with pytest.raises(ProbabilityError):
+        with pytest.raises(ValueError, match=r"component out of \[0, 1\] in \(-0\.1, "):
             FileScorer.load(p)
 
     def test_malformed_row_reports_line(self, tmp_path):
         p = tmp_path / "probs.jsonl"
         p.write_text(prob_row(1, "A", 0, 1.0, 0.0, 0.0) + "\nnot json\n")
-        with pytest.raises(ProbabilityError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             FileScorer.load(p)
 
     def test_near_one_sum_renormalized(self, tmp_path):
@@ -221,7 +219,7 @@ class TestScorePairs:
         claims = [SimpleNamespace(claim_id=1, claim="c"), SimpleNamespace(claim_id=2, claim="c")]
         pairs = score_pairs(scorer, claims[:1], [[ref]], mini_corpus)
         assert pairs.triples.tolist() == [[0.5, 0.25, 0.25]]
-        with pytest.raises(MissingProbabilityError, match=r"claim 2"):
+        with pytest.raises(ValueError, match=r"claim 2"):
             score_pairs(scorer, claims, [[ref], [ref]], mini_corpus)
 
     @pytest.mark.parametrize("bad", [(0.7, 0.2, 0.2), (-0.1, 0.6, 0.5), (np.nan, 0.5, 0.5)])
@@ -234,5 +232,5 @@ class TestScorePairs:
         claims = [SimpleNamespace(claim_id=i, claim="c") for i in (1, 2)]
         pairs = score_pairs(Scorer(), claims, [[ref], []], mini_corpus)
         assert pairs.triples.tolist() == [[0.5, 0.25, 0.25]]
-        with pytest.raises(ProbabilityError, match=r"pair 1 has triple"):
+        with pytest.raises(ValueError, match=r"pair 1 has triple"):
             score_pairs(Scorer(), claims, [[ref], [ref]], mini_corpus)

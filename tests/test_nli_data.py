@@ -5,7 +5,6 @@ import pytest
 
 from claimcheck.corpus import Corpus, Document, SentenceRef
 from claimcheck.nli_data import (
-    GenerationError,
     NliExample,
     build_nli_dataset,
     load_claims,
@@ -41,7 +40,7 @@ class TestParsing:
         assert inst.evidence_sets == ()
 
     def test_supports_without_evidence_rejected(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(ValueError, match="claim 7: label SUPPORTS but no grounded evidence"):
             parse_claim_row({"id": 7, "claim": "c", "label": "SUPPORTS",
                              "evidence": [[[1, None, None, None]]]})
 
@@ -92,7 +91,7 @@ class TestGeneration:
     def test_unresolvable_evidence_names_instance(self):
         corpus = one_doc_corpus(2)
         inst = make_instance(claim_id=77, refs=((("Ghost_Page", 0),),))
-        with pytest.raises(GenerationError, match="claim 77"):
+        with pytest.raises(ValueError, match="claim 77"):
             build_nli_dataset([inst], corpus, seed=1)
 
     def test_neutral_never_in_any_evidence_set(self, mini_corpus, mini_instances):
