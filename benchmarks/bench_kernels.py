@@ -7,8 +7,10 @@ n-gram hash (against the per-occurrence reference loop), the scoring of a
 run's candidate pairs into its feature matrix (``cli.score_claims``, as
 ``e2e`` calls it), assembling the verdicts of those pairs under seeded
 labels (``verdict.assemble_all``), training the default forest and loading
-its saved model file, and saving and loading a corpus file, on seeded
-inputs, and prints the best-of-N wall time of each.
+its saved model file, saving and loading a corpus file, and building the
+document index of that corpus, on seeded inputs, and prints the best-of-N
+wall time of each.  A last column gives the peak of the memory one more
+call allocates, as ``tracemalloc`` traces it.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -17,11 +19,12 @@ inputs, and prints the best-of-N wall time of each.
 import argparse
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from claimcheck import cli, forest, kernels, ner, verdict
+from claimcheck import cli, forest, kernels, ner, tfidf, verdict
 from claimcheck.corpus import Corpus, Document, SentenceRef
 from claimcheck.entailment import BaselineScorer
 from claimcheck.features import FEATURE_NAMES
@@ -44,6 +47,16 @@ def best_of(fn, repeat):
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that one call of fn allocates, as tracemalloc traces them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_title_workload(rng, n_titles):
@@ -216,6 +229,7 @@ def build_cases(rng, args, workdir):
          (corpus, Path(workdir) / "saved.json.gz")),
         (f"corpus_load ({len(corpus)} pages, {args.texts} sentences)", Corpus.load,
          (corpus_path,)),
+        (f"index_build ({len(corpus)} pages)", tfidf.build_document_index, (corpus,)),
     ]
 
 
@@ -237,12 +251,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         cases = build_cases(rng, args, workdir)
         width = max(len(name) for name, *_ in cases)
-        header = f"{'kernel':<{width}}  {'time':>10}"
+        header = f"{'kernel':<{width}}  {'time':>10}  {'peak':>10}"
         print(header)
         print("-" * len(header))
         for name, fn, inputs in cases:
             elapsed = best_of(lambda: fn(*inputs), args.repeat)
-            print(f"{name:<{width}}  {elapsed * 1e3:>8.2f}ms")
+            peak = traced_peak(lambda: fn(*inputs))
+            print(f"{name:<{width}}  {elapsed * 1e3:>8.2f}ms  {peak / 2**20:>8.2f}MB")
     return 0
 
 

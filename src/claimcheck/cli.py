@@ -17,7 +17,7 @@ import numpy as np
 
 from . import features as features_mod
 from . import forest, metrics, ner, nli_data, rows, tfidf
-from .corpus import Corpus, SentenceRef, ingest_dump
+from .corpus import Corpus, SentenceRef, ingest_dump, read_saved
 from .entailment import (BaselineScorer, FileScorer, ScoredPairs, score_pairs,
                          triple_from_row, triple_rows)
 from .forest import ForestConfig
@@ -31,12 +31,18 @@ K_DOCS = 5  # documents per claim from the TF-IDF route
 K_SENTS = 5  # sentences kept from those documents
 
 
+def _is_saved_corpus(path) -> bool:
+    """Whether path is a saved corpus file (gzip magic bytes), not a raw dump."""
+    if not Path(path).is_file():
+        return False
+    with open(path, "rb") as fh:
+        return fh.read(2) == b"\x1f\x8b"
+
+
 def load_corpus_any(path) -> Corpus:
-    """A saved corpus file (gzip magic bytes), else a raw JSON-lines dump."""
-    if Path(path).is_file():
-        with open(path, "rb") as fh:
-            if fh.read(2) == b"\x1f\x8b":
-                return Corpus.load(path)
+    """A saved corpus file, else a raw JSON-lines dump."""
+    if _is_saved_corpus(path):
+        return Corpus.load(path)
     corpus, _ = ingest_dump(path)
     return corpus
 
@@ -181,8 +187,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_index(args) -> int:
-    corpus = load_corpus_any(args.corpus)
-    index = tfidf.build_document_index(corpus, bin_count=args.bins)
+    if _is_saved_corpus(args.corpus):  # streamed: no page is kept once it is hashed
+        index = tfidf.index_pages(*read_saved(args.corpus), bin_count=args.bins)
+    else:
+        index = tfidf.build_document_index(ingest_dump(args.corpus)[0], bin_count=args.bins)
     index.save(args.out)
     print(f"indexed {index.item_count} documents into {args.bins} bins -> {args.out}")
     return 0
@@ -192,7 +200,7 @@ def _load_index(args, corpus):
     if not args.index:
         return tfidf.build_document_index(corpus, bin_count=args.bins)
     index = tfidf.TfidfIndex.load(args.index)
-    if index.source_checksum != tfidf.corpus_checksum(corpus):
+    if index.source_checksum != tfidf.corpus_checksum(corpus.source_checksums):
         raise ValueError(f"index {args.index} was built from a different corpus than "
                          f"{args.corpus}; rebuild it with 'claimcheck index'")
     if index.ngram_orders != tfidf.DOC_NGRAM_ORDERS:

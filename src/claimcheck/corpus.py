@@ -7,15 +7,18 @@ Everything after the second tab is link metadata and is discarded; empty
 sentences keep their line number so evidence references stay valid, but are
 flagged so retrieval can skip them.  A saved corpus is the gzip of a header
 line, ``{"checksums": {...}, "format_version": 2}``, then one dump record per
-page in page-id order, read by the dump's own record parser; it may skip nothing.
+page in strictly ascending page-id order, read by the dump's own record parser;
+it may skip nothing.  ``read_saved`` streams its pages, so a reader that needs
+each page once (the index build) never holds the corpus.
 """
 
 import gzip
 import hashlib
 import json
 import logging
+import zlib
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .rows import json_object, parse_lines, reading
 
@@ -95,24 +98,45 @@ class Corpus:
     def save(self, path) -> None:
         """Write the header line and one dump record per page (see module doc)."""
         header = {"checksums": self.source_checksums, "format_version": FORMAT_VERSION}
-        records = [json.dumps(header, sort_keys=True)]
+        # gzip's own header, mtime 0, so identical corpora serialize to identical bytes
+        gz = zlib.compressobj(9, zlib.DEFLATED, 31)
+        chunks = [gz.compress(f"{json.dumps(header, sort_keys=True)}\n".encode())]
         for d in self.documents():
             if any("\t" in s or "\n" in s for s in d.lines.values()):
                 raise ValueError(f"page {d.page_id!r} has a sentence holding a tab or a newline")
             lines = "\n".join(f"{n}\t{s}" for n, s in d.lines.items())
-            records.append(json.dumps({"id": d.page_id, "text": d.text, "lines": lines},
-                                      ensure_ascii=False))
-        # mtime pinned so identical corpora serialize to identical bytes
-        data = "".join(f"{record}\n" for record in records).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(gzip.compress(data, mtime=0))
+            record = json.dumps({"id": d.page_id, "text": d.text, "lines": lines},
+                                ensure_ascii=False)
+            chunks.append(gz.compress(f"{record}\n".encode("utf-8")))
+        chunks.append(gz.flush())
+        with open(path, "wb") as fh:  # only now: a refused page leaves no file
+            fh.writelines(chunks)
 
     @classmethod
     def load(cls, path) -> "Corpus":
-        with reading(path, "corpus file"):
-            with gzip.open(path, "rb") as fh:
-                header, *records = fh.read().split(b"\n")
-            header = json.loads(header)
+        corpus = cls()
+        corpus.source_checksums, pages = read_saved(path)
+        for doc in pages:
+            corpus.add_document(doc)
+        return corpus
+
+
+def read_saved(path) -> tuple[dict[str, str], Iterator[Document]]:
+    """The source checksums of a saved corpus file and a one-pass iterator over
+    its pages, which reads the file as it goes.
+
+    The iterator refuses a record whose page id does not come after the one
+    before it in ascending order, and raises once the file is read if any
+    record or sentence row was skipped.
+    """
+    pages = _saved_pages(path)
+    return next(pages), pages
+
+
+def _saved_pages(path):
+    """Generator for ``read_saved``: the header's checksums, then the pages."""
+    with gzip.open(path, "rb") as fh, reading(path, "corpus file"):
+        header = json.loads(fh.readline())
         if not isinstance(header, dict):
             raise ValueError(f"corpus file {path} does not start with a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
@@ -122,14 +146,25 @@ class Corpus:
         if not (isinstance(checksums, dict)
                 and all(isinstance(v, str) for v in checksums.values())):
             raise ValueError(f"corpus file {path} has no checksums object of strings")
-        corpus, stats = cls(), IngestStats()
-        corpus.source_checksums = checksums
-        _add_records(corpus, stats, path, records, first_line=2)
+        yield checksums
+
+        last = ""  # no page id: ingest skips an empty one
+
+        def follows(page_id):
+            nonlocal last
+            if page_id == last:
+                raise ValueError(f"duplicate page id: {page_id!r}")
+            if page_id < last:
+                raise ValueError(f"page id {page_id!r} comes after {last!r}: a saved corpus "
+                                 "lists its pages in ascending page-id order")
+            last = page_id
+
+        stats = IngestStats()
+        yield from _records(path, fh, stats, follows, first_line=2)
         if stats.records_skipped or stats.lines_skipped:
             raise ValueError(f"corpus file {path} is malformed: a saved corpus skips nothing, "
                              f"but reading it skipped {stats.records_skipped} records and "
                              f"{stats.lines_skipped} sentence rows")
-        return corpus
 
 
 def parse_lines_field(raw: str) -> tuple[dict[int, str], int]:
@@ -163,30 +198,32 @@ def _dump_files(path) -> list[Path]:
             raise FileNotFoundError(f"no .jsonl files under {p}")
         return files
     if not p.exists():
-        raise FileNotFoundError(str(p))
+        raise FileNotFoundError(f"no dump file or directory at {p}")
     return [p]
 
 
-def _add_records(corpus: Corpus, stats: IngestStats, path, chunks, first_line=1) -> None:
-    """Add the dump records of one file's lines (bytes, "\\n" cut off) to corpus,
-    skipping and counting a record with an empty id."""
+def _records(path, byte_lines, stats: IngestStats, admit, first_line=1):
+    """Yield the page of each dump record of one file's lines (bytes cut at each
+    "\\n"), skipping and counting a record with an empty id; admit(page_id)
+    refuses a page by raising."""
 
-    def add(line):
+    def parse(line):
         rec = json_object(line)
         if not rec.get("id"):
             stats.records_skipped += 1
-            return
+            return None
         for key in ("id", "text", "lines"):
             value = rec.get(key, "")
             if not isinstance(value, str):
                 raise ValueError(f"field {key!r} is {type(value).__name__}, not a string")
             value.encode("utf-8")  # a lone surrogate escape would fail only when saving
         lines, skipped = parse_lines_field(rec.get("lines", ""))
-        corpus.add_document(Document(rec["id"], rec.get("text", ""), lines))
+        admit(rec["id"])
         stats.lines_skipped += skipped
         stats.documents += 1
+        return Document(rec["id"], rec.get("text", ""), lines)
 
-    parse_lines(path, chunks, "record", add, first_line)
+    return filter(None, parse_lines(path, byte_lines, "record", parse, first_line))
 
 
 def ingest_dump(path) -> tuple[Corpus, IngestStats]:
@@ -197,12 +234,18 @@ def ingest_dump(path) -> tuple[Corpus, IngestStats]:
     """
     corpus = Corpus()
     stats = IngestStats()
+
+    def admit(page_id):
+        if corpus.get(page_id) is not None:
+            raise ValueError(f"duplicate page id: {page_id!r}")
+
     for fp in _dump_files(path):
         raw = fp.read_bytes()
         corpus.source_checksums[fp.name] = hashlib.sha256(raw).hexdigest()
         # only "\n" ends a record: str.splitlines would also cut at U+2028
         # and other breaks that a JSON string may hold raw
-        _add_records(corpus, stats, fp, raw.split(b"\n"))
+        for doc in _records(fp, raw.split(b"\n"), stats, admit):
+            corpus.add_document(doc)
     logger.info("ingested %d documents (%d lines skipped, %d records skipped)",
                 stats.documents, stats.lines_skipped, stats.records_skipped)
     return corpus, stats

@@ -1,13 +1,15 @@
 """The file boundary: every reader reports a malformed file the same way.
 
 ``parse_lines`` reads a file line by line ("\\n" ends a line, blank lines
-are skipped); what a line raises becomes "bad {what} in {path} on line N:
-...", N counting every line.  Dump records, saved-corpus records and
-JSON-lines row files (``parse_rows``) go through it.  ``reading`` wraps a
-reader of a whole file (an index, a model, a saved-corpus header): what it
-raises becomes "cannot read {what} {path}: ...".  Either way the message is
-a plain ValueError that names the file once, which ``cli.main`` prints as
-its one "error:" line.  No other module catches a parse error.
+are skipped) and yields what each line parses to; what a line raises
+becomes "bad {what} in {path} on line N: ...", N counting every line.  Dump
+records, saved-corpus records and JSON-lines row files (``parse_rows``) go
+through it.  ``reading`` wraps a reader of a whole file (an index, a model)
+or of a file's stream of lines (a saved corpus, a row file): what it raises
+becomes "cannot read {what} {path}: ...", unless its message names the file
+already.  Either way the message is a plain ValueError that names the file
+once, which ``cli.main`` prints as its one "error:" line.  No other module
+catches a parse error.
 """
 
 import json
@@ -39,19 +41,20 @@ def reading(path, what):
         raise ValueError(f"cannot read {what} {path}: {_reason(exc)}") from exc
 
 
-def parse_lines(path, byte_lines, what, parse, first_line=1) -> list:
-    """[parse(line) for each non-blank line], byte_lines being the file's lines
-    (bytes cut at each "\\n") from line number first_line on; what a line
-    raises names the file and the line."""
-    out, lineno = [], first_line  # lineno is bound should reading the first line fail
-    try:
-        for lineno, raw in enumerate(byte_lines, start=first_line):
+def parse_lines(path, byte_lines, what, parse, first_line=1):
+    """Yield parse(line) for each non-blank line, byte_lines being the file's
+    lines (bytes cut at each "\\n") from line number first_line on.  What a
+    line raises names the file and the line; what byte_lines raises passes
+    unchanged, for the caller's ``reading`` to name."""
+    for lineno, raw in enumerate(byte_lines, start=first_line):
+        try:
             line = raw.decode("utf-8")
-            if line.strip():
-                out.append(parse(line))
-    except PARSE_ERRORS as exc:
-        raise ValueError(f"bad {what} in {path} on line {lineno}: {_reason(exc)}") from exc
-    return out
+            if not line.strip():
+                continue
+            parsed = parse(line)
+        except PARSE_ERRORS as exc:
+            raise ValueError(f"bad {what} in {path} on line {lineno}: {_reason(exc)}") from exc
+        yield parsed
 
 
 def json_object(line) -> dict:
@@ -62,11 +65,11 @@ def json_object(line) -> dict:
     return row
 
 
-def parse_rows(path, what, parse) -> list:
-    """[parse(row) for each row] of a JSON-lines file; a line that is not a JSON
-    object, or whose row parse refuses, is a bad "{what} row"."""
-    with open(path, "rb") as fp:
-        return parse_lines(path, fp, f"{what} row", lambda line: parse(json_object(line)))
+def parse_rows(path, what, parse):
+    """Yield parse(row) for each row of a JSON-lines file; a line that is not a
+    JSON object, or whose row parse refuses, is a bad "{what} row"."""
+    with open(path, "rb") as fp, reading(path, f"{what} file"):
+        yield from parse_lines(path, fp, f"{what} row", lambda line: parse(json_object(line)))
 
 
 def write_rows(path, rows) -> None:
@@ -92,9 +95,10 @@ def parse_table(path, what, key, parse) -> dict:
         k, v = parse(row)
         if k in table:
             raise ValueError(f"repeated {key} {k!r}")
-        table[k] = v
+        return k, v
 
-    parse_rows(path, what, parse_new)
+    for k, v in parse_rows(path, what, parse_new):
+        table[k] = v
     return table
 
 

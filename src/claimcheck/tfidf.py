@@ -18,7 +18,6 @@ time in ascending-bin order, and each norm is the np.sum of its row
 one-claim calls of the same code.
 """
 
-import io
 import json
 import zipfile
 from typing import NamedTuple
@@ -41,14 +40,14 @@ _ARRAYS = {"uniq_bins": np.int64, "uniq_offsets": np.int64, "post_items": np.int
 
 
 def _write_npz(path, arrays: dict) -> None:
-    """npz with pinned zip timestamps so equal indexes give equal bytes."""
+    """npz with pinned zip timestamps so equal indexes give equal bytes; each
+    array streams into its zip member."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
         for name, arr in arrays.items():
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.asanyarray(arr))
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             info.compress_type = zipfile.ZIP_DEFLATED
-            zf.writestr(info, buf.getvalue())
+            with zf.open(info, "w") as member:
+                np.lib.format.write_array(member, np.asanyarray(arr))
 
 
 class ScoredItem(NamedTuple):
@@ -86,25 +85,45 @@ class TfidfIndex:
 
     @classmethod
     def build(cls, items, bin_count, ngram_orders, source_checksum="") -> "TfidfIndex":
-        """Index (id, text) pairs given in strictly ascending id order."""
-        if not items:
-            raise ValueError("cannot build an index over zero items")
-        item_ids = [item_id for item_id, _ in items]
-        if not _strictly_ascending(item_ids):
-            raise ValueError("index items must be in strictly ascending id order")
-        owner, bins, counts = ngram_bins((tokenize(text) for _, text in items),
-                                         ngram_orders, bin_count)
+        """Index an iterable of (id, text) pairs in strictly ascending id order,
+        reading each pair once."""
+        item_ids = []
+
+        def token_lists():
+            for item_id, text in items:
+                if item_ids and not item_ids[-1] < item_id:
+                    raise ValueError("index items must be in strictly ascending id order")
+                item_ids.append(item_id)
+                yield tokenize(text)
+
+        owner, bins, counts = ngram_bins(token_lists(), ngram_orders, bin_count)
         n = len(item_ids)
-        uniq_bins, inverse, df = np.unique(bins, return_inverse=True, return_counts=True)
-        weights = np.log1p(counts) * _idf(df, n)[inverse]
-        # item_norms are saved in index.npz: squares summed in ascending-bin order
+        if not n:
+            raise ValueError("cannot build an index over zero items")
+        # each array goes once used, so that the build peaks at a few times
+        # its output; one stable sort gives the postings' (bin, owner) order,
+        # the distinct bins and their df
         sizes = np.bincount(owner, minlength=n)
+        owner = owner.astype(np.int32)
+        order = np.argsort(bins, kind="stable")
+        bins = bins[order]
+        starts = np.ones(order.size, dtype=bool)
+        np.not_equal(bins[1:], bins[:-1], out=starts[1:])
+        uniq_bins = bins[starts]
+        del bins
+        uniq_offsets = np.append(np.flatnonzero(starts), order.size)
+        del starts
+        df = np.diff(uniq_offsets)
+        # tf * idf per entry, in (owner, bin) order: each bin's idf goes back
+        # through the sort to its entries (x * y and y * x are the same double)
+        weights = np.empty(order.size)
+        weights[order] = np.repeat(_idf(df, n), df)
+        weights *= np.log1p(counts)
+        del counts
+        # item_norms are saved in index.npz: squares summed in ascending-bin order
         item_norms = np.sqrt(kernels.row_sums(np.square(weights), sizes))
-        order = np.argsort(bins, kind="stable")  # (bin, owner) order
-        uniq_offsets = np.concatenate(([0], np.cumsum(df)))
-        return cls(bin_count, ngram_orders, item_ids, uniq_bins, uniq_offsets,
-                   owner[order].astype(np.int32), weights[order], df, item_norms,
-                   source_checksum)
+        return cls(bin_count, ngram_orders, item_ids, uniq_bins, uniq_offsets, owner[order],
+                   weights[order], df, item_norms, source_checksum)
 
     # -- persistence --------------------------------------------------------
 
@@ -171,18 +190,24 @@ class TfidfIndex:
             raise ValueError(f"index {path} is corrupt: its arrays disagree")
 
 
-def corpus_checksum(corpus: Corpus) -> str:
-    """The source_checksum a document index built from this corpus records."""
-    return ";".join(f"{k}={v}" for k, v in sorted(corpus.source_checksums.items()))
+def corpus_checksum(checksums: dict[str, str]) -> str:
+    """The source_checksum a document index built from a corpus with these
+    source checksums records."""
+    return ";".join(f"{k}={v}" for k, v in sorted(checksums.items()))
 
 
 def build_document_index(corpus: Corpus, bin_count: int = DEFAULT_BIN_COUNT) -> TfidfIndex:
     """Unigram+bigram index over every page's full text."""
-    if len(corpus) == 0:
-        raise ValueError("cannot index an empty corpus")
-    items = [(doc.page_id, doc.text) for doc in corpus.documents()]
-    return TfidfIndex.build(items, bin_count, DOC_NGRAM_ORDERS,
-                            source_checksum=corpus_checksum(corpus))
+    return index_pages(corpus.source_checksums, corpus.documents(), bin_count)
+
+
+def index_pages(checksums: dict[str, str], pages, bin_count: int = DEFAULT_BIN_COUNT
+                ) -> TfidfIndex:
+    """``build_document_index`` of a corpus given as its source checksums and
+    an iterator over its pages in ascending page-id order, such as
+    ``corpus.read_saved`` returns."""
+    return TfidfIndex.build(((doc.page_id, doc.text) for doc in pages), bin_count,
+                            DOC_NGRAM_ORDERS, source_checksum=corpus_checksum(checksums))
 
 
 def top_k_documents(index: TfidfIndex, claim: str, k: int = 5) -> list[ScoredItem]:

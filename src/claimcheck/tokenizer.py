@@ -20,6 +20,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_BIN_COUNT = 2**32  # keeps ngram_bins' owner * bin_count + bin key in int64
+CHUNK_TOKENS = 2**16  # tokens ngram_bins hashes at a time: its working set, whatever the input
 
 # Word characters minus underscore: wiki page ids use underscores as spaces.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -57,20 +58,40 @@ def ngram_bins(token_lists, orders, bin_count: int):
 
     One entry per distinct (list index, bin), sorted by (owner, bin), all
     int64; the bins equal ``hash_ngram`` per occurrence.  Tokens get integer
-    ids from one vocabulary fed a list at a time, so each distinct token and
-    each distinct bigram (a pair of ids) is hashed once, in numpy: a bigram
-    continues its first token's FNV-1a state with a tab and then the second
-    token's bytes.  Orders 1 and 2 are supported.
+    ids as each list arrives, from a vocabulary that starts afresh every
+    CHUNK_TOKENS tokens, when the lists so far are hashed and counted.  In a
+    chunk each distinct token and each distinct bigram (a pair of ids) is
+    hashed once, in numpy: a bigram continues its first token's FNV-1a state
+    with a tab and then the second token's bytes.  No list spans two chunks,
+    so the chunks' entries join in (owner, bin) order and where the chunks
+    fall does not change them.  Orders 1 and 2 are supported.
     """
     if not 1 <= bin_count <= MAX_BIN_COUNT:
         raise ValueError(f"bin count must be between 1 and 2^32, got {bin_count}")
     if not set(orders) <= {1, 2}:
         raise ValueError(f"unsupported n-gram orders: {tuple(orders)}")
-    vocab: dict[str, int] = {}
-    ids, sizes = array("q"), array("q")
+    parts, first = [], 0
+    vocab, ids, sizes = {}, array("q"), array("q")
     for tokens in token_lists:
         ids.extend([vocab.setdefault(t, len(vocab)) for t in tokens])
         sizes.append(len(tokens))
+        if len(ids) >= CHUNK_TOKENS:
+            parts.append(_chunk_bins(vocab, ids, sizes, first, orders, bin_count))
+            first += len(sizes)
+            vocab, ids, sizes = {}, array("q"), array("q")
+    if sizes or not parts:
+        parts.append(_chunk_bins(vocab, ids, sizes, first, orders, bin_count))
+    if len(parts) == 1:
+        return parts[0]
+    # join one array at a time, dropping its chunks as it is joined
+    columns = [list(arrays) for arrays in zip(*parts)]
+    del parts
+    return tuple(np.concatenate(columns.pop(0)) for _ in range(3))
+
+
+def _chunk_bins(vocab, ids, sizes, first, orders, bin_count):
+    """``ngram_bins`` of one chunk: token ids in vocab order, tokens per list,
+    and the index of the chunk's first list."""
     ids = np.frombuffer(ids, dtype=np.int64)
     tok_owner = np.repeat(np.arange(len(sizes), dtype=np.int64), np.frombuffer(sizes, np.int64))
 
@@ -89,15 +110,15 @@ def ngram_bins(token_lists, orders, bin_count: int):
         same = tok_owner[1:] == tok_owner[:-1]
         width = max(len(encoded), 1)
         pairs, inverse = np.unique(ids[:-1][same] * width + ids[1:][same], return_inverse=True)
-        first, second = np.divmod(pairs, width)
-        tabbed = (states[first] ^ np.uint64(ord("\t"))) * np.uint64(_FNV_PRIME)
+        first_ids, second = np.divmod(pairs, width)
+        tabbed = (states[first_ids] ^ np.uint64(ord("\t"))) * np.uint64(_FNV_PRIME)
         pair_states = _fnv_continue(tabbed, data, starts[second], lengths[second])
         owners.append(tok_owner[1:][same])
         bins.append((pair_states % np.uint64(bin_count))[inverse])
     keys = np.concatenate(owners) * bin_count + np.concatenate(bins).astype(np.int64)
     keys, counts = np.unique(keys, return_counts=True)
     owner, bins = np.divmod(keys, bin_count)
-    return owner, bins, counts.astype(np.int64)
+    return owner + first, bins, counts.astype(np.int64)
 
 
 def _fnv_continue(states, data, starts, lengths):

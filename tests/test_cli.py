@@ -292,6 +292,14 @@ class TestBadInputs:
                            capsys)
         assert "unsupported corpus format version" in one_error(code, err)
 
+    @pytest.mark.parametrize("command", ["ingest", "index"])
+    def test_missing_dump(self, tmp_path, capsys, command):
+        dump = tmp_path / "missing.jsonl"
+        flag = "--dump" if command == "ingest" else "--corpus"
+        code, _, err = run([command, flag, dump, "--out", tmp_path / "out"], capsys)
+        assert one_error(code, err) == f"error: no dump file or directory at {dump}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_candidates_row(self, tmp_path, capsys):
         cands = tmp_path / "cands.jsonl"
         cands.write_text('{"id": 101}\n')
@@ -356,8 +364,10 @@ class TestBadInputs:
         ("empty_id", "corpus file {} is malformed: a saved corpus skips nothing, but reading "
                      "it skipped 1 records and 0 sentence rows"),
         ("duplicate_page", "bad record in {} on line 3: duplicate page id: 'A'"),
+        ("descending", "bad record in {} on line 4: page id 'B' comes after 'C': a saved corpus "
+                       "lists its pages in ascending page-id order"),
     ], ids=["truncated", "no_documents", "list_checksums", "int_checksum", "not_an_object",
-            "v1_file", "empty_id", "duplicate_page"])
+            "v1_file", "empty_id", "duplicate_page", "descending"])
     def test_broken_saved_corpus(self, workdir, tmp_path, capsys, case, message):
         corpus = tmp_path / "corpus.json.gz"
         if case == "truncated":
@@ -365,6 +375,9 @@ class TestBadInputs:
             corpus.write_bytes(saved[:len(saved) // 2])
         elif case == "duplicate_page":
             write_saved_corpus(corpus, *[b'{"id": "A", "text": "a.", "lines": "0\\ta."}'] * 2)
+        elif case == "descending":
+            write_saved_corpus(corpus, *(b'{"id": "%s", "text": "a.", "lines": "0\\ta."}' % page
+                                         for page in (b"A", b"C", b"B")))
         elif case == "v1_file":
             corpus.write_bytes(gzip.compress(json.dumps({
                 "format_version": 1, "checksums": {},
@@ -378,6 +391,7 @@ class TestBadInputs:
                                header=header)
         code, _, err = run(["index", "--corpus", corpus, "--out", tmp_path / "i.npz"], capsys)
         assert message.format(corpus) in one_error(code, err)
+        assert not (tmp_path / "i.npz").exists()
 
     def test_saved_corpus_repeating_a_line_number(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.json.gz"

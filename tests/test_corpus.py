@@ -1,3 +1,4 @@
+import gzip
 import json
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from claimcheck.corpus import (
     SentenceRef,
     ingest_dump,
     parse_lines_field,
+    read_saved,
 )
 
 
@@ -133,6 +135,17 @@ class TestPersistence:
             with pytest.raises(ValueError, match="page 'A' has a sentence holding a tab"):
                 corpus.save(tmp_path / "corpus.json.gz")
             assert not (tmp_path / "corpus.json.gz").exists()
+
+    def test_read_saved_reads_pages_as_they_are_taken(self, tmp_path):
+        saved = tmp_path / "c.json.gz"
+        saved.write_bytes(gzip.compress(b'{"checksums": {"d.jsonl": "x"}, "format_version": 2}\n'
+                                        b'{"id": "A", "text": "a.", "lines": "0\\ta."}\n'
+                                        b"not a record\n"))
+        checksums, pages = read_saved(saved)
+        assert checksums == {"d.jsonl": "x"}
+        assert next(pages).lines == {0: "a."}
+        with pytest.raises(ValueError, match=f"bad record in {saved} on line 3: Expecting value"):
+            next(pages)
 
     def test_duplicate_add_rejected(self):
         corpus = Corpus()

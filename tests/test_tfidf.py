@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from claimcheck import cli, kernels, ner, tfidf
-from claimcheck.corpus import Corpus, Document, SentenceRef, ingest_dump
+from claimcheck.corpus import Corpus, Document, SentenceRef, ingest_dump, read_saved
 from claimcheck.nli_data import FeverInstance
 from claimcheck.tokenizer import hash_ngram, hashed_counts, ngram_bins, tokenize
 
@@ -195,6 +196,39 @@ class TestRanking:
             tfidf.TfidfIndex.build([("b", "beta gamma"), ("a", "alpha beta")], BINS, (1, 2))
         with pytest.raises(ValueError, match="ascending"):
             tfidf.TfidfIndex.build([("a", "alpha beta"), ("a", "beta gamma")], BINS, (1, 2))
+
+    def test_streamed_build_equals_built_from_loaded_corpus(self, tmp_path):
+        corpus = make_random_corpus(np.random.default_rng(4), max_docs=60, max_sents=8)
+        corpus.source_checksums["d.jsonl"] = "0" * 64
+        corpus.save(tmp_path / "c.json.gz")
+        streamed = tfidf.index_pages(*read_saved(tmp_path / "c.json.gz"), bin_count=BINS)
+        built = tfidf.build_document_index(Corpus.load(tmp_path / "c.json.gz"), bin_count=BINS)
+        assert streamed.item_ids == built.item_ids == corpus.page_ids()
+        assert streamed.source_checksum == built.source_checksum == f"d.jsonl={'0' * 64}"
+        for name in tfidf._ARRAYS:
+            assert np.array_equal(getattr(streamed, name), getattr(built, name))
+
+    def test_build_peak_memory_bounded_by_its_output(self):
+        """A build holds its arrays plus a working set of CHUNK_TOKENS tokens:
+        on 4000 pages (about 280,000 tokens) its traced peak stays under 4 times
+        the bytes of the arrays it returns.  Holding the hashed n-grams of every
+        page at once, as a build that hashes the whole corpus in one go does,
+        peaks at about 6 times."""
+        rng = np.random.default_rng(0)
+        vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=rng.integers(2, 11)))
+                 for _ in range(5000)]
+        items = []
+        for i in range(4000):
+            ranks = np.minimum(rng.zipf(1.3, size=int(rng.integers(20, 120))), len(vocab)) - 1
+            items.append((f"Page_{i:05d}", " ".join(vocab[r] for r in ranks.tolist())))
+        tracemalloc.start()
+        try:
+            index = tfidf.TfidfIndex.build(items, tfidf.DEFAULT_BIN_COUNT, (1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(getattr(index, name).nbytes for name in tfidf._ARRAYS)
+        assert peak < 4 * returned, (peak, returned)
 
 
 def reference_top_k(ids, entries, query, k):

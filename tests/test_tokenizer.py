@@ -1,7 +1,11 @@
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimcheck import tokenizer
 from claimcheck.tokenizer import (MAX_BIN_COUNT, fnv1a64, hash_ngram, hashed_counts,
                                   ngram_bins, tokenize)
 
@@ -69,3 +73,34 @@ def test_ngram_bins_match_per_occurrence_reference(token_lists, orders, bin_coun
 def test_ngram_bins_rejects_degenerate_bin_count(bin_count):
     with pytest.raises(ValueError, match="bin count"):
         ngram_bins([["a"]], (1, 2), bin_count)
+
+
+def assert_same_arrays(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
+# empty and one-token lists on the first boundaries of chunks of 1 and of 3
+# tokens, and a list longer than a chunk of 3
+BOUNDARY_LISTS = [["a"], [], ["b", "a"], ["c"], [], [], ["a", "b", "c", "d", "a"], ["d"], [],
+                  ["b"], ["e", "a"]]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10**6])
+@pytest.mark.parametrize("token_lists", [BOUNDARY_LISTS, [], [[]], [["a"]], [["a"], []],
+                                         [[], ["a"]]])
+def test_ngram_bins_same_arrays_whatever_the_chunks(monkeypatch, chunk, token_lists):
+    # one chunk at the default size
+    expected = {orders: ngram_bins(token_lists, orders, 2**20) for orders in ((1,), (2,), (1, 2))}
+    monkeypatch.setattr(tokenizer, "CHUNK_TOKENS", chunk)
+    for orders, arrays in expected.items():
+        assert_same_arrays(ngram_bins(iter(token_lists), orders, 2**20), arrays)
+
+
+@settings(max_examples=100, deadline=None)
+@given(token_lists=st.lists(st.lists(TOKENS, max_size=5), max_size=8),
+       orders=st.sampled_from([(1,), (2,), (1, 2)]), chunk=st.integers(1, 12))
+def test_ngram_bins_chunks_join_to_one_chunk(token_lists, orders, chunk):
+    expected = ngram_bins(token_lists, orders, 97)
+    with mock.patch.object(tokenizer, "CHUNK_TOKENS", chunk):
+        assert_same_arrays(ngram_bins(iter(token_lists), orders, 97), expected)
