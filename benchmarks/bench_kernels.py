@@ -10,13 +10,19 @@ labels (``verdict.assemble_all``), training the default forest and loading
 its saved model file, saving and loading a corpus file, and building the
 document index of that corpus, on seeded inputs, and prints the best-of-N
 wall time of each.  A last column gives the peak of the memory one more
-call allocates, as ``tracemalloc`` traces it.
+call allocates, as ``tracemalloc`` traces it.  The last three rows run the
+``ingest``, ``index`` and ``e2e`` subcommands on the ``data/`` fixture, each
+in a new interpreter, so that they time start-up and imports next to the
+kernels; their peak is only this process's share.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
 """
 
 import argparse
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -24,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+import claimcheck
 from claimcheck import cli, forest, kernels, ner, tfidf, verdict
 from claimcheck.corpus import Corpus, Document, SentenceRef
 from claimcheck.entailment import BaselineScorer
@@ -38,6 +45,7 @@ SPLIT_COLUMNS = 4  # columns a forest node searches: ceil(sqrt(12 features))
 SPLIT_NODES = 50  # nodes of one training step: one per tree of the default forest
 TITLE_QUERIES = 10  # title_match mentions of each kind: exact, one edit, far off
 TITLE_LETTERS = list("abcdefghijklmnopqrstuvwxyz _()")
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def best_of(fn, repeat):
@@ -194,6 +202,27 @@ def hash_loop(token_lists, bin_count=2**24):
     return [hashed_counts(tokens, (1, 2), bin_count) for tokens in token_lists]
 
 
+def run_child(*argv):
+    """Run one subcommand in a new interpreter that imports this claimcheck."""
+    env = {**os.environ, "PYTHONPATH": str(Path(claimcheck.__file__).resolve().parent.parent)}
+    subprocess.run([sys.executable, "-m", "claimcheck.cli", "-q", *map(str, argv)], env=env,
+                   check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def start_up_cases(workdir):
+    """The fixture's ingest, index and e2e children, in the order they chain."""
+    corpus, index = Path(workdir) / "fixture.json.gz", Path(workdir) / "fixture.npz"
+    return [
+        ("start_ingest (data/ fixture)", run_child,
+         ("ingest", "--dump", DATA / "mini_wiki.jsonl", "--out", corpus)),
+        ("start_index (data/ fixture)", run_child,
+         ("index", "--corpus", corpus, "--out", index)),
+        ("start_e2e (data/ fixture)", run_child,
+         ("e2e", "--corpus", corpus, "--index", index, "--claims", DATA / "mini_claims.jsonl",
+          "--out", Path(workdir) / "fixture-pred.jsonl")),
+    ]
+
+
 def build_cases(rng, args, workdir):
     titles, full_scan = make_title_workload(rng, args.titles)
     postings = make_postings_workload(rng, args.items, args.postings, BLOCK_QUERIES)
@@ -230,6 +259,7 @@ def build_cases(rng, args, workdir):
         (f"corpus_load ({len(corpus)} pages, {args.texts} sentences)", Corpus.load,
          (corpus_path,)),
         (f"index_build ({len(corpus)} pages)", tfidf.build_document_index, (corpus,)),
+        *start_up_cases(workdir),
     ]
 
 

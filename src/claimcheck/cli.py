@@ -4,6 +4,12 @@ Each stage is one function, shared by e2e and the staged subcommands.
 
 All randomness flows from explicit --seed flags; reruns with identical
 inputs and seeds produce byte-identical output files.
+
+Start-up is most of a small run's time, so this module's level imports only
+the standard library and the numpy-free ``rows`` and ``corpus``, and each
+function imports the stage modules it runs: ``ingest`` loads no numpy,
+``index`` only ``tfidf`` and what it imports, and ``e2e`` every stage
+module.
 """
 
 import argparse
@@ -13,22 +19,17 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
-from . import features as features_mod
-from . import forest, metrics, ner, nli_data, rows, tfidf
+from . import DEFAULT_BIN_COUNT, DEFAULT_CLASS_COUNTS, rows
 from .corpus import Corpus, SentenceRef, ingest_dump, read_saved
-from .entailment import (BaselineScorer, FileScorer, ScoredPairs, score_pairs,
-                         triple_from_row, triple_rows)
-from .forest import ForestConfig
-from .metrics import GoldInstance
-from .nli_data import load_claims
-from .verdict import assemble_all, prediction_from_row
 
 log = logging.getLogger("claimcheck")
 
 K_DOCS = 5  # documents per claim from the TF-IDF route
 K_SENTS = 5  # sentences kept from those documents
+# f4..f6 and f10..f12, the feature columns that sum a claim's rows: a predict
+# --scored file in another row order gives them only within SUMS_RTOL, relative
+SUMMED_FEATURES = [3, 4, 5, 9, 10, 11]
+SUMS_RTOL = 1e-9
 
 
 def _is_saved_corpus(path) -> bool:
@@ -48,15 +49,18 @@ def load_corpus_any(path) -> Corpus:
 
 
 def _make_extractor(args):
+    from . import ner
     return None if args.ner_file is None else ner.FileEntityExtractor.load(args.ner_file)
 
 
 def _make_scorer(args):
+    from .entailment import BaselineScorer, FileScorer
     return BaselineScorer() if args.prob_file is None else FileScorer.load(args.prob_file)
 
 
 def _forest_config(args) -> tuple:
     """(ForestConfig, per-class sample counts) from the training flags."""
+    from .forest import ForestConfig
     try:
         counts = tuple(int(c) for c in args.sample_counts.split(","))
     except ValueError:
@@ -72,6 +76,7 @@ def _forest_config(args) -> tuple:
 
 def retrieve_candidates(corpus, index, instances, *, extractor=None):
     """Union of the entity route and the TF-IDF route, per claim."""
+    from . import ner, tfidf
     lexical, empty_queries = tfidf.top_k_sentences_batch(
         corpus, index, [inst.claim for inst in instances], k_docs=K_DOCS, k_sents=K_SENTS)
     mentions = [ner.claim_mentions(inst.claim, extractor=extractor, claim_id=inst.claim_id)
@@ -103,8 +108,10 @@ def retrieve_candidates(corpus, index, instances, *, extractor=None):
 def score_claims(scorer, corpus, instances, candidates) -> tuple:
     """(scored pairs, feature matrix, candidate counts) of claims instances[i]
     with candidate refs candidates[i]; matrix row i is instances[i]'s."""
+    from .entailment import score_pairs
+    from .features import feature_matrix
     pairs = score_pairs(scorer, instances, candidates, corpus)
-    X, n = features_mod.feature_matrix(pairs.claims, pairs.triples, len(instances))
+    X, n = feature_matrix(pairs.claims, pairs.triples, len(instances))
     log.info("scored %d candidate pairs over %d claims (%d all-uninformative)",
              len(pairs.refs), len(instances), int(((X[:, 0] == 0) & (X[:, 1] == 0)).sum()))
     return pairs, X, n
@@ -113,6 +120,7 @@ def score_claims(scorer, corpus, instances, candidates) -> tuple:
 def train_model(instances, X, config, counts) -> tuple:
     """(forest, number of training claims) from a per-class sample of the
     claims, feature matrix row i being instances[i]'s."""
+    from . import forest
     sampled = forest.sample_training_claims(instances, seed=config.seed, counts=counts)
     row_of = {inst.claim_id: r for r, inst in enumerate(instances)}
     model = forest.fit(X[[row_of[inst.claim_id] for inst in sampled]],
@@ -129,6 +137,7 @@ def trained_summary(model, n_samples: int) -> str:
 def write_predictions(path, instances, X, pairs, model) -> list:
     """Label each claim, assemble its evidence and write the prediction rows;
     feature matrix row i and pair claim index i are instances[i]'s."""
+    from .verdict import assemble_all
     labels, _ = model.predict_all(X)
     verdicts = assemble_all([inst.claim_id for inst in instances], labels, pairs)
     log.info("assembled %d verdicts (%d overrides to NOT ENOUGH INFO)",
@@ -140,7 +149,8 @@ def write_predictions(path, instances, X, pairs, model) -> list:
 
 def report_scores(instances, verdicts, json_path) -> None:
     """Print the score table against the gold claims; also save it as JSON if asked."""
-    gold = [GoldInstance(i.claim_id, i.label, tuple(frozenset(g) for g in i.evidence_sets))
+    from . import metrics
+    gold = [metrics.GoldInstance(i.claim_id, i.label, tuple(frozenset(g) for g in i.evidence_sets))
             for i in instances]
     report = metrics.score(gold, verdicts)
     print(report.format_table())
@@ -149,13 +159,15 @@ def report_scores(instances, verdicts, json_path) -> None:
 
 
 def _feature_row(claim_id, values, n) -> dict:
+    from .features import FEATURE_NAMES
     row = {"claim_id": claim_id, "n": n}
-    row.update(zip(features_mod.FEATURE_NAMES, values))
+    row.update(zip(FEATURE_NAMES, values))
     return row
 
 
 def _features_from_row(row):
-    values = [float(rows.number_field(row, name)) for name in features_mod.FEATURE_NAMES]
+    from .features import FEATURE_NAMES
+    values = [float(rows.number_field(row, name)) for name in FEATURE_NAMES]
     if not all(map(math.isfinite, values)):
         raise ValueError("feature values must be finite")
     return rows.scalar_field(row, "claim_id"), (values, rows.number_field(row, "n", count=True))
@@ -164,13 +176,16 @@ def _features_from_row(row):
 def _read_feature_rows(path, instances) -> tuple:
     """(feature matrix, list of candidate counts n) of instances, row i and
     count i from instances[i]'s feature row."""
+    import numpy as np
+
+    from .features import FEATURE_NAMES
     by_id = rows.parse_table(path, "feature", "claim id", _features_from_row)
     missing = [i.claim_id for i in instances if i.claim_id not in by_id]
     if missing:
         raise ValueError(f"{path} has no feature rows for claim ids {missing[:5]}...")
     found = [by_id[i.claim_id] for i in instances]
     return (np.array([values for values, _ in found],
-                     dtype=np.float64).reshape(-1, len(features_mod.FEATURE_NAMES)),
+                     dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
             [n for _, n in found])
 
 
@@ -187,6 +202,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from . import tfidf
     if _is_saved_corpus(args.corpus):  # streamed: no page is kept once it is hashed
         index = tfidf.index_pages(*read_saved(args.corpus), bin_count=args.bins)
     else:
@@ -197,6 +213,7 @@ def cmd_index(args) -> int:
 
 
 def _load_index(args, corpus):
+    from . import tfidf
     if not args.index:
         return tfidf.build_document_index(corpus, bin_count=args.bins)
     index = tfidf.TfidfIndex.load(args.index)
@@ -210,6 +227,7 @@ def _load_index(args, corpus):
 
 
 def cmd_retrieve(args) -> int:
+    from .nli_data import load_claims
     corpus = load_corpus_any(args.corpus)
     instances = load_claims(args.claims)
     index = _load_index(args, corpus)
@@ -222,8 +240,9 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_gen_nli(args) -> int:
+    from . import nli_data
     corpus = load_corpus_any(args.corpus)
-    instances = load_claims(args.claims)
+    instances = nli_data.load_claims(args.claims)
     examples, generated = nli_data.build_nli_dataset(instances, corpus, seed=args.seed)
     balanced = nli_data.undersample(examples, seed=args.seed)
     counts = {label: 0 for label in nli_data.NLI_LABELS}
@@ -244,6 +263,8 @@ def cmd_gen_nli(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from .entailment import triple_rows
+    from .nli_data import load_claims
     corpus = load_corpus_any(args.corpus)
     by_id = {inst.claim_id: inst for inst in load_claims(args.claims)}
 
@@ -275,6 +296,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import forest
+    from .nli_data import load_claims
     config, counts = _forest_config(args)
     instances = load_claims(args.claims)
     X, _ = _read_feature_rows(args.features, instances)
@@ -284,9 +307,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_scored_rows(path, instances) -> ScoredPairs:
+def _read_scored_rows(path, instances):
     """The scored pairs of a scored-row file, in file order, each claim index
     pointing into instances; rows of other claims are left out."""
+    import numpy as np
+
+    from .entailment import ScoredPairs, triple_from_row
     index_of = {inst.claim_id: c for c, inst in enumerate(instances)}
     table = rows.parse_table(path, "scored", "(claim id, page id, line)", triple_from_row)
     kept = [(index_of[claim_id], SentenceRef(page, line), triple)
@@ -296,21 +322,46 @@ def _read_scored_rows(path, instances) -> ScoredPairs:
                        np.array([t for _, _, t in kept], dtype=np.float64).reshape(-1, 3))
 
 
-def cmd_predict(args) -> int:
-    instances = load_claims(args.claims)
-    pairs = _read_scored_rows(args.scored, instances)
-    X, n = _read_feature_rows(args.features, instances)
-    scored = np.bincount(pairs.claims, minlength=len(instances)).tolist()
-    for inst, count, expected in zip(instances, scored, n):
+def _check_feature_rows(args, instances, X, n, pairs) -> None:
+    """Refuse a claim whose feature row in args.features is not what its rows
+    in args.scored give: the same n, f1..f3 (counts) and f7..f9 (maxima)
+    equal, and f4..f6 (sums) and f10..f12 (their ratios) within SUMS_RTOL
+    relative, as a file in another row order adds each sum in another order."""
+    import numpy as np
+
+    from .features import FEATURE_NAMES, feature_matrix
+    given, counts = feature_matrix(pairs.claims, pairs.triples, len(instances))
+    for inst, count, expected in zip(instances, counts.tolist(), n):
         if count != expected:
             raise ValueError(f"{args.scored} has {count} scored rows for claim "
                              f"{inst.claim_id!r}, but its feature row in {args.features} "
                              f"has n {expected}")
+    agree = given == X
+    agree[:, SUMMED_FEATURES] = np.isclose(given[:, SUMMED_FEATURES], X[:, SUMMED_FEATURES],
+                                           rtol=SUMS_RTOL, atol=0.0)
+    bad = np.flatnonzero(~agree.all(axis=1))
+    if bad.size:
+        c = int(bad[0])
+        f = int(np.argmin(agree[c]))
+        raise ValueError(f"the feature row of claim {instances[c].claim_id!r} in {args.features} "
+                         f"has {FEATURE_NAMES[f]} {float(X[c, f])!r}, but its scored rows in "
+                         f"{args.scored} give {float(given[c, f])!r}")
+
+
+def cmd_predict(args) -> int:
+    from . import forest
+    from .nli_data import load_claims
+    instances = load_claims(args.claims)
+    pairs = _read_scored_rows(args.scored, instances)
+    X, n = _read_feature_rows(args.features, instances)
+    _check_feature_rows(args, instances, X, n, pairs)
     write_predictions(args.out, instances, X, pairs, forest.load(args.model))
     return 0
 
 
 def cmd_score(args) -> int:
+    from .nli_data import load_claims
+    from .verdict import prediction_from_row
     instances = load_claims(args.gold)
     gold_ids = {inst.claim_id for inst in instances}
 
@@ -326,6 +377,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_e2e(args) -> int:
+    from . import forest
+    from .nli_data import load_claims
     config, counts = _forest_config(args)
     corpus = load_corpus_any(args.corpus)
     instances = load_claims(args.claims)
@@ -347,8 +400,8 @@ def cmd_e2e(args) -> int:
 
 def _add_retrieval_flags(p):
     p.add_argument("--index", help="saved index file (otherwise built in memory)")
-    p.add_argument("--bins", type=int, default=tfidf.DEFAULT_BIN_COUNT,
-                   help="hash bins when building in memory (default 2^24)")
+    p.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT,
+                   help="hash bins when building in memory (default %(default)s)")
     p.add_argument("--ner-file",
                    help="JSON-lines {id, entities} annotations (otherwise heuristic NER)")
 
@@ -362,8 +415,9 @@ def _add_train_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trees", type=int, default=50)
     p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--sample-counts", default=",".join(map(str, forest.DEFAULT_CLASS_COUNTS)),
-                   help="per-class claim sample sizes (SUPPORTS,REFUTES,NEI)")
+    p.add_argument("--sample-counts", default=",".join(map(str, DEFAULT_CLASS_COUNTS)),
+                   help="per-class claim sample sizes (SUPPORTS,REFUTES,NEI; "
+                        "default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="build and save the document TF-IDF index")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--bins", type=int, default=tfidf.DEFAULT_BIN_COUNT)
+    p.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT,
+                   help="hash bins (default %(default)s)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_index)
 

@@ -20,7 +20,7 @@ import zlib
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .rows import json_object, parse_lines, reading
+from .rows import file_error, json_object, parse_lines, reading
 
 logger = logging.getLogger(__name__)
 
@@ -138,14 +138,15 @@ def _saved_pages(path):
     with gzip.open(path, "rb") as fh, reading(path, "corpus file"):
         header = json.loads(fh.readline())
         if not isinstance(header, dict):
-            raise ValueError(f"corpus file {path} does not start with a JSON object")
+            raise file_error(path, f"corpus file {path} does not start with a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported corpus format version: {header.get('format_version')}"
-                             f" in corpus file {path}; ingest its dump again")
+            raise file_error(path, "unsupported corpus format version: "
+                                   f"{header.get('format_version')} in corpus file {path}; "
+                                   "ingest its dump again")
         checksums = header.get("checksums")
         if not (isinstance(checksums, dict)
                 and all(isinstance(v, str) for v in checksums.values())):
-            raise ValueError(f"corpus file {path} has no checksums object of strings")
+            raise file_error(path, f"corpus file {path} has no checksums object of strings")
         yield checksums
 
         last = ""  # no page id: ingest skips an empty one
@@ -162,9 +163,9 @@ def _saved_pages(path):
         stats = IngestStats()
         yield from _records(path, fh, stats, follows, first_line=2)
         if stats.records_skipped or stats.lines_skipped:
-            raise ValueError(f"corpus file {path} is malformed: a saved corpus skips nothing, "
-                             f"but reading it skipped {stats.records_skipped} records and "
-                             f"{stats.lines_skipped} sentence rows")
+            raise file_error(path, f"corpus file {path} is malformed: a saved corpus skips "
+                                   f"nothing, but reading it skipped {stats.records_skipped} "
+                                   f"records and {stats.lines_skipped} sentence rows")
 
 
 def parse_lines_field(raw: str) -> tuple[dict[int, str], int]:
@@ -226,6 +227,13 @@ def _records(path, byte_lines, stats: IngestStats, admit, first_line=1):
     return filter(None, parse_lines(path, byte_lines, "record", parse, first_line))
 
 
+def _hashed(lines, digest):
+    """Yield each of lines, adding it to digest first."""
+    for line in lines:
+        digest.update(line)
+        yield line
+
+
 def ingest_dump(path) -> tuple[Corpus, IngestStats]:
     """Read a dump file or directory of ``*.jsonl`` files into a Corpus.
 
@@ -240,12 +248,13 @@ def ingest_dump(path) -> tuple[Corpus, IngestStats]:
             raise ValueError(f"duplicate page id: {page_id!r}")
 
     for fp in _dump_files(path):
-        raw = fp.read_bytes()
-        corpus.source_checksums[fp.name] = hashlib.sha256(raw).hexdigest()
-        # only "\n" ends a record: str.splitlines would also cut at U+2028
-        # and other breaks that a JSON string may hold raw
-        for doc in _records(fp, raw.split(b"\n"), stats, admit):
-            corpus.add_document(doc)
+        digest = hashlib.sha256()
+        # a binary file's lines end only at "\n": str.splitlines would also cut
+        # at U+2028 and other breaks that a JSON string may hold raw
+        with open(fp, "rb") as fh:
+            for doc in _records(fp, _hashed(fh, digest), stats, admit):
+                corpus.add_document(doc)
+        corpus.source_checksums[fp.name] = digest.hexdigest()
     logger.info("ingested %d documents (%d lines skipped, %d records skipped)",
                 stats.documents, stats.lines_skipped, stats.records_skipped)
     return corpus, stats

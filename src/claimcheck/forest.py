@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import DEFAULT_CLASS_COUNTS, kernels
 from .features import FEATURE_NAMES, FeatureVector
 from .rows import reading
 
@@ -26,7 +26,6 @@ log = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
 LABELS = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
-DEFAULT_CLASS_COUNTS = (3000, 3000, 4000)
 FEATURES_PER_SPLIT = math.ceil(math.sqrt(len(FEATURE_NAMES)))  # features drawn at each node
 # block cells (nodes x features x samples) one split search call takes; bounds
 # the transient memory of a training step

@@ -6,9 +6,11 @@ becomes "bad {what} in {path} on line N: ...", N counting every line.  Dump
 records, saved-corpus records and JSON-lines row files (``parse_rows``) go
 through it.  ``reading`` wraps a reader of a whole file (an index, a model)
 or of a file's stream of lines (a saved corpus, a row file): what it raises
-becomes "cannot read {what} {path}: ...", unless its message names the file
-already.  Either way the message is a plain ValueError that names the file
-once, which ``cli.main`` prints as its one "error:" line.  No other module
+becomes "cannot read {what} {path}: ...", unless it names the file
+already: an OSError about that file, or a message built by ``file_error``,
+as ``parse_lines``, ``reading`` and the readers' own checks build theirs.
+Either way the message is a plain ValueError that names the file once,
+which ``cli.main`` prints as its one "error:" line.  No other module
 catches a parse error.
 """
 
@@ -28,17 +30,26 @@ def _reason(exc) -> str:
     return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
+def file_error(path, message) -> ValueError:
+    """A ValueError whose message names the file at path.  Its filename is
+    path, as an OSError's names the file it is about, so that ``reading``
+    passes it unchanged."""
+    exc = ValueError(message)
+    exc.filename = path
+    return exc
+
+
 @contextmanager
 def reading(path, what):
     """Re-raise what reading the file at path raises as ValueError("cannot read
-    {what} {path}: ..."); a ValueError or an OSError (a missing file) passes
-    unchanged when its message names path already."""
+    {what} {path}: ..."), unless its filename is path: a ``file_error``, or an
+    OSError about that file (a missing one), passes unchanged."""
     try:
         yield
     except (*PARSE_ERRORS, MemoryError) as exc:  # an npy header may declare petabytes
-        if isinstance(exc, (ValueError, OSError)) and str(path) in str(exc):
+        if getattr(exc, "filename", None) in (path, str(path)):
             raise
-        raise ValueError(f"cannot read {what} {path}: {_reason(exc)}") from exc
+        raise file_error(path, f"cannot read {what} {path}: {_reason(exc)}") from exc
 
 
 def parse_lines(path, byte_lines, what, parse, first_line=1):
@@ -53,7 +64,8 @@ def parse_lines(path, byte_lines, what, parse, first_line=1):
                 continue
             parsed = parse(line)
         except PARSE_ERRORS as exc:
-            raise ValueError(f"bad {what} in {path} on line {lineno}: {_reason(exc)}") from exc
+            raise file_error(path, f"bad {what} in {path} on line {lineno}: "
+                                   f"{_reason(exc)}") from exc
         yield parsed
 
 

@@ -24,13 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import DEFAULT_BIN_COUNT, kernels
 from .corpus import Corpus, Document
-from .rows import reading
+from .rows import file_error, reading
 from .tokenizer import HASH_NAME, MAX_BIN_COUNT, ngram_bins, tokenize
 
 FORMAT_VERSION = 1
-DEFAULT_BIN_COUNT = 2**24
 WEIGHTING = "log1p-tf.okapi-idf"
 DOC_NGRAM_ORDERS = (1, 2)  # unigrams and bigrams of each page's text
 BLOCK_CELLS = 2**14  # score cells plus scored entries per block of claims
@@ -156,8 +155,8 @@ class TfidfIndex:
                 )
             for key, known in (("hash", HASH_NAME), ("weighting", WEIGHTING)):
                 if header.get(key) != known:
-                    raise ValueError(f"index {path} has an unknown {key}: "
-                                     f"{header.get(key)!r}")
+                    raise file_error(path, f"index {path} has an unknown {key}: "
+                                           f"{header.get(key)!r}")
             item_ids = [str(s) for s in data["item_ids"]]
             if not _strictly_ascending(item_ids):
                 raise ValueError("index item ids are not in strictly ascending order")
@@ -167,8 +166,8 @@ class TfidfIndex:
             if not (type(bins) is int and 1 <= bins <= MAX_BIN_COUNT
                     and type(orders) is list and all(type(o) is int for o in orders)
                     and type(count) is int and count == len(item_ids)):
-                raise ValueError(f"index {path} has a bad bin_count, ngram_orders or "
-                                 f"item_count: {bins!r}, {orders!r}, {count!r}")
+                raise file_error(path, f"index {path} has a bad bin_count, ngram_orders or "
+                                       f"item_count: {bins!r}, {orders!r}, {count!r}")
             index = cls(bins, orders, item_ids,
                         source_checksum=header.get("source_checksum", ""),
                         **{name: data[name] for name in _ARRAYS})
@@ -187,7 +186,7 @@ class TfidfIndex:
                 and len(self.item_norms) == self.item_count
                 and (self.uniq_bins.size == 0 or self.uniq_bins[-1] < self.bin_count)
                 and (post.size == 0 or 0 <= post.min() <= post.max() < self.item_count)):
-            raise ValueError(f"index {path} is corrupt: its arrays disagree")
+            raise file_error(path, f"index {path} is corrupt: its arrays disagree")
 
 
 def corpus_checksum(checksums: dict[str, str]) -> str:

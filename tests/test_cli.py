@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcheck import cli, forest, ner
+from claimcheck import cli, forest, ner, nli_data
 from claimcheck.corpus import Corpus, ingest_dump
 from claimcheck.entailment import TRIPLE_FIELDS
 from claimcheck.rows import parse_rows
@@ -464,6 +464,38 @@ class TestBadInputs:
                                         f"but its feature row in {feats} has n {n}\n")
         assert not pred.exists()
 
+    def test_scored_rows_disagreeing_with_feature_values(self, staged, tmp_path, capsys):
+        # claim 101's rows turned to (0, 1, 0), as many as before: predicting from
+        # its feature row with these rows as evidence would flip its verdict
+        feats, scored = staged / "features.jsonl", tmp_path / "scored.jsonl"
+        model, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
+        assert run(["train", "--claims", CLAIMS, "--features", feats,
+                    "--trees", "5", "--out", model], capsys)[0] == 0
+        refuting = {"support": 0.0, "refute": 1.0, "uninformative": 0.0}
+        scored.write_text("".join(json.dumps({**row, **refuting} if row["claim_id"] == 101
+                                             else row) + "\n"
+                                  for row in read_rows(staged / "scored.jsonl")))
+        code, _, err = run(["predict", "--claims", CLAIMS, "--features", feats,
+                            "--scored", scored, "--model", model, "--out", pred], capsys)
+        assert one_error(code, err).startswith(f"error: the feature row of claim 101 in {feats} "
+                                               "has f1 ")
+        assert f", but its scored rows in {scored} give 0.0\n" in err
+        assert not pred.exists()
+
+    def test_scored_rows_in_another_order_predict_alike(self, staged, tmp_path, capsys):
+        # reversed, the rows add up some sums f4..f6 to other last bits
+        feats, scored = staged / "features.jsonl", tmp_path / "scored.jsonl"
+        model = tmp_path / "model.json"
+        assert run(["train", "--claims", CLAIMS, "--features", feats,
+                    "--trees", "5", "--out", model], capsys)[0] == 0
+        scored.write_bytes(b"".join(reversed(
+            (staged / "scored.jsonl").read_bytes().splitlines(keepends=True))))
+        for rows, pred in ((staged / "scored.jsonl", tmp_path / "p1.jsonl"),
+                           (scored, tmp_path / "p2.jsonl")):
+            assert run(["predict", "--claims", CLAIMS, "--features", feats, "--scored", rows,
+                        "--model", model, "--out", pred], capsys)[0] == 0
+        assert (tmp_path / "p1.jsonl").read_bytes() == (tmp_path / "p2.jsonl").read_bytes()
+
     @pytest.mark.parametrize("case, message", [
         ("no_header", "cannot read index {}: missing field 'header is not a file in the archive'"),
         ("no_bin_count", "cannot read index {}: missing field 'bin_count'"),
@@ -836,7 +868,7 @@ class TestBadInputs:
     def test_bad_training_flag_refused_up_front(self, staged, tmp_path, capsys, monkeypatch,
                                                 command, flags, message):
         # refused before any input is read
-        monkeypatch.setattr(cli, "load_claims", lambda path: pytest.fail("read the claims"))
+        monkeypatch.setattr(nli_data, "load_claims", lambda path: pytest.fail("read the claims"))
         out = tmp_path / "out.json"
         inputs = (["--corpus", DUMP, "--claims", CLAIMS] if command == "e2e"
                   else ["--claims", CLAIMS, "--features", staged / "features.jsonl"])
@@ -1059,23 +1091,25 @@ class TestTripleRows:
     @staticmethod
     def read_both(d, tmp_path, capsys, monkeypatch, total):
         """(exit code, stderr, triple or None) of predict --scored, then of features
-        --prob-file, on one row for claim 101 whose components sum to total."""
-        side, scored = tmp_path / "row.jsonl", tmp_path / "s.jsonl"
+        --prob-file, on one row for claim 101 whose components sum to total;
+        predict reads the feature row features wrote, if it wrote one."""
+        side, scored, feats = tmp_path / "row.jsonl", tmp_path / "s.jsonl", tmp_path / "f.jsonl"
         side.write_text(json.dumps({**_SCORED, "support": total - 0.5, "refute": 0.25,
                                     "uninformative": 0.25}) + "\n")
+        code, _, err = run(["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
+                            "--candidates", d / "cands1.jsonl", "--prob-file", side,
+                            "--out", feats, "--scored-out", scored], capsys)
+        row = read_rows(scored)[0] if code == 0 else None
+        by_features = (code, err, row and tuple(row[k] for k in TRIPLE_FIELDS))
         seen = {}  # the scored pairs predict assembles its verdicts from
         monkeypatch.setattr(cli, "write_predictions",
                             lambda path, instances, X, pairs, model: seen.update(pairs=pairs))
         code, _, err = run(["predict", "--claims", d / "claims.jsonl",
-                            "--features", d / "features.jsonl", "--scored", side,
-                            "--model", d / "model.json", "--out", tmp_path / "p.jsonl"], capsys)
-        results = [(code, err, tuple(seen["pairs"].triples[0].tolist()) if seen else None)]
-        code, _, err = run(["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
-                            "--candidates", d / "cands1.jsonl", "--prob-file", side,
-                            "--out", tmp_path / "f.jsonl", "--scored-out", scored], capsys)
-        row = read_rows(scored)[0] if code == 0 else None
-        results.append((code, err, row and tuple(row[k] for k in TRIPLE_FIELDS)))
-        return results
+                            "--features", feats if row else d / "features.jsonl",
+                            "--scored", side, "--model", d / "model.json",
+                            "--out", tmp_path / "p.jsonl"], capsys)
+        return [(code, err, tuple(seen["pairs"].triples[0].tolist()) if seen else None),
+                by_features]
 
     def test_near_one_sum_renormalized_alike(self, one_claim, tmp_path, capsys, monkeypatch):
         (code, _, by_predict), (code2, _, by_features) = self.read_both(
@@ -1205,3 +1239,47 @@ class TestEndToEnd:
         assert proc.returncode == 0, proc.stderr
         assert "label accuracy" in proc.stdout
         assert out.exists()
+
+
+class TestStartUp:
+    """Each subcommand loads only the modules it runs: start-up is most of a
+    small run's time."""
+
+    STAGES = {"entailment", "features", "forest", "kernels", "metrics", "ner", "nli_data",
+              "tfidf", "tokenizer", "verdict"}
+
+    @staticmethod
+    def loaded_after(argv) -> set:
+        """The modules a new interpreter holds after running cli.main(argv),
+        claimcheck's by their names in the package."""
+        script = ("import json, sys\n"
+                  "from claimcheck import cli\n"
+                  f"assert cli.main({['-q', *map(str, argv)]!r}) == 0\n"
+                  "print(json.dumps(sorted(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=300, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 0, proc.stderr
+        return {m.removeprefix("claimcheck.") for m in json.loads(proc.stdout.splitlines()[-1])}
+
+    def test_each_subcommand_loads_the_modules_it_runs(self, tmp_path):
+        corpus, index = tmp_path / "corpus.json.gz", tmp_path / "index.npz"
+        loaded = self.loaded_after(["ingest", "--dump", DUMP, "--out", corpus])
+        assert "numpy" not in loaded
+        assert loaded & self.STAGES == set()
+
+        loaded = self.loaded_after(["index", "--corpus", corpus, "--out", index])
+        assert loaded & self.STAGES == {"tokenizer", "kernels", "tfidf"}
+
+        loaded = self.loaded_after(["e2e", "--corpus", corpus, "--index", index,
+                                    "--claims", CLAIMS, "--out", tmp_path / "pred.jsonl"])
+        assert self.STAGES <= loaded
+
+    @pytest.mark.parametrize("command, flag, default", [
+        ("index", "--bins", "16777216"), ("retrieve", "--bins", "16777216"),
+        ("e2e", "--bins", "16777216"), ("e2e", "--sample-counts", "3000,3000,4000"),
+        ("train", "--sample-counts", "3000,3000,4000")])
+    def test_help_shows_the_defaults(self, capsys, command, flag, default):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        usage = " ".join(capsys.readouterr().out.split())  # argparse wraps the help text
+        assert re.search(rf"{flag} \S+ .*?default {default}\)", usage), usage

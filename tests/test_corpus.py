@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -68,6 +69,14 @@ class TestIngest:
         corpus, stats = ingest_dump(tmp_path)
         assert corpus.page_ids() == ["A", "B"]
         assert set(corpus.source_checksums) == {"a.jsonl", "b.jsonl"}
+
+    def test_checksum_is_the_sha256_of_the_file(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(b'\n{"id": "A", "text": "x.", "lines": "0\\tx."}\r\n\n'
+                      b'{"id": "B", "text": "\xe2\x80\xa8", "lines": ""}')
+        corpus, _ = ingest_dump(p)
+        assert corpus.page_ids() == ["A", "B"]
+        assert corpus.source_checksums == {"d.jsonl": hashlib.sha256(p.read_bytes()).hexdigest()}
 
     def test_idempotent(self, tmp_path):
         p = tmp_path / "d.jsonl"

@@ -8,6 +8,7 @@ corrupted file.
 """
 
 import ast
+import gzip
 import json
 from pathlib import Path
 
@@ -107,6 +108,26 @@ def test_corrupted_file_ends_in_one_error_line(valid, tmp_path, capsys, kind, mu
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert str(path) in err, err
+
+
+@pytest.mark.parametrize("kind, data, message", [
+    ("index", b"0123456789abcdef", "cannot read index o: This file contains pickled"),
+    ("index", None, "[Errno 2] No such file or directory: 'o'"),
+    ("model", b'{"x": ', "cannot read model file o: Expecting value: line 1 column 7"),
+    ("corpus", b"\x1f\x8b" + b"abcd" * 4, "cannot read corpus file o: Unknown compression"),
+    ("corpus", gzip.compress(b'{"checksums": {}, "format_version": 2}\n[1]\n'),
+     "bad record in o on line 2: expected a JSON object, got list"),
+], ids=["pickle_index", "missing_index", "cut_model", "bad_gzip_corpus", "bad_corpus_record"])
+def test_one_letter_path_named_once(valid, tmp_path, capsys, monkeypatch, kind, data, message):
+    # the reason holds the letter "o", so a path of that one letter is in the
+    # message whether or not the message names the file
+    monkeypatch.chdir(tmp_path)
+    if data is not None:
+        Path("o").write_bytes(data)
+    code = cli.main(["-q", *reader_argv(kind, "o", valid, tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: {message}"), err
 
 
 def test_parse_errors_are_caught_only_in_rows():
