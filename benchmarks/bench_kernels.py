@@ -166,7 +166,7 @@ def make_verdict_workload(rng, scoring):
     """The claim ids, seeded labels and scored pairs of the scoring run, as
     ``e2e`` hands them to assemble_all."""
     corpus, instances, candidates = scoring
-    pairs, _, _ = score_claims(corpus, instances, candidates)
+    pairs, _ = score_claims(corpus, instances, candidates)
     labels = [forest.LABELS[c] for c in rng.integers(0, len(forest.LABELS), size=len(instances))]
     return [inst.claim_id for inst in instances], labels, pairs
 

@@ -14,7 +14,6 @@ module.
 
 import argparse
 import logging
-import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -26,10 +25,6 @@ log = logging.getLogger("claimcheck")
 
 K_DOCS = 5  # documents per claim from the TF-IDF route
 K_SENTS = 5  # sentences kept from those documents
-# f4..f6 and f10..f12, the feature columns that sum a claim's rows: a predict
-# --scored file in another row order gives them only within SUMS_RTOL, relative
-SUMMED_FEATURES = [3, 4, 5, 9, 10, 11]
-SUMS_RTOL = 1e-9
 
 
 def _is_saved_corpus(path) -> bool:
@@ -106,15 +101,15 @@ def retrieve_candidates(corpus, index, instances, *, extractor=None):
 
 
 def score_claims(scorer, corpus, instances, candidates) -> tuple:
-    """(scored pairs, feature matrix, candidate counts) of claims instances[i]
-    with candidate refs candidates[i]; matrix row i is instances[i]'s."""
+    """(scored pairs, feature matrix) of claims instances[i] with candidate
+    refs candidates[i]; matrix row i is instances[i]'s."""
     from .entailment import score_pairs
     from .features import feature_matrix
     pairs = score_pairs(scorer, instances, candidates, corpus)
-    X, n = feature_matrix(pairs.claims, pairs.triples, len(instances))
+    X, _ = feature_matrix(pairs.claims, pairs.triples, len(instances))
     log.info("scored %d candidate pairs over %d claims (%d all-uninformative)",
              len(pairs.refs), len(instances), int(((X[:, 0] == 0) & (X[:, 1] == 0)).sum()))
-    return pairs, X, n
+    return pairs, X
 
 
 def train_model(instances, X, config, counts) -> tuple:
@@ -156,37 +151,6 @@ def report_scores(instances, verdicts, json_path) -> None:
     print(report.format_table())
     if json_path:
         rows.write_json(json_path, report.to_dict())
-
-
-def _feature_row(claim_id, values, n) -> dict:
-    from .features import FEATURE_NAMES
-    row = {"claim_id": claim_id, "n": n}
-    row.update(zip(FEATURE_NAMES, values))
-    return row
-
-
-def _features_from_row(row):
-    from .features import FEATURE_NAMES
-    values = [float(rows.number_field(row, name)) for name in FEATURE_NAMES]
-    if not all(map(math.isfinite, values)):
-        raise ValueError("feature values must be finite")
-    return rows.scalar_field(row, "claim_id"), (values, rows.number_field(row, "n", count=True))
-
-
-def _read_feature_rows(path, instances) -> tuple:
-    """(feature matrix, list of candidate counts n) of instances, row i and
-    count i from instances[i]'s feature row."""
-    import numpy as np
-
-    from .features import FEATURE_NAMES
-    by_id = rows.parse_table(path, "feature", "claim id", _features_from_row)
-    missing = [i.claim_id for i in instances if i.claim_id not in by_id]
-    if missing:
-        raise ValueError(f"{path} has no feature rows for claim ids {missing[:5]}...")
-    found = [by_id[i.claim_id] for i in instances]
-    return (np.array([values for values, _ in found],
-                     dtype=np.float64).reshape(-1, len(FEATURE_NAMES)),
-            [n for _, n in found])
 
 
 # -- subcommands -------------------------------------------------------------
@@ -285,14 +249,31 @@ def cmd_features(args) -> int:
 
     by_claim = rows.parse_table(args.candidates, "candidates", "claim id", parse)
     instances = [inst for inst, _ in by_claim.values()]
-    pairs, X, n = score_claims(_make_scorer(args), corpus, instances,
-                               [refs for _, refs in by_claim.values()])
-    rows.write_rows(args.out, (_feature_row(inst.claim_id, values, count) for inst, values, count
-                               in zip(instances, X.tolist(), n.tolist())))
-    if args.scored_out:
-        rows.write_rows(args.scored_out, triple_rows([i.claim_id for i in instances], pairs))
-    print(f"wrote {len(instances)} feature rows -> {args.out}")
+    pairs, _ = score_claims(_make_scorer(args), corpus, instances,
+                            [refs for _, refs in by_claim.values()])
+    rows.write_rows(args.out, triple_rows([i.claim_id for i in instances], pairs))
+    print(f"wrote {len(pairs.refs)} scored rows of {len(instances)} claims -> {args.out}")
     return 0
+
+
+def _read_scored_rows(path, instances) -> tuple:
+    """(scored pairs, feature matrix) of instances from a scored-row file,
+    each pair's claim index pointing into instances; rows of other claims are
+    left out, and a claim without rows gets the all-zero feature row.  Pairs
+    are sorted by (claim index, page, line), the order e2e scores them in, so
+    the summed features keep e2e's bits whatever the file's row order."""
+    import numpy as np
+
+    from .entailment import ScoredPairs, triple_from_row
+    from .features import feature_matrix
+    index_of = {inst.claim_id: c for c, inst in enumerate(instances)}
+    table = rows.parse_table(path, "scored", "(claim id, page id, line)", triple_from_row)
+    kept = sorted((index_of[claim_id], SentenceRef(page, line), triple)
+                  for (claim_id, page, line), triple in table.items() if claim_id in index_of)
+    pairs = ScoredPairs(np.array([c for c, _, _ in kept], dtype=np.int64),
+                        [ref for _, ref, _ in kept],
+                        np.array([t for _, _, t in kept], dtype=np.float64).reshape(-1, 3))
+    return pairs, feature_matrix(pairs.claims, pairs.triples, len(instances))[0]
 
 
 def cmd_train(args) -> int:
@@ -300,61 +281,18 @@ def cmd_train(args) -> int:
     from .nli_data import load_claims
     config, counts = _forest_config(args)
     instances = load_claims(args.claims)
-    X, _ = _read_feature_rows(args.features, instances)
+    _, X = _read_scored_rows(args.scored, instances)
     model, n_samples = train_model(instances, X, config, counts)
     forest.save(model, args.out)
     print(f"{trained_summary(model, n_samples)} -> {args.out}")
     return 0
 
 
-def _read_scored_rows(path, instances):
-    """The scored pairs of a scored-row file, in file order, each claim index
-    pointing into instances; rows of other claims are left out."""
-    import numpy as np
-
-    from .entailment import ScoredPairs, triple_from_row
-    index_of = {inst.claim_id: c for c, inst in enumerate(instances)}
-    table = rows.parse_table(path, "scored", "(claim id, page id, line)", triple_from_row)
-    kept = [(index_of[claim_id], SentenceRef(page, line), triple)
-            for (claim_id, page, line), triple in table.items() if claim_id in index_of]
-    return ScoredPairs(np.array([c for c, _, _ in kept], dtype=np.int64),
-                       [ref for _, ref, _ in kept],
-                       np.array([t for _, _, t in kept], dtype=np.float64).reshape(-1, 3))
-
-
-def _check_feature_rows(args, instances, X, n, pairs) -> None:
-    """Refuse a claim whose feature row in args.features is not what its rows
-    in args.scored give: the same n, f1..f3 (counts) and f7..f9 (maxima)
-    equal, and f4..f6 (sums) and f10..f12 (their ratios) within SUMS_RTOL
-    relative, as a file in another row order adds each sum in another order."""
-    import numpy as np
-
-    from .features import FEATURE_NAMES, feature_matrix
-    given, counts = feature_matrix(pairs.claims, pairs.triples, len(instances))
-    for inst, count, expected in zip(instances, counts.tolist(), n):
-        if count != expected:
-            raise ValueError(f"{args.scored} has {count} scored rows for claim "
-                             f"{inst.claim_id!r}, but its feature row in {args.features} "
-                             f"has n {expected}")
-    agree = given == X
-    agree[:, SUMMED_FEATURES] = np.isclose(given[:, SUMMED_FEATURES], X[:, SUMMED_FEATURES],
-                                           rtol=SUMS_RTOL, atol=0.0)
-    bad = np.flatnonzero(~agree.all(axis=1))
-    if bad.size:
-        c = int(bad[0])
-        f = int(np.argmin(agree[c]))
-        raise ValueError(f"the feature row of claim {instances[c].claim_id!r} in {args.features} "
-                         f"has {FEATURE_NAMES[f]} {float(X[c, f])!r}, but its scored rows in "
-                         f"{args.scored} give {float(given[c, f])!r}")
-
-
 def cmd_predict(args) -> int:
     from . import forest
     from .nli_data import load_claims
     instances = load_claims(args.claims)
-    pairs = _read_scored_rows(args.scored, instances)
-    X, n = _read_feature_rows(args.features, instances)
-    _check_feature_rows(args, instances, X, n, pairs)
+    pairs, X = _read_scored_rows(args.scored, instances)
     write_predictions(args.out, instances, X, pairs, forest.load(args.model))
     return 0
 
@@ -384,8 +322,8 @@ def cmd_e2e(args) -> int:
     instances = load_claims(args.claims)
     index = _load_index(args, corpus)
     cands = retrieve_candidates(corpus, index, instances, extractor=_make_extractor(args))
-    pairs, X, _ = score_claims(_make_scorer(args), corpus, instances,
-                               [cands[inst.claim_id] for inst in instances])
+    pairs, X = score_claims(_make_scorer(args), corpus, instances,
+                            [cands[inst.claim_id] for inst in instances])
     if args.model:
         model = forest.load(args.model)
     else:
@@ -455,25 +393,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_nli)
 
-    p = sub.add_parser("features", help="score candidates and compute feature vectors")
+    p = sub.add_parser("features", help="score candidates into per-candidate probability rows")
     p.add_argument("--corpus", required=True)
     p.add_argument("--claims", required=True)
     p.add_argument("--candidates", required=True, help="retrieve output")
     p.add_argument("--out", required=True)
-    p.add_argument("--scored-out", help="also dump per-candidate probability rows")
     _add_scorer_flags(p)
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("train", help="train the forest on feature rows")
+    p = sub.add_parser("train", help="train the forest on the features of scored rows")
     p.add_argument("--claims", required=True)
-    p.add_argument("--features", required=True)
+    p.add_argument("--scored", required=True, help="per-candidate probability rows")
     p.add_argument("--out", required=True)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="label claims and assemble evidence")
     p.add_argument("--claims", required=True)
-    p.add_argument("--features", required=True)
     p.add_argument("--scored", required=True, help="per-candidate probability rows")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)

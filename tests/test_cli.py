@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -74,12 +75,11 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def staged(workdir, tmp_path_factory):
-    """Feature and scored rows of the fixture claims, in their own directory."""
+    """Scored rows of the fixture claims, in their own directory."""
     d = tmp_path_factory.mktemp("staged")
     assert cli.main(["-q", "features", "--corpus", str(workdir / "corpus.json.gz"),
                      "--claims", str(CLAIMS), "--candidates", str(workdir / "candidates.jsonl"),
-                     "--out", str(d / "features.jsonl"),
-                     "--scored-out", str(d / "scored.jsonl")]) == 0
+                     "--out", str(d / "scored.jsonl")]) == 0
     return d
 
 
@@ -166,8 +166,8 @@ class TestStages:
     def test_train_logs_nodes_and_depth(self, staged, tmp_path, caplog):
         caplog.set_level(logging.INFO)
         model = tmp_path / "model.json"
-        assert cli.main(["train", "--claims", str(CLAIMS), "--features",
-                         str(staged / "features.jsonl"), "--out", str(model)]) == 0
+        assert cli.main(["train", "--claims", str(CLAIMS), "--scored",
+                         str(staged / "scored.jsonl"), "--out", str(model)]) == 0
         counts = [model_nodes_and_depth(t) for t in json.loads(model.read_text())["trees"]]
         assert (sum(n for n, _ in counts), max(d for _, d in counts)) == (348, 3)
         line = "trained 50 trees (348 nodes, depth 3) on 30 claims"
@@ -192,21 +192,21 @@ class TestStages:
         d = workdir
         code, _, _ = run(["features", "--corpus", d / "corpus.json.gz",
                           "--claims", CLAIMS, "--candidates", d / "candidates.jsonl",
-                          "--out", d / "features.jsonl",
-                          "--scored-out", d / "scored.jsonl"], capsys)
+                          "--out", d / "scored.jsonl"], capsys)
         assert code == 0
-        feature_rows = read_rows(d / "features.jsonl")
-        assert len(feature_rows) == 30
-        assert all(f"f{i}" in feature_rows[0] for i in range(1, 13))
+        scored_rows = read_rows(d / "scored.jsonl")
+        assert len(scored_rows) == sum(len(row["candidates"])
+                                       for row in read_rows(d / "candidates.jsonl"))
+        assert all(set(row) == {"claim_id", "page_id", "line_number", *TRIPLE_FIELDS}
+                   for row in scored_rows)
 
         code, stdout, _ = run(["train", "--claims", CLAIMS,
-                               "--features", d / "features.jsonl",
+                               "--scored", d / "scored.jsonl",
                                "--trees", "30", "--seed", "7",
                                "--out", d / "model.json"], capsys)
         assert code == 0 and "trained 30 trees" in stdout
 
         code, _, _ = run(["predict", "--claims", CLAIMS,
-                          "--features", d / "features.jsonl",
                           "--scored", d / "scored.jsonl",
                           "--model", d / "model.json",
                           "--out", d / "pred.jsonl"], capsys)
@@ -239,7 +239,7 @@ class TestErrors:
     def test_predict_without_model_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["-q", "predict", "--claims", str(CLAIMS),
-                      "--features", "x", "--scored", "y", "--out", "z"])
+                      "--scored", "y", "--out", "z"])
         assert exc.value.code == 2
 
     def test_unknown_subcommand(self):
@@ -315,29 +315,19 @@ class TestBadInputs:
         (["Korvand_Archipelago", 0], "repeated candidate {!r}"),
     ], ids=["unknown_page", "unknown_line", "empty_line", "repeated"])
     def test_candidate_not_a_corpus_sentence(self, tmp_path, capsys, ref, message):
-        cands, out, scored = tmp_path / "cands.jsonl", tmp_path / "f.jsonl", tmp_path / "s.jsonl"
+        cands, out = tmp_path / "cands.jsonl", tmp_path / "s.jsonl"
         cands.write_text(json.dumps({"id": 101, "candidates": [["Korvand_Archipelago", 0], ref]})
                          + "\n")
         code, _, err = run(["features", "--corpus", DUMP, "--claims", CLAIMS,
-                            "--candidates", cands, "--out", out, "--scored-out", scored], capsys)
+                            "--candidates", cands, "--out", out], capsys)
         assert f"bad candidates row in {cands} on line 1: {message.format(ref)}" \
             in one_error(code, err)
-        assert not out.exists() and not scored.exists()
-
-    def test_malformed_feature_row(self, tmp_path, capsys):
-        feats = tmp_path / "features.jsonl"
-        feats.write_text('{"claim_id": 101, "n": 1}\n')
-        code, _, err = run(["train", "--claims", CLAIMS, "--features", feats,
-                            "--out", tmp_path / "model.json"], capsys)
-        assert f"feature row in {feats} on line 1: missing field 'f1'" in one_error(code, err)
+        assert not out.exists()
 
     def test_malformed_scored_row(self, tmp_path, capsys):
-        feats, scored = tmp_path / "features.jsonl", tmp_path / "scored.jsonl"
-        row = {"claim_id": 101, "n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}}
-        feats.write_text(json.dumps(row) + "\n")
+        scored = tmp_path / "scored.jsonl"
         scored.write_text('{"claim_id": 101}\n')
-        code, _, err = run(["predict", "--claims", CLAIMS, "--features", feats,
-                            "--scored", scored, "--model", tmp_path / "model.json",
+        code, _, err = run(["predict", "--claims", CLAIMS, "--scored", scored, "--model", tmp_path / "model.json",
                             "--out", tmp_path / "pred.jsonl"], capsys)
         assert f"scored row in {scored} on line 1: missing field 'page_id'" in one_error(code, err)
 
@@ -430,7 +420,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("field", ["trees", "max_depth"])
     def test_model_disagreeing_with_its_config(self, staged, tmp_path, capsys, field):
         model, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
-        assert run(["train", "--claims", CLAIMS, "--features", staged / "features.jsonl",
+        assert run(["train", "--claims", CLAIMS, "--scored", staged / "scored.jsonl",
                     "--trees", "5", "--out", model], capsys)[0] == 0
         payload = json.loads(model.read_text())
         if field == "trees":
@@ -440,61 +430,43 @@ class TestBadInputs:
             payload["config"]["max_depth"] = 1
             message = "model has a tree of depth 3, its config max_depth 1"
         model.write_text(json.dumps(payload))
-        code, _, err = run(["predict", "--claims", CLAIMS, "--features", staged / "features.jsonl",
+        code, _, err = run(["predict", "--claims", CLAIMS,
                             "--scored", staged / "scored.jsonl", "--model", model,
                             "--out", pred], capsys)
         assert message in one_error(code, err)
         assert not pred.exists()
 
-    @pytest.mark.parametrize("kept", [0, 1])
-    def test_scored_rows_disagreeing_with_feature_row_n(self, staged, tmp_path, capsys, kept):
-        feats, scored = staged / "features.jsonl", tmp_path / "scored.jsonl"
-        model, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
-        assert run(["train", "--claims", CLAIMS, "--features", feats,
-                    "--trees", "5", "--out", model], capsys)[0] == 0
-        n = next(row["n"] for row in read_rows(feats) if row["claim_id"] == 101)
-        rows = read_rows(staged / "scored.jsonl")
-        of_101 = [row for row in rows if row["claim_id"] == 101]
-        assert n == len(of_101) > 1
-        rows = [row for row in rows if row["claim_id"] != 101] + of_101[:kept]
-        scored.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        code, _, err = run(["predict", "--claims", CLAIMS, "--features", feats,
-                            "--scored", scored, "--model", model, "--out", pred], capsys)
-        assert one_error(code, err) == (f"error: {scored} has {kept} scored rows for claim 101, "
-                                        f"but its feature row in {feats} has n {n}\n")
-        assert not pred.exists()
-
-    def test_scored_rows_disagreeing_with_feature_values(self, staged, tmp_path, capsys):
-        # claim 101's rows turned to (0, 1, 0), as many as before: predicting from
-        # its feature row with these rows as evidence would flip its verdict
-        feats, scored = staged / "features.jsonl", tmp_path / "scored.jsonl"
-        model, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
-        assert run(["train", "--claims", CLAIMS, "--features", feats,
-                    "--trees", "5", "--out", model], capsys)[0] == 0
-        refuting = {"support": 0.0, "refute": 1.0, "uninformative": 0.0}
-        scored.write_text("".join(json.dumps({**row, **refuting} if row["claim_id"] == 101
-                                             else row) + "\n"
-                                  for row in read_rows(staged / "scored.jsonl")))
-        code, _, err = run(["predict", "--claims", CLAIMS, "--features", feats,
-                            "--scored", scored, "--model", model, "--out", pred], capsys)
-        assert one_error(code, err).startswith(f"error: the feature row of claim 101 in {feats} "
-                                               "has f1 ")
-        assert f", but its scored rows in {scored} give 0.0\n" in err
-        assert not pred.exists()
-
     def test_scored_rows_in_another_order_predict_alike(self, staged, tmp_path, capsys):
-        # reversed, the rows add up some sums f4..f6 to other last bits
-        feats, scored = staged / "features.jsonl", tmp_path / "scored.jsonl"
-        model = tmp_path / "model.json"
-        assert run(["train", "--claims", CLAIMS, "--features", feats,
-                    "--trees", "5", "--out", model], capsys)[0] == 0
+        # reversed, the rows would add up some sums f4..f6 to other last bits
+        scored = tmp_path / "scored.jsonl"
         scored.write_bytes(b"".join(reversed(
             (staged / "scored.jsonl").read_bytes().splitlines(keepends=True))))
-        for rows, pred in ((staged / "scored.jsonl", tmp_path / "p1.jsonl"),
-                           (scored, tmp_path / "p2.jsonl")):
-            assert run(["predict", "--claims", CLAIMS, "--features", feats, "--scored", rows,
+        outputs = []
+        for rows in (staged / "scored.jsonl", scored):
+            model, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
+            assert run(["train", "--claims", CLAIMS, "--scored", rows,
+                        "--trees", "5", "--out", model], capsys)[0] == 0
+            assert run(["predict", "--claims", CLAIMS, "--scored", rows,
                         "--model", model, "--out", pred], capsys)[0] == 0
-        assert (tmp_path / "p1.jsonl").read_bytes() == (tmp_path / "p2.jsonl").read_bytes()
+            outputs.append((model.read_bytes(), pred.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_rows_of_claims_not_in_claims_file_left_out(self, staged, tmp_path, capsys):
+        # training on some claims of a scored file, as a held-out split does
+        claims, subset = tmp_path / "claims.jsonl", tmp_path / "scored.jsonl"
+        lines = CLAIMS.read_text().splitlines(keepends=True)
+        claims.write_text("".join(lines[::2]))
+        kept = {json.loads(line)["id"] for line in lines[::2]}
+        subset.write_text("".join(json.dumps(row) + "\n"
+                                  for row in read_rows(staged / "scored.jsonl")
+                                  if row["claim_id"] in kept))
+        models = []
+        for rows in (staged / "scored.jsonl", subset):
+            model = tmp_path / f"model{len(models)}.json"
+            assert run(["train", "--claims", claims, "--scored", rows,
+                        "--trees", "5", "--out", model], capsys)[0] == 0
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
 
     @pytest.mark.parametrize("case, message", [
         ("no_header", "cannot read index {}: missing field 'header is not a file in the archive'"),
@@ -617,23 +589,12 @@ class TestBadInputs:
             err = one_error(code, err)
             assert f"{path} on line {at}: {message}" in err
 
-    def test_list_claim_id_in_feature_row(self, tmp_path, capsys):
-        feats = tmp_path / "features.jsonl"
-        row = {"claim_id": [101], "n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}}
-        feats.write_text(json.dumps(row) + "\n")
-        code, _, err = run(["train", "--claims", CLAIMS, "--features", feats,
-                            "--out", tmp_path / "model.json"], capsys)
-        assert f"feature row in {feats} on line 1: claim_id [101] is not" in one_error(code, err)
-
     def test_list_claim_id_in_scored_row(self, tmp_path, capsys):
-        feats, scored = tmp_path / "features.jsonl", tmp_path / "scored.jsonl"
-        row = {"claim_id": 101, "n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}}
-        feats.write_text(json.dumps(row) + "\n")
+        scored = tmp_path / "scored.jsonl"
         scored.write_text(json.dumps({"claim_id": [101], "page_id": "P", "line_number": 0,
                                       "support": 0.5, "refute": 0.25,
                                       "uninformative": 0.25}) + "\n")
-        code, _, err = run(["predict", "--claims", CLAIMS, "--features", feats,
-                            "--scored", scored, "--model", tmp_path / "model.json",
+        code, _, err = run(["predict", "--claims", CLAIMS, "--scored", scored, "--model", tmp_path / "model.json",
                             "--out", tmp_path / "pred.jsonl"], capsys)
         assert f"scored row in {scored} on line 1: claim_id [101] is not" in one_error(code, err)
 
@@ -665,20 +626,6 @@ class TestBadInputs:
         assert f"bad record in {dump} on line 2: 'utf-8' codec can't decode byte 0xff" \
             in one_error(code, err)
 
-    @pytest.mark.parametrize("row, message", [
-        ({"claim_id": 112}, "{} has no feature rows for claim ids [101]"),
-        ({"claim_id": 101, "f3": float("nan")}, "feature row in {} on line 1: feature values"),
-    ], ids=["missing_claim", "nan_feature"])
-    def test_predict_bad_feature_rows(self, one_claim, tmp_path, capsys, row, message):
-        feats = tmp_path / "features.jsonl"
-        feats.write_text(json.dumps({"n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}, **row})
-                         + "\n")
-        code, _, err = run(["predict", "--claims", one_claim / "claims.jsonl",
-                            "--features", feats, "--scored", one_claim / "scored.jsonl",
-                            "--model", one_claim / "model.json",
-                            "--out", tmp_path / "pred.jsonl"], capsys)
-        assert message.format(feats) in one_error(code, err)
-
     def test_list_id_in_prediction_row(self, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
         pred.write_text('{"id": [101], "predicted_label": "SUPPORTS", '
@@ -694,13 +641,12 @@ class TestBadInputs:
             in one_error(code, err)
 
     def test_non_json_line_names_its_line(self, tmp_path, capsys):
-        feats = tmp_path / "features.jsonl"
-        rows = [json.dumps({"claim_id": cid, "n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}})
-                for cid in (101, 102, 103)]
-        feats.write_text("\n".join([*rows, "not json"]) + "\n")
-        code, _, err = run(["train", "--claims", CLAIMS, "--features", feats,
+        scored = tmp_path / "scored.jsonl"
+        rows = [json.dumps({**_SCORED, "claim_id": cid}) for cid in (101, 102, 103)]
+        scored.write_text("\n".join([*rows, "not json"]) + "\n")
+        code, _, err = run(["train", "--claims", CLAIMS, "--scored", scored,
                             "--out", tmp_path / "model.json"], capsys)
-        assert f"bad feature row in {feats} on line 4: Expecting value" in one_error(code, err)
+        assert f"bad scored row in {scored} on line 4: Expecting value" in one_error(code, err)
 
     @pytest.mark.parametrize("row, message", [
         ({"id": 103, **NEI, "evidence": 5}, "evidence 5 is not a list of lists"),
@@ -761,36 +707,23 @@ class TestBadInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, field, value, message", [
-        ("feature", "f1", "0.5", "f1 '0.5' is not a number"),
-        ("feature", "f7", True, "f7 True is not a number"),
-        ("feature", "n", 2.9, "n 2.9 is not a count"),
-        ("feature", "n", -4, "n -4 is not a count"),
-        ("feature", "n", True, "n True is not a count"),
         ("probability", "support", "0.5", "support '0.5' is not a number"),
         ("probability", "uninformative", False, "uninformative False is not a number"),
         ("scored", "support", True, "support True is not a number"),
         ("scored", "refute", None, "refute None is not a number"),
-        ("feature", "claim_id", 101.0, "claim_id 101.0 is not a string or an integer"),
-        ("feature", "claim_id", True, "claim_id True is not a string or an integer"),
         ("scored", "claim_id", 101.0, "claim_id 101.0 is not a string or an integer"),
         ("scored", "claim_id", True, "claim_id True is not a string or an integer"),
-    ], ids=["feature_string", "feature_bool", "float_n", "negative_n", "bool_n",
-            "probability_string", "probability_bool", "scored_bool", "scored_null",
-            "feature_float_id", "feature_bool_id", "scored_float_id", "scored_bool_id"])
+    ], ids=["probability_string", "probability_bool", "scored_bool", "scored_null",
+            "scored_float_id", "scored_bool_id"])
     def test_non_numeric_field(self, one_claim, tmp_path, capsys, kind, field, value, message):
         d = one_claim
         rows, out = tmp_path / "rows.jsonl", tmp_path / "out.jsonl"
-        row = {"claim_id": 101, "n": 1, **{f"f{i}": 0.0 for i in range(1, 13)}} \
-            if kind == "feature" else _SCORED
-        rows.write_text(json.dumps({**row, field: value}) + "\n")
+        rows.write_text(json.dumps({**_SCORED, field: value}) + "\n")
         argv = {
-            "feature": ["train", "--claims", d / "claims.jsonl", "--features", rows,
-                        "--trees", "2", "--out", out],
             "probability": ["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
                             "--candidates", d / "cands1.jsonl", "--prob-file", rows,
                             "--out", out],
-            "scored": ["predict", "--claims", d / "claims.jsonl",
-                       "--features", d / "features.jsonl", "--scored", rows,
+            "scored": ["predict", "--claims", d / "claims.jsonl", "--scored", rows,
                        "--model", d / "model.json", "--out", out],
         }[kind]
         code, _, err = run(argv, capsys)
@@ -818,9 +751,6 @@ class TestBadInputs:
         ("entity_annotations",
          [{"id": 101, "entities": ["Korvand Archipelago"]}, {"id": 101, "entities": []}],
          "bad entity annotation row in {} on line 2: repeated claim id 101"),
-        ("features", [{"claim_id": 101, "n": 1, **{f"f{i}": v for i in range(1, 13)}}
-                      for v in (0.0, 1.0)],
-         "bad feature row in {} on line 2: repeated claim id 101"),
         ("scored",
          [{"claim_id": 101, "page_id": "Korvand_Archipelago", "line_number": 0,
            "support": s, "refute": 1.0 - s, "uninformative": 0.0} for s in (1.0, 1.0)],
@@ -831,8 +761,7 @@ class TestBadInputs:
         ("predictions", [{"id": 101, "predicted_label": label, "predicted_evidence": []}
                          for label in ("SUPPORTS", "REFUTES")],
          "bad prediction row in {} on line 2: repeated claim id 101"),
-    ], ids=["probabilities", "entity_annotations", "features", "scored", "candidates",
-            "predictions"])
+    ], ids=["probabilities", "entity_annotations", "scored", "candidates", "predictions"])
     def test_repeated_key_in_side_or_staged_file(self, one_claim, tmp_path, capsys,
                                                   kind, rows, message):
         side, out = tmp_path / "side.jsonl", tmp_path / "out.jsonl"
@@ -871,7 +800,7 @@ class TestBadInputs:
         monkeypatch.setattr(nli_data, "load_claims", lambda path: pytest.fail("read the claims"))
         out = tmp_path / "out.json"
         inputs = (["--corpus", DUMP, "--claims", CLAIMS] if command == "e2e"
-                  else ["--claims", CLAIMS, "--features", staged / "features.jsonl"])
+                  else ["--claims", CLAIMS, "--scored", staged / "scored.jsonl"])
         code, _, err = run([command, *inputs, *flags, "--out", out], capsys)
         assert one_error(code, err) == f"error: {message}\n"
         assert not out.exists()
@@ -884,10 +813,7 @@ def row_file_argv(d, kind, side, out) -> list:
     return {
         "probabilities": [*e2e, "--prob-file", side],
         "entity_annotations": [*e2e, "--ner-file", side],
-        "features": ["train", "--claims", d / "claims.jsonl", "--features", side,
-                     "--trees", "2", "--out", out],
-        "scored": ["predict", "--claims", d / "claims.jsonl",
-                   "--features", d / "features.jsonl", "--scored", side,
+        "scored": ["predict", "--claims", d / "claims.jsonl", "--scored", side,
                    "--model", d / "model.json", "--out", out],
         "candidates": ["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
                        "--candidates", side, "--out", out],
@@ -928,8 +854,8 @@ def test_one_line_dump_ingests_or_fails_with_one_error(value):
 
 @pytest.fixture(scope="module")
 def one_claim(tmp_path_factory):
-    """A one-claim claims file, plus valid candidate, feature, scored, prediction
-    and model files (the model trained on that SUPPORTS claim and a REFUTES one)."""
+    """A one-claim claims file, plus valid candidate, scored, prediction and
+    model files (the model trained on that SUPPORTS claim and a REFUTES one)."""
     d = tmp_path_factory.mktemp("rows")
     lines = CLAIMS.read_text().splitlines()
     (d / "claims.jsonl").write_text(lines[0] + "\n")
@@ -941,10 +867,9 @@ def one_claim(tmp_path_factory):
     (d / "pred.jsonl").write_text('{"id": 101, "predicted_label": "SUPPORTS", '
                                   '"predicted_evidence": [["Korvand_Archipelago", 0]]}\n')
     for argv in (["features", "--corpus", DUMP, "--claims", d / "claims2.jsonl",
-                  "--candidates", d / "cands.jsonl", "--out", d / "features.jsonl",
-                  "--scored-out", d / "scored.jsonl"],
+                  "--candidates", d / "cands.jsonl", "--out", d / "scored.jsonl"],
                  ["train", "--claims", d / "claims2.jsonl", "--trees", "2",
-                  "--features", d / "features.jsonl", "--out", d / "model.json"]):
+                  "--scored", d / "scored.jsonl", "--out", d / "model.json"]):
         assert cli.main(["-q", *map(str, argv)]) == 0
     return d
 
@@ -955,9 +880,6 @@ PAIRS = st.lists(st.lists(JSON_VALUES | st.text(max_size=20) | st.integers(-2, 9
 ROW_FILES = {
     "candidates": st.fixed_dictionaries({}, optional={
         "id": st.just(101) | JSON_VALUES, "candidates": PAIRS | JSON_VALUES}),
-    "features": st.fixed_dictionaries({}, optional={
-        "claim_id": st.just(101) | JSON_VALUES, "n": st.integers() | JSON_VALUES,
-        **{f"f{i}": st.floats() | JSON_VALUES for i in range(1, 13)}}),
     "scored": st.fixed_dictionaries({}, optional={
         "claim_id": st.just(101) | JSON_VALUES, "page_id": st.text(max_size=20) | JSON_VALUES,
         "line_number": st.integers() | JSON_VALUES,
@@ -1013,13 +935,10 @@ def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
         return {
             "candidates": [["features", "--corpus", DUMP, "--claims", claims,
                             "--candidates", rows, "--out", out]],
-            "features": [["train", "--claims", claims, "--features", rows, "--trees", "2",
-                          "--out", out],
-                         ["predict", "--claims", claims, "--features", rows,
-                          "--scored", d / "scored.jsonl", "--model", d / "model.json",
-                          "--out", out]],
-            "scored": [["predict", "--claims", claims, "--features", d / "features.jsonl",
-                        "--scored", rows, "--model", d / "model.json", "--out", out]],
+            "scored": [["train", "--claims", claims, "--scored", rows, "--trees", "2",
+                        "--out", out],
+                       ["predict", "--claims", claims, "--scored", rows,
+                        "--model", d / "model.json", "--out", out]],
             "predictions": [["score", "--gold", claims, "--pred", rows, "--json-out", out]],
             "claims": [["retrieve", "--corpus", DUMP, "--claims", rows, "--bins", "65536",
                         "--out", out],
@@ -1027,11 +946,10 @@ def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
                         "--manifest", out2],
                        ["features", "--corpus", DUMP, "--claims", rows,
                         "--candidates", d / "cands1.jsonl", "--out", out],
-                       ["train", "--claims", rows, "--features", d / "features.jsonl",
+                       ["train", "--claims", rows, "--scored", d / "scored.jsonl",
                         "--trees", "2", "--out", out],
-                       ["predict", "--claims", rows, "--features", d / "features.jsonl",
-                        "--scored", d / "scored.jsonl", "--model", d / "model.json",
-                        "--out", out],
+                       ["predict", "--claims", rows, "--scored", d / "scored.jsonl",
+                        "--model", d / "model.json", "--out", out],
                        ["score", "--gold", rows, "--pred", d / "pred.jsonl", "--json-out", out],
                        ["e2e", "--corpus", DUMP, "--claims", rows, "--bins", "65536",
                         "--model", d / "model.json", "--out", out, "--report", out2]],
@@ -1074,38 +992,34 @@ def test_one_line_row_file_parses_or_fails_with_one_error(one_claim, kind):
 
 
 class TestTripleRows:
-    """Scored rows (features --scored-out, predict --scored) and probability rows
-    (--prob-file) are one format, read by one parser."""
+    """Scored rows (features --out, train and predict --scored) and probability
+    rows (--prob-file) are one format, read by one parser."""
 
     def test_scored_out_reads_back_as_prob_file(self, workdir, tmp_path, capsys):
         d, t = workdir, tmp_path
         features = ["features", "--corpus", d / "corpus.json.gz", "--claims", CLAIMS,
                     "--candidates", d / "candidates.jsonl"]
-        assert run([*features, "--out", t / "f1.jsonl", "--scored-out", t / "s1.jsonl"],
+        assert run([*features, "--out", t / "s1.jsonl"], capsys)[0] == 0
+        assert run([*features, "--prob-file", t / "s1.jsonl", "--out", t / "s2.jsonl"],
                    capsys)[0] == 0
-        assert run([*features, "--prob-file", t / "s1.jsonl", "--out", t / "f2.jsonl",
-                    "--scored-out", t / "s2.jsonl"], capsys)[0] == 0
-        assert (t / "f1.jsonl").read_bytes() == (t / "f2.jsonl").read_bytes()
         assert (t / "s1.jsonl").read_bytes() == (t / "s2.jsonl").read_bytes()
 
     @staticmethod
     def read_both(d, tmp_path, capsys, monkeypatch, total):
         """(exit code, stderr, triple or None) of predict --scored, then of features
-        --prob-file, on one row for claim 101 whose components sum to total;
-        predict reads the feature row features wrote, if it wrote one."""
-        side, scored, feats = tmp_path / "row.jsonl", tmp_path / "s.jsonl", tmp_path / "f.jsonl"
+        --prob-file, on one row for claim 101 whose components sum to total."""
+        side, scored = tmp_path / "row.jsonl", tmp_path / "s.jsonl"
         side.write_text(json.dumps({**_SCORED, "support": total - 0.5, "refute": 0.25,
                                     "uninformative": 0.25}) + "\n")
         code, _, err = run(["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
                             "--candidates", d / "cands1.jsonl", "--prob-file", side,
-                            "--out", feats, "--scored-out", scored], capsys)
+                            "--out", scored], capsys)
         row = read_rows(scored)[0] if code == 0 else None
         by_features = (code, err, row and tuple(row[k] for k in TRIPLE_FIELDS))
         seen = {}  # the scored pairs predict assembles its verdicts from
         monkeypatch.setattr(cli, "write_predictions",
                             lambda path, instances, X, pairs, model: seen.update(pairs=pairs))
         code, _, err = run(["predict", "--claims", d / "claims.jsonl",
-                            "--features", feats if row else d / "features.jsonl",
                             "--scored", side, "--model", d / "model.json",
                             "--out", tmp_path / "p.jsonl"], capsys)
         return [(code, err, tuple(seen["pairs"].triples[0].tolist()) if seen else None),
@@ -1124,7 +1038,7 @@ class TestTripleRows:
             assert f"bad {kind} row in {tmp_path / 'row.jsonl'} on line 1: triple" \
                 in one_error(code, err)
             assert "sums to 0.998" in err
-        assert not (tmp_path / "f.jsonl").exists() and not (tmp_path / "s.jsonl").exists()
+        assert not (tmp_path / "s.jsonl").exists()
 
 
 class TestEndToEnd:
@@ -1156,13 +1070,11 @@ class TestEndToEnd:
         d, t = workdir, tmp_path
         for argv in (
             ["features", "--corpus", d / "corpus.json.gz", "--claims", CLAIMS,
-             "--candidates", d / "candidates.jsonl", "--out", t / "features.jsonl",
-             "--scored-out", t / "scored.jsonl"],
-            ["train", "--claims", CLAIMS, "--features", t / "features.jsonl",
+             "--candidates", d / "candidates.jsonl", "--out", t / "scored.jsonl"],
+            ["train", "--claims", CLAIMS, "--scored", t / "scored.jsonl",
              "--out", t / "model.json"],
-            ["predict", "--claims", CLAIMS, "--features", t / "features.jsonl",
-             "--scored", t / "scored.jsonl", "--model", t / "model.json",
-             "--out", t / "staged.jsonl"],
+            ["predict", "--claims", CLAIMS, "--scored", t / "scored.jsonl",
+             "--model", t / "model.json", "--out", t / "staged.jsonl"],
             ["score", "--gold", CLAIMS, "--pred", t / "staged.jsonl",
              "--json-out", t / "staged.json"],
             ["e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
@@ -1196,12 +1108,11 @@ class TestEndToEnd:
         for argv in (
             ["features", "--corpus", d / "corpus.json.gz", "--claims", CLAIMS,
              "--candidates", d / "candidates.jsonl", "--prob-file", prob,
-             "--out", t / "features.jsonl", "--scored-out", t / "scored.jsonl"],
-            ["train", "--claims", CLAIMS, "--features", t / "features.jsonl",
+             "--out", t / "scored.jsonl"],
+            ["train", "--claims", CLAIMS, "--scored", t / "scored.jsonl",
              "--out", t / "model.json"],
-            ["predict", "--claims", CLAIMS, "--features", t / "features.jsonl",
-             "--scored", t / "scored.jsonl", "--model", t / "model.json",
-             "--out", t / "staged.jsonl"],
+            ["predict", "--claims", CLAIMS, "--scored", t / "scored.jsonl",
+             "--model", t / "model.json", "--out", t / "staged.jsonl"],
             ["e2e", "--corpus", d / "corpus.json.gz", "--index", d / "index.npz",
              "--claims", CLAIMS, "--prob-file", prob, "--out", t / "e2e.jsonl"],
         ):
@@ -1228,6 +1139,36 @@ class TestEndToEnd:
                    capsys)[0] == 0
         assert json.loads((t / "trace.json").read_text()) == read_rows(t / "cli.jsonl")
         assert (t / "index.npz").read_bytes() == (t / "cli.npz").read_bytes()
+
+    @staticmethod
+    def quick_start_blocks(tmp) -> list:
+        """The argv lists of each sh block in README.md's Quick start, every
+        path under /tmp moved under tmp."""
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+        blocks = []
+        for block in section.split("```sh\n")[1:]:
+            commands = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+            argvs = [[str(tmp / a.removeprefix("/tmp/")) if a.startswith("/tmp/") else a
+                      for a in shlex.split(line)] for line in commands]
+            assert all(argv[0] == "claimcheck" for argv in argvs), argvs
+            blocks.append([argv[1:] for argv in argvs])
+        return blocks
+
+    def test_readme_quick_start_runs_as_written(self, tmp_path, capsys, monkeypatch):
+        # every block runs; the staged chain, then e2e, write /tmp/pred.jsonl
+        monkeypatch.chdir(ROOT)  # the blocks name data/ relative to the checkout
+        staged, e2e, *rest = self.quick_start_blocks(tmp_path)
+        assert [argv[0] for argv in staged] == ["ingest", "index", "retrieve", "features",
+                                                "train", "predict", "score"]
+        assert [argv[0] for argv in e2e] == ["e2e"]
+        outputs = []
+        for block in (staged, e2e, *rest):
+            for argv in block:
+                assert cli.main(argv) == 0, argv
+            outputs.append((tmp_path / "pred.jsonl").read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "pred.jsonl"

@@ -28,7 +28,7 @@ def valid(tmp_path_factory):
     d = tmp_path_factory.mktemp("valid")
     f = {"dump": DUMP, "claims": CLAIMS, "corpus": d / "corpus.json.gz",
          "index": d / "index.npz", "candidates": d / "candidates.jsonl",
-         "features": d / "features.jsonl", "scored": d / "scored.jsonl",
+         "scored": d / "scored.jsonl",
          "model": d / "model.json", "predictions": d / "pred.jsonl",
          "ner": d / "ner.jsonl", "probability": d / "probs.jsonl"}
     for argv in (["ingest", "--dump", DUMP, "--out", f["corpus"]],
@@ -36,12 +36,11 @@ def valid(tmp_path_factory):
                  ["retrieve", "--corpus", f["corpus"], "--claims", CLAIMS,
                   "--index", f["index"], "--out", f["candidates"]],
                  ["features", "--corpus", f["corpus"], "--claims", CLAIMS,
-                  "--candidates", f["candidates"], "--out", f["features"],
-                  "--scored-out", f["scored"]],
-                 ["train", "--claims", CLAIMS, "--features", f["features"], "--trees", "5",
+                  "--candidates", f["candidates"], "--out", f["scored"]],
+                 ["train", "--claims", CLAIMS, "--scored", f["scored"], "--trees", "5",
                   "--out", f["model"]],
-                 ["predict", "--claims", CLAIMS, "--features", f["features"],
-                  "--scored", f["scored"], "--model", f["model"], "--out", f["predictions"]]):
+                 ["predict", "--claims", CLAIMS, "--scored", f["scored"],
+                  "--model", f["model"], "--out", f["predictions"]]):
         assert cli.main(["-q", *map(str, argv)]) == 0
     with open(CLAIMS, encoding="utf-8") as fp:
         claims = [json.loads(line) for line in fp if line.strip()]
@@ -57,19 +56,17 @@ def reader_argv(kind, path, f, out) -> list:
     """The subcommand that reads the kind of file at path, the other inputs valid."""
     e2e = ["e2e", "--corpus", f["corpus"], "--claims", CLAIMS, "--index", f["index"],
            "--trees", "5", "--out", out]
-    predict = ["predict", "--claims", CLAIMS, "--features", f["features"],
-               "--scored", f["scored"], "--model", f["model"], "--out", out]
+    predict = ["predict", "--claims", CLAIMS, "--scored", f["scored"],
+               "--model", f["model"], "--out", out]
     argv = {
         "dump": ["ingest", "--dump", path, "--out", out],
         "corpus": ["index", "--corpus", path, "--bins", "65536", "--out", out],
         "index": [*e2e[:5], "--index", path, *e2e[7:]],
-        "model": [*predict[:7], "--model", path, *predict[9:]],
+        "model": [*predict[:5], "--model", path, *predict[7:]],
         "claims": [*e2e[:3], "--claims", path, *e2e[5:]],
         "candidates": ["features", "--corpus", f["corpus"], "--claims", CLAIMS,
                        "--candidates", path, "--out", out],
-        "features": ["train", "--claims", CLAIMS, "--features", path, "--trees", "5",
-                     "--out", out],
-        "scored": [*predict[:5], "--scored", path, *predict[7:]],
+        "scored": [*predict[:3], "--scored", path, *predict[5:]],
         "probability": [*e2e, "--prob-file", path],
         "ner": [*e2e, "--ner-file", path],
         "predictions": ["score", "--gold", CLAIMS, "--pred", path],
@@ -93,8 +90,8 @@ def drop_line(data: bytes) -> bytes:
     return b"\n".join(lines)
 
 
-KINDS = ["dump", "corpus", "index", "model", "claims", "candidates", "features", "scored",
-         "probability", "ner", "predictions"]
+KINDS = ["dump", "corpus", "index", "model", "claims", "candidates", "scored", "probability",
+         "ner", "predictions"]
 
 
 @pytest.mark.parametrize("mutate", [cut, flip, drop_line])
