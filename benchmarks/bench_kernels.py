@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 import claimcheck
-from claimcheck import cli, forest, kernels, ner, tfidf, verdict
+from claimcheck import cli, forest, ner, tfidf, verdict
 from claimcheck.corpus import Corpus, Document, SentenceRef
 from claimcheck.entailment import BaselineScorer
 from claimcheck.features import FEATURE_NAMES
@@ -70,8 +70,8 @@ def traced_peak(fn) -> int:
 def make_title_workload(rng, n_titles):
     titles = ["".join(rng.choice(TITLE_LETTERS, size=rng.integers(5, 26)))
               for _ in range(n_titles)]
-    mat, lengths = kernels.code_matrix(titles)
-    query = kernels.codes("the grey fleet (film)")
+    mat, lengths = ner.code_matrix(titles)
+    query = ner.codes("the grey fleet (film)")
     return titles, (mat, lengths, query)
 
 
@@ -109,8 +109,9 @@ def make_postings_workload(rng, n_items, n_postings, n_queries):
     q_pos = np.concatenate([np.sort(rng.choice(n_bins, size=n_query, replace=False))
                             for _ in range(n_queries)])
     q_weights = rng.random(q_pos.size)
-    return (q_row, q_pos, q_weights, uniq_offsets, post_items, post_weights,
-            n_queries, n_items)
+    starts = uniq_offsets[q_pos]
+    return (q_row, starts, uniq_offsets[q_pos + 1] - starts, q_weights, post_items,
+            post_weights, n_queries, n_items)
 
 
 def make_runs_workload(rng, n_runs):
@@ -238,14 +239,14 @@ def build_cases(rng, args, workdir):
     verdicts = make_verdict_workload(rng, scoring)
     n_tokens = sum(map(len, tokens))
     return [
-        (f"batch_levenshtein ({args.titles} titles)", kernels.batch_levenshtein, full_scan),
+        (f"batch_levenshtein ({args.titles} titles)", ner.batch_levenshtein, full_scan),
         (f"title_match ({args.titles} titles, {3 * TITLE_QUERIES} mentions)", match_all,
          matching),
         (f"block_accumulate ({args.postings} postings, {BLOCK_QUERIES} queries)",
-         kernels.block_accumulate, postings),
+         tfidf.block_accumulate, postings),
         (f"best_split ({SPLIT_NODES} nodes x {args.samples} samples x {SPLIT_COLUMNS} columns)",
-         kernels.best_splits, split_step),
-        (f"row_sums ({args.items} runs)", kernels.row_sums, runs),
+         forest.best_splits, split_step),
+        (f"row_sums ({args.items} runs)", tfidf.row_sums, runs),
         (f"ngram_bins ({n_tokens} tokens)", hash_batch, (tokens,)),
         (f"hashed_counts_loop ({n_tokens} tokens)", hash_loop, (tokens,)),
         (f"score_claims ({args.claims} claims x {CANDIDATES} candidates)", score_claims,

@@ -8,8 +8,11 @@ forest, select evidence, and score predictions with FEVER-style metrics.
 
 __version__ = "0.1.0"
 
-# Defaults of the command line's flags and of the stage functions alike.  They
-# live here, where importing them loads no numpy, so that the argument parser
-# needs no stage module; ``tfidf`` and ``forest`` re-export them.
+# Names that several modules share: the label set, and the flag defaults that
+# the argument parser and the stage functions both use.  They live here, where
+# importing them loads no numpy, so that neither the parser nor a stage that
+# needs one loads another stage; ``tfidf`` re-exports DEFAULT_BIN_COUNT and
+# ``forest`` the other two.
+LABELS = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 DEFAULT_BIN_COUNT = 2**24  # hash bins of a TF-IDF index
 DEFAULT_CLASS_COUNTS = (3000, 3000, 4000)  # training claims per class, in label order

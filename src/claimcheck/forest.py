@@ -18,14 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_CLASS_COUNTS, kernels
+from . import DEFAULT_CLASS_COUNTS, LABELS
 from .features import FEATURE_NAMES, FeatureVector
 from .rows import reading
 
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
-LABELS = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 FEATURES_PER_SPLIT = math.ceil(math.sqrt(len(FEATURE_NAMES)))  # features drawn at each node
 # block cells (nodes x features x samples) one split search call takes; bounds
 # the transient memory of a training step
@@ -207,7 +206,7 @@ def _grow(X: np.ndarray, y: np.ndarray, config: ForestConfig) -> list:
     A node is a leaf when it is at max_depth, holds one class, or no split
     of it gains; otherwise its samples with value < threshold go left.  Each
     step takes the next node to search from every tree's depth-first walk
-    and scores them all with kernels.best_splits, STEP_CELLS cells a call.
+    and scores them all with best_splits, STEP_CELLS cells a call.
     Each pending node carries the dict it fills with its class distribution,
     which a split replaces by its feature, threshold and two child dicts.
     """
@@ -254,7 +253,7 @@ def _chunks(batch):
 
 
 def _search(X: np.ndarray, y: np.ndarray, chunk) -> list:
-    """Best split of each node of chunk, from one kernels.best_splits call.
+    """Best split of each node of chunk, from one best_splits call.
 
     A node gets None when no split gains, else (feature, threshold, left,
     right), each side as (sample rows, class counts).
@@ -266,7 +265,7 @@ def _search(X: np.ndarray, y: np.ndarray, chunk) -> list:
         padded[r, :len(rows)] = rows
     feats = np.array([feats for _, feats, *_ in chunk])
     labels = y[padded]
-    gains, columns, thresholds = kernels.best_splits(
+    gains, columns, thresholds = best_splits(
         X[padded[:, np.newaxis, :], feats[:, :, np.newaxis]], labels, sizes, n_classes)
 
     features = feats[np.arange(m), columns]  # column -1 (no split) is dropped below
@@ -288,6 +287,70 @@ def _search(X: np.ndarray, y: np.ndarray, chunk) -> list:
             out.append((feature, threshold, (rows[:n_left], left),
                         (rows[n_left:n_left + sum(right)], right)))
     return out
+
+
+def best_splits(blocks, labels, sizes, n_classes):
+    """Best information-gain split of each node of a batch, over its columns.
+
+    Node i holds sizes[i] >= 1 samples: blocks[i, c, :sizes[i]] are the
+    values of its column c and labels[i, :sizes[i]] their classes; later
+    positions pad the batch to one width and are ignored.  Thresholds are
+    midpoints between consecutive distinct sorted values of a column; left
+    branch takes value < threshold.  The midpoint of two adjacent doubles
+    can round down onto the lower one; when that is the column minimum the
+    left branch would be empty, so the upper value is used.  Returns arrays
+    (gains, columns, thresholds), gain in nats; a node with no column of
+    two distinct values gets gain -1.0 and column -1.  Ties keep the first
+    column, then its smallest threshold.
+    """
+    m, k, w = blocks.shape
+    valid = np.arange(w) < sizes[:, np.newaxis]
+    keyed = np.where(valid[:, np.newaxis, :], blocks, np.inf)  # padding sorts last
+    order = np.argsort(keyed, axis=2)
+    sv = np.take_along_axis(keyed, order, axis=2)
+    # padding gets class n_classes, which no count holds
+    ranked = np.take_along_axis(np.where(valid, labels, n_classes)[:, np.newaxis, :],
+                                order, axis=2)
+    counts = [np.cumsum(ranked == c, axis=2, dtype=np.min_scalar_type(w))
+              for c in range(n_classes)]
+    total = np.stack([cum[:, 0, w - 1] for cum in counts], axis=1)
+
+    # boundary j of a column lies between its sorted values j and j + 1; flat
+    # (node, column, j) order makes a node's first maximum its first column,
+    # then that column's smallest threshold
+    bound = np.zeros((m, k, w), dtype=bool)
+    bound[..., :-1] = (sv[..., 1:] != sv[..., :-1]) & valid[:, np.newaxis, 1:]
+    at = np.flatnonzero(bound)
+    node = at // (k * w)
+    cl = np.stack([cum.ravel()[at] for cum in counts], axis=1)  # class counts left of boundary
+    n = sizes[node]
+    nl = at % w + 1
+    nr = n - nl
+    hp = _entropy(total, sizes)
+    gains = np.full((m, k * w), -np.inf)
+    gains.ravel()[at] = hp[node] - (nl * _entropy(cl, nl) + nr * _entropy(total[node] - cl, nr)) / n
+
+    best = np.argmax(gains, axis=1)
+    gain = gains[np.arange(m), best]
+    split = np.flatnonzero(gain > -np.inf)
+    at = best[split]
+    sv = sv.reshape(m, k * w)
+    lo, hi = sv[split, at], sv[split, at + 1]
+    first = sv[split, at - at % w]  # the column minimum
+    thr = (lo + hi) / 2.0
+    columns, thresholds = np.full(m, -1), np.zeros(m)
+    columns[split] = at // w
+    thresholds[split] = np.where(thr <= first, hi, thr)
+    gain[gain == -np.inf] = -1.0
+    return gain, columns, thresholds
+
+
+def _entropy(counts, sizes):
+    """Row-wise entropy in nats of count matrices; zero counts contribute 0."""
+    p = counts / sizes[:, np.newaxis]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(counts > 0, p * np.log(p), 0.0)
+    return -np.sum(terms, axis=1)
 
 
 # -- persistence -------------------------------------------------------------

@@ -8,8 +8,8 @@ predicted evidence contains at least one complete gold evidence set.
 
 from typing import NamedTuple
 
+from . import LABELS
 from .corpus import SentenceRef
-from .forest import LABELS
 from .verdict import NOT_ENOUGH_INFO
 
 AVERAGING = "micro"  # of evidence precision and recall over claims

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .corpus import Corpus, SentenceRef
 from .rows import parse_table, scalar_field
 
@@ -108,6 +107,45 @@ def normalize_title(title: str) -> str:
     return title.replace("_", " ").casefold()
 
 
+def code_matrix(strings) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as a zero-padded (n, W) int32 matrix of code points, plus lengths.
+
+    Every Unicode scalar value is kept as ``ord`` gives it, lone surrogates
+    included.
+    """
+    lengths = np.array([len(s) for s in strings], dtype=np.int64)
+    mat = np.array(strings, dtype=np.str_).view(np.int32).reshape(len(strings), -1)
+    return mat, lengths
+
+
+def codes(text: str) -> np.ndarray:
+    """Unicode scalar values of a string as an int32 array."""
+    return np.array([ord(ch) for ch in text], dtype=np.int32)
+
+
+def batch_levenshtein(mat, lengths, query):
+    """Edit distance from query to each row of a zero-padded code matrix.
+
+    Row i holds a string of lengths[i] code points followed by padding.  The
+    rolling-row DP runs on all rows at once; the sequential dependency of
+    the insertion term is resolved with a running minimum (cur[j] =
+    min(t[j], cur[j-1] + 1) equals j + running_min(t - j)).  A cell only
+    reads cells to its left and above, so padding never feeds column
+    lengths[i], where row i's distance is read.
+    """
+    n, w = mat.shape
+    idx = np.arange(w + 1, dtype=np.int32)
+    prev = np.tile(idx, (n, 1))
+    t = np.empty((n, w + 1), dtype=np.int32)
+    for i, ch in enumerate(query.tolist()):
+        t[:, 0] = i + 1
+        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (mat != ch), out=t[:, 1:])
+        t -= idx
+        prev = np.minimum.accumulate(t, axis=1)
+        prev += idx
+    return prev[np.arange(n), lengths]
+
+
 class TitleMatcher:
     """Nearest-title lookup over a fixed corpus.
 
@@ -138,7 +176,7 @@ class TitleMatcher:
         self._first: dict[str, int] = {}  # normalized title -> first sorted position
         for pos, (title, _) in enumerate(pairs):
             self._first.setdefault(title, pos)
-        self._mat, self._lengths = kernels.code_matrix([t for t, _ in pairs])
+        self._mat, self._lengths = code_matrix([t for t, _ in pairs])
         self.distances = Counter()  # matches returned, by distance
 
     def match(self, entity: EntityMention) -> TitleMatch:
@@ -150,7 +188,7 @@ class TitleMatcher:
         """(sorted position, distance) of the first title at the minimum distance."""
         if title in self._first:
             return self._first[title], 0
-        n, query = len(title), kernels.codes(title)
+        n, query = len(title), codes(title)
         at = int(np.searchsorted(self._lengths, n))  # the nearest lengths sit at at-1, at
         near = self._lengths[[max(at - 1, 0), min(at, len(self.page_ids) - 1)]]
         radius = max(1, int(np.abs(near - n).min()))
@@ -175,7 +213,7 @@ class TitleMatcher:
         if lo == hi:
             return np.empty(0, dtype=np.int32)
         width = int(self._lengths[hi - 1])  # the slice's longest title
-        return kernels.batch_levenshtein(self._mat[lo:hi, :width], self._lengths[lo:hi], query)
+        return batch_levenshtein(self._mat[lo:hi, :width], self._lengths[lo:hi], query)
 
 
 def claim_mentions(claim: str, *, extractor=None, claim_id=None) -> list[EntityMention]:

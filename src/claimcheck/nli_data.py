@@ -14,8 +14,8 @@ same seed is byte-identical and instance order does not matter.
 import random
 from typing import NamedTuple
 
+from . import LABELS
 from .corpus import Corpus, SentenceRef
-from .forest import LABELS
 from .rows import parse_table, scalar_field, write_rows
 
 NLI_LABELS = ("Entailment", "Contradiction", "Neutral")

@@ -129,10 +129,9 @@ def sentence_ref(page, line) -> tuple:
     return page, line
 
 
-def number_field(row, key, count=False):
-    """row[key], which must be a JSON number, not a string or a bool; with count,
-    a non-negative integer."""
+def number_field(row, key):
+    """row[key], which must be a JSON number, not a string or a bool."""
     value = row[key]
-    if type(value) not in ((int,) if count else (int, float)) or (count and value < 0):
-        raise ValueError(f"{key} {value!r} is not a {'count' if count else 'number'}")
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} {value!r} is not a number")
     return value

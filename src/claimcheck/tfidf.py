@@ -14,7 +14,7 @@ Both routes score a block of claims at a time, a block holding about
 BLOCK_CELLS score cells plus scored entries.  Every score keeps the bits
 it gets when its claim is scored alone: each cell adds its terms one at a
 time in ascending-bin order, and each norm is the np.sum of its row
-(``kernels.row_sums``).  ``top_k_documents`` and ``top_k_sentences`` are
+(``row_sums``).  ``top_k_documents`` and ``top_k_sentences`` are
 one-claim calls of the same code.
 """
 
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_BIN_COUNT, kernels
+from . import DEFAULT_BIN_COUNT
 from .corpus import Corpus, Document
 from .rows import file_error, reading
 from .tokenizer import HASH_NAME, MAX_BIN_COUNT, ngram_bins, tokenize
@@ -60,6 +60,29 @@ def _idf(df: np.ndarray, n_items: int) -> np.ndarray:
 
 def _strictly_ascending(ids) -> bool:
     return all(a < b for a, b in zip(ids, ids[1:]))
+
+
+def concat_ranges(starts, lens):
+    """Concatenation of arange(starts[i], starts[i] + lens[i]) over i."""
+    shift = np.cumsum(lens) - lens  # where each range starts in the output
+    return np.arange(lens.sum(), dtype=np.int64) + np.repeat(starts - shift, lens)
+
+
+def row_sums(values, lengths):
+    """Sums of consecutive runs of values, run i holding lengths[i] entries.
+
+    Bit for bit the np.sum of each run: runs of one length are stacked into
+    a matrix and summed along its rows, which takes the pairwise summation
+    np.sum takes on one run (np.add.reduceat rounds differently).
+    """
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    sizes, firsts = np.unique(lengths[order], return_index=True)
+    out = np.zeros(lengths.size)
+    for size, rows in zip(sizes.tolist(), np.split(order, firsts[1:])):
+        if size:
+            out[rows] = values[starts[rows, np.newaxis] + np.arange(size)].sum(axis=1)
+    return out
 
 
 class TfidfIndex:
@@ -120,7 +143,7 @@ class TfidfIndex:
         weights *= np.log1p(counts)
         del counts
         # item_norms are saved in index.npz: squares summed in ascending-bin order
-        item_norms = np.sqrt(kernels.row_sums(np.square(weights), sizes))
+        item_norms = np.sqrt(row_sums(np.square(weights), sizes))
         return cls(bin_count, ngram_orders, item_ids, uniq_bins, uniq_offsets, owner[order],
                    weights[order], df, item_norms, source_checksum)
 
@@ -273,7 +296,7 @@ class _HashedRows:
         """(owner, bins, counts) of the texts at rows, owner j being rows[j]."""
         starts = self.offsets[rows]
         lens = self.offsets[rows + 1] - starts
-        span = kernels.concat_ranges(starts, lens)
+        span = concat_ranges(starts, lens)
         owner = np.repeat(np.arange(rows.size, dtype=np.int64), lens)
         return owner, self.bins[span], self.counts[span]
 
@@ -310,7 +333,7 @@ def _query(owner, keys, counts, uniq_keys, df, n_items, n_claims):
     weights = np.log1p(counts) * _idf(q_df, n_items)
     nz = weights > 0
     sizes = np.bincount(owner[nz], minlength=n_claims)
-    norms = np.sqrt(kernels.row_sums(np.square(weights[nz]), sizes))
+    norms = np.sqrt(row_sums(np.square(weights[nz]), sizes))
     use = hit & nz
     return owner[use], pos[use], weights[use], norms
 
@@ -330,6 +353,24 @@ def _ranked(claim, item, score, n_claims, k, ids):
     return out
 
 
+def block_accumulate(q_row, starts, lens, q_weights, post_items, post_weights,
+                     n_rows, n_items):
+    """Raw dot products between a block of sparse queries and every indexed item.
+
+    Query entry j belongs to row q_row[j], and its bin's postings are the
+    lens[j] entries of post_items/post_weights from starts[j] on; entries
+    come row-major with bins ascending within a row.  One np.bincount over
+    row * n_items + item then adds each cell's terms one at a time in
+    ascending-bin order, so each dot product has the bits of a per-row
+    sequential accumulation.  Returns an (n_rows, n_items) matrix.
+    """
+    span = concat_ranges(starts, lens)
+    cells = np.repeat(q_row * n_items, lens) + post_items[span]
+    products = post_weights[span] * np.repeat(q_weights, lens)
+    raw = np.bincount(cells, products, minlength=n_rows * n_items)
+    return raw.astype(np.float64, copy=False).reshape(n_rows, n_items)  # int64 when empty
+
+
 def _top_documents(index, queries, n_claims, k):
     """Each claim's k best items, and the number of claims whose query has
     zero norm.  queries is the claims' ``ngram_bins`` output, hashed as the
@@ -338,15 +379,15 @@ def _top_documents(index, queries, n_claims, k):
         raise ValueError("k must be >= 1")
     n = index.item_count
     owner, pos, weights, norms = _query(*queries, index.uniq_bins, index.df, n, n_claims)
-    lens = index.uniq_offsets[pos + 1] - index.uniq_offsets[pos]
+    starts = index.uniq_offsets[pos]
+    lens = index.uniq_offsets[pos + 1] - starts
     costs = n + np.bincount(owner, lens, minlength=n_claims).astype(np.int64)
     ends = np.searchsorted(owner, np.arange(n_claims + 1))
     out = []
     for a, b in _blocks(costs):
         lo, hi = ends[a], ends[b]
-        raw = kernels.block_accumulate(owner[lo:hi] - a, pos[lo:hi], weights[lo:hi],
-                                       index.uniq_offsets, index.post_items,
-                                       index.post_weights, b - a, n)
+        raw = block_accumulate(owner[lo:hi] - a, starts[lo:hi], lens[lo:hi], weights[lo:hi],
+                               index.post_items, index.post_weights, b - a, n)
         scores = _cosine(raw, index.item_norms * norms[a:b, np.newaxis])
         keep = scores > 0
         if n > k:  # only what reaches a row's k-th score needs sorting
@@ -374,7 +415,7 @@ def _top_sentences(sentences, ids, runs, queries, n_claims, bin_count, k):
     out = []
     for a, b in _blocks(costs):
         lo, hi = run_ends[a], run_ends[b]
-        rows = kernels.concat_ranges(run_first[lo:hi], run_len[lo:hi])
+        rows = concat_ranges(run_first[lo:hi], run_len[lo:hi])
         cell_claim = np.repeat(run_claim[lo:hi] - a, run_len[lo:hi])
         block_n = n_items[a:b]
         owner, bins, counts = sentences.take(rows)
@@ -383,7 +424,7 @@ def _top_sentences(sentences, ids, runs, queries, n_claims, bin_count, k):
                                       return_inverse=True, return_counts=True)
         weights = np.log1p(counts) * _idf(df, block_n[uniq // bin_count])[inverse]
         sizes = np.bincount(owner, minlength=rows.size)
-        norms = np.sqrt(kernels.row_sums(np.square(weights), sizes))
+        norms = np.sqrt(row_sums(np.square(weights), sizes))
         q_owner, q_bins, q_counts = queries.take(np.arange(a, b))
         _, pos, q_weights, q_norms = _query(q_owner, q_owner * bin_count + q_bins, q_counts,
                                             uniq, df, block_n[q_owner], b - a)

@@ -15,10 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import LABELS
 from .corpus import SentenceRef
 from .entailment import ScoredPairs
 from .features import indicator_matrix
-from .forest import LABELS
 from .rows import scalar_field, sentence_ref
 
 MAX_EVIDENCE = 5

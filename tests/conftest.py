@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from claimcheck import kernels
+from claimcheck import forest, ner
 from claimcheck.corpus import Corpus, Document, ingest_dump
 from claimcheck.nli_data import load_claims
 
@@ -44,13 +44,13 @@ def make_random_corpus(rng: np.random.Generator, max_docs: int = 100,
 
 def levenshtein(a: str, b: str) -> int:
     """Edit distance of one pair, through the kernel that title matching runs."""
-    mat, lengths = kernels.code_matrix([b])
-    return int(kernels.batch_levenshtein(mat, lengths, kernels.codes(a))[0])
+    mat, lengths = ner.code_matrix([b])
+    return int(ner.batch_levenshtein(mat, lengths, ner.codes(a))[0])
 
 
 def best_split(block, labels, n_classes=3) -> tuple:
     """(gain, column, threshold) of one node's (n, k) block, as a batch of one."""
-    gains, columns, thresholds = kernels.best_splits(
+    gains, columns, thresholds = forest.best_splits(
         block.T[np.newaxis], labels[np.newaxis], np.array([len(labels)]), n_classes)
     return float(gains[0]), int(columns[0]), float(thresholds[0])
 

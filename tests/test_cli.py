@@ -1186,8 +1186,8 @@ class TestStartUp:
     """Each subcommand loads only the modules it runs: start-up is most of a
     small run's time."""
 
-    STAGES = {"entailment", "features", "forest", "kernels", "metrics", "ner", "nli_data",
-              "tfidf", "tokenizer", "verdict"}
+    STAGES = {"entailment", "features", "forest", "metrics", "ner", "nli_data", "tfidf",
+              "tokenizer", "verdict"}
 
     @staticmethod
     def loaded_after(argv) -> set:
@@ -1209,7 +1209,13 @@ class TestStartUp:
         assert loaded & self.STAGES == set()
 
         loaded = self.loaded_after(["index", "--corpus", corpus, "--out", index])
-        assert loaded & self.STAGES == {"tokenizer", "kernels", "tfidf"}
+        assert loaded & self.STAGES == {"tokenizer", "tfidf"}
+
+        loaded = self.loaded_after(["gen-nli", "--corpus", corpus, "--claims", CLAIMS,
+                                    "--out", tmp_path / "nli.jsonl",
+                                    "--manifest", tmp_path / "nli.json"])
+        assert "numpy" not in loaded
+        assert loaded & self.STAGES == {"nli_data"}
 
         loaded = self.loaded_after(["e2e", "--corpus", corpus, "--index", index,
                                     "--claims", CLAIMS, "--out", tmp_path / "pred.jsonl"])

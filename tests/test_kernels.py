@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from claimcheck import kernels
+from claimcheck import forest, ner, tfidf
 
 from conftest import best_split
 
@@ -23,8 +23,8 @@ def lev_dp(a: str, b: str) -> int:
 
 
 def batch(titles, query):
-    mat, lengths = kernels.code_matrix(titles)
-    return kernels.batch_levenshtein(mat, lengths, kernels.codes(query)).tolist()
+    mat, lengths = ner.code_matrix(titles)
+    return ner.batch_levenshtein(mat, lengths, ner.codes(query)).tolist()
 
 
 def random_strings(rng, alphabet, n, max_len):
@@ -35,7 +35,7 @@ def random_strings(rng, alphabet, n, max_len):
 class TestCodeMatrix:
     def test_rows_are_ord_codes_zero_padded(self):
         strings = ["ab", "", "åж😀", "\ud800x"]
-        mat, lengths = kernels.code_matrix(strings)
+        mat, lengths = ner.code_matrix(strings)
         assert mat.dtype == np.int32 and mat.shape == (4, 3)
         assert lengths.tolist() == [len(s) for s in strings]
         for row, s in zip(mat, strings):
@@ -88,8 +88,8 @@ class TestCosineAccumulate:
             q_row = np.repeat(np.arange(n_rows), [q.size for q in queries])
             q_pos = np.concatenate(queries).astype(np.int64)
             q_weights = rng.random(q_pos.size)
-            got = kernels.block_accumulate(q_row, q_pos, q_weights, offsets,
-                                           post_items, post_weights, n_rows, n_items)
+            got = tfidf.block_accumulate(q_row, offsets[q_pos], counts[q_pos], q_weights,
+                                         post_items, post_weights, n_rows, n_items)
             want = np.zeros((n_rows, n_items))
             for r, i, qw in zip(q_row, q_pos, q_weights):
                 for p in range(offsets[i], offsets[i + 1]):
@@ -104,7 +104,7 @@ class TestRowSums:
         values = rng.random(lengths.sum()) * 10.0 ** rng.integers(-8, 9, size=lengths.sum())
         starts = np.cumsum(lengths) - lengths
         want = np.array([np.sum(values[s:s + n]) for s, n in zip(starts, lengths)])
-        got = kernels.row_sums(values, lengths)
+        got = tfidf.row_sums(values, lengths)
         assert got.tobytes() == want.tobytes()
 
 
@@ -177,7 +177,7 @@ class TestBestSplit:
                     blocks[i, :, :n] = rng.choice(pair, size=(k, n))
                 if rng.random() < 0.2:  # one class
                     labels[i, :n] = rng.integers(3)
-            gains, cols, thrs = kernels.best_splits(blocks, labels, sizes, 3)
+            gains, cols, thrs = forest.best_splits(blocks, labels, sizes, 3)
             for i, n in enumerate(sizes.tolist()):
                 columns = [self.check_column(blocks[i, c, :n], labels[i, :n]) for c in range(k)]
                 if all(g == -1.0 for g, _ in columns):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from claimcheck import kernels, ner
+from claimcheck import ner
 from claimcheck.corpus import Corpus, Document, SentenceRef
 
 from conftest import levenshtein
@@ -152,13 +152,13 @@ class TestTitleMatching:
             ner.TitleMatcher(Corpus())
 
     def test_scans_only_titles_of_a_length_that_can_win(self, monkeypatch):
-        scanned, kernel = [], kernels.batch_levenshtein
+        scanned, kernel = [], ner.batch_levenshtein
 
         def spy(mat, lengths, query):
             scanned.append((mat.shape, lengths.tolist()))
             return kernel(mat, lengths, query)
 
-        monkeypatch.setattr(ner.kernels, "batch_levenshtein", spy)
+        monkeypatch.setattr(ner, "batch_levenshtein", spy)
         matcher = ner.TitleMatcher(small_corpus(["ab", "abc", "abcd", "abcdef", "abcdefghij"]))
         assert matcher.match(ner.EntityMention("ABC")).distance == 0
         assert scanned == []  # exact titles are looked up, not scanned

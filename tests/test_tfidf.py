@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from claimcheck import cli, kernels, ner, tfidf
+from claimcheck import cli, ner, tfidf
 from claimcheck.corpus import Corpus, Document, SentenceRef, ingest_dump, read_saved
 from claimcheck.nli_data import FeverInstance
 from claimcheck.tokenizer import hash_ngram, hashed_counts, ngram_bins, tokenize
@@ -262,7 +262,7 @@ def reference_top_k(ids, entries, query, k):
         return [], q_norm
     q_pos, q_weights = pos[hit & nz], q_weights[hit & nz]
     lens = offsets[q_pos + 1] - offsets[q_pos]
-    span = kernels.concat_ranges(offsets[q_pos], lens)
+    span = tfidf.concat_ranges(offsets[q_pos], lens)
     raw = np.zeros(n)
     np.add.at(raw, post_items[span], post_weights[span] * np.repeat(q_weights, lens))
     denom = item_norms * q_norm
