@@ -3,17 +3,18 @@
 Runs batch edit distance over every title (beside title matching, which
 scans only the titles of a length that can win), block cosine accumulation,
 the batched split search of one training step, grouped run sums, the batch
-n-gram hash (against the per-occurrence reference loop), the scoring of a
-run's candidate pairs into its feature matrix (``cli.score_claims``, as
-``e2e`` calls it), assembling the verdicts of those pairs under seeded
-labels (``verdict.assemble_all``), training the default forest and loading
-its saved model file, saving and loading a corpus file, and building the
-document index of that corpus, on seeded inputs, and prints the best-of-N
-wall time of each.  A last column gives the peak of the memory one more
-call allocates, as ``tracemalloc`` traces it.  The last three rows run the
-``ingest``, ``index`` and ``e2e`` subcommands on the ``data/`` fixture, each
-in a new interpreter, so that they time start-up and imports next to the
-kernels; their peak is only this process's share.
+n-gram hash of texts (against ``tokenize`` and the per-occurrence reference
+loop ``hashed_counts``), the scoring of a run's candidate pairs into its
+feature matrix (``cli.score_claims``, as ``e2e`` calls it), assembling the
+verdicts of those pairs under seeded labels (``verdict.assemble_all``),
+training the default forest and loading its saved model file, saving and
+loading a corpus file, and building the document index of that corpus, on
+seeded inputs, and prints the best-of-N wall time of each.  A last column
+gives the peak of the memory one more call allocates, as ``tracemalloc``
+traces it.  The last three rows run the ``ingest``, ``index`` and ``e2e``
+subcommands on the ``data/`` fixture, each in a new interpreter, so that
+they time start-up and imports next to the kernels; their peak is only this
+process's share.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -36,7 +37,7 @@ from claimcheck.corpus import Corpus, Document, SentenceRef
 from claimcheck.entailment import BaselineScorer
 from claimcheck.features import FEATURE_NAMES
 from claimcheck.nli_data import FeverInstance
-from claimcheck.tokenizer import hashed_counts, ngram_bins
+from claimcheck.tokenizer import hashed_counts, ngram_bins, tokenize
 
 BLOCK_QUERIES = 8  # queries scored together by block_accumulate
 CANDIDATES = 5  # candidate sentences per claim of the scoring run
@@ -138,6 +139,16 @@ def make_token_workload(rng, n_items, vocab_size=5000):
     return [flat[end - size:end] for size, end in zip(sizes, ends)]
 
 
+def make_text_workload(token_lists):
+    """Each token list as a sentence that ``tokenize`` reads back as it: joined,
+    capitalized and ended with a full stop, every other one spelt in ASCII
+    (a for ä, z for ж), so both of ``ngram_bins``' paths run."""
+    ascii_letters = str.maketrans("äж", "az")
+    texts = [" ".join(tokens) for tokens in token_lists]
+    return [(text.translate(ascii_letters) if i % 2 else text).capitalize() + "."
+            for i, text in enumerate(texts)]
+
+
 def make_scoring_workload(rng, token_lists, n_claims):
     """A scoring run: the token lists as sentences of LINES_PER_PAGE-line pages,
     n_claims claims of 4 to 12 of their tokens, and CANDIDATES sorted sentences
@@ -195,12 +206,12 @@ def make_corpus_workload(rng, n_sentences, path):
     return corpus
 
 
-def hash_batch(token_lists, bin_count=2**24):
-    return ngram_bins(token_lists, (1, 2), bin_count)
+def hash_batch(texts, bin_count=2**24):
+    return ngram_bins(texts, (1, 2), bin_count)
 
 
-def hash_loop(token_lists, bin_count=2**24):
-    return [hashed_counts(tokens, (1, 2), bin_count) for tokens in token_lists]
+def hash_loop(texts, bin_count=2**24):
+    return [hashed_counts(tokenize(text), (1, 2), bin_count) for text in texts]
 
 
 def run_child(*argv):
@@ -237,6 +248,7 @@ def build_cases(rng, args, workdir):
     corpus_path = Path(workdir) / "corpus.json.gz"
     corpus = make_corpus_workload(rng, args.texts, corpus_path)
     verdicts = make_verdict_workload(rng, scoring)
+    texts = make_text_workload(tokens)
     n_tokens = sum(map(len, tokens))
     return [
         (f"batch_levenshtein ({args.titles} titles)", ner.batch_levenshtein, full_scan),
@@ -247,8 +259,8 @@ def build_cases(rng, args, workdir):
         (f"best_split ({SPLIT_NODES} nodes x {args.samples} samples x {SPLIT_COLUMNS} columns)",
          forest.best_splits, split_step),
         (f"row_sums ({args.items} runs)", tfidf.row_sums, runs),
-        (f"ngram_bins ({n_tokens} tokens)", hash_batch, (tokens,)),
-        (f"hashed_counts_loop ({n_tokens} tokens)", hash_loop, (tokens,)),
+        (f"ngram_bins ({len(texts)} texts, {n_tokens} tokens)", hash_batch, (texts,)),
+        (f"hashed_counts_loop ({len(texts)} texts, {n_tokens} tokens)", hash_loop, (texts,)),
         (f"score_claims ({args.claims} claims x {CANDIDATES} candidates)", score_claims,
          scoring),
         (f"assemble_all ({args.claims} claims x {CANDIDATES} candidates)", verdict.assemble_all,
@@ -271,7 +283,7 @@ def main(argv=None) -> int:
     parser.add_argument("--postings", type=int, default=1_000_000)
     parser.add_argument("--samples", type=int, default=1000, help="samples per split node")
     parser.add_argument("--texts", type=int, default=5000,
-                        help="token lists to hash, and sentences of the saved corpus")
+                        help="texts to hash, and sentences of the saved corpus")
     parser.add_argument("--claims", type=int, default=750,
                         help="claims of the scoring run and of the forest's training matrix")
     parser.add_argument("--repeat", type=int, default=5)

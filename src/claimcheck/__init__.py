@@ -11,8 +11,9 @@ __version__ = "0.1.0"
 # Names that several modules share: the label set, and the flag defaults that
 # the argument parser and the stage functions both use.  They live here, where
 # importing them loads no numpy, so that neither the parser nor a stage that
-# needs one loads another stage; ``tfidf`` re-exports DEFAULT_BIN_COUNT and
-# ``forest`` the other two.
+# needs one loads another stage; ``tfidf`` re-exports DEFAULT_BIN_COUNT,
+# ``forest`` the other two and ``verdict`` NOT_ENOUGH_INFO.
 LABELS = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
+NOT_ENOUGH_INFO = "NOT ENOUGH INFO"
 DEFAULT_BIN_COUNT = 2**24  # hash bins of a TF-IDF index
 DEFAULT_CLASS_COUNTS = (3000, 3000, 4000)  # training claims per class, in label order

@@ -7,9 +7,9 @@ inputs and seeds produce byte-identical output files.
 
 Start-up is most of a small run's time, so this module's level imports only
 the standard library and the numpy-free ``rows`` and ``corpus``, and each
-function imports the stage modules it runs: ``ingest`` loads no numpy,
-``index`` only ``tfidf`` and what it imports, and ``e2e`` every stage
-module.
+function imports the stage modules it runs: ``ingest`` and ``score`` load
+no numpy, ``index`` only ``tfidf`` and what it imports, and ``e2e`` every
+stage module.
 """
 
 import argparse
@@ -298,8 +298,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .metrics import prediction_from_row
     from .nli_data import load_claims
-    from .verdict import prediction_from_row
     instances = load_claims(args.gold)
     gold_ids = {inst.claim_id for inst in instances}
 

@@ -1,4 +1,4 @@
-"""Scoring of prediction files: label accuracy, evidence P/R/F1, FEVER score.
+"""Predictions and their scoring: label accuracy, evidence P/R/F1, FEVER score.
 
 Evidence precision and recall are micro-averaged over claims whose gold
 label is not NOT ENOUGH INFO.  The FEVER score counts a claim only when its
@@ -8,11 +8,40 @@ predicted evidence contains at least one complete gold evidence set.
 
 from typing import NamedTuple
 
-from . import LABELS
+from . import LABELS, NOT_ENOUGH_INFO
 from .corpus import SentenceRef
-from .verdict import NOT_ENOUGH_INFO
+from .rows import scalar_field, sentence_ref
 
 AVERAGING = "micro"  # of evidence precision and recall over claims
+
+
+class Verdict(NamedTuple):
+    """One claim's prediction: ``verdict.assemble_all`` makes it, a prediction
+    row holds it."""
+
+    claim_id: object
+    label: str
+    evidence: tuple  # SentenceRef, ranked
+    override_applied: bool
+
+    def to_row(self) -> dict:
+        return {
+            "id": self.claim_id,
+            "predicted_label": self.label,
+            "predicted_evidence": [ref.as_pair() for ref in self.evidence],
+        }
+
+
+def prediction_from_row(row) -> Verdict:
+    """Submission-shaped row {id, predicted_label, predicted_evidence}: a scalar
+    id, a label of LABELS and [page_id, line] evidence."""
+    claim_id = scalar_field(row, "id")
+    label = row["predicted_label"]
+    if label not in LABELS:
+        raise ValueError(f"unknown label {label!r}")
+    evidence = tuple(SentenceRef(*sentence_ref(page, line))
+                     for page, line in row["predicted_evidence"])
+    return Verdict(claim_id, label, evidence, False)
 
 
 class _Gold(NamedTuple):

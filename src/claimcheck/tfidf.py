@@ -2,8 +2,9 @@
 
 Document retrieval uses unigram+bigram vectors over page text; sentence
 retrieval scores the sentences of a claim's candidate documents by
-bigram-only vectors whose df and idf count those sentences alone.  Texts
-are hashed by ``tokenizer.ngram_bins``.  Weighting is tf = log(1 + count)
+bigram-only vectors whose df and idf count those sentences alone.  Every
+text (page, sentence or claim) goes to ``tokenizer.ngram_bins`` as it is,
+which tokenizes and hashes it.  Weighting is tf = log(1 + count)
 with the Okapi-style idf = max(0, log((N - df + 0.5) / (df + 0.5)));
 vectors are L2-normalized at query time.  Postings are flat numpy arrays
 sorted by (bin, item).  Items are indexed in strictly ascending id order,
@@ -27,7 +28,7 @@ import numpy as np
 from . import DEFAULT_BIN_COUNT
 from .corpus import Corpus, Document
 from .rows import file_error, reading
-from .tokenizer import HASH_NAME, MAX_BIN_COUNT, ngram_bins, tokenize
+from .tokenizer import HASH_NAME, MAX_BIN_COUNT, ngram_bins
 
 FORMAT_VERSION = 1
 WEIGHTING = "log1p-tf.okapi-idf"
@@ -111,23 +112,25 @@ class TfidfIndex:
         reading each pair once."""
         item_ids = []
 
-        def token_lists():
+        def texts():
             for item_id, text in items:
                 if item_ids and not item_ids[-1] < item_id:
                     raise ValueError("index items must be in strictly ascending id order")
                 item_ids.append(item_id)
-                yield tokenize(text)
+                yield text
 
-        owner, bins, counts = ngram_bins(token_lists(), ngram_orders, bin_count)
+        owner, bins, counts = ngram_bins(texts(), ngram_orders, bin_count)
         n = len(item_ids)
         if not n:
             raise ValueError("cannot build an index over zero items")
         # each array goes once used, so that the build peaks at a few times
-        # its output; one stable sort gives the postings' (bin, owner) order,
-        # the distinct bins and their df
+        # its output; one sort gives the postings' (bin, owner) order, the
+        # distinct bins and their df: bin * n + owner is distinct per entry
+        # (and fits int64, with bin < 2^32 and int32 owners), so any sort of
+        # it gives that order
         sizes = np.bincount(owner, minlength=n)
+        order = np.argsort(bins * n + owner)
         owner = owner.astype(np.int32)
-        order = np.argsort(bins, kind="stable")
         bins = bins[order]
         starts = np.ones(order.size, dtype=bool)
         np.not_equal(bins[1:], bins[:-1], out=starts[1:])
@@ -234,7 +237,7 @@ def index_pages(checksums: dict[str, str], pages, bin_count: int = DEFAULT_BIN_C
 
 def top_k_documents(index: TfidfIndex, claim: str, k: int = 5) -> list[ScoredItem]:
     """k best pages for one claim by cosine, positive scores only, ids break ties."""
-    queries = ngram_bins([tokenize(claim)], index.ngram_orders, index.bin_count)
+    queries = ngram_bins([claim], index.ngram_orders, index.bin_count)
     return _top_documents(index, queries, 1, k)[0][0]
 
 
@@ -244,7 +247,7 @@ def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
     docs = {doc.page_id: doc for doc in documents}
     if len(docs) < len(documents):
         raise ValueError("documents must be distinct")
-    return _sentence_route(docs, [sorted(docs)], [tokenize(claim)], bin_count, k)[0]
+    return _sentence_route(docs, [sorted(docs)], [claim], bin_count, k)[0]
 
 
 def top_k_sentences_batch(corpus: Corpus, index: TfidfIndex, claims: list[str],
@@ -257,18 +260,17 @@ def top_k_sentences_batch(corpus: Corpus, index: TfidfIndex, claims: list[str],
     pages once in all.  Returns the sentences per claim and the number of
     claims whose document query has zero norm (no token with positive idf).
     """
-    tokens = [tokenize(claim) for claim in claims]
-    docs, empty = _top_documents(index, ngram_bins(tokens, index.ngram_orders, index.bin_count),
+    docs, empty = _top_documents(index, ngram_bins(claims, index.ngram_orders, index.bin_count),
                                  len(claims), k_docs)
     pages = [sorted(hit.item for hit in hits) for hits in docs]
-    return _sentence_route(corpus, pages, tokens, index.bin_count, k_sents), empty
+    return _sentence_route(corpus, pages, claims, index.bin_count, k_sents), empty
 
 
-def _sentence_route(docs, pages, tokens, bin_count, k):
+def _sentence_route(docs, pages, claims, bin_count, k):
     """Each claim's k best sentences of its pages, hashing each page's sentences once.
 
     docs maps a page id to its Document through ``get``; pages holds each
-    claim's page ids in ascending order, and tokens each claim's tokens.
+    claim's page ids in ascending order, and claims each claim's text.
     """
     # every page's sentences, sorted by ref, so a page is a run of rows
     refs, texts, page_rows = [], [], {}
@@ -278,18 +280,18 @@ def _sentence_route(docs, pages, tokens, bin_count, k):
         page_rows[page_id] = (len(refs), len(page_refs))
         refs.extend(page_refs)
         texts.extend(doc.sentence(ref.line_number) for ref in page_refs)
-    sentences = _HashedRows(map(tokenize, texts), (2,), bin_count, len(refs))
+    sentences = _HashedRows(texts, (2,), bin_count, len(refs))
     runs = np.array([(c, *page_rows[p]) for c, ps in enumerate(pages) for p in ps],
                     dtype=np.int64).reshape(-1, 3).T
-    queries = _HashedRows(tokens, (2,), bin_count, len(tokens))
-    return _top_sentences(sentences, refs, runs, queries, len(tokens), bin_count, k)
+    queries = _HashedRows(claims, (2,), bin_count, len(claims))
+    return _top_sentences(sentences, refs, runs, queries, len(claims), bin_count, k)
 
 
 class _HashedRows:
     """``ngram_bins`` output of many texts, sliceable by text."""
 
-    def __init__(self, token_lists, orders, bin_count, n):
-        self.owner, self.bins, self.counts = ngram_bins(token_lists, orders, bin_count)
+    def __init__(self, texts, orders, bin_count, n):
+        self.owner, self.bins, self.counts = ngram_bins(texts, orders, bin_count)
         self.offsets = np.searchsorted(self.owner, np.arange(n + 1))
 
     def take(self, rows):

@@ -4,13 +4,14 @@ One tokenizer serves both retrieval and the lexical entailment baseline so
 their vocabularies agree.  Hashing is FNV-1a over UTF-8 bytes of the
 tab-joined n-gram: a fixed algorithm, stable across runs and platforms,
 recorded in index headers as HASH_NAME.  ``ngram_bins`` is the hasher the
-program uses; ``fnv1a64``, ``hash_ngram`` and ``hashed_counts`` are the
+program uses: it takes texts and reads an ASCII text's tokens straight from
+its bytes, so retrieval makes no per-token string.  ``fnv1a64``,
+``hash_ngram`` and ``hashed_counts`` over ``tokenize``'s tokens are the
 per-occurrence reference it must agree with.
 """
 
 import re
 import unicodedata
-from array import array
 
 import numpy as np
 
@@ -20,7 +21,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_BIN_COUNT = 2**32  # keeps ngram_bins' owner * bin_count + bin key in int64
-CHUNK_TOKENS = 2**16  # tokens ngram_bins hashes at a time: its working set, whatever the input
+CHUNK_BYTES = 2**18  # token bytes ngram_bins hashes at a time: its working set, whatever the input
 
 # Word characters minus underscore: wiki page ids use underscores as spaces.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -29,6 +30,11 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 def tokenize(text: str) -> list[str]:
     """Lowercased NFKC tokens, split on any non-alphanumeric character."""
     return _TOKEN_RE.findall(unicodedata.normalize("NFKC", text).lower())
+
+
+# each ASCII character as tokenize reads it, its lower case if alphanumeric
+# and else a space: an ASCII text translated by it is its tokens, space-separated
+_ASCII_TOKEN_BYTES = bytes(ord("".join(tokenize(chr(c))) or " ") for c in range(128)) + b" " * 128
 
 
 def fnv1a64(data: bytes) -> int:
@@ -53,34 +59,37 @@ def hashed_counts(tokens: list[str], orders, bin_count: int) -> dict[int, int]:
     return counts
 
 
-def ngram_bins(token_lists, orders, bin_count: int):
-    """Hashed n-gram counts of many token lists: (owner, bins, counts).
+def ngram_bins(texts, orders, bin_count: int):
+    """Hashed n-gram counts of many texts: (owner, bins, counts).
 
-    One entry per distinct (list index, bin), sorted by (owner, bin), all
-    int64; the bins equal ``hash_ngram`` per occurrence.  Tokens get integer
-    ids as each list arrives, from a vocabulary that starts afresh every
-    CHUNK_TOKENS tokens, when the lists so far are hashed and counted.  In a
-    chunk each distinct token and each distinct bigram (a pair of ids) is
-    hashed once, in numpy: a bigram continues its first token's FNV-1a state
-    with a tab and then the second token's bytes.  No list spans two chunks,
-    so the chunks' entries join in (owner, bin) order and where the chunks
-    fall does not change them.  Orders 1 and 2 are supported.
+    One entry per distinct (text index, bin), sorted by (owner, bin), all
+    int64; the bins equal ``hash_ngram`` per occurrence over ``tokenize``'s
+    tokens.  Each text becomes its tokens' UTF-8 bytes joined by spaces: an
+    ASCII text through one ``bytes.translate`` (on ASCII, NFKC is the
+    identity and the tokens are the lower-cased alphanumeric runs), any other
+    text through ``tokenize``.  Texts are hashed and counted a chunk of
+    about CHUNK_BYTES at a time, in numpy: every token occurrence gets its
+    FNV-1a state, and a bigram continues its first token's state with a tab
+    and then the second token's bytes.  No text spans two chunks, so the
+    chunks' entries join in (owner, bin) order and where the chunks fall does
+    not change them.  Orders 1 and 2 are supported.
     """
     if not 1 <= bin_count <= MAX_BIN_COUNT:
         raise ValueError(f"bin count must be between 1 and 2^32, got {bin_count}")
     if not set(orders) <= {1, 2}:
         raise ValueError(f"unsupported n-gram orders: {tuple(orders)}")
-    parts, first = [], 0
-    vocab, ids, sizes = {}, array("q"), array("q")
-    for tokens in token_lists:
-        ids.extend([vocab.setdefault(t, len(vocab)) for t in tokens])
-        sizes.append(len(tokens))
-        if len(ids) >= CHUNK_TOKENS:
-            parts.append(_chunk_bins(vocab, ids, sizes, first, orders, bin_count))
-            first += len(sizes)
-            vocab, ids, sizes = {}, array("q"), array("q")
-    if sizes or not parts:
-        parts.append(_chunk_bins(vocab, ids, sizes, first, orders, bin_count))
+    parts, first, pieces, size = [], 0, [], 0
+    for text in texts:
+        piece = (text.encode("ascii").translate(_ASCII_TOKEN_BYTES) if text.isascii()
+                 else " ".join(tokenize(text)).encode("utf-8"))
+        pieces.append(piece)
+        size += len(piece) + 1
+        if size >= CHUNK_BYTES:
+            parts.append(_chunk_bins(pieces, first, orders, bin_count))
+            first += len(pieces)
+            pieces, size = [], 0
+    if pieces or not parts:
+        parts.append(_chunk_bins(pieces, first, orders, bin_count))
     if len(parts) == 1:
         return parts[0]
     # join one array at a time, dropping its chunks as it is joined
@@ -89,32 +98,30 @@ def ngram_bins(token_lists, orders, bin_count: int):
     return tuple(np.concatenate(columns.pop(0)) for _ in range(3))
 
 
-def _chunk_bins(vocab, ids, sizes, first, orders, bin_count):
-    """``ngram_bins`` of one chunk: token ids in vocab order, tokens per list,
-    and the index of the chunk's first list."""
-    ids = np.frombuffer(ids, dtype=np.int64)
-    tok_owner = np.repeat(np.arange(len(sizes), dtype=np.int64), np.frombuffer(sizes, np.int64))
-
-    encoded = [t.encode("utf-8") for t in vocab]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    starts = np.cumsum(lengths) - lengths
-    data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    states = _fnv_continue(np.full(len(encoded), _FNV_OFFSET, dtype=np.uint64),
-                           data, starts, lengths)
+def _chunk_bins(pieces, first, orders, bin_count):
+    """``ngram_bins`` of one chunk: each text's space-separated token bytes,
+    and the index of the chunk's first text."""
+    sizes = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces)) + 1  # and a space
+    data = np.frombuffer(b" ".join(pieces) + b" ", dtype=np.uint8)
+    # a token starts where a non-space byte follows a space (or begins the
+    # chunk) and ends at the next space; the chunk ends in a space
+    edges = np.diff((data != ord(" ")).view(np.int8), prepend=np.int8(0))
+    starts = np.flatnonzero(edges == 1)
+    lens = np.flatnonzero(edges == -1) - starts
+    tok_owner = np.searchsorted(np.cumsum(sizes) - sizes, starts, side="right") - 1
+    states = _fnv_continue(np.full(starts.size, _FNV_OFFSET, dtype=np.uint64),
+                           data, starts, lens)
 
     owners, bins = [], []
     if 1 in orders:
         owners.append(tok_owner)
-        bins.append((states % np.uint64(bin_count))[ids])
+        bins.append(states % np.uint64(bin_count))
     if 2 in orders:
         same = tok_owner[1:] == tok_owner[:-1]
-        width = max(len(encoded), 1)
-        pairs, inverse = np.unique(ids[:-1][same] * width + ids[1:][same], return_inverse=True)
-        first_ids, second = np.divmod(pairs, width)
-        tabbed = (states[first_ids] ^ np.uint64(ord("\t"))) * np.uint64(_FNV_PRIME)
-        pair_states = _fnv_continue(tabbed, data, starts[second], lengths[second])
+        tabbed = (states[:-1][same] ^ np.uint64(ord("\t"))) * np.uint64(_FNV_PRIME)
         owners.append(tok_owner[1:][same])
-        bins.append((pair_states % np.uint64(bin_count))[inverse])
+        bins.append(_fnv_continue(tabbed, data, starts[1:][same], lens[1:][same])
+                    % np.uint64(bin_count))
     keys = np.concatenate(owners) * bin_count + np.concatenate(bins).astype(np.int64)
     keys, counts = np.unique(keys, return_counts=True)
     owner, bins = np.divmod(keys, bin_count)
@@ -124,10 +131,10 @@ def _chunk_bins(vocab, ids, sizes, first, orders, bin_count):
 def _fnv_continue(states, data, starts, lengths):
     """FNV-1a states continued over data[starts[i] : starts[i] + lengths[i]].
 
-    Rows are visited longest first, so the rows still running at byte j
-    are a prefix.
+    Rows are visited longest first (in any order among equals), so the rows
+    still running at byte j are a prefix.
     """
-    order = np.argsort(-lengths, kind="stable")
+    order = np.argsort(-lengths)
     h, s, n = states[order], starts[order], lengths[order]
     running = np.searchsorted(-n, -np.arange(n[0] if n.size else 0), side="left")
     for j, m in enumerate(running.tolist()):

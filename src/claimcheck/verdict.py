@@ -11,32 +11,14 @@ empty evidence, and that override is recorded.  ``assemble`` is the
 one-claim call.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
-from . import LABELS
-from .corpus import SentenceRef
+from . import LABELS, NOT_ENOUGH_INFO
 from .entailment import ScoredPairs
 from .features import indicator_matrix
-from .rows import scalar_field, sentence_ref
+from .metrics import Verdict
 
 MAX_EVIDENCE = 5
-NOT_ENOUGH_INFO = "NOT ENOUGH INFO"
-
-
-class Verdict(NamedTuple):
-    claim_id: object
-    label: str
-    evidence: tuple  # SentenceRef, ranked
-    override_applied: bool
-
-    def to_row(self) -> dict:
-        return {
-            "id": self.claim_id,
-            "predicted_label": self.label,
-            "predicted_evidence": [ref.as_pair() for ref in self.evidence],
-        }
 
 
 def assemble_all(claim_ids, labels, pairs: ScoredPairs) -> list[Verdict]:
@@ -73,15 +55,3 @@ def assemble(claim_id, predicted_label: str, candidates) -> Verdict:
                         np.array([cand.triple for cand in candidates],
                                  dtype=np.float64).reshape(-1, 3))
     return assemble_all([claim_id], [predicted_label], pairs)[0]
-
-
-def prediction_from_row(row) -> Verdict:
-    """Submission-shaped row {id, predicted_label, predicted_evidence}: a scalar
-    id, a label of LABELS and [page_id, line] evidence."""
-    claim_id = scalar_field(row, "id")
-    label = row["predicted_label"]
-    if label not in LABELS:
-        raise ValueError(f"unknown label {label!r}")
-    evidence = tuple(SentenceRef(*sentence_ref(page, line))
-                     for page, line in row["predicted_evidence"])
-    return Verdict(claim_id, label, evidence, False)

@@ -17,11 +17,11 @@ from claimcheck.corpus import SentenceRef, ingest_dump
 from claimcheck.entailment import EntailmentTriple, ScoredCandidate, score_candidates
 from claimcheck.features import FeatureVector, features, indicators
 from claimcheck.forest import ForestConfig, TrainingSample
-from claimcheck.metrics import GoldInstance
+from claimcheck.metrics import GoldInstance, Verdict, prediction_from_row
 from claimcheck.nli_data import load_claims
 from claimcheck.rows import parse_rows
 from claimcheck.tokenizer import hashed_counts, tokenize
-from claimcheck.verdict import Verdict, assemble, prediction_from_row
+from claimcheck.verdict import assemble
 
 from conftest import levenshtein, make_random_corpus
 

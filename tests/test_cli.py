@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from claimcheck import cli, forest, ner, nli_data
 from claimcheck.corpus import Corpus, ingest_dump
 from claimcheck.entailment import TRIPLE_FIELDS
+from claimcheck.metrics import prediction_from_row
 from claimcheck.rows import parse_rows
-from claimcheck.verdict import prediction_from_row
 
 from conftest import levenshtein
 
@@ -46,7 +46,7 @@ def one_error(code, err):
     return err
 
 
-HEADER = b'{"checksums": {}, "format_version": 2}'  # of a saved corpus
+HEADER = b'{"checksums": {}, "format_version": 3}'  # of a saved corpus
 
 
 def write_saved_corpus(path, *records, header=HEADER):
@@ -351,13 +351,15 @@ class TestBadInputs:
         ("not_an_object", "corpus file {} does not start with a JSON object"),
         ("v1_file", "unsupported corpus format version: 1 in corpus file {}; "
                     "ingest its dump again"),
+        ("v2_file", "unsupported corpus format version: 2 in corpus file {}; "
+                    "ingest its dump again"),
         ("empty_id", "corpus file {} is malformed: a saved corpus skips nothing, but reading "
                      "it skipped 1 records and 0 sentence rows"),
         ("duplicate_page", "bad record in {} on line 3: duplicate page id: 'A'"),
         ("descending", "bad record in {} on line 4: page id 'B' comes after 'C': a saved corpus "
                        "lists its pages in ascending page-id order"),
     ], ids=["truncated", "no_documents", "list_checksums", "int_checksum", "not_an_object",
-            "v1_file", "empty_id", "duplicate_page", "descending"])
+            "v1_file", "v2_file", "empty_id", "duplicate_page", "descending"])
     def test_broken_saved_corpus(self, workdir, tmp_path, capsys, case, message):
         corpus = tmp_path / "corpus.json.gz"
         if case == "truncated":
@@ -373,10 +375,11 @@ class TestBadInputs:
                 "format_version": 1, "checksums": {},
                 "documents": [{"id": "A", "text": "a.", "lines": [[0, "a."]]}]}).encode()))
         else:
-            header = {"no_documents": b'{"format_version": 2}',
-                      "list_checksums": b'{"checksums": [], "format_version": 2}',
-                      "int_checksum": b'{"checksums": {"d.jsonl": 5}, "format_version": 2}',
-                      "not_an_object": b"[1, 2]"}.get(case, HEADER)
+            header = {"no_documents": b'{"format_version": 3}',
+                      "list_checksums": b'{"checksums": [], "format_version": 3}',
+                      "int_checksum": b'{"checksums": {"d.jsonl": 5}, "format_version": 3}',
+                      "not_an_object": b"[1, 2]",
+                      "v2_file": b'{"checksums": {}, "format_version": 2}'}.get(case, HEADER)
             write_saved_corpus(corpus, b'{"id": "", "text": "a.", "lines": "0\\ta."}',
                                header=header)
         code, _, err = run(["index", "--corpus", corpus, "--out", tmp_path / "i.npz"], capsys)
@@ -1220,6 +1223,10 @@ class TestStartUp:
         loaded = self.loaded_after(["e2e", "--corpus", corpus, "--index", index,
                                     "--claims", CLAIMS, "--out", tmp_path / "pred.jsonl"])
         assert self.STAGES <= loaded
+
+        loaded = self.loaded_after(["score", "--gold", CLAIMS, "--pred", tmp_path / "pred.jsonl"])
+        assert "numpy" not in loaded
+        assert loaded & self.STAGES == {"metrics", "nli_data"}
 
     @pytest.mark.parametrize("command, flag, default", [
         ("index", "--bins", "16777216"), ("retrieve", "--bins", "16777216"),

@@ -4,10 +4,12 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimcheck import tfidf
 from claimcheck.corpus import (
     Corpus,
     Document,
@@ -147,7 +149,7 @@ class TestPersistence:
 
     def test_read_saved_reads_pages_as_they_are_taken(self, tmp_path):
         saved = tmp_path / "c.json.gz"
-        saved.write_bytes(gzip.compress(b'{"checksums": {"d.jsonl": "x"}, "format_version": 2}\n'
+        saved.write_bytes(gzip.compress(b'{"checksums": {"d.jsonl": "x"}, "format_version": 3}\n'
                                         b'{"id": "A", "text": "a.", "lines": "0\\ta."}\n'
                                         b"not a record\n"))
         checksums, pages = read_saved(saved)
@@ -155,6 +157,50 @@ class TestPersistence:
         assert next(pages).lines == {0: "a."}
         with pytest.raises(ValueError, match=f"bad record in {saved} on line 3: Expecting value"):
             next(pages)
+
+    def test_text_other_than_the_joined_sentences_kept(self, tmp_path):
+        corpus = Corpus()
+        for page_id, text in (("A", "An intro."), ("B", ""), ("C", "x.  y."), ("D", "y. x.")):
+            corpus.add_document(Document(page_id, text, {0: "x.", 1: "", 2: "y."}))
+        corpus.save(tmp_path / "c.json.gz")
+        loaded = Corpus.load(tmp_path / "c.json.gz")
+        assert [loaded.get(p).text for p in "ABCD"] == ["An intro.", "", "x.  y.", "y. x."]
+
+    def test_text_that_joins_the_sentences_not_saved(self, tmp_path):
+        corpus = Corpus()
+        corpus.add_document(Document("A", "x. y.", {0: "x.", 1: "", 2: "y."}))
+        corpus.add_document(Document("B", "", {0: ""}))  # no sentence: the join is ""
+        corpus.save(tmp_path / "c.json.gz")
+        header, *records = gzip.decompress((tmp_path / "c.json.gz").read_bytes()).splitlines()
+        assert json.loads(header) == {"checksums": {}, "format_version": 3}
+        assert [json.loads(r) for r in records] == [{"id": "A", "lines": "0\tx.\n1\t\n2\ty."},
+                                                    {"id": "B", "lines": "0\t"}]
+        loaded = Corpus.load(tmp_path / "c.json.gz")
+        assert (loaded.get("A").text, loaded.get("B").text) == ("x. y.", "")
+
+    def test_index_from_the_dump_equals_index_from_the_saved_corpus(self, tmp_path):
+        dump = tmp_path / "d.jsonl"
+        write_dump(dump, [{"id": "A", "text": "Alpha beta. Gamma.",
+                           "lines": "0\tAlpha beta.\n1\t\n2\tGamma."},
+                          {"id": "B", "text": "An intro unlike its lines.", "lines": "0\tBeta."},
+                          {"id": "C", "lines": "0\tGamma delta."},
+                          {"id": "D", "text": "Delta.", "lines": ""}])
+        corpus, _ = ingest_dump(dump)
+        corpus.save(tmp_path / "c.json.gz")
+        from_dump = tfidf.build_document_index(corpus, bin_count=2**16)
+        from_saved = tfidf.index_pages(*read_saved(tmp_path / "c.json.gz"), bin_count=2**16)
+        assert from_saved.item_ids == from_dump.item_ids == ["A", "B", "C", "D"]
+        assert from_saved.source_checksum == from_dump.source_checksum
+        for name in tfidf._ARRAYS:
+            assert np.array_equal(getattr(from_saved, name), getattr(from_dump, name))
+
+    def test_format_2_file_refused(self, tmp_path):
+        saved = tmp_path / "c.json.gz"
+        saved.write_bytes(gzip.compress(b'{"checksums": {}, "format_version": 2}\n'
+                                        b'{"id": "A", "text": "a.", "lines": "0\\ta."}\n'))
+        with pytest.raises(ValueError, match="unsupported corpus format version: 2 in corpus "
+                                             f"file {saved}; ingest its dump again"):
+            Corpus.load(saved)
 
     def test_duplicate_add_rejected(self):
         corpus = Corpus()

@@ -5,8 +5,7 @@ import pytest
 
 from claimcheck import metrics
 from claimcheck.corpus import SentenceRef
-from claimcheck.metrics import GoldInstance, score
-from claimcheck.verdict import Verdict
+from claimcheck.metrics import GoldInstance, Verdict, score
 
 LABELS = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 

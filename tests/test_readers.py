@@ -112,7 +112,7 @@ def test_corrupted_file_ends_in_one_error_line(valid, tmp_path, capsys, kind, mu
     ("index", None, "[Errno 2] No such file or directory: 'o'"),
     ("model", b'{"x": ', "cannot read model file o: Expecting value: line 1 column 7"),
     ("corpus", b"\x1f\x8b" + b"abcd" * 4, "cannot read corpus file o: Unknown compression"),
-    ("corpus", gzip.compress(b'{"checksums": {}, "format_version": 2}\n[1]\n'),
+    ("corpus", gzip.compress(b'{"checksums": {}, "format_version": 3}\n[1]\n'),
      "bad record in o on line 2: expected a JSON object, got list"),
 ], ids=["pickle_index", "missing_index", "cut_model", "bad_gzip_corpus", "bad_corpus_record"])
 def test_one_letter_path_named_once(valid, tmp_path, capsys, monkeypatch, kind, data, message):

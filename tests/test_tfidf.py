@@ -275,17 +275,16 @@ def reference_top_k(ids, entries, query, k):
 def reference_route(corpus, claim, bin_count):
     """(the claim's TF-IDF sentences, whether its document query has zero
     norm), with each route's index built for this claim alone."""
-    tokens = [tokenize(claim)]
     pages = list(corpus.documents())
     docs, q_norm = reference_top_k(
         [d.page_id for d in pages],
-        ngram_bins((tokenize(d.text) for d in pages), (1, 2), bin_count),
-        ngram_bins(tokens, (1, 2), bin_count), cli.K_DOCS)
+        ngram_bins((d.text for d in pages), (1, 2), bin_count),
+        ngram_bins([claim], (1, 2), bin_count), cli.K_DOCS)
     refs = sorted(ref for hit in docs for ref in corpus.get(hit.item).non_empty_refs())
     if not refs:
         return [], q_norm == 0.0
-    sentences = ngram_bins((tokenize(corpus.get_sentence(r)) for r in refs), (2,), bin_count)
-    hits, _ = reference_top_k(refs, sentences, ngram_bins(tokens, (2,), bin_count), cli.K_SENTS)
+    sentences = ngram_bins(map(corpus.get_sentence, refs), (2,), bin_count)
+    hits, _ = reference_top_k(refs, sentences, ngram_bins([claim], (2,), bin_count), cli.K_SENTS)
     return hits, q_norm == 0.0
 
 

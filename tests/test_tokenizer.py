@@ -49,30 +49,42 @@ def test_hashed_counts_orders():
     assert hashed_counts(["solo"], (2,), 2**20) == {}
 
 
-# ASCII, accented, Cyrillic and astral letters; short tokens repeat often
-TOKENS = st.text(st.sampled_from("abé\u00f1жЖя\U0001d49c\U00010400"), min_size=1, max_size=4) \
-    | st.text(min_size=1, max_size=12)
+# ASCII letters in both cases, digits, spaces and punctuation; accented,
+# Cyrillic and astral letters; a ligature and fullwidth digits that NFKC
+# rewrites; a combining acute, final sigma, NUL, tab and underscore
+ALPHABET = "aBz09 .,-éÉжЖя\U0001d49c\U00010400ﬁ１２\u0301ςΣ\x00\t_"
+TEXTS = st.text(st.sampled_from(ALPHABET), max_size=24) \
+    | st.text(st.characters(max_codepoint=127), max_size=24) | st.text(max_size=24)
 
 
-@settings(max_examples=200, deadline=None)
-@given(token_lists=st.lists(st.lists(TOKENS, max_size=8), max_size=6),
-       orders=st.sampled_from([(1,), (2,), (1, 2)]),
-       bin_count=st.integers(1, MAX_BIN_COUNT) | st.sampled_from([1, 2, 7, MAX_BIN_COUNT]))
-def test_ngram_bins_match_per_occurrence_reference(token_lists, orders, bin_count):
-    owner, bins, counts = ngram_bins(iter(token_lists), orders, bin_count)
+def reference_bins(texts, orders, bin_count):
+    """{text index: {bin: count}} by ``hashed_counts`` of each text's tokens."""
+    return {i: counts for i, text in enumerate(texts)
+            if (counts := hashed_counts(tokenize(text), orders, bin_count))}
+
+
+def as_dicts(arrays):
+    owner, bins, counts = arrays
     keys = list(zip(owner.tolist(), bins.tolist()))
     assert keys == sorted(set(keys))  # sorted by (owner, bin), no repeats
     got = {}
     for i, b, c in zip(owner.tolist(), bins.tolist(), counts.tolist()):
         got.setdefault(i, {})[b] = c
-    for i, tokens in enumerate(token_lists):
-        assert got.get(i, {}) == hashed_counts(tokens, orders, bin_count)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(TEXTS, max_size=6), orders=st.sampled_from([(1,), (2,), (1, 2)]),
+       bin_count=st.integers(1, MAX_BIN_COUNT) | st.sampled_from([1, 2, 7, MAX_BIN_COUNT]))
+def test_ngram_bins_match_per_occurrence_reference(texts, orders, bin_count):
+    assert as_dicts(ngram_bins(iter(texts), orders, bin_count)) == \
+        reference_bins(texts, orders, bin_count)
 
 
 @pytest.mark.parametrize("bin_count", [0, -3, MAX_BIN_COUNT + 1])
 def test_ngram_bins_rejects_degenerate_bin_count(bin_count):
     with pytest.raises(ValueError, match="bin count"):
-        ngram_bins([["a"]], (1, 2), bin_count)
+        ngram_bins(["a"], (1, 2), bin_count)
 
 
 def assert_same_arrays(got, expected):
@@ -81,26 +93,30 @@ def assert_same_arrays(got, expected):
 
 
 # empty and one-token lists on the first boundaries of chunks of 1 and of 3
-# tokens, and a list longer than a chunk of 3
-BOUNDARY_LISTS = [["a"], [], ["b", "a"], ["c"], [], [], ["a", "b", "c", "d", "a"], ["d"], [],
-                  ["b"], ["e", "a"]]
+# bytes (each text counts its bytes plus one), a list longer than a chunk of
+# 3, and tokens that only tokenize reads; each list is hashed as its tokens
+# joined by ", "
+BOUNDARY_LISTS = [["a"], [], ["B", "a"], ["c"], [], [], ["a", "b", "c", "d", "a"], ["d"], [],
+                  ["Été"], ["ﬁ", "e", "a"], ["_"]]
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 10**6])
 @pytest.mark.parametrize("token_lists", [BOUNDARY_LISTS, [], [[]], [["a"]], [["a"], []],
-                                         [[], ["a"]]])
+                                         [[], ["a"]], [[" "], ["."]]])
 def test_ngram_bins_same_arrays_whatever_the_chunks(monkeypatch, chunk, token_lists):
+    texts = [", ".join(tokens) for tokens in token_lists]
     # one chunk at the default size
-    expected = {orders: ngram_bins(token_lists, orders, 2**20) for orders in ((1,), (2,), (1, 2))}
-    monkeypatch.setattr(tokenizer, "CHUNK_TOKENS", chunk)
+    expected = {orders: ngram_bins(texts, orders, 2**20) for orders in ((1,), (2,), (1, 2))}
+    assert as_dicts(expected[(1, 2)]) == reference_bins(texts, (1, 2), 2**20)
+    monkeypatch.setattr(tokenizer, "CHUNK_BYTES", chunk)
     for orders, arrays in expected.items():
-        assert_same_arrays(ngram_bins(iter(token_lists), orders, 2**20), arrays)
+        assert_same_arrays(ngram_bins(iter(texts), orders, 2**20), arrays)
 
 
 @settings(max_examples=100, deadline=None)
-@given(token_lists=st.lists(st.lists(TOKENS, max_size=5), max_size=8),
-       orders=st.sampled_from([(1,), (2,), (1, 2)]), chunk=st.integers(1, 12))
-def test_ngram_bins_chunks_join_to_one_chunk(token_lists, orders, chunk):
-    expected = ngram_bins(token_lists, orders, 97)
-    with mock.patch.object(tokenizer, "CHUNK_TOKENS", chunk):
-        assert_same_arrays(ngram_bins(iter(token_lists), orders, 97), expected)
+@given(texts=st.lists(TEXTS, max_size=8), orders=st.sampled_from([(1,), (2,), (1, 2)]),
+       chunk=st.integers(1, 40))
+def test_ngram_bins_chunks_join_to_one_chunk(texts, orders, chunk):
+    expected = ngram_bins(texts, orders, 97)
+    with mock.patch.object(tokenizer, "CHUNK_BYTES", chunk):
+        assert_same_arrays(ngram_bins(iter(texts), orders, 97), expected)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from claimcheck import features, verdict
+from claimcheck import features, metrics, verdict
 from claimcheck.corpus import SentenceRef
 from claimcheck.entailment import EntailmentTriple, ScoredCandidate, ScoredPairs
 from claimcheck.forest import LABELS
@@ -125,14 +125,14 @@ class TestRows:
 
     def test_parse_round_trip(self):
         v = verdict.assemble(13, "REFUTES", [cand("Pg", 2, 0.1, 0.8, 0.1)])
-        back = verdict.prediction_from_row(v.to_row())
+        back = metrics.prediction_from_row(v.to_row())
         assert back.claim_id == 13
         assert back.label == "REFUTES"
         assert back.evidence == v.evidence
 
     def test_parse_rejects_malformed_pair(self):
         with pytest.raises((ValueError, TypeError)):
-            verdict.prediction_from_row({"id": 1, "predicted_label": "SUPPORTS",
+            metrics.prediction_from_row({"id": 1, "predicted_label": "SUPPORTS",
                                          "predicted_evidence": [["only_page"]]})
 
 
