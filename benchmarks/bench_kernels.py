@@ -7,13 +7,14 @@ n-gram hash of texts (against ``tokenize`` and the per-occurrence reference
 loop ``hashed_counts``), the scoring of a run's candidate pairs into its
 feature matrix (``cli.score_claims``, as ``e2e`` calls it), assembling the
 verdicts of those pairs under seeded labels (``verdict.assemble_all``),
-training the default forest and loading its saved model file, saving and
-loading a corpus file, and building the document index of that corpus, on
-seeded inputs, and prints the best-of-N wall time of each.  A last column
-gives the peak of the memory one more call allocates, as ``tracemalloc``
-traces it.  The last three rows run the ``ingest``, ``index`` and ``e2e``
-subcommands on the ``data/`` fixture, each in a new interpreter, so that
-they time start-up and imports next to the kernels; their peak is only this
+training the default forest and loading its saved model file, saving a
+corpus file, loading it (page ids only), loading it and parsing every
+page, and building the document index of that corpus, on seeded inputs,
+and prints the best-of-N wall time of each.  A last column gives the
+peak of the memory one more call allocates, as ``tracemalloc`` traces it.
+The last three rows run the ``ingest``, ``index`` and ``e2e`` subcommands
+on the ``data/`` fixture, each in a new interpreter, so that they time
+start-up and imports next to the kernels; their peak is only this
 process's share.
 
     python3 benchmarks/bench_kernels.py
@@ -206,6 +207,14 @@ def make_corpus_workload(rng, n_sentences, path):
     return corpus
 
 
+def load_and_parse(path):
+    """Corpus.load, then every page parsed, as the stages of a run that reads all would."""
+    corpus = Corpus.load(path)
+    for _ in corpus.documents():
+        pass
+    return corpus
+
+
 def hash_batch(texts, bin_count=2**24):
     return ngram_bins(texts, (1, 2), bin_count)
 
@@ -269,7 +278,9 @@ def build_cases(rng, args, workdir):
         (f"forest_load ({args.claims} claims, default config)", forest.load, (model_path,)),
         (f"corpus_save ({len(corpus)} pages, {args.texts} sentences)", Corpus.save,
          (corpus, Path(workdir) / "saved.json.gz")),
-        (f"corpus_load ({len(corpus)} pages, {args.texts} sentences)", Corpus.load,
+        (f"corpus_load ({len(corpus)} pages, {args.texts} sentences, ids only)", Corpus.load,
+         (corpus_path,)),
+        (f"corpus_load_parse ({len(corpus)} pages, every page parsed)", load_and_parse,
          (corpus_path,)),
         (f"index_build ({len(corpus)} pages)", tfidf.build_document_index, (corpus,)),
         *start_up_cases(workdir),

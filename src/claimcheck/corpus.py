@@ -13,6 +13,18 @@ only when the page's text is not its non-empty sentences joined by single
 spaces; without one, the text is that join (see ``Document``), so the file
 holds each sentence once.  ``read_saved`` streams its pages, so a reader
 that needs each page once (the index build) never holds the corpus.
+
+``Corpus.load`` inflates the whole file, so the gzip CRC covers every
+byte, and checks the header and that the page ids ascend, but parses a
+record only when a stage first asks for its page (``get``,
+``get_sentence``, ``documents``): at load it reads just the id that
+``Corpus.save`` writes first in each record.  A record that does not
+start with ``{"id": "``, or whose id is empty or does not ascend, is
+parsed at load.  A record parsed at first use goes through the dump's
+record rules, may skip nothing, and must carry the id read at load; what
+it raises names the file and the line.  So a malformed record of a page
+that no stage reads stops no run that loads the corpus, though ``index``,
+which streams every record, still refuses the file.
 """
 
 import gzip
@@ -20,6 +32,7 @@ import hashlib
 import json
 import logging
 import zlib
+from json.decoder import scanstring
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -31,6 +44,8 @@ FORMAT_VERSION = 3
 # of a saved corpus: on bulk seed 2's 2.2 MB of records, level 9 deflates
 # four times as long as level 4 for 8% fewer bytes
 GZIP_LEVEL = 4
+# how Corpus.save starts every record: load reads the page id after it
+_ID_PREFIX = b'{"id": "'
 
 
 class SentenceRef(NamedTuple):
@@ -80,10 +95,15 @@ class IngestStats:
 
 
 class Corpus:
-    """Immutable-after-ingest store of documents keyed by page id."""
+    """Immutable-after-ingest store of documents keyed by page id; a loaded
+    corpus parses a page when first asked for it (see module doc)."""
 
     def __init__(self):
-        self._docs: dict[str, Document] = {}
+        # page id -> Document, or a loaded record not yet parsed: the tuple
+        # (line number, line bytes), which its Document replaces once parsed
+        self._docs: dict[str, Document | tuple[int, bytes]] = {}
+        self._ascending = True  # whether _docs holds its page ids in order
+        self._path = None  # the file a loaded corpus's records come from
         self.source_checksums: dict[str, str] = {}
 
     def __len__(self) -> int:
@@ -92,21 +112,27 @@ class Corpus:
     def add_document(self, doc: Document) -> None:
         if doc.page_id in self._docs:
             raise ValueError(f"duplicate page id: {doc.page_id!r}")
+        if self._docs and doc.page_id < next(reversed(self._docs)):
+            self._ascending = False
         self._docs[doc.page_id] = doc
 
     def get(self, page_id: str) -> Document | None:
-        return self._docs.get(page_id)
+        doc = self._docs.get(page_id)
+        if type(doc) is tuple:
+            doc = self._docs[page_id] = _parse_record(
+                self._path, *doc, lambda parsed: _check_same_id(parsed, page_id))
+        return doc
 
     def page_ids(self) -> list[str]:
-        return sorted(self._docs)
+        return list(self._docs) if self._ascending else sorted(self._docs)
 
     def documents(self):
         for page_id in self.page_ids():
-            yield self._docs[page_id]
+            yield self.get(page_id)
 
     def get_sentence(self, ref: SentenceRef) -> str | None:
         """Sentence text for a ref, or None when page or line is unknown."""
-        doc = self._docs.get(ref.page_id)
+        doc = self.get(ref.page_id)
         if doc is None:
             return None
         return doc.sentence(ref.line_number)
@@ -134,11 +160,82 @@ class Corpus:
 
     @classmethod
     def load(cls, path) -> "Corpus":
+        """The saved corpus at path, its records parsed at first use (see module doc)."""
         corpus = cls()
-        corpus.source_checksums, pages = read_saved(path)
-        for doc in pages:
-            corpus.add_document(doc)
+        corpus._path = path
+        with gzip.open(path, "rb") as fh, reading(path, "corpus file"):
+            corpus.source_checksums = _read_header(path, fh)
+            lines = fh.read().split(b"\n")
+        last = ""  # no page id: a record with an empty one is refused
+        for lineno, line in enumerate(lines, start=2):
+            page_id = _leading_id(line)
+            if page_id > last:
+                corpus._docs[page_id] = (lineno, line)
+            else:  # parsed now, which raises what reading it in full raises
+                doc = _parse_record(path, lineno, line, lambda p: _check_follows(p, last))
+                if doc is None:  # a blank line
+                    continue
+                page_id = doc.page_id
+                corpus._docs[page_id] = doc
+            last = page_id
         return corpus
+
+
+def _leading_id(line: bytes) -> str:
+    """The page id a saved record starts with as ``Corpus.save`` writes it, or
+    "" for a line that does not start so or whose id does not scan."""
+    if not line.startswith(_ID_PREFIX):
+        return ""
+    try:
+        return scanstring(line.decode("utf-8"), len(_ID_PREFIX))[0]
+    except ValueError:  # not UTF-8, or no JSON string: the full parse says why
+        return ""
+
+
+def _parse_record(path, lineno, line, admit) -> Document | None:
+    """The page of one saved record (None for a blank line), read by the dump's
+    record rules; admit(page_id) refuses a page by raising."""
+    stats = IngestStats()
+    doc = next(_records(path, [line], stats, admit, first_line=lineno, no_text=None), None)
+    _check_nothing_skipped(path, stats)
+    return doc
+
+
+def _check_same_id(page_id, read):
+    if page_id != read:
+        raise ValueError(f"page id {page_id!r} is not {read!r}, the id the record starts with")
+
+
+def _check_follows(page_id, last):
+    """Refuse a saved record whose page id does not come after the last one."""
+    if page_id == last:
+        raise ValueError(f"duplicate page id: {page_id!r}")
+    if page_id < last:
+        raise ValueError(f"page id {page_id!r} comes after {last!r}: a saved corpus "
+                         "lists its pages in ascending page-id order")
+
+
+def _check_nothing_skipped(path, stats: IngestStats):
+    if stats.records_skipped or stats.lines_skipped:
+        raise file_error(path, f"corpus file {path} is malformed: a saved corpus skips "
+                               f"nothing, but reading it skipped {stats.records_skipped} "
+                               f"records and {stats.lines_skipped} sentence rows")
+
+
+def _read_header(path, fh) -> dict[str, str]:
+    """The source checksums of the header line that starts the saved corpus fh."""
+    header = json.loads(fh.readline())
+    if not isinstance(header, dict):
+        raise file_error(path, f"corpus file {path} does not start with a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise file_error(path, "unsupported corpus format version: "
+                               f"{header.get('format_version')} in corpus file {path}; "
+                               "ingest its dump again")
+    checksums = header.get("checksums")
+    if not (isinstance(checksums, dict)
+            and all(isinstance(v, str) for v in checksums.values())):
+        raise file_error(path, f"corpus file {path} has no checksums object of strings")
+    return checksums
 
 
 def read_saved(path) -> tuple[dict[str, str], Iterator[Document]]:
@@ -156,36 +253,18 @@ def read_saved(path) -> tuple[dict[str, str], Iterator[Document]]:
 def _saved_pages(path):
     """Generator for ``read_saved``: the header's checksums, then the pages."""
     with gzip.open(path, "rb") as fh, reading(path, "corpus file"):
-        header = json.loads(fh.readline())
-        if not isinstance(header, dict):
-            raise file_error(path, f"corpus file {path} does not start with a JSON object")
-        if header.get("format_version") != FORMAT_VERSION:
-            raise file_error(path, "unsupported corpus format version: "
-                                   f"{header.get('format_version')} in corpus file {path}; "
-                                   "ingest its dump again")
-        checksums = header.get("checksums")
-        if not (isinstance(checksums, dict)
-                and all(isinstance(v, str) for v in checksums.values())):
-            raise file_error(path, f"corpus file {path} has no checksums object of strings")
-        yield checksums
+        yield _read_header(path, fh)
 
         last = ""  # no page id: ingest skips an empty one
 
         def follows(page_id):
             nonlocal last
-            if page_id == last:
-                raise ValueError(f"duplicate page id: {page_id!r}")
-            if page_id < last:
-                raise ValueError(f"page id {page_id!r} comes after {last!r}: a saved corpus "
-                                 "lists its pages in ascending page-id order")
+            _check_follows(page_id, last)
             last = page_id
 
         stats = IngestStats()
         yield from _records(path, fh, stats, follows, first_line=2, no_text=None)
-        if stats.records_skipped or stats.lines_skipped:
-            raise file_error(path, f"corpus file {path} is malformed: a saved corpus skips "
-                                   f"nothing, but reading it skipped {stats.records_skipped} "
-                                   f"records and {stats.lines_skipped} sentence rows")
+        _check_nothing_skipped(path, stats)
 
 
 def parse_lines_field(raw: str) -> tuple[dict[int, str], int]:

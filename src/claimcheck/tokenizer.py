@@ -22,6 +22,9 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_BIN_COUNT = 2**32  # keeps ngram_bins' owner * bin_count + bin key in int64
 CHUNK_BYTES = 2**18  # token bytes ngram_bins hashes at a time: its working set, whatever the input
+# a longer token is hashed on its own, so ngram_bins' vector loop takes at
+# most this many steps per chunk however long a token the chunk holds
+LONG_TOKEN_BYTES = 64
 
 # Word characters minus underscore: wiki page ids use underscores as spaces.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -37,8 +40,8 @@ def tokenize(text: str) -> list[str]:
 _ASCII_TOKEN_BYTES = bytes(ord("".join(tokenize(chr(c))) or " ") for c in range(128)) + b" " * 128
 
 
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
+def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """FNV-1a of data, continued from the state h."""
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
@@ -131,15 +134,21 @@ def _chunk_bins(pieces, first, orders, bin_count):
 def _fnv_continue(states, data, starts, lengths):
     """FNV-1a states continued over data[starts[i] : starts[i] + lengths[i]].
 
-    Rows are visited longest first (in any order among equals), so the rows
-    still running at byte j are a prefix.
+    Rows are visited longest first (in any order among equals).  Those
+    longer than LONG_TOKEN_BYTES, a prefix, are hashed one at a time by
+    ``fnv1a64``; the rest together, a byte per step, the rows still running
+    at byte j being a prefix of them.
     """
     order = np.argsort(-lengths)
     h, s, n = states[order], starts[order], lengths[order]
-    running = np.searchsorted(-n, -np.arange(n[0] if n.size else 0), side="left")
+    long = int(np.searchsorted(-n, -LONG_TOKEN_BYTES, side="left"))
+    for i in range(long):
+        h[i] = fnv1a64(data[s[i]:s[i] + n[i]].tobytes(), int(h[i]))
+    vh, vs, vn = h[long:], s[long:], n[long:]  # views: the steps write into h
+    running = np.searchsorted(-vn, -np.arange(vn[0] if vn.size else 0), side="left")
     for j, m in enumerate(running.tolist()):
-        h[:m] ^= data[s[:m] + j]
-        h[:m] *= np.uint64(_FNV_PRIME)
+        vh[:m] ^= data[vs[:m] + j]
+        vh[:m] *= np.uint64(_FNV_PRIME)
     out = np.empty_like(h)
     out[order] = h
     return out

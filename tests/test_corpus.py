@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcheck import tfidf
+from claimcheck import cli, tfidf
 from claimcheck.corpus import (
     Corpus,
     Document,
@@ -18,6 +18,8 @@ from claimcheck.corpus import (
     parse_lines_field,
     read_saved,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def write_dump(path, records):
@@ -232,6 +234,12 @@ def test_save_load_round_trip(pages, ascii_only):
             return
         corpus.save(saved)
         loaded = Corpus.load(saved)
+        assert not parsed_ids(loaded)
+        _, streamed = read_saved(saved)
+        for doc in streamed:  # each parsed by a lazy get, in the order of the file
+            lazy = loaded.get(doc.page_id)
+            assert (lazy.text, list(lazy.lines.items())) == (doc.text, list(doc.lines.items()))
+        assert parsed_ids(loaded) == set(corpus.page_ids())
         assert loaded.page_ids() == corpus.page_ids()
         for pid in corpus.page_ids():
             assert loaded.get(pid).text == corpus.get(pid).text
@@ -239,3 +247,105 @@ def test_save_load_round_trip(pages, ascii_only):
         assert loaded.source_checksums == corpus.source_checksums
         loaded.save(again)
         assert again.read_bytes() == saved.read_bytes()
+
+
+def parsed_ids(corpus) -> set:
+    """Page ids whose records a loaded corpus has parsed."""
+    return {page_id for page_id, doc in corpus._docs.items() if isinstance(doc, Document)}
+
+
+class TestLazyLoad:
+    def test_load_parses_no_record(self, tmp_path, mini_corpus):
+        mini_corpus.save(tmp_path / "c.json.gz")
+        loaded = Corpus.load(tmp_path / "c.json.gz")
+        assert len(loaded) == len(mini_corpus) and not parsed_ids(loaded)
+        assert loaded.page_ids() == mini_corpus.page_ids()
+        page_id = mini_corpus.page_ids()[1]
+        assert loaded.get_sentence(SentenceRef(page_id, 0)) == \
+            mini_corpus.get_sentence(SentenceRef(page_id, 0))
+        assert parsed_ids(loaded) == {page_id}
+        assert loaded.get("No_Such_Page") is None and parsed_ids(loaded) == {page_id}
+
+    def test_record_not_led_by_its_id_parsed_at_load(self, tmp_path):
+        saved = tmp_path / "c.json.gz"
+        saved.write_bytes(gzip.compress(b'{"checksums": {}, "format_version": 3}\n'
+                                        b'{"id": "A", "lines": "0\\ta."}\n\n'
+                                        b'{"lines": "0\\tb.", "id": "B"}\n'
+                                        b'{"id": "C", "lines": "0\\tc."}\n'))
+        loaded = Corpus.load(saved)
+        assert loaded.page_ids() == ["A", "B", "C"] and parsed_ids(loaded) == {"B"}
+        assert [loaded.get(p).text for p in "ABC"] == ["a.", "b.", "c."]
+
+    def test_record_repeating_its_id_refused_at_first_use(self, tmp_path):
+        saved = tmp_path / "c.json.gz"
+        saved.write_bytes(gzip.compress(b'{"checksums": {}, "format_version": 3}\n'
+                                        b'{"id": "A", "lines": "0\\ta."}\n'
+                                        b'{"id": "B", "lines": "0\\tb.", "id": "Z"}\n'))
+        loaded = Corpus.load(saved)
+        assert loaded.get("A").text == "a."
+        with pytest.raises(ValueError, match=f"bad record in {saved} on line 3: page id 'Z' "
+                                             "is not 'B', the id the record starts with"):
+            loaded.get("B")
+
+
+@pytest.fixture(scope="module")
+def fixture_run(tmp_path_factory):
+    """The data/ fixture's saved corpus and index, and what e2e asks of them:
+    (directory, page ids e2e gets, predictions)."""
+    d = tmp_path_factory.mktemp("lazy")
+    for argv in (["ingest", "--dump", DATA / "mini_wiki.jsonl", "--out", d / "corpus.json.gz"],
+                 ["index", "--corpus", d / "corpus.json.gz", "--bins", "65536",
+                  "--out", d / "index.npz"]):
+        assert cli.main(["-q", *map(str, argv)]) == 0
+    code, corpus, asked = run_e2e(d / "corpus.json.gz", d / "index.npz", d / "pred.jsonl")
+    assert code == 0
+    assert parsed_ids(corpus) == asked  # only the pages its stages touched
+    return d, asked, (d / "pred.jsonl").read_bytes()
+
+
+def run_e2e(corpus_path, index, out):
+    """e2e's exit code, the corpus it loaded, and the page ids it asked that corpus for."""
+    loaded, asked = [], set()
+    load, get = cli.load_corpus_any, Corpus.get
+
+    def spy_get(corpus, page_id):
+        asked.add(page_id)
+        return get(corpus, page_id)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_corpus_any", lambda path: loaded.append(load(path)) or loaded[0])
+        patch.setattr(Corpus, "get", spy_get)
+        code = cli.main(["-q", "e2e", "--corpus", str(corpus_path), "--index", str(index),
+                         "--claims", str(DATA / "mini_claims.jsonl"), "--trees", "5",
+                         "--out", str(out)])
+    return code, loaded[0], asked
+
+
+def test_e2e_parses_only_the_pages_it_touches(fixture_run):
+    d, asked, predictions = fixture_run
+    pages = Corpus.load(d / "corpus.json.gz").page_ids()
+    assert asked < set(pages)
+    evidence = {page for line in predictions.splitlines()
+                for page, _ in json.loads(line)["predicted_evidence"]}
+    assert evidence <= asked
+
+
+def test_malformed_untouched_record_stops_e2e_not_index(fixture_run, tmp_path, capsys):
+    d, asked, predictions = fixture_run
+    header, *records = gzip.decompress((d / "corpus.json.gz").read_bytes()).split(b"\n")
+    at = next(i for i, r in enumerate(records) if json.loads(r)["id"] not in asked)
+    untouched = json.loads(records[at])["id"]
+    records[at] = json.dumps({"id": untouched, "lines": 5}).encode()
+    corrupted = tmp_path / "corpus.json.gz"
+    corrupted.write_bytes(gzip.compress(b"\n".join([header, *records])))
+
+    code, corpus, _ = run_e2e(corrupted, d / "index.npz", tmp_path / "pred.jsonl")
+    assert code == 0 and (tmp_path / "pred.jsonl").read_bytes() == predictions
+    assert untouched not in parsed_ids(corpus)
+    message = f"bad record in {corrupted} on line {at + 2}: field 'lines' is int, not a string"
+    with pytest.raises(ValueError, match=message):
+        corpus.get(untouched)
+    capsys.readouterr()
+    assert cli.main(["-q", "index", "--corpus", str(corrupted), "--out",
+                     str(tmp_path / "index.npz")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -215,5 +215,5 @@ def test_bench_kernels_smoke(capsys):
     assert [line.split()[0] for line in lines[2:]] == \
         ["batch_levenshtein", "title_match", "block_accumulate", "best_split", "row_sums",
          "ngram_bins", "hashed_counts_loop", "score_claims", "assemble_all", "forest_fit",
-         "forest_load", "corpus_save", "corpus_load", "index_build", "start_ingest",
-         "start_index", "start_e2e"]
+         "forest_load", "corpus_save", "corpus_load", "corpus_load_parse", "index_build",
+         "start_ingest", "start_index", "start_e2e"]

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from unittest import mock
 
 import numpy as np
@@ -120,3 +122,42 @@ def test_ngram_bins_chunks_join_to_one_chunk(texts, orders, chunk):
     expected = ngram_bins(texts, orders, 97)
     with mock.patch.object(tokenizer, "CHUNK_BYTES", chunk):
         assert_same_arrays(ngram_bins(iter(texts), orders, 97), expected)
+
+
+def vector_steps(texts, orders):
+    """ngram_bins of texts, and how many vector steps its _fnv_continue calls took:
+    each execution of the loop's xor line counts one."""
+    code = tokenizer._fnv_continue.__code__
+    xor_line = next(no for no, line in enumerate(
+        inspect.getsourcelines(code)[0], start=code.co_firstlineno) if "^=" in line)
+    steps = 0
+
+    def trace(frame, event, arg):
+        nonlocal steps
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == xor_line:
+            steps += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        arrays = ngram_bins(texts, orders, 2**20)
+    finally:
+        sys.settrace(previous)
+    return arrays, steps
+
+
+@pytest.mark.parametrize("letters", [tokenizer.LONG_TOKEN_BYTES - 1, tokenizer.LONG_TOKEN_BYTES,
+                                     tokenizer.LONG_TOKEN_BYTES + 1, 100_000])
+def test_long_token_hashed_on_its_own(letters):
+    # a long token alone, first and last in a text, beside short ones, and twice,
+    # so its unigram and both bigrams it ends and starts go through both paths
+    long = "x" * letters
+    texts = [long, f"{long} ab", f"cd {long}", "ef gh", f"{long} {long}", f"É {long}é"]
+    for orders in ((1,), (2,), (1, 2)):
+        arrays, steps = vector_steps(texts, orders)
+        assert as_dicts(arrays) == reference_bins(texts, orders, 2**20)
+        # once per order of one chunk; without the bound, a step per letter
+        assert steps <= 2 * min(letters, tokenizer.LONG_TOKEN_BYTES)
