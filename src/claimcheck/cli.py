@@ -106,7 +106,7 @@ def score_claims(scorer, corpus, instances, candidates) -> tuple:
     from .entailment import score_pairs
     from .features import feature_matrix
     pairs = score_pairs(scorer, instances, candidates, corpus)
-    X, _ = feature_matrix(pairs.claims, pairs.triples, len(instances))
+    X = feature_matrix(pairs.claims, pairs.triples, len(instances))
     log.info("scored %d candidate pairs over %d claims (%d all-uninformative)",
              len(pairs.refs), len(instances), int(((X[:, 0] == 0) & (X[:, 1] == 0)).sum()))
     return pairs, X
@@ -273,7 +273,7 @@ def _read_scored_rows(path, instances) -> tuple:
     pairs = ScoredPairs(np.array([c for c, _, _ in kept], dtype=np.int64),
                         [ref for _, ref, _ in kept],
                         np.array([t for _, _, t in kept], dtype=np.float64).reshape(-1, 3))
-    return pairs, feature_matrix(pairs.claims, pairs.triples, len(instances))[0]
+    return pairs, feature_matrix(pairs.claims, pairs.triples, len(instances))
 
 
 def cmd_train(args) -> int:

@@ -102,7 +102,6 @@ class Corpus:
         # page id -> Document, or a loaded record not yet parsed: the tuple
         # (line number, line bytes), which its Document replaces once parsed
         self._docs: dict[str, Document | tuple[int, bytes]] = {}
-        self._ascending = True  # whether _docs holds its page ids in order
         self._path = None  # the file a loaded corpus's records come from
         self.source_checksums: dict[str, str] = {}
 
@@ -112,8 +111,6 @@ class Corpus:
     def add_document(self, doc: Document) -> None:
         if doc.page_id in self._docs:
             raise ValueError(f"duplicate page id: {doc.page_id!r}")
-        if self._docs and doc.page_id < next(reversed(self._docs)):
-            self._ascending = False
         self._docs[doc.page_id] = doc
 
     def get(self, page_id: str) -> Document | None:
@@ -124,7 +121,7 @@ class Corpus:
         return doc
 
     def page_ids(self) -> list[str]:
-        return list(self._docs) if self._ascending else sorted(self._docs)
+        return sorted(self._docs)
 
     def documents(self):
         for page_id in self.page_ids():

@@ -10,9 +10,10 @@ A run scores all its (claim, candidate sentence) pairs in one call,
   uninformative) row per pair.
 
 Pairs come in claim order, each claim's candidates in the order given.  The
-triple checks (every component in [0, 1], the sum within SUM_TOLERANCE of 1)
-run once over the whole array.  ``score_candidates`` is the one-claim call
-of the same code.
+triple checks (every component in [0, 1], the sum within SUM_TOLERANCE of 1),
+``check_triples``, run once over the whole array.  ``score_candidates`` is
+the one-claim call of the same code; its ScoredCandidates hold each triple
+as the plain tuple that check passed.
 
 The scorer is pluggable, and every scorer has one method,
 ``score(claim_id, claim, ref, sentence)``, which returns the triple of one
@@ -20,11 +21,13 @@ pair.  score_pairs calls it once per pair, visiting the pairs sentence by
 sentence (in SentenceRef order), so a scorer that keeps the current
 sentence's work is never asked for it twice.  The built-in baseline is a
 token-overlap heuristic whose only job is to make every label reachable in
-tests and smoke runs; real model output is injected from a JSON-lines
+tests and smoke runs (a negation cue token or an n't contraction on one side
+only flips support to refute); real model output is injected from a JSON-lines
 probability file instead of being computed in-process.
 """
 
 import math
+import re
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -37,33 +40,12 @@ from .tokenizer import tokenize
 SUM_TOLERANCE = 1e-6
 LOAD_SUM_TOLERANCE = 1e-3
 TRIPLE_FIELDS = ("support", "refute", "uninformative")  # row keys of a triple
-NEGATION_CUES = frozenset({"not", "no", "never", "n't", "neither", "nor"})
-
-
-class _Triple(NamedTuple):
-    support: float
-    refute: float
-    uninformative: float
-
-
-class EntailmentTriple(_Triple):
-    """One pair's triple: components in [0, 1] that sum to 1 within SUM_TOLERANCE."""
-
-    __slots__ = ()
-
-    def __new__(cls, support, refute, uninformative):
-        self = super().__new__(cls, support, refute, uninformative)
-        if not all(0.0 <= value <= 1.0 for value in self):
-            raise ValueError(f"component out of [0, 1]: {self!r}")
-        total = support + refute + uninformative
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=SUM_TOLERANCE):
-            raise ValueError(f"components sum to {total!r}, not 1: {self!r}")
-        return self
+NEGATION_CUES = frozenset({"not", "no", "never", "neither", "nor"})  # tokenize tokens
 
 
 class ScoredCandidate(NamedTuple):
     ref: SentenceRef
-    triple: EntailmentTriple
+    triple: tuple  # (support, refute, uninformative), as check_triples passed it
 
 
 class ScoredPairs(NamedTuple):
@@ -75,7 +57,8 @@ class ScoredPairs(NamedTuple):
 
 
 def check_triples(triples: np.ndarray) -> None:
-    """The EntailmentTriple checks, once over an (n, 3) array of triples."""
+    """Refuse an (n, 3) array of triples unless every component lies in [0, 1]
+    and every row sums to 1 within SUM_TOLERANCE; NaN and inf fail both."""
     total = triples[:, 0] + triples[:, 1] + triples[:, 2]
     good = ((triples >= 0.0) & (triples <= 1.0)).all(axis=1)
     good &= np.abs(total - 1.0) <= SUM_TOLERANCE
@@ -85,10 +68,13 @@ def check_triples(triples: np.ndarray) -> None:
                          "components must lie in [0, 1] and sum to 1")
 
 
-def _bag(tokens) -> tuple:
-    """(token set, whether it holds a negation cue)."""
-    tokens = set(tokens)
-    return tokens, not tokens.isdisjoint(NEGATION_CUES)
+def _bag(text: str) -> tuple:
+    """(token set, whether the text is negated): a text is negated if it holds
+    a cue token or the contraction n't, which tokenize splits ("isn't" is
+    isn, t)."""
+    tokens = set(tokenize(text))
+    return tokens, (not tokens.isdisjoint(NEGATION_CUES)
+                    or re.search(r"n['’]t\b", text, re.IGNORECASE) is not None)
 
 
 def _overlap_triple(claim_bag, sentence_bag) -> tuple:
@@ -121,9 +107,9 @@ class BaselineScorer:
     def score(self, claim_id, claim: str, ref: SentenceRef, sentence: str) -> tuple:
         claim_bag = self._claims.get(claim)
         if claim_bag is None:
-            claim_bag = self._claims[claim] = _bag(tokenize(claim))
+            claim_bag = self._claims[claim] = _bag(claim)
         if sentence != self._sentence:
-            self._sentence, self._sentence_bag = sentence, _bag(tokenize(sentence))
+            self._sentence, self._sentence_bag = sentence, _bag(sentence)
         return _overlap_triple(claim_bag, self._sentence_bag)
 
 
@@ -198,5 +184,5 @@ def score_candidates(scorer, claim_id, claim: str, refs, corpus) -> list[ScoredC
     score_pairs."""
     pairs = score_pairs(scorer, [SimpleNamespace(claim_id=claim_id, claim=claim)], [refs],
                         corpus)
-    return [ScoredCandidate(ref, EntailmentTriple(*triple))
+    return [ScoredCandidate(ref, tuple(triple))
             for ref, triple in zip(pairs.refs, pairs.triples.tolist())]

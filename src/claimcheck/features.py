@@ -1,48 +1,22 @@
-"""Indicator variables and the twelve-dimensional claim feature vector.
+"""Indicator variables and the twelve features of a claim.
 
 Indicators use non-strict comparisons, so exact ties activate more than one
 of (cs, cr, cu).  All features are sums, maxima, or ratios over a claim's
-scored candidates; a claim without candidates gets the all-zero vector.
+scored candidates; a claim without candidates gets the all-zero row.
 
 ``feature_matrix`` computes the features of every claim of a run at once
 from the pair arrays of ``entailment.score_pairs`` (the claim index and the
 triple row of each pair): one (claims x 12) float64 matrix.  Its sums add
 each claim's terms one at a time in pair order (``np.bincount``), so every
 cell has the bits of the sequential per-claim sum.  ``features`` is the
-one-claim call, returning a FeatureVector.
+one-claim call, returning that claim's row: a (12,) float64 array, f1..f12
+in FEATURE_NAMES order.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
 FEATURE_NAMES = tuple(f"f{i}" for i in range(1, 13))
 _SUMS = 6  # f1..f6 are sums over the candidates
-
-
-class IndicatorTriple(NamedTuple):
-    cs: int
-    cr: int
-    cu: int
-
-
-class FeatureVector(NamedTuple):
-    f1: float
-    f2: float
-    f3: float
-    f4: float
-    f5: float
-    f6: float
-    f7: float
-    f8: float
-    f9: float
-    f10: float
-    f11: float
-    f12: float
-    n: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self[:len(FEATURE_NAMES)], dtype=np.float64)
 
 
 def indicator_matrix(triples: np.ndarray) -> np.ndarray:
@@ -52,15 +26,9 @@ def indicator_matrix(triples: np.ndarray) -> np.ndarray:
                     axis=1).astype(np.float64)
 
 
-def indicators(triple) -> IndicatorTriple:
-    """The indicators of one triple."""
-    row = indicator_matrix(np.array([triple], dtype=np.float64))[0]
-    return IndicatorTriple(*map(int, row.tolist()))
-
-
-def feature_matrix(claims: np.ndarray, triples: np.ndarray, n_claims: int) -> tuple:
-    """((n_claims, 12) features, (n_claims,) candidate counts) of scored pairs,
-    pair i belonging to claim index claims[i]; pairs may come in any order.
+def feature_matrix(claims: np.ndarray, triples: np.ndarray, n_claims: int) -> np.ndarray:
+    """The (n_claims, 12) features of scored pairs, pair i belonging to claim
+    index claims[i]; pairs may come in any order.
 
     f1..f3 count the indicators, f4..f6 sum each indicated probability, f7..f9
     take each probability's maximum and f10..f12 are f4..f6 over f1..f3.
@@ -74,13 +42,12 @@ def feature_matrix(claims: np.ndarray, triples: np.ndarray, n_claims: int) -> tu
     # + 0.0 turns -0.0 into 0.0: np.maximum(0.0, -0.0) may return -0.0, max() does not
     np.maximum.at(X[:, 6:9], claims, triples + 0.0)
     np.divide(X[:, 3:6], X[:, 0:3], out=X[:, 9:12], where=X[:, 0:3] != 0)
-    return X, np.bincount(claims, minlength=n_claims)
+    return X
 
 
-def features(candidates) -> FeatureVector:
-    """Twelve features over one claim's scored candidates (or bare triples): a
-    one-claim call of feature_matrix."""
+def features(candidates) -> np.ndarray:
+    """The (12,) feature row, f1..f12, of one claim's scored candidates (or
+    bare triples): a one-claim call of feature_matrix."""
     triples = np.array([getattr(c, "triple", c) for c in candidates],
                        dtype=np.float64).reshape(-1, 3)
-    X, n = feature_matrix(np.zeros(len(triples), dtype=np.int64), triples, 1)
-    return FeatureVector(*X[0].tolist(), n=int(n[0]))
+    return feature_matrix(np.zeros(len(triples), dtype=np.int64), triples, 1)[0]

@@ -1,4 +1,4 @@
-"""Random Forest over claim feature vectors.
+"""Random Forest over claim feature rows (f1..f12, as features computes them).
 
 Fifty depth-limited trees, each grown on a bootstrap resample with a random
 subset of features considered at every node and splits chosen by information
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DEFAULT_CLASS_COUNTS, LABELS
-from .features import FEATURE_NAMES, FeatureVector
+from .features import FEATURE_NAMES
 from .rows import reading
 
 log = logging.getLogger(__name__)
@@ -51,7 +51,7 @@ class ForestConfig(_Config):
 
 
 class TrainingSample(NamedTuple):
-    features: FeatureVector
+    features: np.ndarray  # (12,) feature row
     label: str
 
 
@@ -96,9 +96,9 @@ class RandomForest:
         probs = np.cumsum(dist[node], axis=1)[:, -1] / len(roots)
         return [LABELS[i] for i in np.argmax(probs, axis=1).tolist()], probs
 
-    def predict(self, features: FeatureVector):
-        """(label, class-probability vector) of one feature vector."""
-        labels, probs = self.predict_all(features.as_array()[np.newaxis])
+    def predict(self, features):
+        """(label, class-probability vector) of one (12,) feature row."""
+        labels, probs = self.predict_all([features])
         return labels[0], probs[0]
 
 
@@ -175,7 +175,7 @@ def _flatten(trees, config: ForestConfig) -> tuple:
 
 def train(samples, config: ForestConfig = ForestConfig()) -> RandomForest:
     """A forest on TrainingSamples: fit on their feature rows and labels."""
-    X = np.array([s.features.as_array() for s in samples]).reshape(-1, len(FEATURE_NAMES))
+    X = np.array([s.features for s in samples]).reshape(-1, len(FEATURE_NAMES))
     return fit(X, [s.label for s in samples], config)
 
 

@@ -6,6 +6,7 @@ scored a run's pairs as arrays.
 """
 
 from claimcheck.entailment import NEGATION_CUES
+from claimcheck.tokenizer import tokenize
 
 MAX_EVIDENCE = 5
 NOT_ENOUGH_INFO = "NOT ENOUGH INFO"
@@ -59,11 +60,26 @@ def assemble(claim_id, predicted_label, candidates) -> tuple:
     return claim_id, predicted_label, tuple(ref for _, ref in ranked[:MAX_EVIDENCE]), False
 
 
-def baseline_triple(claim_tokens, sentence_tokens) -> tuple:
-    """Overlap o relative to the claim; negation mismatch flips support to refute."""
-    claim_set, sentence_set = set(claim_tokens), set(sentence_tokens)
+def negated(text) -> bool:
+    """Whether a text holds a negation cue token or an n't (or n’t) that no
+    letter, digit or underscore follows."""
+    if set(tokenize(text)) & NEGATION_CUES:
+        return True
+    low = text.lower()
+    for i in range(len(low) - 2):
+        if low[i] == "n" and low[i + 1] in "'’" and low[i + 2] == "t":
+            after = low[i + 3:i + 4]
+            if not (after.isalnum() or after == "_"):
+                return True
+    return False
+
+
+def baseline_triple(claim, sentence) -> tuple:
+    """Overlap o of the claim's tokens relative to the claim; a negation
+    mismatch flips support to refute."""
+    claim_set, sentence_set = set(tokenize(claim)), set(tokenize(sentence))
     o = len(claim_set & sentence_set) / len(claim_set) if claim_set else 0.0
-    g = 1 if (bool(claim_set & NEGATION_CUES) != bool(sentence_set & NEGATION_CUES)) else 0
+    g = 1 if negated(claim) != negated(sentence) else 0
     raw = (o * (1 - g), o * g, 1.0 - o)
     total = sum(raw)
     return tuple(v / total for v in raw)

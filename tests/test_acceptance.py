@@ -14,8 +14,8 @@ import pytest
 
 from claimcheck import cli, forest, metrics, nli_data, tfidf
 from claimcheck.corpus import SentenceRef, ingest_dump
-from claimcheck.entailment import EntailmentTriple, ScoredCandidate, score_candidates
-from claimcheck.features import FeatureVector, features, indicators
+from claimcheck.entailment import ScoredCandidate, score_candidates
+from claimcheck.features import features, indicator_matrix
 from claimcheck.forest import ForestConfig, TrainingSample
 from claimcheck.metrics import GoldInstance, Verdict, prediction_from_row
 from claimcheck.nli_data import load_claims
@@ -106,23 +106,23 @@ def dp_levenshtein(a: str, b: str) -> int:
 
 
 def straight_line_features(triples):
-    cs = [1 if t.support >= t.refute and t.support >= t.uninformative else 0 for t in triples]
-    cr = [1 if t.refute >= t.support and t.refute >= t.uninformative else 0 for t in triples]
-    cu = [1 if t.uninformative >= t.support and t.uninformative >= t.refute else 0 for t in triples]
+    cs = [1 if t[0] >= t[1] and t[0] >= t[2] else 0 for t in triples]
+    cr = [1 if t[1] >= t[0] and t[1] >= t[2] else 0 for t in triples]
+    cu = [1 if t[2] >= t[0] and t[2] >= t[1] else 0 for t in triples]
     f1, f2, f3 = float(sum(cs)), float(sum(cr)), float(sum(cu))
-    f4 = sum(t.support * c for t, c in zip(triples, cs))
-    f5 = sum(t.refute * c for t, c in zip(triples, cr))
-    f6 = sum(t.uninformative * c for t, c in zip(triples, cu))
-    f7 = max((t.support for t in triples), default=0.0)
-    f8 = max((t.refute for t in triples), default=0.0)
-    f9 = max((t.uninformative for t in triples), default=0.0)
+    f4 = sum(t[0] * c for t, c in zip(triples, cs))
+    f5 = sum(t[1] * c for t, c in zip(triples, cr))
+    f6 = sum(t[2] * c for t, c in zip(triples, cu))
+    f7 = max((t[0] for t in triples), default=0.0)
+    f8 = max((t[1] for t in triples), default=0.0)
+    f9 = max((t[2] for t in triples), default=0.0)
     f10 = f4 / f1 if f1 else 0.0
     f11 = f5 / f2 if f2 else 0.0
     f12 = f6 / f3 if f3 else 0.0
     return np.array([f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12])
 
 
-def random_triple(rng) -> EntailmentTriple:
+def random_triple(rng) -> tuple:
     if rng.random() < 0.2:  # force exact ties through repeated components
         parts = [rng.integers(1, 4), rng.integers(1, 4)]
         parts.append(parts[rng.integers(0, 2)])
@@ -131,7 +131,7 @@ def random_triple(rng) -> EntailmentTriple:
     else:
         raw = rng.random(3)
         vals = list(raw / raw.sum())
-    return EntailmentTriple(*vals)
+    return tuple(vals)
 
 
 class OracleScorer:
@@ -145,13 +145,13 @@ class OracleScorer:
             union = {ref for group in inst.evidence_sets for ref in group}
             self.gold[inst.claim_id] = (inst.label, union)
 
-    def score(self, claim_id, claim, ref, sentence) -> EntailmentTriple:
+    def score(self, claim_id, claim, ref, sentence) -> tuple:
         label, union = self.gold[claim_id]
         if ref in union and label == "SUPPORTS":
-            return EntailmentTriple(1.0, 0.0, 0.0)
+            return 1.0, 0.0, 0.0
         if ref in union and label == "REFUTES":
-            return EntailmentTriple(0.0, 1.0, 0.0)
-        return EntailmentTriple(0.0, 0.0, 1.0)
+            return 0.0, 1.0, 0.0
+        return 0.0, 0.0, 1.0
 
 
 # -- criteria ----------------------------------------------------------------
@@ -223,30 +223,28 @@ def test_feature_formulas(report):
     rng = np.random.default_rng(9003)
     for _ in range(1000):
         triples = [random_triple(rng) for _ in range(rng.integers(0, 51))]
-        np.testing.assert_allclose(features(triples).as_array(),
+        np.testing.assert_allclose(features(triples),
                                    straight_line_features(triples),
                                    atol=1e-12, rtol=0)
 
     empty = features([])
-    assert empty.as_array().tolist() == [0.0] * 12 and empty.n == 0
+    assert empty.tolist() == [0.0] * 12
 
-    fv = features([EntailmentTriple(0.7, 0.2, 0.1), EntailmentTriple(0.2, 0.5, 0.3),
-                   EntailmentTriple(0.1, 0.2, 0.7)])
-    assert fv.as_array().tolist() == [1, 1, 1, 0.7, 0.5, 0.7, 0.7, 0.5, 0.7,
-                                      0.7, 0.5, 0.7]
+    fv = features([(0.7, 0.2, 0.1), (0.2, 0.5, 0.3), (0.1, 0.2, 0.7)])
+    assert fv.tolist() == [1, 1, 1, 0.7, 0.5, 0.7, 0.7, 0.5, 0.7, 0.7, 0.5, 0.7]
 
-    twice = features([EntailmentTriple(0.6, 0.3, 0.1)] * 2)
-    assert (twice.f1, twice.f4, twice.f7, twice.f10) == (2, 1.2, 0.6, 0.6)
+    twice = features([(0.6, 0.3, 0.1)] * 2)
+    assert (twice[0], twice[3], twice[6], twice[9]) == (2, 1.2, 0.6, 0.6)
     report("[PASS] feature formulas match straight-line re-evaluation on 1000 "
            "random sets within 1e-12; all three hand-derived examples exact")
 
 
 def test_indicator_tie_semantics(report):
     third = 1 / 3
-    full = indicators(EntailmentTriple(third, third, third))
-    assert (full.cs, full.cr, full.cu) == (1, 1, 1)
-    two = indicators(EntailmentTriple(0.4, 0.4, 0.2))
-    assert (two.cs, two.cr, two.cu) == (1, 1, 0)
+    full = indicator_matrix(np.array([(third, third, third)]))[0]
+    assert tuple(full) == (1, 1, 1)
+    two = indicator_matrix(np.array([(0.4, 0.4, 0.2)]))[0]
+    assert tuple(two) == (1, 1, 0)
     report("[PASS] indicator ties: (1/3,1/3,1/3) -> (1,1,1) and "
            "(0.4,0.4,0.2) -> (1,1,0)")
 
@@ -254,7 +252,7 @@ def test_indicator_tie_semantics(report):
 def _separable_sample(rng):
     vals = rng.random(12)
     label = "SUPPORTS" if vals[6] > 0.5 else "REFUTES"
-    return TrainingSample(FeatureVector(*vals, n=5), label)
+    return TrainingSample(vals, label)
 
 
 def _depth(node) -> int:
@@ -269,7 +267,7 @@ def test_random_forest(report, tmp_path):
     held_out = [_separable_sample(rng) for _ in range(200)]
     model = forest.train(train_set, ForestConfig(trees=50, max_depth=3, seed=17))
 
-    noisy = [TrainingSample(FeatureVector(*rng.random(12), n=3),
+    noisy = [TrainingSample(rng.random(12),
                             LABELS[rng.integers(0, 3)]) for _ in range(150)]
     noisy_model = forest.train(noisy, ForestConfig(trees=50, max_depth=3, seed=18))
     for m in (model, noisy_model):
@@ -286,7 +284,7 @@ def test_random_forest(report, tmp_path):
 
     loaded = forest.load(a)
     for _ in range(100):
-        fv = FeatureVector(*rng.random(12), n=4)
+        fv = rng.random(12)
         label, probs = model.predict(fv)
         label2, probs2 = loaded.predict(fv)
         assert label == label2 and probs.tolist() == probs2.tolist()
@@ -331,14 +329,14 @@ def test_nli_dataset_generation(report, tmp_path):
 
 
 def test_verdict_overrides(report):
-    refuting = [ScoredCandidate(SentenceRef(f"P{i}", i), EntailmentTriple(0.1, 0.7, 0.2))
+    refuting = [ScoredCandidate(SentenceRef(f"P{i}", i), (0.1, 0.7, 0.2))
                 for i in range(4)]
     v = assemble(1, "SUPPORTS", refuting)
     assert (v.label, v.evidence, v.override_applied) == ("NOT ENOUGH INFO", (), True)
 
     supports = [0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6]
     cands = [ScoredCandidate(SentenceRef(f"P{i}", i),
-                             EntailmentTriple(s, (1 - s) / 2, (1 - s) / 2))
+                             (s, (1 - s) / 2, (1 - s) / 2))
              for i, s in enumerate(supports)]
     v = assemble(2, "SUPPORTS", cands)
     assert len(v.evidence) == 5

@@ -11,9 +11,10 @@ import oracles
 from claimcheck import entailment
 from claimcheck.corpus import Corpus, Document, SentenceRef
 from claimcheck.entailment import (
+    NEGATION_CUES,
     BaselineScorer,
-    EntailmentTriple,
     FileScorer,
+    check_triples,
     score_candidates,
     score_pairs,
 )
@@ -21,25 +22,44 @@ from claimcheck.tokenizer import tokenize
 
 
 class TestTripleInvariants:
+    """check_triples, the one check of a triple held in memory."""
+
     def test_valid(self):
-        t = EntailmentTriple(0.7, 0.2, 0.1)
-        assert tuple(t) == (0.7, 0.2, 0.1)
+        check_triples(np.array([[0.7, 0.2, 0.1], [0.5, 0.5, 0.0]]))
+
+    @pytest.mark.parametrize("row", [lambda d: (0.5, 0.5, d), lambda d: (0.5, 0.5 - d, 0.0)],
+                             ids=["above", "below"])
+    def test_sum_tolerance(self, row):  # a sum off by 1e-6 passes, by 2e-6 it does not
+        check_triples(np.array([row(1e-6)]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            check_triples(np.array([row(2e-6)]))
 
     def test_sum_violation(self):
-        with pytest.raises(ValueError, match="components sum to"):
-            EntailmentTriple(0.7, 0.2, 0.2)
+        with pytest.raises(ValueError, match="sum to 1"):
+            check_triples(np.array([[0.7, 0.2, 0.2]]))
 
     def test_range_violation(self):
-        with pytest.raises(ValueError, match=r"component out of \[0, 1\]: "):
-            EntailmentTriple(-0.1, 0.6, 0.5)
+        for bad in [(-0.1, 0.6, 0.5), (1.1, -0.1, 0.0), (0.0, 1.1, -0.1)]:
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                check_triples(np.array([bad]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(ValueError, match="pair 0 has triple"):
+            check_triples(np.array([[value, 0.5, 0.5]]))
+
+    def test_message_names_first_bad_pair(self):
+        triples = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.7, 0.2, 0.2], [-0.1, 0.6, 0.5]])
+        with pytest.raises(ValueError, match=r"pair 2 has triple \(0\.7, 0\.2, 0\.2\)"):
+            check_triples(triples)
 
 
-def baseline(claim: str, sentence: str) -> EntailmentTriple:
+def baseline(claim: str, sentence: str) -> tuple:
     """The baseline triple of one (claim, sentence) pair, scored by score_candidates."""
     corpus = Corpus()
     corpus.add_document(Document("P", "", {0: sentence}))
     [scored] = score_candidates(BaselineScorer(), None, claim, [SentenceRef("P", 0)], corpus)
-    assert tuple(scored.triple) == oracles.baseline_triple(tokenize(claim), tokenize(sentence))
+    assert tuple(scored.triple) == oracles.baseline_triple(claim, sentence)
     return scored.triple
 
 
@@ -55,29 +75,41 @@ class TestBaseline:
 
     def test_negation_on_both_sides_cancels(self):
         t = baseline("not a", "not a")
-        assert t.support == 1.0
+        assert t[0] == 1.0
 
     def test_overlap_relative_to_claim_only(self):
         # same intersection, very different sentence sizes
         short = baseline("a b", "a")
         long = baseline("a b", "a x y z w")
-        assert short.support == long.support == 0.5
+        assert short[0] == long[0] == 0.5
 
     def test_empty_claim(self):
         assert tuple(baseline("", "a")) == (0.0, 0.0, 1.0)
 
     def test_identity_maximizes_support(self):
         t = baseline("the mill was rebuilt", "the mill was rebuilt")
-        assert t.support > t.refute and t.support > t.uninformative
+        assert t[0] > t[1] and t[0] > t[2]
 
     def test_zero_overlap_maximizes_uninformative(self):
         t = baseline("alpha beta", "gamma delta")
-        assert t.uninformative > t.support and t.uninformative > t.refute
+        assert t[2] > t[0] and t[2] > t[1]
 
     def test_deterministic(self):
         a = baseline("Tarn Abbey was founded", "Tarn Abbey")
         b = baseline("Tarn Abbey was founded", "Tarn Abbey")
         assert a == b
+
+    def test_negation_cues_are_single_tokens(self):
+        for cue in NEGATION_CUES:
+            assert tokenize(cue) == [cue]
+
+    def test_contraction_negates(self):
+        assert baseline("The bridge is open.", "The bridge is open.") == (1.0, 0.0, 0.0)
+        assert baseline("The bridge is open.", "The bridge isn't open.") == (0.0, 0.75, 0.25)
+        assert baseline("The bridge is open.", "The bridge ISN’T open.") == (0.0, 0.75, 0.25)
+        assert baseline("It can't fly.", "It didn't fly.") == (0.75, 0.0, 0.25)
+        # tokenize reads "John T. Smith" with a token t too, which negates nothing
+        assert baseline("John Smith is here.", "John T. Smith is here.") == (1.0, 0.0, 0.0)
 
 
 def prob_row(cid, page, line, s, r, u):
@@ -148,7 +180,7 @@ class PairScorer:
     """The baseline reference through the one-pair protocol alone."""
 
     def score(self, claim_id, claim, ref, sentence):
-        return oracles.baseline_triple(tokenize(claim), tokenize(sentence))
+        return oracles.baseline_triple(claim, sentence)
 
 
 class TestScorePairs:
@@ -157,8 +189,7 @@ class TestScorePairs:
     def test_baseline_equals_per_pair_reference_bits(self, run):
         corpus, claims, candidates = run
         pairs = score_pairs(BaselineScorer(), claims, candidates, corpus)
-        want = [oracles.baseline_triple(tokenize(claim.claim),
-                                        tokenize(corpus.get_sentence(ref)))
+        want = [oracles.baseline_triple(claim.claim, corpus.get_sentence(ref))
                 for claim, refs in zip(claims, candidates) for ref in refs]
         assert pairs.triples.tobytes() == np.array(want).reshape(-1, 3).tobytes()
         assert pairs.claims.tolist() == [c for c, refs in enumerate(candidates) for _ in refs]
@@ -210,12 +241,12 @@ class TestScorePairs:
             corpus = Corpus()
             corpus.add_document(Document("Page", "", {0: sentence}))
             pairs = score_pairs(scorer, claims, [[ref]], corpus)
-            want = oracles.baseline_triple(tokenize(claims[0].claim), tokenize(sentence))
+            want = oracles.baseline_triple(claims[0].claim, sentence)
             assert tuple(pairs.triples[0].tolist()) == want
 
     def test_file_scorer_batch_names_a_missing_pair(self, mini_corpus):
         ref = SentenceRef(*next(iter(mini_corpus.documents())).non_empty_refs()[0])
-        scorer = FileScorer({(1, *ref): EntailmentTriple(0.5, 0.25, 0.25)})
+        scorer = FileScorer({(1, *ref): (0.5, 0.25, 0.25)})
         claims = [SimpleNamespace(claim_id=1, claim="c"), SimpleNamespace(claim_id=2, claim="c")]
         pairs = score_pairs(scorer, claims[:1], [[ref]], mini_corpus)
         assert pairs.triples.tolist() == [[0.5, 0.25, 0.25]]

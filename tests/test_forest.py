@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from claimcheck import forest
-from claimcheck.features import FeatureVector
 from claimcheck.forest import (
     ForestConfig,
     TrainingSample,
@@ -50,8 +49,9 @@ def train_reference(X, y, config) -> list:
     return trees
 
 
-def fv(values) -> FeatureVector:
-    return FeatureVector(*values, n=1)
+def fv(values) -> np.ndarray:
+    """A (12,) feature row."""
+    return np.array(values, dtype=np.float64)
 
 
 def separable_samples(rng, n):
@@ -114,7 +114,7 @@ class TestTraining:
         monkeypatch.setattr(forest, "FEATURES_PER_SPLIT", 12)
         rng = np.random.default_rng(53)
         samples = separable_samples(rng, 60)
-        X = np.stack([s.features.as_array() for s in samples])
+        X = np.stack([s.features for s in samples])
         y = np.array([forest.LABELS.index(s.label) for s in samples], dtype=np.int64)
         model = forest.train(samples, ForestConfig(trees=20, seed=54))
         for ti, t in enumerate(model.trees):
@@ -188,14 +188,14 @@ class TestPrediction:
             node = splits[rng.integers(len(splits))]
             row[node["feature"]] = node["threshold"]
         rows = [fv(x) for x in X]
-        labels, probs = model.predict_all(np.array([row.as_array() for row in rows]))
+        labels, probs = model.predict_all(np.array(rows))
         for row, label, p in zip(rows, labels, probs):
             one_label, one = model.predict(row)
             assert label == one_label and p.tobytes() == one.tobytes()
             walked = np.zeros(3)
             for node in model.trees:
                 while "dist" not in node:
-                    left = row.as_array()[node["feature"]] < node["threshold"]
+                    left = row[node["feature"]] < node["threshold"]
                     node = node["left"] if left else node["right"]
                 walked += node["dist"]
             walked /= len(model.trees)

@@ -1,0 +1,120 @@
+"""Every function of the program is reached by running the program.
+
+Runs each subcommand in process on the ``data/`` fixture, with the flags
+that pick between code paths, plus one run on bad input and the traced
+benchmark run of ``perfbench/bench_trace.py``, all under ``sys.setprofile``.
+It then requires that every module-level function and method that ``ast``
+finds in ``src/claimcheck`` was entered: a function that only tests call is
+code the program does not need.
+"""
+
+import ast
+import importlib.util
+import json
+import sys
+import time
+from pathlib import Path
+
+from claimcheck import cli, tfidf
+from claimcheck.ner import extract_entities
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(cli.__file__).parent  # as the code objects name their files
+DUMP = ROOT / "data" / "mini_wiki.jsonl"
+CLAIMS = ROOT / "data" / "mini_claims.jsonl"
+
+
+def defined_functions() -> set:
+    """(file name, qualified name) of every module-level function and of every
+    method of a module-level class, nested classes included."""
+    found = set()
+
+    def visit(body, prefix, path):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add((path.name, prefix + node.name))
+            elif isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")).body, "", path)
+    return found
+
+
+def load_bench_trace():
+    spec = importlib.util.spec_from_file_location(
+        "bench_trace", ROOT / "perfbench" / "bench_trace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_program(tmp: Path, bench_trace) -> None:
+    """Every subcommand, the path-picking flags, one bad input and the traced run."""
+    corpus, index, cands = tmp / "corpus.json.gz", tmp / "index.npz", tmp / "cands.jsonl"
+    scored, model, pred = tmp / "scored.jsonl", tmp / "model.json", tmp / "pred.jsonl"
+    ner_file = tmp / "ner.jsonl"  # the heuristic's mentions, read from a file instead
+    with open(CLAIMS, encoding="utf-8") as fp:
+        claims = [json.loads(line) for line in fp]
+    ner_file.write_text("".join(
+        json.dumps({"id": c["id"], "entities": [m.surface for m in extract_entities(c["claim"])]})
+        + "\n" for c in claims), encoding="utf-8")
+    not_zip = tmp / "not_an_index.npz"
+    not_zip.write_text("plain text\n", encoding="utf-8")
+
+    e2e = ["e2e", "--claims", str(CLAIMS), "--trees", "5"]
+    runs = [
+        (0, ["ingest", "--dump", DUMP, "--out", corpus]),
+        (0, ["index", "--corpus", corpus, "--out", index]),
+        (0, ["index", "--corpus", DUMP, "--bins", "4096", "--out", tmp / "raw_index.npz"]),
+        (0, ["retrieve", "--corpus", corpus, "--claims", CLAIMS, "--index", index,
+             "--out", cands]),
+        (0, ["features", "--corpus", corpus, "--claims", CLAIMS, "--candidates", cands,
+             "--out", scored]),
+        (0, ["train", "--claims", CLAIMS, "--scored", scored, "--trees", "5", "--out", model]),
+        (0, ["predict", "--claims", CLAIMS, "--scored", scored, "--model", model,
+             "--out", pred]),
+        (0, ["score", "--gold", CLAIMS, "--pred", pred, "--json-out", tmp / "score.json"]),
+        (0, ["gen-nli", "--corpus", corpus, "--claims", CLAIMS, "--out", tmp / "nli.jsonl",
+             "--manifest", tmp / "manifest.json"]),
+        (0, [*e2e, "--corpus", corpus, "--index", index, "--out", tmp / "e1.jsonl",
+             "--report", tmp / "report.json"]),
+        (0, [*e2e, "--corpus", DUMP, "--bins", "4096", "--out", tmp / "e2.jsonl"]),
+        (0, [*e2e, "--corpus", corpus, "--index", index, "--prob-file", scored,
+             "--out", tmp / "e3.jsonl"]),
+        (0, [*e2e, "--corpus", corpus, "--index", index, "--ner-file", ner_file,
+             "--out", tmp / "e4.jsonl"]),
+        (0, [*e2e, "--corpus", corpus, "--index", index, "--model", model,
+             "--out", tmp / "e5.jsonl"]),
+        (1, ["retrieve", "--corpus", corpus, "--claims", CLAIMS, "--index", not_zip,
+             "--out", tmp / "bad.jsonl"]),
+    ]
+    for code, argv in runs:
+        assert cli.main(["-q", *map(str, argv)]) == code, argv
+    bench_trace.run(DUMP, CLAIMS, tmp, bench_trace.Tracer())
+
+
+def test_every_function_is_reached_by_the_program(tmp_path, monkeypatch):
+    bench_trace = load_bench_trace()
+    # bench_trace.run wraps TfidfIndex.build for counting and leaves it wrapped
+    monkeypatch.setattr(tfidf.TfidfIndex, "build", vars(tfidf.TfidfIndex)["build"])
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    started = time.perf_counter()
+    sys.setprofile(profile)
+    try:
+        run_program(tmp_path, bench_trace)
+    finally:
+        sys.setprofile(None)
+    elapsed = time.perf_counter() - started
+
+    reached = {(Path(code.co_filename).name, code.co_qualname) for code in entered
+               if Path(code.co_filename).parent == SRC}
+    unreached = sorted(f"{module[:-3]}.{name}"
+                       for module, name in defined_functions() - reached)
+    assert not unreached, f"functions that no run of the program enters: {unreached}"
+    assert elapsed < 10.0

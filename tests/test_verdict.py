@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 import oracles
 from claimcheck import features, metrics, verdict
 from claimcheck.corpus import SentenceRef
-from claimcheck.entailment import EntailmentTriple, ScoredCandidate, ScoredPairs
+from claimcheck.entailment import ScoredCandidate, ScoredPairs
 from claimcheck.forest import LABELS
 from conftest import TRIPLES, interleaved
 
 
 def cand(page, line, s, r, u):
-    return ScoredCandidate(SentenceRef(page, line), EntailmentTriple(s, r, u))
+    return ScoredCandidate(SentenceRef(page, line), (s, r, u))
 
 
 def random_candidates(rng, n):
@@ -58,9 +58,9 @@ class TestOverride:
             cands = random_candidates(rng, int(rng.integers(1, 12)))
             fv = features.features(cands)
             v = verdict.assemble(0, "SUPPORTS", cands)
-            assert v.override_applied == (fv.f1 == 0.0)
+            assert v.override_applied == (fv[0] == 0.0)
             v = verdict.assemble(0, "REFUTES", cands)
-            assert v.override_applied == (fv.f2 == 0.0)
+            assert v.override_applied == (fv[1] == 0.0)
 
 
 class TestRanking:
@@ -95,8 +95,7 @@ class TestRanking:
 
     def test_products_non_increasing_and_indicators_match(self):
         rng = np.random.default_rng(72)
-        for label, prob, flag in (("SUPPORTS", "support", "cs"),
-                                  ("REFUTES", "refute", "cr")):
+        for label, k in (("SUPPORTS", 0), ("REFUTES", 1)):  # k: support and cs, refute and cr
             for _ in range(100):
                 cands = random_candidates(rng, int(rng.integers(0, 15)))
                 v = verdict.assemble(0, label, cands)
@@ -105,9 +104,9 @@ class TestRanking:
                 products = []
                 for ref in v.evidence:
                     t = by_ref[ref]
-                    ind = features.indicators(t)
-                    assert getattr(ind, flag) == 1
-                    products.append(getattr(t, prob) * getattr(ind, flag))
+                    ind = features.indicator_matrix(np.array([t]))[0]
+                    assert ind[k] == 1
+                    products.append(t[k] * ind[k])
                 assert all(a >= b for a, b in zip(products, products[1:]))
                 assert all(p > 0 for p in products)
 
