@@ -10,12 +10,14 @@ verdicts of those pairs under seeded labels (``verdict.assemble_all``),
 training the default forest and loading its saved model file, saving a
 corpus file, loading it (page ids only), loading it and parsing every
 page, and building the document index of that corpus, on seeded inputs,
-and prints the best-of-N wall time of each.  A last column gives the
+and prints the best-of-N wall time of each.  A third column gives the
 peak of the memory one more call allocates, as ``tracemalloc`` traces it.
 The last three rows run the ``ingest``, ``index`` and ``e2e`` subcommands
 on the ``data/`` fixture, each in a new interpreter, so that they time
-start-up and imports next to the kernels; their peak is only this
-process's share.
+start-up and imports next to the kernels; for them one more child gives
+its own peak RSS as the peak, and its user + system CPU time in a fourth
+column, where a thread that spins beside the main one shows as added CPU
+time.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -223,11 +225,32 @@ def hash_loop(texts, bin_count=2**24):
     return [hashed_counts(tokenize(text), (1, 2), bin_count) for text in texts]
 
 
-def run_child(*argv):
-    """Run one subcommand in a new interpreter that imports this claimcheck."""
+# Runs cli.main on its arguments, then writes the peak RSS of its own memory
+# (VmHWM, in kB) as the last line of stderr. Linux carries a parent's peak
+# RSS into the ru_maxrss of a child it spawns, so from this process, which
+# holds numpy and the inputs of every row, ru_maxrss reads this process's peak.
+CHILD = ("import sys\n"
+         "from claimcheck import cli\n"
+         "code = cli.main(sys.argv[1:])\n"
+         "with open('/proc/self/status', encoding='ascii') as fh:\n"
+         "    print(next(line for line in fh if line.startswith('VmHWM:')).split()[1],\n"
+         "          file=sys.stderr)\n"
+         "sys.exit(code)\n")
+
+
+def run_child(*argv) -> tuple:
+    """Run one subcommand in a new interpreter that imports this claimcheck;
+    (its peak RSS in bytes, its user + system CPU seconds)."""
     env = {**os.environ, "PYTHONPATH": str(Path(claimcheck.__file__).resolve().parent.parent)}
-    subprocess.run([sys.executable, "-m", "claimcheck.cli", "-q", *map(str, argv)], env=env,
-                   check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen([sys.executable, "-c", CHILD, "-q", *map(str, argv)], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    with proc.stderr:
+        err = proc.stderr.read()  # to the end, so the child never blocks on a full pipe
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # so Popen does not wait again
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, stderr=err)
+    return int(err.split()[-1]) * 1024, usage.ru_utime + usage.ru_stime
 
 
 def start_up_cases(workdir):
@@ -305,13 +328,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         cases = build_cases(rng, args, workdir)
         width = max(len(name) for name, *_ in cases)
-        header = f"{'kernel':<{width}}  {'time':>10}  {'peak':>10}"
+        header = f"{'kernel':<{width}}  {'time':>10}  {'peak':>10}  {'cpu':>10}"
         print(header)
         print("-" * len(header))
         for name, fn, inputs in cases:
             elapsed = best_of(lambda: fn(*inputs), args.repeat)
-            peak = traced_peak(lambda: fn(*inputs))
-            print(f"{name:<{width}}  {elapsed * 1e3:>8.2f}ms  {peak / 2**20:>8.2f}MB")
+            if fn is run_child:  # the child's own peak RSS, and its CPU time
+                peak, cpu = fn(*inputs)
+            else:
+                peak, cpu = traced_peak(lambda: fn(*inputs)), None
+            row = f"{name:<{width}}  {elapsed * 1e3:>8.2f}ms  {peak / 2**20:>8.2f}MB"
+            print(row if cpu is None else f"{row}  {cpu * 1e3:>8.2f}ms")
     return 0
 
 

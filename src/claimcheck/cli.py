@@ -10,10 +10,21 @@ the standard library and the numpy-free ``rows`` and ``corpus``, and each
 function imports the stage modules it runs: ``ingest`` and ``score`` load
 no numpy, ``index`` only ``tfidf`` and what it imports, and ``e2e`` every
 stage module.
+
+``main`` also sets ``OPENBLAS_NUM_THREADS`` to 1, unless the caller set it,
+before any stage module imports numpy. OpenBLAS reads it once, when numpy
+loads, and otherwise starts a worker thread per extra CPU, which spin-waits
+and takes CPU from the main thread. No stage calls a BLAS routine
+(``tests/test_reach.py`` fails on one), so the pool does no work: on a
+2-vCPU x86 machine, one thread cut the CPU and the wall time of a cold
+``e2e`` on the ``entity`` workload by about a sixth. Only the process entry
+sets it; a program that imports ``claimcheck`` as a library keeps its own
+BLAS threads.
 """
 
 import argparse
 import logging
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -436,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before a stage imports numpy
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,

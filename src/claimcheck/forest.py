@@ -93,7 +93,10 @@ class RandomForest:
         for _ in range(depth):  # leaves point to themselves
             go_left = X[rows, feature[node]] < threshold[node]
             node = np.where(go_left, left[node], right[node])
-        probs = np.cumsum(dist[node], axis=1)[:, -1] / len(roots)
+        probs = np.zeros((len(X), len(LABELS)))
+        for leaves in node.T:  # tree by tree; _flatten made every leaf -0.0 a 0.0
+            probs += dist[leaves]
+        probs /= len(roots)
         return [LABELS[i] for i in np.argmax(probs, axis=1).tolist()], probs
 
     def predict(self, features):

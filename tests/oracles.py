@@ -2,9 +2,13 @@
 
 Each works on one claim (or one pair) at a time in plain Python, the way
 the pipeline computed features, verdicts and baseline triples before it
-scored a run's pairs as arrays.
+scored a run's pairs as arrays; ``forest_probs`` keeps the formula forest
+probabilities had before they were summed in place.
 """
 
+import numpy as np
+
+from claimcheck import LABELS
 from claimcheck.entailment import NEGATION_CUES
 from claimcheck.tokenizer import tokenize
 
@@ -83,3 +87,17 @@ def baseline_triple(claim, sentence) -> tuple:
     raw = (o * (1 - g), o * g, 1.0 - o)
     total = sum(raw)
     return tuple(v / total for v in raw)
+
+
+def forest_probs(trees, X) -> np.ndarray:
+    """(m, classes) probabilities of model-file trees on an (m, 12) matrix: each
+    row's leaf distributions stacked into an (m, trees, classes) array (+ 0.0,
+    as the flat layout stores them), summed with np.cumsum over the trees,
+    and the last slice divided by the tree count."""
+    leaves = np.zeros((len(X), len(trees), len(LABELS)))
+    for i, row in enumerate(X):
+        for t, node in enumerate(trees):
+            while "dist" not in node:
+                node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
+            leaves[i, t] = node["dist"]
+    return np.cumsum(leaves + 0.0, axis=1)[:, -1] / len(trees)

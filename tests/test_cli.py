@@ -31,6 +31,7 @@ from conftest import levenshtein
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = ROOT / "data" / "mini_wiki.jsonl"
 CLAIMS = ROOT / "data" / "mini_claims.jsonl"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run(argv, capsys):
@@ -1193,40 +1194,68 @@ class TestStartUp:
               "tokenizer", "verdict"}
 
     @staticmethod
-    def loaded_after(argv) -> set:
-        """The modules a new interpreter holds after running cli.main(argv),
-        claimcheck's by their names in the package."""
-        script = ("import json, sys\n"
+    def loaded_after(argv, **env) -> tuple:
+        """(modules, OS threads, OPENBLAS_NUM_THREADS) of a new interpreter
+        after running cli.main(argv): claimcheck's modules by their names in
+        the package, and None for the thread count where the system has no
+        /proc/self/task. The child inherits no BLAS thread setting, since an
+        in-process cli.main sets one here, only those in env."""
+        script = ("import json, os, sys\n"
                   "from claimcheck import cli\n"
                   f"assert cli.main({['-q', *map(str, argv)]!r}) == 0\n"
-                  "print(json.dumps(sorted(sys.modules)))\n")
+                  "task = '/proc/self/task'\n"
+                  "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+                  "print(json.dumps([sorted(sys.modules), threads,\n"
+                  "                  os.environ.get('OPENBLAS_NUM_THREADS')]))\n")
+        inherited = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=300, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                              timeout=300,
+                              env={**inherited, "PYTHONPATH": str(ROOT / "src"), **env})
         assert proc.returncode == 0, proc.stderr
-        return {m.removeprefix("claimcheck.") for m in json.loads(proc.stdout.splitlines()[-1])}
+        modules, threads, blas = json.loads(proc.stdout.splitlines()[-1])
+        return {m.removeprefix("claimcheck.") for m in modules}, threads, blas
 
     def test_each_subcommand_loads_the_modules_it_runs(self, tmp_path):
         corpus, index = tmp_path / "corpus.json.gz", tmp_path / "index.npz"
-        loaded = self.loaded_after(["ingest", "--dump", DUMP, "--out", corpus])
+        loaded = self.loaded_after(["ingest", "--dump", DUMP, "--out", corpus])[0]
         assert "numpy" not in loaded
         assert loaded & self.STAGES == set()
 
-        loaded = self.loaded_after(["index", "--corpus", corpus, "--out", index])
+        loaded = self.loaded_after(["index", "--corpus", corpus, "--out", index])[0]
         assert loaded & self.STAGES == {"tokenizer", "tfidf"}
 
         loaded = self.loaded_after(["gen-nli", "--corpus", corpus, "--claims", CLAIMS,
                                     "--out", tmp_path / "nli.jsonl",
-                                    "--manifest", tmp_path / "nli.json"])
+                                    "--manifest", tmp_path / "nli.json"])[0]
         assert "numpy" not in loaded
         assert loaded & self.STAGES == {"nli_data"}
 
         loaded = self.loaded_after(["e2e", "--corpus", corpus, "--index", index,
-                                    "--claims", CLAIMS, "--out", tmp_path / "pred.jsonl"])
+                                    "--claims", CLAIMS, "--out", tmp_path / "pred.jsonl"])[0]
         assert self.STAGES <= loaded
 
-        loaded = self.loaded_after(["score", "--gold", CLAIMS, "--pred", tmp_path / "pred.jsonl"])
+        loaded = self.loaded_after(["score", "--gold", CLAIMS,
+                                    "--pred", tmp_path / "pred.jsonl"])[0]
         assert "numpy" not in loaded
         assert loaded & self.STAGES == {"metrics", "nli_data"}
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="needs /proc/self/task to count threads")
+    def test_numpy_children_end_on_one_thread(self, tmp_path):
+        corpus, index = tmp_path / "corpus.json.gz", tmp_path / "index.npz"
+        assert cli.main(["-q", "ingest", "--dump", str(DUMP), "--out", str(corpus)]) == 0
+        loaded, threads, blas = self.loaded_after(["index", "--corpus", corpus, "--out", index])
+        assert "numpy" in loaded and (threads, blas) == (1, "1")
+        loaded, threads, blas = self.loaded_after(["e2e", "--corpus", corpus, "--index", index,
+                                                  "--claims", CLAIMS,
+                                                  "--out", tmp_path / "pred.jsonl"])
+        assert "numpy" in loaded and (threads, blas) == (1, "1")
+
+    def test_callers_blas_thread_setting_wins(self, tmp_path):
+        loaded, _, blas = self.loaded_after(["index", "--corpus", DUMP, "--bins", "4096",
+                                             "--out", tmp_path / "index.npz"],
+                                            OPENBLAS_NUM_THREADS="2")
+        assert "numpy" in loaded and blas == "2"
 
     @pytest.mark.parametrize("command, flag, default", [
         ("index", "--bins", "16777216"), ("retrieve", "--bins", "16777216"),

@@ -12,6 +12,7 @@ from claimcheck.forest import (
     TrainingSample,
 )
 
+import oracles
 from conftest import best_split
 
 
@@ -47,6 +48,23 @@ def train_reference(X, y, config) -> list:
         boot = rng.integers(0, len(X), size=len(X))
         trees.append(grow_reference(X[boot], y[boot], 0, config, rng))
     return trees
+
+
+def random_tree(rng, depth) -> dict:
+    """A model-file tree of at most depth splits: leaves pure, counted as
+    training counts them, or drawn from a Dirichlet distribution."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.integers(3)
+        if kind == 0:
+            dist = np.eye(3)[rng.integers(3)]
+        elif kind == 1:
+            counts = rng.integers(0, 9, size=3) + np.eye(3, dtype=np.int64)[rng.integers(3)]
+            dist = counts / counts.sum()
+        else:
+            dist = rng.dirichlet(np.ones(3))
+        return {"dist": dist.tolist()}
+    return {"feature": int(rng.integers(12)), "threshold": float(rng.random()),
+            "left": random_tree(rng, depth - 1), "right": random_tree(rng, depth - 1)}
 
 
 def fv(values) -> np.ndarray:
@@ -201,6 +219,16 @@ class TestPrediction:
             walked /= len(model.trees)
             assert p.tobytes() == walked.tobytes()
         assert model.predict_all(np.empty((0, 12)))[1].shape == (0, 3)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_probabilities_equal_cumsum_oracle_bit_for_bit(self, seed):
+        rng = np.random.default_rng([58, seed])
+        trees, depth = int(rng.integers(1, 60)), int(rng.integers(0, 6))
+        model = forest.RandomForest(ForestConfig(trees=trees, max_depth=depth),
+                                    [random_tree(rng, depth) for _ in range(trees)])
+        X = rng.random((int(rng.integers(0, 400)), 12))
+        _, probs = model.predict_all(X)
+        assert probs.tobytes() == oracles.forest_probs(model.trees, X).tobytes()
 
     def test_tree_order_permutation_invariant(self, trained):
         _, model = trained

@@ -1,4 +1,5 @@
-"""Every function of the program is reached by running the program.
+"""Every function of the program is reached by running the program, and
+none calls BLAS.
 
 Runs each subcommand in process on the ``data/`` fixture, with the flags
 that pick between code paths, plus one run on bad input and the traced
@@ -6,6 +7,10 @@ benchmark run of ``perfbench/bench_trace.py``, all under ``sys.setprofile``.
 It then requires that every module-level function and method that ``ast``
 finds in ``src/claimcheck`` was entered: a function that only tests call is
 code the program does not need.
+
+``cli.main`` gives OpenBLAS one thread, which costs nothing only while no
+module calls a BLAS routine; an ``ast`` scan of ``src/claimcheck`` fails on
+the ``@`` operator, on the numpy functions that call BLAS, and on ``linalg``.
 """
 
 import ast
@@ -14,6 +19,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from claimcheck import cli, tfidf
 from claimcheck.ner import extract_entities
@@ -38,6 +45,27 @@ def defined_functions() -> set:
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")).body, "", path)
+    return found
+
+
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def blas_uses(source: str) -> list:
+    """(line, what) of each use in source of the @ operator, of an attribute or
+    an imported name in BLAS_NAMES, and of the name linalg."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id == "linalg":
+            found.append((node.lineno, node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [*(getattr(node, "module", None) or "").split("."),
+                     *(part for alias in node.names for part in alias.name.split("."))]
+            found += [(node.lineno, name) for name in names if name in BLAS_NAMES]
     return found
 
 
@@ -118,3 +146,18 @@ def test_every_function_is_reached_by_the_program(tmp_path, monkeypatch):
                        for module, name in defined_functions() - reached)
     assert not unreached, f"functions that no run of the program enters: {unreached}"
     assert elapsed < 10.0
+
+
+def test_no_module_calls_blas():
+    uses = {path.name: blas_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+    assert not {name: found for name, found in uses.items() if found}
+
+
+@pytest.mark.parametrize("source", [
+    "c = a @ b", "c @= b", "np.dot(a, b)", "a.dot(b)", "np.vdot(a, b)", "np.inner(a, b)",
+    "np.matmul(a, b)", "np.tensordot(a, b)", "np.einsum('ij,jk', a, b)",
+    "np.linalg.norm(a)", "from numpy import linalg", "from numpy.linalg import norm",
+    "import numpy.linalg", "from numpy import einsum as e", "linalg.norm(a)"])
+def test_blas_scan_finds_each_form(source):
+    assert blas_uses(source)

@@ -209,9 +209,10 @@ class TestRanking:
             assert np.array_equal(getattr(streamed, name), getattr(built, name))
 
     def test_build_peak_memory_bounded_by_its_output(self):
-        """A build holds its arrays plus a working set of CHUNK_TOKENS tokens:
-        on 4000 pages (about 280,000 tokens) its traced peak stays under 4 times
-        the bytes of the arrays it returns.  Holding the hashed n-grams of every
+        """A build holds its arrays plus the working set of hashing about
+        tokenizer.CHUNK_BYTES bytes of tokens at a time: on 4000 pages (about
+        280,000 tokens) its traced peak stays under 4 times the bytes of the
+        arrays it returns.  Holding the hashed n-grams of every
         page at once, as a build that hashes the whole corpus in one go does,
         peaks at about 6 times."""
         rng = np.random.default_rng(0)
