@@ -9,7 +9,9 @@ feature matrix (``cli.score_claims``, as ``e2e`` calls it), assembling the
 verdicts of those pairs under seeded labels (``verdict.assemble_all``),
 training the default forest and loading its saved model file, saving a
 corpus file, loading it (page ids only), loading it and parsing every
-page, and building the document index of that corpus, on seeded inputs,
+page, building the document index of that corpus, and both TF-IDF routes
+over that index for claims drawn from its sentences
+(``tfidf.top_k_sentences_batch``, as ``e2e`` calls it), on seeded inputs,
 and prints the best-of-N wall time of each.  A third column gives the
 peak of the memory one more call allocates, as ``tracemalloc`` traces it.
 The last three rows run the ``ingest``, ``index`` and ``e2e`` subcommands
@@ -209,6 +211,14 @@ def make_corpus_workload(rng, n_sentences, path):
     return corpus
 
 
+def make_route_workload(rng, corpus, n_claims):
+    """The corpus, its document index and n_claims of its sentences, drawn at
+    random as claims, with ``e2e``'s k_docs and k_sents."""
+    sentences = [doc.sentence(n) for doc in corpus.documents() for n in doc.lines]
+    claims = [sentences[i] for i in rng.integers(0, len(sentences), size=n_claims).tolist()]
+    return corpus, tfidf.build_document_index(corpus), claims, cli.K_DOCS, cli.K_SENTS
+
+
 def load_and_parse(path):
     """Corpus.load, then every page parsed, as the stages of a run that reads all would."""
     corpus = Corpus.load(path)
@@ -280,6 +290,7 @@ def build_cases(rng, args, workdir):
     corpus_path = Path(workdir) / "corpus.json.gz"
     corpus = make_corpus_workload(rng, args.texts, corpus_path)
     verdicts = make_verdict_workload(rng, scoring)
+    route = make_route_workload(rng, corpus, args.claims)
     texts = make_text_workload(tokens)
     n_tokens = sum(map(len, tokens))
     return [
@@ -306,6 +317,8 @@ def build_cases(rng, args, workdir):
         (f"corpus_load_parse ({len(corpus)} pages, every page parsed)", load_and_parse,
          (corpus_path,)),
         (f"index_build ({len(corpus)} pages)", tfidf.build_document_index, (corpus,)),
+        (f"tfidf_route ({args.claims} claims, {len(corpus)} pages)", tfidf.top_k_sentences_batch,
+         route),
         *start_up_cases(workdir),
     ]
 
@@ -319,7 +332,8 @@ def main(argv=None) -> int:
     parser.add_argument("--texts", type=int, default=5000,
                         help="texts to hash, and sentences of the saved corpus")
     parser.add_argument("--claims", type=int, default=750,
-                        help="claims of the scoring run and of the forest's training matrix")
+                        help="claims of the scoring run, of the forest's training matrix "
+                             "and of the TF-IDF route")
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)

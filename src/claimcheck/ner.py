@@ -6,7 +6,9 @@ sentence-initial token (capitalized only because it opens the sentence).
 Real tagger output can be injected from a JSON-lines side file instead.
 Each mention is matched to the page whose normalized title is nearest by
 Levenshtein distance, looking only at titles whose length lets them be
-nearest; every sentence of the matched pages becomes a candidate.
+nearest; every sentence of the matched pages becomes a candidate.  The
+matcher keeps the sorted titles as strings and builds a code matrix only
+for the slice of them it scans.
 """
 
 import re
@@ -164,7 +166,10 @@ class TitleMatcher:
        scanned are scanned too.
 
     Every title left out differs from the query in length by more than the
-    minimum found, so the result is the first minimum of a full scan.
+    minimum found, so the result is the first minimum of a full scan.  The
+    matcher holds the sorted titles and their lengths; each scan builds the
+    code matrix of its slice alone, as wide as the slice's longest title, so
+    one long title costs memory only in the scans that reach it.
     """
 
     def __init__(self, corpus: Corpus):
@@ -176,7 +181,8 @@ class TitleMatcher:
         self._first: dict[str, int] = {}  # normalized title -> first sorted position
         for pos, (title, _) in enumerate(pairs):
             self._first.setdefault(title, pos)
-        self._mat, self._lengths = code_matrix([t for t, _ in pairs])
+        self._titles = [t for t, _ in pairs]
+        self._lengths = np.array([len(t) for t in self._titles], dtype=np.int64)
         self.distances = Counter()  # matches returned, by distance
 
     def match(self, entity: EntityMention) -> TitleMatch:
@@ -209,11 +215,10 @@ class TitleMatcher:
                 int(np.searchsorted(self._lengths, length + radius, "right")))
 
     def _scan(self, lo: int, hi: int, query) -> np.ndarray:
-        """Edit distances to titles lo..hi-1, the matrix trimmed to their width."""
+        """Edit distances to titles lo..hi-1, over the code matrix of just those titles."""
         if lo == hi:
             return np.empty(0, dtype=np.int32)
-        width = int(self._lengths[hi - 1])  # the slice's longest title
-        return batch_levenshtein(self._mat[lo:hi, :width], self._lengths[lo:hi], query)
+        return batch_levenshtein(*code_matrix(self._titles[lo:hi]), query)
 
 
 def claim_mentions(claim: str, *, extractor=None, claim_id=None) -> list[EntityMention]:

@@ -15,8 +15,11 @@ Both routes score a block of claims at a time, a block holding about
 BLOCK_CELLS score cells plus scored entries.  Every score keeps the bits
 it gets when its claim is scored alone: each cell adds its terms one at a
 time in ascending-bin order, and each norm is the np.sum of its row
-(``row_sums``).  ``top_k_documents`` and ``top_k_sentences`` are
-one-claim calls of the same code.
+(``row_sums``).  The sentence route hashes every sentence of the
+retrieved pages once and every claim once, and a block takes one
+contiguous slice of the claims' candidate rows and of their queries.
+``top_k_documents`` and ``top_k_sentences`` are one-claim calls of the
+same code.
 """
 
 import json
@@ -237,8 +240,7 @@ def index_pages(checksums: dict[str, str], pages, bin_count: int = DEFAULT_BIN_C
 
 def top_k_documents(index: TfidfIndex, claim: str, k: int = 5) -> list[ScoredItem]:
     """k best pages for one claim by cosine, positive scores only, ids break ties."""
-    queries = ngram_bins([claim], index.ngram_orders, index.bin_count)
-    return _top_documents(index, queries, 1, k)[0][0]
+    return _top_documents(index, [claim], k)[0][0]
 
 
 def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
@@ -260,47 +262,9 @@ def top_k_sentences_batch(corpus: Corpus, index: TfidfIndex, claims: list[str],
     pages once in all.  Returns the sentences per claim and the number of
     claims whose document query has zero norm (no token with positive idf).
     """
-    docs, empty = _top_documents(index, ngram_bins(claims, index.ngram_orders, index.bin_count),
-                                 len(claims), k_docs)
+    docs, empty = _top_documents(index, claims, k_docs)
     pages = [sorted(hit.item for hit in hits) for hits in docs]
     return _sentence_route(corpus, pages, claims, index.bin_count, k_sents), empty
-
-
-def _sentence_route(docs, pages, claims, bin_count, k):
-    """Each claim's k best sentences of its pages, hashing each page's sentences once.
-
-    docs maps a page id to its Document through ``get``; pages holds each
-    claim's page ids in ascending order, and claims each claim's text.
-    """
-    # every page's sentences, sorted by ref, so a page is a run of rows
-    refs, texts, page_rows = [], [], {}
-    for page_id in sorted({p for ps in pages for p in ps}):
-        doc = docs.get(page_id)
-        page_refs = sorted(doc.non_empty_refs())
-        page_rows[page_id] = (len(refs), len(page_refs))
-        refs.extend(page_refs)
-        texts.extend(doc.sentence(ref.line_number) for ref in page_refs)
-    sentences = _HashedRows(texts, (2,), bin_count, len(refs))
-    runs = np.array([(c, *page_rows[p]) for c, ps in enumerate(pages) for p in ps],
-                    dtype=np.int64).reshape(-1, 3).T
-    queries = _HashedRows(claims, (2,), bin_count, len(claims))
-    return _top_sentences(sentences, refs, runs, queries, len(claims), bin_count, k)
-
-
-class _HashedRows:
-    """``ngram_bins`` output of many texts, sliceable by text."""
-
-    def __init__(self, texts, orders, bin_count, n):
-        self.owner, self.bins, self.counts = ngram_bins(texts, orders, bin_count)
-        self.offsets = np.searchsorted(self.owner, np.arange(n + 1))
-
-    def take(self, rows):
-        """(owner, bins, counts) of the texts at rows, owner j being rows[j]."""
-        starts = self.offsets[rows]
-        lens = self.offsets[rows + 1] - starts
-        span = concat_ranges(starts, lens)
-        owner = np.repeat(np.arange(rows.size, dtype=np.int64), lens)
-        return owner, self.bins[span], self.counts[span]
 
 
 # -- block scoring ------------------------------------------------------------
@@ -373,12 +337,14 @@ def block_accumulate(q_row, starts, lens, q_weights, post_items, post_weights,
     return raw.astype(np.float64, copy=False).reshape(n_rows, n_items)  # int64 when empty
 
 
-def _top_documents(index, queries, n_claims, k):
+def _top_documents(index, claims, k):
     """Each claim's k best items, and the number of claims whose query has
-    zero norm.  queries is the claims' ``ngram_bins`` output, hashed as the
-    index was.  A block's scores are one dense claims x items matrix."""
+    zero norm.  The claims are hashed as the index was; a block's scores are
+    one dense claims x items matrix."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    n_claims = len(claims)
+    queries = ngram_bins(claims, index.ngram_orders, index.bin_count)
     n = index.item_count
     owner, pos, weights, norms = _query(*queries, index.uniq_bins, index.df, n, n_claims)
     starts = index.uniq_offsets[pos]
@@ -399,43 +365,61 @@ def _top_documents(index, queries, n_claims, k):
     return out, int(np.count_nonzero(norms == 0))
 
 
-def _top_sentences(sentences, ids, runs, queries, n_claims, bin_count, k):
-    """Each claim's k best sentences, df and idf counted over its own candidates.
+def _sentence_route(docs, pages, claims, bin_count, k):
+    """Each claim's k best sentences of its pages, df and idf counted over
+    those sentences alone.
 
-    sentences are the ``_HashedRows`` of every candidate, ids their refs in
-    ascending order; runs is a (claim, first row, row count) array per run
-    of a claim's candidate rows, claim-major and ascending; queries are the
-    claims' bigram ``_HashedRows``.
+    docs maps a page id to its Document through ``get``; pages holds each
+    claim's page ids in ascending order, and claims each claim's text.  The
+    sentences of every page are hashed once, and every claim once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    run_claim, run_first, run_len = runs
-    n_items = np.bincount(run_claim, run_len, minlength=n_claims).astype(np.int64)
-    run_entries = sentences.offsets[run_first + run_len] - sentences.offsets[run_first]
-    costs = n_items + np.bincount(run_claim, run_entries, minlength=n_claims).astype(np.int64)
-    run_ends = np.searchsorted(run_claim, np.arange(n_claims + 1))
+    # every page's sentences, sorted by ref, so a page is a run of rows
+    refs, texts, page_rows = [], [], {}
+    for page_id in sorted({p for ps in pages for p in ps}):
+        doc = docs.get(page_id)
+        page_refs = sorted(doc.non_empty_refs())
+        page_rows[page_id] = (len(refs), len(page_refs))
+        refs.extend(page_refs)
+        texts.extend(doc.sentence(ref.line_number) for ref in page_refs)
+    owner, bins, counts = ngram_bins(texts, (2,), bin_count)
+    offsets = np.searchsorted(owner, np.arange(len(refs) + 1))
+    q_owner, q_bins, q_counts = ngram_bins(claims, (2,), bin_count)
+    q_ends = np.searchsorted(q_owner, np.arange(len(claims) + 1))
+    # each claim's candidate rows, claim-major: the rows of its pages in turn
+    first, count = np.array([page_rows[p] for ps in pages for p in ps],
+                            dtype=np.int64).reshape(-1, 2).T
+    rows = concat_ranges(first, count)
+    n_items = np.array([sum(page_rows[p][1] for p in ps) for ps in pages], dtype=np.int64)
+    row_claim = np.repeat(np.arange(len(claims), dtype=np.int64), n_items)
+    ends = np.concatenate(([0], np.cumsum(n_items)))
+    row_starts = offsets[rows]
+    row_lens = offsets[rows + 1] - row_starts
+    costs = n_items + np.bincount(row_claim, row_lens, minlength=len(claims)).astype(np.int64)
     out = []
     for a, b in _blocks(costs):
-        lo, hi = run_ends[a], run_ends[b]
-        rows = concat_ranges(run_first[lo:hi], run_len[lo:hi])
-        cell_claim = np.repeat(run_claim[lo:hi] - a, run_len[lo:hi])
+        lo, hi = ends[a], ends[b]
+        cell_claim = row_claim[lo:hi] - a
         block_n = n_items[a:b]
-        owner, bins, counts = sentences.take(rows)
+        span = concat_ranges(row_starts[lo:hi], row_lens[lo:hi])
+        cell = np.repeat(np.arange(hi - lo, dtype=np.int64), row_lens[lo:hi])
         # one key per (claim, bin), so each claim gets the df of its own candidates
-        uniq, inverse, df = np.unique(cell_claim[owner] * bin_count + bins,
+        uniq, inverse, df = np.unique(cell_claim[cell] * bin_count + bins[span],
                                       return_inverse=True, return_counts=True)
-        weights = np.log1p(counts) * _idf(df, block_n[uniq // bin_count])[inverse]
-        sizes = np.bincount(owner, minlength=rows.size)
+        weights = np.log1p(counts[span]) * _idf(df, block_n[uniq // bin_count])[inverse]
+        sizes = np.bincount(cell, minlength=hi - lo)
         norms = np.sqrt(row_sums(np.square(weights), sizes))
-        q_owner, q_bins, q_counts = queries.take(np.arange(a, b))
-        _, pos, q_weights, q_norms = _query(q_owner, q_owner * bin_count + q_bins, q_counts,
-                                            uniq, df, block_n[q_owner], b - a)
+        q_lo, q_hi = q_ends[a], q_ends[b]
+        query = q_owner[q_lo:q_hi] - a
+        _, pos, q_weights, q_norms = _query(query, query * bin_count + q_bins[q_lo:q_hi],
+                                            q_counts[q_lo:q_hi], uniq, df, block_n[query], b - a)
         key_weights = np.zeros(uniq.size)
         key_weights[pos] = q_weights
         # entries run by (row, bin), so each row adds its terms in ascending-bin
         # order; an entry the query misses adds +0.0, which leaves a sum as it is
-        raw = np.bincount(owner, weights * key_weights[inverse], minlength=rows.size)
+        raw = np.bincount(cell, weights * key_weights[inverse], minlength=hi - lo)
         scores = _cosine(raw, norms * q_norms[cell_claim])
         keep = np.flatnonzero(scores > 0)
-        out.extend(_ranked(cell_claim[keep], rows[keep], scores[keep], b - a, k, ids))
+        out.extend(_ranked(cell_claim[keep], rows[lo:hi][keep], scores[keep], b - a, k, refs))
     return out

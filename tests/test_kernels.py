@@ -216,4 +216,4 @@ def test_bench_kernels_smoke(capsys):
         ["batch_levenshtein", "title_match", "block_accumulate", "best_split", "row_sums",
          "ngram_bins", "hashed_counts_loop", "score_claims", "assemble_all", "forest_fit",
          "forest_load", "corpus_save", "corpus_load", "corpus_load_parse", "index_build",
-         "start_ingest", "start_index", "start_e2e"]
+         "tfidf_route", "start_ingest", "start_index", "start_e2e"]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,20 @@ class TestTitleMatching:
         matcher.match(ner.EntityMention("abcdefgh"))  # no title of length 7..9
         assert scanned == [((2, 10), [6, 10])]  # the nearest lengths, 2 away
         assert matcher.distances == {0: 1, 1: 1, 2: 1, 3: 1}
+
+    def test_memory_does_not_grow_with_titles_times_longest_title(self):
+        # a padded matrix of every title would be 2001 x 5000 int32, 38 MB
+        corpus = small_corpus([f"Title_{i:04d}" for i in range(2000)] + ["L" * 5000])
+        tracemalloc.start()
+        try:
+            matcher = ner.TitleMatcher(corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        hit = matcher.match(ner.EntityMention("Title 0x17"))
+        assert (hit.page_id, hit.distance) == full_scan(matcher, "Title 0x17")
+        assert (hit.page_id, hit.distance) == ("Title_0017", 1)
 
 
 def full_scan(matcher, surface):

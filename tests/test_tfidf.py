@@ -363,6 +363,28 @@ class TestBatchedRoute:
         assert any(n > 1 for n, _ in blocks[48])
         assert any(n == 1 and cost > 48 for n, cost in blocks[48])
 
+    def test_each_text_hashed_once(self, mini_corpus, mini_instances, monkeypatch):
+        claims = [inst.claim for inst in mini_instances]
+        index = tfidf.build_document_index(mini_corpus, bin_count=BINS)
+        pages = sorted({hit.item for c in claims
+                        for hit in tfidf.top_k_documents(index, c, k=cli.K_DOCS)})
+        sentences = [doc.sentence(ref.line_number) for doc in map(mini_corpus.get, pages)
+                     for ref in sorted(doc.non_empty_refs())]
+        hasher = tfidf.ngram_bins
+        for budget in self.BUDGETS:
+            calls = []
+
+            def spy(texts, orders, bin_count):
+                calls.append((list(texts), tuple(orders)))
+                return hasher(calls[-1][0], orders, bin_count)
+
+            with monkeypatch.context() as m:
+                m.setattr(tfidf, "BLOCK_CELLS", budget)
+                m.setattr(tfidf, "ngram_bins", spy)
+                tfidf.top_k_sentences_batch(mini_corpus, index, claims,
+                                            k_docs=cli.K_DOCS, k_sents=cli.K_SENTS)
+            assert calls == [(claims, (1, 2)), (sentences, (2,)), (claims, (2,))]
+
     def test_no_claims(self, mini_corpus):
         index = tfidf.build_document_index(mini_corpus, bin_count=BINS)
         assert tfidf.top_k_sentences_batch(mini_corpus, index, []) == ([], 0)
