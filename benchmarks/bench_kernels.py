@@ -10,16 +10,16 @@ verdicts of those pairs under seeded labels (``verdict.assemble_all``),
 training the default forest and loading its saved model file, saving a
 corpus file, loading it (page ids only), loading it and parsing every
 page, building the document index of that corpus, and both TF-IDF routes
-over that index for claims drawn from its sentences
-(``tfidf.top_k_sentences_batch``, as ``e2e`` calls it), on seeded inputs,
-and prints the best-of-N wall time of each.  A third column gives the
-peak of the memory one more call allocates, as ``tracemalloc`` traces it.
-The last three rows run the ``ingest``, ``index`` and ``e2e`` subcommands
-on the ``data/`` fixture, each in a new interpreter, so that they time
-start-up and imports next to the kernels; for them one more child gives
-its own peak RSS as the peak, and its user + system CPU time in a fourth
-column, where a thread that spins beside the main one shows as added CPU
-time.
+over that index for claims drawn from its sentences (``tfidf.top_documents``,
+``Corpus.sentence_table`` and ``tfidf.sentence_route``, as ``e2e`` calls
+them), on seeded inputs, and prints the best-of-N wall time of each.  A
+third column gives the peak of the memory one more call allocates, as
+``tracemalloc`` traces it.  The last three rows run the ``ingest``,
+``index`` and ``e2e`` subcommands on the ``data/`` fixture, each in a new
+interpreter, so that they time start-up and imports next to the kernels;
+for them one more child gives its own peak RSS as the peak, and its user
++ system CPU time in a fourth column, where a thread that spins beside the
+main one shows as added CPU time.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -219,6 +219,16 @@ def make_route_workload(rng, corpus, n_claims):
     return corpus, tfidf.build_document_index(corpus), claims, cli.K_DOCS, cli.K_SENTS
 
 
+def tfidf_route(corpus, index, claims, k_docs, k_sents):
+    """The TF-IDF route as ``cli.retrieve_candidates`` runs it: the document
+    route, one sentence table over the pages it picked, the sentence route."""
+    docs, _ = tfidf.top_documents(index, claims, k_docs)
+    pages = [sorted(hit.item for hit in hits) for hits in docs]
+    _, texts, spans = corpus.sentence_table({p for ps in pages for p in ps})
+    return tfidf.sentence_route(texts, [[spans[p] for p in ps] for ps in pages], claims,
+                                index.bin_count, k_sents)
+
+
 def load_and_parse(path):
     """Corpus.load, then every page parsed, as the stages of a run that reads all would."""
     corpus = Corpus.load(path)
@@ -317,8 +327,7 @@ def build_cases(rng, args, workdir):
         (f"corpus_load_parse ({len(corpus)} pages, every page parsed)", load_and_parse,
          (corpus_path,)),
         (f"index_build ({len(corpus)} pages)", tfidf.build_document_index, (corpus,)),
-        (f"tfidf_route ({args.claims} claims, {len(corpus)} pages)", tfidf.top_k_sentences_batch,
-         route),
+        (f"tfidf_route ({args.claims} claims, {len(corpus)} pages)", tfidf_route, route),
         *start_up_cases(workdir),
     ]
 

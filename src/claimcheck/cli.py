@@ -26,7 +26,6 @@ import argparse
 import logging
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import DEFAULT_BIN_COUNT, DEFAULT_CLASS_COUNTS, rows
@@ -81,31 +80,33 @@ def _forest_config(args) -> tuple:
 
 
 def retrieve_candidates(corpus, index, instances, *, extractor=None):
-    """Union of the entity route and the TF-IDF route, per claim."""
+    """Union of the entity route and the TF-IDF route, per claim.  Both routes
+    pick pages, and one sentence table over every picked page gives the rows."""
     from . import ner, tfidf
-    lexical, empty_queries = tfidf.top_k_sentences_batch(
-        corpus, index, [inst.claim for inst in instances], k_docs=K_DOCS, k_sents=K_SENTS)
-    mentions = [ner.claim_mentions(inst.claim, extractor=extractor, claim_id=inst.claim_id)
-                for inst in instances]
-    # built only when a mention needs it, and not held through the TF-IDF
-    # routes' peak memory
-    matcher = ner.TitleMatcher(corpus) if any(mentions) else None
+    claim_texts = [inst.claim for inst in instances]
+    docs, empty_queries = tfidf.top_documents(index, claim_texts, K_DOCS)
+    lexical_pages = [sorted(hit.item for hit in hits) for hits in docs]
+    entity_pages, distances = ner.matched_pages(corpus, [
+        ner.claim_mentions(inst.claim, extractor=extractor, claim_id=inst.claim_id)
+        for inst in instances])
+    refs, texts, spans = corpus.sentence_table(set().union(*lexical_pages, *entity_pages))
+    lexical = tfidf.sentence_route(texts, [[spans[p] for p in ps] for ps in lexical_pages],
+                                   claim_texts, index.bin_count, K_SENTS)
     out = {}
     entity_only = tfidf_only = both = 0
-    for inst, mentioned, hits in zip(instances, mentions, lexical):
-        entity = set(ner.mention_sentences(corpus, mentioned, matcher))
+    for inst, pages, hits in zip(instances, entity_pages, lexical):
+        entity = {row for first, n in map(spans.get, pages) for row in range(first, first + n)}
         found = {hit.item for hit in hits}
         entity_only += len(entity - found)
         tfidf_only += len(found - entity)
         both += len(entity & found)
-        out[inst.claim_id] = sorted(entity | found)
+        out[inst.claim_id] = [refs[row] for row in sorted(entity | found)]
     claims = max(len(out), 1)
     log.info("retrieved candidates for %d claims (%.1f sentences/claim)",
              len(out), (entity_only + tfidf_only + both) / claims)
     log.info("%d claims had an empty TF-IDF query; sentences/claim: %.1f entity route only, "
              "%.1f TF-IDF only, %.1f both", empty_queries, entity_only / claims,
              tfidf_only / claims, both / claims)
-    distances = matcher.distances if matcher else Counter()
     log.info("matched %d mentions to titles (%d exact); mentions by match distance: %s",
              distances.total(), distances[0], dict(sorted(distances.items())))
     return out

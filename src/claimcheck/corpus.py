@@ -25,6 +25,10 @@ record rules, may skip nothing, and must carry the id read at load; what
 it raises names the file and the line.  So a malformed record of a page
 that no stage reads stops no run that loads the corpus, though ``index``,
 which streams every record, still refuses the file.
+
+``Corpus.sentence_table`` decides which sentences of a page are retrieval
+candidates, and in what order: one row per non-empty sentence, in
+SentenceRef order.  A run builds one table over every page it retrieved.
 """
 
 import gzip
@@ -133,6 +137,18 @@ class Corpus:
         if doc is None:
             return None
         return doc.sentence(ref.line_number)
+
+    def sentence_table(self, page_ids) -> tuple[list[SentenceRef], list[str], dict]:
+        """(refs, texts, spans): one row per non-empty sentence of the given
+        pages, in SentenceRef order, and each page's (first row, row count)."""
+        refs, texts, spans = [], [], {}
+        for page_id in sorted(page_ids):
+            doc = self.get(page_id)
+            page_refs = sorted(doc.non_empty_refs())
+            spans[page_id] = (len(refs), len(page_refs))
+            refs.extend(page_refs)
+            texts.extend(doc.sentence(ref.line_number) for ref in page_refs)
+        return refs, texts, spans
 
     # -- persistence --------------------------------------------------------
 

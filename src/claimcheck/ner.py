@@ -6,7 +6,7 @@ sentence-initial token (capitalized only because it opens the sentence).
 Real tagger output can be injected from a JSON-lines side file instead.
 Each mention is matched to the page whose normalized title is nearest by
 Levenshtein distance, looking only at titles whose length lets them be
-nearest; every sentence of the matched pages becomes a candidate.  The
+nearest; the route hands over the pages it matched, not sentences.  The
 matcher keeps the sorted titles as strings and builds a code matrix only
 for the slice of them it scans.
 """
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, SentenceRef
+from .corpus import Corpus
 from .rows import parse_table, scalar_field
 
 LEADING_STOPWORDS = frozenset({"the", "a", "an"})
@@ -226,10 +226,10 @@ def claim_mentions(claim: str, *, extractor=None, claim_id=None) -> list[EntityM
     return extract_entities(claim) if extractor is None else extractor(claim_id)
 
 
-def mention_sentences(corpus: Corpus, mentions, matcher: TitleMatcher) -> list[SentenceRef]:
-    """All non-empty sentences of the pages the mentions match, sorted."""
-    pages = {matcher.match(mention).page_id for mention in mentions}
-    refs: set[SentenceRef] = set()
-    for page_id in pages:
-        refs.update(corpus.get(page_id).non_empty_refs())
-    return sorted(refs)
+def matched_pages(corpus: Corpus, mentions) -> tuple[list[set[str]], Counter]:
+    """Per claim, the pages its mentions (mentions[i]) match, and the matches by
+    distance; a matcher is built only if some claim has a mention, and dropped."""
+    if not any(mentions):
+        return [set() for _ in mentions], Counter()
+    matcher = TitleMatcher(corpus)
+    return [{matcher.match(m).page_id for m in ms} for ms in mentions], matcher.distances

@@ -15,11 +15,10 @@ Both routes score a block of claims at a time, a block holding about
 BLOCK_CELLS score cells plus scored entries.  Every score keeps the bits
 it gets when its claim is scored alone: each cell adds its terms one at a
 time in ascending-bin order, and each norm is the np.sum of its row
-(``row_sums``).  The sentence route hashes every sentence of the
-retrieved pages once and every claim once, and a block takes one
-contiguous slice of the claims' candidate rows and of their queries.
-``top_k_documents`` and ``top_k_sentences`` are one-claim calls of the
-same code.
+(``row_sums``).  ``top_documents`` hands over pages; ``sentence_route``
+ranks rows of the run's ``Corpus.sentence_table``, hashing each row a
+claim reads once and each claim once.  ``top_k_documents`` and
+``top_k_sentences`` wrap them for one claim.
 """
 
 import json
@@ -60,10 +59,6 @@ class ScoredItem(NamedTuple):
 
 def _idf(df: np.ndarray, n_items: int) -> np.ndarray:
     return np.maximum(0.0, np.log((n_items - df + 0.5) / (df + 0.5)))
-
-
-def _strictly_ascending(ids) -> bool:
-    return all(a < b for a, b in zip(ids, ids[1:]))
 
 
 def concat_ranges(starts, lens):
@@ -177,6 +172,9 @@ class TfidfIndex:
     @classmethod
     def load(cls, path) -> "TfidfIndex":
         with reading(path, "index"), np.load(path, allow_pickle=False) as data:
+            for name in ("header", "item_ids", *_ARRAYS):
+                if name not in data:
+                    raise file_error(path, f"index {path} is corrupt: it has no {name} array")
             header = json.loads(str(data["header"]))
             if header.get("format_version") != FORMAT_VERSION:
                 raise ValueError(
@@ -187,7 +185,7 @@ class TfidfIndex:
                     raise file_error(path, f"index {path} has an unknown {key}: "
                                            f"{header.get(key)!r}")
             item_ids = [str(s) for s in data["item_ids"]]
-            if not _strictly_ascending(item_ids):
+            if not all(a < b for a, b in zip(item_ids, item_ids[1:])):
                 raise ValueError("index item ids are not in strictly ascending order")
             bins, orders, count = (header[key] for key in
                                    ("bin_count", "ngram_orders", "item_count"))
@@ -204,8 +202,8 @@ class TfidfIndex:
         return index
 
     def _check_arrays(self, path) -> None:
-        """Raise ValueError unless the arrays have the dtypes build writes
-        and form one postings layout."""
+        """Raise ValueError unless the arrays have the dtypes build writes,
+        form one postings layout, and hold finite non-negative weights and norms."""
         offsets, post = self.uniq_offsets, self.post_items
         if not (all(getattr(self, name).dtype == dtype and getattr(self, name).ndim == 1
                     for name, dtype in _ARRAYS.items())
@@ -214,7 +212,9 @@ class TfidfIndex:
                 and offsets[-1] == len(post) == len(self.post_weights)
                 and len(self.item_norms) == self.item_count
                 and (self.uniq_bins.size == 0 or self.uniq_bins[-1] < self.bin_count)
-                and (post.size == 0 or 0 <= post.min() <= post.max() < self.item_count)):
+                and (post.size == 0 or 0 <= post.min() <= post.max() < self.item_count)
+                and all(np.all((a >= 0) & (a < np.inf)) for a in (self.post_weights,
+                                                                   self.item_norms))):
             raise file_error(path, f"index {path} is corrupt: its arrays disagree")
 
 
@@ -240,31 +240,18 @@ def index_pages(checksums: dict[str, str], pages, bin_count: int = DEFAULT_BIN_C
 
 def top_k_documents(index: TfidfIndex, claim: str, k: int = 5) -> list[ScoredItem]:
     """k best pages for one claim by cosine, positive scores only, ids break ties."""
-    return _top_documents(index, [claim], k)[0][0]
+    return top_documents(index, [claim], k)[0][0]
 
 
 def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
                     bin_count: int = DEFAULT_BIN_COUNT) -> list[ScoredItem]:
     """Top sentences of the given documents by bigram-only cosine."""
-    docs = {doc.page_id: doc for doc in documents}
-    if len(docs) < len(documents):
-        raise ValueError("documents must be distinct")
-    return _sentence_route(docs, [sorted(docs)], [claim], bin_count, k)[0]
-
-
-def top_k_sentences_batch(corpus: Corpus, index: TfidfIndex, claims: list[str],
-                          k_docs: int = 5, k_sents: int = 5) -> tuple[list, int]:
-    """The TF-IDF route for many claims at once.
-
-    Per claim the sentences equal ``top_k_sentences`` over the pages of
-    ``top_k_documents(index, claim, k_docs)``, scores included, but every
-    claim is hashed once per route and every sentence of the retrieved
-    pages once in all.  Returns the sentences per claim and the number of
-    claims whose document query has zero norm (no token with positive idf).
-    """
-    docs, empty = _top_documents(index, claims, k_docs)
-    pages = [sorted(hit.item for hit in hits) for hits in docs]
-    return _sentence_route(corpus, pages, claims, index.bin_count, k_sents), empty
+    corpus = Corpus()
+    for doc in documents:
+        corpus.add_document(doc)
+    refs, texts, spans = corpus.sentence_table(corpus.page_ids())
+    return [ScoredItem(refs[row], score) for row, score in
+            sentence_route(texts, [list(spans.values())], [claim], bin_count, k)[0]]
 
 
 # -- block scoring ------------------------------------------------------------
@@ -337,7 +324,7 @@ def block_accumulate(q_row, starts, lens, q_weights, post_items, post_weights,
     return raw.astype(np.float64, copy=False).reshape(n_rows, n_items)  # int64 when empty
 
 
-def _top_documents(index, claims, k):
+def top_documents(index, claims, k):
     """Each claim's k best items, and the number of claims whose query has
     zero norm.  The claims are hashed as the index was; a block's scores are
     one dense claims x items matrix."""
@@ -365,37 +352,29 @@ def _top_documents(index, claims, k):
     return out, int(np.count_nonzero(norms == 0))
 
 
-def _sentence_route(docs, pages, claims, bin_count, k):
-    """Each claim's k best sentences of its pages, df and idf counted over
-    those sentences alone.
+def sentence_route(texts, spans, claims, bin_count, k):
+    """Each claim's k best rows of its pages as ScoredItems of row numbers,
+    df and idf counted over those rows alone.
 
-    docs maps a page id to its Document through ``get``; pages holds each
-    claim's page ids in ascending order, and claims each claim's text.  The
-    sentences of every page are hashed once, and every claim once.
+    texts holds the rows of a ``Corpus.sentence_table``, spans[i] the (first
+    row, row count) of each page of claims[i].  Every row that some claim
+    reads is hashed once, and every claim once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # every page's sentences, sorted by ref, so a page is a run of rows
-    refs, texts, page_rows = [], [], {}
-    for page_id in sorted({p for ps in pages for p in ps}):
-        doc = docs.get(page_id)
-        page_refs = sorted(doc.non_empty_refs())
-        page_rows[page_id] = (len(refs), len(page_refs))
-        refs.extend(page_refs)
-        texts.extend(doc.sentence(ref.line_number) for ref in page_refs)
-    owner, bins, counts = ngram_bins(texts, (2,), bin_count)
-    offsets = np.searchsorted(owner, np.arange(len(refs) + 1))
+    # each claim's candidate rows, claim-major: the rows of its pages in turn
+    first, count = np.array([s for ss in spans for s in ss], dtype=np.int64).reshape(-1, 2).T
+    rows = concat_ranges(first, count)
+    used, at = np.unique(rows, return_inverse=True)
+    owner, bins, counts = ngram_bins([texts[r] for r in used.tolist()], (2,), bin_count)
+    offsets = np.searchsorted(owner, np.arange(used.size + 1))
     q_owner, q_bins, q_counts = ngram_bins(claims, (2,), bin_count)
     q_ends = np.searchsorted(q_owner, np.arange(len(claims) + 1))
-    # each claim's candidate rows, claim-major: the rows of its pages in turn
-    first, count = np.array([page_rows[p] for ps in pages for p in ps],
-                            dtype=np.int64).reshape(-1, 2).T
-    rows = concat_ranges(first, count)
-    n_items = np.array([sum(page_rows[p][1] for p in ps) for ps in pages], dtype=np.int64)
+    n_items = np.array([sum(n for _, n in ss) for ss in spans], dtype=np.int64)
     row_claim = np.repeat(np.arange(len(claims), dtype=np.int64), n_items)
     ends = np.concatenate(([0], np.cumsum(n_items)))
-    row_starts = offsets[rows]
-    row_lens = offsets[rows + 1] - row_starts
+    row_starts = offsets[at]
+    row_lens = offsets[at + 1] - row_starts
     costs = n_items + np.bincount(row_claim, row_lens, minlength=len(claims)).astype(np.int64)
     out = []
     for a, b in _blocks(costs):
@@ -421,5 +400,6 @@ def _sentence_route(docs, pages, claims, bin_count, k):
         raw = np.bincount(cell, weights * key_weights[inverse], minlength=hi - lo)
         scores = _cosine(raw, norms * q_norms[cell_claim])
         keep = np.flatnonzero(scores > 0)
-        out.extend(_ranked(cell_claim[keep], rows[lo:hi][keep], scores[keep], b - a, k, refs))
+        out.extend(_ranked(cell_claim[keep], rows[lo:hi][keep], scores[keep], b - a, k,
+                           range(len(texts))))
     return out

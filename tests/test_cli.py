@@ -473,9 +473,12 @@ class TestBadInputs:
         assert models[0] == models[1]
 
     @pytest.mark.parametrize("case, message", [
-        ("no_header", "cannot read index {}: missing field 'header is not a file in the archive'"),
+        *((f"no_{name}", f"is corrupt: it has no {name} array")
+          for name in ("header", "item_ids", "uniq_bins", "uniq_offsets", "post_items",
+                       "post_weights", "df", "item_norms")),
         ("no_bin_count", "cannot read index {}: missing field 'bin_count'"),
-        ("no_df", "cannot read index {}: missing field 'df is not a file in the archive'"),
+        ("nan_post_weights", "is corrupt: its arrays disagree"),
+        ("negative_item_norms", "is corrupt: its arrays disagree"),
         ("cut_post_items", "is corrupt: its arrays disagree"),
         ("post_item_out_of_range", "is corrupt: its arrays disagree"),
         ("short_df", "is corrupt: its arrays disagree"),
@@ -496,7 +499,9 @@ class TestBadInputs:
         ({"weighting": "raw-tf"}, "has an unknown weighting: 'raw-tf'"),
         ({"item_count": 5}, "has a bad bin_count, ngram_orders or item_count: "
                             "65536, [1, 2], 5"),
-    ], ids=["no_header", "no_bin_count", "no_df", "cut_post_items", "post_item_out_of_range",
+    ], ids=["no_header", "no_item_ids", "no_uniq_bins", "no_uniq_offsets", "no_post_items",
+            "no_post_weights", "no_df", "no_item_norms", "no_bin_count", "nan_post_weights",
+            "negative_item_norms", "cut_post_items", "post_item_out_of_range",
             "short_df", "short_item_norms", "unsorted_bins", "float32_post_weights",
             "float32_item_norms", "str_uniq_bins", "huge_shape", "str_bin_count",
             "float_bin_count", "bool_bin_count", "huge_bin_count", "small_bin_count",
@@ -507,13 +512,15 @@ class TestBadInputs:
         header = json.loads(str(arrays["header"]))
         if isinstance(case, dict):  # one header field rewritten
             arrays["header"] = np.array(json.dumps({**header, **case}))
-        elif case == "no_header":
-            del arrays["header"]
         elif case == "no_bin_count":
             del header["bin_count"]
             arrays["header"] = np.array(json.dumps(header))
-        elif case == "no_df":
-            del arrays["df"]
+        elif case.startswith("no_"):  # one array dropped
+            del arrays[case.removeprefix("no_")]
+        elif case == "nan_post_weights":
+            arrays["post_weights"][3] = np.nan
+        elif case == "negative_item_norms":
+            arrays["item_norms"] = -arrays["item_norms"]
         elif case == "cut_post_items":
             arrays["post_items"] = arrays["post_items"][:-5]
         elif case == "post_item_out_of_range":

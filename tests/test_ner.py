@@ -248,7 +248,10 @@ def test_match_equals_full_scan(case):
 
 
 def candidates(corpus, claim):
-    return ner.mention_sentences(corpus, ner.claim_mentions(claim), ner.TitleMatcher(corpus))
+    """The entity route's candidates for one claim, as cli.retrieve_candidates
+    lists them: the sentence table of the pages its mentions match."""
+    pages = ner.matched_pages(corpus, [ner.claim_mentions(claim)])[0][0]
+    return corpus.sentence_table(pages)[0]
 
 
 class TestCandidateSentences:

@@ -18,6 +18,7 @@ import importlib.util
 import json
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -31,20 +32,48 @@ DUMP = ROOT / "data" / "mini_wiki.jsonl"
 CLAIMS = ROOT / "data" / "mini_claims.jsonl"
 
 
-def defined_functions() -> set:
-    """(file name, qualified name) of every module-level function and of every
-    method of a module-level class, nested classes included."""
-    found = set()
+def function_key(path: Path, first_line: int, name: str) -> tuple:
+    """How a function is named on both sides: (file name, first line, name).
+    The first line is that of its first decorator, as ``co_firstlineno``
+    gives it; code objects have no qualified name before Python 3.11."""
+    return path.name, first_line, name
+
+
+def defined_functions() -> dict:
+    """The key of every module-level function and of every method of a
+    module-level class, nested classes included, mapped to its qualified name."""
+    found = {}
 
     def visit(body, prefix, path):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.add((path.name, prefix + node.name))
+                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                found[function_key(path, first, node.name)] = prefix + node.name
             elif isinstance(node, ast.ClassDef):
                 visit(node.body, f"{prefix}{node.name}.", path)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")).body, "", path)
+    return found
+
+
+def unreached_functions(entered) -> list:
+    """module.qualified name of each defined function whose code is not in entered."""
+    reached = {function_key(Path(code.co_filename), code.co_firstlineno, code.co_name)
+               for code in entered if Path(code.co_filename).parent == SRC}
+    return sorted(f"{key[0][:-3]}.{name}"
+                  for key, name in defined_functions().items() if key not in reached)
+
+
+def compiled_functions() -> set:
+    """Every code object of ``src/claimcheck``, compiled afresh from its files."""
+    found = set()
+    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")
+            for path in sorted(SRC.glob("*.py"))]
+    while todo:
+        code = todo.pop()
+        found.add(code)
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     return found
 
 
@@ -140,12 +169,18 @@ def test_every_function_is_reached_by_the_program(tmp_path, monkeypatch):
         sys.setprofile(None)
     elapsed = time.perf_counter() - started
 
-    reached = {(Path(code.co_filename).name, code.co_qualname) for code in entered
-               if Path(code.co_filename).parent == SRC}
-    unreached = sorted(f"{module[:-3]}.{name}"
-                       for module, name in defined_functions() - reached)
+    unreached = unreached_functions(entered)
     assert not unreached, f"functions that no run of the program enters: {unreached}"
     assert elapsed < 10.0
+
+
+def test_keys_match_code_objects():
+    """The keys of the code objects match those of the ast's functions, and a
+    function whose code was never entered is named."""
+    codes = compiled_functions()
+    assert unreached_functions(codes) == []
+    dropped = {c for c in codes if c.co_name == "sentence_table"}
+    assert unreached_functions(codes - dropped) == ["corpus.Corpus.sentence_table"]
 
 
 def test_no_module_calls_blas():

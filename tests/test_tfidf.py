@@ -3,6 +3,8 @@
 import json
 import math
 import tracemalloc
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -295,6 +297,17 @@ def one_claim_tfidf_route(corpus, index, claim):
     return tfidf.top_k_sentences(docs, claim, k=cli.K_SENTS, bin_count=index.bin_count)
 
 
+def batched_route(corpus, index, claims):
+    """The TF-IDF route for many claims, as cli.retrieve_candidates composes it:
+    (each claim's sentences as ScoredItems of refs, the empty-query count)."""
+    docs, empty = tfidf.top_documents(index, claims, cli.K_DOCS)
+    pages = [sorted(hit.item for hit in hits) for hits in docs]
+    refs, texts, spans = corpus.sentence_table({p for ps in pages for p in ps})
+    rows = tfidf.sentence_route(texts, [[spans[p] for p in ps] for ps in pages], claims,
+                                index.bin_count, cli.K_SENTS)
+    return [[tfidf.ScoredItem(refs[row], score) for row, score in hits] for hits in rows], empty
+
+
 def duplicate_sentence_corpus(rng):
     """Pages drawing sentences from a small shared pool, lines listed out of
     order, some lines empty, and a few pages with text but no sentence."""
@@ -335,16 +348,16 @@ class TestBatchedRoute:
                         yield a, b
 
                 m.setattr(tfidf, "_blocks", recording)
-                batched, empty = tfidf.top_k_sentences_batch(
-                    corpus, index, claims, k_docs=cli.K_DOCS, k_sents=cli.K_SENTS)
+                batched, empty = batched_route(corpus, index, claims)
                 assert batched == want_hits
                 assert empty == sum(is_empty for _, is_empty in want)
                 assert [one_claim_tfidf_route(corpus, index, c) for c in claims] == want_hits
 
         instances = [FeverInstance(i, c, "NOT ENOUGH INFO", ()) for i, c in enumerate(claims)]
         matcher = ner.TitleMatcher(corpus)
-        expected = {i: sorted(set(ner.mention_sentences(corpus, ner.claim_mentions(c), matcher))
-                              | {hit.item for hit in hits})
+        expected = {i: sorted({ref for mention in ner.claim_mentions(c)
+                               for ref in corpus.get(matcher.match(mention).page_id)
+                               .non_empty_refs()} | {hit.item for hit in hits})
                     for i, (c, hits) in enumerate(zip(claims, want_hits))}
         assert cli.retrieve_candidates(corpus, index, instances) == expected
 
@@ -381,13 +394,49 @@ class TestBatchedRoute:
             with monkeypatch.context() as m:
                 m.setattr(tfidf, "BLOCK_CELLS", budget)
                 m.setattr(tfidf, "ngram_bins", spy)
-                tfidf.top_k_sentences_batch(mini_corpus, index, claims,
-                                            k_docs=cli.K_DOCS, k_sents=cli.K_SENTS)
+                batched_route(mini_corpus, index, claims)
             assert calls == [(claims, (1, 2)), (sentences, (2,)), (claims, (2,))]
 
     def test_no_claims(self, mini_corpus):
         index = tfidf.build_document_index(mini_corpus, bin_count=BINS)
-        assert tfidf.top_k_sentences_batch(mini_corpus, index, []) == ([], 0)
+        assert batched_route(mini_corpus, index, []) == ([], 0)
+
+
+class TestRetrieveCandidates:
+    """cli.retrieve_candidates hands both routes' pages to one sentence table."""
+
+    def test_each_page_listed_once(self, mini_corpus, mini_instances, monkeypatch):
+        index = tfidf.build_document_index(mini_corpus, bin_count=BINS)
+        listed = Counter()
+        listing = Document.non_empty_refs
+
+        def spy(doc):
+            listed[doc.page_id] += 1
+            return listing(doc)
+
+        monkeypatch.setattr(Document, "non_empty_refs", spy)
+        cands = cli.retrieve_candidates(mini_corpus, index, mini_instances)
+        assert {ref.page_id for refs in cands.values() for ref in refs} <= set(listed)
+        assert set(listed.values()) == {1}
+
+    def test_no_title_matcher_alive_in_sentence_route(self, mini_corpus, mini_instances,
+                                                      monkeypatch):
+        index = tfidf.build_document_index(mini_corpus, bin_count=BINS)
+        matchers, routes = [], []
+        build, route = ner.TitleMatcher.__init__, tfidf.sentence_route
+
+        def building(self, corpus):
+            matchers.append(weakref.ref(self))
+            build(self, corpus)
+
+        def routing(*args):
+            routes.append([m() for m in matchers])
+            return route(*args)
+
+        monkeypatch.setattr(ner.TitleMatcher, "__init__", building)
+        monkeypatch.setattr(tfidf, "sentence_route", routing)
+        cli.retrieve_candidates(mini_corpus, index, mini_instances)
+        assert len(matchers) == 1 and routes == [[None]]
 
 
 class TestHashDistribution:
