@@ -26,6 +26,7 @@ import argparse
 import logging
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import DEFAULT_BIN_COUNT, DEFAULT_CLASS_COUNTS, rows
@@ -193,7 +194,8 @@ def _load_index(args, corpus):
     if not args.index:
         return tfidf.build_document_index(corpus, bin_count=args.bins)
     index = tfidf.TfidfIndex.load(args.index)
-    if index.source_checksum != tfidf.corpus_checksum(corpus.source_checksums):
+    if (index.source_checksum != tfidf.corpus_checksum(corpus.source_checksums)
+            or index.item_ids != corpus.page_ids()):
         raise ValueError(f"index {args.index} was built from a different corpus than "
                          f"{args.corpus}; rebuild it with 'claimcheck index'")
     if index.ngram_orders != tfidf.DOC_NGRAM_ORDERS:
@@ -221,14 +223,9 @@ def cmd_gen_nli(args) -> int:
     instances = nli_data.load_claims(args.claims)
     examples, generated = nli_data.build_nli_dataset(instances, corpus, seed=args.seed)
     balanced = nli_data.undersample(examples, seed=args.seed)
-    counts = {label: 0 for label in nli_data.NLI_LABELS}
-    for ex in balanced:
-        counts[ex.label] += 1
-    manifest = {
-        "seed": args.seed,
-        "generated": generated,
-        "balanced": {k.lower(): v for k, v in counts.items()},
-    }
+    counts = Counter(ex.label for ex in balanced)
+    manifest = {"seed": args.seed, "generated": generated,
+                "balanced": {label.lower(): counts[label] for label in nli_data.NLI_LABELS}}
     nli_data.write_examples(args.out, balanced)
     rows.write_json(args.manifest, manifest)
     log.info("generated %d examples, kept %d after balancing",

@@ -6,12 +6,15 @@ first sentence of a multi-sentence evidence set is used.  Each such pair
 gets one sibling Neutral pair whose premise is drawn uniformly from the
 same document, excluding every sentence referenced by any of the claim's
 evidence sets; when no such sentence exists the Neutral pair is skipped
-and counted.  Identical (premise, hypothesis, label) triples are collapsed.
-All randomness is derived from (seed, claim id), so regeneration with the
-same seed is byte-identical and instance order does not matter.
+and counted.  Identical (premise, hypothesis, label) triples are collapsed
+into the first example made of them, and the manifest counts the examples
+kept per class.  All randomness is derived from (seed, claim id), so
+regeneration with the same seed is byte-identical and a claim's Neutral
+picks do not depend on the other claims or their order.
 """
 
 import random
+from collections import Counter
 from typing import NamedTuple
 
 from . import LABELS
@@ -103,12 +106,18 @@ def _resolve(corpus: Corpus, ref: SentenceRef, claim_id) -> str:
 
 
 def build_nli_dataset(instances, corpus: Corpus, seed: int):
-    """(examples, manifest) with per-class counts, skips, and duplicates."""
-    examples = []
-    seen = set()
-    counts = {label: 0 for label in NLI_LABELS}
-    neutral_skipped = 0
-    duplicates = 0
+    """(examples, manifest): the examples kept, in the order they were made,
+    and their per-class counts with the Neutral pairs skipped and the
+    duplicates removed."""
+    kept = {}  # (premise, hypothesis, label) -> the first NliExample made of it
+    neutral_skipped = duplicates = 0
+
+    def keep(example):
+        nonlocal duplicates
+        if example[:3] in kept:
+            duplicates += 1
+        else:
+            kept[example[:3]] = example
 
     for inst in instances:
         nli_label = _CLAIM_LABEL_TO_NLI.get(inst.label)
@@ -116,48 +125,22 @@ def build_nli_dataset(instances, corpus: Corpus, seed: int):
             continue
         rng = random.Random(f"{seed}:{inst.claim_id}")
         excluded = inst.all_refs()
-
-        first_refs = []
-        for group in inst.evidence_sets:
-            ref = group[0]
-            if ref not in first_refs:
-                first_refs.append(ref)
-
-        for ref in first_refs:
-            premise = _resolve(corpus, ref, inst.claim_id)
-            key = (premise, inst.claim, nli_label)
-            if key in seen:
-                duplicates += 1
-            else:
-                seen.add(key)
-                counts[nli_label] += 1
-                examples.append(NliExample(premise, inst.claim, nli_label,
-                                           (inst.claim_id, ref.page_id, ref.line_number)))
-
+        for ref in dict.fromkeys(group[0] for group in inst.evidence_sets):
+            keep(NliExample(_resolve(corpus, ref, inst.claim_id), inst.claim, nli_label,
+                            (inst.claim_id, *ref)))
             doc = corpus.get(ref.page_id)
             pool = [r for r in doc.non_empty_refs() if r not in excluded]
             if not pool:
                 neutral_skipped += 1
                 continue
             pick = pool[rng.randrange(len(pool))]
-            n_premise = doc.sentence(pick.line_number)
-            n_key = (n_premise, inst.claim, "Neutral")
-            if n_key in seen:
-                duplicates += 1
-                continue
-            seen.add(n_key)
-            counts["Neutral"] += 1
-            examples.append(NliExample(n_premise, inst.claim, "Neutral",
-                                       (inst.claim_id, pick.page_id, pick.line_number)))
+            keep(NliExample(doc.sentence(pick.line_number), inst.claim, "Neutral",
+                            (inst.claim_id, *pick)))
 
-    manifest = {
-        "entailment": counts["Entailment"],
-        "contradiction": counts["Contradiction"],
-        "neutral": counts["Neutral"],
-        "neutral_skipped": neutral_skipped,
-        "duplicates_removed": duplicates,
-    }
-    return examples, manifest
+    counts = Counter(ex.label for ex in kept.values())
+    manifest = {label.lower(): counts[label] for label in NLI_LABELS}
+    manifest.update(neutral_skipped=neutral_skipped, duplicates_removed=duplicates)
+    return list(kept.values()), manifest
 
 
 def undersample(examples, seed: int) -> list:

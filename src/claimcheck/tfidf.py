@@ -53,7 +53,7 @@ def _write_npz(path, arrays: dict) -> None:
 
 
 class ScoredItem(NamedTuple):
-    item: object  # page_id str or SentenceRef
+    item: object  # page_id str, or a row of the run's sentence table (int)
     score: float
 
 
@@ -154,6 +154,9 @@ class TfidfIndex:
         """Single-file npz with a self-describing header (string ids only)."""
         if self.item_ids and not isinstance(self.item_ids[0], str):
             raise ValueError("only string-id indexes can be persisted")
+        nul = next((i for i in self.item_ids if i.endswith("\0")), None)
+        if nul is not None:  # a numpy string array drops trailing NULs
+            raise ValueError(f"page id {nul!r} ends in U+0000, which an index cannot store")
         header = {
             "format_version": FORMAT_VERSION,
             "bin_count": self.bin_count,

@@ -189,6 +189,26 @@ class TestStages:
         assert len(set(balanced.values())) == 1  # equal class counts
         assert manifest["generated"]["neutral_skipped"] >= 0
 
+    def test_gen_nli_of_repeated_claims_pinned(self, tmp_path, capsys):
+        # the first 8 claims again under other ids: their Entailment and
+        # Contradiction pairs all repeat, and so do some of their Neutral picks
+        claims, out, manifest = (tmp_path / name for name in
+                                 ("claims.jsonl", "nli.jsonl", "nli.json"))
+        rows = read_rows(CLAIMS)
+        claims.write_text("".join(json.dumps(row) + "\n" for row in
+                                  [*rows, *({**row, "id": row["id"] + 10000}
+                                            for row in rows[:8])]))
+        code, _, _ = run(["gen-nli", "--corpus", DUMP, "--claims", claims, "--seed", "0",
+                          "--out", out, "--manifest", manifest], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "41c9ce3c5a207b39d67aa0cd71ca29c36298f3da7295be0aa9726dbe4992719c"
+        assert json.loads(manifest.read_text()) == {
+            "seed": 0,
+            "generated": {"entailment": 18, "contradiction": 14, "neutral": 33,
+                          "neutral_skipped": 2, "duplicates_removed": 21},
+            "balanced": {"entailment": 14, "contradiction": 14, "neutral": 14}}
+
     def test_features_train_predict_score(self, workdir, capsys):
         d = workdir
         code, _, _ = run(["features", "--corpus", d / "corpus.json.gz",
@@ -285,6 +305,29 @@ class TestBadInputs:
                                 "--out", tmp_path / f"{command}.jsonl"], capsys)
             assert "different corpus" in one_error(code, err)
 
+    def test_index_naming_a_page_the_corpus_lacks_refused(self, workdir, tmp_path, capsys):
+        # the header, and so the source checksum, stays that of the full corpus
+        lines = gzip.decompress((workdir / "corpus.json.gz").read_bytes()).split(b"\n")
+        kept = [line for line in lines if not line.startswith(b'{"id": "Korvand_Archipelago"')]
+        assert len(kept) == len(lines) - 1
+        fewer = tmp_path / "fewer.json.gz"
+        fewer.write_bytes(gzip.compress(b"\n".join(kept)))
+        for command in ("retrieve", "e2e"):
+            code, _, err = run([command, "--corpus", fewer, "--claims", CLAIMS,
+                                "--index", workdir / "index.npz",
+                                "--out", tmp_path / f"{command}.jsonl"], capsys)
+            assert "different corpus" in one_error(code, err)
+
+    def test_page_id_ending_in_nul_not_indexed(self, tmp_path, capsys):
+        dump, out = tmp_path / "dump.jsonl", tmp_path / "index.npz"
+        dump.write_text("".join(json.dumps({"id": page_id, "text": "A page.",
+                                            "lines": "0\tA page."}) + "\n"
+                                for page_id in ("Ab", "Ab\0", "Cd")))
+        code, _, err = run(["index", "--corpus", dump, "--out", out], capsys)
+        assert one_error(code, err) == ("error: page id 'Ab\\x00' ends in U+0000, "
+                                        "which an index cannot store\n")
+        assert not out.exists()
+
     def test_wrong_corpus_version(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.json.gz"
         corpus.write_bytes(gzip.compress(json.dumps(
@@ -293,12 +336,20 @@ class TestBadInputs:
                            capsys)
         assert "unsupported corpus format version" in one_error(code, err)
 
-    @pytest.mark.parametrize("command", ["ingest", "index"])
-    def test_missing_dump(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, message", [
+        ("ingest", "no dump file or directory at {}"),
+        ("index", "no dump file or directory at {}"),
+        ("ingest", "no .jsonl files under {}"),
+    ], ids=["ingest", "index", "dir_without_jsonl"])
+    def test_missing_dump(self, tmp_path, capsys, command, message):
         dump = tmp_path / "missing.jsonl"
+        if "under" in message:  # a directory holding other files only
+            dump = tmp_path / "dump"
+            dump.mkdir()
+            (dump / "pages.json").write_text("{}\n")
         flag = "--dump" if command == "ingest" else "--corpus"
         code, _, err = run([command, flag, dump, "--out", tmp_path / "out"], capsys)
-        assert one_error(code, err) == f"error: no dump file or directory at {dump}\n"
+        assert one_error(code, err) == f"error: {message.format(dump)}\n"
         assert not (tmp_path / "out").exists()
 
     def test_malformed_candidates_row(self, tmp_path, capsys):
@@ -421,18 +472,27 @@ class TestBadInputs:
                             "--out", tmp_path / "pred.jsonl"], capsys)
         assert message in one_error(code, err)
 
-    @pytest.mark.parametrize("field", ["trees", "max_depth"])
-    def test_model_disagreeing_with_its_config(self, staged, tmp_path, capsys, field):
+    @pytest.mark.parametrize("field, message", [
+        ("trees", "model has 2 trees, its config 5"),
+        ("max_depth", "model has a tree of depth 3, its config max_depth 1"),
+        ("format_version", "not a model file: missing format_version"),
+        ("labels", "label set mismatch: ['NOT ENOUGH INFO', 'REFUTES', 'SUPPORTS']"),
+    ], ids=["trees", "max_depth", "format_version", "labels"])
+    def test_model_disagreeing_with_its_config(self, staged, tmp_path, capsys, field, message):
+        """A trained model file with one field edited: its config, or what
+        says which program and labels it is for."""
         model, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
         assert run(["train", "--claims", CLAIMS, "--scored", staged / "scored.jsonl",
                     "--trees", "5", "--out", model], capsys)[0] == 0
         payload = json.loads(model.read_text())
         if field == "trees":
             payload["trees"] = payload["trees"][:2]
-            message = "model has 2 trees, its config 5"
-        else:
+        elif field == "max_depth":
             payload["config"]["max_depth"] = 1
-            message = "model has a tree of depth 3, its config max_depth 1"
+        elif field == "format_version":
+            del payload["format_version"]
+        else:
+            payload["labels"].reverse()
         model.write_text(json.dumps(payload))
         code, _, err = run(["predict", "--claims", CLAIMS,
                             "--scored", staged / "scored.jsonl", "--model", model,

@@ -57,6 +57,9 @@ class TestExtractEntities:
                ner.extract_entities("He visited The Grey Fleet yesterday.")]
         assert got == ["Grey Fleet"]
 
+    def test_run_of_leading_stopwords_only_dropped(self):
+        assert ner.extract_entities("Birds fly over The A.") == []
+
     def test_dedup_preserves_first_appearance(self):
         got = [m.surface for m in
                ner.extract_entities("Edda Sorel met Vint Okker and Edda Sorel left.")]

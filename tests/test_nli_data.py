@@ -88,6 +88,17 @@ class TestGeneration:
         _, manifest = build_nli_dataset([make_instance()], corpus, seed=1)
         assert manifest["neutral"] == 0 and manifest["neutral_skipped"] == 1
 
+    def test_repeated_pairs_keep_the_first_example_and_count(self):
+        # two sentences: line 0 is the evidence, so line 1 is every neutral pick
+        corpus = one_doc_corpus(2)
+        refs = ((("Only_Page", 0),), (("Only_Page", 0),))
+        examples, manifest = build_nli_dataset(
+            [make_instance(claim_id=1, refs=refs), make_instance(claim_id=2)], corpus, seed=1)
+        assert [(e.label, e.origin) for e in examples] == \
+            [("Entailment", (1, "Only_Page", 0)), ("Neutral", (1, "Only_Page", 1))]
+        assert manifest == {"entailment": 1, "contradiction": 0, "neutral": 1,
+                            "neutral_skipped": 0, "duplicates_removed": 2}
+
     def test_unresolvable_evidence_names_instance(self):
         corpus = one_doc_corpus(2)
         inst = make_instance(claim_id=77, refs=((("Ghost_Page", 0),),))

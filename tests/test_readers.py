@@ -2,11 +2,12 @@
 
 Valid files are built once from data/.  Each is then cut at half its length,
 has one byte flipped at a third of its length, or loses its middle line, and
-is read by the subcommand that takes it.  The run must exit 0, or exit 1
-with exactly one stderr line that starts with ``error:`` and names the
-corrupted file.  A saved corpus is read twice: streamed by ``index``, and
-loaded by ``e2e --index``, which inflates it whole, so every corruption of
-it must end in that error line.
+is read by the subcommand that takes it.  The run must exit 1 with exactly
+one stderr line that starts with ``error:`` and names the corrupted file, or
+exit 0 with output that the program's reader of that format reads back.  A
+saved corpus is read twice: streamed by ``index``, and loaded by ``e2e
+--index``, which inflates it whole, so every corruption of it must end in
+that error line.
 """
 
 import ast
@@ -17,6 +18,11 @@ from pathlib import Path
 import pytest
 
 from claimcheck import cli, ner
+from claimcheck.corpus import Corpus
+from claimcheck.entailment import triple_from_row
+from claimcheck.metrics import prediction_from_row
+from claimcheck.rows import parse_rows
+from claimcheck.tfidf import TfidfIndex
 
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = ROOT / "data" / "mini_wiki.jsonl"
@@ -78,6 +84,19 @@ def reader_argv(kind, path, f, out) -> list:
     return [str(a) for a in argv]
 
 
+def read_back(kind, out):
+    """What the reader of the kind of file wrote at out, parsed by the
+    program's reader of that output: a saved corpus with every page parsed,
+    an index, scored rows, or predictions."""
+    if kind == "dump":
+        return list(Corpus.load(out).documents())
+    if kind == "corpus":
+        return TfidfIndex.load(out)
+    if kind == "candidates":
+        return list(parse_rows(out, "scored", triple_from_row))
+    return list(parse_rows(out, "prediction", prediction_from_row))
+
+
 def cut(data: bytes) -> bytes:
     return data[:len(data) // 2]
 
@@ -111,6 +130,8 @@ def test_corrupted_file_ends_in_one_error_line(valid, tmp_path, capsys, kind, mu
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert str(path) in err, err
+    elif kind != "predictions":  # score writes no file
+        assert read_back(kind, tmp_path / "out")
 
 
 @pytest.mark.parametrize("kind, data, message", [
