@@ -1,7 +1,9 @@
 """Times the numeric kernels and the n-gram hasher on synthetic inputs.
 
-Runs batch edit distance over every title (beside title matching, which
-scans only the titles of a length that can win), block cosine accumulation,
+Runs the multi-query edit-distance kernel on every pair of a few queries
+and every title (beside title matching, which verifies only the titles the
+bigram filter leaves, timed apart for exact, one-edit and far-off
+mentions, each kind matched in one call), block cosine accumulation,
 the batched split search of one training step, grouped run sums, the batch
 n-gram hash of texts (against ``tokenize`` and the per-occurrence reference
 loop ``hashed_counts``), the scoring of a run's candidate pairs into its
@@ -49,7 +51,7 @@ CANDIDATES = 5  # candidate sentences per claim of the scoring run
 LINES_PER_PAGE = 10  # sentences per page of the scoring run's corpus
 SPLIT_COLUMNS = 4  # columns a forest node searches: ceil(sqrt(12 features))
 SPLIT_NODES = 50  # nodes of one training step: one per tree of the default forest
-TITLE_QUERIES = 10  # title_match mentions of each kind: exact, one edit, far off
+TITLE_QUERIES = 10  # edit_distances queries, and title_match mentions of each kind
 TITLE_LETTERS = list("abcdefghijklmnopqrstuvwxyz _()")
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -74,16 +76,19 @@ def traced_peak(fn) -> int:
 
 
 def make_title_workload(rng, n_titles):
+    """n_titles titles of 5 to 25 letters, and the edit_distances inputs that
+    pair each of the first TITLE_QUERIES titles, as queries, with every title."""
     titles = ["".join(rng.choice(TITLE_LETTERS, size=rng.integers(5, 26)))
               for _ in range(n_titles)]
-    mat, lengths = ner.code_matrix(titles)
-    query = ner.codes("the grey fleet (film)")
-    return titles, (mat, lengths, query)
+    queries = titles[:TITLE_QUERIES]
+    pairs = np.arange(len(queries) * n_titles)
+    return titles, (*ner.code_points(queries), *ner.code_points(titles),
+                    pairs // n_titles, pairs % n_titles)
 
 
 def make_mention_workload(rng, titles):
     """A TitleMatcher over the titles, and TITLE_QUERIES mentions of each kind:
-    a title, a title with one letter replaced, and 15 digits (far from all)."""
+    titles, titles with one letter replaced, and 15 digits (far from all)."""
     corpus = Corpus()
     for title in dict.fromkeys(titles):
         corpus.add_document(Document(title, "", {}))
@@ -94,13 +99,10 @@ def make_mention_workload(rng, titles):
         letter = rng.choice([c for c in TITLE_LETTERS[:26] if c != title[at]])
         edited.append(title[:at] + str(letter) + title[at + 1:])
     far = ["".join(rng.choice(list("0123456789"), size=15)) for _ in range(TITLE_QUERIES)]
-    mentions = [ner.EntityMention(surface)
-                for surface in picks[:TITLE_QUERIES] + edited + far]
-    return ner.TitleMatcher(corpus), mentions
-
-
-def match_all(matcher, mentions):
-    return [matcher.match(mention) for mention in mentions]
+    matcher = ner.TitleMatcher(corpus)
+    return {kind: (matcher, [ner.EntityMention(surface) for surface in surfaces])
+            for kind, surfaces in [("exact", picks[:TITLE_QUERIES]), ("one_edit", edited),
+                                   ("far", far)]}
 
 
 def make_postings_workload(rng, n_items, n_postings, n_queries):
@@ -288,7 +290,7 @@ def start_up_cases(workdir):
 
 
 def build_cases(rng, args, workdir):
-    titles, full_scan = make_title_workload(rng, args.titles)
+    titles, pairs = make_title_workload(rng, args.titles)
     postings = make_postings_workload(rng, args.items, args.postings, BLOCK_QUERIES)
     split_step = make_split_workload(rng, args.samples)
     tokens = make_token_workload(rng, args.texts)
@@ -304,9 +306,10 @@ def build_cases(rng, args, workdir):
     texts = make_text_workload(tokens)
     n_tokens = sum(map(len, tokens))
     return [
-        (f"batch_levenshtein ({args.titles} titles)", ner.batch_levenshtein, full_scan),
-        (f"title_match ({args.titles} titles, {3 * TITLE_QUERIES} mentions)", match_all,
-         matching),
+        (f"edit_distances ({min(TITLE_QUERIES, args.titles)} queries x {args.titles} titles)",
+         ner.edit_distances, pairs),
+        *((f"title_match_{kind} ({args.titles} titles, {TITLE_QUERIES} mentions)",
+           ner.TitleMatcher.match_all, inputs) for kind, inputs in matching.items()),
         (f"block_accumulate ({args.postings} postings, {BLOCK_QUERIES} queries)",
          tfidf.block_accumulate, postings),
         (f"best_split ({SPLIT_NODES} nodes x {args.samples} samples x {SPLIT_COLUMNS} columns)",

@@ -87,7 +87,7 @@ def retrieve_candidates(corpus, index, instances, *, extractor=None):
     claim_texts = [inst.claim for inst in instances]
     docs, empty_queries = tfidf.top_documents(index, claim_texts, K_DOCS)
     lexical_pages = [sorted(hit.item for hit in hits) for hits in docs]
-    entity_pages, distances = ner.matched_pages(corpus, [
+    entity_pages, matching = ner.matched_pages(corpus, [
         ner.claim_mentions(inst.claim, extractor=extractor, claim_id=inst.claim_id)
         for inst in instances])
     refs, texts, spans = corpus.sentence_table(set().union(*lexical_pages, *entity_pages))
@@ -108,8 +108,10 @@ def retrieve_candidates(corpus, index, instances, *, extractor=None):
     log.info("%d claims had an empty TF-IDF query; sentences/claim: %.1f entity route only, "
              "%.1f TF-IDF only, %.1f both", empty_queries, entity_only / claims,
              tfidf_only / claims, both / claims)
-    log.info("matched %d mentions to titles (%d exact); mentions by match distance: %s",
-             distances.total(), distances[0], dict(sorted(distances.items())))
+    distances = matching.distances
+    log.info("matched %d mentions to titles (%d exact) with %d edit distances in %d rounds; "
+             "mentions by match distance: %s", distances.total(), distances[0],
+             matching.verified, matching.rounds, dict(sorted(distances.items())))
     return out
 
 

@@ -44,8 +44,7 @@ def make_random_corpus(rng: np.random.Generator, max_docs: int = 100,
 
 def levenshtein(a: str, b: str) -> int:
     """Edit distance of one pair, through the kernel that title matching runs."""
-    mat, lengths = ner.code_matrix([b])
-    return int(ner.batch_levenshtein(mat, lengths, ner.codes(a))[0])
+    return int(ner.edit_distances(*ner.code_points([a]), *ner.code_points([b]), [0], [0])[0])
 
 
 def best_split(block, labels, n_classes=3) -> tuple:

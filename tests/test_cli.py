@@ -144,10 +144,14 @@ class TestStages:
         expected = Counter(min(levenshtein(ner.normalize_title(m.surface), t) for t in titles)
                            for row in read_rows(CLAIMS)
                            for m in ner.extract_entities(row["claim"]))
-        line = (f"matched {expected.total()} mentions to titles ({expected[0]} exact); "
+        # 4 inexact mentions against 50 titles: 118 distances of the 200 a full scan
+        # computes, in 7 rounds, all mentions of the run together in each
+        line = (f"matched {expected.total()} mentions to titles ({expected[0]} exact) "
+                "with 118 edit distances in 7 rounds; "
                 f"mentions by match distance: {dict(sorted(expected.items()))}")
         assert [r.getMessage() for r in caplog.records].count(line) == 1
         assert expected[0] < expected.total()  # the fixture has inexact mentions too
+        assert (expected.total() - expected[0], len(titles)) == (4, 50)
 
     def test_no_title_matcher_without_mentions(self, workdir, tmp_path, caplog,
                                                monkeypatch):
@@ -160,7 +164,8 @@ class TestStages:
         assert cli.main(["retrieve", "--corpus", str(workdir / "corpus.json.gz"),
                          "--claims", str(claims), "--index", str(workdir / "index.npz"),
                          "--out", str(tmp_path / "cands.jsonl")]) == 0
-        line = "matched 0 mentions to titles (0 exact); mentions by match distance: {}"
+        line = ("matched 0 mentions to titles (0 exact) with 0 edit distances in 0 rounds; "
+                "mentions by match distance: {}")
         assert [r.getMessage() for r in caplog.records].count(line) == 1
         assert len(read_rows(tmp_path / "cands.jsonl")) == 30
 
@@ -1305,6 +1310,16 @@ class TestStartUp:
                                     "--pred", tmp_path / "pred.jsonl"])[0]
         assert "numpy" not in loaded
         assert loaded & self.STAGES == {"metrics", "nli_data"}
+
+    def test_e2e_never_imports_numpy_ma(self, tmp_path):
+        # plain np.unique and np.isin import numpy.ma, about 10 ms of a child's start
+        corpus, index = tmp_path / "corpus.json.gz", tmp_path / "index.npz"
+        assert cli.main(["-q", "ingest", "--dump", str(DUMP), "--out", str(corpus)]) == 0
+        assert cli.main(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == 0
+        loaded = self.loaded_after(["e2e", "--corpus", corpus, "--index", index,
+                                    "--claims", CLAIMS, "--out", tmp_path / "pred.jsonl"])[0]
+        assert {"ner", "tfidf", "forest"} <= loaded
+        assert not {m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")}
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                         reason="needs /proc/self/task to count threads")

@@ -23,8 +23,10 @@ def lev_dp(a: str, b: str) -> int:
 
 
 def batch(titles, query):
-    mat, lengths = ner.code_matrix(titles)
-    return ner.batch_levenshtein(mat, lengths, ner.codes(query)).tolist()
+    """Edit distances from query to each title, as rows of one kernel call."""
+    rows = np.arange(len(titles))
+    return ner.edit_distances(*ner.code_points([query]), *ner.code_points(titles),
+                              np.zeros_like(rows), rows).tolist()
 
 
 def random_strings(rng, alphabet, n, max_len):
@@ -35,11 +37,15 @@ def random_strings(rng, alphabet, n, max_len):
 class TestCodeMatrix:
     def test_rows_are_ord_codes_zero_padded(self):
         strings = ["ab", "", "åж😀", "\ud800x"]
-        mat, lengths = ner.code_matrix(strings)
+        codes, offsets = ner.code_points(strings)
+        assert codes.dtype == np.int32 and codes.tolist() == [ord(c) for c in "".join(strings)]
+        assert np.diff(offsets).tolist() == [len(s) for s in strings]
+        mat = ner.code_rows(codes, offsets, np.arange(4))
         assert mat.dtype == np.int32 and mat.shape == (4, 3)
-        assert lengths.tolist() == [len(s) for s in strings]
         for row, s in zip(mat, strings):
             assert row.tolist() == [ord(c) for c in s] + [0] * (3 - len(s))
+        assert ner.code_rows(codes, offsets, np.array([3, 0, 3])).tolist() == \
+            [[0xD800, ord("x")], [ord("a"), ord("b")], [0xD800, ord("x")]]
 
 
 class TestLevenshtein:
@@ -66,6 +72,34 @@ class TestLevenshtein:
         assert batch(titles, "") == [0, 1, 0, 6]
         assert batch(titles, "xy") == [2, 2, 2, 6]
         assert batch([""], "") == [0]
+
+    def test_many_queries_in_rows_under_every_budget(self, monkeypatch):
+        # rows of many queries of different lengths, in any order, with repeats
+        rng = np.random.default_rng(13)
+        alphabet = list("abcåЖ\U0001f600\ud800")
+        queries = random_strings(rng, alphabet, 9, 14)
+        titles = random_strings(rng, alphabet, 30, 40) + ["ab" * 60]
+        q_rows = rng.integers(0, len(queries), size=200)
+        t_rows = rng.integers(0, len(titles), size=200)
+        want = [lev_dp(queries[q], titles[t]) for q, t in zip(q_rows, t_rows)]
+        for budget in [1, 7, 40, 130, 2**16]:
+            monkeypatch.setattr(ner, "BLOCK_CELLS", budget)
+            got = ner.edit_distances(*ner.code_points(queries), *ner.code_points(titles),
+                                     q_rows, t_rows)
+            assert got.tolist() == want, budget
+        assert ner.edit_distances(*ner.code_points(queries), *ner.code_points(titles),
+                                  [], []).tolist() == []
+
+    def test_blocks_stay_within_budget(self, monkeypatch):
+        monkeypatch.setattr(ner, "BLOCK_CELLS", 40)
+        widths = np.array([3, 3, 3, 9, 1, 1, 60, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2])
+        blocks = list(ner._blocks(widths))
+        assert blocks == [(0, 4), (4, 6), (6, 7), (7, 19)]
+        for a, b in blocks:
+            cost = (b - a) * (widths[a:b].max() + 1)
+            assert cost <= 40 or b - a == 1  # only a row wider than the budget is alone
+            if b < len(widths):  # and each block is as long as the budget allows
+                assert (b + 1 - a) * (widths[a:b + 1].max() + 1) > 40
 
 
 class TestCosineAccumulate:
@@ -213,7 +247,8 @@ def test_bench_kernels_smoke(capsys):
                        "--samples", "30", "--texts", "5", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[2:]] == \
-        ["batch_levenshtein", "title_match", "block_accumulate", "best_split", "row_sums",
+        ["edit_distances", "title_match_exact", "title_match_one_edit", "title_match_far",
+         "block_accumulate", "best_split", "row_sums",
          "ngram_bins", "hashed_counts_loop", "score_claims", "assemble_all", "forest_fit",
          "forest_load", "corpus_save", "corpus_load", "corpus_load_parse", "index_build",
          "tfidf_route", "start_ingest", "start_index", "start_e2e"]

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -155,27 +156,48 @@ class TestTitleMatching:
         with pytest.raises(ValueError):
             ner.TitleMatcher(Corpus())
 
-    def test_scans_only_titles_of_a_length_that_can_win(self, monkeypatch):
-        scanned, kernel = [], ner.batch_levenshtein
+    def test_verifies_only_titles_that_pass_the_count_filter(self, monkeypatch):
+        # 150 titles of 11..13 letters that share no bigram with the mentions,
+        # a few near "harbor light", and 40-letter titles far from every length
+        rng = np.random.default_rng(3)
+        filler = sorted({"".join(rng.choice(list("wxyz"), size=rng.integers(11, 14)))
+                         for _ in range(150)})
+        near = ["Harbor_Light", "Harbor_Night", "Harbour_Light", "Harbor_Lights", "Arbor_Ligh"]
+        far = ["w" * 40, "x" * 40]
+        matcher = ner.TitleMatcher(small_corpus(filler + near + far))
+        rounds, kernel = [], ner.edit_distances
 
-        def spy(mat, lengths, query):
-            scanned.append((mat.shape, lengths.tolist()))
-            return kernel(mat, lengths, query)
+        def spy(q_codes, q_offsets, t_codes, t_offsets, q_rows, t_rows):
+            rounds.append(sorted(matcher.page_ids[t] for t in t_rows.tolist()))
+            return kernel(q_codes, q_offsets, t_codes, t_offsets, q_rows, t_rows)
 
-        monkeypatch.setattr(ner, "batch_levenshtein", spy)
-        matcher = ner.TitleMatcher(small_corpus(["ab", "abc", "abcd", "abcdef", "abcdefghij"]))
-        assert matcher.match(ner.EntityMention("ABC")).distance == 0
-        assert scanned == []  # exact titles are looked up, not scanned
-        assert matcher.match(ner.EntityMention("abx")).page_id == "ab"
-        assert scanned == [((3, 4), [2, 3, 4])]  # lengths 2..4, 4 columns wide
-        scanned.clear()
-        hit = matcher.match(ner.EntityMention("abzzz"))
-        assert (hit.page_id, hit.distance) == ("ab", 3)
-        assert scanned == [((2, 6), [4, 6]), ((2, 3), [2, 3])]  # ±1, then the rest of ±3
-        scanned.clear()
-        matcher.match(ner.EntityMention("abcdefgh"))  # no title of length 7..9
-        assert scanned == [((2, 10), [6, 10])]  # the nearest lengths, 2 away
-        assert matcher.distances == {0: 1, 1: 1, 2: 1, 3: 1}
+        monkeypatch.setattr(ner, "edit_distances", spy)
+        assert matcher.match(ner.EntityMention("Harbor Light")).distance == 0
+        assert rounds == [] and matcher.verified == 0  # exact titles are looked up
+
+        # one edit: of the titles within 1 of its length, only those that share
+        # at least m - 1 - 2 of its m - 1 bigram occurrences are verified
+        query = "harbor lighx"
+        window = [p for p in matcher.page_ids if abs(len(p) - len(query)) <= 1]
+        passing = sorted(p for p in window
+                         if shared_bigrams(query, ner.normalize_title(p)) >= len(query) - 3)
+        hit = matcher.match(ner.EntityMention(query))
+        assert (hit.page_id, hit.distance) == ("Harbor_Light", 1)
+        assert rounds == [passing] and len(window) > 100
+        assert passing == ["Harbor_Light", "Harbor_Lights", "Harbour_Light"]  # not _Night
+        assert (matcher.verified, matcher.rounds) == (3, 1)
+
+        # far off: no bigram is shared, so the first round starts at radius
+        # ceil((10 - 1) / 2) = 5 with every title of length 5..15; the best, 10
+        # (to Arbor_Ligh), widens it to 0..20, which holds no title more; every
+        # title of the final window is verified once, and the 40-letter ones never
+        rounds.clear()
+        hit = matcher.match(ner.EntityMention("0123456789"))
+        window = sorted(p for p in matcher.page_ids if abs(len(p) - 10) <= hit.distance)
+        assert (hit.page_id, hit.distance) == ("Arbor_Ligh", 10) and len(rounds) == 2
+        assert sorted(rounds[0] + rounds[1]) == window == sorted(filler + near)
+        assert (matcher.verified, matcher.rounds) == (3 + len(window), 3)
+        assert matcher.distances == {0: 1, 1: 1, 10: 1}
 
     def test_memory_does_not_grow_with_titles_times_longest_title(self):
         # a padded matrix of every title would be 2001 x 5000 int32, 38 MB
@@ -248,6 +270,69 @@ def test_match_equals_full_scan(case):
     matcher = ner.TitleMatcher(small_corpus(titles))
     hit = matcher.match(ner.EntityMention(query))
     assert (hit.page_id, hit.distance) == full_scan(matcher, query)
+
+
+def shared_bigrams(a: str, b: str) -> int:
+    """Bigram occurrences that a and b share, counted with multiplicity."""
+    grams_a, grams_b = (Counter(s[i:i + 2] for i in range(len(s) - 1)) for s in (a, b))
+    return sum((grams_a & grams_b).values())
+
+
+def edited(draw, text: str) -> str:
+    """text after 0 to 4 drawn insertions, deletions and substitutions."""
+    chars = list(text)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(chars)))
+        op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if op == "insert":
+            chars.insert(at, draw(LETTERS))
+        elif chars:
+            at = min(at, len(chars) - 1)
+            chars[at:at + 1] = [] if op == "delete" else [draw(LETTERS)]
+    return "".join(chars)
+
+
+@st.composite
+def mention_runs(draw):
+    """Distinct page ids, and a run of 1 to 10 claims of one to three mentions:
+    titles edited 0 to 4 times, queries drawn apart, and queries of one to
+    three characters, too short for the bigram filter to rule out a title."""
+    titles = draw(st.lists(TITLES, min_size=1, max_size=12, unique=True))
+    claims = []
+    for _ in range(draw(st.integers(1, 10))):
+        queries = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["edited", "apart", "short"]))
+            if kind == "edited":
+                queries.append(edited(draw, draw(st.sampled_from(titles))))
+            else:
+                size = 16 if kind == "apart" else 3
+                queries.append(draw(st.lists(LETTERS, min_size=1, max_size=size).map("".join)))
+        claims.append([q for q in queries if q.strip()])
+    return titles, claims
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mention_runs())
+@example(case=(["xyzzz", "x", "abcd", "ab"], [["xyz"], ["abxy"], ["xyz", "abxy"]]))  # 2-ties
+@example(case=(["bbbb", "aaaaaaa", "a"], [["aaaa"], ["bbbbbbbbb"], ["b"]]))  # a tie at 3
+@example(case=(["ß", "ssa", "s", "ßß", "sssss"], [["SS"], ["ßs"], ["ß"]]))  # casefold
+@example(case=(["a\ud800", "ab", "\ud800", "\ud800\ud800b"],
+               [["\ud800b"], ["b\ud800"], ["\ud800"]]))  # lone surrogates
+@example(case=(["aa", "b", "ab", "A_b"], [["a"], ["_"], ["B"], ["ba", "a b"]]))  # short queries
+def test_one_call_matches_every_mention_as_a_full_scan(case):
+    titles, claims = case
+    corpus = small_corpus(titles)
+    mentions = [[ner.EntityMention(q) for q in queries] for queries in claims]
+    pages, counts = ner.matched_pages(corpus, mentions)
+    matcher = ner.TitleMatcher(corpus)
+    want = [[full_scan(matcher, q) for q in queries] for queries in claims]
+    assert pages == [{page for page, _ in hits} for hits in want]
+    assert counts.distances == Counter(d for hits in want for _, d in hits)
+    inexact = {ner.normalize_title(q) for queries in claims for q in queries} - \
+        {ner.normalize_title(t) for t in titles}
+    assert counts.verified <= len(inexact) * len(titles)
+    assert (counts.rounds == 0) == (not inexact)
 
 
 def candidates(corpus, claim):
