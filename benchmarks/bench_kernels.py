@@ -6,7 +6,9 @@ bigram filter leaves, timed apart for exact, one-edit and far-off
 mentions, each kind matched in one call), block cosine accumulation,
 the batched split search of one training step, grouped run sums, the batch
 n-gram hash of texts (against ``tokenize`` and the per-occurrence reference
-loop ``hashed_counts``), the scoring of a run's candidate pairs into its
+loop ``hashed_counts``), one batch call of the baseline scorer over a
+table of about 3000 rows and 3600 pairs (``entailment.score_pairs``), the
+scoring of a run's candidate pairs into its
 feature matrix (``cli.score_claims``, as ``e2e`` calls it), assembling the
 verdicts of those pairs under seeded labels (``verdict.assemble_all``),
 training the default forest and loading its saved model file, saving a
@@ -40,8 +42,8 @@ import numpy as np
 
 import claimcheck
 from claimcheck import cli, forest, ner, tfidf, verdict
-from claimcheck.corpus import Corpus, Document, SentenceRef
-from claimcheck.entailment import BaselineScorer
+from claimcheck.corpus import Corpus, Document, SentenceRef, table_of_refs
+from claimcheck.entailment import BaselineScorer, score_pairs
 from claimcheck.features import FEATURE_NAMES
 from claimcheck.nli_data import FeverInstance
 from claimcheck.tokenizer import hashed_counts, ngram_bins, tokenize
@@ -49,6 +51,7 @@ from claimcheck.tokenizer import hashed_counts, ngram_bins, tokenize
 BLOCK_QUERIES = 8  # queries scored together by block_accumulate
 CANDIDATES = 5  # candidate sentences per claim of the scoring run
 LINES_PER_PAGE = 10  # sentences per page of the scoring run's corpus
+PAIR_ROWS = 3000  # table rows of the score_pairs batch
 SPLIT_COLUMNS = 4  # columns a forest node searches: ceil(sqrt(12 features))
 SPLIT_NODES = 50  # nodes of one training step: one per tree of the default forest
 TITLE_QUERIES = 10  # edit_distances queries, and title_match mentions of each kind
@@ -159,7 +162,8 @@ def make_text_workload(token_lists):
 def make_scoring_workload(rng, token_lists, n_claims):
     """A scoring run: the token lists as sentences of LINES_PER_PAGE-line pages,
     n_claims claims of 4 to 12 of their tokens, and CANDIDATES sorted sentences
-    per claim, drawn at random, so claims share some of them."""
+    per claim, drawn at random, so claims share some of them; as
+    ``cli.score_claims`` takes them: claims, sentence table and pairs."""
     corpus = Corpus()
     for start in range(0, len(token_lists), LINES_PER_PAGE):
         lines = {n: " ".join(tokens)
@@ -172,20 +176,40 @@ def make_scoring_workload(rng, token_lists, n_claims):
     size = min(CANDIDATES, len(refs))
     candidates = [sorted(refs[i] for i in rng.choice(len(refs), size=size, replace=False).tolist())
                   for _ in instances]
-    return corpus, instances, candidates
+    table, rows = table_of_refs([ref for group in candidates for ref in group],
+                                corpus.get_sentence)
+    return (instances, table, np.repeat(np.arange(n_claims), size),
+            np.array(rows, dtype=np.int64))
 
 
-def score_claims(corpus, instances, candidates):
-    """cli.score_claims with a new baseline scorer, so that every run tokenizes
-    its claims, as one ``e2e`` does."""
-    return cli.score_claims(BaselineScorer(), corpus, instances, candidates)
+def score_claims(instances, table, claims, rows):
+    """cli.score_claims with a new baseline scorer, as one ``e2e`` makes it."""
+    return cli.score_claims(BaselineScorer(), instances, table, claims, rows)
+
+
+def make_pairs_workload(rng, texts, n_claims):
+    """One batch of pairs for the baseline scorer: the table of the first
+    PAIR_ROWS texts as LINES_PER_PAGE-line pages, n_claims claims of 4 to 12
+    of their words, and 1 to 8 distinct rows per claim, drawn at random."""
+    corpus = Corpus()
+    for start in range(0, min(len(texts), PAIR_ROWS), LINES_PER_PAGE):
+        lines = dict(enumerate(texts[start:min(start + LINES_PER_PAGE, PAIR_ROWS)]))
+        corpus.add_document(Document(f"Page_{start // LINES_PER_PAGE:05d}", "", lines))
+    table = corpus.sentence_table(corpus.page_ids())
+    words = sorted({word for text in texts for word in text.split()})
+    instances = [FeverInstance(c, " ".join(rng.choice(words, size=rng.integers(4, 13))),
+                               "NOT ENOUGH INFO", ()) for c in range(n_claims)]
+    sizes = rng.integers(1, 9, size=n_claims).clip(max=len(table.texts))
+    rows = [np.sort(rng.choice(len(table.texts), size=n, replace=False)) for n in sizes.tolist()]
+    return (BaselineScorer(), instances, table, np.repeat(np.arange(n_claims), sizes),
+            np.concatenate([np.zeros(0, dtype=np.int64), *rows]))
 
 
 def make_verdict_workload(rng, scoring):
     """The claim ids, seeded labels and scored pairs of the scoring run, as
     ``e2e`` hands them to assemble_all."""
-    corpus, instances, candidates = scoring
-    pairs, _ = score_claims(corpus, instances, candidates)
+    instances = scoring[0]
+    pairs, _ = score_claims(*scoring)
     labels = [forest.LABELS[c] for c in rng.integers(0, len(forest.LABELS), size=len(instances))]
     return [inst.claim_id for inst in instances], labels, pairs
 
@@ -226,9 +250,9 @@ def tfidf_route(corpus, index, claims, k_docs, k_sents):
     route, one sentence table over the pages it picked, the sentence route."""
     docs, _ = tfidf.top_documents(index, claims, k_docs)
     pages = [sorted(hit.item for hit in hits) for hits in docs]
-    _, texts, spans = corpus.sentence_table({p for ps in pages for p in ps})
-    return tfidf.sentence_route(texts, [[spans[p] for p in ps] for ps in pages], claims,
-                                index.bin_count, k_sents)
+    table = corpus.sentence_table({p for ps in pages for p in ps})
+    return tfidf.sentence_route(table.texts, [[table.spans[p] for p in ps] for ps in pages],
+                                claims, index.bin_count, k_sents)
 
 
 def load_and_parse(path):
@@ -305,6 +329,7 @@ def build_cases(rng, args, workdir):
     route = make_route_workload(rng, corpus, args.claims)
     texts = make_text_workload(tokens)
     n_tokens = sum(map(len, tokens))
+    batch = make_pairs_workload(rng, texts, args.claims)
     return [
         (f"edit_distances ({min(TITLE_QUERIES, args.titles)} queries x {args.titles} titles)",
          ner.edit_distances, pairs),
@@ -317,6 +342,8 @@ def build_cases(rng, args, workdir):
         (f"row_sums ({args.items} runs)", tfidf.row_sums, runs),
         (f"ngram_bins ({len(texts)} texts, {n_tokens} tokens)", hash_batch, (texts,)),
         (f"hashed_counts_loop ({len(texts)} texts, {n_tokens} tokens)", hash_loop, (texts,)),
+        (f"score_pairs ({len(batch[2].texts)} rows, {batch[3].size} pairs)", score_pairs,
+         batch),
         (f"score_claims ({args.claims} claims x {CANDIDATES} candidates)", score_claims,
          scoring),
         (f"assemble_all ({args.claims} claims x {CANDIDATES} candidates)", verdict.assemble_all,

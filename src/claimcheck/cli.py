@@ -80,9 +80,13 @@ def _forest_config(args) -> tuple:
 # -- stages ------------------------------------------------------------------
 
 
-def retrieve_candidates(corpus, index, instances, *, extractor=None):
-    """Union of the entity route and the TF-IDF route, per claim.  Both routes
-    pick pages, and one sentence table over every picked page gives the rows."""
+def retrieve_candidates(corpus, index, instances, *, extractor=None) -> tuple:
+    """(table, claims, rows): the union of the entity route and the TF-IDF
+    route, as pairs of claim index (into instances) and row of the run's one
+    sentence table, claim by claim and rows ascending within a claim.  Both
+    routes pick pages, and the table holds every picked page."""
+    import numpy as np
+
     from . import ner, tfidf
     claim_texts = [inst.claim for inst in instances]
     docs, empty_queries = tfidf.top_documents(index, claim_texts, K_DOCS)
@@ -90,40 +94,46 @@ def retrieve_candidates(corpus, index, instances, *, extractor=None):
     entity_pages, matching = ner.matched_pages(corpus, [
         ner.claim_mentions(inst.claim, extractor=extractor, claim_id=inst.claim_id)
         for inst in instances])
-    refs, texts, spans = corpus.sentence_table(set().union(*lexical_pages, *entity_pages))
-    lexical = tfidf.sentence_route(texts, [[spans[p] for p in ps] for ps in lexical_pages],
+    table = corpus.sentence_table(set().union(*lexical_pages, *entity_pages))
+    lexical = tfidf.sentence_route(table.texts,
+                                   [[table.spans[p] for p in ps] for ps in lexical_pages],
                                    claim_texts, index.bin_count, K_SENTS)
-    out = {}
-    entity_only = tfidf_only = both = 0
-    for inst, pages, hits in zip(instances, entity_pages, lexical):
-        entity = {row for first, n in map(spans.get, pages) for row in range(first, first + n)}
-        found = {hit.item for hit in hits}
-        entity_only += len(entity - found)
-        tfidf_only += len(found - entity)
-        both += len(entity & found)
-        out[inst.claim_id] = [refs[row] for row in sorted(entity | found)]
-    claims = max(len(out), 1)
+    # each pair as the key claim * n + row, n the table's row count
+    n = max(len(table.texts), 1)
+    first, count = np.array([table.spans[p] for ps in entity_pages for p in ps],
+                            dtype=np.int64).reshape(-1, 2).T
+    entity = (np.repeat(np.arange(len(instances), dtype=np.int64) * n,
+                        list(map(len, entity_pages))).repeat(count)
+              + tfidf.concat_ranges(first, count))
+    found = np.array([c * n + hit.item for c, hits in enumerate(lexical) for hit in hits],
+                     dtype=np.int64)
+    # their union, as np.union1d gives it without loading numpy.ma
+    keys = np.sort(np.concatenate([entity, found]))
+    claims, rows = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    both = entity.size + found.size - claims.size
+    n_claims = max(len(instances), 1)
     log.info("retrieved candidates for %d claims (%.1f sentences/claim)",
-             len(out), (entity_only + tfidf_only + both) / claims)
+             len(instances), claims.size / n_claims)
     log.info("%d claims had an empty TF-IDF query; sentences/claim: %.1f entity route only, "
-             "%.1f TF-IDF only, %.1f both", empty_queries, entity_only / claims,
-             tfidf_only / claims, both / claims)
+             "%.1f TF-IDF only, %.1f both", empty_queries,
+             (entity.size - both) / n_claims, (found.size - both) / n_claims, both / n_claims)
     distances = matching.distances
     log.info("matched %d mentions to titles (%d exact) with %d edit distances in %d rounds; "
              "mentions by match distance: %s", distances.total(), distances[0],
              matching.verified, matching.rounds, dict(sorted(distances.items())))
-    return out
+    return table, claims, rows
 
 
-def score_claims(scorer, corpus, instances, candidates) -> tuple:
-    """(scored pairs, feature matrix) of claims instances[i] with candidate
-    refs candidates[i]; matrix row i is instances[i]'s."""
+def score_claims(scorer, instances, table, claims, rows) -> tuple:
+    """(scored pairs, feature matrix) of the pairs of claim instances[claims[i]]
+    and table row rows[i]; matrix row c is instances[c]'s."""
     from .entailment import score_pairs
     from .features import feature_matrix
-    pairs = score_pairs(scorer, instances, candidates, corpus)
+    pairs = score_pairs(scorer, instances, table, claims, rows)
     X = feature_matrix(pairs.claims, pairs.triples, len(instances))
     log.info("scored %d candidate pairs over %d claims (%d all-uninformative)",
-             len(pairs.refs), len(instances), int(((X[:, 0] == 0) & (X[:, 1] == 0)).sum()))
+             pairs.claims.size, len(instances),
+             int(((X[:, 0] == 0) & (X[:, 1] == 0)).sum()))
     return pairs, X
 
 
@@ -211,10 +221,12 @@ def cmd_retrieve(args) -> int:
     corpus = load_corpus_any(args.corpus)
     instances = load_claims(args.claims)
     index = _load_index(args, corpus)
-    cands = retrieve_candidates(corpus, index, instances, extractor=_make_extractor(args))
-    rows.write_rows(args.out, ({"id": inst.claim_id,
-                                "candidates": [r.as_pair() for r in cands[inst.claim_id]]}
-                               for inst in instances))
+    table, claims, sentences = retrieve_candidates(corpus, index, instances,
+                                                   extractor=_make_extractor(args))
+    refs = [ref.as_pair() for ref in table.refs(sentences)]
+    ends = [0, *claims.searchsorted(range(len(instances)), side="right").tolist()]
+    rows.write_rows(args.out, ({"id": inst.claim_id, "candidates": refs[ends[c]:ends[c + 1]]}
+                               for c, inst in enumerate(instances)))
     print(f"wrote candidates for {len(instances)} claims -> {args.out}")
     return 0
 
@@ -238,6 +250,7 @@ def cmd_gen_nli(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from .corpus import table_of_refs
     from .entailment import triple_rows
     from .nli_data import load_claims
     corpus = load_corpus_any(args.corpus)
@@ -260,10 +273,12 @@ def cmd_features(args) -> int:
 
     by_claim = rows.parse_table(args.candidates, "candidates", "claim id", parse)
     instances = [inst for inst, _ in by_claim.values()]
-    pairs, _ = score_claims(_make_scorer(args), corpus, instances,
-                            [refs for _, refs in by_claim.values()])
+    table, sentences = table_of_refs([ref for _, refs in by_claim.values() for ref in refs],
+                                     corpus.get_sentence)
+    claims = [c for c, (_, refs) in enumerate(by_claim.values()) for _ in refs]
+    pairs, _ = score_claims(_make_scorer(args), instances, table, claims, sentences)
     rows.write_rows(args.out, triple_rows([i.claim_id for i in instances], pairs))
-    print(f"wrote {len(pairs.refs)} scored rows of {len(instances)} claims -> {args.out}")
+    print(f"wrote {len(sentences)} scored rows of {len(instances)} claims -> {args.out}")
     return 0
 
 
@@ -275,15 +290,18 @@ def _read_scored_rows(path, instances) -> tuple:
     the summed features keep e2e's bits whatever the file's row order."""
     import numpy as np
 
-    from .entailment import ScoredPairs, triple_from_row
+    from .corpus import table_of_refs
+    from .entailment import ScoredPairs, read_scored
     from .features import feature_matrix
     index_of = {inst.claim_id: c for c, inst in enumerate(instances)}
-    table = rows.parse_table(path, "scored", "(claim id, page id, line)", triple_from_row)
-    kept = sorted((index_of[claim_id], SentenceRef(page, line), triple)
-                  for (claim_id, page, line), triple in table.items() if claim_id in index_of)
-    pairs = ScoredPairs(np.array([c for c, _, _ in kept], dtype=np.int64),
-                        [ref for _, ref, _ in kept],
-                        np.array([t for _, _, t in kept], dtype=np.float64).reshape(-1, 3))
+    kept = sorted((index_of[claim_id], page, line, triple)
+                  for (claim_id, page, line), triple in read_scored(path).items()
+                  if claim_id in index_of)
+    table, sentences = table_of_refs([(page, line) for _, page, line, _ in kept])
+    pairs = ScoredPairs(np.array([c for c, *_ in kept], dtype=np.int64),
+                        np.array(sentences, dtype=np.int64),
+                        np.array([t for *_, t in kept], dtype=np.float64).reshape(-1, 3),
+                        table)
     return pairs, feature_matrix(pairs.claims, pairs.triples, len(instances))
 
 
@@ -332,9 +350,8 @@ def cmd_e2e(args) -> int:
     corpus = load_corpus_any(args.corpus)
     instances = load_claims(args.claims)
     index = _load_index(args, corpus)
-    cands = retrieve_candidates(corpus, index, instances, extractor=_make_extractor(args))
-    pairs, X = score_claims(_make_scorer(args), corpus, instances,
-                            [cands[inst.claim_id] for inst in instances])
+    candidates = retrieve_candidates(corpus, index, instances, extractor=_make_extractor(args))
+    pairs, X = score_claims(_make_scorer(args), instances, *candidates)
     if args.model:
         model = forest.load(args.model)
     else:

@@ -28,7 +28,12 @@ which streams every record, still refuses the file.
 
 ``Corpus.sentence_table`` decides which sentences of a page are retrieval
 candidates, and in what order: one row per non-empty sentence, in
-SentenceRef order.  A run builds one table over every page it retrieved.
+SentenceRef order.  A run builds one ``SentenceTable`` over every page it
+retrieved, and from retrieval to the verdict a sentence is its row number:
+the table holds each row's page index, line number and text as flat
+per-row data, and makes a ``SentenceRef`` only for a row that a file names
+(``SentenceTable.refs``).  ``table_of_refs`` builds the table of the refs
+a file lists, as the staged subcommands and the one-claim calls read them.
 """
 
 import gzip
@@ -36,7 +41,9 @@ import hashlib
 import json
 import logging
 import zlib
+from itertools import groupby
 from json.decoder import scanstring
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -90,6 +97,51 @@ class Document:
         """Refs to every sentence with actual text, in dump order."""
         return [SentenceRef(self.page_id, n) for n, s in self.lines.items() if s]
 
+    def numbered_sentences(self) -> tuple[list[int], list[str]]:
+        """The line numbers and the texts of the sentences with actual text, in
+        line-number order."""
+        numbers = sorted(n for n, s in self.lines.items() if s)
+        return numbers, [self.lines[n] for n in numbers]
+
+
+class SentenceTable(NamedTuple):
+    """Sentences as numbered rows in SentenceRef order: row r is line lines[r]
+    of page page_ids[pages[r]], with the text texts[r], and spans maps each
+    page id to its (first row, row count)."""
+
+    page_ids: list  # of str, ascending
+    pages: "np.ndarray"  # (rows,) int64 index into page_ids
+    lines: "np.ndarray"  # (rows,) int64
+    texts: list | None  # of str; None in a table of refs read without texts
+    spans: dict
+
+    def refs(self, rows) -> list[SentenceRef]:
+        """The SentenceRef of each of rows (an int64 array), to write to a file."""
+        return list(map(SentenceRef, [self.page_ids[p] for p in self.pages[rows].tolist()],
+                        self.lines[rows].tolist()))
+
+
+def _table(page_ids, counts, lines, texts) -> SentenceTable:
+    """The table whose page page_ids[i] has the next counts[i] rows."""
+    import numpy as np
+    sizes = np.array(counts, dtype=np.int64)
+    firsts = (np.cumsum(sizes) - sizes).tolist()
+    return SentenceTable(page_ids, np.repeat(np.arange(len(page_ids)), sizes),
+                         np.array(lines, dtype=np.int64), texts,
+                         dict(zip(page_ids, zip(firsts, counts))))
+
+
+def table_of_refs(refs, text=None) -> tuple[SentenceTable, list[int]]:
+    """(table, rows): the table of the distinct refs, and the row of each ref
+    in turn.  text(ref) gives a row's text; without it the table has none."""
+    ordered = sorted(set(refs))
+    pages = [(page_id, len(list(group))) for page_id, group in groupby(ordered, itemgetter(0))]
+    table = _table([page_id for page_id, _ in pages], [n for _, n in pages],
+                   [line for _, line in ordered],
+                   None if text is None else list(map(text, ordered)))
+    row_of = {ref: row for row, ref in enumerate(ordered)}
+    return table, [row_of[ref] for ref in refs]
+
 
 class IngestStats:
     def __init__(self):
@@ -138,17 +190,16 @@ class Corpus:
             return None
         return doc.sentence(ref.line_number)
 
-    def sentence_table(self, page_ids) -> tuple[list[SentenceRef], list[str], dict]:
-        """(refs, texts, spans): one row per non-empty sentence of the given
-        pages, in SentenceRef order, and each page's (first row, row count)."""
-        refs, texts, spans = [], [], {}
-        for page_id in sorted(page_ids):
-            doc = self.get(page_id)
-            page_refs = sorted(doc.non_empty_refs())
-            spans[page_id] = (len(refs), len(page_refs))
-            refs.extend(page_refs)
-            texts.extend(doc.sentence(ref.line_number) for ref in page_refs)
-        return refs, texts, spans
+    def sentence_table(self, page_ids) -> SentenceTable:
+        """The table of every non-empty sentence of the given pages."""
+        page_ids = sorted(page_ids)
+        counts, lines, texts = [], [], []
+        for page_id in page_ids:
+            numbers, sentences = self.get(page_id).numbered_sentences()
+            counts.append(len(numbers))
+            lines += numbers
+            texts += sentences
+        return _table(page_ids, counts, lines, texts)
 
     # -- persistence --------------------------------------------------------
 

@@ -179,10 +179,9 @@ class TfidfIndex:
                 if name not in data:
                     raise file_error(path, f"index {path} is corrupt: it has no {name} array")
             header = json.loads(str(data["header"]))
-            if header.get("format_version") != FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported index format version: {header.get('format_version')}"
-                )
+            version = header.get("format_version")
+            if type(version) is not int or version != FORMAT_VERSION:  # 1.0 and true are not 1
+                raise ValueError(f"unsupported index format version: {version!r}")
             for key, known in (("hash", HASH_NAME), ("weighting", WEIGHTING)):
                 if header.get(key) != known:
                     raise file_error(path, f"index {path} has an unknown {key}: "
@@ -252,9 +251,10 @@ def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
     corpus = Corpus()
     for doc in documents:
         corpus.add_document(doc)
-    refs, texts, spans = corpus.sentence_table(corpus.page_ids())
-    return [ScoredItem(refs[row], score) for row, score in
-            sentence_route(texts, [list(spans.values())], [claim], bin_count, k)[0]]
+    table = corpus.sentence_table(corpus.page_ids())
+    hits = sentence_route(table.texts, [list(table.spans.values())], [claim], bin_count, k)[0]
+    rows = np.array([row for row, _ in hits], dtype=np.int64)
+    return [ScoredItem(ref, score) for ref, (_, score) in zip(table.refs(rows), hits)]
 
 
 # -- block scoring ------------------------------------------------------------
@@ -359,8 +359,8 @@ def sentence_route(texts, spans, claims, bin_count, k):
     """Each claim's k best rows of its pages as ScoredItems of row numbers,
     df and idf counted over those rows alone.
 
-    texts holds the rows of a ``Corpus.sentence_table``, spans[i] the (first
-    row, row count) of each page of claims[i].  Every row that some claim
+    texts holds the row texts of a ``corpus.SentenceTable``, spans[i] the
+    (first row, row count) of each page of claims[i].  Every row that some claim
     reads is hashed once, and every claim once.
     """
     if k < 1:

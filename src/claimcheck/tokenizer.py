@@ -5,7 +5,8 @@ their vocabularies agree.  Hashing is FNV-1a over UTF-8 bytes of the
 tab-joined n-gram: a fixed algorithm, stable across runs and platforms,
 recorded in index headers as HASH_NAME.  ``ngram_bins`` is the hasher the
 program uses: it takes texts and reads an ASCII text's tokens straight from
-its bytes, so retrieval makes no per-token string.  ``fnv1a64``,
+its bytes (``token_bytes``, which the baseline scorer splits into its token
+sets too), so retrieval makes no per-token string.  ``fnv1a64``,
 ``hash_ngram`` and ``hashed_counts`` over ``tokenize``'s tokens are the
 per-occurrence reference it must agree with.
 """
@@ -40,6 +41,16 @@ def tokenize(text: str) -> list[str]:
 _ASCII_TOKEN_BYTES = bytes(ord("".join(tokenize(chr(c))) or " ") for c in range(128)) + b" " * 128
 
 
+def token_bytes(text: str) -> bytes:
+    """A text's tokens as their UTF-8 bytes between spaces (one or more): an
+    ASCII text through one ``bytes.translate`` (on ASCII, NFKC is the
+    identity and the tokens are the lower-cased alphanumeric runs), any other
+    text through ``tokenize``.  ``split()`` gives back the tokens."""
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_TOKEN_BYTES)
+    return " ".join(tokenize(text)).encode("utf-8")
+
+
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     """FNV-1a of data, continued from the state h."""
     for byte in data:
@@ -67,15 +78,12 @@ def ngram_bins(texts, orders, bin_count: int):
 
     One entry per distinct (text index, bin), sorted by (owner, bin), all
     int64; the bins equal ``hash_ngram`` per occurrence over ``tokenize``'s
-    tokens.  Each text becomes its tokens' UTF-8 bytes joined by spaces: an
-    ASCII text through one ``bytes.translate`` (on ASCII, NFKC is the
-    identity and the tokens are the lower-cased alphanumeric runs), any other
-    text through ``tokenize``.  Texts are hashed and counted a chunk of
-    about CHUNK_BYTES at a time, in numpy: every token occurrence gets its
-    FNV-1a state, and a bigram continues its first token's state with a tab
-    and then the second token's bytes.  No text spans two chunks, so the
-    chunks' entries join in (owner, bin) order and where the chunks fall does
-    not change them.  Orders 1 and 2 are supported.
+    tokens.  Each text becomes its ``token_bytes``.  Texts are hashed and
+    counted a chunk of about CHUNK_BYTES at a time, in numpy: every token
+    occurrence gets its FNV-1a state, and a bigram continues its first
+    token's state with a tab and then the second token's bytes.  No text
+    spans two chunks, so the chunks' entries join in (owner, bin) order and
+    where the chunks fall does not change them.  Orders 1 and 2 are supported.
     """
     if not 1 <= bin_count <= MAX_BIN_COUNT:
         raise ValueError(f"bin count must be between 1 and 2^32, got {bin_count}")
@@ -83,8 +91,7 @@ def ngram_bins(texts, orders, bin_count: int):
         raise ValueError(f"unsupported n-gram orders: {tuple(orders)}")
     parts, first, pieces, size = [], 0, [], 0
     for text in texts:
-        piece = (text.encode("ascii").translate(_ASCII_TOKEN_BYTES) if text.isascii()
-                 else " ".join(tokenize(text)).encode("utf-8"))
+        piece = token_bytes(text)
         pieces.append(piece)
         size += len(piece) + 1
         if size >= CHUNK_BYTES:

@@ -3,8 +3,13 @@
 Each works on one claim (or one pair) at a time in plain Python, the way
 the pipeline computed features, verdicts and baseline triples before it
 scored a run's pairs as arrays; ``forest_probs`` keeps the formula forest
-probabilities had before they were summed in place.
+probabilities had before they were summed in place.  ``bag`` and
+``overlap_triple`` are the baseline scorer's own per-pair code from before
+it scored a run in one call; ``baseline_triple`` derives the same triple
+without a regex.
 """
+
+import re
 
 import numpy as np
 
@@ -101,3 +106,26 @@ def forest_probs(trees, X) -> np.ndarray:
                 node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
             leaves[i, t] = node["dist"]
     return np.cumsum(leaves + 0.0, axis=1)[:, -1] / len(trees)
+
+
+def bag(text) -> tuple:
+    """(token set, whether the text is negated): a text is negated if it holds
+    a cue token or the contraction n't, which tokenize splits ("isn't" is
+    isn, t)."""
+    tokens = set(tokenize(text))
+    return tokens, (not tokens.isdisjoint(NEGATION_CUES)
+                    or re.search(r"n['’]t\b", text, re.IGNORECASE) is not None)
+
+
+def overlap_triple(claim_bag, sentence_bag) -> tuple:
+    """The baseline triple of a claim and a sentence, each a bag.
+
+    Overlap o is the share of the claim's tokens found in the sentence (0 for
+    an empty claim); a negation mismatch flips support to refute.
+    """
+    (c, c_neg), (s, s_neg) = claim_bag, sentence_bag
+    o = len(c & s) / len(c) if c else 0.0
+    g = float(c_neg != s_neg)
+    raw = (o * (1.0 - g), o * g, 1.0 - o)
+    total = raw[0] + raw[1] + raw[2]  # guards rounding; mathematically already 1
+    return raw[0] / total, raw[1] / total, raw[2] / total

@@ -145,7 +145,11 @@ class OracleScorer:
             union = {ref for group in inst.evidence_sets for ref in group}
             self.gold[inst.claim_id] = (inst.label, union)
 
-    def score(self, claim_id, claim, ref, sentence) -> tuple:
+    def score_all(self, instances, table, claims, rows) -> list:
+        return [self.score(instances[c].claim_id, ref)
+                for c, ref in zip(claims.tolist(), table.refs(rows))]
+
+    def score(self, claim_id, ref) -> tuple:
         label, union = self.gold[claim_id]
         if ref in union and label == "SUPPORTS":
             return 1.0, 0.0, 0.0
@@ -402,12 +406,12 @@ def test_end_to_end(report, tmp_path):
     corpus, _ = ingest_dump(DUMP)
     instances = load_claims(CLAIMS)
     index = tfidf.build_document_index(corpus, bin_count=65536)
-    candidates = cli.retrieve_candidates(corpus, index, instances)
+    table, claims, rows = cli.retrieve_candidates(corpus, index, instances)
 
     scorer = OracleScorer(instances)
     scored = {inst.claim_id: score_candidates(scorer, inst.claim_id, inst.claim,
-                                              candidates[inst.claim_id], corpus)
-              for inst in instances}
+                                              table.refs(rows[claims == c]), corpus)
+              for c, inst in enumerate(instances)}
     fvs = {cid: features(sc) for cid, sc in scored.items()}
     samples = [TrainingSample(fvs[inst.claim_id], inst.label) for inst in instances]
     model = forest.train(samples, ForestConfig(trees=50, max_depth=3, seed=19))

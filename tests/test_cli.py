@@ -223,8 +223,10 @@ class TestStages:
         scored_rows = read_rows(d / "scored.jsonl")
         assert len(scored_rows) == sum(len(row["candidates"])
                                        for row in read_rows(d / "candidates.jsonl"))
-        assert all(set(row) == {"claim_id", "page_id", "line_number", *TRIPLE_FIELDS}
+        assert all(set(row) == {"claim_id", "page_id", "line_number", *TRIPLE_FIELDS, "pairs"}
                    for row in scored_rows)
+        counts = {row["id"]: len(row["candidates"]) for row in read_rows(d / "candidates.jsonl")}
+        assert all(row["pairs"] == counts[row["claim_id"]] for row in scored_rows)
 
         code, stdout, _ = run(["train", "--claims", CLAIMS,
                                "--scored", d / "scored.jsonl",
@@ -297,6 +299,11 @@ class TestErrors:
 
 
 NEI = {"claim": "c", "label": "NOT ENOUGH INFO"}
+
+
+# the dtype that index builds give each numeric array of index.npz
+INDEX_DTYPES = {"uniq_bins": "int64", "uniq_offsets": "int64", "post_items": "int32",
+                "post_weights": "float64", "df": "int64", "item_norms": "float64"}
 
 
 class TestBadInputs:
@@ -611,6 +618,36 @@ class TestBadInputs:
                             "--index", index, "--out", out], capsys)
         expected = message.format(index) if "{}" in message else f"index {index} {message}"
         assert expected in one_error(code, err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", [
+        *(f"{name}:{dtype}" for name, own in INDEX_DTYPES.items()
+          for dtype in ("int32", "int64", "float32", "float64", "str", "bytes", "object",
+                        "column") if dtype != own),
+        *(f"{name}:{dtype}" for name in ("header", "item_ids")
+          for dtype in ("bytes", "object", "column")),
+        *(f"{field}={value}" for field in ("bin_count", "item_count", "format_version")
+          for value in ("null", '"1"', "1.0", "true", "-1", "0", "2", "1e400", "[1]")),
+    ])
+    def test_index_fault_ends_e2e_in_one_error_line(self, workdir, tmp_path, capsys, fault):
+        """An index.npz whose array has another dtype or shape, or whose header
+        field is rewritten, fails e2e with one error line naming the file."""
+        with np.load(workdir / "index.npz") as data:
+            arrays = dict(data)
+        name, _, dtype = fault.partition(":")
+        if dtype == "column":
+            arrays[name] = arrays[name].reshape(-1, 1)
+        elif dtype:
+            arrays[name] = arrays[name].astype(dtype)
+        else:  # one header field rewritten
+            field, _, value = fault.partition("=")
+            header = json.loads(str(arrays["header"]))
+            arrays["header"] = np.array(json.dumps(header)[:-1] + f', "{field}": {value}}}')
+        index, out = tmp_path / "index.npz", tmp_path / "pred.jsonl"
+        np.savez(index, **arrays)
+        code, _, err = run(["e2e", "--corpus", workdir / "corpus.json.gz", "--claims", CLAIMS,
+                            "--index", index, "--out", out], capsys)
+        assert str(index) in one_error(code, err)
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["dump", "saved_corpus", "claims", "model"])
@@ -1086,7 +1123,7 @@ class TestTripleRows:
         --prob-file, on one row for claim 101 whose components sum to total."""
         side, scored = tmp_path / "row.jsonl", tmp_path / "s.jsonl"
         side.write_text(json.dumps({**_SCORED, "support": total - 0.5, "refute": 0.25,
-                                    "uninformative": 0.25}) + "\n")
+                                    "uninformative": 0.25, "pairs": 1}) + "\n")
         code, _, err = run(["features", "--corpus", DUMP, "--claims", d / "claims.jsonl",
                             "--candidates", d / "cands1.jsonl", "--prob-file", side,
                             "--out", scored], capsys)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from claimcheck import entailment
-from claimcheck.corpus import Corpus, Document, SentenceRef
+from claimcheck.corpus import Corpus, Document, SentenceRef, table_of_refs
 from claimcheck.entailment import (
     NEGATION_CUES,
     BaselineScorer,
@@ -112,6 +112,22 @@ class TestBaseline:
         assert baseline("John Smith is here.", "John T. Smith is here.") == (1.0, 0.0, 0.0)
 
 
+def score_run(scorer, corpus, claims, candidates):
+    """score_pairs over the sentence table of every candidate ref, claims[c]
+    having the refs candidates[c]."""
+    table, rows = table_of_refs([ref for refs in candidates for ref in refs],
+                                corpus.get_sentence)
+    owners = [c for c, refs in enumerate(candidates) for _ in refs]
+    return score_pairs(scorer, claims, table, owners, rows)
+
+
+def lookup(scorer, claim_id, ref) -> tuple:
+    """The triple a scorer gives one (claim, sentence) pair, through score_pairs."""
+    table, rows = table_of_refs([ref])
+    claims = [SimpleNamespace(claim_id=claim_id, claim="claim")]
+    return tuple(score_pairs(scorer, claims, table, [0], rows).triples[0].tolist())
+
+
 def prob_row(cid, page, line, s, r, u):
     return json.dumps({"claim_id": cid, "page_id": page, "line_number": line,
                        "support": s, "refute": r, "uninformative": u})
@@ -122,7 +138,7 @@ class TestFileScorer:
         p = tmp_path / "probs.jsonl"
         p.write_text(prob_row(1, "A", 0, 0.7, 0.2, 0.1) + "\n")
         scorer = FileScorer.load(p)
-        t = scorer.score(1, "claim", SentenceRef("A", 0), "sentence")
+        t = lookup(scorer, 1, SentenceRef("A", 0))
         assert tuple(t) == (0.7, 0.2, 0.1)
 
     def test_missing_entry_names_pair(self, tmp_path):
@@ -130,7 +146,7 @@ class TestFileScorer:
         p.write_text(prob_row(1, "A", 0, 1.0, 0.0, 0.0) + "\n")
         scorer = FileScorer.load(p)
         with pytest.raises(ValueError, match=r"claim 2.*'B'"):
-            scorer.score(2, "claim", SentenceRef("B", 3), "sentence")
+            lookup(scorer, 2, SentenceRef("B", 3))
 
     def test_bad_sum_rejected(self, tmp_path):
         p = tmp_path / "probs.jsonl"
@@ -153,7 +169,7 @@ class TestFileScorer:
     def test_near_one_sum_renormalized(self, tmp_path):
         p = tmp_path / "probs.jsonl"
         p.write_text(prob_row(1, "A", 0, 0.7004, 0.2, 0.1) + "\n")
-        t = FileScorer.load(p).score(1, "c", SentenceRef("A", 0), "s")
+        t = lookup(FileScorer.load(p), 1, SentenceRef("A", 0))
         assert abs(sum(t) - 1.0) < 1e-9
 
 
@@ -176,26 +192,43 @@ def baseline_runs(draw):
     return corpus, claims, candidates
 
 
-class PairScorer:
-    """The baseline reference through the one-pair protocol alone."""
-
-    def score(self, claim_id, claim, ref, sentence):
-        return oracles.baseline_triple(claim, sentence)
+# pieces of texts: NFKC-folding characters (fullwidth letters, a ligature, a
+# superscript), other non-ASCII letters, cue words in any case (ｎｏｔ folds
+# to one), contractions with either apostrophe and in any case, and
+# separators; pieces join without spaces too, so tokens form across them
+PIECES = st.sampled_from([
+    "Ａ", "ﬁ", "²", "ｎｏｔ", "é", "ß", "İ", "Σ", "ж", "ǅ", "Mill", "abbey", "mill", "x",
+    "not", "NOT", "Never", "nOr", "neither", "no", "No", "n't", "n’t", "N'T", "isn't",
+    "ISN’T", "can't", "tn't", "_", "-", " ", " ", "'", "’", "1", "\u0307"])
+TEXTS = st.lists(PIECES, max_size=10).map("".join)
 
 
 class TestScorePairs:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(TEXTS, max_size=5), st.lists(TEXTS, min_size=1, max_size=8), st.data())
+    def test_batch_scorer_equals_per_pair_oracle_bits(self, claim_texts, sentences, data):
+        claims = [SimpleNamespace(claim_id=c, claim=text) for c, text in enumerate(claim_texts)]
+        refs = [SentenceRef("Page", n) for n in range(len(sentences))]
+        candidates = [data.draw(st.lists(st.sampled_from(refs), unique=True)) for _ in claims]
+        table, rows = table_of_refs([ref for group in candidates for ref in group],
+                                    lambda ref: sentences[ref.line_number])
+        owners = [c for c, group in enumerate(candidates) for _ in group]
+        pairs = score_pairs(BaselineScorer(), claims, table, owners, rows)
+        want = [oracles.overlap_triple(oracles.bag(claims[c].claim),
+                                       oracles.bag(table.texts[r]))
+                for c, r in zip(owners, rows)]
+        assert pairs.triples.tobytes() == np.array(want).reshape(-1, 3).tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(baseline_runs())
     def test_baseline_equals_per_pair_reference_bits(self, run):
         corpus, claims, candidates = run
-        pairs = score_pairs(BaselineScorer(), claims, candidates, corpus)
+        pairs = score_run(BaselineScorer(), corpus, claims, candidates)
         want = [oracles.baseline_triple(claim.claim, corpus.get_sentence(ref))
                 for claim, refs in zip(claims, candidates) for ref in refs]
         assert pairs.triples.tobytes() == np.array(want).reshape(-1, 3).tobytes()
         assert pairs.claims.tolist() == [c for c, refs in enumerate(candidates) for _ in refs]
-        assert pairs.refs == [ref for refs in candidates for ref in refs]
-        by_pair = score_pairs(PairScorer(), claims, candidates, corpus)
-        assert by_pair.triples.tobytes() == pairs.triples.tobytes()
+        assert pairs.table.refs(pairs.rows) == [ref for refs in candidates for ref in refs]
 
     def test_each_distinct_claim_and_sentence_tokenized_once(self, mini_corpus,
                                                              mini_instances, monkeypatch):
@@ -204,34 +237,34 @@ class TestScorePairs:
         candidates = [[refs[i] for i in rng.choice(40, size=6, replace=False)]
                       for _ in mini_instances]  # 30 claims share 40 sentences
         texts = Counter()
-        monkeypatch.setattr(entailment, "tokenize",
-                            lambda text: texts.update([text]) or tokenize(text))
-        pairs = score_pairs(BaselineScorer(), mini_instances, candidates, mini_corpus)
+        split = entailment.token_bytes
+        monkeypatch.setattr(entailment, "token_bytes",
+                            lambda text: texts.update([text]) or split(text))
+        pairs = score_run(BaselineScorer(), mini_corpus, mini_instances, candidates)
         sentences = {ref for group in candidates for ref in group}
         claims = {inst.claim for inst in mini_instances}
-        assert texts.total() == len(claims) + len(sentences) < len(pairs.refs) + len(claims)
+        assert texts.total() == len(claims) + len(sentences) < pairs.claims.size + len(claims)
         assert set(texts) == claims | {mini_corpus.get_sentence(ref) for ref in sentences}
-        assert len(pairs.refs) == 6 * len(mini_instances)
+        assert pairs.claims.size == 6 * len(mini_instances)
 
-    def test_pairs_visited_sentence_by_sentence_each_once(self, mini_corpus, mini_instances):
+    def test_scorer_gets_every_pair_in_one_call(self, mini_corpus, mini_instances):
         rng = np.random.default_rng(7)
         refs = [ref for doc in mini_corpus.documents() for ref in doc.non_empty_refs()]
         candidates = [[refs[i] for i in rng.choice(40, size=6, replace=False)]
                       for _ in mini_instances]
-        seen = []
+        calls = []
 
         class Recorder:
-            def score(self, claim_id, claim, ref, sentence):
-                assert sentence == mini_corpus.get_sentence(ref)
-                seen.append((claim_id, ref))
-                return 1.0, 0.0, 0.0
+            def score_all(self, instances, table, claims, rows):
+                assert [table.texts[r] for r in rows.tolist()] == \
+                    [mini_corpus.get_sentence(ref) for ref in table.refs(rows)]
+                calls.append([(instances[c].claim_id, ref)
+                              for c, ref in zip(claims.tolist(), table.refs(rows))])
+                return np.tile([1.0, 0.0, 0.0], (claims.size, 1))
 
-        score_pairs(Recorder(), mini_instances, candidates, mini_corpus)
-        pairs = [(inst.claim_id, ref) for inst, group in zip(mini_instances, candidates)
-                 for ref in group]
-        assert sorted(seen) == sorted(pairs) and len(set(seen)) == len(seen)
-        order = [ref for _, ref in seen]
-        assert order == sorted(order)  # each ref's pairs one after another
+        score_run(Recorder(), mini_corpus, mini_instances, candidates)
+        assert calls == [[(inst.claim_id, ref) for inst, group in
+                          zip(mini_instances, candidates) for ref in group]]
 
     def test_baseline_reused_on_another_corpus_scores_its_text(self):
         ref = SentenceRef("Page", 0)
@@ -240,28 +273,32 @@ class TestScorePairs:
         for sentence in ("the mill was rebuilt", "the mill was not rebuilt", "an abbey"):
             corpus = Corpus()
             corpus.add_document(Document("Page", "", {0: sentence}))
-            pairs = score_pairs(scorer, claims, [[ref]], corpus)
+            pairs = score_run(scorer, corpus, claims, [[ref]])
             want = oracles.baseline_triple(claims[0].claim, sentence)
             assert tuple(pairs.triples[0].tolist()) == want
 
     def test_file_scorer_batch_names_a_missing_pair(self, mini_corpus):
-        ref = SentenceRef(*next(iter(mini_corpus.documents())).non_empty_refs()[0])
+        ref, other = next(iter(mini_corpus.documents())).non_empty_refs()[:2]
         scorer = FileScorer({(1, *ref): (0.5, 0.25, 0.25)})
         claims = [SimpleNamespace(claim_id=1, claim="c"), SimpleNamespace(claim_id=2, claim="c")]
-        pairs = score_pairs(scorer, claims[:1], [[ref]], mini_corpus)
+        pairs = score_run(scorer, mini_corpus, claims[:1], [[ref]])
         assert pairs.triples.tolist() == [[0.5, 0.25, 0.25]]
         with pytest.raises(ValueError, match=r"claim 2"):
-            score_pairs(scorer, claims, [[ref], [ref]], mini_corpus)
+            score_run(scorer, mini_corpus, claims, [[ref], [ref]])
+        # of the missing pairs (1, other) and (2, ref), the one of the lower row
+        with pytest.raises(ValueError, match=rf"claim 2, sentence \('{ref.page_id}', 0\)"):
+            score_run(scorer, mini_corpus, claims, [[other, ref], [ref]])
 
     @pytest.mark.parametrize("bad", [(0.7, 0.2, 0.2), (-0.1, 0.6, 0.5), (np.nan, 0.5, 0.5)])
     def test_bad_triple_of_a_scorer_rejected(self, mini_corpus, bad):
         class Scorer:  # a good triple for claim 1, the bad one for claim 2
-            def score(self, claim_id, claim, ref, sentence):
-                return (0.5, 0.25, 0.25) if claim_id == 1 else bad
+            def score_all(self, instances, table, claims, rows):
+                return [(0.5, 0.25, 0.25) if instances[c].claim_id == 1 else bad
+                        for c in claims.tolist()]
 
         ref = next(iter(mini_corpus.documents())).non_empty_refs()[0]
         claims = [SimpleNamespace(claim_id=i, claim="c") for i in (1, 2)]
-        pairs = score_pairs(Scorer(), claims, [[ref], []], mini_corpus)
+        pairs = score_run(Scorer(), mini_corpus, claims, [[ref], []])
         assert pairs.triples.tolist() == [[0.5, 0.25, 0.25]]
         with pytest.raises(ValueError, match=r"pair 1 has triple"):
-            score_pairs(Scorer(), claims, [[ref], [ref]], mini_corpus)
+            score_run(Scorer(), mini_corpus, claims, [[ref], [ref]])

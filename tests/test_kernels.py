@@ -249,6 +249,6 @@ def test_bench_kernels_smoke(capsys):
     assert [line.split()[0] for line in lines[2:]] == \
         ["edit_distances", "title_match_exact", "title_match_one_edit", "title_match_far",
          "block_accumulate", "best_split", "row_sums",
-         "ngram_bins", "hashed_counts_loop", "score_claims", "assemble_all", "forest_fit",
-         "forest_load", "corpus_save", "corpus_load", "corpus_load_parse", "index_build",
-         "tfidf_route", "start_ingest", "start_index", "start_e2e"]
+         "ngram_bins", "hashed_counts_loop", "score_pairs", "score_claims", "assemble_all",
+         "forest_fit", "forest_load", "corpus_save", "corpus_load", "corpus_load_parse",
+         "index_build", "tfidf_route", "start_ingest", "start_index", "start_e2e"]

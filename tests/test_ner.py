@@ -339,7 +339,8 @@ def candidates(corpus, claim):
     """The entity route's candidates for one claim, as cli.retrieve_candidates
     lists them: the sentence table of the pages its mentions match."""
     pages = ner.matched_pages(corpus, [ner.claim_mentions(claim)])[0][0]
-    return corpus.sentence_table(pages)[0]
+    table = corpus.sentence_table(pages)
+    return table.refs(np.arange(len(table.texts)))
 
 
 class TestCandidateSentences:

@@ -115,8 +115,9 @@ def drop_line(data: bytes) -> bytes:
 
 KINDS = ["dump", "corpus", "e2e_corpus", "index", "model", "claims", "candidates", "scored",
          "probability", "ner", "predictions"]
-# kinds whose every corruption is refused: a gzip read whole fails its CRC or its end
-REFUSED = {"e2e_corpus"}
+# kinds whose every corruption is refused: a gzip read whole fails its CRC or its
+# end, and a scored file's rows carry their claim's pair count
+REFUSED = {"e2e_corpus", "scored"}
 
 
 @pytest.mark.parametrize("mutate", [cut, flip, drop_line])

@@ -302,9 +302,10 @@ def batched_route(corpus, index, claims):
     (each claim's sentences as ScoredItems of refs, the empty-query count)."""
     docs, empty = tfidf.top_documents(index, claims, cli.K_DOCS)
     pages = [sorted(hit.item for hit in hits) for hits in docs]
-    refs, texts, spans = corpus.sentence_table({p for ps in pages for p in ps})
-    rows = tfidf.sentence_route(texts, [[spans[p] for p in ps] for ps in pages], claims,
-                                index.bin_count, cli.K_SENTS)
+    table = corpus.sentence_table({p for ps in pages for p in ps})
+    rows = tfidf.sentence_route(table.texts, [[table.spans[p] for p in ps] for ps in pages],
+                                claims, index.bin_count, cli.K_SENTS)
+    refs = table.refs(np.arange(len(table.texts)))
     return [[tfidf.ScoredItem(refs[row], score) for row, score in hits] for hits in rows], empty
 
 
@@ -359,7 +360,11 @@ class TestBatchedRoute:
                                for ref in corpus.get(matcher.match(mention).page_id)
                                .non_empty_refs()} | {hit.item for hit in hits})
                     for i, (c, hits) in enumerate(zip(claims, want_hits))}
-        assert cli.retrieve_candidates(corpus, index, instances) == expected
+        table, owners, rows = cli.retrieve_candidates(corpus, index, instances)
+        refs = table.refs(rows)
+        assert {i: [ref for c, ref in zip(owners.tolist(), refs) if c == i]
+                for i in expected} == expected
+        assert owners.tolist() == sorted(owners.tolist())
 
     def test_fixture_corpus(self, mini_corpus, mini_instances, monkeypatch):
         self.check(mini_corpus, [inst.claim for inst in mini_instances], 65536, monkeypatch, {})
@@ -408,15 +413,15 @@ class TestRetrieveCandidates:
     def test_each_page_listed_once(self, mini_corpus, mini_instances, monkeypatch):
         index = tfidf.build_document_index(mini_corpus, bin_count=BINS)
         listed = Counter()
-        listing = Document.non_empty_refs
+        listing = Document.numbered_sentences
 
         def spy(doc):
             listed[doc.page_id] += 1
             return listing(doc)
 
-        monkeypatch.setattr(Document, "non_empty_refs", spy)
-        cands = cli.retrieve_candidates(mini_corpus, index, mini_instances)
-        assert {ref.page_id for refs in cands.values() for ref in refs} <= set(listed)
+        monkeypatch.setattr(Document, "numbered_sentences", spy)
+        table, _, rows = cli.retrieve_candidates(mini_corpus, index, mini_instances)
+        assert {ref.page_id for ref in table.refs(rows)} <= set(listed)
         assert set(listed.values()) == {1}
 
     def test_no_title_matcher_alive_in_sentence_route(self, mini_corpus, mini_instances,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from claimcheck import features, metrics, verdict
-from claimcheck.corpus import SentenceRef
+from claimcheck.corpus import SentenceRef, table_of_refs
 from claimcheck.entailment import ScoredCandidate, ScoredPairs
 from claimcheck.forest import LABELS
 from conftest import TRIPLES, interleaved
@@ -150,8 +150,9 @@ def verdict_runs(draw):
     labels = draw(st.lists(st.sampled_from(LABELS), min_size=len(per_claim),
                            max_size=len(per_claim)))
     claims, items = draw(interleaved(per_claim))
-    pairs = ScoredPairs(claims, [ref for ref, _ in items],
-                        np.array([t for _, t in items], dtype=np.float64).reshape(-1, 3))
+    table, rows = table_of_refs([ref for ref, _ in items])
+    pairs = ScoredPairs(claims, np.array(rows, dtype=np.int64),
+                        np.array([t for _, t in items], dtype=np.float64).reshape(-1, 3), table)
     return [f"c{c}" for c in range(len(per_claim))], labels, per_claim, pairs
 
 
@@ -180,10 +181,11 @@ class TestAssembleAll:
 
     def test_ties_across_claims_in_file_order(self):
         # the second claim's rows come first and out of ref order
+        table, rows = table_of_refs([SentenceRef("Zed", 0), SentenceRef("Alpha", 3),
+                                     SentenceRef("Zed", 1), SentenceRef("Alpha", 1)])
         pairs = ScoredPairs(np.array([1, 1, 0, 1], dtype=np.int64),
-                            [SentenceRef("Zed", 0), SentenceRef("Alpha", 3),
-                             SentenceRef("Zed", 1), SentenceRef("Alpha", 1)],
-                            np.array([[0.4, 0.4, 0.2]] * 4))
+                            np.array(rows, dtype=np.int64), np.array([[0.4, 0.4, 0.2]] * 4),
+                            table)
         a, b = verdict.assemble_all(["a", "b"], ["REFUTES", "SUPPORTS"], pairs)
         assert a.evidence == (SentenceRef("Zed", 1),)
         assert b.evidence == (SentenceRef("Alpha", 1), SentenceRef("Alpha", 3),
