@@ -271,13 +271,15 @@ def hash_loop(texts, bin_count=2**24):
     return [hashed_counts(tokenize(text), (1, 2), bin_count) for text in texts]
 
 
-# Runs cli.main on its arguments, then writes the peak RSS of its own memory
-# (VmHWM, in kB) as the last line of stderr. Linux carries a parent's peak
-# RSS into the ru_maxrss of a child it spawns, so from this process, which
-# holds numpy and the inputs of every row, ru_maxrss reads this process's peak.
+# Runs the process entry on its arguments, as `python -m claimcheck.cli` does,
+# collector policy and frozen heap at shutdown included, then writes the peak
+# RSS of its own memory (VmHWM, in kB) as the last line of stderr. Linux
+# carries a parent's peak RSS into the ru_maxrss of a child it spawns, so from
+# this process, which holds numpy and the inputs of every row, ru_maxrss
+# reads this process's peak.
 CHILD = ("import sys\n"
          "from claimcheck import cli\n"
-         "code = cli.main(sys.argv[1:])\n"
+         "code = cli.entry()\n"
          "with open('/proc/self/status', encoding='ascii') as fh:\n"
          "    print(next(line for line in fh if line.startswith('VmHWM:')).split()[1],\n"
          "          file=sys.stderr)\n"

@@ -1,6 +1,8 @@
 """Drives the command line on the bundled fixture corpus."""
 
+import ast
 import contextlib
+import gc
 import gzip
 import hashlib
 import io
@@ -1283,17 +1285,6 @@ class TestEndToEnd:
         capsys.readouterr()
         assert outputs[0] == outputs[1]
 
-    def test_module_entry_point(self, tmp_path):
-        out = tmp_path / "pred.jsonl"
-        proc = subprocess.run(
-            [sys.executable, "-m", "claimcheck.cli", "-q", "e2e",
-             "--corpus", str(DUMP), "--claims", str(CLAIMS),
-             "--bins", "65536", "--trees", "10", "--out", str(out)],
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert "label accuracy" in proc.stdout
-        assert out.exists()
-
 
 class TestStartUp:
     """Each subcommand loads only the modules it runs: start-up is most of a
@@ -1323,6 +1314,138 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         modules, threads, blas = json.loads(proc.stdout.splitlines()[-1])
         return {m.removeprefix("claimcheck.") for m in modules}, threads, blas
+
+    @staticmethod
+    def child(args, cwd=None) -> subprocess.CompletedProcess:
+        """A new interpreter, importing this checkout's claimcheck, on args."""
+        return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                              text=True, timeout=300, cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+    def test_module_entry_point(self, tmp_path, monkeypatch, capsys):
+        # the child and an in-process run, each in its own directory, print
+        # and write the same bytes
+        e2e = ["-q", "e2e", "--corpus", DUMP, "--claims", CLAIMS, "--bins", "65536",
+               "--trees", "10", "--out", "pred.jsonl", "--report", "report.json"]
+        there, here = tmp_path / "there", tmp_path / "here"
+        there.mkdir()
+        here.mkdir()
+        proc = self.child(["-m", "claimcheck.cli", *e2e], cwd=there)
+        assert proc.returncode == 0, proc.stderr
+        assert "label accuracy" in proc.stdout
+        monkeypatch.chdir(here)
+        assert cli.main(list(map(str, e2e))) == 0
+        assert capsys.readouterr().out == proc.stdout
+        for name in ("pred.jsonl", "report.json"):
+            assert (there / name).read_bytes() == (here / name).read_bytes()
+
+    def test_entry_leaves_the_collector_off_and_the_heap_frozen(self, tmp_path):
+        script = ("import gc, sys\n"
+                  "from claimcheck import cli\n"
+                  "code = cli.entry()\n"
+                  "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+                  "sys.exit(code)\n")
+        proc = self.child(["-c", script, "-q", "ingest", "--dump", DUMP,
+                           "--out", tmp_path / "corpus.json.gz"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False True"
+
+    def test_bad_corpus_through_the_entry_is_one_error_line(self, tmp_path):
+        proc = self.child(["-m", "claimcheck.cli", "-q", "index", "--corpus",
+                           tmp_path / "missing.json.gz", "--out", tmp_path / "index.npz"])
+        assert one_error(proc.returncode, proc.stderr)
+        assert proc.stdout == "" and not (tmp_path / "index.npz").exists()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("argv, code", [
+        (["-q", "ingest", "--dump", DUMP], 0),
+        (["-q", "ingest", "--dump", ROOT / "missing.jsonl"], 1),
+        (["ingest", "--help"], SystemExit)])
+    def test_main_puts_the_callers_collector_back(self, tmp_path, capsys, monkeypatch,
+                                                  collecting, argv, code):
+        seen = []
+
+        def cmd_ingest(args):  # the collector's state while the subcommand runs
+            seen.append(gc.isenabled())
+            return ingest(args)
+
+        ingest = cli.cmd_ingest
+        monkeypatch.setattr(cli, "cmd_ingest", cmd_ingest)
+        argv = [*map(str, argv), "--out", str(tmp_path / "corpus.json.gz")]
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if code is SystemExit:
+                with pytest.raises(SystemExit):
+                    cli.main(argv)
+            else:
+                assert cli.main(argv) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, frozen)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        capsys.readouterr()
+        assert seen == ([] if code is SystemExit else [False])
+
+    def test_script_runs_the_function_the_module_entry_calls(self):
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert re.findall(r'^(\S+) = "(\S+)"$', scripts, re.MULTILINE) == [
+            ("claimcheck", f"claimcheck.cli:{self.module_entry_function()}")]
+
+    @staticmethod
+    def module_entry_function() -> str:
+        """The name of the cli function that the ``if __name__ == "__main__"``
+        block of cli.py calls."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        block, = (node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'")
+        exit_call, = block.body  # sys.exit(function())
+        return exit_call.value.args[0].func.id
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path):
+        """A run leaves the same cyclic garbage on data/ as on a copy four
+        times its size, so running with the collector off keeps no cycle per
+        page or claim."""
+        script = ("import gc, sys\n"
+                  "from claimcheck import cli\n"
+                  "gc.disable()\n"
+                  "assert cli.main(sys.argv[1:]) == 0\n"
+                  "print(gc.collect())\n")
+
+        def garbage(d, dump, claims) -> list:
+            runs = [["ingest", "--dump", dump, "--out", d / "corpus.json.gz"],
+                    ["index", "--corpus", d / "corpus.json.gz", "--out", d / "index.npz"],
+                    ["e2e", "--corpus", d / "corpus.json.gz", "--index", d / "index.npz",
+                     "--claims", claims, "--out", d / "pred.jsonl",
+                     "--report", d / "report.json"]]
+            found = []
+            for argv in runs:
+                proc = self.child(["-c", script, "-q", *argv])
+                assert proc.returncode == 0, proc.stderr
+                found.append(int(proc.stdout.splitlines()[-1]))
+            return found
+
+        big = tmp_path / "big"
+        big.mkdir()
+        pages, claims = read_rows(DUMP), read_rows(CLAIMS)
+        renamed = {page["id"]: [page["id"], *(f"{page['id']}_{k}" for k in (1, 2, 3))]
+                   for page in pages}
+
+        def copy_claim(claim, k):
+            evidence = [[[a, e, renamed.get(page, [page] * 4)[k], line]
+                         for a, e, page, line in group] for group in claim["evidence"]]
+            return {**claim, "id": claim["id"] + 100000 * k, "evidence": evidence}
+
+        with open(big / "wiki.jsonl", "w", encoding="utf-8") as fp:
+            fp.writelines(json.dumps({**page, "id": renamed[page["id"]][k]}) + "\n"
+                          for k in range(4) for page in pages)
+        with open(big / "claims.jsonl", "w", encoding="utf-8") as fp:
+            fp.writelines(json.dumps(copy_claim(claim, k)) + "\n"
+                          for k in range(4) for claim in claims)
+        small = tmp_path / "small"
+        small.mkdir()
+        assert garbage(small, DUMP, CLAIMS) == garbage(big, big / "wiki.jsonl",
+                                                       big / "claims.jsonl")
 
     def test_each_subcommand_loads_the_modules_it_runs(self, tmp_path):
         corpus, index = tmp_path / "corpus.json.gz", tmp_path / "index.npz"

@@ -2,8 +2,9 @@
 none calls BLAS.
 
 Runs each subcommand in process on the ``data/`` fixture, with the flags
-that pick between code paths, plus one run on bad input and the traced
-benchmark run of ``perfbench/bench_trace.py``, all under ``sys.setprofile``.
+that pick between code paths, plus one run on bad input through the process
+entry and the traced benchmark run of ``perfbench/bench_trace.py``, all under
+``sys.setprofile``.
 It then requires that every module-level function and method that ``ast``
 finds in ``src/claimcheck`` was entered: a function that only tests call is
 code the program does not need.
@@ -14,6 +15,7 @@ the ``@`` operator, on the numpy functions that call BLAS, and on ``linalg``.
 """
 
 import ast
+import gc
 import importlib.util
 import json
 import sys
@@ -143,12 +145,26 @@ def run_program(tmp: Path, bench_trace) -> None:
              "--out", tmp / "e4.jsonl"]),
         (0, [*e2e, "--corpus", corpus, "--index", index, "--model", model,
              "--out", tmp / "e5.jsonl"]),
-        (1, ["retrieve", "--corpus", corpus, "--claims", CLAIMS, "--index", not_zip,
-             "--out", tmp / "bad.jsonl"]),
     ]
     for code, argv in runs:
         assert cli.main(["-q", *map(str, argv)]) == code, argv
+    assert run_entry(["-q", "retrieve", "--corpus", corpus, "--claims", CLAIMS,
+                      "--index", not_zip, "--out", tmp / "bad.jsonl"]) == 1
     bench_trace.run(DUMP, CLAIMS, tmp, bench_trace.Tracer())
+
+
+def run_entry(argv) -> int:
+    """cli.entry, the process entry, on argv as its command line; the heap is
+    unfrozen and the collector put back as it was after it returns."""
+    saved, sys.argv = sys.argv, ["claimcheck", *map(str, argv)]
+    collecting = gc.isenabled()
+    try:
+        return cli.entry()
+    finally:
+        sys.argv = saved
+        gc.unfreeze()
+        if collecting:
+            gc.enable()
 
 
 def test_every_function_is_reached_by_the_program(tmp_path, monkeypatch):
