@@ -327,6 +327,7 @@ def build_cases(rng, args, workdir):
     training = make_forest_workload(rng, args.claims, model_path)
     corpus_path = Path(workdir) / "corpus.json.gz"
     corpus = make_corpus_workload(rng, args.texts, corpus_path)
+    pages = len(corpus.page_ids())
     verdicts = make_verdict_workload(rng, scoring)
     route = make_route_workload(rng, corpus, args.claims)
     texts = make_text_workload(tokens)
@@ -352,14 +353,14 @@ def build_cases(rng, args, workdir):
          verdicts),
         (f"forest_fit ({args.claims} claims, default config)", forest.fit, training),
         (f"forest_load ({args.claims} claims, default config)", forest.load, (model_path,)),
-        (f"corpus_save ({len(corpus)} pages, {args.texts} sentences)", Corpus.save,
+        (f"corpus_save ({pages} pages, {args.texts} sentences)", Corpus.save,
          (corpus, Path(workdir) / "saved.json.gz")),
-        (f"corpus_load ({len(corpus)} pages, {args.texts} sentences, ids only)", Corpus.load,
+        (f"corpus_load ({pages} pages, {args.texts} sentences, ids only)", Corpus.load,
          (corpus_path,)),
-        (f"corpus_load_parse ({len(corpus)} pages, every page parsed)", load_and_parse,
+        (f"corpus_load_parse ({pages} pages, every page parsed)", load_and_parse,
          (corpus_path,)),
-        (f"index_build ({len(corpus)} pages)", tfidf.build_document_index, (corpus,)),
-        (f"tfidf_route ({args.claims} claims, {len(corpus)} pages)", tfidf_route, route),
+        (f"index_build ({pages} pages)", tfidf.build_document_index, (corpus,)),
+        (f"tfidf_route ({args.claims} claims, {pages} pages)", tfidf_route, route),
         *start_up_cases(workdir),
     ]
 

@@ -11,24 +11,25 @@ function imports the stage modules it runs: ``ingest`` and ``score`` load
 no numpy, ``index`` only ``tfidf`` and what it imports, and ``e2e`` every
 stage module.
 
-``main`` also sets ``OPENBLAS_NUM_THREADS`` to 1, unless the caller set it,
+The process entry, ``entry``, owns the process; ``main`` runs one
+subcommand and changes neither the environment nor the collector's state.
+``entry`` sets ``OPENBLAS_NUM_THREADS`` to 1, unless the caller set it,
 before any stage module imports numpy. OpenBLAS reads it once, when numpy
 loads, and otherwise starts a worker thread per extra CPU, which spin-waits
 and takes CPU from the main thread. No stage calls a BLAS routine
 (``tests/test_reach.py`` fails on one), so the pool does no work: on a
 2-vCPU x86 machine, one thread cut the CPU and the wall time of a cold
 ``e2e`` on the ``entity`` workload by about a sixth. Only the process entry
-sets it; a program that imports ``claimcheck`` as a library keeps its own
-BLAS threads.
+sets it; a program that imports ``claimcheck`` as a library, or calls
+``main``, keeps its own BLAS threads.
 
-``main`` runs a subcommand with the cyclic garbage collector off and puts
-the caller's collector state back on return. A run makes no cyclic garbage
-that grows with its input: with the collector off, ``gc.collect()`` after a
-run on ``data/`` finds 491 objects for ``ingest``, 837 for ``index`` and 958
-for ``e2e``, as many as on a copy four times its size (``tests/test_cli.py``
-holds this), while with it on an ``e2e`` on the ``entity`` workload set off
-39 collections (5-7 ms) in ``main``, about 31 of them as the stage modules
-imported. The process entry, ``entry``, also freezes the heap before the
+``entry`` then runs ``main`` with the cyclic garbage collector off. A run
+makes no cyclic garbage that grows with its input: with the collector off,
+``gc.collect()`` after a run on ``data/`` finds 491 objects for ``ingest``,
+837 for ``index`` and 958 for ``e2e``, as many as on a copy four times its
+size (``tests/test_cli.py`` holds this), while with it on an ``e2e`` on the
+``entity`` workload set off 39 collections (5-7 ms), about 31 of them as
+the stage modules imported. ``entry`` also freezes the heap before the
 interpreter shuts down, so that the shutdown's final collection has nothing
 to traverse: that ``e2e`` then took 5.2-5.7 ms from ``main``'s return to
 its exit, against 20-24 ms spent mostly collecting over numpy's and the
@@ -478,31 +479,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand with the cyclic collector off; the caller's
-    collector state is back on return."""
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before a stage imports numpy
-    collecting = gc.isenabled()
-    gc.disable()
+    """Run one subcommand; the environment and the collector stay as the
+    caller has them."""
+    args = build_parser().parse_args(argv)
+    logging.basicConfig(
+        level=logging.WARNING if args.quiet else logging.INFO,
+        format="%(levelname)s %(name)s: %(message)s")
     try:
-        args = build_parser().parse_args(argv)
-        logging.basicConfig(
-            level=logging.WARNING if args.quiet else logging.INFO,
-            format="%(levelname)s %(name)s: %(message)s")
-        try:
-            return args.func(args)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    finally:
-        if collecting:
-            gc.enable()
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> int:
     """The process entry, of ``python -m claimcheck.cli`` and of the
-    ``claimcheck`` command: main on sys.argv with the collector left off, then
-    the heap frozen, so that the interpreter's collections at shutdown have
-    nothing to traverse."""
+    ``claimcheck`` command: OpenBLAS held to one thread, then main on
+    sys.argv with the collector left off, then the heap frozen, so that the
+    interpreter's collections at shutdown have nothing to traverse."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before a stage imports numpy
     gc.disable()
     try:
         return main()

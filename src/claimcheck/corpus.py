@@ -161,12 +161,8 @@ class Corpus:
         self._path = None  # the file a loaded corpus's records come from
         self.source_checksums: dict[str, str] = {}
 
-    def __len__(self) -> int:
-        return len(self._docs)
-
     def add_document(self, doc: Document) -> None:
-        if doc.page_id in self._docs:
-            raise ValueError(f"duplicate page id: {doc.page_id!r}")
+        """Add a page whose id the corpus lacks (ingest refuses a repeated one)."""
         self._docs[doc.page_id] = doc
 
     def get(self, page_id: str) -> Document | None:
@@ -208,19 +204,16 @@ class Corpus:
         header = {"checksums": self.source_checksums, "format_version": FORMAT_VERSION}
         # gzip's own header, mtime 0, so identical corpora serialize to identical bytes
         gz = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, 31)
-        chunks = [gz.compress(f"{json.dumps(header, sort_keys=True)}\n".encode())]
-        for d in self.documents():
-            if any("\t" in s or "\n" in s for s in d.lines.values()):
-                raise ValueError(f"page {d.page_id!r} has a sentence holding a tab or a newline")
-            fields = {"id": d.page_id}
-            if d._text is not None:
-                fields["text"] = d._text
-            fields["lines"] = "\n".join(f"{n}\t{s}" for n, s in d.lines.items())
-            record = json.dumps(fields, ensure_ascii=False)
-            chunks.append(gz.compress(f"{record}\n".encode("utf-8")))
-        chunks.append(gz.flush())
-        with open(path, "wb") as fh:  # only now: a refused page leaves no file
-            fh.writelines(chunks)
+        with open(path, "wb") as fh:
+            fh.write(gz.compress(f"{json.dumps(header, sort_keys=True)}\n".encode()))
+            for d in self.documents():  # no sentence holds a tab or a newline
+                fields = {"id": d.page_id}
+                if d._text is not None:
+                    fields["text"] = d._text
+                fields["lines"] = "\n".join(f"{n}\t{s}" for n, s in d.lines.items())
+                record = json.dumps(fields, ensure_ascii=False)
+                fh.write(gz.compress(f"{record}\n".encode("utf-8")))
+            fh.write(gz.flush())
 
     @classmethod
     def load(cls, path) -> "Corpus":

@@ -10,10 +10,10 @@ index of each pair, an index into the run's claims, and its table row.
   uninformative) row per pair;
 - ``table``: the sentence table the rows index.
 
-The triple checks (every component in [0, 1], the sum within SUM_TOLERANCE
-of 1), ``check_triples``, run once over the whole array.
-``score_candidates`` is the one-claim call of the same code; its
-ScoredCandidates hold each triple as the plain tuple that check passed.
+Every triple's components lie in [0, 1] and sum to 1 within SUM_TOLERANCE:
+the baseline builds them so, and a probability file's rows are checked and
+renormalized where they are read (``triple_from_row``).
+``score_candidates`` is the one-claim call of the same code.
 
 The scorer is pluggable, and every scorer has one method,
 ``score_all(instances, table, claims, rows)``, which returns the (n, 3)
@@ -51,7 +51,7 @@ _CONTRACTION = re.compile(r"n['’]t\b", re.IGNORECASE)  # tokenize splits "isn'
 
 class ScoredCandidate(NamedTuple):
     ref: SentenceRef
-    triple: tuple  # (support, refute, uninformative), as check_triples passed it
+    triple: tuple  # (support, refute, uninformative)
 
 
 class ScoredPairs(NamedTuple):
@@ -62,18 +62,6 @@ class ScoredPairs(NamedTuple):
     rows: np.ndarray  # (n,) int64
     triples: np.ndarray  # (n, 3) float64
     table: SentenceTable
-
-
-def check_triples(triples: np.ndarray) -> None:
-    """Refuse an (n, 3) array of triples unless every component lies in [0, 1]
-    and every row sums to 1 within SUM_TOLERANCE; NaN and inf fail both."""
-    total = triples[:, 0] + triples[:, 1] + triples[:, 2]
-    good = ((triples >= 0.0) & (triples <= 1.0)).all(axis=1)
-    good &= np.abs(total - 1.0) <= SUM_TOLERANCE
-    if not good.all():
-        i = int(np.argmin(good))
-        raise ValueError(f"pair {i} has triple {tuple(triples[i].tolist())}: its "
-                         "components must lie in [0, 1] and sum to 1")
 
 
 def _token_set(text) -> tuple[frozenset, bool]:
@@ -201,7 +189,6 @@ def score_pairs(scorer, instances, table: SentenceTable, claims, rows) -> Scored
     rows = np.asarray(rows, dtype=np.int64)
     triples = np.asarray(scorer.score_all(instances, table, claims, rows),
                          dtype=np.float64).reshape(-1, 3)
-    check_triples(triples)
     return ScoredPairs(claims, rows, triples, table)
 
 

@@ -80,14 +80,13 @@ class RandomForest:
         return self._nodes[-1]
 
     def predict_all(self, X) -> tuple:
-        """(labels, (m, classes) probabilities) of an (m, 12) feature matrix, in
-        one pass.
+        """(labels, (m, classes) probabilities) of an (m, 12) float64 feature
+        matrix, in one pass.
 
         Each claim's probabilities add the trees' leaf distributions one at
         a time in tree order; ties in the argmax pick the earlier label.
         """
         roots, feature, threshold, left, right, dist, depth = self._nodes
-        X = _feature_rows(X)
         node = np.tile(roots, (len(X), 1))
         rows = np.arange(len(X))[:, np.newaxis]
         for _ in range(depth):  # leaves point to themselves
@@ -101,17 +100,8 @@ class RandomForest:
 
     def predict(self, features):
         """(label, class-probability vector) of one (12,) feature row."""
-        labels, probs = self.predict_all([features])
+        labels, probs = self.predict_all(np.reshape(features, (1, -1)))
         return labels[0], probs[0]
-
-
-def _feature_rows(X) -> np.ndarray:
-    """X as a float64 (m, 12) matrix; anything of another shape is refused."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):
-        raise ValueError(f"expected an (m, {len(FEATURE_NAMES)}) feature matrix, "
-                         f"got shape {X.shape}")
-    return X
 
 
 # Node i of the flat layout splits on feature[i] at threshold[i] and goes to
@@ -178,24 +168,16 @@ def _flatten(trees, config: ForestConfig) -> tuple:
 
 def train(samples, config: ForestConfig = ForestConfig()) -> RandomForest:
     """A forest on TrainingSamples: fit on their feature rows and labels."""
-    X = np.array([s.features for s in samples]).reshape(-1, len(FEATURE_NAMES))
+    X = np.array([s.features for s in samples], dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
     return fit(X, [s.label for s in samples], config)
 
 
 def fit(X, labels, config: ForestConfig = ForestConfig()) -> RandomForest:
-    """A forest on an (m, 12) feature matrix, row i labelled labels[i]."""
+    """A forest on an (m, 12) float64 matrix of finite features, row i
+    labelled labels[i], a label of LABELS."""
     if len(labels) < 2:
         raise ValueError("need at least 2 training samples")
-    X = _feature_rows(X)
-    if len(X) != len(labels):
-        raise ValueError(f"{len(X)} feature rows for {len(labels)} labels")
-    if not np.isfinite(X).all():
-        raise ValueError("non-finite feature values in training data")
-    try:
-        y = np.array([LABELS.index(label) for label in labels], dtype=np.int64)
-    except ValueError:
-        bad = sorted(set(labels) - set(LABELS))
-        raise ValueError(f"unknown labels: {bad}") from None
+    y = np.array([LABELS.index(label) for label in labels], dtype=np.int64)
     if (y == y[0]).all():  # np.unique(y) imports numpy.ma, which costs more than training
         raise ValueError("training data contains a single class")
     return RandomForest(config, _grow(X, y, config))

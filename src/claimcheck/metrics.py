@@ -44,19 +44,12 @@ def prediction_from_row(row) -> Verdict:
     return Verdict(claim_id, label, evidence, False)
 
 
-class _Gold(NamedTuple):
+class GoldInstance(NamedTuple):
+    """A claim's gold label (of LABELS) and evidence, as load_claims reads it."""
+
     claim_id: object
     label: str
     evidence_sets: tuple  # of frozenset[SentenceRef]; empty for NOT ENOUGH INFO
-
-
-class GoldInstance(_Gold):
-    __slots__ = ()
-
-    def __new__(cls, claim_id, label, evidence_sets):
-        if label not in LABELS:
-            raise ValueError(f"unknown gold label {label!r}")
-        return super().__new__(cls, claim_id, label, evidence_sets)
 
 
 class ScoreReport(NamedTuple):
@@ -96,15 +89,9 @@ class ScoreReport(NamedTuple):
 
 
 def score(gold, predictions) -> ScoreReport:
-    """Score predictions against gold; absent predictions read as NEI/empty."""
-    by_id = {g.claim_id: g for g in gold}
-    if len(by_id) != len(gold):
-        raise ValueError("duplicate claim ids in gold")
-    pred_by_id: dict = {}
-    for p in predictions:
-        if p.claim_id not in by_id:
-            raise ValueError(f"prediction for unknown claim id {p.claim_id!r}")
-        pred_by_id[p.claim_id] = p
+    """Score predictions against gold; absent predictions read as NEI/empty.
+    Every prediction is of a gold claim id."""
+    pred_by_id = {p.claim_id: p for p in predictions}
 
     n = len(gold)
     correct = 0

@@ -29,17 +29,8 @@ BLOCK_CELLS = 2**16  # DP cells (rows x (widest title + 1)) per block of edit_di
 _EDGE_TRIM_RE = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
 
 
-class _Mention(NamedTuple):
-    surface: str
-
-
-class EntityMention(_Mention):
-    __slots__ = ()
-
-    def __new__(cls, surface):
-        if not surface.strip():
-            raise ValueError("entity surface must be non-empty")
-        return super().__new__(cls, surface)
+class EntityMention(NamedTuple):
+    surface: str  # not blank: neither the heuristic nor a side file makes one
 
 
 class TitleMatch(NamedTuple):
@@ -211,7 +202,8 @@ class MatchCounts(NamedTuple):
 
 
 class TitleMatcher:
-    """Nearest-title lookup over a fixed corpus, for many mentions at once.
+    """Nearest-title lookup over a fixed corpus, for many mentions at once; the
+    corpus has a page, as the run's document index does.
 
     Titles are kept in tie-break order (shorter normalized title first, then
     lexicographic, then page id), so the first title at the minimum distance
@@ -242,8 +234,6 @@ class TitleMatcher:
     """
 
     def __init__(self, corpus: Corpus):
-        if len(corpus) == 0:
-            raise ValueError("cannot match titles against an empty corpus")
         pairs = sorted(((normalize_title(p), p) for p in corpus.page_ids()),
                        key=lambda tp: (len(tp[0]), tp[0], tp[1]))
         self.page_ids = [p for _, p in pairs]

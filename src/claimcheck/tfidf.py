@@ -106,14 +106,12 @@ class TfidfIndex:
 
     @classmethod
     def build(cls, items, bin_count, ngram_orders, source_checksum="") -> "TfidfIndex":
-        """Index an iterable of (id, text) pairs in strictly ascending id order,
-        reading each pair once."""
+        """Index an iterable of (id, text) pairs, given in strictly ascending id
+        order, reading each pair once."""
         item_ids = []
 
         def texts():
             for item_id, text in items:
-                if item_ids and not item_ids[-1] < item_id:
-                    raise ValueError("index items must be in strictly ascending id order")
                 item_ids.append(item_id)
                 yield text
 
@@ -151,9 +149,7 @@ class TfidfIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        """Single-file npz with a self-describing header (string ids only)."""
-        if self.item_ids and not isinstance(self.item_ids[0], str):
-            raise ValueError("only string-id indexes can be persisted")
+        """Single-file npz with a self-describing header; the ids are page ids."""
         nul = next((i for i in self.item_ids if i.endswith("\0")), None)
         if nul is not None:  # a numpy string array drops trailing NULs
             raise ValueError(f"page id {nul!r} ends in U+0000, which an index cannot store")
@@ -194,7 +190,7 @@ class TfidfIndex:
             # type checks, not int(): "65536", 65536.7 and true are no bin count
             if not (type(bins) is int and 1 <= bins <= MAX_BIN_COUNT
                     and type(orders) is list and all(type(o) is int for o in orders)
-                    and type(count) is int and count == len(item_ids)):
+                    and type(count) is int and count == len(item_ids) >= 1):
                 raise file_error(path, f"index {path} has a bad bin_count, ngram_orders or "
                                        f"item_count: {bins!r}, {orders!r}, {count!r}")
             index = cls(bins, orders, item_ids,
@@ -298,11 +294,17 @@ def _cosine(raw, denom):
     return np.divide(raw, denom, out=np.zeros(raw.shape), where=denom > 0)
 
 
-def _ranked(claim, item, score, n_claims, k, ids):
-    """Per claim, its k highest-scoring entries as ScoredItems, ties by ascending item."""
+def top_k_per_claim(claim, item, score, k):
+    """Positions of each claim's k highest-scoring entries, claim by claim and
+    best first, ties by ascending item."""
     order = np.lexsort((item, -score, claim))
     ranks = np.arange(order.size) - np.searchsorted(claim[order], claim[order])
-    top = order[ranks < k]
+    return order[ranks < k]
+
+
+def _ranked(claim, item, score, n_claims, k, ids):
+    """Per claim, its k highest-scoring entries as ScoredItems, ties by ascending item."""
+    top = top_k_per_claim(claim, item, score, k)
     out = [[] for _ in range(n_claims)]
     for c, i, s in zip(claim[top].tolist(), item[top].tolist(), score[top].tolist()):
         out[c].append(ScoredItem(ids[i], s))
@@ -331,8 +333,6 @@ def top_documents(index, claims, k):
     """Each claim's k best items, and the number of claims whose query has
     zero norm.  The claims are hashed as the index was; a block's scores are
     one dense claims x items matrix."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n_claims = len(claims)
     queries = ngram_bins(claims, index.ngram_orders, index.bin_count)
     n = index.item_count
@@ -363,8 +363,6 @@ def sentence_route(texts, spans, claims, bin_count, k):
     (first row, row count) of each page of claims[i].  Every row that some claim
     reads is hashed once, and every claim once.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     # each claim's candidate rows, claim-major: the rows of its pages in turn
     first, count = np.array([s for ss in spans for s in ss], dtype=np.int64).reshape(-1, 2).T
     rows = concat_ranges(first, count)

@@ -83,12 +83,10 @@ def ngram_bins(texts, orders, bin_count: int):
     occurrence gets its FNV-1a state, and a bigram continues its first
     token's state with a tab and then the second token's bytes.  No text
     spans two chunks, so the chunks' entries join in (owner, bin) order and
-    where the chunks fall does not change them.  Orders 1 and 2 are supported.
+    where the chunks fall does not change them.  The orders are 1, 2 or both.
     """
     if not 1 <= bin_count <= MAX_BIN_COUNT:
         raise ValueError(f"bin count must be between 1 and 2^32, got {bin_count}")
-    if not set(orders) <= {1, 2}:
-        raise ValueError(f"unsupported n-gram orders: {tuple(orders)}")
     parts, first, pieces, size = [], 0, [], 0
     for text in texts:
         piece = token_bytes(text)

@@ -19,6 +19,7 @@ from .corpus import table_of_refs
 from .entailment import ScoredPairs
 from .features import indicator_matrix
 from .metrics import Verdict
+from .tfidf import top_k_per_claim
 
 MAX_EVIDENCE = 5
 
@@ -30,10 +31,8 @@ def assemble_all(claim_ids, labels, pairs: ScoredPairs) -> list[Verdict]:
     claims, rows, triples, table = pairs
     column = np.array([LABELS.index(label) for label in labels], dtype=np.int64)[claims]
     product = (triples * indicator_matrix(triples))[np.arange(claims.size), column]
-    ranked = np.flatnonzero((product > 0) & (column != LABELS.index(NOT_ENOUGH_INFO)))
-    ranked = ranked[np.lexsort((rows[ranked], -product[ranked], claims[ranked]))]
-    owner = claims[ranked]
-    top = ranked[np.arange(ranked.size) - np.searchsorted(owner, owner) < MAX_EVIDENCE]
+    kept = np.flatnonzero((product > 0) & (column != LABELS.index(NOT_ENOUGH_INFO)))
+    top = kept[top_k_per_claim(claims[kept], rows[kept], product[kept], MAX_EVIDENCE)]
     evidence = [[] for _ in labels]
     for c, ref in zip(claims[top].tolist(), table.refs(rows[top])):
         evidence[c].append(ref)

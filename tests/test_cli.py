@@ -27,13 +27,13 @@ from claimcheck.corpus import Corpus, ingest_dump
 from claimcheck.entailment import TRIPLE_FIELDS
 from claimcheck.metrics import prediction_from_row
 from claimcheck.rows import parse_rows
+from claimcheck.tfidf import TfidfIndex, corpus_checksum
 
 from conftest import levenshtein
 
 ROOT = Path(__file__).resolve().parent.parent
 DUMP = ROOT / "data" / "mini_wiki.jsonl"
 CLAIMS = ROOT / "data" / "mini_claims.jsonl"
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run(argv, capsys):
@@ -99,7 +99,7 @@ class TestStages:
         code, stdout, _ = run(["ingest", "--dump", DUMP, "--out", out], capsys)
         assert code == 0
         assert "ingested 50 documents" in stdout
-        assert len(Corpus.load(out)) == 50
+        assert len(Corpus.load(out).page_ids()) == 50
 
     def test_ingest_summary_logged_once(self, tmp_path, caplog):
         caplog.set_level(logging.INFO)
@@ -332,6 +332,24 @@ class TestBadInputs:
                                 "--out", tmp_path / f"{command}.jsonl"], capsys)
             assert "different corpus" in one_error(code, err)
 
+    def test_index_over_zero_pages_refused(self, tmp_path, capsys):
+        """An empty corpus never reaches title matching: no index over it builds,
+        and none loads."""
+        empty, corpus, index = (tmp_path / name for name in ("empty.jsonl", "c.json.gz",
+                                                              "index.npz"))
+        empty.write_text("")
+        assert run(["ingest", "--dump", empty, "--out", corpus], capsys)[0] == 0
+        checksum = corpus_checksum(Corpus.load(corpus).source_checksums)
+        TfidfIndex(4096, (1, 2), [], np.zeros(0, np.int64), np.zeros(1, np.int64),
+                   np.zeros(0, np.int32), np.zeros(0), np.zeros(0, np.int64), np.zeros(0),
+                   checksum).save(index)
+        e2e = ["e2e", "--corpus", corpus, "--claims", CLAIMS, "--out", tmp_path / "p.jsonl"]
+        code, _, err = run([*e2e, "--bins", "4096"], capsys)
+        assert "cannot build an index over zero items" in one_error(code, err)
+        code, _, err = run([*e2e, "--index", index], capsys)
+        assert f"index {index} has a bad bin_count, ngram_orders or item_count: " \
+            "4096, [1, 2], 0" in one_error(code, err)
+
     def test_page_id_ending_in_nul_not_indexed(self, tmp_path, capsys):
         dump, out = tmp_path / "dump.jsonl", tmp_path / "index.npz"
         dump.write_text("".join(json.dumps({"id": page_id, "text": "A page.",
@@ -397,6 +415,25 @@ class TestBadInputs:
                             "--out", tmp_path / "pred.jsonl"], capsys)
         assert f"scored row in {scored} on line 1: missing field 'page_id'" in one_error(code, err)
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("pairs, message", [
+        (None, "scored file {} has no pairs field in the rows of claim 101: re-run features "
+               "to write it"),
+        *((value, f"bad scored row in {{}} on line 1: pairs {value!r} is not a positive "
+                  "integer") for value in (0, True, "1", 1.0)),
+    ], ids=["missing", "zero", "true", "string", "float"])
+    def test_bad_pair_count_in_scored_row(self, one_claim, tmp_path, capsys, command, pairs,
+                                          message):
+        scored = tmp_path / "scored.jsonl"
+        scored.write_text(json.dumps({**_SCORED, **({} if pairs is None else {"pairs": pairs})})
+                          + "\n")
+        argv = {"train": ["--trees", "2"], "predict": ["--model", one_claim / "model.json"]}
+        out = tmp_path / "out.json"
+        code, _, err = run([command, "--claims", one_claim / "claims.jsonl", "--scored", scored,
+                            *argv[command], "--out", out], capsys)
+        assert message.format(scored) in one_error(code, err)
+        assert not out.exists()
+
     def test_bad_model_split_feature(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({
@@ -451,6 +488,21 @@ class TestBadInputs:
         code, _, err = run(["index", "--corpus", corpus, "--out", tmp_path / "i.npz"], capsys)
         assert message.format(corpus) in one_error(code, err)
         assert not (tmp_path / "i.npz").exists()
+
+    @pytest.mark.parametrize("record", [b'{"id": "B\xff", "lines": "0\\tb."}',
+                                        b'{"id": "B\\q", "lines": "0\\tb."}', b'{"id": "B'],
+                             ids=["not_utf8", "bad_escape", "unterminated"])
+    def test_saved_record_whose_id_does_not_scan(self, tmp_path, capsys, record):
+        """A record that starts as Corpus.save starts one, but whose id does not
+        scan, is parsed in full at load, which names its line."""
+        corpus = tmp_path / "corpus.json.gz"
+        write_saved_corpus(corpus, b'{"id": "A", "lines": "0\\ta."}', record)
+        out = tmp_path / "out"
+        for argv in (["index", "--corpus", corpus, "--out", out],
+                     ["e2e", "--corpus", corpus, "--claims", CLAIMS, "--out", out]):
+            code, _, err = run(argv, capsys)
+            assert one_error(code, err).startswith(f"error: bad record in {corpus} on line 3: ")
+            assert not out.exists()
 
     def test_saved_corpus_repeating_a_line_number(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.json.gz"
@@ -962,7 +1014,7 @@ def test_one_line_dump_ingests_or_fails_with_one_error(value):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(["-q", "ingest", "--dump", str(dump), "--out", str(out)])
         if ingests:
-            assert code == 0 and len(Corpus.load(out)) <= 1
+            assert code == 0 and len(Corpus.load(out).page_ids()) <= 1
         else:
             one_error(code, err.getvalue())
 
@@ -1296,21 +1348,20 @@ class TestStartUp:
     @staticmethod
     def loaded_after(argv, **env) -> tuple:
         """(modules, OS threads, OPENBLAS_NUM_THREADS) of a new interpreter
-        after running cli.main(argv): claimcheck's modules by their names in
+        after running cli.entry on argv: claimcheck's modules by their names in
         the package, and None for the thread count where the system has no
-        /proc/self/task. The child inherits no BLAS thread setting, since an
-        in-process cli.main sets one here, only those in env."""
+        /proc/self/task. The child inherits this process's environment, which
+        no in-process cli.main changes, with env on top."""
         script = ("import json, os, sys\n"
                   "from claimcheck import cli\n"
-                  f"assert cli.main({['-q', *map(str, argv)]!r}) == 0\n"
+                  "assert cli.entry() == 0\n"
                   "task = '/proc/self/task'\n"
                   "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
                   "print(json.dumps([sorted(sys.modules), threads,\n"
                   "                  os.environ.get('OPENBLAS_NUM_THREADS')]))\n")
-        inherited = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=300,
-                              env={**inherited, "PYTHONPATH": str(ROOT / "src"), **env})
+        proc = subprocess.run([sys.executable, "-c", script, "-q", *map(str, argv)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env})
         assert proc.returncode == 0, proc.stderr
         modules, threads, blas = json.loads(proc.stdout.splitlines()[-1])
         return {m.removeprefix("claimcheck.") for m in modules}, threads, blas
@@ -1363,6 +1414,9 @@ class TestStartUp:
         (["ingest", "--help"], SystemExit)])
     def test_main_puts_the_callers_collector_back(self, tmp_path, capsys, monkeypatch,
                                                   collecting, argv, code):
+        """main changes no process state: the environment and the collector's
+        state, which the subcommand runs under, are after main as before it,
+        on success, on an error and on --help."""
         seen = []
 
         def cmd_ingest(args):  # the collector's state while the subcommand runs
@@ -1371,8 +1425,9 @@ class TestStartUp:
 
         ingest = cli.cmd_ingest
         monkeypatch.setattr(cli, "cmd_ingest", cmd_ingest)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         argv = [*map(str, argv), "--out", str(tmp_path / "corpus.json.gz")]
-        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        environ, was_enabled, frozen = dict(os.environ), gc.isenabled(), gc.get_freeze_count()
         (gc.enable if collecting else gc.disable)()
         try:
             if code is SystemExit:
@@ -1381,10 +1436,11 @@ class TestStartUp:
             else:
                 assert cli.main(argv) == code
             assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, frozen)
+            assert dict(os.environ) == environ
         finally:
             (gc.enable if was_enabled else gc.disable)()
         capsys.readouterr()
-        assert seen == ([] if code is SystemExit else [False])
+        assert seen == ([] if code is SystemExit else [collecting])
 
     def test_script_runs_the_function_the_module_entry_calls(self):
         pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")

@@ -42,7 +42,7 @@ class TestIngest:
         p = tmp_path / "empty.jsonl"
         p.write_text("")
         corpus, stats = ingest_dump(p)
-        assert len(corpus) == 0 and stats.documents == 0
+        assert corpus.page_ids() == [] and stats.documents == 0
 
     def test_garbled_line_skipped_and_counted(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -141,14 +141,6 @@ class TestPersistence:
             assert loaded.get(pid).text == mini_corpus.get(pid).text
         assert loaded.source_checksums == mini_corpus.source_checksums
 
-    def test_sentence_with_tab_or_newline_not_saved(self, tmp_path):
-        for sentence in ("a\tb.", "a\nb."):
-            corpus = Corpus()
-            corpus.add_document(Document("A", "x.", {0: sentence}))
-            with pytest.raises(ValueError, match="page 'A' has a sentence holding a tab"):
-                corpus.save(tmp_path / "corpus.json.gz")
-            assert not (tmp_path / "corpus.json.gz").exists()
-
     def test_read_saved_reads_pages_as_they_are_taken(self, tmp_path):
         saved = tmp_path / "c.json.gz"
         saved.write_bytes(gzip.compress(b'{"checksums": {"d.jsonl": "x"}, "format_version": 3}\n'
@@ -204,12 +196,6 @@ class TestPersistence:
                                              f"file {saved}; ingest its dump again"):
             Corpus.load(saved)
 
-    def test_duplicate_add_rejected(self):
-        corpus = Corpus()
-        corpus.add_document(Document("A", "x.", {0: "x."}))
-        with pytest.raises(ValueError, match="duplicate page id: 'A'"):
-            corpus.add_document(Document("A", "y.", {0: "y."}))
-
 
 # rows that parse, rows that the dump rules skip, and raw text
 LINES_FIELDS = st.text() | st.lists(
@@ -258,7 +244,7 @@ class TestLazyLoad:
     def test_load_parses_no_record(self, tmp_path, mini_corpus):
         mini_corpus.save(tmp_path / "c.json.gz")
         loaded = Corpus.load(tmp_path / "c.json.gz")
-        assert len(loaded) == len(mini_corpus) and not parsed_ids(loaded)
+        assert loaded.page_ids() == mini_corpus.page_ids() and not parsed_ids(loaded)
         assert loaded.page_ids() == mini_corpus.page_ids()
         page_id = mini_corpus.page_ids()[1]
         assert loaded.get_sentence(SentenceRef(page_id, 0)) == \

@@ -12,46 +12,61 @@ from claimcheck import entailment
 from claimcheck.corpus import Corpus, Document, SentenceRef, table_of_refs
 from claimcheck.entailment import (
     NEGATION_CUES,
+    TRIPLE_FIELDS,
     BaselineScorer,
     FileScorer,
-    check_triples,
     score_candidates,
     score_pairs,
+    triple_from_row,
 )
 from claimcheck.tokenizer import tokenize
 
 
-class TestTripleInvariants:
-    """check_triples, the one check of a triple held in memory."""
+def triple_of(values) -> tuple:
+    """The triple triple_from_row reads from a row holding values."""
+    return triple_from_row({"claim_id": 1, "page_id": "A", "line_number": 0,
+                            **dict(zip(TRIPLE_FIELDS, values))})[1]
 
-    def test_valid(self):
-        check_triples(np.array([[0.7, 0.2, 0.1], [0.5, 0.5, 0.0]]))
+
+class TestTripleInvariants:
+    """triple_from_row, the one check of a triple: every component in [0, 1] and
+    the sum within LOAD_SUM_TOLERANCE of 1, renormalized unless within
+    SUM_TOLERANCE."""
+
+    def test_valid(self):  # a sum within SUM_TOLERANCE keeps its values
+        for values in [(0.7, 0.2, 0.1), (0.5, 0.5, 0.0), (0.5, 0.5, 5e-7)]:
+            assert triple_of(values) == values
 
     @pytest.mark.parametrize("row", [lambda d: (0.5, 0.5, d), lambda d: (0.5, 0.5 - d, 0.0)],
                              ids=["above", "below"])
-    def test_sum_tolerance(self, row):  # a sum off by 1e-6 passes, by 2e-6 it does not
-        check_triples(np.array([row(1e-6)]))
-        with pytest.raises(ValueError, match="sum to 1"):
-            check_triples(np.array([row(2e-6)]))
+    def test_sum_tolerance(self, row):  # a sum off by 0.9e-3 is renormalized, by 1.1e-3 refused
+        assert sum(triple_of(row(0.9e-3))) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="sums to"):
+            triple_of(row(1.1e-3))
 
     def test_sum_violation(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            check_triples(np.array([[0.7, 0.2, 0.2]]))
+        for values in [(0.7, 0.2, 0.2), (0.5, 0.2, 0.1)]:
+            with pytest.raises(ValueError, match="sums to"):
+                triple_of(values)
 
     def test_range_violation(self):
         for bad in [(-0.1, 0.6, 0.5), (1.1, -0.1, 0.0), (0.0, 1.1, -0.1)]:
-            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-                check_triples(np.array([bad]))
+            with pytest.raises(ValueError, match=r"component out of \[0, 1\]"):
+                triple_of(bad)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_refused(self, value):
-        with pytest.raises(ValueError, match="pair 0 has triple"):
-            check_triples(np.array([[value, 0.5, 0.5]]))
+    def test_non_finite_refused(self, value, tmp_path):  # JSON's NaN and Infinity
+        p = tmp_path / "probs.jsonl"
+        p.write_text(prob_row(1, "A", 0, value, 0.5, 0.5) + "\n")
+        with pytest.raises(ValueError, match=r"on line 1: component out of \[0, 1\]"):
+            FileScorer.load(p)
 
-    def test_message_names_first_bad_pair(self):
-        triples = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.7, 0.2, 0.2], [-0.1, 0.6, 0.5]])
-        with pytest.raises(ValueError, match=r"pair 2 has triple \(0\.7, 0\.2, 0\.2\)"):
-            check_triples(triples)
+    def test_message_names_first_bad_pair(self, tmp_path):
+        triples = [(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.7, 0.2, 0.2), (-0.1, 0.6, 0.5)]
+        p = tmp_path / "probs.jsonl"
+        p.write_text("".join(prob_row(1, "A", n, *t) + "\n" for n, t in enumerate(triples)))
+        with pytest.raises(ValueError, match=r"on line 3: triple \(0\.7, 0\.2, 0\.2\)"):
+            FileScorer.load(p)
 
 
 def baseline(claim: str, sentence: str) -> tuple:
@@ -288,17 +303,3 @@ class TestScorePairs:
         # of the missing pairs (1, other) and (2, ref), the one of the lower row
         with pytest.raises(ValueError, match=rf"claim 2, sentence \('{ref.page_id}', 0\)"):
             score_run(scorer, mini_corpus, claims, [[other, ref], [ref]])
-
-    @pytest.mark.parametrize("bad", [(0.7, 0.2, 0.2), (-0.1, 0.6, 0.5), (np.nan, 0.5, 0.5)])
-    def test_bad_triple_of_a_scorer_rejected(self, mini_corpus, bad):
-        class Scorer:  # a good triple for claim 1, the bad one for claim 2
-            def score_all(self, instances, table, claims, rows):
-                return [(0.5, 0.25, 0.25) if instances[c].claim_id == 1 else bad
-                        for c in claims.tolist()]
-
-        ref = next(iter(mini_corpus.documents())).non_empty_refs()[0]
-        claims = [SimpleNamespace(claim_id=i, claim="c") for i in (1, 2)]
-        pairs = score_run(Scorer(), mini_corpus, claims, [[ref], []])
-        assert pairs.triples.tolist() == [[0.5, 0.25, 0.25]]
-        with pytest.raises(ValueError, match=r"pair 1 has triple"):
-            score_run(Scorer(), mini_corpus, claims, [[ref], [ref]])

@@ -4,9 +4,16 @@ from hypothesis import strategies as st
 
 import oracles
 from claimcheck.corpus import SentenceRef
-from claimcheck.entailment import ScoredCandidate, check_triples
+from claimcheck.entailment import SUM_TOLERANCE, ScoredCandidate
 from claimcheck.features import FEATURE_NAMES, feature_matrix, features, indicator_matrix
 from conftest import TRIPLES, interleaved
+
+
+def valid(triples) -> bool:
+    """Whether every row of an (n, 3) array is a triple: components in [0, 1]
+    summing to 1 within SUM_TOLERANCE."""
+    return bool(((triples >= 0.0) & (triples <= 1.0)).all()
+                and (np.abs(triples.sum(axis=1) - 1.0) <= SUM_TOLERANCE).all())
 
 
 def random_triple(rng) -> tuple:
@@ -123,7 +130,7 @@ class TestFeatureMatrix:
     @given(scored_runs())
     def test_matrix_equals_reference_loop_bit_for_bit(self, run):
         per_claim, claims, triples = run
-        check_triples(triples)  # every drawn triple is a valid one
+        assert valid(triples)  # every drawn triple is a valid one
         X = feature_matrix(claims, triples, len(per_claim))
         want = [oracles.features(t) for t in per_claim]
         assert X.tobytes() == np.array([f for f, _ in want]).reshape(-1, 12).tobytes()
@@ -131,7 +138,7 @@ class TestFeatureMatrix:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(TRIPLES, max_size=12))
     def test_one_claim_call_equals_reference_loop(self, triples):
-        check_triples(np.array(triples).reshape(-1, 3))
+        assert valid(np.array(triples).reshape(-1, 3))
         fv = features(triples)
         want, _ = oracles.features(triples)
         assert fv.tobytes() == np.array(want).tobytes()

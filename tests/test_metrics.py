@@ -134,20 +134,6 @@ class TestBookkeeping:
         assert r.fever_score == 0.5
         assert r.confusion[("SUPPORTS", "NOT ENOUGH INFO")] == 1
 
-    def test_unknown_prediction_id_rejected(self):
-        g = [gold(1, "NOT ENOUGH INFO")]
-        with pytest.raises(ValueError, match="unknown claim id"):
-            score(g, [pred(99, "SUPPORTS")])
-
-    def test_duplicate_gold_ids_rejected(self):
-        g = [gold(1, "NOT ENOUGH INFO"), gold(1, "NOT ENOUGH INFO")]
-        with pytest.raises(ValueError, match="duplicate"):
-            score(g, [])
-
-    def test_invalid_gold_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown gold label"):
-            gold(1, "MAYBE")
-
     def test_confusion_counts(self):
         g = [gold(1, "SUPPORTS", [{ref("A", 0)}]),
              gold(2, "SUPPORTS", [{ref("A", 1)}]),

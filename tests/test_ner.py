@@ -152,10 +152,6 @@ class TestTitleMatching:
         assert hit.page_id == "Ab\ud800" and hit.distance == 0
         assert matcher.match(ner.EntityMention("Abd")).distance == 1
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            ner.TitleMatcher(Corpus())
-
     def test_verifies_only_titles_that_pass_the_count_filter(self, monkeypatch):
         # 150 titles of 11..13 letters that share no bigram with the mentions,
         # a few near "harbor light", and 40-letter titles far from every length

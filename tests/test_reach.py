@@ -9,7 +9,7 @@ It then requires that every module-level function and method that ``ast``
 finds in ``src/claimcheck`` was entered: a function that only tests call is
 code the program does not need.
 
-``cli.main`` gives OpenBLAS one thread, which costs nothing only while no
+``cli.entry`` gives OpenBLAS one thread, which costs nothing only while no
 module calls a BLAS routine; an ``ast`` scan of ``src/claimcheck`` fails on
 the ``@`` operator, on the numpy functions that call BLAS, and on ``linalg``.
 """

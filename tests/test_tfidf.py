@@ -193,12 +193,6 @@ class TestRanking:
                                          SentenceRef("B_page", 2), SentenceRef("B_page", 5)]
         assert len({g.score for g in got}) == 1
 
-    def test_unsorted_ids_rejected_by_build(self):
-        with pytest.raises(ValueError, match="ascending"):
-            tfidf.TfidfIndex.build([("b", "beta gamma"), ("a", "alpha beta")], BINS, (1, 2))
-        with pytest.raises(ValueError, match="ascending"):
-            tfidf.TfidfIndex.build([("a", "alpha beta"), ("a", "beta gamma")], BINS, (1, 2))
-
     def test_streamed_build_equals_built_from_loaded_corpus(self, tmp_path):
         corpus = make_random_corpus(np.random.default_rng(4), max_docs=60, max_sents=8)
         corpus.source_checksums["d.jsonl"] = "0" * 64
