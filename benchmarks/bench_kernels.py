@@ -13,10 +13,13 @@ feature matrix (``cli.score_claims``, as ``e2e`` calls it), assembling the
 verdicts of those pairs under seeded labels (``verdict.assemble_all``),
 training the default forest and loading its saved model file, saving a
 corpus file, loading it (page ids only), loading it and parsing every
-page, building the document index of that corpus, and both TF-IDF routes
+page, building the document index of that corpus, both TF-IDF routes
 over that index for claims drawn from its sentences (``tfidf.top_documents``,
 ``Corpus.sentence_table`` and ``tfidf.sentence_route``, as ``e2e`` calls
-them), on seeded inputs, and prints the best-of-N wall time of each.  A
+them), and the document route alone at FEVER-like scale (``top_documents``
+of ROUTE_SCALE times --claims claims over an index of ROUTE_SCALE times
+--texts one-text pages: 3000 claims and 20,000 pages by default), on
+seeded inputs, and prints the best-of-N wall time of each.  A
 third column gives the peak of the memory one more call allocates, as
 ``tracemalloc`` traces it.  The last three rows run the ``ingest``,
 ``index`` and ``e2e`` subcommands on the ``data/`` fixture, each in a new
@@ -52,6 +55,7 @@ BLOCK_QUERIES = 8  # queries scored together by block_accumulate
 CANDIDATES = 5  # candidate sentences per claim of the scoring run
 LINES_PER_PAGE = 10  # sentences per page of the scoring run's corpus
 PAIR_ROWS = 3000  # table rows of the score_pairs batch
+ROUTE_SCALE = 4  # claims and pages of the top_documents row, per --claims and --texts
 SPLIT_COLUMNS = 4  # columns a forest node searches: ceil(sqrt(12 features))
 SPLIT_NODES = 50  # nodes of one training step: one per tree of the default forest
 TITLE_QUERIES = 10  # edit_distances queries, and title_match mentions of each kind
@@ -138,12 +142,12 @@ def make_split_workload(rng, n_samples):
     return blocks, labels, np.full(SPLIT_NODES, n_samples), 3
 
 
-def make_token_workload(rng, n_items, vocab_size=5000):
+def make_token_workload(rng, n_items, vocab_size=5000, exponent=1.3):
     """Token lists of 5 to 40 tokens drawn Zipf-like from a fixed vocabulary."""
     vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyzäж"), size=rng.integers(2, 11)))
              for _ in range(vocab_size)]
     sizes = rng.integers(5, 41, size=n_items).tolist()
-    ranks = np.minimum(rng.zipf(1.3, size=sum(sizes)), vocab_size) - 1
+    ranks = np.minimum(rng.zipf(exponent, size=sum(sizes)), vocab_size) - 1
     flat = [vocab[r] for r in ranks.tolist()]
     ends = np.cumsum(sizes).tolist()
     return [flat[end - size:end] for size, end in zip(sizes, ends)]
@@ -245,6 +249,21 @@ def make_route_workload(rng, corpus, n_claims):
     return corpus, tfidf.build_document_index(corpus), claims, cli.K_DOCS, cli.K_SENTS
 
 
+def make_document_route_workload(rng, n_pages, n_claims):
+    """A document index over n_pages pages, each the text of one token list,
+    and n_claims claims, each 4 to 12 leading tokens of a page drawn at
+    random, with ``e2e``'s k_docs.  The tokens follow a Zipf law of exponent
+    1.1 over n_pages words, which gives a claim about 0.55 postings per page
+    (11,000 over 20,000 pages), as the generated 21,500-page corpus of
+    ``perfbench/bench_gen.py`` gives its claims."""
+    token_lists = make_token_workload(rng, n_pages, vocab_size=n_pages, exponent=1.1)
+    pages = ((f"Page_{i:06d}", " ".join(tokens)) for i, tokens in enumerate(token_lists))
+    index = tfidf.TfidfIndex.build(pages, claimcheck.DEFAULT_BIN_COUNT, tfidf.DOC_NGRAM_ORDERS)
+    claims = [" ".join(token_lists[i][:int(rng.integers(4, 13))])
+              for i in rng.integers(0, n_pages, size=n_claims).tolist()]
+    return index, claims, cli.K_DOCS
+
+
 def tfidf_route(corpus, index, claims, k_docs, k_sents):
     """The TF-IDF route as ``cli.retrieve_candidates`` runs it: the document
     route, one sentence table over the pages it picked, the sentence route."""
@@ -330,6 +349,8 @@ def build_cases(rng, args, workdir):
     pages = len(corpus.page_ids())
     verdicts = make_verdict_workload(rng, scoring)
     route = make_route_workload(rng, corpus, args.claims)
+    documents = make_document_route_workload(rng, ROUTE_SCALE * args.texts,
+                                             ROUTE_SCALE * args.claims)
     texts = make_text_workload(tokens)
     n_tokens = sum(map(len, tokens))
     batch = make_pairs_workload(rng, texts, args.claims)
@@ -361,6 +382,8 @@ def build_cases(rng, args, workdir):
          (corpus_path,)),
         (f"index_build ({pages} pages)", tfidf.build_document_index, (corpus,)),
         (f"tfidf_route ({args.claims} claims, {pages} pages)", tfidf_route, route),
+        (f"top_documents ({len(documents[1])} claims, {documents[0].item_count} pages)",
+         tfidf.top_documents, documents),
         *start_up_cases(workdir),
     ]
 

@@ -15,10 +15,14 @@ Both routes score a block of claims at a time, a block holding about
 BLOCK_CELLS score cells plus scored entries.  Every score keeps the bits
 it gets when its claim is scored alone: each cell adds its terms one at a
 time in ascending-bin order, and each norm is the np.sum of its row
-(``row_sums``).  ``top_documents`` hands over pages; ``sentence_route``
-ranks rows of the run's ``Corpus.sentence_table``, hashing each row a
-claim reads once and each claim once.  ``top_k_documents`` and
-``top_k_sentences`` wrap them for one claim.
+(``row_sums``), and a cosine is raw / (item norm x query norm), a zero
+norm read as inf.  ``top_documents`` hands over pages: it scores each
+block of claims against every page as one dense matrix, and k np.argmax
+passes over its rows pick each claim's k best (``top_k_dense``), with no
+sort.  ``sentence_route`` ranks rows of the run's
+``Corpus.sentence_table``, hashing each row a claim reads once and each
+claim once, and sorts the positive scores of each block.
+``top_k_documents`` and ``top_k_sentences`` wrap them for one claim.
 """
 
 import json
@@ -290,8 +294,11 @@ def _query(owner, keys, counts, uniq_keys, df, n_items, n_claims):
     return owner[use], pos[use], weights[use], norms
 
 
-def _cosine(raw, denom):
-    return np.divide(raw, denom, out=np.zeros(raw.shape), where=denom > 0)
+def _zero_as_inf(norms):
+    """norms with each zero read as inf.  An item or query of zero norm has
+    raw 0.0 against everything, so raw / (its norm x any norm) is then 0.0
+    (0.0 / inf), and every positive product is the one a zero check keeps."""
+    return np.where(norms > 0, norms, np.inf)
 
 
 def top_k_per_claim(claim, item, score, k):
@@ -308,6 +315,31 @@ def _ranked(claim, item, score, n_claims, k, ids):
     out = [[] for _ in range(n_claims)]
     for c, i, s in zip(claim[top].tolist(), item[top].tolist(), score[top].tolist()):
         out[c].append(ScoredItem(ids[i], s))
+    return out
+
+
+def top_k_dense(scores, k, ids):
+    """Per row of a dense score matrix, its k highest positive scores as
+    ScoredItems of ids[column], best first, ties by ascending column.
+
+    Each rank is one np.argmax pass over the rows, which picks the first
+    column of a tie; the picked cell then reads -1.0, below every score, so
+    the next pass skips it.  scores is overwritten.
+    """
+    n_rows, n = scores.shape
+    out = [[] for _ in range(n_rows)]
+    flat = scores.reshape(-1)
+    row_starts = np.arange(0, n_rows * n, n)
+    for _ in range(min(k, n)):
+        best = scores.argmax(axis=1)
+        cells = best + row_starts
+        picked = flat[cells]
+        if not picked.max() > 0:  # no row has a positive score left
+            break
+        for hits, i, score in zip(out, best.tolist(), picked.tolist()):
+            if score > 0:
+                hits.append(ScoredItem(ids[i], score))
+        flat[cells] = -1.0
     return out
 
 
@@ -332,7 +364,8 @@ def block_accumulate(q_row, starts, lens, q_weights, post_items, post_weights,
 def top_documents(index, claims, k):
     """Each claim's k best items, and the number of claims whose query has
     zero norm.  The claims are hashed as the index was; a block's scores are
-    one dense claims x items matrix."""
+    one dense claims x items matrix, turned into cosines in place and read
+    by ``top_k_dense``."""
     n_claims = len(claims)
     queries = ngram_bins(claims, index.ngram_orders, index.bin_count)
     n = index.item_count
@@ -341,17 +374,14 @@ def top_documents(index, claims, k):
     lens = index.uniq_offsets[pos + 1] - starts
     costs = n + np.bincount(owner, lens, minlength=n_claims).astype(np.int64)
     ends = np.searchsorted(owner, np.arange(n_claims + 1))
+    item_norms, query_norms = _zero_as_inf(index.item_norms), _zero_as_inf(norms)
     out = []
     for a, b in _blocks(costs):
         lo, hi = ends[a], ends[b]
-        raw = block_accumulate(owner[lo:hi] - a, starts[lo:hi], lens[lo:hi], weights[lo:hi],
-                               index.post_items, index.post_weights, b - a, n)
-        scores = _cosine(raw, index.item_norms * norms[a:b, np.newaxis])
-        keep = scores > 0
-        if n > k:  # only what reaches a row's k-th score needs sorting
-            keep &= scores >= np.partition(scores, n - k, axis=1)[:, n - k, np.newaxis]
-        rows, items = np.nonzero(keep)
-        out.extend(_ranked(rows, items, scores[rows, items], b - a, k, index.item_ids))
+        scores = block_accumulate(owner[lo:hi] - a, starts[lo:hi], lens[lo:hi], weights[lo:hi],
+                                  index.post_items, index.post_weights, b - a, n)
+        scores /= item_norms * query_norms[a:b, np.newaxis]
+        out.extend(top_k_dense(scores, k, index.item_ids))
     return out, int(np.count_nonzero(norms == 0))
 
 
@@ -399,7 +429,7 @@ def sentence_route(texts, spans, claims, bin_count, k):
         # entries run by (row, bin), so each row adds its terms in ascending-bin
         # order; an entry the query misses adds +0.0, which leaves a sum as it is
         raw = np.bincount(cell, weights * key_weights[inverse], minlength=hi - lo)
-        scores = _cosine(raw, norms * q_norms[cell_claim])
+        scores = raw / (_zero_as_inf(norms) * _zero_as_inf(q_norms)[cell_claim])
         keep = np.flatnonzero(scores > 0)
         out.extend(_ranked(cell_claim[keep], rows[lo:hi][keep], scores[keep], b - a, k,
                            range(len(texts))))

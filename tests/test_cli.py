@@ -973,6 +973,94 @@ class TestBadInputs:
         assert not out.exists()
 
 
+# a one-tree model file that predict accepts; each case below breaks one field
+MODEL = {"format_version": 1, "labels": ["SUPPORTS", "REFUTES", "NOT ENOUGH INFO"],
+         "config": {"trees": 1, "max_depth": 1, "features_per_split": 4, "seed": 0},
+         "trees": [{"feature": 0, "threshold": 0.5, "left": {"dist": [1.0, 0.0, 0.0]},
+                    "right": {"dist": [0.0, 1.0, 0.0]}}]}
+
+
+class TestReaderRefusalsThroughTheProgram:
+    """Refusals of a model, index, dump or claims file that readers' unit
+    tests reach, each ended by the program in one error line."""
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"trees": []}, "model has no trees"),
+        ({"format_version": 2}, "unsupported model format version: 2"),
+        ({"threshold": "0.5"}, "split threshold '0.5' is not a number"),
+        ({"threshold": float("inf")}, "non-finite split threshold: inf"),
+        ({"feature": 2.5}, "split feature 2.5 is not an integer"),
+        ({"dist": [0.5, 0.5]}, "bad leaf distribution: [0.5, 0.5]"),
+        ({"dist": [0.5, 0.5, 0.5]}, "bad leaf distribution: [0.5, 0.5, 0.5]"),
+        ({"max_depth": 1.0}, "config max_depth 1.0 is not an integer"),
+    ], ids=["no_trees", "format_version", "str_threshold", "inf_threshold", "float_feature",
+            "short_dist", "dist_sum", "float_config"])
+    def test_broken_model_file(self, one_claim, tmp_path, capsys, edit, message):
+        (key, value), = edit.items()
+        payload = json.loads(json.dumps(MODEL))
+        root = payload["trees"][0]
+        if key in ("trees", "format_version"):
+            payload[key] = value
+        elif key in payload["config"]:
+            payload["config"][key] = value
+        elif key == "dist":
+            root["left"][key] = value
+        else:
+            root[key] = value
+        predict = ["predict", "--claims", one_claim / "claims.jsonl",
+                   "--scored", one_claim / "scored.jsonl"]
+        for name, model in (("accepted", MODEL), ("broken", payload)):  # only the edit fails
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+            path.write_text(json.dumps(model))
+            code, _, err = run([*predict, "--model", path, "--out", out], capsys)
+        assert (tmp_path / "accepted.jsonl").exists()
+        assert one_error(code, err) == f"error: cannot read model file {path}: {message}\n"
+        assert not out.exists()
+
+    def test_index_whose_item_ids_do_not_ascend(self, workdir, tmp_path, capsys):
+        with np.load(workdir / "index.npz") as data:
+            arrays = dict(data)
+        arrays["item_ids"] = arrays["item_ids"][[1, 0, *range(2, len(arrays["item_ids"]))]]
+        index, out = tmp_path / "index.npz", tmp_path / "pred.jsonl"
+        np.savez(index, **arrays)
+        code, _, err = run(["e2e", "--corpus", workdir / "corpus.json.gz", "--claims", CLAIMS,
+                            "--index", index, "--out", out], capsys)
+        assert one_error(code, err) == (f"error: cannot read index {index}: index item ids "
+                                        "are not in strictly ascending order\n")
+        assert not out.exists()
+
+    def test_dump_repeating_a_page_id(self, tmp_path, capsys):
+        dump, out = tmp_path / "dump.jsonl", tmp_path / "corpus.json.gz"
+        dump.write_text("".join(json.dumps({"id": page_id, "text": "A page.",
+                                            "lines": "0\tA page."}) + "\n"
+                                for page_id in ("A", "B", "A")))
+        code, _, err = run(["ingest", "--dump", dump, "--out", out], capsys)
+        assert one_error(code, err) == f"error: bad record in {dump} on line 3: " \
+                                       "duplicate page id: 'A'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label, evidence, message", [
+        ("SUPPORTS", [], "bad claim row in {} on line 3: claim 103: label SUPPORTS but no "
+                         "grounded evidence"),
+        ("REFUTES", [[[1103, None, None, None]]],
+         "bad claim row in {} on line 3: claim 103: label REFUTES but no grounded evidence"),
+        ("SUPPORTS", [[[1103, 2000, "Maren_Kallio", 99]]],
+         "claim 103: evidence ('Maren_Kallio', 99) does not resolve to a non-empty corpus "
+         "sentence"),
+    ], ids=["supports_no_evidence", "refutes_ungrounded", "unresolved"])
+    def test_gen_nli_claim_without_usable_evidence(self, tmp_path, capsys, label, evidence,
+                                                   message):
+        lines = CLAIMS.read_text().splitlines()
+        claims = tmp_path / "claims.jsonl"
+        row = {**json.loads(lines[2]), "label": label, "evidence": evidence}
+        claims.write_text("\n".join([*lines[:2], json.dumps(row), *lines[3:]]) + "\n")
+        out, manifest = tmp_path / "nli.jsonl", tmp_path / "manifest.json"
+        code, _, err = run(["gen-nli", "--corpus", DUMP, "--claims", claims, "--out", out,
+                            "--manifest", manifest], capsys)
+        assert one_error(code, err) == f"error: {message.format(claims)}\n"
+        assert not out.exists() and not manifest.exists()
+
+
 def row_file_argv(d, kind, side, out) -> list:
     """The command that reads side as a row file of kind, the other inputs
     being the valid files of the one_claim fixture d."""

@@ -251,4 +251,5 @@ def test_bench_kernels_smoke(capsys):
          "block_accumulate", "best_split", "row_sums",
          "ngram_bins", "hashed_counts_loop", "score_pairs", "score_claims", "assemble_all",
          "forest_fit", "forest_load", "corpus_save", "corpus_load", "corpus_load_parse",
-         "index_build", "tfidf_route", "start_ingest", "start_index", "start_e2e"]
+         "index_build", "tfidf_route", "top_documents", "start_ingest", "start_index",
+         "start_e2e"]

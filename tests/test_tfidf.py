@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from claimcheck import cli, ner, tfidf
 from claimcheck.corpus import Corpus, Document, SentenceRef, ingest_dump, read_saved
@@ -399,6 +401,118 @@ class TestBatchedRoute:
     def test_no_claims(self, mini_corpus):
         index = tfidf.build_document_index(mini_corpus, bin_count=BINS)
         assert batched_route(mini_corpus, index, []) == ([], 0)
+
+
+# raw dot products and norms drawn from a few values, so that rows tie often
+RAW = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+NORMS = st.sampled_from([0.0, 0.5, 2.0])
+
+
+@st.composite
+def score_blocks(draw):
+    """(raw, item norms, query norms, k) of one dense block.  A page or query
+    of zero norm (a page without terms, an empty query) has raw 0.0 against
+    everything, as block scoring gives it."""
+    n_rows, n, k = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    raw = np.array(draw(st.lists(RAW, min_size=n_rows * n, max_size=n_rows * n)))
+    raw = raw.reshape(n_rows, n)
+    item_norms = np.array(draw(st.lists(NORMS, min_size=n, max_size=n)))
+    query_norms = np.array(draw(st.lists(NORMS, min_size=n_rows, max_size=n_rows)))
+    raw[:, item_norms == 0] = 0.0
+    raw[query_norms == 0] = 0.0
+    return raw, item_norms, query_norms, k
+
+
+def block(raw, item_norms, query_norms, k):
+    return np.array(raw, dtype=float), np.array(item_norms), np.array(query_norms), k
+
+
+# pages and claims drawn from a few texts: exact duplicates, a page without
+# terms (""), an empty claim, and texts whose terms most pages share
+POOL = ["harbor light island", "stone mill", "tern reef chart", "storm", "harbor stone", ""]
+
+
+class TestDenseSelection:
+    """The document route's selection: k argmax passes over a dense block
+    pick what a sort of its positive scores picks, ties to the lowest page."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(score_blocks())
+    @example(block([[0, 0, 0], [1, 0.5, 0.5]], [1, 1, 1], [1, 1], 2))  # an all-zero row
+    @example(block([[0.5, 0, 0.5, 0]], [1, 1, 1, 1], [1], 3))  # fewer than k positive
+    @example(block([[0.5, 0.5]], [2, 2], [1], 5))  # n < k
+    @example(block([[0.5, 0, 0.5]], [1, 0, 1], [1], 3))  # a zero-norm page
+    @example(block([[0, 0], [0.5, 0.5]], [1, 1], [0, 1], 2))  # an empty query
+    def test_picks_the_sorted_positive_scores(self, scored):
+        raw, item_norms, query_norms, k = scored
+        # the route's cosine is the zero-guarded division, bit for bit
+        denom = item_norms * query_norms[:, np.newaxis]
+        guarded = np.divide(raw, denom, out=np.zeros(raw.shape), where=denom > 0)
+        scores = raw / (tfidf._zero_as_inf(item_norms)
+                        * tfidf._zero_as_inf(query_norms)[:, np.newaxis])
+        assert scores.tobytes() == guarded.tobytes()
+        ids = [f"P{i}" for i in range(raw.shape[1])]
+        rows, items = np.nonzero(scores > 0)
+        values = scores[rows, items]
+        top = tfidf.top_k_per_claim(rows, items, values, k)
+        want = [[] for _ in range(raw.shape[0])]
+        for r, i, s in zip(rows[top].tolist(), items[top].tolist(), values[top].tolist()):
+            want[r].append(tfidf.ScoredItem(ids[i], s))
+        assert tfidf.top_k_dense(scores, k, ids) == want
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(pages=st.lists(st.sampled_from(POOL), min_size=1, max_size=14),
+           claims=st.lists(st.sampled_from([*POOL, "harbor light", "zzz"]), min_size=1,
+                           max_size=6),
+           k=st.integers(1, 6))
+    def test_route_matches_the_reference_on_tied_pages(self, pages, claims, k):
+        ids = [f"P{i:02d}" for i in range(len(pages))]
+        index = tfidf.TfidfIndex.build(zip(ids, pages), BINS, (1, 2))
+        entries = ngram_bins(pages, (1, 2), BINS)
+        want = [reference_top_k(ids, entries, ngram_bins([c], (1, 2), BINS), k)
+                for c in claims]
+        docs, empty = tfidf.top_documents(index, claims, k)
+        assert docs == [hits for hits, _ in want]
+        assert empty == sum(norm == 0.0 for _, norm in want)
+
+    def test_exact_duplicates_give_the_lowest_page_ids(self):
+        rng = np.random.default_rng(7)
+        text = "harbor light island"
+        others = [w for w in WORDS if w not in text.split()]
+        copies = {3, 7, 8, 12, 15, 16, 19}
+        pages = [(f"P{i:02d}", text if i in copies
+                  else " ".join(rng.choice(others, size=6, replace=False)))
+                 for i in range(20)]
+        index = tfidf.TfidfIndex.build(pages, BINS, (1, 2))
+        docs, _ = tfidf.top_documents(index, ["storm", text, text, "harbor"], 5)
+        for hits in docs[1:3]:
+            assert [hit.item for hit in hits] == ["P03", "P07", "P08", "P12", "P15"]
+            assert len({hit.score for hit in hits}) == 1 and hits[0].score > 0
+
+    def test_peak_memory_bounded_by_a_few_blocks(self):
+        """One call holds what hashing the claims holds, a few block matrices
+        (BLOCK_CELLS doubles each) and what it returns, never a matrix of
+        every claim against every page, over 3 times that bound here."""
+        rng = np.random.default_rng(3)
+        vocab = [f"w{i}" for i in range(3000)]
+        pages = [(f"P{i:05d}", " ".join(rng.choice(vocab, size=40))) for i in range(1500)]
+        claims = [" ".join(rng.choice(vocab, size=int(rng.integers(0, 12))))
+                  for _ in range(300)]
+        index = tfidf.TfidfIndex.build(pages, 2**20, (1, 2))
+        assert index.item_count * 4 < tfidf.BLOCK_CELLS  # several claims share a block
+        tracemalloc.start()
+        try:
+            ngram_bins(claims, (1, 2), 2**20)
+            hashing = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            docs, _ = tfidf.top_documents(index, claims, cli.K_DOCS)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, docs)) > 1000  # the returned hits are part of held
+        bound = hashing + held + 4 * tfidf.BLOCK_CELLS * 8
+        assert peak < bound, (peak, hashing, held)
+        assert len(claims) * index.item_count * 8 > 3 * bound
 
 
 class TestRetrieveCandidates:
