@@ -296,8 +296,8 @@ def _query(owner, keys, counts, uniq_keys, df, n_items, n_claims):
 
 def _zero_as_inf(norms):
     """norms with each zero read as inf.  An item or query of zero norm has
-    raw 0.0 against everything, so raw / (its norm x any norm) is then 0.0
-    (0.0 / inf), and every positive product is the one a zero check keeps."""
+    raw 0.0 against everything, so its cosine raw / (norm x norm) is
+    0.0 / inf = 0.0; every other cosine divides by two positive norms."""
     return np.where(norms > 0, norms, np.inf)
 
 
