@@ -14,9 +14,8 @@ verdicts of those pairs under seeded labels (``verdict.assemble_all``),
 training the default forest and loading its saved model file, saving a
 corpus file, loading it (page ids only), loading it and parsing every
 page, building the document index of that corpus, both TF-IDF routes
-over that index for claims drawn from its sentences (``tfidf.top_documents``,
-``Corpus.sentence_table`` and ``tfidf.sentence_route``, as ``e2e`` calls
-them), and the document route alone at FEVER-like scale (``top_documents``
+over that index for claims drawn from its sentences
+(``cli.retrieve_candidates``, as ``e2e`` calls it, with no mentions), and the document route alone at FEVER-like scale (``top_documents``
 of ROUTE_SCALE times --claims claims over an index of ROUTE_SCALE times
 --texts one-text pages: 3000 claims and 20,000 pages by default), on
 seeded inputs, and prints the best-of-N wall time of each.  A
@@ -243,10 +242,11 @@ def make_corpus_workload(rng, n_sentences, path):
 
 def make_route_workload(rng, corpus, n_claims):
     """The corpus, its document index and n_claims of its sentences, drawn at
-    random as claims, with ``e2e``'s k_docs and k_sents."""
+    random as claims (``FeverInstance``s)."""
     sentences = [doc.sentence(n) for doc in corpus.documents() for n in doc.lines]
-    claims = [sentences[i] for i in rng.integers(0, len(sentences), size=n_claims).tolist()]
-    return corpus, tfidf.build_document_index(corpus), claims, cli.K_DOCS, cli.K_SENTS
+    claims = [FeverInstance(i, sentences[s], "NOT ENOUGH INFO", ())
+              for i, s in enumerate(rng.integers(0, len(sentences), size=n_claims).tolist())]
+    return corpus, tfidf.build_document_index(corpus), claims
 
 
 def make_document_route_workload(rng, n_pages, n_claims):
@@ -264,14 +264,11 @@ def make_document_route_workload(rng, n_pages, n_claims):
     return index, claims, cli.K_DOCS
 
 
-def tfidf_route(corpus, index, claims, k_docs, k_sents):
-    """The TF-IDF route as ``cli.retrieve_candidates`` runs it: the document
-    route, one sentence table over the pages it picked, the sentence route."""
-    docs, _ = tfidf.top_documents(index, claims, k_docs)
-    pages = [sorted(hit.item for hit in hits) for hits in docs]
-    table = corpus.sentence_table({p for ps in pages for p in ps})
-    return tfidf.sentence_route(table.texts, [[table.spans[p] for p in ps] for ps in pages],
-                                claims, index.bin_count, k_sents)
+def tfidf_route(corpus, index, instances):
+    """``cli.retrieve_candidates`` with no mentions, so that it runs the TF-IDF
+    route alone: the document route, one sentence table over the pages it
+    picked, the sentence route and the union of the pairs."""
+    return cli.retrieve_candidates(corpus, index, instances, extractor=lambda claim_id: [])
 
 
 def load_and_parse(path):

@@ -99,29 +99,28 @@ def retrieve_candidates(corpus, index, instances, *, extractor=None) -> tuple:
     """(table, claims, rows): the union of the entity route and the TF-IDF
     route, as pairs of claim index (into instances) and row of the run's one
     sentence table, claim by claim and rows ascending within a claim.  Both
-    routes pick pages, and the table holds every picked page."""
+    routes hand over flat (claim, page) arrays; the table holds every picked
+    page, and each pick's span is looked up once, in one list."""
     import numpy as np
 
     from . import ner, tfidf
     claim_texts = [inst.claim for inst in instances]
-    docs, empty_queries = tfidf.top_documents(index, claim_texts, K_DOCS)
-    lexical_pages = [sorted(hit.item for hit in hits) for hits in docs]
-    entity_pages, matching = ner.matched_pages(corpus, [
+    (doc_claims, doc_items, _), empty_queries = tfidf.top_documents(index, claim_texts, K_DOCS)
+    (entity_claims, entity_pages), matching = ner.matched_pages(corpus, [
         ner.claim_mentions(inst.claim, extractor=extractor, claim_id=inst.claim_id)
         for inst in instances])
-    table = corpus.sentence_table(set().union(*lexical_pages, *entity_pages))
-    lexical = tfidf.sentence_route(table.texts,
-                                   [[table.spans[p] for p in ps] for ps in lexical_pages],
-                                   claim_texts, index.bin_count, K_SENTS)
+    picked = [*map(index.item_ids.__getitem__, doc_items.tolist()), *entity_pages]
+    table = corpus.sentence_table(set(picked))
+    first, count = np.array([*map(table.spans.__getitem__, picked)],
+                            dtype=np.int64).reshape(-1, 2).T
+    m = doc_claims.size  # the TF-IDF route's picks come first
+    lexical, rows, _ = tfidf.sentence_route(table.texts, doc_claims, first[:m], count[:m],
+                                            claim_texts, index.bin_count, K_SENTS)
     # each pair as the key claim * n + row, n the table's row count
     n = max(len(table.texts), 1)
-    first, count = np.array([table.spans[p] for ps in entity_pages for p in ps],
-                            dtype=np.int64).reshape(-1, 2).T
-    entity = (np.repeat(np.arange(len(instances), dtype=np.int64) * n,
-                        list(map(len, entity_pages))).repeat(count)
-              + tfidf.concat_ranges(first, count))
-    found = np.array([c * n + hit.item for c, hits in enumerate(lexical) for hit in hits],
-                     dtype=np.int64)
+    entity = (np.repeat(entity_claims * n, count[m:])
+              + tfidf.concat_ranges(first[m:], count[m:]))
+    found = lexical * n + rows
     # their union, as np.union1d gives it without loading numpy.ma
     keys = np.sort(np.concatenate([entity, found]))
     claims, rows = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)

@@ -299,9 +299,10 @@ def read_saved(path) -> tuple[dict[str, str], Iterator[Document]]:
     """The source checksums of a saved corpus file and a one-pass iterator over
     its pages, which reads the file as it goes.
 
-    The iterator refuses a record whose page id does not come after the one
-    before it in ascending order, and raises once the file is read if any
-    record or sentence row was skipped.
+    The iterator refuses a record that ``Corpus.load`` or a first use of its
+    page refuses: one whose page id does not come after the one before it,
+    or that starts with a later id than that one and parses to another; it
+    raises once the file is read if any record or sentence row was skipped.
     """
     pages = _saved_pages(path)
     return next(pages), pages
@@ -312,15 +313,23 @@ def _saved_pages(path):
     with gzip.open(path, "rb") as fh, reading(path, "corpus file"):
         yield _read_header(path, fh)
 
-        last = ""  # no page id: ingest skips an empty one
+        last = lead = ""  # no page id: ingest skips an empty one
 
-        def follows(page_id):
+        def leads(lines):  # each line, once the id it starts with is read
+            nonlocal lead
+            for line in lines:
+                lead = _leading_id(line)
+                yield line
+
+        def admit(page_id):  # what Corpus.load and a first use of the page refuse
             nonlocal last
+            if lead > last:
+                _check_same_id(page_id, lead)
             _check_follows(page_id, last)
             last = page_id
 
         stats = IngestStats()
-        yield from _records(path, fh, stats, follows, first_line=2, no_text=None)
+        yield from _records(path, leads(fh), stats, admit, first_line=2, no_text=None)
         _check_nothing_skipped(path, stats)
 
 

@@ -5,16 +5,18 @@ maximal runs of capitalized tokens become mentions, except a lone
 sentence-initial token (capitalized only because it opens the sentence).
 Real tagger output can be injected from a JSON-lines side file instead.
 Each mention is matched to the page whose normalized title is nearest by
-Levenshtein distance; the route hands over the pages it matched, not
-sentences.  The matcher holds the sorted titles as one flat code-point
-array and a bigram index over them, built once per run.  Every mention of
-a run is matched in one call: the bigram count filter leaves each mention
-a few titles that can be nearest, and one multi-query edit-distance kernel
+Levenshtein distance; the route hands over the distinct (claim, page)
+pairs it matched, as a claim array and a page-id list, not sentences.
+The matcher holds the sorted titles as one flat code-point array and a
+bigram index over them, built once per run.  Every mention of a run is
+matched in one call: the bigram count filter leaves each mention a few
+titles that can be nearest, and one multi-query edit-distance kernel
 checks the titles of every open mention at once.
 """
 
 import re
 from collections import Counter
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -42,38 +44,25 @@ def _core(token: str) -> str:
     return _EDGE_TRIM_RE.sub("", token)
 
 
+def _capitalized(core):
+    return core[:1].isupper()
+
+
 def extract_entities(claim: str) -> list[EntityMention]:
     """Capitalized-run heuristic; deduplicated, in order of first appearance."""
-    tokens = claim.split()
-    cores = [_core(t) for t in tokens]
-    capitalized = [bool(c) and c[0].isupper() for c in cores]
-
-    runs = []  # (start_index, [core, ...])
-    i = 0
-    while i < len(tokens):
-        if capitalized[i]:
-            j = i
-            while j < len(tokens) and capitalized[j]:
-                j += 1
-            runs.append((i, cores[i:j]))
-            i = j
-        else:
-            i += 1
-
-    seen = set()
-    mentions = []
-    for start, words in runs:
-        if start == 0 and len(words) == 1:
-            continue  # sentence-initial capitalization carries no signal
+    surfaces = {}  # an insertion-ordered set
+    start = 0  # token index where the run starts
+    cores = [_core(t) for t in claim.split()]
+    for capitalized, run in groupby(cores, key=_capitalized):
+        words = list(run)
+        first, start = start, start + len(words)
+        if not capitalized or (first == 0 and len(words) == 1):
+            continue  # no run, or one whose capital only opens the sentence
         while words and words[0].casefold() in LEADING_STOPWORDS:
             words = words[1:]
-        if not words:
-            continue
-        surface = " ".join(words)
-        if surface not in seen:
-            seen.add(surface)
-            mentions.append(EntityMention(surface))
-    return mentions
+        if words:
+            surfaces.setdefault(" ".join(words))
+    return list(map(EntityMention, surfaces))
 
 
 def _annotation_from_row(row) -> tuple:
@@ -349,13 +338,16 @@ def claim_mentions(claim: str, *, extractor=None, claim_id=None) -> list[EntityM
     return extract_entities(claim) if extractor is None else extractor(claim_id)
 
 
-def matched_pages(corpus: Corpus, mentions) -> tuple[list[set[str]], MatchCounts]:
-    """Per claim, the pages its mentions (mentions[i]) match, and what matching
-    did; every mention of the run is matched in one call, by a matcher built
-    only if some claim has a mention, and dropped."""
+def matched_pages(corpus: Corpus, mentions) -> tuple[tuple[np.ndarray, list], MatchCounts]:
+    """((claims, page ids): the distinct pairs of claim i and a page that one
+    of its mentions (mentions[i]) matches, claims ascending; what matching
+    did).  Every mention of the run is matched in one call, by a matcher
+    built only if some claim has a mention, and dropped."""
     if not any(mentions):
-        return [set() for _ in mentions], MatchCounts(Counter(), 0, 0)
+        return (np.zeros(0, dtype=np.int64), []), MatchCounts(Counter(), 0, 0)
     matcher = TitleMatcher(corpus)
     hits = iter(matcher.match_all([m for ms in mentions for m in ms]))
-    pages = [{next(hits).page_id for _ in ms} for ms in mentions]
-    return pages, MatchCounts(matcher.distances, matcher.verified, matcher.rounds)
+    pairs = dict.fromkeys((c, next(hits).page_id) for c, ms in enumerate(mentions) for _ in ms)
+    claims = np.array([c for c, _ in pairs], dtype=np.int64)
+    return (claims, [page for _, page in pairs]), MatchCounts(matcher.distances,
+                                                            matcher.verified, matcher.rounds)

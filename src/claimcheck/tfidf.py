@@ -16,13 +16,15 @@ BLOCK_CELLS score cells plus scored entries.  Every score keeps the bits
 it gets when its claim is scored alone: each cell adds its terms one at a
 time in ascending-bin order, and each norm is the np.sum of its row
 (``row_sums``), and a cosine is raw / (item norm x query norm), a zero
-norm read as inf.  ``top_documents`` hands over pages: it scores each
-block of claims against every page as one dense matrix, and k np.argmax
-passes over its rows pick each claim's k best (``top_k_dense``), with no
-sort.  ``sentence_route`` ranks rows of the run's
+norm read as inf.  Both routes hand over flat (claim, item, score) arrays.
+``top_documents`` scores each block of claims against every page as one
+dense matrix, and k np.argmax passes over its rows pick each claim's k
+best pages (``top_k_dense``), with no sort.  ``sentence_route`` takes
+(claim, page span) arrays and ranks rows of the run's
 ``Corpus.sentence_table``, hashing each row a claim reads once and each
-claim once, and sorts the positive scores of each block.
-``top_k_documents`` and ``top_k_sentences`` wrap them for one claim.
+claim once, and sorts the positive scores of each block.  Only the
+one-claim wrappers ``top_k_documents`` and ``top_k_sentences`` make
+``ScoredItem``s.
 """
 
 import json
@@ -40,6 +42,7 @@ FORMAT_VERSION = 1
 WEIGHTING = "log1p-tf.okapi-idf"
 DOC_NGRAM_ORDERS = (1, 2)  # unigrams and bigrams of each page's text
 BLOCK_CELLS = 2**14  # score cells plus scored entries per block of claims
+_NO_HITS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
 # index arrays after item_ids, in npz order, with the dtypes build gives them
 _ARRAYS = {"uniq_bins": np.int64, "uniq_offsets": np.int64, "post_items": np.int32,
            "post_weights": np.float64, "df": np.int64, "item_norms": np.float64}
@@ -57,7 +60,7 @@ def _write_npz(path, arrays: dict) -> None:
 
 
 class ScoredItem(NamedTuple):
-    item: object  # page_id str, or a row of the run's sentence table (int)
+    item: object  # a page id, or a SentenceRef; made only by the one-claim wrappers
     score: float
 
 
@@ -242,7 +245,8 @@ def index_pages(checksums: dict[str, str], pages, bin_count: int = DEFAULT_BIN_C
 
 def top_k_documents(index: TfidfIndex, claim: str, k: int = 5) -> list[ScoredItem]:
     """k best pages for one claim by cosine, positive scores only, ids break ties."""
-    return top_documents(index, [claim], k)[0][0]
+    (_, items, scores), _ = top_documents(index, [claim], k)
+    return list(map(ScoredItem, [index.item_ids[i] for i in items.tolist()], scores.tolist()))
 
 
 def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
@@ -252,9 +256,10 @@ def top_k_sentences(documents: list[Document], claim: str, k: int = 5,
     for doc in documents:
         corpus.add_document(doc)
     table = corpus.sentence_table(corpus.page_ids())
-    hits = sentence_route(table.texts, [list(table.spans.values())], [claim], bin_count, k)[0]
-    rows = np.array([row for row, _ in hits], dtype=np.int64)
-    return [ScoredItem(ref, score) for ref, (_, score) in zip(table.refs(rows), hits)]
+    first, count = np.array(list(table.spans.values()), dtype=np.int64).reshape(-1, 2).T
+    _, rows, scores = sentence_route(table.texts, np.zeros(first.size, dtype=np.int64), first,
+                                     count, [claim], bin_count, k)
+    return list(map(ScoredItem, table.refs(rows), scores.tolist()))
 
 
 # -- block scoring ------------------------------------------------------------
@@ -309,38 +314,27 @@ def top_k_per_claim(claim, item, score, k):
     return order[ranks < k]
 
 
-def _ranked(claim, item, score, n_claims, k, ids):
-    """Per claim, its k highest-scoring entries as ScoredItems, ties by ascending item."""
-    top = top_k_per_claim(claim, item, score, k)
-    out = [[] for _ in range(n_claims)]
-    for c, i, s in zip(claim[top].tolist(), item[top].tolist(), score[top].tolist()):
-        out[c].append(ScoredItem(ids[i], s))
-    return out
-
-
-def top_k_dense(scores, k, ids):
-    """Per row of a dense score matrix, its k highest positive scores as
-    ScoredItems of ids[column], best first, ties by ascending column.
+def top_k_dense(scores, k):
+    """(row, column, score) arrays of each row's k highest positive scores of
+    a dense score matrix, row by row and best first, ties by ascending column.
 
     Each rank is one np.argmax pass over the rows, which picks the first
     column of a tie; the picked cell then reads -1.0, below every score, so
-    the next pass skips it.  scores is overwritten.
+    the next pass skips it.  A row's picks only fall, so its positive ones
+    come first.  scores is overwritten.
     """
     n_rows, n = scores.shape
-    out = [[] for _ in range(n_rows)]
     flat = scores.reshape(-1)
-    row_starts = np.arange(0, n_rows * n, n)
+    cells, picked = [], []  # per pass, the cell and the score picked in each row
     for _ in range(min(k, n)):
-        best = scores.argmax(axis=1)
-        cells = best + row_starts
-        picked = flat[cells]
-        if not picked.max() > 0:  # no row has a positive score left
+        cells.append(scores.argmax(axis=1) + np.arange(0, n_rows * n, n))
+        picked.append(flat[cells[-1]])
+        if not picked[-1].max() > 0:  # no row has a positive score left
             break
-        for hits, i, score in zip(out, best.tolist(), picked.tolist()):
-            if score > 0:
-                hits.append(ScoredItem(ids[i], score))
-        flat[cells] = -1.0
-    return out
+        flat[cells[-1]] = -1.0
+    cells, picked = (np.array(x).reshape(-1, n_rows).T.ravel() for x in (cells, picked))
+    keep = picked > 0
+    return (*np.divmod(cells[keep], n), picked[keep])
 
 
 def block_accumulate(q_row, starts, lens, q_weights, post_items, post_weights,
@@ -362,10 +356,11 @@ def block_accumulate(q_row, starts, lens, q_weights, post_items, post_weights,
 
 
 def top_documents(index, claims, k):
-    """Each claim's k best items, and the number of claims whose query has
-    zero norm.  The claims are hashed as the index was; a block's scores are
-    one dense claims x items matrix, turned into cosines in place and read
-    by ``top_k_dense``."""
+    """((claim, item position, score) of each claim's k best items, claim by
+    claim and best first; the number of claims whose query has zero norm).
+    The claims are hashed as the index was; a block's scores are one dense
+    claims x items matrix, turned into cosines in place and read by
+    ``top_k_dense``."""
     n_claims = len(claims)
     queries = ngram_bins(claims, index.ngram_orders, index.bin_count)
     n = index.item_count
@@ -375,39 +370,42 @@ def top_documents(index, claims, k):
     costs = n + np.bincount(owner, lens, minlength=n_claims).astype(np.int64)
     ends = np.searchsorted(owner, np.arange(n_claims + 1))
     item_norms, query_norms = _zero_as_inf(index.item_norms), _zero_as_inf(norms)
-    out = []
+    parts = [_NO_HITS]  # (claim, item, score) arrays, block by block
     for a, b in _blocks(costs):
         lo, hi = ends[a], ends[b]
         scores = block_accumulate(owner[lo:hi] - a, starts[lo:hi], lens[lo:hi], weights[lo:hi],
                                   index.post_items, index.post_weights, b - a, n)
         scores /= item_norms * query_norms[a:b, np.newaxis]
-        out.extend(top_k_dense(scores, k, index.item_ids))
-    return out, int(np.count_nonzero(norms == 0))
+        rows, items, values = top_k_dense(scores, k)
+        parts.append((rows + a, items, values))
+    return tuple(map(np.concatenate, zip(*parts))), int(np.count_nonzero(norms == 0))
 
 
-def sentence_route(texts, spans, claims, bin_count, k):
-    """Each claim's k best rows of its pages as ScoredItems of row numbers,
-    df and idf counted over those rows alone.
+def sentence_route(texts, page_claims, first, count, claims, bin_count, k):
+    """(claim, row, score) of each claim's k best rows of its pages, claim by
+    claim and best first, ties by ascending row; df and idf counted over
+    those rows alone.
 
-    texts holds the row texts of a ``corpus.SentenceTable``, spans[i] the
-    (first row, row count) of each page of claims[i].  Every row that some claim
-    reads is hashed once, and every claim once.
+    texts holds the row texts of a ``corpus.SentenceTable``.  Page entry j
+    belongs to claims[page_claims[j]] and has the count[j] rows from
+    first[j] on; page_claims ascends, and a claim lists a page once, in any
+    order.  Every row that some claim reads is hashed once, and every claim
+    once.
     """
     # each claim's candidate rows, claim-major: the rows of its pages in turn
-    first, count = np.array([s for ss in spans for s in ss], dtype=np.int64).reshape(-1, 2).T
     rows = concat_ranges(first, count)
     used, at = np.unique(rows, return_inverse=True)
     owner, bins, counts = ngram_bins([texts[r] for r in used.tolist()], (2,), bin_count)
     offsets = np.searchsorted(owner, np.arange(used.size + 1))
     q_owner, q_bins, q_counts = ngram_bins(claims, (2,), bin_count)
     q_ends = np.searchsorted(q_owner, np.arange(len(claims) + 1))
-    n_items = np.array([sum(n for _, n in ss) for ss in spans], dtype=np.int64)
-    row_claim = np.repeat(np.arange(len(claims), dtype=np.int64), n_items)
-    ends = np.concatenate(([0], np.cumsum(n_items)))
+    row_claim = np.repeat(page_claims, count)
+    ends = np.searchsorted(row_claim, np.arange(len(claims) + 1))
+    n_items = np.diff(ends)
     row_starts = offsets[at]
     row_lens = offsets[at + 1] - row_starts
     costs = n_items + np.bincount(row_claim, row_lens, minlength=len(claims)).astype(np.int64)
-    out = []
+    parts = [_NO_HITS]  # (claim, item, score) arrays, block by block
     for a, b in _blocks(costs):
         lo, hi = ends[a], ends[b]
         cell_claim = row_claim[lo:hi] - a
@@ -431,6 +429,6 @@ def sentence_route(texts, spans, claims, bin_count, k):
         raw = np.bincount(cell, weights * key_weights[inverse], minlength=hi - lo)
         scores = raw / (_zero_as_inf(norms) * _zero_as_inf(q_norms)[cell_claim])
         keep = np.flatnonzero(scores > 0)
-        out.extend(_ranked(cell_claim[keep], rows[lo:hi][keep], scores[keep], b - a, k,
-                           range(len(texts))))
-    return out
+        top = keep[top_k_per_claim(cell_claim[keep], rows[lo:hi][keep], scores[keep], k)]
+        parts.append((cell_claim[top] + a, rows[lo:hi][top], scores[top]))
+    return tuple(map(np.concatenate, zip(*parts)))

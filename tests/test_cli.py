@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcheck import cli, forest, ner, nli_data
+from claimcheck import cli, forest, ner, nli_data, tfidf, tokenizer
 from claimcheck.corpus import Corpus, ingest_dump
 from claimcheck.entailment import TRIPLE_FIELDS
 from claimcheck.metrics import prediction_from_row
@@ -504,6 +504,24 @@ class TestBadInputs:
             assert one_error(code, err).startswith(f"error: bad record in {corpus} on line 3: ")
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["index", "e2e"])
+    def test_saved_record_repeating_its_id_key(self, workdir, tmp_path, capsys, command):
+        """A record whose "id" key repeats with another id parses to the last
+        one, not the id it starts with: index, which streams every record,
+        refuses it as e2e does when it first reads the page."""
+        lines = gzip.decompress((workdir / "corpus.json.gz").read_bytes()).split(b"\n")
+        lead = b'{"id": "Archipelago_Council", '
+        assert lines[3].startswith(lead)
+        lines[3] = lead + b'"id": "Archipelago_Council_x", ' + lines[3][len(lead):]
+        corpus, out = tmp_path / "corpus.json.gz", tmp_path / "out"
+        corpus.write_bytes(gzip.compress(b"\n".join(lines)))
+        inputs = ["--claims", CLAIMS] if command == "e2e" else []
+        code, _, err = run([command, "--corpus", corpus, *inputs, "--out", out], capsys)
+        assert one_error(code, err) == (
+            f"error: bad record in {corpus} on line 4: page id 'Archipelago_Council_x' "
+            "is not 'Archipelago_Council', the id the record starts with\n")
+        assert not out.exists()
+
     def test_saved_corpus_repeating_a_line_number(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.json.gz"
         write_saved_corpus(corpus, b'{"id": "A", "text": "a. b.", "lines": "0\\ta.\\n0\\tb."}')
@@ -960,7 +978,8 @@ class TestBadInputs:
          "--sample-counts needs three non-negative integers, got 'a,b,c'"),
         (["--sample-counts", "3,2.5,1"],
          "--sample-counts needs three non-negative integers, got '3,2.5,1'"),
-    ], ids=["negative_seed", "letters", "fraction"])
+        (["--max-depth", "-1"], "max_depth must be >= 0, got -1"),
+    ], ids=["negative_seed", "letters", "fraction", "negative_depth"])
     def test_bad_training_flag_refused_up_front(self, staged, tmp_path, capsys, monkeypatch,
                                                 command, flags, message):
         # refused before any input is read
@@ -1015,6 +1034,23 @@ class TestReaderRefusalsThroughTheProgram:
             code, _, err = run([*predict, "--model", path, "--out", out], capsys)
         assert (tmp_path / "accepted.jsonl").exists()
         assert one_error(code, err) == f"error: cannot read model file {path}: {message}\n"
+        assert not out.exists()
+
+    def test_training_sample_of_one_class(self, tmp_path, capsys):
+        out = tmp_path / "pred.jsonl"
+        code, _, err = run(["e2e", "--corpus", DUMP, "--claims", CLAIMS,
+                            "--sample-counts", "3,0,0", "--out", out], capsys)
+        assert one_error(code, err) == "error: training data contains a single class\n"
+        assert not out.exists()
+
+    def test_probability_component_above_one(self, one_claim, tmp_path, capsys):
+        side, out = tmp_path / "probs.jsonl", tmp_path / "pred.jsonl"
+        side.write_text(json.dumps({"claim_id": 101, "page_id": "Korvand_Archipelago",
+                                    "line_number": 0, "support": 1.5, "refute": 0.0,
+                                    "uninformative": 0.0}) + "\n")
+        code, _, err = run(row_file_argv(one_claim, "probabilities", side, out), capsys)
+        assert one_error(code, err) == (f"error: bad probability row in {side} on line 1: "
+                                        "component out of [0, 1] in (1.5, 0.0, 0.0)\n")
         assert not out.exists()
 
     def test_index_whose_item_ids_do_not_ascend(self, workdir, tmp_path, capsys):
@@ -1424,6 +1460,120 @@ class TestEndToEnd:
             outputs.append((tmp_path / "pred.jsonl").read_bytes())
         capsys.readouterr()
         assert outputs[0] == outputs[1]
+
+
+KAPPA = str.maketrans("kK", "ķĶ")  # two non-ASCII letters of the same case
+
+
+@pytest.fixture(scope="module")
+def fixture_run(tmp_path_factory):
+    """(predictions, report) bytes of e2e on data/ at the default bins."""
+    d = tmp_path_factory.mktemp("fixture_run")
+    assert cli.main(["-q", "e2e", "--corpus", str(DUMP), "--claims", str(CLAIMS),
+                     "--out", str(d / "pred.jsonl"), "--report", str(d / "report.json")]) == 0
+    return (d / "pred.jsonl").read_bytes(), (d / "report.json").read_bytes()
+
+
+def e2e_outputs(corpus, claims, d, capsys, *flags) -> tuple:
+    """(predictions, report) bytes of an e2e run."""
+    pred, report = d / "pred.jsonl", d / "report.json"
+    assert run(["e2e", "--corpus", corpus, "--claims", claims, *flags, "--out", pred,
+                "--report", report], capsys)[0] == 0
+    return pred.read_bytes(), report.read_bytes()
+
+
+class TestPathsThroughTheProgram:
+    """Runs of the program down paths that only unit tests took, each
+    against a run of the fixture that other tests pin."""
+
+    def test_dump_directory_of_two_files(self, fixture_run, tmp_path, capsys):
+        lines = DUMP.read_bytes().splitlines(keepends=True)
+        (tmp_path / "dump").mkdir()
+        (tmp_path / "dump" / "a.jsonl").write_bytes(b"".join(lines[:20]))
+        (tmp_path / "dump" / "b.jsonl").write_bytes(b"".join(lines[20:]))
+        corpus = tmp_path / "corpus.json.gz"
+        assert run(["ingest", "--dump", tmp_path / "dump", "--out", corpus], capsys)[0] == 0
+        assert sorted(Corpus.load(corpus).source_checksums) == ["a.jsonl", "b.jsonl"]
+        assert e2e_outputs(corpus, CLAIMS, tmp_path, capsys) == fixture_run
+
+    def test_saved_record_parsed_at_load(self, fixture_run, workdir, tmp_path, capsys):
+        """A record whose lines come before its id does not start as Corpus.save
+        writes one, so load parses it in full."""
+        lines = gzip.decompress((workdir / "corpus.json.gz").read_bytes()).split(b"\n")
+        record = json.loads(lines[3])
+        lines[3] = json.dumps({"lines": record.pop("lines"), **record},
+                              ensure_ascii=False).encode()
+        corpus = tmp_path / "corpus.json.gz"
+        corpus.write_bytes(gzip.compress(b"\n".join(lines)))
+        assert type(Corpus.load(corpus)._docs[record["id"]]) is not tuple
+        assert e2e_outputs(corpus, CLAIMS, tmp_path, capsys)[0] == fixture_run[0]
+
+    @pytest.mark.parametrize("bins", [None, "65536"])
+    def test_non_ascii_text(self, tmp_path, capsys, bins):
+        """Pages, ids, claims and evidence with k and K mapped to ķ and Ķ give
+        the fixture's predictions and report under the same map."""
+        dump, claims = tmp_path / "dump.jsonl", tmp_path / "claims.jsonl"
+        dump.write_text(DUMP.read_text(encoding="utf-8").translate(KAPPA), encoding="utf-8")
+        claims.write_text(CLAIMS.read_text(encoding="utf-8").translate(KAPPA), encoding="utf-8")
+        flags = [] if bins is None else ["--bins", bins]
+        (tmp_path / "ascii").mkdir()
+        want = e2e_outputs(DUMP, CLAIMS, tmp_path / "ascii", capsys, *flags)
+        got = e2e_outputs(dump, claims, tmp_path, capsys, *flags)
+        assert b"\xc4\xb7" in got[0]  # a ķ in the predictions
+        assert got == tuple(out.decode().translate(KAPPA).encode() for out in want)
+
+    def test_routes_in_one_claim_blocks(self, fixture_run, tmp_path, capsys, monkeypatch):
+        blocks, cut = [], tfidf._blocks
+
+        def counted(costs):
+            blocks.append(list(cut(costs)))
+            return blocks[-1]
+
+        monkeypatch.setattr(tfidf, "BLOCK_CELLS", 64)
+        monkeypatch.setattr(tfidf, "_blocks", counted)
+        assert e2e_outputs(DUMP, CLAIMS, tmp_path, capsys) == fixture_run
+        assert list(map(len, blocks)) == [30, 30]
+
+    def test_texts_hashed_in_small_chunks(self, tmp_path, capsys, monkeypatch):
+        outputs = []
+        for chunk in (tokenizer.CHUNK_BYTES, 256):
+            monkeypatch.setattr(tokenizer, "CHUNK_BYTES", chunk)
+            d = tmp_path / str(chunk)
+            d.mkdir()
+            assert run(["index", "--corpus", DUMP, "--bins", "65536", "--out", d / "index.npz"],
+                       capsys)[0] == 0
+            outputs.append(((d / "index.npz").read_bytes(),
+                            e2e_outputs(DUMP, CLAIMS, d, capsys, "--bins", "65536")))
+        assert outputs[0] == outputs[1]
+
+    def test_sample_of_two_claims_per_class(self, tmp_path, capsys, caplog):
+        """e2e trains on 2 claims of each class, and predicts as the staged
+        chain does on the same sample."""
+        caplog.set_level(logging.INFO)
+        flags, t = ["--sample-counts", "2,2,2", "--seed", "5"], tmp_path
+        pred, _ = e2e_outputs(DUMP, CLAIMS, t, capsys, *flags)
+        assert any(r.getMessage().endswith(" on 6 claims") for r in caplog.records)
+        for argv in (["retrieve", "--corpus", DUMP, "--claims", CLAIMS, "--out", t / "c.jsonl"],
+                     ["features", "--corpus", DUMP, "--claims", CLAIMS,
+                      "--candidates", t / "c.jsonl", "--out", t / "scored.jsonl"],
+                     ["train", "--claims", CLAIMS, "--scored", t / "scored.jsonl", *flags,
+                      "--out", t / "model.json"],
+                     ["predict", "--claims", CLAIMS, "--scored", t / "scored.jsonl",
+                      "--model", t / "model.json", "--out", t / "staged.jsonl"]):
+            assert run(argv, capsys)[0] == 0
+        assert (t / "staged.jsonl").read_bytes() == pred
+
+    def test_capitalized_stopwords_add_no_entity_page(self, tmp_path, capsys):
+        """"He met The A" has one capitalized run after its first word, all
+        stopwords: retrieval finds what it finds with no mentions at all."""
+        claims, no_mentions = tmp_path / "claims.jsonl", tmp_path / "ner.jsonl"
+        claims.write_text(json.dumps({**NEI, "id": 1, "claim": "He met The A"}) + "\n")
+        no_mentions.write_text('{"id": 1, "entities": []}\n')
+        outs = [tmp_path / "heuristic.jsonl", tmp_path / "none.jsonl"]
+        for out, flags in zip(outs, ([], ["--ner-file", no_mentions])):
+            assert run(["retrieve", "--corpus", DUMP, "--claims", claims, *flags,
+                        "--out", out], capsys)[0] == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestStartUp:

@@ -320,7 +320,10 @@ def test_one_call_matches_every_mention_as_a_full_scan(case):
     titles, claims = case
     corpus = small_corpus(titles)
     mentions = [[ner.EntityMention(q) for q in queries] for queries in claims]
-    pages, counts = ner.matched_pages(corpus, mentions)
+    (owners, page_ids), counts = ner.matched_pages(corpus, mentions)
+    pages = [set() for _ in claims]
+    for c, page in zip(owners.tolist(), page_ids):
+        pages[c].add(page)
     matcher = ner.TitleMatcher(corpus)
     want = [[full_scan(matcher, q) for q in queries] for queries in claims]
     assert pages == [{page for page, _ in hits} for hits in want]
@@ -334,7 +337,7 @@ def test_one_call_matches_every_mention_as_a_full_scan(case):
 def candidates(corpus, claim):
     """The entity route's candidates for one claim, as cli.retrieve_candidates
     lists them: the sentence table of the pages its mentions match."""
-    pages = ner.matched_pages(corpus, [ner.claim_mentions(claim)])[0][0]
+    pages = ner.matched_pages(corpus, [ner.claim_mentions(claim)])[0][1]
     table = corpus.sentence_table(pages)
     return table.refs(np.arange(len(table.texts)))
 

@@ -293,16 +293,24 @@ def one_claim_tfidf_route(corpus, index, claim):
     return tfidf.top_k_sentences(docs, claim, k=cli.K_SENTS, bin_count=index.bin_count)
 
 
+def per_claim(n_claims, claim, item, score, ids):
+    """A route's (claim, item, score) arrays as each claim's ScoredItems of ids[item]."""
+    out = [[] for _ in range(n_claims)]
+    for c, i, s in zip(claim.tolist(), item.tolist(), score.tolist()):
+        out[c].append(tfidf.ScoredItem(ids[i], s))
+    return out
+
+
 def batched_route(corpus, index, claims):
     """The TF-IDF route for many claims, as cli.retrieve_candidates composes it:
     (each claim's sentences as ScoredItems of refs, the empty-query count)."""
-    docs, empty = tfidf.top_documents(index, claims, cli.K_DOCS)
-    pages = [sorted(hit.item for hit in hits) for hits in docs]
-    table = corpus.sentence_table({p for ps in pages for p in ps})
-    rows = tfidf.sentence_route(table.texts, [[table.spans[p] for p in ps] for ps in pages],
-                                claims, index.bin_count, cli.K_SENTS)
-    refs = table.refs(np.arange(len(table.texts)))
-    return [[tfidf.ScoredItem(refs[row], score) for row, score in hits] for hits in rows], empty
+    (doc_claims, items, _), empty = tfidf.top_documents(index, claims, cli.K_DOCS)
+    pages = [index.item_ids[i] for i in items.tolist()]
+    table = corpus.sentence_table(set(pages))
+    first, count = np.array([table.spans[p] for p in pages], dtype=np.int64).reshape(-1, 2).T
+    hits = tfidf.sentence_route(table.texts, doc_claims, first, count, claims,
+                                index.bin_count, cli.K_SENTS)
+    return per_claim(len(claims), *hits, table.refs(np.arange(len(table.texts)))), empty
 
 
 def duplicate_sentence_corpus(rng):
@@ -451,14 +459,13 @@ class TestDenseSelection:
         scores = raw / (tfidf._zero_as_inf(item_norms)
                         * tfidf._zero_as_inf(query_norms)[:, np.newaxis])
         assert scores.tobytes() == guarded.tobytes()
-        ids = [f"P{i}" for i in range(raw.shape[1])]
         rows, items = np.nonzero(scores > 0)
         values = scores[rows, items]
         top = tfidf.top_k_per_claim(rows, items, values, k)
-        want = [[] for _ in range(raw.shape[0])]
-        for r, i, s in zip(rows[top].tolist(), items[top].tolist(), values[top].tolist()):
-            want[r].append(tfidf.ScoredItem(ids[i], s))
-        assert tfidf.top_k_dense(scores, k, ids) == want
+        got_rows, got_items, got_values = tfidf.top_k_dense(scores, k)
+        assert got_rows.tolist() == rows[top].tolist()
+        assert got_items.tolist() == items[top].tolist()
+        assert got_values.tobytes() == values[top].tobytes()
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(pages=st.lists(st.sampled_from(POOL), min_size=1, max_size=14),
@@ -472,7 +479,7 @@ class TestDenseSelection:
         want = [reference_top_k(ids, entries, ngram_bins([c], (1, 2), BINS), k)
                 for c in claims]
         docs, empty = tfidf.top_documents(index, claims, k)
-        assert docs == [hits for hits, _ in want]
+        assert per_claim(len(claims), *docs, ids) == [hits for hits, _ in want]
         assert empty == sum(norm == 0.0 for _, norm in want)
 
     def test_exact_duplicates_give_the_lowest_page_ids(self):
@@ -485,7 +492,7 @@ class TestDenseSelection:
                  for i in range(20)]
         index = tfidf.TfidfIndex.build(pages, BINS, (1, 2))
         docs, _ = tfidf.top_documents(index, ["storm", text, text, "harbor"], 5)
-        for hits in docs[1:3]:
+        for hits in per_claim(4, *docs, index.item_ids)[1:3]:
             assert [hit.item for hit in hits] == ["P03", "P07", "P08", "P12", "P15"]
             assert len({hit.score for hit in hits}) == 1 and hits[0].score > 0
 
@@ -509,7 +516,7 @@ class TestDenseSelection:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(map(len, docs)) > 1000  # the returned hits are part of held
+        assert docs[0].size > 1000  # the returned hits are part of held
         bound = hashing + held + 4 * tfidf.BLOCK_CELLS * 8
         assert peak < bound, (peak, hashing, held)
         assert len(claims) * index.item_count * 8 > 3 * bound
