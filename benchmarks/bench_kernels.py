@@ -20,12 +20,14 @@ of ROUTE_SCALE times --claims claims over an index of ROUTE_SCALE times
 --texts one-text pages: 3000 claims and 20,000 pages by default), on
 seeded inputs, and prints the best-of-N wall time of each.  A
 third column gives the peak of the memory one more call allocates, as
-``tracemalloc`` traces it.  The last three rows run the ``ingest``,
-``index`` and ``e2e`` subcommands on the ``data/`` fixture, each in a new
-interpreter, so that they time start-up and imports next to the kernels;
-for them one more child gives its own peak RSS as the peak, and its user
-+ system CPU time in a fourth column, where a thread that spins beside the
-main one shows as added CPU time.
+``tracemalloc`` traces it; for the index build a fourth column gives that
+peak over the bytes of the arrays it returns.  The last four rows run the
+``ingest``, ``index`` and ``e2e`` subcommands on the ``data/`` fixture, and
+``index`` on a saved corpus of perfbench's ``bulk`` workload (seed 11,
+5048 pages), each in a new interpreter, so that they time start-up and
+imports next to the kernels; for them one more child gives its own peak
+RSS as the peak, and its user + system CPU time in a fourth column, where a
+thread that spins beside the main one shows as added CPU time.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --titles 50000 --repeat 7
@@ -44,7 +46,7 @@ import numpy as np
 
 import claimcheck
 from claimcheck import cli, forest, ner, tfidf, verdict
-from claimcheck.corpus import Corpus, Document, SentenceRef, table_of_refs
+from claimcheck.corpus import Corpus, Document, SentenceRef, ingest_dump, table_of_refs
 from claimcheck.entailment import BaselineScorer, score_pairs
 from claimcheck.features import FEATURE_NAMES
 from claimcheck.nli_data import FeverInstance
@@ -60,6 +62,8 @@ SPLIT_NODES = 50  # nodes of one training step: one per tree of the default fore
 TITLE_QUERIES = 10  # edit_distances queries, and title_match mentions of each kind
 TITLE_LETTERS = list("abcdefghijklmnopqrstuvwxyz _()")
 DATA = Path(__file__).resolve().parent.parent / "data"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BULK_SEED = 11  # of the start_index row's corpus
 
 
 def best_of(fn, repeat):
@@ -71,12 +75,13 @@ def best_of(fn, repeat):
     return min(times)
 
 
-def traced_peak(fn) -> int:
-    """Peak bytes that one call of fn allocates, as tracemalloc traces them."""
+def traced_peak(fn) -> tuple:
+    """(peak bytes that one call of fn allocates, as tracemalloc traces them,
+    what the call returns)."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
 
@@ -317,9 +322,25 @@ def run_child(*argv) -> tuple:
     return int(err.split()[-1]) * 1024, usage.ru_utime + usage.ru_stime
 
 
+def make_bulk_corpus(workdir) -> Path:
+    """perfbench's bulk workload at BULK_SEED, ingested into a saved corpus."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import bench_gen
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    dump, claims = bench_gen.generate(bench_gen.WORKLOADS["bulk"], BULK_SEED, "bulk")
+    dump_path, _ = bench_gen.write(dump, claims, Path(workdir) / "bulk")
+    corpus = Path(workdir) / "bulk.json.gz"
+    ingest_dump(dump_path)[0].save(corpus)
+    return corpus
+
+
 def start_up_cases(workdir):
-    """The fixture's ingest, index and e2e children, in the order they chain."""
+    """The fixture's ingest, index and e2e children, in the order they chain,
+    and the index child of the bulk corpus."""
     corpus, index = Path(workdir) / "fixture.json.gz", Path(workdir) / "fixture.npz"
+    bulk = make_bulk_corpus(workdir)
     return [
         ("start_ingest (data/ fixture)", run_child,
          ("ingest", "--dump", DATA / "mini_wiki.jsonl", "--out", corpus)),
@@ -328,6 +349,8 @@ def start_up_cases(workdir):
         ("start_e2e (data/ fixture)", run_child,
          ("e2e", "--corpus", corpus, "--index", index, "--claims", DATA / "mini_claims.jsonl",
           "--out", Path(workdir) / "fixture-pred.jsonl")),
+        (f"start_index (bulk seed {BULK_SEED} saved corpus)", run_child,
+         ("index", "--corpus", bulk, "--out", Path(workdir) / "bulk.npz")),
     ]
 
 
@@ -404,17 +427,22 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         cases = build_cases(rng, args, workdir)
         width = max(len(name) for name, *_ in cases)
-        header = f"{'kernel':<{width}}  {'time':>10}  {'peak':>10}  {'cpu':>10}"
+        header = f"{'kernel':<{width}}  {'time':>10}  {'peak':>10}  {'cpu|ratio':>10}"
         print(header)
         print("-" * len(header))
         for name, fn, inputs in cases:
             elapsed = best_of(lambda: fn(*inputs), args.repeat)
+            row = f"{name:<{width}}  {elapsed * 1e3:>8.2f}ms"
             if fn is run_child:  # the child's own peak RSS, and its CPU time
                 peak, cpu = fn(*inputs)
-            else:
-                peak, cpu = traced_peak(lambda: fn(*inputs)), None
-            row = f"{name:<{width}}  {elapsed * 1e3:>8.2f}ms  {peak / 2**20:>8.2f}MB"
-            print(row if cpu is None else f"{row}  {cpu * 1e3:>8.2f}ms")
+                print(f"{row}  {peak / 2**20:>8.2f}MB  {cpu * 1e3:>8.2f}ms")
+                continue
+            peak, result = traced_peak(lambda: fn(*inputs))
+            row = f"{row}  {peak / 2**20:>8.2f}MB"
+            if isinstance(result, tfidf.TfidfIndex):  # the peak per byte the build returns
+                returned = sum(getattr(result, array).nbytes for array in tfidf._ARRAYS)
+                row = f"{row}  {peak / returned:>9.2f}x"
+            print(row)
     return 0
 
 

@@ -37,7 +37,6 @@ a file lists, as the staged subcommands and the one-claim calls read them.
 """
 
 import gzip
-import hashlib
 import json
 import logging
 import zlib
@@ -406,6 +405,7 @@ def ingest_dump(path) -> tuple[Corpus, IngestStats]:
     Records with an empty id are skipped and counted (FEVER dumps carry an
     empty leading record per file); a repeated non-empty id raises.
     """
+    import hashlib  # here, so that a run that reads a saved corpus never loads OpenSSL
     corpus = Corpus()
     stats = IngestStats()
 

@@ -9,7 +9,11 @@ with the Okapi-style idf = max(0, log((N - df + 0.5) / (df + 0.5)));
 vectors are L2-normalized at query time.  Postings are flat numpy arrays
 sorted by (bin, item).  Items are indexed in strictly ascending id order,
 so ties among results at the same positive score break on item position,
-which is ascending id.
+which is ascending id.  ``TfidfIndex.build`` keeps each chunk of hashed
+texts as a run of 8 bytes an entry, numbers every entry's posting with one
+sort, then places the runs one at a time and drops each, so it peaks at
+well under twice the arrays it returns; ``save`` writes each array to its
+npz member from the array's own buffer.
 
 Both routes score a block of claims at a time, a block holding about
 BLOCK_CELLS score cells plus scored entries.  Every score keeps the bits
@@ -36,12 +40,14 @@ import numpy as np
 from . import DEFAULT_BIN_COUNT
 from .corpus import Corpus, Document
 from .rows import file_error, reading
-from .tokenizer import HASH_NAME, MAX_BIN_COUNT, ngram_bins
+from .tokenizer import HASH_NAME, MAX_BIN_COUNT, ngram_bins, ngram_chunks
 
 FORMAT_VERSION = 1
 WEIGHTING = "log1p-tf.okapi-idf"
 DOC_NGRAM_ORDERS = (1, 2)  # unigrams and bigrams of each page's text
 BLOCK_CELLS = 2**14  # score cells plus scored entries per block of claims
+_KEY_BLOCK = 2**16  # entries the index build numbers at a time
+_WRITE_BYTES = 2**16  # bytes of an array _write_npz compresses at a time
 _NO_HITS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
 # index arrays after item_ids, in npz order, with the dtypes build gives them
 _ARRAYS = {"uniq_bins": np.int64, "uniq_offsets": np.int64, "post_items": np.int32,
@@ -49,14 +55,23 @@ _ARRAYS = {"uniq_bins": np.int64, "uniq_offsets": np.int64, "post_items": np.int
 
 
 def _write_npz(path, arrays: dict) -> None:
-    """npz with pinned zip timestamps so equal indexes give equal bytes; each
-    array streams into its zip member."""
+    """npz with pinned zip timestamps so equal indexes give equal bytes.
+
+    Each member is what ``np.lib.format.write_array`` writes for a C-ordered
+    array: its npy header, then the array's own buffer.  The buffer goes to
+    the compressor _WRITE_BYTES at a time, in slices that copy nothing
+    (write_array hands it over as ``tobytes`` copies of up to 16 MiB).
+    """
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
         for name, arr in arrays.items():
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             info.compress_type = zipfile.ZIP_DEFLATED
             with zf.open(info, "w") as member:
-                np.lib.format.write_array(member, np.asanyarray(arr))
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(arr))
+                data = arr.reshape(-1).view(np.uint8)
+                for start in range(0, data.size, _WRITE_BYTES):
+                    member.write(data[start:start + _WRITE_BYTES])
 
 
 class ScoredItem(NamedTuple):
@@ -72,6 +87,12 @@ def concat_ranges(starts, lens):
     """Concatenation of arange(starts[i], starts[i] + lens[i]) over i."""
     shift = np.cumsum(lens) - lens  # where each range starts in the output
     return np.arange(lens.sum(), dtype=np.int64) + np.repeat(starts - shift, lens)
+
+
+def _parts(size):
+    """Slices of range(size), _KEY_BLOCK long: numbering an array a part at a
+    time takes no array as large."""
+    return (slice(start, min(start + _KEY_BLOCK, size)) for start in range(0, size, _KEY_BLOCK))
 
 
 def row_sums(values, lengths):
@@ -114,7 +135,19 @@ class TfidfIndex:
     @classmethod
     def build(cls, items, bin_count, ngram_orders, source_checksum="") -> "TfidfIndex":
         """Index an iterable of (id, text) pairs, given in strictly ascending id
-        order, reading each pair once."""
+        order, reading each pair once.
+
+        The texts are hashed a chunk at a time (``ngram_chunks``), and each
+        chunk is kept as a run of 8 bytes an entry: its bins as uint32 and
+        its counts as int32, owners implied by each text's entry count.  The
+        postings' (bin, owner) order, the distinct bins and their df come from
+        one in-place sort of uint64 (bin, entry) keys, which leaves each
+        entry's posting as a uint32.  Each run is then placed into the
+        postings and its texts' norms, and dropped.  Every value keeps the
+        bits of a build over all entries at once: a weight is idf x
+        log1p(count), and a norm is ``row_sums`` over one text's entries in
+        ascending-bin order, which no chunk edge splits.
+        """
         item_ids = []
 
         def texts():
@@ -122,36 +155,61 @@ class TfidfIndex:
                 item_ids.append(item_id)
                 yield text
 
-        owner, bins, counts = ngram_bins(texts(), ngram_orders, bin_count)
+        # a run per chunk: each text's entry count and the entries' counts, in
+        # (owner, bin) order (a count needs 2^31 occurrences of one n-gram in
+        # one text to leave int32); every run's bins go into one array, whose
+        # entries are numbered in 32 bits (2^32 entries would be 32 GiB of runs)
+        runs, bins, first = [], [], 0
+        for count, owner, chunk_bins, counts in ngram_chunks(texts(), ngram_orders, bin_count):
+            runs.append((np.bincount(owner - first, minlength=count), counts.astype(np.int32)))
+            bins.append(chunk_bins.astype(np.uint32))
+            first += count
         n = len(item_ids)
         if not n:
             raise ValueError("cannot build an index over zero items")
-        # each array goes once used, so that the build peaks at a few times
-        # its output; one sort gives the postings' (bin, owner) order, the
-        # distinct bins and their df: bin * n + owner is distinct per entry
-        # (and fits int64, with bin < 2^32 and int32 owners), so any sort of
-        # it gives that order
-        sizes = np.bincount(owner, minlength=n)
-        order = np.argsort(bins * n + owner)
-        owner = owner.astype(np.int32)
-        bins = bins[order]
-        starts = np.ones(order.size, dtype=bool)
-        np.not_equal(bins[1:], bins[:-1], out=starts[1:])
-        uniq_bins = bins[starts]
-        del bins
-        uniq_offsets = np.append(np.flatnonzero(starts), order.size)
-        del starts
-        df = np.diff(uniq_offsets)
-        # tf * idf per entry, in (owner, bin) order: each bin's idf goes back
-        # through the sort to its entries (x * y and y * x are the same double)
-        weights = np.empty(order.size)
-        weights[order] = np.repeat(_idf(df, n), df)
-        weights *= np.log1p(counts)
-        del counts
-        # item_norms are saved in index.npz: squares summed in ascending-bin order
-        item_norms = np.sqrt(row_sums(np.square(weights), sizes))
-        return cls(bin_count, ngram_orders, item_ids, uniq_bins, uniq_offsets, owner[order],
-                   weights[order], df, item_norms, source_checksum)
+        bins = np.concatenate(bins)
+        # entries run in (owner, bin) order, so (bin, entry) keys sorted are the
+        # postings in (bin, owner) order
+        keys = bins.astype(np.uint64)
+        keys <<= 32
+        for part in _parts(keys.size):
+            keys[part] |= np.arange(part.start, part.stop, dtype=np.uint64)
+        keys.sort()
+        np.right_shift(keys, 32, out=bins, casting="unsafe")
+        heads = np.ones(bins.size, dtype=bool)  # where each bin's postings start
+        np.not_equal(bins[1:], bins[:-1], out=heads[1:])
+        heads = np.flatnonzero(heads)
+        uniq_bins = bins[heads].astype(np.int64)
+        df = np.diff(heads, append=bins.size)
+        del heads
+        keys &= 2**32 - 1
+        at = bins  # now each entry's posting
+        for part in _parts(keys.size):
+            at[keys[part]] = np.arange(part.start, part.stop, dtype=np.uint32)
+        del bins, keys
+        # each posting's idf so far, made before the other outputs so that the
+        # idf array is never held beside them
+        post_weights = np.repeat(_idf(df, n), df)
+        uniq_offsets = np.zeros(df.size + 1, dtype=np.int64)
+        np.cumsum(df, out=uniq_offsets[1:])
+        post_items = np.empty(at.size, dtype=np.int32)
+        item_norms = np.empty(n)
+        runs.reverse()  # popped in text order, each dropped once placed
+        first = start = 0
+        while runs:
+            sizes, counts = runs.pop()
+            stop, end = first + sizes.size, start + counts.size
+            placed = at[start:end]
+            post_items[placed] = np.repeat(np.arange(first, stop, dtype=np.int32), sizes)
+            # tf * idf per entry, in (owner, bin) order, where a norm sums its
+            # page's squares in ascending-bin order
+            weights = post_weights[placed]
+            weights *= np.log1p(counts)
+            post_weights[placed] = weights
+            item_norms[first:stop] = np.sqrt(row_sums(np.square(weights, out=weights), sizes))
+            first, start = stop, end
+        return cls(bin_count, ngram_orders, item_ids, uniq_bins, uniq_offsets, post_items,
+                   post_weights, df, item_norms, source_checksum)
 
     # -- persistence --------------------------------------------------------
 

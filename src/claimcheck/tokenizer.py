@@ -3,10 +3,11 @@
 One tokenizer serves both retrieval and the lexical entailment baseline so
 their vocabularies agree.  Hashing is FNV-1a over UTF-8 bytes of the
 tab-joined n-gram: a fixed algorithm, stable across runs and platforms,
-recorded in index headers as HASH_NAME.  ``ngram_bins`` is the hasher the
-program uses: it takes texts and reads an ASCII text's tokens straight from
-its bytes (``token_bytes``, which the baseline scorer splits into its token
-sets too), so retrieval makes no per-token string.  ``fnv1a64``,
+recorded in index headers as HASH_NAME.  ``ngram_chunks`` is the hasher
+the program uses, and ``ngram_bins`` the join of its chunks: it takes
+texts and reads an ASCII text's tokens straight from its bytes
+(``token_bytes``, which the baseline scorer splits into its token sets
+too), so retrieval makes no per-token string.  ``fnv1a64``,
 ``hash_ngram`` and ``hashed_counts`` over ``tokenize``'s tokens are the
 per-occurrence reference it must agree with.
 """
@@ -78,32 +79,42 @@ def ngram_bins(texts, orders, bin_count: int):
 
     One entry per distinct (text index, bin), sorted by (owner, bin), all
     int64; the bins equal ``hash_ngram`` per occurrence over ``tokenize``'s
-    tokens.  Each text becomes its ``token_bytes``.  Texts are hashed and
-    counted a chunk of about CHUNK_BYTES at a time, in numpy: every token
-    occurrence gets its FNV-1a state, and a bigram continues its first
-    token's state with a tab and then the second token's bytes.  No text
+    tokens.  The entries are those of ``ngram_chunks``, joined: no text
     spans two chunks, so the chunks' entries join in (owner, bin) order and
     where the chunks fall does not change them.  The orders are 1, 2 or both.
     """
-    if not 1 <= bin_count <= MAX_BIN_COUNT:
-        raise ValueError(f"bin count must be between 1 and 2^32, got {bin_count}")
-    parts, first, pieces, size = [], 0, [], 0
-    for text in texts:
-        piece = token_bytes(text)
-        pieces.append(piece)
-        size += len(piece) + 1
-        if size >= CHUNK_BYTES:
-            parts.append(_chunk_bins(pieces, first, orders, bin_count))
-            first += len(pieces)
-            pieces, size = [], 0
-    if pieces or not parts:
-        parts.append(_chunk_bins(pieces, first, orders, bin_count))
+    parts = [chunk[1:] for chunk in ngram_chunks(texts, orders, bin_count)]
     if len(parts) == 1:
         return parts[0]
     # join one array at a time, dropping its chunks as it is joined
     columns = [list(arrays) for arrays in zip(*parts)]
     del parts
     return tuple(np.concatenate(columns.pop(0)) for _ in range(3))
+
+
+def ngram_chunks(texts, orders, bin_count: int):
+    """Yield ``ngram_bins`` a chunk of texts at a time: (text count, owner,
+    bins, counts), owners counted from the first text of all, at least one
+    chunk however few the texts.
+
+    Each text becomes its ``token_bytes``.  Texts are hashed and counted a
+    chunk of about CHUNK_BYTES at a time, in numpy: every token occurrence
+    gets its FNV-1a state, and a bigram continues its first token's state
+    with a tab and then the second token's bytes.
+    """
+    if not 1 <= bin_count <= MAX_BIN_COUNT:
+        raise ValueError(f"bin count must be between 1 and 2^32, got {bin_count}")
+    first, pieces, size = 0, [], 0
+    for text in texts:
+        piece = token_bytes(text)
+        pieces.append(piece)
+        size += len(piece) + 1
+        if size >= CHUNK_BYTES:
+            yield len(pieces), *_chunk_bins(pieces, first, orders, bin_count)
+            first += len(pieces)
+            pieces, size = [], 0
+    if pieces or not first:
+        yield len(pieces), *_chunk_bins(pieces, first, orders, bin_count)
 
 
 def _chunk_bins(pieces, first, orders, bin_count):

@@ -6,16 +6,20 @@ scored a run's pairs as arrays; ``forest_probs`` keeps the formula forest
 probabilities had before they were summed in place.  ``bag`` and
 ``overlap_triple`` are the baseline scorer's own per-pair code from before
 it scored a run in one call; ``baseline_triple`` derives the same triple
-without a regex.
+without a regex.  ``argsort_build`` and ``write_npz`` are the index build and
+the npz writer as they were before the build placed its postings run by run
+and the writer sliced each array.
 """
 
 import re
+import zipfile
 
 import numpy as np
 
 from claimcheck import LABELS
 from claimcheck.entailment import NEGATION_CUES
-from claimcheck.tokenizer import tokenize
+from claimcheck.tfidf import _idf, row_sums
+from claimcheck.tokenizer import ngram_bins, tokenize
 
 MAX_EVIDENCE = 5
 NOT_ENOUGH_INFO = "NOT ENOUGH INFO"
@@ -129,3 +133,35 @@ def overlap_triple(claim_bag, sentence_bag) -> tuple:
     raw = (o * (1.0 - g), o * g, 1.0 - o)
     total = raw[0] + raw[1] + raw[2]  # guards rounding; mathematically already 1
     return raw[0] / total, raw[1] / total, raw[2] / total
+
+
+def argsort_build(texts, bin_count, orders) -> dict:
+    """The six arrays of a TfidfIndex over texts, by name, from one argsort of
+    every entry's bin * n + owner key over the n-grams of all texts at once."""
+    owner, bins, counts = ngram_bins(texts, orders, bin_count)
+    n = len(texts)
+    sizes = np.bincount(owner, minlength=n)
+    order = np.argsort(bins * n + owner)
+    owner = owner.astype(np.int32)
+    bins = bins[order]
+    starts = np.ones(order.size, dtype=bool)
+    np.not_equal(bins[1:], bins[:-1], out=starts[1:])
+    uniq_offsets = np.append(np.flatnonzero(starts), order.size)
+    df = np.diff(uniq_offsets)
+    weights = np.empty(order.size)
+    weights[order] = np.repeat(_idf(df, n), df)
+    weights *= np.log1p(counts)
+    return {"uniq_bins": bins[starts], "uniq_offsets": uniq_offsets,
+            "post_items": owner[order], "post_weights": weights[order], "df": df,
+            "item_norms": np.sqrt(row_sums(np.square(weights), sizes))}
+
+
+def write_npz(path, arrays: dict) -> None:
+    """An npz of arrays with pinned zip timestamps, each member written by
+    np.lib.format.write_array."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, arr in arrays.items():
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_DEFLATED
+            with zf.open(info, "w") as member:
+                np.lib.format.write_array(member, np.asanyarray(arr))

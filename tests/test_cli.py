@@ -1775,6 +1775,16 @@ class TestStartUp:
         assert {"ner", "tfidf", "forest"} <= loaded
         assert not {m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")}
 
+    def test_index_of_a_saved_corpus_never_imports_hashlib(self, tmp_path):
+        # only ingest hashes dump files; hashlib loads OpenSSL's libcrypto,
+        # about 3.6 MB of the index child's peak RSS
+        corpus = tmp_path / "corpus.json.gz"
+        assert cli.main(["-q", "ingest", "--dump", str(DUMP), "--out", str(corpus)]) == 0
+        loaded = self.loaded_after(["index", "--corpus", corpus,
+                                    "--out", tmp_path / "index.npz"])[0]
+        assert {"tfidf", "numpy"} <= loaded
+        assert not loaded & {"hashlib", "_hashlib"}
+
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                         reason="needs /proc/self/task to count threads")
     def test_numpy_children_end_on_one_thread(self, tmp_path):

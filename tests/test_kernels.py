@@ -252,4 +252,6 @@ def test_bench_kernels_smoke(capsys):
          "ngram_bins", "hashed_counts_loop", "score_pairs", "score_claims", "assemble_all",
          "forest_fit", "forest_load", "corpus_save", "corpus_load", "corpus_load_parse",
          "index_build", "tfidf_route", "top_documents", "start_ingest", "start_index",
-         "start_e2e"]
+         "start_e2e", "start_index"]
+    build, = (line for line in lines if line.startswith("index_build"))
+    assert build.endswith("x")  # the build's traced peak over the bytes it returns

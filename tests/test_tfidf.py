@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from claimcheck import cli, ner, tfidf
+from claimcheck import cli, ner, tfidf, tokenizer
 from claimcheck.corpus import Corpus, Document, SentenceRef, ingest_dump, read_saved
 from claimcheck.nli_data import FeverInstance
 from claimcheck.tokenizer import hash_ngram, hashed_counts, ngram_bins, tokenize
 
+import oracles
 from conftest import WORDS, make_random_corpus
 
 BINS = 4096  # small enough to force hash collisions
@@ -228,6 +229,103 @@ class TestRanking:
             tracemalloc.stop()
         returned = sum(getattr(index, name).nbytes for name in tfidf._ARRAYS)
         assert peak < 4 * returned, (peak, returned)
+
+
+def zipf_pages():
+    """The 4000 pages of test_build_peak_memory_bounded_by_its_output: 20 to
+    119 words each, drawn by a Zipf law from 5000 random words."""
+    rng = np.random.default_rng(0)
+    vocab = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=rng.integers(2, 11)))
+             for _ in range(5000)]
+    items = []
+    for i in range(4000):
+        ranks = np.minimum(rng.zipf(1.3, size=int(rng.integers(20, 120))), len(vocab)) - 1
+        items.append((f"Page_{i:05d}", " ".join(vocab[r] for r in ranks.tolist())))
+    return items
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# words for pages: ASCII, accented, Cyrillic, astral and a ligature, which
+# NFKC turns into two letters
+PAGE_WORDS = [*WORDS[:8], "café", "жук", "𝔘nit", "ﬁsh", "!!"]
+
+
+class TestBuild:
+    """The run-by-run build against the argsort build it replaced, bit for
+    bit, and the memory it and the npz writer take."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(PAGE_WORDS), max_size=12).map(" ".join),
+                          min_size=1, max_size=25),
+           bin_count=st.sampled_from([1, 7, 2**24, 2**32]),
+           orders=st.sampled_from([(1,), (2,), (1, 2)]),
+           page_per_chunk=st.booleans(), key_block=st.sampled_from([3, tfidf._KEY_BLOCK]))
+    @example(texts=[""], bin_count=2**24, orders=(1, 2), page_per_chunk=False,
+             key_block=tfidf._KEY_BLOCK)
+    @example(texts=["harbor"], bin_count=7, orders=(1,), page_per_chunk=True, key_block=3)
+    @example(texts=["", "tern " * 70_000 + "reef", "", "reef tern"], bin_count=2**24,
+             orders=(1, 2), page_per_chunk=True, key_block=3)
+    def test_arrays_equal_the_argsort_reference(self, texts, bin_count, orders,
+                                                page_per_chunk, key_block):
+        with pytest.MonkeyPatch.context() as patch:
+            if page_per_chunk:
+                patch.setattr(tokenizer, "CHUNK_BYTES", 1)
+            patch.setattr(tfidf, "_KEY_BLOCK", key_block)
+            index = tfidf.TfidfIndex.build(((f"P{i:03d}", t) for i, t in enumerate(texts)),
+                                           bin_count, orders)
+        want = oracles.argsort_build(texts, bin_count, orders)
+        assert index.item_ids == [f"P{i:03d}" for i in range(len(texts))]
+        for name in tfidf._ARRAYS:
+            assert same_bits(getattr(index, name), want[name]), name
+
+    def test_peak_under_twice_the_arrays_it_returns(self):
+        """On the 4000 pages, about 360,000 postings, the build holds its
+        runs (8 bytes a posting) and its output (12 bytes a posting plus 24
+        a distinct bin), and a chunk's working set; the argsort build peaked
+        at 2.6 times its output."""
+        items = zipf_pages()
+        tracemalloc.start()
+        try:
+            index = tfidf.TfidfIndex.build(items, tfidf.DEFAULT_BIN_COUNT, (1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(getattr(index, name).nbytes for name in tfidf._ARRAYS)
+        assert peak < 2 * returned, (peak, returned)
+
+    def test_save_adds_under_a_mebibyte(self, tmp_path):
+        """Saving writes each array from its own buffer: what it allocates is
+        the id array, the compressor and its output (write_array's tobytes
+        copies added 3.8 MB here)."""
+        index = tfidf.TfidfIndex.build(zipf_pages(), tfidf.DEFAULT_BIN_COUNT, (1, 2))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            index.save(tmp_path / "index.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 2**20, peak - held
+
+    @pytest.mark.parametrize("slice_bytes", [999, 12_345])
+    def test_writer_writes_the_bytes_of_write_array(self, tmp_path, monkeypatch, slice_bytes):
+        index = tfidf.build_document_index(
+            make_random_corpus(np.random.default_rng(7), max_docs=60), bin_count=BINS)
+        arrays = {"header": np.array(json.dumps({"ñame": "Ωmega"}, ensure_ascii=False)),
+                  "item_ids": np.array(index.item_ids),
+                  **{name: getattr(index, name) for name in tfidf._ARRAYS}}
+        assert {arr.dtype.kind for arr in arrays.values()} == {"U", "i", "f"}
+        assert {arrays[name].dtype for name in tfidf._ARRAYS} == {
+            np.dtype(np.int32), np.dtype(np.int64), np.dtype(np.float64)}
+        assert any(arr.nbytes > slice_bytes and arr.nbytes % slice_bytes
+                   for arr in arrays.values())
+        monkeypatch.setattr(tfidf, "_WRITE_BYTES", slice_bytes)
+        tfidf._write_npz(tmp_path / "sliced.npz", arrays)
+        oracles.write_npz(tmp_path / "whole.npz", arrays)
+        assert (tmp_path / "sliced.npz").read_bytes() == (tmp_path / "whole.npz").read_bytes()
 
 
 def reference_top_k(ids, entries, query, k):
